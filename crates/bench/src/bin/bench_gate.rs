@@ -23,6 +23,9 @@
 //! *shape*: asking the kernel for more shards than the machine can
 //! use must never cost more than running serially, on any host —
 //! machine-relative, so it holds on a laptop and a 64-core box alike.
+//! A clause whose sharded bench name ends in `_S` with `S` above the
+//! host's available parallelism tests nothing about scaling there: it
+//! is reported `not applicable` and counts neither way.
 
 use std::process::exit;
 
@@ -111,6 +114,11 @@ fn parse_scaling(spec: &str) -> Option<ScalingAssert> {
     })
 }
 
+/// The shard count a bench name ends in (`..._shards_8` -> 8).
+fn shard_suffix(name: &str) -> Option<usize> {
+    name.rsplit_once('_')?.1.parse().ok()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut threshold = 4.0f64;
@@ -172,7 +180,15 @@ fn main() {
     }
     // Scaling assertions compare within the current run only, so they
     // are immune to baseline-machine skew.
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     for assert in &scaling {
+        if let Some(shards) = shard_suffix(&assert.sharded).filter(|&s| s > nproc) {
+            println!(
+                "  n/a       scaling {}: not applicable (nproc={nproc} < {shards} shards)",
+                assert.sharded
+            );
+            continue;
+        }
         let mean_of = |name: &str| {
             current
                 .iter()

@@ -18,6 +18,9 @@ pub use dataobjects::{DataObjectRow, EffectivenessRow, StructExpansion};
 pub use source::{DisasmRow, LineRow, SourceRow};
 pub use views::{FunctionRow, PcRow, TotalMetrics};
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use minic::{MemDesc, SymbolTable};
 use simsparc_machine::CounterEvent;
 
@@ -221,20 +224,30 @@ impl<'a, S: EventSource + ?Sized> Analysis<'a, S> {
 
         // The batch preserves collection order within each column
         // (feedback generation depends on the EA sequence order).
+        // Attribution is a pure function of (backtracked?, candidate
+        // PC, delivered PC), and a run revisits a few dozen such keys
+        // across hundreds of thousands of events, so each distinct key
+        // is validated and resolved once and its charge stamped onto
+        // every event that shares it. Descriptors intern when their
+        // key first appears, i.e. in first-appearance order.
+        let rows = experiments
+            .iter()
+            .map(|e| e.clock_events().len() + e.hwc_events().len())
+            .sum();
         let mut batch = EventBatch::new(columns.len());
-        // Descriptors are a pure function of the validated PC; cache
-        // the interned id per PC so interning stays O(distinct PCs).
-        let mut desc_cache: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
+        batch.reserve(rows);
+        let mut memo: HashMap<(bool, Option<u64>, u64), Charge, BuildHasherDefault<KeyHasher>> =
+            HashMap::default();
         for (col_idx, col) in columns.iter().enumerate() {
             match col.kind {
                 ColKind::UserCpu { experiment } => {
                     for (ei, ev) in experiments[experiment].clock_events().iter().enumerate() {
-                        push_attributed(
+                        let c = *memo.entry((false, None, ev.pc)).or_insert_with(|| {
+                            Charge::resolve(syms, &mut batch, false, None, ev.pc)
+                        });
+                        c.push(
                             &mut batch,
-                            &mut desc_cache,
-                            syms,
                             col_idx,
-                            Attribution::Plain { pc: ev.pc },
                             ev.pc,
                             None,
                             None,
@@ -254,19 +267,23 @@ impl<'a, S: EventSource + ?Sized> Analysis<'a, S> {
                         .enumerate()
                         .filter(|(_, e)| e.counter == counter)
                     {
-                        let attr = if backtrack {
-                            validate(syms, ev.candidate_pc, ev.delivered_pc)
-                        } else {
-                            Attribution::Plain {
-                                pc: ev.delivered_pc,
-                            }
-                        };
-                        push_attributed(
+                        // Without backtracking the candidate is never
+                        // consulted, so it stays out of the key.
+                        let candidate = ev.candidate_pc.filter(|_| backtrack);
+                        let c = *memo
+                            .entry((backtrack, candidate, ev.delivered_pc))
+                            .or_insert_with(|| {
+                                Charge::resolve(
+                                    syms,
+                                    &mut batch,
+                                    backtrack,
+                                    candidate,
+                                    ev.delivered_pc,
+                                )
+                            });
+                        c.push(
                             &mut batch,
-                            &mut desc_cache,
-                            syms,
                             col_idx,
-                            attr,
                             ev.delivered_pc,
                             ev.candidate_pc,
                             ev.ea,
@@ -293,77 +310,117 @@ impl<'a, S: EventSource + ?Sized> Analysis<'a, S> {
 
     /// Fold the cached batch under a grouping key on the configured
     /// (possibly sharded) kernel path.
-    pub(crate) fn kernel<G: GroupKey + Sync>(
-        &self,
-        keyer: &G,
-    ) -> std::collections::HashMap<G::Key, Vec<u64>> {
+    pub(crate) fn kernel<G: GroupKey + Sync>(&self, keyer: &G) -> HashMap<G::Key, Vec<u64>> {
         aggregate_by(&self.batch, keyer, self.shards)
     }
 
     /// Serial-only kernel fold, for keys that must reach back into
     /// the experiments (callstacks) and so cannot require `Sync`.
-    pub(crate) fn kernel_serial<G: GroupKey>(
-        &self,
-        keyer: &G,
-    ) -> std::collections::HashMap<G::Key, Vec<u64>> {
+    pub(crate) fn kernel_serial<G: GroupKey>(&self, keyer: &G) -> HashMap<G::Key, Vec<u64>> {
         aggregate_by_serial(&self.batch, keyer)
     }
 }
 
-/// Write one validated event into the batch, resolving the charged
-/// PC's enclosing function, source line, and (for data objects) the
-/// interned descriptor id.
-#[allow(clippy::too_many_arguments)]
-fn push_attributed(
-    batch: &mut EventBatch,
-    desc_cache: &mut std::collections::HashMap<u64, u32>,
-    syms: &SymbolTable,
-    col: usize,
-    attr: Attribution,
-    delivered_pc: u64,
-    candidate_pc: Option<u64>,
-    ea: Option<u64>,
-    src: (usize, usize, bool),
-) {
-    let pc = attr.pc();
-    let (tag, desc) = match &attr {
-        Attribution::Plain { .. } => (AttrTag::Plain, NO_ID),
-        Attribution::DataObject { desc, .. } => {
-            let id = match desc_cache.get(&pc) {
-                Some(&id) => id,
-                None => {
-                    let id = batch.intern_desc(desc);
-                    desc_cache.insert(pc, id);
-                    id
-                }
-            };
-            (AttrTag::Data, id)
+/// A multiply-rotate hasher (rustc's `FxHasher` scheme) for the
+/// attribution memo. Its keys are a few dozen PCs, looked up once per
+/// event: SipHash's flooding resistance buys nothing here and costs
+/// more than the rest of the per-event work.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
         }
-        Attribution::Unknown { kind, .. } => (AttrTag::from_unknown(*kind), NO_ID),
-    };
-    // An Unresolvable event's candidate window crossed a branch target,
-    // so its reconstructed address is untrustworthy: the access that
-    // produced it may never have executed. Drop the EA so address-space
-    // views are built only from addresses the analysis can stand behind.
-    // (Collection now drops these at the source too; this guards data
-    // recorded by older collectors.)
-    let ea = if tag == AttrTag::UnkUnresolvable {
-        None
-    } else {
-        ea
-    };
-    batch.push(BatchEvent {
-        col,
-        pc,
-        delivered_pc,
-        candidate_pc,
-        ea,
-        tag,
-        desc,
-        func: syms.func_index_at(pc).map(|i| i as u32).unwrap_or(NO_ID),
-        line: syms.line_at(pc).unwrap_or(NO_LINE),
-        src,
-    });
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The charge of one attribution key: the validated (possibly
+/// artificial) PC, its verdict and interned descriptor, and the
+/// enclosing function and source line of that PC.
+#[derive(Clone, Copy)]
+struct Charge {
+    pc: u64,
+    tag: AttrTag,
+    desc: u32,
+    func: u32,
+    line: u32,
+}
+
+impl Charge {
+    /// Validate one key (backtracked counters only; everything else is
+    /// charged to the delivered PC) and resolve its symbols, interning
+    /// a data-object descriptor into `batch`.
+    fn resolve(
+        syms: &SymbolTable,
+        batch: &mut EventBatch,
+        backtrack: bool,
+        candidate_pc: Option<u64>,
+        delivered_pc: u64,
+    ) -> Charge {
+        let attr = if backtrack {
+            validate(syms, candidate_pc, delivered_pc)
+        } else {
+            Attribution::Plain { pc: delivered_pc }
+        };
+        let pc = attr.pc();
+        let (tag, desc) = match &attr {
+            Attribution::Plain { .. } => (AttrTag::Plain, NO_ID),
+            Attribution::DataObject { desc, .. } => (AttrTag::Data, batch.intern_desc(desc)),
+            Attribution::Unknown { kind, .. } => (AttrTag::from_unknown(*kind), NO_ID),
+        };
+        Charge {
+            pc,
+            tag,
+            desc,
+            func: syms.func_index_at(pc).map(|i| i as u32).unwrap_or(NO_ID),
+            line: syms.line_at(pc).unwrap_or(NO_LINE),
+        }
+    }
+
+    /// Append one event carrying this charge.
+    fn push(
+        self,
+        batch: &mut EventBatch,
+        col: usize,
+        delivered_pc: u64,
+        candidate_pc: Option<u64>,
+        ea: Option<u64>,
+        src: (usize, usize, bool),
+    ) {
+        // An Unresolvable event's candidate window crossed a branch
+        // target, so its reconstructed address is untrustworthy: the
+        // access that produced it may never have executed. Drop the EA
+        // so address-space views are built only from addresses the
+        // analysis can stand behind. (Collection now drops these at the
+        // source too; this guards data recorded by older collectors.)
+        let ea = ea.filter(|_| self.tag != AttrTag::UnkUnresolvable);
+        batch.push(BatchEvent {
+            col,
+            pc: self.pc,
+            delivered_pc,
+            candidate_pc,
+            ea,
+            tag: self.tag,
+            desc: self.desc,
+            func: self.func,
+            line: self.line,
+            src,
+        });
+    }
 }
 
 /// Validate a candidate trigger PC (§2.3): the module must have been

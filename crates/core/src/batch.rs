@@ -172,7 +172,8 @@ impl EventBatch {
 
     /// Intern a data-object descriptor, returning its pool id. The
     /// pool is scanned linearly — distinct descriptors are bounded by
-    /// the program text, not the event count, and callers cache by PC.
+    /// the program text, not the event count, and callers memoize by
+    /// attribution key.
     pub fn intern_desc(&mut self, desc: &MemDesc) -> u32 {
         match self.descs.iter().position(|d| d == desc) {
             Some(i) => i as u32,
@@ -197,6 +198,18 @@ impl EventBatch {
         self.src_exp.push(ev.src.0 as u32);
         self.src_idx.push(ev.src.1 as u32);
         self.src_clock.push(ev.src.2);
+    }
+
+    /// Pre-size every attributed-profile column for `additional` more
+    /// rows, so an analyzer fill never reallocates mid-way.
+    pub fn reserve(&mut self, additional: usize) {
+        self.reserve_plain(additional);
+        self.desc.reserve(additional);
+        self.func.reserve(additional);
+        self.line.reserve(additional);
+        self.src_exp.reserve(additional);
+        self.src_idx.reserve(additional);
+        self.src_clock.reserve(additional);
     }
 
     /// Push one bare histogram row (store profile): no attribution,

@@ -2,7 +2,7 @@
 //! synthetic experiments: every branch of the §2.3 validation logic,
 //! the §3.2.5 taxonomy, and the callers/callees attribution.
 
-use memprof_core::analyze::{validate, Analysis, Attribution, UnknownKind};
+use memprof_core::analyze::{validate, Analysis, Attribution, ColKind, UnknownKind};
 use memprof_core::{ClockEvent, CounterRequest, Experiment, HwcEvent, RunInfo};
 use minic::{FuncSym, GlobalSym, MemDesc, ModuleSym, PcMeta, SymbolTable};
 use simsparc_machine::CounterEvent;
@@ -434,4 +434,187 @@ fn hot_lines_aggregate_per_function_line() {
     assert_eq!(rows[0].samples[0], 2);
     assert_eq!(rows[0].text, "line one");
     assert_eq!(rows[1].function, "g");
+}
+
+/// The analyzer resolves each distinct `(backtracked?, candidate,
+/// delivered)` key once and stamps the result onto every event that
+/// shares it. Every batch column must still equal what resolving each
+/// event on its own produces.
+#[test]
+fn memoized_attribution_matches_per_event_reference() {
+    use memprof_core::batch::{AttrTag, NO_ADDR, NO_ID, NO_LINE};
+
+    let mut t = table();
+    // Distinct lines per PC, so the line column is checked too.
+    for (i, m) in t.pc_meta.iter_mut().enumerate() {
+        m.line = i as u32 + 1;
+    }
+    let outside = pc(40); // past every function and every PC record
+    let ev = |counter: usize, cand: Option<u64>, delivered: u64, ea: u64| HwcEvent {
+        ea: Some(ea),
+        ..event(counter, cand, delivered, vec![])
+    };
+    let tick = |p: u64| ClockEvent {
+        pc: p,
+        callstack: vec![],
+    };
+    let exp = Experiment {
+        counters: vec![
+            CounterRequest {
+                event: CounterEvent::ECReadMiss,
+                backtrack: true,
+                interval: 100,
+            },
+            CounterRequest {
+                event: CounterEvent::DTLBMiss,
+                backtrack: false,
+                interval: 7,
+            },
+        ],
+        hwc_events: vec![
+            ev(0, Some(pc(2)), pc(3), 0x100),   // beta
+            ev(1, Some(pc(2)), pc(3), 0x108),   // same pair, not backtracked
+            ev(0, Some(pc(0)), pc(1), 0x110),   // alpha
+            ev(0, Some(pc(2)), pc(5), 0x118),   // blocked: Unresolvable with an EA
+            ev(1, Some(pc(2)), pc(5), 0x120),   // same pair, EA kept
+            ev(0, None, pc(3), 0x128),          // no candidate: Unresolvable with an EA
+            ev(0, Some(pc(2)), pc(3), 0x130),   // beta again
+            ev(0, Some(pc(10)), pc(11), 0x138), // delta
+            ev(0, Some(pc(0)), pc(1), 0x140),   // alpha again
+            ev(0, Some(pc(30)), pc(31), 0x148), // outside every function
+            ev(1, None, outside, 0x150),        // outside every function
+            ev(0, Some(pc(21)), pc(22), 0x158), // Unverifiable
+            ev(0, Some(pc(6)), pc(7), 0x160),   // Unidentified
+            ev(1, Some(pc(2)), pc(3), 0x168),
+        ],
+        clock_period: Some(1000),
+        clock_events: vec![tick(pc(3)), tick(pc(5)), tick(outside), tick(pc(3))],
+        ..experiment(vec![], vec![])
+    };
+    let a = Analysis::new(&[&exp], &t);
+    let b = &a.batch;
+
+    // The reference: every event validated and resolved on its own,
+    // in column order, descriptors interned at first appearance.
+    struct Event {
+        src: usize,
+        attr: Attribution,
+        delivered: u64,
+        cand: Option<u64>,
+        ea: Option<u64>,
+        clock: bool,
+    }
+    let mut descs: Vec<MemDesc> = Vec::new();
+    let mut rows = Vec::new();
+    for (col, kind) in a.columns.iter().map(|c| &c.kind).enumerate() {
+        let events: Vec<Event> = match *kind {
+            ColKind::UserCpu { .. } => exp
+                .clock_events
+                .iter()
+                .enumerate()
+                .map(|(src, e)| Event {
+                    src,
+                    attr: Attribution::Plain { pc: e.pc },
+                    delivered: e.pc,
+                    cand: None,
+                    ea: None,
+                    clock: true,
+                })
+                .collect(),
+            ColKind::Hwc {
+                counter, backtrack, ..
+            } => exp
+                .hwc_events
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.counter == counter)
+                .map(|(src, e)| Event {
+                    src,
+                    attr: if backtrack {
+                        validate(&t, e.candidate_pc, e.delivered_pc)
+                    } else {
+                        Attribution::Plain { pc: e.delivered_pc }
+                    },
+                    delivered: e.delivered_pc,
+                    cand: e.candidate_pc,
+                    ea: e.ea,
+                    clock: false,
+                })
+                .collect(),
+        };
+        for Event {
+            src,
+            attr,
+            delivered,
+            cand,
+            ea,
+            clock,
+        } in events
+        {
+            let charged = attr.pc();
+            let (tag, desc) = match attr {
+                Attribution::Plain { .. } => (AttrTag::Plain, NO_ID),
+                Attribution::DataObject { desc, .. } => {
+                    let id = descs.iter().position(|d| *d == desc).unwrap_or_else(|| {
+                        descs.push(desc);
+                        descs.len() - 1
+                    });
+                    (AttrTag::Data, id as u32)
+                }
+                Attribution::Unknown { kind, .. } => (AttrTag::from_unknown(kind), NO_ID),
+            };
+            let ea = if tag == AttrTag::UnkUnresolvable {
+                None
+            } else {
+                ea
+            };
+            rows.push((
+                col as u32,
+                charged,
+                delivered,
+                cand.unwrap_or(NO_ADDR),
+                ea.unwrap_or(NO_ADDR),
+                tag,
+                desc,
+                t.func_index_at(charged).map_or(NO_ID, |f| f as u32),
+                t.line_at(charged).unwrap_or(NO_LINE),
+                (0u32, src as u32, clock),
+            ));
+        }
+    }
+
+    assert_eq!(b.len(), rows.len());
+    assert_eq!(b.col, rows.iter().map(|r| r.0).collect::<Vec<_>>());
+    assert_eq!(b.pc, rows.iter().map(|r| r.1).collect::<Vec<_>>());
+    assert_eq!(b.delivered_pc, rows.iter().map(|r| r.2).collect::<Vec<_>>());
+    assert_eq!(b.candidate_pc, rows.iter().map(|r| r.3).collect::<Vec<_>>());
+    assert_eq!(b.ea, rows.iter().map(|r| r.4).collect::<Vec<_>>());
+    assert_eq!(b.tag, rows.iter().map(|r| r.5).collect::<Vec<_>>());
+    assert_eq!(b.desc, rows.iter().map(|r| r.6).collect::<Vec<_>>());
+    assert_eq!(b.func, rows.iter().map(|r| r.7).collect::<Vec<_>>());
+    assert_eq!(b.line, rows.iter().map(|r| r.8).collect::<Vec<_>>());
+    assert_eq!(b.src_exp, rows.iter().map(|r| r.9 .0).collect::<Vec<_>>());
+    assert_eq!(b.src_idx, rows.iter().map(|r| r.9 .1).collect::<Vec<_>>());
+    assert_eq!(b.src_clock, rows.iter().map(|r| r.9 .2).collect::<Vec<_>>());
+    assert_eq!(b.descs, descs);
+
+    // The fixture exercises what it claims to.
+    let member = |d: &MemDesc| match d {
+        MemDesc::Member { member, .. } => member.clone(),
+        other => panic!("{other:?}"),
+    };
+    assert_eq!(
+        descs.iter().map(member).collect::<Vec<_>>(),
+        ["beta", "alpha", "delta"],
+        "descriptor ids follow first appearance"
+    );
+    let unresolvable_with_ea = exp
+        .hwc_events
+        .iter()
+        .filter(|e| e.counter == 0)
+        .filter(|e| validate(&t, e.candidate_pc, e.delivered_pc).is_artificial())
+        .count();
+    assert_eq!(unresolvable_with_ea, 2);
+    assert!(b.func.contains(&NO_ID) && b.line.contains(&NO_LINE));
+    assert!(b.tag.contains(&AttrTag::UnkUnverifiable) && b.tag.contains(&AttrTag::UnkUnidentified));
 }

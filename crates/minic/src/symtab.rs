@@ -243,6 +243,12 @@ impl SymbolTable {
 
     /// Load a table written by [`SymbolTable::save`].
     pub fn load(path: &std::path::Path) -> std::io::Result<SymbolTable> {
+        SymbolTable::parse(&std::fs::read_to_string(path)?)
+    }
+
+    /// Parse the text [`SymbolTable::save`] writes — the form the
+    /// table travels in as a packed store's `syms.txt` attachment.
+    pub fn parse(content: &str) -> std::io::Result<SymbolTable> {
         use crate::types::Type;
         let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
         let unesc = |s: &str| -> String {
@@ -280,7 +286,6 @@ impl SymbolTable {
         let hex =
             |s: &str| u64::from_str_radix(s.trim_start_matches("0x"), 16).map_err(|_| bad("hex"));
 
-        let content = std::fs::read_to_string(path)?;
         let mut lines = content.lines();
         let header = lines.next().ok_or_else(|| bad("empty symtab"))?;
         let text_base = header

@@ -35,6 +35,21 @@
 //! cache entry (first pass, restarted daemon), or any failed pass
 //! falls back to the re-read path.
 //!
+//! ## Serving views from the cache
+//!
+//! The same entry is, byte for byte, what an analyzer view on the
+//! compacted window would otherwise decode from the packed store. So
+//! `objects`, `segments`, `pages` and `lines` queries on a window with
+//! no fresh raw segments answer from it (see
+//! [`crate::query::answer`]), after the same full-file hash check a
+//! seeding pass makes. Entries are shared (`Arc`): a query clones the
+//! handles under the cache mutex and drops them before releasing its
+//! shared window lock, so a pass — which holds the exclusive lock —
+//! always owns its entry outright and unwraps the experiment without
+//! copying it. If a share ever lingered the pass would take the
+//! re-read path; it never deep-clones. [`CompactCache::view_hits`] and
+//! [`CompactCache::view_misses`] count which path answered.
+//!
 //! ## Crash safety
 //!
 //! A pass publishes in an order that keeps every crash point
@@ -64,16 +79,16 @@
 //! of their events. The cache only ever *adds* a fast path: it is
 //! updated after the pass fully succeeds and revalidated against the
 //! on-disk bytes before use. It lives behind its own mutex, held only
-//! for entry take/put — never across a merge — so windows compact
-//! concurrently; what serializes two passes over the *same* window is
-//! that window's exclusive lock in the
+//! for entry take/share/put — never across a merge or a query — so
+//! windows compact concurrently; what serializes two passes over the
+//! *same* window is that window's exclusive lock in the
 //! [`WindowRegistry`](crate::registry::WindowRegistry), which
 //! [`compact_all_registered`] (the daemon's entry point) takes per
 //! window.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
-use std::sync::Mutex;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 use memprof_core::Experiment;
 use memprof_store::pread::read_file_pooled;
@@ -87,33 +102,42 @@ use crate::store::{render_manifest, write_durable, Manifest, StoreDirs};
 use crate::summary::write_summary;
 
 /// One window's previous compaction result, reusable as the seed of
-/// the next pass while the on-disk packed store still hashes to
-/// `packed_hash`.
+/// the next pass — and as the source of the window's analyzer views —
+/// while the on-disk packed store still hashes to `packed_hash`. The
+/// experiment and attachments are `Arc`s so view queries can share
+/// them (see the module docs for why a pass still owns them outright).
 struct CachedWindow {
     packed_hash: u64,
-    merged: Experiment,
-    attachments: Vec<(String, String)>,
+    merged: Arc<Experiment>,
+    attachments: Arc<Vec<(String, String)>>,
     /// Value of the cache clock when this entry was last written —
     /// the LRU eviction key.
     last_used: u64,
 }
 
 /// Per-window merge results carried between compaction passes (see
-/// the module docs). Owned by the daemon and protected by its tier
-/// lock; an empty cache is always correct — every lookup revalidates
-/// against the bytes on disk.
+/// the module docs). Owned by the daemon behind its own mutex; an
+/// empty cache is always correct — every lookup revalidates against
+/// the bytes on disk.
 ///
 /// Each cached window pins a fully decoded [`Experiment`] in memory,
 /// so the cache holds at most [`CompactCache::DEFAULT_CACHED_WINDOWS`]
 /// entries unless [`CompactCache::with_cap`] says otherwise; beyond
 /// the cap the least-recently-compacted window is dropped and its next
 /// pass simply re-reads the packed store from disk (the slow path
-/// every entry starts from anyway).
+/// every entry starts from anyway). The cap therefore also bounds
+/// which windows' analyzer views answer from memory: a view query on
+/// an uncached window decodes its packed store instead.
 pub struct CompactCache {
     windows: HashMap<String, CachedWindow>,
     /// Monotonic compaction counter; entries stamp it on insert.
     clock: u64,
     cap: usize,
+    /// View queries answered from a cached experiment / from disk.
+    view_hits: u64,
+    view_misses: u64,
+    /// Compaction passes seeded from a cached experiment.
+    seeded_passes: u64,
 }
 
 impl Default for CompactCache {
@@ -129,12 +153,16 @@ impl CompactCache {
     pub const DEFAULT_CACHED_WINDOWS: usize = 4;
 
     /// A cache that keeps at most `cap` windows; `0` disables seeding
-    /// entirely (every pass takes the re-read path).
+    /// and cached views entirely (every pass and view query takes the
+    /// re-read path).
     pub fn with_cap(cap: usize) -> Self {
         CompactCache {
             windows: HashMap::new(),
             clock: 0,
             cap,
+            view_hits: 0,
+            view_misses: 0,
+            seeded_passes: 0,
         }
     }
 
@@ -143,8 +171,44 @@ impl CompactCache {
         self.windows.len()
     }
 
+    /// Analyzer-view queries answered from a cached experiment.
+    pub fn view_hits(&self) -> u64 {
+        self.view_hits
+    }
+
+    /// Analyzer-view queries that decoded the window from disk.
+    pub fn view_misses(&self) -> u64 {
+        self.view_misses
+    }
+
+    /// Compaction passes that seeded their merge from a cached
+    /// experiment instead of re-reading the packed store.
+    pub fn seeded_passes(&self) -> u64 {
+        self.seeded_passes
+    }
+
     pub fn is_empty(&self) -> bool {
         self.windows.is_empty()
+    }
+
+    /// `window`'s cached experiment and attachments, with the packed
+    /// store hash they are valid for. The caller validates the hash
+    /// against the disk outside the cache mutex.
+    pub(crate) fn view(&self, window: &str) -> Option<CachedView> {
+        self.windows.get(window).map(|c| CachedView {
+            packed_hash: c.packed_hash,
+            merged: Arc::clone(&c.merged),
+            attachments: Arc::clone(&c.attachments),
+        })
+    }
+
+    /// Count one analyzer-view query by the path that answered it.
+    pub(crate) fn record_view(&mut self, hit: bool) {
+        if hit {
+            self.view_hits += 1;
+        } else {
+            self.view_misses += 1;
+        }
     }
 
     /// Record `window`'s pass result, evicting the least recently
@@ -164,6 +228,13 @@ impl CompactCache {
             self.windows.remove(&oldest);
         }
     }
+}
+
+/// A shared snapshot of one cached window, for a view query.
+pub(crate) struct CachedView {
+    pub packed_hash: u64,
+    pub merged: Arc<Experiment>,
+    pub attachments: Arc<Vec<(String, String)>>,
 }
 
 /// What one compaction pass did.
@@ -237,14 +308,20 @@ pub fn compact_window(
     // entry removed, so the next attempt re-reads from disk. The
     // entry is taken out under a brief lock and the hash validated
     // outside it — the disk read must not stall other windows' passes.
-    let cached =
-        cache.lock().unwrap().windows.remove(window).filter(|c| {
-            read_file_pooled(&packed).is_ok_and(|bytes| fnv1a64(&bytes) == c.packed_hash)
-        });
+    // Should a view query's share of the experiment ever linger, the
+    // pass re-reads the store rather than deep-cloning it.
+    let cached = cache
+        .lock()
+        .unwrap()
+        .windows
+        .remove(window)
+        .filter(|c| packed_hash_is(&packed, c.packed_hash))
+        .and_then(|c| Some((Arc::try_unwrap(c.merged).ok()?, c.attachments)));
     let (seeds, seed_attachments) = match cached {
-        Some(c) => (vec![c.merged], Some(c.attachments)),
+        Some((merged, attachments)) => (vec![merged], Some(attachments)),
         None => (Vec::new(), None),
     };
+    let seeded = !seeds.is_empty();
     let mut inputs: Vec<PathBuf> = Vec::new();
     if seeds.is_empty() && packed.exists() {
         inputs.push(packed.clone());
@@ -261,7 +338,7 @@ pub fn compact_window(
     // `[packed] + fresh`.
     let attachments = match seed_attachments {
         Some(atts) if !atts.is_empty() => atts,
-        _ => collect_attachments(&refs),
+        _ => Arc::new(collect_attachments(&refs)),
     };
     let bytes = pack_experiment(&merged, &attachments);
 
@@ -293,13 +370,14 @@ pub fn compact_window(
     }
     {
         let mut cache = cache.lock().unwrap();
+        cache.seeded_passes += u64::from(seeded);
         cache.clock += 1;
         let last_used = cache.clock;
         cache.insert(
             window,
             CachedWindow {
                 packed_hash: manifest.packed_hash,
-                merged,
+                merged: Arc::new(merged),
                 attachments,
                 last_used,
             },
@@ -308,6 +386,13 @@ pub fn compact_window(
     // The per-window raw dir stays (possibly empty); new sessions for
     // the window keep landing there.
     Ok(tier.fresh.len())
+}
+
+/// Does the store at `packed` still hash to `hash`? The full-file
+/// FNV-1a check is what lets a cached experiment stand in for a
+/// checksummed read of the store.
+pub(crate) fn packed_hash_is(packed: &Path, hash: u64) -> bool {
+    read_file_pooled(packed).is_ok_and(|bytes| fnv1a64(&bytes) == hash)
 }
 
 /// Compact one window under its exclusive registry lock, bumping the

@@ -30,7 +30,11 @@
 //! compacted window answers from its summary (tier 2), which
 //! round-trips the aggregate exactly, so the answer is byte-identical
 //! to re-aggregating the packed store; uncompacted raw segments are
-//! aggregated on the fly and merged in.
+//! aggregated on the fly and merged in. Analyzer views (`objects`,
+//! `segments`, `pages`, `lines`) need the whole merged experiment: a
+//! compacted window whose merge the [`CompactCache`] still holds —
+//! and whose packed store still hashes to it — answers from memory,
+//! anything else decodes the packed store and raw segments.
 //!
 //! Locking: each store-reading arm takes the *shared* registry lock
 //! of exactly the windows it resolves — in sorted label order when
@@ -39,14 +43,18 @@
 //! while window B is mid-compaction; only a query *on the compacting
 //! window itself* waits.
 
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
+
 use memprof_core::analyze::Analysis;
 use memprof_core::Experiment;
 use memprof_store::{
-    aggregate_refs, diff_aggregates, merge_experiments_sharded, Aggregate, ExperimentRef,
-    StoreError,
+    aggregate_refs, attached_syms, diff_aggregates, merge_experiments_sharded, Aggregate,
+    ExperimentRef, StoreError,
 };
 use simsparc_machine::CounterEvent;
 
+use crate::compact::{packed_hash_is, CompactCache};
 use crate::registry::WindowRegistry;
 use crate::store::{valid_label, StoreDirs};
 use crate::summary::read_summary;
@@ -113,27 +121,47 @@ pub fn window_aggregate(
 }
 
 /// The window's symbol table, from the packed store's attachments or
-/// the first raw segment that carries one.
-pub fn window_syms(dirs: &StoreDirs, window: &str) -> Option<minic::SymbolTable> {
+/// the first raw segment that carries one. `Ok(None)` means no tier
+/// carries a table; a store that exists but cannot be read is an
+/// error naming it, never a silently missing table.
+pub fn window_syms(
+    dirs: &StoreDirs,
+    window: &str,
+) -> Result<Option<minic::SymbolTable>, StoreError> {
     let packed = dirs.packed_path(window);
     if packed.exists() {
-        if let Some(syms) = ExperimentRef::Packed(packed).load_syms() {
-            return Some(syms);
+        if let Some(syms) = ExperimentRef::Packed(packed).read_syms()? {
+            return Ok(Some(syms));
         }
     }
-    dirs.live_raw_segments(window)
-        .ok()?
-        .fresh
-        .into_iter()
-        .find_map(|p| ExperimentRef::Packed(p).load_syms())
+    for raw in dirs.live_raw_segments(window)?.fresh {
+        if let Some(syms) = ExperimentRef::Packed(raw).read_syms()? {
+            return Ok(Some(syms));
+        }
+    }
+    Ok(None)
 }
 
-/// Materialize a window as one merged [`Experiment`] — the form the
-/// analyzer views need. Input order matches compaction: packed store
-/// first, then raw segments in file-name order.
+/// The symbol table of the first of `windows` that carries one.
+fn first_syms<'a>(
+    dirs: &StoreDirs,
+    windows: impl IntoIterator<Item = &'a str>,
+) -> Result<Option<minic::SymbolTable>, StoreError> {
+    for w in windows {
+        if let Some(syms) = window_syms(dirs, w)? {
+            return Ok(Some(syms));
+        }
+    }
+    Ok(None)
+}
+
+/// Materialize a window as one merged [`Experiment`] from disk — the
+/// packed store, then the `fresh` raw segments in file-name order, the
+/// input order compaction uses.
 fn window_experiment(
     dirs: &StoreDirs,
     window: &str,
+    fresh: Vec<PathBuf>,
     shards: usize,
 ) -> Result<Experiment, StoreError> {
     let mut inputs = Vec::new();
@@ -141,7 +169,7 @@ fn window_experiment(
     if packed.exists() {
         inputs.push(packed);
     }
-    inputs.extend(dirs.live_raw_segments(window)?.fresh);
+    inputs.extend(fresh);
     if inputs.is_empty() {
         return Err(bad(format!("window `{window}` has no data")));
     }
@@ -150,6 +178,64 @@ fn window_experiment(
         .map(|p| ExperimentRef::open(p))
         .collect::<Result<Vec<ExperimentRef>, StoreError>>()?;
     merge_experiments_sharded(&refs, shards)
+}
+
+/// What an analyzer view reads: a window's merged experiment and its
+/// symbol table.
+///
+/// A compacted window — no fresh raw segments — whose merge the
+/// [`CompactCache`] still holds answers from memory, provided the
+/// packed store on disk hashes to the cached entry's fingerprint: the
+/// full-file check makes the cached experiment exactly as trustworthy
+/// as a checksummed read of the store, and packing is lossless, so
+/// the answer is byte-identical to the disk path. Anything else (fresh
+/// raws, an uncached window, a store replaced behind the daemon)
+/// decodes the window from disk. Callers hold the window's shared
+/// lock and must drop the returned `Arc` before releasing it.
+fn window_view(
+    dirs: &StoreDirs,
+    cache: &Mutex<CompactCache>,
+    window: &str,
+    shards: usize,
+) -> Result<(Arc<Experiment>, minic::SymbolTable), StoreError> {
+    let fresh = dirs.live_raw_segments(window)?.fresh;
+    let packed = dirs.packed_path(window);
+    let cached = if fresh.is_empty() {
+        cache.lock().unwrap().view(window)
+    } else {
+        None
+    };
+    let hit = cached.filter(|c| packed_hash_is(&packed, c.packed_hash));
+    cache.lock().unwrap().record_view(hit.is_some());
+    let (exp, syms) = match hit {
+        Some(c) => (c.merged, attached_syms(&c.attachments, &packed)?),
+        None => (
+            Arc::new(window_experiment(dirs, window, fresh, shards)?),
+            window_syms(dirs, window)?,
+        ),
+    };
+    Ok((exp, syms.ok_or_else(|| bad("window has no symbol table"))?))
+}
+
+/// Answer one analyzer-view query on `window`: resolve the window
+/// under its shared lock, reduce it, and render.
+fn view_answer(
+    dirs: &StoreDirs,
+    registry: &WindowRegistry,
+    cache: &Mutex<CompactCache>,
+    window: &str,
+    shards: usize,
+    render: impl FnOnce(&Analysis<'_>) -> Result<String, StoreError>,
+) -> Result<QueryOutcome, StoreError> {
+    let window = checked_label(dirs, window)?;
+    let _guard = registry.state(window).lock_shared();
+    let (exp, syms) = window_view(dirs, cache, window, shards)?;
+    let text = render(&Analysis::new(&[&*exp], &syms));
+    // Release the (possibly cached) experiment before the shared lock,
+    // so a compaction waiting on the exclusive lock finds itself its
+    // sole owner.
+    drop(exp);
+    Ok(QueryOutcome::Text(text?))
 }
 
 /// Resolve the window arguments of an aggregate query: explicit
@@ -246,11 +332,13 @@ pub fn watch_frame(dirs: &StoreDirs, window: &str, generation: u64) -> String {
 
 /// Parse and answer one query line, taking the shared registry lock
 /// of exactly the windows each arm reads. Store-dependent queries run
-/// here; `compact` and `shutdown` are returned for the server to act
-/// on.
+/// here, the analyzer views (`objects`, `segments`, `pages`, `lines`)
+/// from `cache` when it holds the window's current merge; `compact`
+/// and `shutdown` are returned for the server to act on.
 pub fn answer(
     dirs: &StoreDirs,
     registry: &WindowRegistry,
+    cache: &Mutex<CompactCache>,
     line: &str,
 ) -> Result<QueryOutcome, StoreError> {
     let (shards, fields) = split_shards(line.split_whitespace().collect())?;
@@ -281,7 +369,7 @@ pub fn answer(
             let windows = resolve_windows(dirs, rest)?;
             let _guards = registry.read_windows(&windows);
             let agg = merged_aggregate(dirs, &windows, shards)?;
-            let syms = windows.iter().find_map(|w| window_syms(dirs, w));
+            let syms = first_syms(dirs, windows.iter().map(String::as_str))?;
             QueryOutcome::Text(agg.stat_json(syms.as_ref()))
         }
         Some((&"stat", rest)) => {
@@ -299,27 +387,18 @@ pub fn answer(
             )?;
             // Function-level when either side carries symbols, like
             // `mp-store diff`.
-            let text = match window_syms(dirs, wa).or_else(|| window_syms(dirs, wb)) {
+            let text = match first_syms(dirs, [wa, wb])? {
                 Some(syms) => diff.render_by_function(&syms),
                 None => diff.render(),
             };
             QueryOutcome::Text(text)
         }
         Some((&"objects", [w, col @ ..])) if col.len() <= 1 => {
-            let w = checked_label(dirs, w)?;
-            let _guard = registry.state(w).lock_shared();
-            let exp = window_experiment(dirs, w, shards)?;
-            let syms = window_syms(dirs, w).ok_or_else(|| bad("window has no symbol table"))?;
-            let analysis = Analysis::new(&[&exp], &syms);
-            let col = analysis_col(&analysis, col.first())?;
-            QueryOutcome::Text(analysis.render_data_objects(col))
+            view_answer(dirs, registry, cache, w, shards, |analysis| {
+                Ok(analysis.render_data_objects(analysis_col(analysis, col.first())?))
+            })?
         }
-        Some((&"segments", [w])) => {
-            let w = checked_label(dirs, w)?;
-            let _guard = registry.state(w).lock_shared();
-            let exp = window_experiment(dirs, w, shards)?;
-            let syms = window_syms(dirs, w).ok_or_else(|| bad("window has no symbol table"))?;
-            let analysis = Analysis::new(&[&exp], &syms);
+        Some((&"segments", [w])) => view_answer(dirs, registry, cache, w, shards, |analysis| {
             let mut out = String::new();
             for row in analysis.segments() {
                 out.push_str(&format!(
@@ -328,41 +407,35 @@ pub fn answer(
                     row.samples.iter().sum::<u64>()
                 ));
             }
-            QueryOutcome::Text(out)
-        }
+            Ok(out)
+        })?,
         Some((&"pages", [w, n @ ..])) if n.len() <= 1 => {
-            let w = checked_label(dirs, w)?;
             let n = parse_limit(n.first(), 10)?;
-            let _guard = registry.state(w).lock_shared();
-            let exp = window_experiment(dirs, w, shards)?;
-            let syms = window_syms(dirs, w).ok_or_else(|| bad("window has no symbol table"))?;
-            let analysis = Analysis::new(&[&exp], &syms);
-            let mut out = String::new();
-            for row in analysis.pages(8192, n) {
-                out.push_str(&format!(
-                    "{:#012x}: {:>6} events\n",
-                    row.page_base,
-                    row.samples.iter().sum::<u64>()
-                ));
-            }
-            QueryOutcome::Text(out)
+            view_answer(dirs, registry, cache, w, shards, |analysis| {
+                let mut out = String::new();
+                for row in analysis.pages(8192, n) {
+                    out.push_str(&format!(
+                        "{:#012x}: {:>6} events\n",
+                        row.page_base,
+                        row.samples.iter().sum::<u64>()
+                    ));
+                }
+                Ok(out)
+            })?
         }
         Some((&"lines", [w, n @ ..])) if n.len() <= 1 => {
-            let w = checked_label(dirs, w)?;
             let n = parse_limit(n.first(), 10)?;
-            let _guard = registry.state(w).lock_shared();
-            let exp = window_experiment(dirs, w, shards)?;
-            let syms = window_syms(dirs, w).ok_or_else(|| bad("window has no symbol table"))?;
-            let analysis = Analysis::new(&[&exp], &syms);
-            let mut out = String::new();
-            for row in analysis.cache_lines(512, n) {
-                out.push_str(&format!(
-                    "{:#012x}: {:>6} events\n",
-                    row.line_base,
-                    row.samples.iter().sum::<u64>()
-                ));
-            }
-            QueryOutcome::Text(out)
+            view_answer(dirs, registry, cache, w, shards, |analysis| {
+                let mut out = String::new();
+                for row in analysis.cache_lines(512, n) {
+                    out.push_str(&format!(
+                        "{:#012x}: {:>6} events\n",
+                        row.line_base,
+                        row.samples.iter().sum::<u64>()
+                    ));
+                }
+                Ok(out)
+            })?
         }
         Some((&"compact", [])) => QueryOutcome::Compact,
         Some((&"shutdown", [])) => QueryOutcome::Shutdown,

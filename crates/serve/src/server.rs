@@ -94,9 +94,11 @@ pub struct ServerConfig {
     /// only on explicit `compact` queries.
     pub compact_secs: Option<u64>,
     /// Max windows whose merged experiments stay cached between
-    /// compaction passes; `None` uses
+    /// compaction passes — which also bounds the windows whose
+    /// analyzer views answer from memory; `None` uses
     /// [`CompactCache::DEFAULT_CACHED_WINDOWS`], `Some(0)` disables
-    /// the cache (every pass re-reads the packed store).
+    /// the cache (every pass re-reads the packed store, every view
+    /// query decodes it).
     pub cache_windows: Option<usize>,
     /// Seconds a connection may sit idle between frames before its
     /// readable prefix is sealed exactly as a disconnect would seal
@@ -116,8 +118,9 @@ struct Shared {
     /// [`crate::registry`].
     registry: WindowRegistry,
     /// Per-window merge results that make repeat compaction
-    /// incremental. Held only to take or put one window's entry,
-    /// never across a merge.
+    /// incremental and let analyzer views on compacted windows answer
+    /// from memory. Held only to take, share, or put one window's
+    /// entry, never across a merge or a query.
     cache: Mutex<CompactCache>,
     /// Arrival sequence for session ids; zero-padded into the file
     /// name so sorted-order merges are deterministic.
@@ -275,6 +278,13 @@ impl Server {
     /// held, as during compaction).
     pub fn window_state(&self, window: &str) -> Arc<WindowState> {
         self.shared.registry.state(window)
+    }
+
+    /// The daemon's [`CompactCache`] — exposed so embedders and tests
+    /// can read its counters (e.g. which analyzer-view queries were
+    /// answered from memory).
+    pub fn compact_cache(&self) -> &Mutex<CompactCache> {
+        &self.shared.cache
     }
 
     /// Stop the daemon and wait for its threads.
@@ -532,7 +542,7 @@ fn handle_query(shared: &Shared, mut stream: TcpStream, payload: &[u8]) -> std::
     // `answer` takes the shared lock of exactly the windows the query
     // reads — no global lock, so a query against one window completes
     // while another window is mid-compaction.
-    let outcome = answer(&shared.dirs, &shared.registry, line.trim());
+    let outcome = answer(&shared.dirs, &shared.registry, &shared.cache, line.trim());
     match outcome {
         Ok(QueryOutcome::Text(text)) => write_frame(&mut stream, TAG_RESULT, text.as_bytes()),
         Ok(QueryOutcome::Compact) => {

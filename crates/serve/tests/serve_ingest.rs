@@ -564,3 +564,216 @@ fn lru_eviction_falls_back_to_disk_path_byte_identically() {
         );
     }
 }
+
+/// Copy a daemon data directory (tiers, manifests, summaries) so a
+/// second daemon can serve the very same store.
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let dest = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &dest);
+        } else {
+            std::fs::copy(entry.path(), &dest).unwrap();
+        }
+    }
+}
+
+const VIEWS: [&str; 5] = [
+    "objects w1",
+    "objects w1 cpu",
+    "segments w1",
+    "pages w1 5",
+    "lines w1 5",
+];
+
+fn view_counts(server: &Server) -> (u64, u64) {
+    let cache = server.compact_cache().lock().unwrap();
+    (cache.view_hits(), cache.view_misses())
+}
+
+/// Answer every view query, asserting how many came from the cache.
+fn answer_views(server: &Server, hits: u64, misses: u64) -> Vec<String> {
+    let addr = server.addr().to_string();
+    let before = view_counts(server);
+    let answers = VIEWS
+        .iter()
+        .map(|q| serve::query(&addr, q).unwrap())
+        .collect();
+    let after = view_counts(server);
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        (hits, misses),
+        "(hits, misses) over {} view queries",
+        VIEWS.len()
+    );
+    answers
+}
+
+fn land(server: &Server, name: &str, seed: u64) {
+    let mut sink = SocketSink::connect(&server.addr().to_string(), name, "w1").unwrap();
+    sink.attach("syms.txt", SYMS);
+    drive(&mut sink, seed, 2);
+}
+
+/// Analyzer views on a compacted window answer from the compaction
+/// cache's merged experiment, byte-identically to a cache-less daemon
+/// decoding the same store; fresh raw segments force the disk path;
+/// and a compaction after cached answers still seeds from the cache
+/// and lands the offline merge.
+#[test]
+fn cached_view_answers_match_the_disk_path() {
+    let data = scratch("views_cached");
+    let cached = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
+    for seed in [1u64, 2, 3] {
+        land(&cached, &format!("run{seed}"), seed);
+    }
+    serve::query(&cached.addr().to_string(), "compact").unwrap();
+
+    let copy = scratch("views_disk");
+    copy_dir(&data, &copy);
+    let no_cache = ServerConfig {
+        cache_windows: Some(0),
+        ..ServerConfig::default()
+    };
+    let disk = Server::start("127.0.0.1:0", &copy, no_cache).unwrap();
+
+    let n = VIEWS.len() as u64;
+    let from_cache = answer_views(&cached, n, 0);
+    assert_eq!(from_cache, answer_views(&disk, 0, n));
+    assert!(from_cache[0].contains("<Total>"), "{}", from_cache[0]);
+
+    // A fresh raw segment means the cached merge is no longer the
+    // whole window: both daemons decode from disk and still agree.
+    let dirs = StoreDirs::create(&data).unwrap();
+    let round1 = std::fs::read(dirs.packed_path("w1")).unwrap();
+    land(&cached, "run4", 4);
+    land(&disk, "run4", 4);
+    let with_fresh = answer_views(&cached, 0, n);
+    assert_eq!(with_fresh, answer_views(&disk, 0, n));
+    assert_ne!(with_fresh, from_cache, "the fourth session is missing");
+
+    // Compaction after those view queries still seeds from the cache,
+    // and lands exactly the offline merge of [round-1 store, segment].
+    let seeded = |s: &Server| s.compact_cache().lock().unwrap().seeded_passes();
+    let seeded_before = seeded(&cached);
+    serve::query(&cached.addr().to_string(), "compact").unwrap();
+    serve::query(&disk.addr().to_string(), "compact").unwrap();
+    assert_eq!(seeded(&cached), seeded_before + 1, "pass did not seed");
+    assert_eq!(seeded(&disk), 0);
+
+    let offline = scratch("views_offline");
+    let packed1 = offline.join("w1.mps");
+    std::fs::write(&packed1, &round1).unwrap();
+    let raw4 = offline.join("0000000004-run4.mpes");
+    std::fs::write(&raw4, local_bytes(4, 2)).unwrap();
+    let refs = vec![
+        ExperimentRef::open(&packed1).unwrap(),
+        ExperimentRef::open(&raw4).unwrap(),
+    ];
+    let expected = pack_experiment(
+        &merge_experiments(&refs).unwrap(),
+        &collect_attachments(&refs),
+    );
+    let packed2 = std::fs::read(dirs.packed_path("w1")).unwrap();
+    assert_eq!(
+        packed2, expected,
+        "compacted store differs from offline merge"
+    );
+    let copy_dirs = StoreDirs::create(&copy).unwrap();
+    assert_eq!(
+        std::fs::read(copy_dirs.packed_path("w1")).unwrap(),
+        expected
+    );
+
+    // And the new merge answers from memory again.
+    let round2 = answer_views(&cached, n, 0);
+    assert_eq!(round2, with_fresh);
+    assert_eq!(round2, answer_views(&disk, 0, n));
+
+    cached.shutdown();
+    disk.shutdown();
+}
+
+/// A packed store replaced behind the daemon's back no longer hashes
+/// to the cached fingerprint: views must follow the bytes on disk.
+#[test]
+fn cached_views_follow_a_store_replaced_on_disk() {
+    let data = scratch("views_replaced");
+    let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    for seed in [1u64, 2, 3] {
+        land(&server, &format!("run{seed}"), seed);
+    }
+    serve::query(&addr, "compact").unwrap();
+    let n = VIEWS.len() as u64;
+    let all_three = answer_views(&server, n, 0);
+
+    // Offline merge of only the first two sessions, swapped in.
+    let offline = scratch("views_replaced_offline");
+    let files: Vec<_> = [1u64, 2]
+        .iter()
+        .enumerate()
+        .map(|(i, seed)| {
+            let path = offline.join(format!("000000000{}-run{seed}.mpes", i + 1));
+            std::fs::write(&path, local_bytes(*seed, 2)).unwrap();
+            path
+        })
+        .collect();
+    let refs: Vec<ExperimentRef> = files
+        .iter()
+        .map(|p| ExperimentRef::open(p).unwrap())
+        .collect();
+    let subset = pack_experiment(
+        &merge_experiments(&refs).unwrap(),
+        &collect_attachments(&refs),
+    );
+    let dirs = StoreDirs::create(&data).unwrap();
+    std::fs::write(dirs.packed_path("w1"), &subset).unwrap();
+
+    let replaced = answer_views(&server, 0, n);
+    assert_ne!(replaced, all_three, "views still answer the cached merge");
+
+    // The reference: a cache-less daemon over the replaced store.
+    let copy = scratch("views_replaced_copy");
+    copy_dir(&data, &copy);
+    let no_cache = ServerConfig {
+        cache_windows: Some(0),
+        ..ServerConfig::default()
+    };
+    let disk = Server::start("127.0.0.1:0", &copy, no_cache).unwrap();
+    assert_eq!(replaced, answer_views(&disk, 0, n));
+
+    server.shutdown();
+    disk.shutdown();
+}
+
+/// A corrupt packed store under a still-valid summary must fail the
+/// `functions` query rather than silently drop its per-function
+/// section.
+#[test]
+fn functions_on_a_corrupt_packed_store_is_an_error() {
+    let data = scratch("corrupt_syms");
+    let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    land(&server, "run", 1);
+    serve::query(&addr, "compact").unwrap();
+    assert!(serve::query(&addr, "functions w1").is_ok());
+
+    let dirs = StoreDirs::create(&data).unwrap();
+    let packed = dirs.packed_path("w1");
+    let mut bytes = std::fs::read(&packed).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&packed, &bytes).unwrap();
+    assert!(dirs.summary_path("w1").exists());
+
+    let err = serve::query(&addr, "functions w1").unwrap_err();
+    assert!(
+        err.to_string().contains("w1.mps"),
+        "error lacks path: {err}"
+    );
+
+    server.shutdown();
+}

@@ -176,28 +176,48 @@ impl ExperimentRef {
         }
     }
 
-    /// Load the symbol table that travels with the experiment
+    /// Read the symbol table that travels with the experiment
     /// (`syms.txt` beside a text directory, the attachment inside a
-    /// packed store or stream file), if present.
-    pub fn load_syms(&self) -> Option<minic::SymbolTable> {
+    /// packed store or stream file). `Ok(None)` means the experiment
+    /// carries no table; a store that cannot be opened, or a table
+    /// that does not parse, is an error naming the offending path.
+    pub fn read_syms(&self) -> Result<Option<minic::SymbolTable>, StoreError> {
         match self {
-            ExperimentRef::TextDir(dir) => minic::SymbolTable::load(&dir.join("syms.txt")).ok(),
-            ExperimentRef::Packed(file) => {
-                let attachments = load_attachments(file).ok()?;
-                let contents = attachments
-                    .iter()
-                    .find(|(n, _)| n == "syms.txt")
-                    .map(|(_, c)| c)?;
-                // SymbolTable's loader is path-based; round-trip the
-                // attachment through a scratch file.
-                let tmp = scratch_path("syms");
-                std::fs::write(&tmp, contents).ok()?;
-                let syms = minic::SymbolTable::load(&tmp).ok();
-                std::fs::remove_file(&tmp).ok();
-                syms
+            ExperimentRef::TextDir(dir) => {
+                let path = dir.join("syms.txt");
+                match std::fs::read_to_string(&path) {
+                    Ok(text) => parse_syms(&text).map(Some).path_context(&path),
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+                    Err(e) => Err(StoreError::Io(e).at(&path)),
+                }
             }
+            ExperimentRef::Packed(file) => attached_syms(&load_attachments(file)?, file),
         }
     }
+
+    /// [`ExperimentRef::read_syms`] for callers that only decorate
+    /// output with symbols: any error reads as "no table".
+    pub fn load_syms(&self) -> Option<minic::SymbolTable> {
+        self.read_syms().ok().flatten()
+    }
+}
+
+/// Parse a `syms.txt` body (see [`minic::SymbolTable::parse`]).
+fn parse_syms(text: &str) -> Result<minic::SymbolTable, StoreError> {
+    minic::SymbolTable::parse(text).map_err(StoreError::Io)
+}
+
+/// The symbol table among a packed store's attachments (`syms.txt`),
+/// if it carries one; `path` names that store in a parse error.
+pub fn attached_syms(
+    attachments: &[(String, String)],
+    path: &Path,
+) -> Result<Option<minic::SymbolTable>, StoreError> {
+    attachments
+        .iter()
+        .find(|(name, _)| name == "syms.txt")
+        .map(|(_, text)| parse_syms(text).path_context(path))
+        .transpose()
 }
 
 /// A packed file opened in whichever `MPES` version it carries.
@@ -263,6 +283,7 @@ pub fn collect_attachments(refs: &[ExperimentRef]) -> Vec<(String, String)> {
     Vec::new()
 }
 
+#[cfg(test)]
 fn scratch_path(tag: &str) -> PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static SEQ: AtomicU64 = AtomicU64::new(0);

@@ -13,8 +13,9 @@
 #   cp target/bench-json/BENCH_store_aggregation.json BENCH_store_aggregation.json
 #
 # Every run also appends one line per bench to bench-trajectory.jsonl
-# — `{"rev", "date", "bench", "records"}` — so the checked-in file
-# accumulates the perf history across PRs. Set
+# — `{"rev", "date", "nproc", "bench", "records"}` — so the checked-in
+# file accumulates the perf history across PRs, each line stamped with
+# the core count it was measured on. Set
 # BENCH_TRAJECTORY_APPEND=0 to skip the append (e.g. for throwaway
 # local runs).
 set -eu
@@ -24,6 +25,7 @@ BENCHES="store_aggregation view_aggregation merged_store_aggregation"
 TRAJECTORY="bench-trajectory.jsonl"
 rev=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 date=$(date -u +%Y-%m-%dT%H:%M:%SZ)
+nproc=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 mkdir -p target/bench-json
 fail=0
 for b in $BENCHES; do
@@ -33,12 +35,14 @@ for b in $BENCHES; do
     rm -f "$out"
     CRITERION_JSON="$out" cargo bench -p mcf-bench --bench "$b" --offline
     if [ "${BENCH_TRAJECTORY_APPEND:-1}" != 0 ]; then
-        printf '{"rev":"%s","date":"%s","bench":"%s","records":%s}\n' \
-            "$rev" "$date" "$b" "$(tr -d '\n' < "$out")" >> "$TRAJECTORY"
+        printf '{"rev":"%s","date":"%s","nproc":%s,"bench":"%s","records":%s}\n' \
+            "$rev" "$date" "$nproc" "$b" "$(tr -d '\n' < "$out")" >> "$TRAJECTORY"
     fi
     # Machine-relative scaling shape: over-sharding must never lose
     # to the serial path (the kernel caps shard requests to the
-    # hardware, so shards_8 on any host should track shards_1).
+    # hardware, so shards_8 on any host should track shards_1). On a
+    # host with fewer cores than a clause's shard count, bench_gate
+    # reports the clause as not applicable instead of passing it.
     case $b in
     store_aggregation)
         scaling="--assert-scaling store_aggregation/aggregate_shards_8:store_aggregation/aggregate_shards_1:1.10"

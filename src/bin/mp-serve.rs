@@ -17,7 +17,10 @@
 //! explicit `compact` query. `--cache-windows N` bounds how many
 //! windows' merge results stay resident between compaction passes
 //! (LRU, default 4; 0 disables the cache — evicted windows just
-//! re-read their packed store from disk).
+//! re-read their packed store from disk). The same N bounds which
+//! compacted windows answer analyzer views (`objects`, `segments`,
+//! `pages`, `lines`) from memory; views on other windows decode their
+//! packed store.
 //!
 //! `--idle-secs N` (default 300, 0 disables) drops a connection that
 //! sends nothing for N seconds, sealing whatever readable prefix its
