@@ -9,12 +9,14 @@
 //!
 //! and the resulting packed store is byte-identical to that command's
 //! output because both go through the same
-//! [`memprof_store::merge_experiments`] + [`pack_experiment`] +
+//! [`memprof_store::merge_experiments_with`] + [`pack_experiment`] +
 //! [`collect_attachments`] path with the same input order: the
 //! previous packed tier first, then raw segments in file-name order
 //! (session ids embed an arrival sequence number, so the order is
-//! deterministic). The tier-2 summary is regenerated with the same
-//! aggregation kernel `mp-store stat` uses.
+//! deterministic). The packed store is in the raw segments' own
+//! format, `MPES` v2: [`pack_experiment`] replays the merge through
+//! the collector's chunk writer. The tier-2 summary is regenerated
+//! with the same aggregation kernel `mp-store stat` uses.
 //!
 //! ## Incremental compaction
 //!
@@ -27,13 +29,17 @@
 //! the packed store's FNV-1a hash. When the on-disk store still
 //! matches the fingerprint — i.e. nobody replaced it behind the
 //! daemon's back — the next pass seeds the merge with the cached
-//! experiment ([`memprof_store::merge_experiments_seeded`]) and only
+//! experiment ([`memprof_store::merge_experiments_with`]) and only
 //! decodes the fresh segments. Packing is lossless (`load(pack(x)) ==
 //! x`, pinned by the store tests), so the seeded merge's inputs are
 //! exactly what re-reading the store would have produced and the
 //! output bytes are identical either way. A hash mismatch, a missing
 //! cache entry (first pass, restarted daemon), or any failed pass
-//! falls back to the re-read path.
+//! falls back to the re-read path. That path opens the store through
+//! [`StoreDirs::open_packed`], which refuses a store without its
+//! footer: a damaged packed tier fails the pass and stays as it is,
+//! instead of being merged as a prefix and overwritten by a whole
+//! store that no longer holds the lost chunks.
 //!
 //! ## Serving views from the cache
 //!
@@ -87,14 +93,14 @@
 //! window.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use memprof_core::Experiment;
 use memprof_store::pread::read_file_pooled;
 use memprof_store::{
-    aggregate, collect_attachments, fnv1a64, merge_experiments_seeded, pack_experiment,
-    ExperimentRef, StoreError,
+    aggregate, aggregate_streams, collect_attachments, fnv1a64, merge_experiments_with,
+    pack_experiment, EventStream, ExperimentRef, StoreError,
 };
 
 use crate::registry::WindowRegistry;
@@ -267,7 +273,10 @@ impl CompactReport {
 /// instead; this serves the recovery paths that have no merge in
 /// hand.
 fn refresh_summary(dirs: &StoreDirs, window: &str) -> Result<(), StoreError> {
-    let agg = memprof_store::aggregate_refs(&[ExperimentRef::open(&dirs.packed_path(window))?], 0)?;
+    let Some(store) = dirs.open_packed(window)? else {
+        return Ok(());
+    };
+    let agg = aggregate_streams(&[EventStream::Stream(store)], 0)?;
     write_summary(&dirs.summary_path(window), &agg)
 }
 
@@ -303,8 +312,9 @@ pub fn compact_window(
 
     // Seed from the cache when the on-disk store is still the one the
     // cached experiment was packed into; otherwise (first pass,
-    // restart, or an externally replaced store) fall back to reading
-    // it like any other input. A pass that fails below leaves the
+    // restart, or an externally replaced store) decode the seed from
+    // disk, refusing a store without its footer
+    // ([`StoreDirs::open_packed`]). A pass that fails below leaves the
     // entry removed, so the next attempt re-reads from disk. The
     // entry is taken out under a brief lock and the hash validated
     // outside it — the disk read must not stall other windows' passes.
@@ -317,28 +327,31 @@ pub fn compact_window(
         .remove(window)
         .filter(|c| packed_hash_is(&packed, c.packed_hash))
         .and_then(|c| Some((Arc::try_unwrap(c.merged).ok()?, c.attachments)));
+    let seeded = cached.is_some();
     let (seeds, seed_attachments) = match cached {
-        Some((merged, attachments)) => (vec![merged], Some(attachments)),
-        None => (Vec::new(), None),
+        Some((merged, attachments)) => (vec![merged], attachments),
+        None => match dirs.open_packed(window)? {
+            Some(store) => (
+                vec![store.to_experiment()?],
+                Arc::new(store.attachments().to_vec()),
+            ),
+            None => (Vec::new(), Arc::default()),
+        },
     };
-    let seeded = !seeds.is_empty();
-    let mut inputs: Vec<PathBuf> = Vec::new();
-    if seeds.is_empty() && packed.exists() {
-        inputs.push(packed.clone());
-    }
-    inputs.extend(tier.fresh.iter().cloned());
-    let refs = inputs
+    let refs = tier
+        .fresh
         .iter()
         .map(|p| ExperimentRef::open(p))
         .collect::<Result<Vec<ExperimentRef>, StoreError>>()?;
-    let merged = merge_experiments_seeded(seeds, &refs, 0)?;
-    // Attachment rule: first input with any attachment wins. The
-    // cached attachments are exactly what the packed store carries, so
-    // using them (when non-empty) equals collecting over
-    // `[packed] + fresh`.
-    let attachments = match seed_attachments {
-        Some(atts) if !atts.is_empty() => atts,
-        _ => Arc::new(collect_attachments(&refs)),
+    let merged = merge_experiments_with(seeds, &refs, 0)?;
+    // Attachment rule: first input with any attachment wins. The seed
+    // attachments — cached or read — are exactly what the packed
+    // store carries, so using them (when non-empty) equals collecting
+    // over `[packed] + fresh`.
+    let attachments = if seed_attachments.is_empty() {
+        Arc::new(collect_attachments(&refs))
+    } else {
+        seed_attachments
     };
     let bytes = pack_experiment(&merged, &attachments);
 

@@ -49,8 +49,8 @@ use std::sync::{Arc, Mutex};
 use memprof_core::analyze::Analysis;
 use memprof_core::Experiment;
 use memprof_store::{
-    aggregate_refs, attached_syms, diff_aggregates, merge_experiments_sharded, Aggregate,
-    ExperimentRef, StoreError,
+    aggregate_refs, aggregate_streams, attached_syms, diff_aggregates, merge_experiments_with,
+    Aggregate, EventStream, ExperimentRef, StoreError,
 };
 use simsparc_machine::CounterEvent;
 
@@ -96,11 +96,10 @@ pub fn window_aggregate(
 ) -> Result<Aggregate, StoreError> {
     let mut parts: Vec<Aggregate> = Vec::new();
     let summary = dirs.summary_path(window);
-    let packed = dirs.packed_path(window);
     if summary.exists() {
         parts.push(read_summary(&summary)?);
-    } else if packed.exists() {
-        parts.push(aggregate_refs(&[ExperimentRef::open(&packed)?], shards)?);
+    } else if let Some(store) = dirs.open_packed(window)? {
+        parts.push(aggregate_streams(&[EventStream::Stream(store)], shards)?);
     }
     let raws = dirs.live_raw_segments(window)?.fresh;
     if !raws.is_empty() {
@@ -122,15 +121,16 @@ pub fn window_aggregate(
 
 /// The window's symbol table, from the packed store's attachments or
 /// the first raw segment that carries one. `Ok(None)` means no tier
-/// carries a table; a store that exists but cannot be read is an
-/// error naming it, never a silently missing table.
+/// carries a table; a store that exists but cannot be read — a packed
+/// tier without its footer included ([`StoreDirs::open_packed`]) — is
+/// an error naming it, never a silently missing table. A raw segment
+/// without a footer is just an interrupted run.
 pub fn window_syms(
     dirs: &StoreDirs,
     window: &str,
 ) -> Result<Option<minic::SymbolTable>, StoreError> {
-    let packed = dirs.packed_path(window);
-    if packed.exists() {
-        if let Some(syms) = ExperimentRef::Packed(packed).read_syms()? {
+    if let Some(store) = dirs.open_packed(window)? {
+        if let Some(syms) = attached_syms(store.attachments(), &dirs.packed_path(window))? {
             return Ok(Some(syms));
         }
     }
@@ -164,20 +164,18 @@ fn window_experiment(
     fresh: Vec<PathBuf>,
     shards: usize,
 ) -> Result<Experiment, StoreError> {
-    let mut inputs = Vec::new();
-    let packed = dirs.packed_path(window);
-    if packed.exists() {
-        inputs.push(packed);
+    let mut seeds = Vec::new();
+    if let Some(store) = dirs.open_packed(window)? {
+        seeds.push(store.to_experiment()?);
     }
-    inputs.extend(fresh);
-    if inputs.is_empty() {
+    if seeds.is_empty() && fresh.is_empty() {
         return Err(bad(format!("window `{window}` has no data")));
     }
-    let refs = inputs
+    let refs = fresh
         .iter()
         .map(|p| ExperimentRef::open(p))
         .collect::<Result<Vec<ExperimentRef>, StoreError>>()?;
-    merge_experiments_sharded(&refs, shards)
+    merge_experiments_with(seeds, &refs, shards)
 }
 
 /// What an analyzer view reads: a window's merged experiment and its

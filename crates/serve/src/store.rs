@@ -5,7 +5,7 @@
 //! DATA/
 //!   ingest/WINDOW@SESSION.part   active collector sessions (unsealed)
 //!   raw/WINDOW/SESSION.mpes      tier 0: sealed raw segments (MPES v2)
-//!   packed/WINDOW.mps            tier 1: merged packed store (MPES v1)
+//!   packed/WINDOW.mps            tier 1: merged packed store (MPES v2)
 //!   packed/WINDOW.consumed       tier 1: compaction manifest (MPCM)
 //!   summary/WINDOW.sum           tier 2: per-PC aggregate (MPSUM)
 //! ```
@@ -44,7 +44,7 @@
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use memprof_store::{fnv1a64, StoreError};
+use memprof_store::{fnv1a64, StoreError, StreamFile};
 
 /// Window labels become directory components; reject anything that
 /// could escape the data directory or collide with tier suffixes.
@@ -182,6 +182,25 @@ impl StoreDirs {
 
     pub fn packed_path(&self, window: &str) -> PathBuf {
         self.root.join("packed").join(format!("{window}.mps"))
+    }
+
+    /// Open a window's packed tier, if it has one. Every reader of
+    /// the tier goes through here. Compaction only ever writes whole
+    /// stores, so a packed tier without its footer — cut short, or a
+    /// damaged chunk that ended the readable prefix — is an error
+    /// naming the store, never a prefix to aggregate or to merge (and
+    /// then write back over the damage as if it were whole).
+    pub fn open_packed(&self, window: &str) -> Result<Option<StreamFile>, StoreError> {
+        let path = self.packed_path(window);
+        if !path.exists() {
+            return Ok(None);
+        }
+        let store = StreamFile::open(&path)?;
+        if !store.is_complete() {
+            let why = store.truncation().unwrap_or("packed store has no footer");
+            return Err(StoreError::Corrupt(why).at(&path));
+        }
+        Ok(Some(store))
     }
 
     pub fn manifest_path(&self, window: &str) -> PathBuf {

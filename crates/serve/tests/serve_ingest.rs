@@ -11,11 +11,16 @@
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::Path;
+use std::sync::Mutex;
 
+use memprof_core::{CollectSink as _, PackedHwcEvent, RunInfo};
 use memprof_serve::wire::{
     hello_payload, read_frame, write_frame, TAG_CHUNK, TAG_HELLO, TAG_HELLO_OK,
 };
-use memprof_serve::{self as serve, Server, ServerConfig, SocketSink, StoreDirs};
+use memprof_serve::{
+    self as serve, CompactCache, RetentionPolicy, Server, ServerConfig, SocketSink, StoreDirs,
+    WindowRegistry,
+};
 use memprof_store::{
     collect_attachments, merge_experiments, pack_experiment, ExperimentRef, StreamFile,
 };
@@ -506,7 +511,7 @@ fn open_as_stream(path: &Path) -> Result<memprof_store::EventStream, memprof_sto
 /// disabled one (always re-read).
 #[test]
 fn lru_eviction_falls_back_to_disk_path_byte_identically() {
-    use memprof_serve::{compact_window, CompactCache};
+    use memprof_serve::compact_window;
 
     const WINDOWS: [&str; 3] = ["w1", "w2", "w3"];
 
@@ -774,6 +779,163 @@ fn functions_on_a_corrupt_packed_store_is_an_error() {
         err.to_string().contains("w1.mps"),
         "error lacks path: {err}"
     );
+
+    server.shutdown();
+}
+
+/// A session whose chunk passes its checksum but carries bad content
+/// (an event naming a stack id no STACKS chunk defined) has intact
+/// framing, so it seals like any other. Every call that decodes the
+/// chunk then fails: compaction reports an error for that window only,
+/// the way an incompatible recipe is reported, other windows still
+/// compact, and queries on the window return a typed error naming the
+/// segment.
+#[test]
+fn a_session_with_bad_chunk_content_fails_only_its_window() {
+    let data = scratch("bad_content");
+    let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    let run = RunInfo {
+        clock_hz: 900_000_000,
+        dropped: vec![0],
+        ..Default::default()
+    };
+    land(&server, "healthy", 1);
+
+    let mut bad = SocketSink::connect(&addr, "bad", "w2").unwrap();
+    bad.attach("syms.txt", SYMS);
+    bad.begin(&common::counters(), Some(10007), 900_000_000)
+        .unwrap();
+    bad.hwc_segment(&[PackedHwcEvent {
+        counter: 0,
+        delivered_pc: 0x1_0008,
+        candidate_pc: Some(0x1_0000),
+        ea: None,
+        stack: 5,
+        truth_trigger_pc: 0x1_0000,
+        truth_ea: None,
+        truth_skid: 2,
+    }])
+    .unwrap();
+    bad.finish(&run, &[]).unwrap();
+
+    // An incompatible recipe, for comparison: w3 holds one session
+    // collected at a different interval from the other.
+    let mut odd = SocketSink::connect(&addr, "odd", "w3").unwrap();
+    let mut recipe = common::counters();
+    recipe[0].interval += 1;
+    odd.begin(&recipe, Some(10007), 900_000_000).unwrap();
+    odd.finish(&run, &[]).unwrap();
+    let mut same = SocketSink::connect(&addr, "same", "w3").unwrap();
+    drive(&mut same, 2, 1);
+
+    let report = serve::query(&addr, "compact").unwrap();
+    assert!(report.contains("compacted w1: 1 raw segments"), "{report}");
+    assert!(
+        report.contains("compact w2 failed: ") && report.contains("undefined stack id"),
+        "{report}"
+    );
+    assert!(
+        report.contains("compact w3 failed: incompatible experiments"),
+        "{report}"
+    );
+    let dirs = StoreDirs::create(&data).unwrap();
+    assert!(dirs.packed_path("w1").exists());
+    assert!(!dirs.packed_path("w2").exists());
+    assert_eq!(dirs.raw_segments("w2").unwrap().len(), 1);
+
+    for query in ["functions w2", "objects w2"] {
+        let err = serve::query(&addr, query).unwrap_err().to_string();
+        assert!(
+            err.contains("corrupt store: event references undefined stack id")
+                && err.contains(".mpes"),
+            "{query}: {err}"
+        );
+    }
+    assert!(serve::query(&addr, "functions w1").is_ok());
+
+    // The segment poisons more than its own window's queries: an
+    // aggregate over every window decodes it and fails the same way.
+    for query in ["stat", "functions"] {
+        let err = serve::query(&addr, query).unwrap_err().to_string();
+        assert!(err.contains("undefined stack id"), "{query}: {err}");
+    }
+    server.shutdown();
+
+    // Retention ages a raw tier out by compacting it, so the window's
+    // forced compaction fails on every sweep and its raw tier stays.
+    // Only removing the segment by hand clears the window.
+    let sweep = || {
+        serve::enforce_retention(
+            &dirs,
+            &WindowRegistry::new(),
+            &Mutex::new(CompactCache::default()),
+            &RetentionPolicy {
+                raw_windows: Some(1),
+                age_secs: None,
+            },
+        )
+        .unwrap()
+    };
+    for _ in 0..2 {
+        let report = sweep();
+        assert!(
+            report
+                .errors
+                .iter()
+                .any(|(w, e)| w == "w2" && e.contains("undefined stack id")),
+            "{report:?}"
+        );
+        assert_eq!(dirs.raw_segments("w2").unwrap().len(), 1);
+    }
+    std::fs::remove_dir_all(dirs.raw_dir("w2")).unwrap();
+    assert!(sweep().errors.iter().all(|(w, _)| w != "w2"));
+}
+
+/// A packed tier damaged on disk is refused, never read as a prefix:
+/// merging what is left and writing a whole store over it would lose
+/// every chunk after the damage, and the tier's run counts, for good.
+/// Compaction reports the window's error and leaves the damaged store
+/// and the fresh segment as they were; the other readers of the tier
+/// fail with the store's path.
+#[test]
+fn compaction_refuses_a_damaged_packed_store() {
+    let data = scratch("damaged_packed");
+    let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    land(&server, "first", 1);
+    serve::query(&addr, "compact").unwrap();
+
+    let dirs = StoreDirs::create(&data).unwrap();
+    let packed = dirs.packed_path("w1");
+    let mut bytes = std::fs::read(&packed).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&packed, &bytes).unwrap();
+
+    land(&server, "second", 2);
+    let report = serve::query(&addr, "compact").unwrap();
+    assert!(
+        report.contains("compact w1 failed: ") && report.contains("w1.mps: corrupt store"),
+        "{report}"
+    );
+    assert_eq!(std::fs::read(&packed).unwrap(), bytes);
+    assert_eq!(dirs.live_raw_segments("w1").unwrap().fresh.len(), 1);
+
+    // Without a summary, aggregates fall back to the packed tier, and
+    // the recovery path that regenerates the summary reads it too.
+    std::fs::remove_file(dirs.summary_path("w1")).unwrap();
+    for query in ["functions w1", "stat w1", "objects w1"] {
+        let err = serve::query(&addr, query).unwrap_err().to_string();
+        assert!(err.contains("w1.mps: corrupt store"), "{query}: {err}");
+    }
+    for raw in dirs.raw_segments("w1").unwrap() {
+        std::fs::remove_file(raw).unwrap();
+    }
+    let report = serve::query(&addr, "compact").unwrap();
+    assert!(report.contains("compact w1 failed: "), "{report}");
+    assert_eq!(std::fs::read(&packed).unwrap(), bytes);
+    assert!(!dirs.summary_path("w1").exists());
 
     server.shutdown();
 }

@@ -9,7 +9,8 @@
 //!
 //! The reduction itself is no longer private to this crate: sources
 //! fill a columnar [`memprof_core::EventBatch`] (the charge-PC rule
-//! lives in [`EventSource::fill_batch`] and its packed-store twin),
+//! lives in [`EventSource::fill_batch`] and its `MPES` twin,
+//! [`crate::StreamFile::fill_pc_batch`]),
 //! and the per-PC histogram is one [`memprof_core::aggregate_by`]
 //! call — the same kernel every analyzer view runs on. The sharded
 //! path merges commutative sums into an ordered `BTreeMap`, so serial

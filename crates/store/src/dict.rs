@@ -1,10 +1,10 @@
 //! The merge pipeline: parallel input decode, allocation-free fold.
 //!
 //! An earlier revision of this module folded every input through a
-//! *shared* callstack dictionary: text and v1 inputs interned each
-//! decoded event's stack, v2 stream tables were remapped id-for-id,
-//! and the merged store materialized every callstack from the shared
-//! table at the end. Measuring that path showed the dictionary to be
+//! *shared* callstack dictionary: text inputs interned each decoded
+//! event's stack, stream tables were remapped id-for-id, and the
+//! merged store materialized every callstack from the shared table at
+//! the end. Measuring that path showed the dictionary to be
 //! pure overhead for this output shape: a merged [`Experiment`]
 //! carries each event's callstack as an owned `Vec<u64>`, so every
 //! stack must be materialized per *event* regardless — the shared
@@ -16,9 +16,9 @@
 //! parallel one:
 //!
 //! * **load** ([`load_inputs`]): each reference decodes to a full
-//!   [`Experiment`] on its own scoped thread (v1 stores run their
-//!   k-way segment merge, v2 streams materialize from their local
-//!   intern table, text directories parse) — this is where every
+//!   [`Experiment`] on its own scoped thread (`MPES` files decode
+//!   their chunks against their own intern table, text directories
+//!   parse) — this is where every
 //!   per-event allocation happens, and it scales with cores;
 //! * **fold** ([`merge_inputs`]): the decoded inputs are *moved* into
 //!   the merged experiment — event vectors append by memmove, stacks
@@ -29,7 +29,7 @@
 //! The output is byte-identical to the load-everything-then-
 //! [`crate::merge_loaded`] path, which the tests pin, and a caller
 //! holding an already-merged window can seed the fold with it
-//! ([`crate::merge_experiments_seeded`]) instead of re-reading its
+//! ([`crate::merge_experiments_with`]) instead of re-reading its
 //! packed form — the incremental-compaction fast path.
 
 use std::num::NonZeroUsize;

@@ -1,103 +1,150 @@
-//! The packed binary experiment format.
-//!
-//! A text experiment directory (§2.2) is human-greppable but bulky:
-//! every PC is eight hex digits and every callstack frame costs a
-//! comma. The packed format stores the same information in a single
-//! file at a fraction of the size, with events grouped per counter so
-//! a reader can stream one counter's events without touching the
-//! others.
+//! The binary experiment format: `MPES` version 2, the one on-disk
+//! encoding of an experiment. A live collector writes it incrementally
+//! through [`crate::SegmentWriter`]; [`pack_experiment`] replays a
+//! whole in-memory experiment through that same writer, so `mp-store
+//! pack`/`merge` and `mp-serve` compaction produce the very format a
+//! collector streams.
 //!
 //! ## Layout
 //!
 //! ```text
-//! file     := magic(4)=b"MPES" version(1)=1 checksum(8, LE) body
-//! body     := header index payload
-//! header   := counters clock_period run log attachments
-//! counters := n, n × { name:str backtrack:u8 interval }
-//! run      := exit:zigzag clock_hz output:str
-//!             dropped(n, n × varint) counts(10 × varint)
-//! log      := n, n × str
-//! attach   := n, n × { name:str contents:str }
-//! index    := n, n × { kind:u8 counter offset len count }
-//! str      := len, bytes (UTF-8)
+//! file   := magic(4)=b"MPES" version(1)=2 chunk*
+//! chunk  := kind:u8 len:u32le checksum:u64le payload(len)
 //! ```
 //!
-//! All integers are LEB128 varints unless sized above; signed values
-//! are zigzag-mapped. The checksum is FNV-1a 64 over `body`: cheap,
-//! dependency-free, and enough to catch truncation and bit rot (this
-//! is an integrity check, not an authenticity one).
-//!
-//! ## Segments
-//!
-//! The payload holds one segment per collected counter (kind 1) plus
-//! one clock segment (kind 0). `offset`/`len` are relative to the
-//! payload start, so a reader seeks straight to the counter it wants.
-//!
-//! Hardware-counter events interleave between counters in collection
-//! order; splitting them per counter would lose that order, so each
-//! event carries the *gap* from the previous event of the same counter
-//! in the experiment-global sequence. Merging the per-counter streams
-//! by global index reconstructs the original order exactly — that is
-//! what makes the converter lossless.
+//! The checksum is FNV-1a 64 over `kind || len || payload` — covering
+//! the chunk header too, so a corrupted kind or length byte cannot
+//! silently skip or resize a chunk. Chunk kinds and their payloads:
 //!
 //! ```text
-//! hwc event   := gap flags:u8 delivered_pc
-//!                [candidate_delta:zigzag] [ea] truth_delta:zigzag
-//!                [truth_ea] truth_skid stack
-//! clock event := pc stack
-//! stack       := n, first_frame, (n-1) × frame_delta:zigzag
+//! 0 HEADER  counters clock_period clock_hz        (first, exactly once)
+//! 1 STACKS  n, n × stack                          newly interned stacks
+//! 2 HWC     n, n × hwc_event                      collection order
+//! 3 CLOCK   n, n × { pc stack_id }                collection order
+//! 4 FOOTER  run log attachments                   (last, on clean exit)
+//!
+//! counters  := n, n × { name:str backtrack:u8 interval }
+//! run       := exit:zigzag output:str dropped(n, n × varint)
+//!              counts(10 × varint)
+//! log       := n, n × str
+//! attach    := n, n × { name:str contents:str }
+//! hwc_event := counter flags:u8 delivered_pc [candidate_delta:zigzag]
+//!              [ea] truth_delta:zigzag [truth_ea] truth_skid stack_id
+//! stack     := n, first_frame, (n-1) × frame_delta:zigzag
+//! str       := len, bytes (UTF-8)
 //! ```
 //!
-//! `truth_ea` (flag bit 4) is the ground-truth effective address the
-//! simulator stamps on each overflow trap; files written before the
-//! truth column existed never set the bit and load with no truth EA.
-//!
-//! Deltas are relative to `delivered_pc` (candidate and truth PCs sit
-//! within a few instructions of delivery — the skid, §2.2.2) and to
-//! the previous callstack frame, so most fields fit in one or two
-//! bytes.
+//! All integers are LEB128 varints; signed values are zigzag-mapped.
+//! Candidate and truth PCs are deltas from `delivered_pc` (they sit
+//! within a few instructions of delivery — the skid, §2.2.2), frames
+//! are deltas from the previous frame, and events name their
+//! callstack by a dense intern id ([`memprof_core::StackId`]) that a
+//! `STACKS` chunk earlier in the file defines. Any *prefix* of chunks
+//! is therefore self-contained, which is the crash-safety story (see
+//! [`crate::StreamFile`]). `truth_ea` (flag bit 4) is the simulator's
+//! ground-truth effective address; streams written before it existed
+//! never set the bit and load with no truth EA. Unknown chunk kinds
+//! are skipped, which is safe precisely because they are checksummed.
 
 use std::path::Path;
 
-use memprof_core::{ClockEvent, CounterRequest, Experiment, HwcEvent, RunInfo};
+use memprof_core::{
+    CallstackTable, CollectSink, CounterRequest, Experiment, PackedClockEvent, PackedHwcEvent,
+    RunInfo, StreamConfig,
+};
 use simsparc_machine::{CounterEvent, EventCounts};
 
 use crate::varint::{get_str, put_i64, put_str, put_u64, Cursor};
+use crate::writer::SegmentWriter;
 use crate::StoreError;
 
 pub(crate) const MAGIC: [u8; 4] = *b"MPES";
-pub(crate) const VERSION: u8 = 1;
-/// magic + version + checksum.
-pub(crate) const PREAMBLE_LEN: usize = 4 + 1 + 8;
+pub(crate) const VERSION: u8 = 2;
+/// magic + version.
+pub(crate) const PREAMBLE_LEN: usize = MAGIC.len() + 1;
+/// kind + len + checksum.
+pub(crate) const CHUNK_HEADER_LEN: usize = 1 + 4 + 8;
+
+pub(crate) const CHUNK_HEADER: u8 = 0;
+pub(crate) const CHUNK_STACKS: u8 = 1;
+pub(crate) const CHUNK_HWC: u8 = 2;
+pub(crate) const CHUNK_CLOCK: u8 = 3;
+pub(crate) const CHUNK_FOOTER: u8 = 4;
 
 /// Size ceiling for any single decoded allocation (strings, counts).
 pub(crate) const LIMIT: usize = 1 << 31;
 
-/// Segment kinds in the payload index.
-pub(crate) const SEG_CLOCK: u8 = 0;
-pub(crate) const SEG_HWC: u8 = 1;
+const FLAG_CANDIDATE: u8 = 1;
+const FLAG_EA: u8 = 2;
+const FLAG_TRUTH_EA: u8 = 4;
 
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Segment {
-    pub kind: u8,
-    /// Counter index for `SEG_HWC` segments; 0 for the clock segment.
-    pub counter: usize,
-    /// Byte range relative to the payload start.
-    pub offset: usize,
-    pub len: usize,
-    /// Number of events encoded in the range.
-    pub count: usize,
-}
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// FNV-1a 64-bit hash, used as the file checksum (and by the serve
-/// crate to fingerprint packed stores in compaction manifests).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// FNV-1a 64-bit hash: the chunk checksum's function, and the serve
+/// crate's fingerprint of whole packed stores in compaction manifests.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv_fold(FNV_OFFSET, bytes)
+}
+
+/// FNV-1a 64 over `kind || len_le || payload`.
+pub(crate) fn chunk_checksum(kind: u8, len: u32, payload: &[u8]) -> u64 {
+    let mut head = [0u8; 5];
+    head[0] = kind;
+    head[1..5].copy_from_slice(&len.to_le_bytes());
+    fnv_fold(fnv_fold(FNV_OFFSET, &head), payload)
+}
+
+/// The HEADER payload: the collection recipe.
+pub(crate) fn put_header(
+    out: &mut Vec<u8>,
+    counters: &[CounterRequest],
+    clock_period: Option<u64>,
+    clock_hz: u64,
+) {
+    put_u64(out, counters.len() as u64);
+    for c in counters {
+        put_str(out, c.event.name());
+        out.push(c.backtrack as u8);
+        put_u64(out, c.interval);
+    }
+    put_u64(out, clock_period.unwrap_or(0));
+    put_u64(out, clock_hz);
+}
+
+/// Decoded HEADER chunk: counters, clock period, clock rate.
+pub(crate) type Header = (Vec<CounterRequest>, Option<u64>, u64);
+
+pub(crate) fn get_header(payload: &[u8]) -> Result<Header, StoreError> {
+    let mut cur = Cursor::new(payload);
+    let n = cur.get_len(4096)?;
+    let mut counters = Vec::with_capacity(n);
+    for _ in 0..n {
+        let name = get_str(&mut cur, 256)?;
+        let event =
+            CounterEvent::parse(&name).ok_or(StoreError::Corrupt("unknown counter event name"))?;
+        let backtrack = match cur.take_byte()? {
+            0 => false,
+            1 => true,
+            _ => return Err(StoreError::Corrupt("bad backtrack flag")),
+        };
+        let interval = cur.get_u64()?;
+        counters.push(CounterRequest {
+            event,
+            backtrack,
+            interval,
+        });
+    }
+    let period = cur.get_u64()?;
+    let clock_hz = cur.get_u64()?;
+    Ok((counters, (period > 0).then_some(period), clock_hz))
 }
 
 pub(crate) fn put_stack(out: &mut Vec<u8>, stack: &[u64]) {
@@ -114,8 +161,8 @@ pub(crate) fn put_stack(out: &mut Vec<u8>, stack: &[u64]) {
 }
 
 pub(crate) fn get_stack(cur: &mut Cursor<'_>) -> Result<Vec<u64>, StoreError> {
-    let n = cur.get_len(LIMIT)?;
-    let mut stack = Vec::with_capacity(n.min(64));
+    let n = cur.get_len(cur.remaining())?;
+    let mut stack = Vec::with_capacity(n);
     let mut prev = 0u64;
     for i in 0..n {
         let frame = if i == 0 {
@@ -129,30 +176,8 @@ pub(crate) fn get_stack(cur: &mut Cursor<'_>) -> Result<Vec<u64>, StoreError> {
     Ok(stack)
 }
 
-/// Skip one encoded callstack without materializing it: read the
-/// frame count, then consume the frame varints. The bulk columnar
-/// decode never looks at stacks, so this avoids the per-event `Vec`
-/// that [`get_stack`] allocates.
-pub(crate) fn skip_stack(cur: &mut Cursor<'_>) -> Result<(), StoreError> {
-    let n = cur.get_len(LIMIT)?;
-    for i in 0..n {
-        if i == 0 {
-            cur.get_u64()?;
-        } else {
-            cur.get_i64()?;
-        }
-    }
-    Ok(())
-}
-
-const FLAG_CANDIDATE: u8 = 1;
-const FLAG_EA: u8 = 2;
-/// The optional ground-truth EA column (absent in files written
-/// before `mp-verify` existed — absence of the bit means "no truth").
-const FLAG_TRUTH_EA: u8 = 4;
-
-fn put_hwc_event(out: &mut Vec<u8>, gap: u64, ev: &HwcEvent) {
-    put_u64(out, gap);
+pub(crate) fn put_hwc_event(out: &mut Vec<u8>, ev: &PackedHwcEvent) {
+    put_u64(out, ev.counter as u64);
     let mut flags = 0u8;
     if ev.candidate_pc.is_some() {
         flags |= FLAG_CANDIDATE;
@@ -179,16 +204,30 @@ fn put_hwc_event(out: &mut Vec<u8>, gap: u64, ev: &HwcEvent) {
         put_u64(out, tea);
     }
     put_u64(out, ev.truth_skid as u64);
-    put_stack(out, &ev.callstack);
+    put_u64(out, ev.stack as u64);
 }
 
-/// Decode one hwc event; returns `(gap, event)`. The counter index is
-/// implied by the segment and filled in by the caller.
+/// A stack id that must be one of the `n_stacks` defined so far.
+fn get_stack_id(cur: &mut Cursor<'_>, n_stacks: usize) -> Result<u32, StoreError> {
+    u32::try_from(cur.get_u64()?)
+        .ok()
+        .filter(|&id| (id as usize) < n_stacks)
+        .ok_or(StoreError::Corrupt("event references undefined stack id"))
+}
+
+/// Decode one hwc event, checking its counter against the recipe's
+/// `n_counters` and its stack id against the `n_stacks` defined
+/// before its chunk.
+#[inline]
 pub(crate) fn get_hwc_event(
     cur: &mut Cursor<'_>,
-    counter: usize,
-) -> Result<(u64, HwcEvent), StoreError> {
-    let gap = cur.get_u64()?;
+    n_counters: usize,
+    n_stacks: usize,
+) -> Result<PackedHwcEvent, StoreError> {
+    let counter = cur.get_u64()?;
+    if counter >= n_counters as u64 {
+        return Err(StoreError::Corrupt("event references unknown counter"));
+    }
     let flags = cur.take_byte()?;
     if flags & !(FLAG_CANDIDATE | FLAG_EA | FLAG_TRUTH_EA) != 0 {
         return Err(StoreError::Corrupt("unknown hwc event flags"));
@@ -212,83 +251,43 @@ pub(crate) fn get_hwc_event(
     };
     let truth_skid =
         u32::try_from(cur.get_u64()?).map_err(|_| StoreError::Corrupt("skid overflows u32"))?;
-    let callstack = get_stack(cur)?;
-    Ok((
-        gap,
-        HwcEvent {
-            counter,
-            delivered_pc,
-            candidate_pc,
-            ea,
-            callstack,
-            truth_trigger_pc,
-            truth_ea,
-            truth_skid,
-        },
-    ))
-}
-
-/// Decode only the charge-relevant columns of one hwc event —
-/// `(delivered_pc, candidate_pc, ea)` — skipping the gap, the truth
-/// columns, and the callstack without allocating. The flag and skid
-/// validation matches [`get_hwc_event`] exactly, so a corrupt segment
-/// fails the same way on either path.
-pub(crate) fn get_hwc_plain(
-    cur: &mut Cursor<'_>,
-) -> Result<(u64, Option<u64>, Option<u64>), StoreError> {
-    cur.get_u64()?; // gap: unused by columnar aggregation
-    let flags = cur.take_byte()?;
-    if flags & !(FLAG_CANDIDATE | FLAG_EA | FLAG_TRUTH_EA) != 0 {
-        return Err(StoreError::Corrupt("unknown hwc event flags"));
-    }
-    let delivered_pc = cur.get_u64()?;
-    let candidate_pc = if flags & FLAG_CANDIDATE != 0 {
-        Some(delivered_pc.wrapping_add(cur.get_i64()? as u64))
-    } else {
-        None
-    };
-    let ea = if flags & FLAG_EA != 0 {
-        Some(cur.get_u64()?)
-    } else {
-        None
-    };
-    cur.get_i64()?; // truth trigger delta
-    if flags & FLAG_TRUTH_EA != 0 {
-        cur.get_u64()?;
-    }
-    u32::try_from(cur.get_u64()?).map_err(|_| StoreError::Corrupt("skid overflows u32"))?;
-    skip_stack(cur)?;
-    Ok((delivered_pc, candidate_pc, ea))
-}
-
-pub(crate) fn get_clock_event(cur: &mut Cursor<'_>) -> Result<ClockEvent, StoreError> {
-    Ok(ClockEvent {
-        pc: cur.get_u64()?,
-        callstack: get_stack(cur)?,
+    Ok(PackedHwcEvent {
+        counter: counter as u32,
+        delivered_pc,
+        candidate_pc,
+        ea,
+        stack: get_stack_id(cur, n_stacks)?,
+        truth_trigger_pc,
+        truth_ea,
+        truth_skid,
     })
 }
 
-/// Encode an experiment (plus auxiliary text files such as `syms.txt`
-/// and `image.txt`) into a packed store image.
-pub fn pack_experiment(exp: &Experiment, attachments: &[(String, String)]) -> Vec<u8> {
-    let mut body = Vec::new();
+#[inline]
+pub(crate) fn get_clock_event(
+    cur: &mut Cursor<'_>,
+    n_stacks: usize,
+) -> Result<PackedClockEvent, StoreError> {
+    Ok(PackedClockEvent {
+        pc: cur.get_u64()?,
+        stack: get_stack_id(cur, n_stacks)?,
+    })
+}
 
-    // -- header
-    put_u64(&mut body, exp.counters.len() as u64);
-    for c in &exp.counters {
-        put_str(&mut body, c.event.name());
-        body.push(c.backtrack as u8);
-        put_u64(&mut body, c.interval);
+/// The FOOTER payload: run summary, collector log, attachments.
+pub(crate) fn put_footer(
+    out: &mut Vec<u8>,
+    run: &RunInfo,
+    log: &[String],
+    attachments: &[(String, String)],
+) {
+    put_i64(out, run.exit_code);
+    put_str(out, &run.output);
+    put_u64(out, run.dropped.len() as u64);
+    for &d in &run.dropped {
+        put_u64(out, d);
     }
-    put_u64(&mut body, exp.clock_period.unwrap_or(0));
-    put_i64(&mut body, exp.run.exit_code);
-    put_u64(&mut body, exp.run.clock_hz);
-    put_str(&mut body, &exp.run.output);
-    put_u64(&mut body, exp.run.dropped.len() as u64);
-    for &d in &exp.run.dropped {
-        put_u64(&mut body, d);
-    }
-    let c = &exp.run.counts;
+    let c = &run.counts;
     for v in [
         c.cycles,
         c.insts,
@@ -301,125 +300,25 @@ pub fn pack_experiment(exp: &Experiment, attachments: &[(String, String)]) -> Ve
         c.loads,
         c.stores,
     ] {
-        put_u64(&mut body, v);
+        put_u64(out, v);
     }
-    put_u64(&mut body, exp.log.len() as u64);
-    for line in &exp.log {
-        put_str(&mut body, line);
+    put_u64(out, log.len() as u64);
+    for line in log {
+        put_str(out, line);
     }
-    put_u64(&mut body, attachments.len() as u64);
+    put_u64(out, attachments.len() as u64);
     for (name, contents) in attachments {
-        put_str(&mut body, name);
-        put_str(&mut body, contents);
+        put_str(out, name);
+        put_str(out, contents);
     }
-
-    // -- segments: one per counter, plus the clock segment.
-    let mut segments: Vec<(u8, usize, Vec<u8>, usize)> = Vec::new();
-    for ci in 0..exp.counters.len() {
-        let mut seg = Vec::new();
-        let mut count = 0usize;
-        let mut prev_global = 0u64;
-        for (gi, ev) in exp.hwc_events.iter().enumerate() {
-            if ev.counter != ci {
-                continue;
-            }
-            // First event stores its absolute index; later ones the gap.
-            let gap = gi as u64 - prev_global;
-            prev_global = gi as u64;
-            put_hwc_event(&mut seg, gap, ev);
-            count += 1;
-        }
-        segments.push((SEG_HWC, ci, seg, count));
-    }
-    let mut clock_seg = Vec::new();
-    for ev in &exp.clock_events {
-        put_u64(&mut clock_seg, ev.pc);
-        put_stack(&mut clock_seg, &ev.callstack);
-    }
-    segments.push((SEG_CLOCK, 0, clock_seg, exp.clock_events.len()));
-
-    // -- index
-    put_u64(&mut body, segments.len() as u64);
-    let mut offset = 0usize;
-    for (kind, counter, seg, count) in &segments {
-        body.push(*kind);
-        put_u64(&mut body, *counter as u64);
-        put_u64(&mut body, offset as u64);
-        put_u64(&mut body, seg.len() as u64);
-        put_u64(&mut body, *count as u64);
-        offset += seg.len();
-    }
-
-    // -- payload
-    for (_, _, seg, _) in &segments {
-        body.extend_from_slice(seg);
-    }
-
-    let mut out = Vec::with_capacity(PREAMBLE_LEN + body.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.extend_from_slice(&fnv1a64(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
 }
 
-/// Parsed header of a packed store (everything except the event
-/// payload, which stays encoded until iterated).
-pub(crate) struct ParsedStore {
-    pub counters: Vec<CounterRequest>,
-    pub clock_period: Option<u64>,
-    pub run: RunInfo,
-    pub log: Vec<String>,
-    pub attachments: Vec<(String, String)>,
-    pub segments: Vec<Segment>,
-    /// Byte offset of the payload within the file image.
-    pub payload_start: usize,
-}
+/// Decoded FOOTER chunk: run summary, collector log, attachments.
+pub(crate) type Footer = (RunInfo, Vec<String>, Vec<(String, String)>);
 
-/// Validate the preamble and checksum and parse the header + index.
-/// Every fixed-offset access below is length-guarded first: a file
-/// shorter than the 13-byte preamble is [`StoreError::Truncated`] (or
-/// `BadMagic`/`BadVersion` when the bytes present already rule those
-/// out), never a slice panic.
-pub(crate) fn parse_store(bytes: &[u8]) -> Result<ParsedStore, StoreError> {
-    if bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] != MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    if bytes.len() > MAGIC.len() && bytes[MAGIC.len()] != VERSION {
-        return Err(StoreError::BadVersion(bytes[MAGIC.len()]));
-    }
-    if bytes.len() < PREAMBLE_LEN {
-        return Err(StoreError::Truncated);
-    }
-    let stored = u64::from_le_bytes(bytes[5..13].try_into().unwrap());
-    let body = &bytes[PREAMBLE_LEN..];
-    if fnv1a64(body) != stored {
-        return Err(StoreError::ChecksumMismatch);
-    }
-
-    let mut cur = Cursor::new(body);
-    let n_counters = cur.get_len(4096)?;
-    let mut counters = Vec::with_capacity(n_counters);
-    for _ in 0..n_counters {
-        let name = get_str(&mut cur, 256)?;
-        let event =
-            CounterEvent::parse(&name).ok_or(StoreError::Corrupt("unknown counter event name"))?;
-        let backtrack = match cur.take_byte()? {
-            0 => false,
-            1 => true,
-            _ => return Err(StoreError::Corrupt("bad backtrack flag")),
-        };
-        let interval = cur.get_u64()?;
-        counters.push(CounterRequest {
-            event,
-            backtrack,
-            interval,
-        });
-    }
-    let period = cur.get_u64()?;
-    let clock_period = (period > 0).then_some(period);
+pub(crate) fn get_footer(payload: &[u8], clock_hz: u64) -> Result<Footer, StoreError> {
+    let mut cur = Cursor::new(payload);
     let exit_code = cur.get_i64()?;
-    let clock_hz = cur.get_u64()?;
     let output = get_str(&mut cur, LIMIT)?;
     let n_dropped = cur.get_len(4096)?;
     let mut dropped = Vec::with_capacity(n_dropped);
@@ -441,8 +340,8 @@ pub(crate) fn parse_store(bytes: &[u8]) -> Result<ParsedStore, StoreError> {
     ] {
         *field = cur.get_u64()?;
     }
-    let n_log = cur.get_len(LIMIT)?;
-    let mut log = Vec::with_capacity(n_log.min(4096));
+    let n_log = cur.get_len(cur.remaining())?;
+    let mut log = Vec::with_capacity(n_log);
     for _ in 0..n_log {
         log.push(get_str(&mut cur, LIMIT)?);
     }
@@ -453,43 +352,8 @@ pub(crate) fn parse_store(bytes: &[u8]) -> Result<ParsedStore, StoreError> {
         let contents = get_str(&mut cur, LIMIT)?;
         attachments.push((name, contents));
     }
-
-    let n_segments = cur.get_len(8192)?;
-    let mut segments = Vec::with_capacity(n_segments);
-    for _ in 0..n_segments {
-        let kind = cur.take_byte()?;
-        if kind != SEG_CLOCK && kind != SEG_HWC {
-            return Err(StoreError::Corrupt("unknown segment kind"));
-        }
-        let counter = cur.get_len(4096)?;
-        if kind == SEG_HWC && counter >= counters.len() {
-            return Err(StoreError::Corrupt("segment references unknown counter"));
-        }
-        segments.push(Segment {
-            kind,
-            counter,
-            offset: cur.get_len(LIMIT)?,
-            len: cur.get_len(LIMIT)?,
-            count: cur.get_len(LIMIT)?,
-        });
-    }
-
-    let payload_start = PREAMBLE_LEN + (body.len() - cur.remaining());
-    let payload_len = bytes.len() - payload_start;
-    for seg in &segments {
-        let end = seg
-            .offset
-            .checked_add(seg.len)
-            .ok_or(StoreError::Corrupt("segment range overflows"))?;
-        if end > payload_len {
-            return Err(StoreError::Corrupt("segment extends past end of payload"));
-        }
-    }
-
-    Ok(ParsedStore {
-        counters,
-        clock_period,
-        run: RunInfo {
+    Ok((
+        RunInfo {
             exit_code,
             output,
             counts,
@@ -498,9 +362,64 @@ pub(crate) fn parse_store(bytes: &[u8]) -> Result<ParsedStore, StoreError> {
         },
         log,
         attachments,
-        segments,
-        payload_start,
-    })
+    ))
+}
+
+/// Encode an experiment (plus auxiliary text files such as `syms.txt`
+/// and `image.txt`) as an `MPES` v2 image. The events replay through
+/// the collector's own [`SegmentWriter`] and [`CallstackTable`] one
+/// spill-sized chunk at a time — the stacks a chunk newly interns
+/// first, then the chunk — so at most one chunk of packed events is
+/// held besides the output image.
+pub fn pack_experiment(exp: &Experiment, attachments: &[(String, String)]) -> Vec<u8> {
+    fn pack(exp: &Experiment, attachments: &[(String, String)]) -> std::io::Result<Vec<u8>> {
+        let chunk = StreamConfig::default().spill_events;
+        let mut w = SegmentWriter::new(Vec::new());
+        for (name, contents) in attachments {
+            w.attach(name, contents);
+        }
+        w.begin(&exp.counters, exp.clock_period, exp.run.clock_hz)?;
+        let mut table = CallstackTable::new();
+        let mut hwc: Vec<PackedHwcEvent> = Vec::with_capacity(chunk.min(exp.hwc_events.len()));
+        for events in exp.hwc_events.chunks(chunk) {
+            let known = table.len();
+            hwc.clear();
+            hwc.extend(events.iter().map(|ev| PackedHwcEvent {
+                counter: ev.counter as u32,
+                delivered_pc: ev.delivered_pc,
+                candidate_pc: ev.candidate_pc,
+                ea: ev.ea,
+                stack: table.intern(&ev.callstack),
+                truth_trigger_pc: ev.truth_trigger_pc,
+                truth_ea: ev.truth_ea,
+                truth_skid: ev.truth_skid,
+            }));
+            if table.len() > known {
+                w.stacks(table.stacks_from(known))?;
+            }
+            w.hwc_segment(&hwc)?;
+        }
+        drop(hwc);
+        let mut clock: Vec<PackedClockEvent> =
+            Vec::with_capacity(chunk.min(exp.clock_events.len()));
+        for events in exp.clock_events.chunks(chunk) {
+            let known = table.len();
+            clock.clear();
+            clock.extend(events.iter().map(|ev| PackedClockEvent {
+                pc: ev.pc,
+                stack: table.intern(&ev.callstack),
+            }));
+            if table.len() > known {
+                w.stacks(table.stacks_from(known))?;
+            }
+            w.clock_segment(&clock)?;
+        }
+        w.finish(&exp.run, &exp.log)?;
+        Ok(w.into_inner())
+    }
+    // Writes into a `Vec` cannot fail; only a single chunk over the
+    // format's 4 GiB limit can, and event chunks are spill-sized.
+    pack(exp, attachments).expect("experiment chunk exceeds the 4 GiB chunk limit")
 }
 
 /// The auxiliary files `mp-collect` writes next to the experiment
@@ -522,15 +441,12 @@ pub fn pack_dir(dir: &Path, out: &Path) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Unpack a packed store or stream file back into a text experiment
-/// directory.
+/// Unpack a packed store (or a collector's stream file) back into a
+/// text experiment directory.
 pub fn unpack_to_dir(file: &Path, dir: &Path) -> Result<(), StoreError> {
-    let (exp, attachments) = match crate::open_packed(file)? {
-        crate::PackedFile::V1(store) => (store.to_experiment()?, store.attachments().to_vec()),
-        crate::PackedFile::V2(stream) => (stream.to_experiment()?, stream.attachments().to_vec()),
-    };
-    exp.save(dir)?;
-    for (name, contents) in attachments {
+    let stream = crate::StreamFile::open(file)?;
+    stream.to_experiment()?.save(dir)?;
+    for (name, contents) in stream.attachments() {
         std::fs::write(dir.join(name), contents)?;
     }
     Ok(())

@@ -5,12 +5,15 @@
 //! the paper's production tool had and the reproduction lacked —
 //! archival and aggregation at scale:
 //!
-//! * a compact, versioned, checksummed **binary store** for a whole
-//!   experiment (events, run summary, log, and the `syms.txt` /
-//!   `image.txt` companions), losslessly convertible to and from the
-//!   text directory ([`pack_dir`] / [`unpack_to_dir`]);
-//! * a **streaming reader** ([`StoreFile`]) that decodes one
-//!   counter's events at a time straight from the packed bytes;
+//! * one compact, versioned, chunk-checksummed **binary format**
+//!   (`MPES` v2) for a whole experiment (events, run summary, log, and
+//!   the `syms.txt` / `image.txt` companions): the collector streams
+//!   it through [`SegmentWriter`], and [`pack_experiment`] writes the
+//!   same format for a packed store, losslessly convertible to and
+//!   from the text directory ([`pack_dir`] / [`unpack_to_dir`]);
+//! * one **lazy reader** ([`StreamFile`]) that indexes a file's chunks
+//!   on open and decodes events straight from the bytes only when
+//!   asked;
 //! * a **parallel aggregation engine** ([`aggregate`]) reducing many
 //!   experiments to per-PC histograms with scoped threads, with
 //!   results identical to the serial path;
@@ -26,7 +29,6 @@ mod aggregate;
 mod dict;
 mod format;
 pub mod pread;
-mod reader;
 mod stream;
 mod varint;
 mod writer;
@@ -40,7 +42,6 @@ pub use aggregate::{
     DiffRow,
 };
 pub use format::{fnv1a64, pack_dir, pack_experiment, unpack_to_dir, ATTACHMENT_FILES};
-pub use reader::{ClockIter, HwcIter, StoreFile};
 pub use stream::EventStream;
 pub use writer::{validate_stream_prefix, SegmentWriter, StreamFile};
 
@@ -55,16 +56,8 @@ pub enum StoreError {
     BadMagic,
     /// The file is a store, but a version this build does not read.
     BadVersion(u8),
-    /// The body does not hash to the stored checksum.
-    ChecksumMismatch,
     /// Structurally invalid content (with a static reason).
     Corrupt(&'static str),
-    /// Structurally invalid event indexing, naming the first global
-    /// index at which the contiguity check failed.
-    CorruptIndex {
-        why: &'static str,
-        index: u64,
-    },
     /// Experiments whose collection recipes do not line up.
     Incompatible(String),
     /// An event column could not be resolved against the combined
@@ -108,11 +101,7 @@ impl std::fmt::Display for StoreError {
             StoreError::Truncated => write!(f, "unexpected end of input"),
             StoreError::BadMagic => write!(f, "not a packed experiment store (bad magic)"),
             StoreError::BadVersion(v) => write!(f, "unsupported store version {v}"),
-            StoreError::ChecksumMismatch => write!(f, "checksum mismatch (file corrupted?)"),
             StoreError::Corrupt(why) => write!(f, "corrupt store: {why}"),
-            StoreError::CorruptIndex { why, index } => {
-                write!(f, "corrupt store: {why} (first offending index {index})")
-            }
             StoreError::Incompatible(why) => write!(f, "incompatible experiments: {why}"),
             StoreError::ColumnMismatch(why) => write!(f, "column mismatch: {why}"),
             StoreError::At(path, e) => write!(f, "{}: {e}", path.display()),
@@ -133,7 +122,8 @@ impl From<std::io::Error> for StoreError {
 pub enum ExperimentRef {
     /// A text experiment directory written by `mp-collect`.
     TextDir(PathBuf),
-    /// A packed store file written by `mp-store pack`.
+    /// An `MPES` file: a packed store (`mp-store pack`/`merge`,
+    /// `mp-serve` compaction) or a collector's stream.
     Packed(PathBuf),
 }
 
@@ -169,18 +159,17 @@ impl ExperimentRef {
             ExperimentRef::TextDir(dir) => Experiment::load(dir)
                 .map_err(StoreError::Io)
                 .path_context(dir),
-            ExperimentRef::Packed(file) => match open_packed(file)? {
-                PackedFile::V1(store) => store.to_experiment().path_context(file),
-                PackedFile::V2(stream) => stream.to_experiment().path_context(file),
-            },
+            ExperimentRef::Packed(file) => StreamFile::open(file)?.to_experiment(),
         }
     }
 
     /// Read the symbol table that travels with the experiment
-    /// (`syms.txt` beside a text directory, the attachment inside a
-    /// packed store or stream file). `Ok(None)` means the experiment
-    /// carries no table; a store that cannot be opened, or a table
-    /// that does not parse, is an error naming the offending path.
+    /// (`syms.txt` beside a text directory, the footer attachment of
+    /// an `MPES` file — opening one decodes no event chunk). `Ok(None)`
+    /// means the experiment carries no table; a store that cannot be
+    /// opened, or a table that does not parse, is an error naming the
+    /// offending path. A file whose footer never arrived (or was lost
+    /// to damage, see [`StreamFile::truncation`]) carries no table.
     pub fn read_syms(&self) -> Result<Option<minic::SymbolTable>, StoreError> {
         match self {
             ExperimentRef::TextDir(dir) => {
@@ -220,39 +209,10 @@ pub fn attached_syms(
         .transpose()
 }
 
-/// A packed file opened in whichever `MPES` version it carries.
-pub(crate) enum PackedFile {
-    /// Version 1: one-shot archival image ([`StoreFile`]).
-    V1(StoreFile),
-    /// Version 2: incrementally written stream ([`StreamFile`]).
-    V2(StreamFile),
-}
-
-/// Open a packed file, dispatching on the version byte: the two
-/// formats share the magic, so every consumer of "a packed
-/// experiment" goes through here.
-pub(crate) fn open_packed(path: &Path) -> Result<PackedFile, StoreError> {
-    let open = || -> Result<PackedFile, StoreError> {
-        let bytes = pread::read_file_pooled(path)?;
-        if bytes.get(4) == Some(&writer::STREAM_VERSION) {
-            // The stream parser decodes everything into owned
-            // structures, so the pooled image is released (back to
-            // the pool) as soon as parsing finishes.
-            Ok(PackedFile::V2(StreamFile::parse(&bytes)?))
-        } else {
-            Ok(PackedFile::V1(StoreFile::from_buf(bytes)?))
-        }
-    };
-    open().path_context(path)
-}
-
-/// The auxiliary text files (`syms.txt`, `image.txt`) carried by a
-/// packed store or stream file.
+/// The auxiliary text files (`syms.txt`, `image.txt`) carried in an
+/// `MPES` file's footer. Decodes no event chunk.
 pub fn load_attachments(path: &Path) -> Result<Vec<(String, String)>, StoreError> {
-    Ok(match open_packed(path)? {
-        PackedFile::V1(store) => store.attachments().to_vec(),
-        PackedFile::V2(stream) => stream.attachments().to_vec(),
-    })
+    Ok(StreamFile::open(path)?.attachments().to_vec())
 }
 
 /// The auxiliary files to carry into a packed store, from whichever
@@ -262,20 +222,23 @@ pub fn load_attachments(path: &Path) -> Result<Vec<(String, String)>, StoreError
 /// is byte-identical to one merged offline from the same inputs.
 pub fn collect_attachments(refs: &[ExperimentRef]) -> Vec<(String, String)> {
     for r in refs {
-        let mut found = Vec::new();
-        for name in ATTACHMENT_FILES {
-            let contents = match r {
-                ExperimentRef::TextDir(dir) => std::fs::read_to_string(dir.join(name)).ok(),
-                // Version-agnostic: v1 packed stores and v2 stream
-                // files both carry attachments.
-                ExperimentRef::Packed(file) => load_attachments(file)
-                    .ok()
-                    .and_then(|atts| atts.into_iter().find(|(n, _)| n == name).map(|(_, c)| c)),
-            };
-            if let Some(c) = contents {
-                found.push((name.to_string(), c));
+        let found: Vec<(String, String)> = match r {
+            ExperimentRef::TextDir(dir) => ATTACHMENT_FILES
+                .iter()
+                .filter_map(|&name| {
+                    let contents = std::fs::read_to_string(dir.join(name)).ok()?;
+                    Some((name.to_string(), contents))
+                })
+                .collect(),
+            // One read per reference, whatever the number of names.
+            ExperimentRef::Packed(file) => {
+                let attached = load_attachments(file).unwrap_or_default();
+                ATTACHMENT_FILES
+                    .iter()
+                    .filter_map(|&name| attached.iter().find(|(n, _)| n == name).cloned())
+                    .collect()
             }
-        }
+        };
         if !found.is_empty() {
             return found;
         }
@@ -383,33 +346,24 @@ pub fn merge_loaded(exps: &[Experiment]) -> Result<Experiment, StoreError> {
 }
 
 /// Load and merge a set of experiment references (text directories or
-/// packed stores, freely mixed). Inputs decode in parallel — all
-/// per-event work lives in that phase — and the fold itself moves the
-/// decoded events, so its cost is proportional to the number of
-/// inputs, not events. The result is identical to loading every input
-/// and calling [`merge_loaded`].
+/// packed stores, freely mixed): [`merge_experiments_with`] with no
+/// seeds and one decode thread per available core.
 pub fn merge_experiments(refs: &[ExperimentRef]) -> Result<Experiment, StoreError> {
-    merge_experiments_sharded(refs, 0)
+    merge_experiments_with(Vec::new(), refs, 0)
 }
 
-/// [`merge_experiments`] with the inputs decoded `shards` at a time
-/// on scoped threads (0 = one per available core; requests beyond the
-/// hardware are capped). The merge itself — and its output — is
-/// identical at every shard count.
-pub fn merge_experiments_sharded(
-    refs: &[ExperimentRef],
-    shards: usize,
-) -> Result<Experiment, StoreError> {
-    dict::merge_inputs(dict::load_inputs(refs, shards)?)
-}
-
-/// [`merge_experiments_sharded`], seeded with experiments the caller
-/// already holds in memory. The seeds fold in first, then the decoded
-/// `refs`, exactly as if every seed had been packed, referenced, and
-/// re-loaded — so an incremental compactor can fold fresh segments
-/// into last round's merged window without re-reading its packed
-/// image.
-pub fn merge_experiments_seeded(
+/// Merge `seeds` — experiments the caller already holds in memory —
+/// and then the decoded `refs`, exactly as if every seed had been
+/// packed, referenced, and re-loaded; so an incremental compactor
+/// folds fresh segments into last round's merged window without
+/// re-reading its packed image. The references decode `shards` at a
+/// time on scoped threads (0 = one per available core; requests
+/// beyond the hardware are capped), which is where all per-event work
+/// happens; the fold itself moves the decoded events, so its cost is
+/// proportional to the number of inputs. The result is identical at
+/// every shard count, and to loading every input and calling
+/// [`merge_loaded`].
+pub fn merge_experiments_with(
     seeds: Vec<Experiment>,
     refs: &[ExperimentRef],
     shards: usize,
@@ -555,7 +509,9 @@ mod tests {
         let exp = sample_experiment();
         let attachments = vec![("syms.txt".to_string(), "module m 1 1\n".to_string())];
         let bytes = pack_experiment(&exp, &attachments);
-        let store = StoreFile::from_bytes(bytes).unwrap();
+        assert!(bytes.starts_with(b"MPES\x02"));
+        let store = StreamFile::from_bytes(bytes).unwrap();
+        assert!(store.is_complete());
         assert_eq!(store.attachments(), &attachments[..]);
         let back = store.to_experiment().unwrap();
         assert_eq!(back.counters, exp.counters);
@@ -585,17 +541,38 @@ mod tests {
     }
 
     #[test]
-    fn streaming_reader_sees_per_counter_events_in_order() {
-        let exp = sample_experiment();
-        let store = StoreFile::from_bytes(pack_experiment(&exp, &[])).unwrap();
-        assert_eq!(store.hwc_count(0), 2);
-        assert_eq!(store.hwc_count(1), 1);
-        assert_eq!(store.clock_count(), 2);
-        let evs: Vec<(u64, HwcEvent)> = store.hwc_events(0).collect::<Result<_, _>>().unwrap();
-        assert_eq!(evs[0].0, 0);
-        assert_eq!(evs[1].0, 2);
-        assert_eq!(evs[0].1, exp.hwc_events[0]);
-        assert_eq!(evs[1].1, exp.hwc_events[2]);
+    fn packing_chunks_events_and_interns_each_stack_once() {
+        let mut exp = sample_experiment();
+        let chunk = memprof_core::StreamConfig::default().spill_events;
+        let template = exp.hwc_events[0].clone();
+        exp.hwc_events = (0..2 * chunk + 3)
+            .map(|i| HwcEvent {
+                delivered_pc: 0x1000_0000 + 4 * i as u64,
+                callstack: vec![0x1000_0010, 0x1000_0200 + (i % 3) as u64],
+                ..template.clone()
+            })
+            .collect();
+        let bytes = pack_experiment(&exp, &[]);
+        let store = StreamFile::from_bytes(bytes.clone()).unwrap();
+        assert_eq!(store.hwc_total(), exp.hwc_events.len());
+        assert_eq!(store.clock_count(), exp.clock_events.len());
+        assert_eq!(store.to_experiment().unwrap().hwc_events, exp.hwc_events);
+        // Three hwc chunks and one clock chunk; stacks only where new
+        // ones first appear (the first hwc chunk and the clock chunk).
+        let kinds = chunk_kinds(&bytes);
+        assert_eq!(kinds, [0, 1, 2, 2, 2, 1, 3, 4]);
+    }
+
+    /// The kind byte of every chunk in an `MPES` image, in file order.
+    fn chunk_kinds(bytes: &[u8]) -> Vec<u8> {
+        let mut kinds = Vec::new();
+        let mut pos = format::PREAMBLE_LEN;
+        while pos < bytes.len() {
+            kinds.push(bytes[pos]);
+            let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().unwrap());
+            pos += format::CHUNK_HEADER_LEN + len as usize;
+        }
+        kinds
     }
 
     #[test]
@@ -633,12 +610,12 @@ mod tests {
         let dir = scratch_path("dictmerge_text");
         exp.save(&dir).unwrap();
 
-        // Input 2: v1 packed store.
-        let packed = scratch_path("dictmerge_v1");
+        // Input 2: packed store.
+        let packed = scratch_path("dictmerge_packed");
         std::fs::write(&packed, pack_experiment(&exp, &[])).unwrap();
 
-        // Input 3: v2 stream file carrying the same events, stacks
-        // pre-interned the way a streaming collector writes them.
+        // Input 3: a stream file carrying the same events, written
+        // through the collector's sink in one segment per kind.
         let mut w = SegmentWriter::new(Vec::new());
         w.begin(&exp.counters, exp.clock_period, exp.run.clock_hz)
             .unwrap();
@@ -669,7 +646,7 @@ mod tests {
         w.hwc_segment(&hwc).unwrap();
         w.clock_segment(&clock).unwrap();
         w.finish(&exp.run, &exp.log).unwrap();
-        let stream = scratch_path("dictmerge_v2");
+        let stream = scratch_path("dictmerge_stream");
         std::fs::write(&stream, w.into_inner()).unwrap();
 
         let refs = vec![
@@ -680,7 +657,7 @@ mod tests {
         let loaded: Vec<Experiment> = refs.iter().map(|r| r.load().unwrap()).collect();
         let oracle = merge_loaded(&loaded).unwrap();
         for shards in [1, 3] {
-            let merged = merge_experiments_sharded(&refs, shards).unwrap();
+            let merged = merge_experiments_with(Vec::new(), &refs, shards).unwrap();
             assert_eq!(merged.counters, oracle.counters);
             assert_eq!(merged.clock_period, oracle.clock_period);
             assert_eq!(merged.hwc_events, oracle.hwc_events);

@@ -3,28 +3,25 @@
 //!
 //! Tools that only aggregate (`mp-store stat`, `diff`) need the
 //! collection recipe, a few run-summary fields, and one pass over the
-//! events. For a packed store all of that is available without
-//! decoding the full experiment: the header parses eagerly and the
-//! event segments stream straight into a columnar
+//! events. For an `MPES` file all of that is available without
+//! decoding the full experiment: the header and footer decode on open
+//! and the event chunks stream straight into a columnar
 //! [`memprof_core::EventBatch`]. Text directories have no sub-file
 //! index, so they load fully — but through the same interface, so the
 //! callers cannot tell the difference.
 
-use memprof_core::{CounterRequest, EventBatch, EventSource, Experiment};
+use memprof_core::{CounterRequest, EventBatch, Experiment};
 
-use crate::reader::StoreFile;
 use crate::writer::StreamFile;
-use crate::{open_packed, ExperimentRef, PackedFile, StoreError};
+use crate::{ExperimentRef, StoreError};
 
 /// An experiment opened just far enough to aggregate it.
 pub enum EventStream {
     /// A text directory, fully loaded (the format has no index to
     /// stream from).
     Loaded(Experiment),
-    /// A packed store: header parsed, events still encoded.
-    Packed(StoreFile),
-    /// A collector-written stream file: events packed, stacks
-    /// interned.
+    /// An `MPES` file (packed store or collector stream): chunks
+    /// indexed, events still encoded.
     Stream(StreamFile),
 }
 
@@ -38,17 +35,13 @@ impl EventStream {
                     .map_err(StoreError::Io)
                     .path_context(dir)?,
             )),
-            ExperimentRef::Packed(file) => Ok(match open_packed(file)? {
-                PackedFile::V1(store) => EventStream::Packed(store),
-                PackedFile::V2(stream) => EventStream::Stream(stream),
-            }),
+            ExperimentRef::Packed(file) => Ok(EventStream::Stream(StreamFile::open(file)?)),
         }
     }
 
     pub fn counters(&self) -> &[CounterRequest] {
         match self {
             EventStream::Loaded(e) => &e.counters,
-            EventStream::Packed(s) => s.counters(),
             EventStream::Stream(s) => s.counters(),
         }
     }
@@ -56,7 +49,6 @@ impl EventStream {
     pub fn clock_period(&self) -> Option<u64> {
         match self {
             EventStream::Loaded(e) => e.clock_period,
-            EventStream::Packed(s) => s.clock_period(),
             EventStream::Stream(s) => s.clock_period(),
         }
     }
@@ -64,7 +56,6 @@ impl EventStream {
     pub fn clock_hz(&self) -> u64 {
         match self {
             EventStream::Loaded(e) => e.run.clock_hz,
-            EventStream::Packed(s) => s.run().clock_hz,
             EventStream::Stream(s) => s.run().clock_hz,
         }
     }
@@ -72,17 +63,15 @@ impl EventStream {
     pub fn exit_code(&self) -> i64 {
         match self {
             EventStream::Loaded(e) => e.run.exit_code,
-            EventStream::Packed(s) => s.run().exit_code,
             EventStream::Stream(s) => s.run().exit_code,
         }
     }
 
-    /// Total overflow events across all counters (from the segment
-    /// index when packed).
+    /// Total overflow events across all counters (from the chunk
+    /// index for an `MPES` file).
     pub fn hwc_total(&self) -> usize {
         match self {
             EventStream::Loaded(e) => e.hwc_events.len(),
-            EventStream::Packed(s) => s.hwc_total(),
             EventStream::Stream(s) => s.hwc_total(),
         }
     }
@@ -91,42 +80,19 @@ impl EventStream {
     pub fn clock_total(&self) -> usize {
         match self {
             EventStream::Loaded(e) => e.clock_events.len(),
-            EventStream::Packed(s) => s.clock_count(),
             EventStream::Stream(s) => s.clock_count(),
         }
     }
 
-    /// Append this source's events to a plain columnar batch, with
-    /// counter `c` landing in column `hwc_col[c]` and clock ticks in
-    /// `clock_col`. Shares the charge-PC rule with
-    /// [`EventSource::fill_batch`]. Stream files feed the batch from
-    /// their packed events directly — interned callstacks are never
+    /// Append this source's events to a columnar batch in the pc
+    /// projection (see [`memprof_core::EventBatch::grow_pc_rows`]),
+    /// with counter `c` landing in column `hwc_col[c]` and clock ticks
+    /// in `clock_col`: only the columns a per-PC histogram reads are
+    /// materialized, with the charge-PC rule of
+    /// [`memprof_core::EventSource::fill_batch`] applied inline as
+    /// events are decoded. `MPES` files decode their event chunks
+    /// straight into the batch — interned callstacks are never
     /// rehydrated on this path.
-    pub fn fill_batch(
-        &self,
-        batch: &mut EventBatch,
-        hwc_col: &[usize],
-        clock_col: Option<usize>,
-    ) -> Result<(), StoreError> {
-        match self {
-            EventStream::Loaded(e) => {
-                for ev in &e.hwc_events {
-                    if ev.counter >= e.counters.len() {
-                        return Err(StoreError::Corrupt("event references unknown counter"));
-                    }
-                }
-                e.fill_batch(batch, hwc_col, clock_col);
-                Ok(())
-            }
-            EventStream::Packed(s) => s.fill_batch(batch, hwc_col, clock_col),
-            EventStream::Stream(s) => s.fill_batch(batch, hwc_col, clock_col),
-        }
-    }
-
-    /// [`EventStream::fill_batch`] in the pc projection (see
-    /// [`memprof_core::EventBatch::grow_pc_rows`]): only the columns
-    /// a per-PC histogram reads are materialized, with the charge-PC
-    /// rule applied inline as events are decoded.
     pub fn fill_pc_batch(
         &self,
         batch: &mut EventBatch,
@@ -143,7 +109,6 @@ impl EventStream {
                 }
                 Ok(())
             }
-            EventStream::Packed(s) => s.fill_pc_batch(batch, hwc_col, clock_col),
             EventStream::Stream(s) => s.fill_pc_batch(batch, hwc_col, clock_col),
         }
     }

@@ -1,83 +1,49 @@
-//! The streaming store: `MPES` version 2, written incrementally by a
-//! live collector and readable even when the run died mid-flight.
+//! Writing and reading `MPES` v2 files (see [`crate::format`] for the
+//! layout).
 //!
-//! Version 1 ([`crate::pack_experiment`]) is a one-shot archival
-//! format: the whole experiment is in memory, the body is written at
-//! once, and a single file-level checksum covers everything — fine
-//! for `mp-store pack`, useless for a collector that must bound its
-//! memory. Version 2 keeps the magic and the codec but restructures
-//! the file as a sequence of *self-delimiting, individually
-//! checksummed chunks*, appended and flushed as the collector spills:
+//! [`SegmentWriter`] is the collector's streaming sink: it appends one
+//! self-delimiting, checksummed chunk per call and flushes after each,
+//! so every completed segment is durable independently of the run's
+//! fate. [`StreamFile`] is the one binary reader, for collector
+//! streams and packed stores alike. Opening walks the chunk framing
+//! and checksums, decodes only the small HEADER and FOOTER chunks, and
+//! indexes the event chunks; the event-reading calls then decode those
+//! chunks straight into their output.
 //!
-//! ```text
-//! file   := magic(4)=b"MPES" version(1)=2 chunk*
-//! chunk  := kind:u8 len:u32le checksum:u64le payload(len)
-//! ```
+//! Two error rules govern reading:
 //!
-//! The checksum is FNV-1a 64 over `kind || len || payload` — covering
-//! the chunk header too, so a corrupted kind or length byte cannot
-//! silently skip or resize a chunk. Chunk kinds:
-//!
-//! ```text
-//! 0 HEADER  counters, clock period, clock rate     (first, exactly once)
-//! 1 STACKS  newly interned callstacks, dense cumulative ids
-//! 2 HWC     one segment of counter events, collection order
-//! 3 CLOCK   one segment of clock ticks, collection order
-//! 4 FOOTER  run summary, log, attachments          (last, on clean exit)
-//! ```
-//!
-//! Events reference callstacks by the collector's intern id
-//! ([`memprof_core::StackId`]); every id is defined by a `STACKS`
-//! chunk earlier in the file, so any *prefix* of chunks is
-//! self-contained. That is the crash-safety story: a run that dies
-//! mid-collection leaves a file whose intact chunks load normally —
-//! [`StreamFile`] stops at the first truncated or corrupt chunk,
-//! records why, and synthesizes a run summary if the footer never
-//! arrived. Nothing short of a damaged header loses the whole file.
+//! * **Framing damage ends a readable prefix.** A chunk cut short or
+//!   failing its checksum stops the walk; every chunk before it loads
+//!   normally, [`StreamFile::truncation`] says why the walk stopped,
+//!   and a missing footer yields a synthesized run summary. That is
+//!   the crash-safety story: a run that dies mid-collection leaves a
+//!   file whose intact chunks still analyze. Only a damaged preamble
+//!   or header chunk loses the whole file.
+//! * **Bad content is an error from the call that decodes it.** A
+//!   checksum-valid chunk whose content fails a check — an unknown
+//!   counter, an undefined stack id, trailing bytes — is
+//!   [`StoreError::Corrupt`] from whichever call decodes that chunk:
+//!   [`StreamFile::open`] for the header, footer and per-chunk event
+//!   counts, the event-reading calls for everything else.
 
 use std::io::Write;
-use std::path::Path;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 
 use memprof_core::{
     ClockEvent, CollectSink, CounterRequest, EventBatch, Experiment, HwcEvent, PackedClockEvent,
     PackedHwcEvent, RunInfo,
 };
-use simsparc_machine::{CounterEvent, EventCounts};
+use simsparc_machine::EventCounts;
 
-use crate::format::{get_stack, put_stack, LIMIT, MAGIC};
-use crate::pread::{read_exact_at, read_file_pooled, ReadAt};
-use crate::varint::{get_str, put_i64, put_str, put_u64, Cursor};
+use crate::format::{
+    chunk_checksum, get_clock_event, get_footer, get_header, get_hwc_event, get_stack, put_footer,
+    put_header, put_hwc_event, put_stack, Footer, Header, CHUNK_CLOCK, CHUNK_FOOTER, CHUNK_HEADER,
+    CHUNK_HEADER_LEN, CHUNK_HWC, CHUNK_STACKS, MAGIC, PREAMBLE_LEN, VERSION,
+};
+use crate::pread::{read_exact_at, read_file_pooled, PooledBuf, ReadAt};
+use crate::varint::{put_u64, Cursor};
 use crate::StoreError;
-
-/// Version byte for the chunked stream format.
-pub(crate) const STREAM_VERSION: u8 = 2;
-
-/// kind + len + checksum.
-const CHUNK_HEADER_LEN: usize = 1 + 4 + 8;
-
-const CHUNK_HEADER: u8 = 0;
-const CHUNK_STACKS: u8 = 1;
-const CHUNK_HWC: u8 = 2;
-const CHUNK_CLOCK: u8 = 3;
-const CHUNK_FOOTER: u8 = 4;
-
-const FLAG_CANDIDATE: u8 = 1;
-const FLAG_EA: u8 = 2;
-/// Optional ground-truth EA column; pre-truth streams never set it.
-const FLAG_TRUTH_EA: u8 = 4;
-
-/// FNV-1a 64 over `kind || len_le || payload`.
-fn chunk_checksum(kind: u8, len: u32, payload: &[u8]) -> u64 {
-    let mut head = [0u8; 5];
-    head[0] = kind;
-    head[1..5].copy_from_slice(&len.to_le_bytes());
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in head.iter().chain(payload) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The collector's streaming sink: writes `MPES` v2 chunks through
 /// any `Write`, flushing after every chunk so each completed segment
@@ -146,37 +112,6 @@ impl<W: Write> SegmentWriter<W> {
     }
 }
 
-fn put_hwc_stream_event(out: &mut Vec<u8>, ev: &PackedHwcEvent) {
-    put_u64(out, ev.counter as u64);
-    let mut flags = 0u8;
-    if ev.candidate_pc.is_some() {
-        flags |= FLAG_CANDIDATE;
-    }
-    if ev.ea.is_some() {
-        flags |= FLAG_EA;
-    }
-    if ev.truth_ea.is_some() {
-        flags |= FLAG_TRUTH_EA;
-    }
-    out.push(flags);
-    put_u64(out, ev.delivered_pc);
-    if let Some(c) = ev.candidate_pc {
-        put_i64(out, c.wrapping_sub(ev.delivered_pc) as i64);
-    }
-    if let Some(ea) = ev.ea {
-        put_u64(out, ea);
-    }
-    put_i64(
-        out,
-        ev.truth_trigger_pc.wrapping_sub(ev.delivered_pc) as i64,
-    );
-    if let Some(tea) = ev.truth_ea {
-        put_u64(out, tea);
-    }
-    put_u64(out, ev.truth_skid as u64);
-    put_u64(out, ev.stack as u64);
-}
-
 impl<W: Write> CollectSink for SegmentWriter<W> {
     fn begin(
         &mut self,
@@ -185,17 +120,10 @@ impl<W: Write> CollectSink for SegmentWriter<W> {
         clock_hz: u64,
     ) -> std::io::Result<()> {
         self.out.write_all(&MAGIC)?;
-        self.out.write_all(&[STREAM_VERSION])?;
-        self.bytes += (MAGIC.len() + 1) as u64;
+        self.out.write_all(&[VERSION])?;
+        self.bytes += PREAMBLE_LEN as u64;
         let mut payload = Vec::new();
-        put_u64(&mut payload, counters.len() as u64);
-        for c in counters {
-            put_str(&mut payload, c.event.name());
-            payload.push(c.backtrack as u8);
-            put_u64(&mut payload, c.interval);
-        }
-        put_u64(&mut payload, clock_period.unwrap_or(0));
-        put_u64(&mut payload, clock_hz);
+        put_header(&mut payload, counters, clock_period, clock_hz);
         self.chunk(CHUNK_HEADER, &payload)
     }
 
@@ -212,7 +140,7 @@ impl<W: Write> CollectSink for SegmentWriter<W> {
         let mut payload = Vec::new();
         put_u64(&mut payload, events.len() as u64);
         for ev in events {
-            put_hwc_stream_event(&mut payload, ev);
+            put_hwc_event(&mut payload, ev);
         }
         self.chunk(CHUNK_HWC, &payload)
     }
@@ -229,36 +157,7 @@ impl<W: Write> CollectSink for SegmentWriter<W> {
 
     fn finish(&mut self, run: &RunInfo, log: &[String]) -> std::io::Result<()> {
         let mut payload = Vec::new();
-        put_i64(&mut payload, run.exit_code);
-        put_str(&mut payload, &run.output);
-        put_u64(&mut payload, run.dropped.len() as u64);
-        for &d in &run.dropped {
-            put_u64(&mut payload, d);
-        }
-        let c = &run.counts;
-        for v in [
-            c.cycles,
-            c.insts,
-            c.ic_miss,
-            c.dc_read_miss,
-            c.dtlb_miss,
-            c.ec_ref,
-            c.ec_read_miss,
-            c.ec_stall_cycles,
-            c.loads,
-            c.stores,
-        ] {
-            put_u64(&mut payload, v);
-        }
-        put_u64(&mut payload, log.len() as u64);
-        for line in log {
-            put_str(&mut payload, line);
-        }
-        put_u64(&mut payload, self.attachments.len() as u64);
-        for (name, contents) in &self.attachments {
-            put_str(&mut payload, name);
-            put_str(&mut payload, contents);
-        }
+        put_footer(&mut payload, run, log, &self.attachments);
         self.chunk(CHUNK_FOOTER, &payload)
     }
 
@@ -267,18 +166,30 @@ impl<W: Write> CollectSink for SegmentWriter<W> {
     }
 }
 
-/// A loaded `MPES` v2 stream file. Loading never fails on a damaged
-/// *tail*: chunks are validated in order and parsing stops at the
-/// first truncated or corrupt one, keeping everything before it —
-/// [`StreamFile::truncation`] reports what stopped it, and a missing
-/// footer yields a synthesized run summary with
-/// [`StreamFile::is_complete`] `== false`.
+/// One indexed STACKS, HWC or CLOCK chunk, still encoded.
+struct Chunk {
+    kind: u8,
+    /// The chunk's items: its payload after the leading count.
+    items: Range<usize>,
+    count: usize,
+    /// Stack ids the STACKS chunks before this one define.
+    stacks: usize,
+}
+
+/// An `MPES` v2 file opened for reading: header and footer decoded,
+/// event chunks indexed but still encoded (see the module docs for
+/// what opening checks and the two error rules). The byte image lives
+/// in a pooled buffer, so repeated open/decode cycles recycle one
+/// allocation per thread.
 pub struct StreamFile {
+    bytes: PooledBuf,
+    /// Where the image came from, to name in decode errors.
+    path: Option<PathBuf>,
     counters: Vec<CounterRequest>,
     clock_period: Option<u64>,
-    stacks: Vec<Vec<u64>>,
-    hwc: Vec<PackedHwcEvent>,
-    clock: Vec<PackedClockEvent>,
+    chunks: Vec<Chunk>,
+    hwc_total: usize,
+    clock_total: usize,
     run: RunInfo,
     log: Vec<String>,
     attachments: Vec<(String, String)>,
@@ -286,270 +197,98 @@ pub struct StreamFile {
     truncation: Option<&'static str>,
 }
 
-fn parse_header_chunk(
-    payload: &[u8],
-) -> Result<(Vec<CounterRequest>, Option<u64>, u64), StoreError> {
-    let mut cur = Cursor::new(payload);
-    let n = cur.get_len(4096)?;
-    let mut counters = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = get_str(&mut cur, 256)?;
-        let event =
-            CounterEvent::parse(&name).ok_or(StoreError::Corrupt("unknown counter event name"))?;
-        let backtrack = match cur.take_byte()? {
-            0 => false,
-            1 => true,
-            _ => return Err(StoreError::Corrupt("bad backtrack flag")),
-        };
-        let interval = cur.get_u64()?;
-        counters.push(CounterRequest {
-            event,
-            backtrack,
-            interval,
-        });
-    }
-    let period = cur.get_u64()?;
-    let clock_hz = cur.get_u64()?;
-    Ok((counters, (period > 0).then_some(period), clock_hz))
-}
-
-fn parse_stacks_chunk(payload: &[u8], into: &mut Vec<Vec<u64>>) -> Result<(), StoreError> {
-    let mut cur = Cursor::new(payload);
-    let n = cur.get_len(LIMIT)?;
-    let mut fresh = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        fresh.push(get_stack(&mut cur)?);
-    }
-    if !cur.is_empty() {
-        return Err(StoreError::Corrupt("trailing bytes in stacks chunk"));
-    }
-    into.extend(fresh);
-    Ok(())
-}
-
-fn parse_hwc_chunk(
-    payload: &[u8],
-    n_counters: usize,
-    n_stacks: usize,
-    into: &mut Vec<PackedHwcEvent>,
-) -> Result<(), StoreError> {
-    let mut cur = Cursor::new(payload);
-    let n = cur.get_len(LIMIT)?;
-    let mut fresh = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let counter = cur.get_len(4096)?;
-        if counter >= n_counters {
-            return Err(StoreError::Corrupt("event references unknown counter"));
-        }
-        let flags = cur.take_byte()?;
-        if flags & !(FLAG_CANDIDATE | FLAG_EA | FLAG_TRUTH_EA) != 0 {
-            return Err(StoreError::Corrupt("unknown hwc event flags"));
-        }
-        let delivered_pc = cur.get_u64()?;
-        let candidate_pc = if flags & FLAG_CANDIDATE != 0 {
-            Some(delivered_pc.wrapping_add(cur.get_i64()? as u64))
-        } else {
-            None
-        };
-        let ea = if flags & FLAG_EA != 0 {
-            Some(cur.get_u64()?)
-        } else {
-            None
-        };
-        let truth_trigger_pc = delivered_pc.wrapping_add(cur.get_i64()? as u64);
-        let truth_ea = if flags & FLAG_TRUTH_EA != 0 {
-            Some(cur.get_u64()?)
-        } else {
-            None
-        };
-        let truth_skid =
-            u32::try_from(cur.get_u64()?).map_err(|_| StoreError::Corrupt("skid overflows u32"))?;
-        let stack = cur.get_len(LIMIT)?;
-        if stack >= n_stacks {
-            return Err(StoreError::Corrupt("event references undefined stack id"));
-        }
-        fresh.push(PackedHwcEvent {
-            counter: counter as u32,
-            delivered_pc,
-            candidate_pc,
-            ea,
-            stack: stack as u32,
-            truth_trigger_pc,
-            truth_ea,
-            truth_skid,
-        });
-    }
-    if !cur.is_empty() {
-        return Err(StoreError::Corrupt("trailing bytes in hwc chunk"));
-    }
-    into.extend(fresh);
-    Ok(())
-}
-
-fn parse_clock_chunk(
-    payload: &[u8],
-    n_stacks: usize,
-    into: &mut Vec<PackedClockEvent>,
-) -> Result<(), StoreError> {
-    let mut cur = Cursor::new(payload);
-    let n = cur.get_len(LIMIT)?;
-    let mut fresh = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let pc = cur.get_u64()?;
-        let stack = cur.get_len(LIMIT)?;
-        if stack >= n_stacks {
-            return Err(StoreError::Corrupt("event references undefined stack id"));
-        }
-        fresh.push(PackedClockEvent {
-            pc,
-            stack: stack as u32,
-        });
-    }
-    if !cur.is_empty() {
-        return Err(StoreError::Corrupt("trailing bytes in clock chunk"));
-    }
-    into.extend(fresh);
-    Ok(())
-}
-
-/// Decoded footer chunk: run summary, collector log, attachments.
-type FooterData = (RunInfo, Vec<String>, Vec<(String, String)>);
-
-fn parse_footer_chunk(payload: &[u8], clock_hz: u64) -> Result<FooterData, StoreError> {
-    let mut cur = Cursor::new(payload);
-    let exit_code = cur.get_i64()?;
-    let output = get_str(&mut cur, LIMIT)?;
-    let n_dropped = cur.get_len(4096)?;
-    let mut dropped = Vec::with_capacity(n_dropped);
-    for _ in 0..n_dropped {
-        dropped.push(cur.get_u64()?);
-    }
-    let mut counts = EventCounts::default();
-    for field in [
-        &mut counts.cycles,
-        &mut counts.insts,
-        &mut counts.ic_miss,
-        &mut counts.dc_read_miss,
-        &mut counts.dtlb_miss,
-        &mut counts.ec_ref,
-        &mut counts.ec_read_miss,
-        &mut counts.ec_stall_cycles,
-        &mut counts.loads,
-        &mut counts.stores,
-    ] {
-        *field = cur.get_u64()?;
-    }
-    let n_log = cur.get_len(LIMIT)?;
-    let mut log = Vec::with_capacity(n_log.min(4096));
-    for _ in 0..n_log {
-        log.push(get_str(&mut cur, LIMIT)?);
-    }
-    let n_attach = cur.get_len(4096)?;
-    let mut attachments = Vec::with_capacity(n_attach);
-    for _ in 0..n_attach {
-        let name = get_str(&mut cur, 4096)?;
-        let contents = get_str(&mut cur, LIMIT)?;
-        attachments.push((name, contents));
-    }
-    Ok((
-        RunInfo {
-            exit_code,
-            output,
-            counts,
-            clock_hz,
-            dropped,
-        },
-        log,
-        attachments,
-    ))
-}
-
 impl StreamFile {
-    /// Parse a stream image. Fails hard only when the 5-byte preamble
-    /// or the header chunk is unusable; damage after the header turns
-    /// into a readable prefix (see [`StreamFile::truncation`]).
+    /// Open a stream image. Fails only when the 5-byte preamble or the
+    /// header chunk is unusable, or a chunk decoded here carries bad
+    /// content; framing damage after the header turns into a readable
+    /// prefix (see [`StreamFile::truncation`]).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<StreamFile, StoreError> {
-        StreamFile::parse(&bytes)
+        StreamFile::index(PooledBuf::from_vec(bytes))
     }
 
-    /// [`StreamFile::from_bytes`] over a borrowed image: everything
-    /// is decoded into owned structures, so the caller's buffer (a
-    /// pooled read, a socket staging area) is free to be recycled
-    /// the moment this returns.
-    pub(crate) fn parse(bytes: &[u8]) -> Result<StreamFile, StoreError> {
+    /// [`StreamFile::from_bytes`] via positioned reads into a pooled
+    /// buffer. Errors — from opening and from every later decode —
+    /// name `path`.
+    pub fn open(path: &Path) -> Result<StreamFile, StoreError> {
+        use crate::PathContext as _;
+        let mut file = read_file_pooled(path)
+            .map_err(StoreError::Io)
+            .and_then(StreamFile::index)
+            .path_context(path)?;
+        file.path = Some(path.to_path_buf());
+        Ok(file)
+    }
+
+    fn index(bytes: PooledBuf) -> Result<StreamFile, StoreError> {
         if bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] != MAGIC {
             return Err(StoreError::BadMagic);
         }
-        if bytes.len() > MAGIC.len() && bytes[MAGIC.len()] != STREAM_VERSION {
+        if bytes.len() > MAGIC.len() && bytes[MAGIC.len()] != VERSION {
             return Err(StoreError::BadVersion(bytes[MAGIC.len()]));
         }
-        if bytes.len() < MAGIC.len() + 1 {
+        if bytes.len() < PREAMBLE_LEN {
             return Err(StoreError::Truncated);
         }
 
-        let mut pos = MAGIC.len() + 1;
-        let mut header: Option<(Vec<CounterRequest>, Option<u64>, u64)> = None;
-        let mut stacks: Vec<Vec<u64>> = Vec::new();
-        let mut hwc: Vec<PackedHwcEvent> = Vec::new();
-        let mut clock: Vec<PackedClockEvent> = Vec::new();
-        let mut footer: Option<FooterData> = None;
+        let mut pos = PREAMBLE_LEN;
+        let mut header: Option<Header> = None;
+        let mut footer: Option<Footer> = None;
+        let mut chunks = Vec::new();
+        let (mut stacks, mut hwc_total, mut clock_total) = (0, 0, 0);
         let mut truncation: Option<&'static str> = None;
-
         while pos < bytes.len() {
             if bytes.len() - pos < CHUNK_HEADER_LEN {
                 truncation = Some("truncated chunk header");
                 break;
             }
             let kind = bytes[pos];
-            let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().unwrap()) as usize;
+            let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().unwrap());
             let stored = u64::from_le_bytes(bytes[pos + 5..pos + 13].try_into().unwrap());
             let start = pos + CHUNK_HEADER_LEN;
-            let Some(end) = start.checked_add(len) else {
-                truncation = Some("chunk length overflows");
-                break;
-            };
-            if end > bytes.len() {
+            let Some(end) = start
+                .checked_add(len as usize)
+                .filter(|&end| end <= bytes.len())
+            else {
                 truncation = Some("chunk extends past end of file");
                 break;
-            }
+            };
             let payload = &bytes[start..end];
-            if chunk_checksum(kind, len as u32, payload) != stored {
+            if chunk_checksum(kind, len, payload) != stored {
                 truncation = Some("chunk checksum mismatch");
                 break;
             }
-            let res: Result<(), StoreError> = match kind {
-                CHUNK_HEADER => {
-                    if header.is_some() {
-                        Err(StoreError::Corrupt("duplicate header chunk"))
-                    } else {
-                        parse_header_chunk(payload).map(|h| header = Some(h))
+            pos = end;
+            match kind {
+                CHUNK_HEADER if header.is_none() => header = Some(get_header(payload)?),
+                CHUNK_HEADER => return Err(StoreError::Corrupt("duplicate header chunk")),
+                _ if header.is_none() => {
+                    return Err(StoreError::Corrupt("first chunk is not the header"))
+                }
+                CHUNK_STACKS | CHUNK_HWC | CHUNK_CLOCK => {
+                    // Every item takes at least one byte, which bounds
+                    // the count (and any allocation sized from it).
+                    let mut cur = Cursor::new(payload);
+                    let count = cur.get_len(payload.len())?;
+                    chunks.push(Chunk {
+                        kind,
+                        items: end - cur.remaining()..end,
+                        count,
+                        stacks,
+                    });
+                    match kind {
+                        CHUNK_STACKS => stacks += count,
+                        CHUNK_HWC => hwc_total += count,
+                        _ => clock_total += count,
                     }
                 }
-                _ if header.is_none() => Err(StoreError::Corrupt("first chunk is not the header")),
-                CHUNK_STACKS => parse_stacks_chunk(payload, &mut stacks),
-                CHUNK_HWC => {
-                    let n_counters = header.as_ref().map_or(0, |(c, _, _)| c.len());
-                    parse_hwc_chunk(payload, n_counters, stacks.len(), &mut hwc)
-                }
-                CHUNK_CLOCK => parse_clock_chunk(payload, stacks.len(), &mut clock),
                 CHUNK_FOOTER => {
-                    let hz = header.as_ref().map_or(0, |&(_, _, hz)| hz);
-                    parse_footer_chunk(payload, hz).map(|f| footer = Some(f))
+                    let clock_hz = header.as_ref().map_or(0, |&(_, _, hz)| hz);
+                    footer = Some(get_footer(payload, clock_hz)?);
+                    break;
                 }
                 // Unknown chunk kinds are checksummed and
                 // self-delimiting: skip them for forward compatibility.
-                _ => Ok(()),
-            };
-            if let Err(e) = res {
-                truncation = Some(match e {
-                    StoreError::Corrupt(why) => why,
-                    _ => "undecodable chunk",
-                });
-                break;
-            }
-            pos = end;
-            if footer.is_some() {
-                break;
+                _ => {}
             }
         }
 
@@ -563,38 +302,29 @@ impl StreamFile {
         let (run, log, attachments) = footer.unwrap_or_else(|| {
             // Interrupted run: no footer ever arrived. Synthesize a
             // summary so the prefix still analyzes.
-            (
-                RunInfo {
-                    exit_code: -1,
-                    output: String::new(),
-                    counts: EventCounts::default(),
-                    clock_hz,
-                    dropped: vec![0; counters.len()],
-                },
-                Vec::new(),
-                Vec::new(),
-            )
+            let run = RunInfo {
+                exit_code: -1,
+                output: String::new(),
+                counts: EventCounts::default(),
+                clock_hz,
+                dropped: vec![0; counters.len()],
+            };
+            (run, Vec::new(), Vec::new())
         });
         Ok(StreamFile {
+            bytes,
+            path: None,
             counters,
             clock_period,
-            stacks,
-            hwc,
-            clock,
+            chunks,
+            hwc_total,
+            clock_total,
             run,
             log,
             attachments,
             complete,
             truncation,
         })
-    }
-
-    pub fn open(path: &Path) -> Result<StreamFile, StoreError> {
-        use crate::PathContext as _;
-        read_file_pooled(path)
-            .map_err(StoreError::Io)
-            .and_then(|bytes| StreamFile::parse(&bytes))
-            .path_context(path)
     }
 
     pub fn counters(&self) -> &[CounterRequest] {
@@ -613,6 +343,7 @@ impl StreamFile {
         &self.log
     }
 
+    /// Auxiliary text files (`syms.txt`, `image.txt`) from the footer.
     pub fn attachments(&self) -> &[(String, String)] {
         &self.attachments
     }
@@ -629,128 +360,136 @@ impl StreamFile {
         self.complete
     }
 
-    /// Why parsing stopped early, if it did. A truncated tail after a
-    /// clean footer is not reported — the experiment is whole.
+    /// Why the chunk walk stopped early, if it did. A truncated tail
+    /// after a clean footer is not reported — the experiment is whole.
     pub fn truncation(&self) -> Option<&'static str> {
         self.truncation
     }
 
-    /// Packed counter events, in collection order.
-    pub fn hwc_events(&self) -> &[PackedHwcEvent] {
-        &self.hwc
-    }
-
-    /// Packed clock ticks, in collection order.
-    pub fn clock_events(&self) -> &[PackedClockEvent] {
-        &self.clock
-    }
-
-    /// Distinct interned callstacks.
-    pub fn stack_count(&self) -> usize {
-        self.stacks.len()
-    }
-
-    /// Resolve an interned stack id.
-    pub fn stack(&self, id: u32) -> &[u64] {
-        &self.stacks[id as usize]
-    }
-
+    /// Counter events in the readable prefix, from the chunk index.
     pub fn hwc_total(&self) -> usize {
-        self.hwc.len()
+        self.hwc_total
     }
 
+    /// Clock ticks in the readable prefix, from the chunk index.
     pub fn clock_count(&self) -> usize {
-        self.clock.len()
+        self.clock_total
     }
 
-    /// Stream the events into a plain columnar batch with the shared
-    /// charge-PC rule. Plain batches never look at callstacks, so the
-    /// interned stacks are not rehydrated — this is the aggregation
-    /// fast path for stream files.
-    pub fn fill_batch(
+    /// Decode one indexed chunk's items in order, handing each to `f`
+    /// with its position; the chunk must hold exactly its count.
+    fn decode<T>(
         &self,
-        batch: &mut EventBatch,
-        hwc_col: &[usize],
-        clock_col: Option<usize>,
+        chunk: &Chunk,
+        mut get: impl FnMut(&mut Cursor<'_>) -> Result<T, StoreError>,
+        mut f: impl FnMut(usize, T),
     ) -> Result<(), StoreError> {
-        let clock = if clock_col.is_some() {
-            self.clock.len()
-        } else {
-            0
-        };
-        batch.reserve_plain(self.hwc.len() + clock);
-        if let Some(col) = clock_col {
-            for ev in &self.clock {
-                batch.push_plain(col, ev.pc, ev.pc, None, None);
+        let decoded = (|| {
+            let mut cur = Cursor::new(&self.bytes[chunk.items.clone()]);
+            for i in 0..chunk.count {
+                f(i, get(&mut cur)?);
             }
-        }
-        for ev in &self.hwc {
-            let req = &self.counters[ev.counter as usize];
-            let col = hwc_col[ev.counter as usize];
-            let charged = if req.backtrack {
-                ev.candidate_pc.unwrap_or(ev.delivered_pc)
+            if cur.is_empty() {
+                Ok(())
             } else {
-                ev.delivered_pc
-            };
-            batch.push_plain(col, charged, ev.delivered_pc, ev.candidate_pc, ev.ea);
+                Err(StoreError::Corrupt("trailing bytes in chunk"))
+            }
+        })();
+        match &self.path {
+            Some(path) => decoded.map_err(|e| e.at(path)),
+            None => decoded,
         }
-        Ok(())
     }
 
-    /// [`StreamFile::fill_batch`] in the pc projection: only the
-    /// columns a per-PC histogram reads are materialized.
+    /// Decode one HWC chunk, checking each event against the recipe's
+    /// counters and the stacks defined before the chunk.
+    fn hwc_chunk(
+        &self,
+        chunk: &Chunk,
+        f: impl FnMut(usize, PackedHwcEvent),
+    ) -> Result<(), StoreError> {
+        let n_counters = self.counters.len();
+        self.decode(chunk, |cur| get_hwc_event(cur, n_counters, chunk.stacks), f)
+    }
+
+    /// Decode one CLOCK chunk, checking each tick's stack id.
+    fn clock_chunk(
+        &self,
+        chunk: &Chunk,
+        f: impl FnMut(usize, PackedClockEvent),
+    ) -> Result<(), StoreError> {
+        self.decode(chunk, |cur| get_clock_event(cur, chunk.stacks), f)
+    }
+
+    /// Stream the events into a columnar batch in the pc projection
+    /// (see [`EventBatch::grow_pc_rows`]): each chunk is decoded
+    /// straight into the `col` and charge-PC columns — candidate
+    /// trigger for backtracked counters, delivered PC otherwise — and
+    /// no callstack is ever rehydrated. Clock chunks are decoded and
+    /// checked even when `clock_col` is `None`, but then add no rows.
     pub fn fill_pc_batch(
         &self,
         batch: &mut EventBatch,
         hwc_col: &[usize],
         clock_col: Option<usize>,
     ) -> Result<(), StoreError> {
-        if let Some(col) = clock_col {
-            let (cols, pcs) = batch.grow_pc_rows(self.clock.len());
-            for (i, ev) in self.clock.iter().enumerate() {
-                cols[i] = col as u32;
-                pcs[i] = ev.pc;
+        for c in &self.chunks {
+            match c.kind {
+                CHUNK_HWC => {
+                    let (cols, pcs) = batch.grow_pc_rows(c.count);
+                    self.hwc_chunk(c, |i, ev| {
+                        let counter = ev.counter as usize;
+                        cols[i] = hwc_col[counter] as u32;
+                        pcs[i] = charged_pc(&ev, self.counters[counter].backtrack);
+                    })?;
+                }
+                CHUNK_CLOCK => {
+                    let (cols, pcs) = batch.grow_pc_rows(clock_col.map_or(0, |_| c.count));
+                    self.clock_chunk(c, |i, ev| {
+                        if let Some(col) = clock_col {
+                            cols[i] = col as u32;
+                            pcs[i] = ev.pc;
+                        }
+                    })?;
+                }
+                _ => {}
             }
-        }
-        let (cols, pcs) = batch.grow_pc_rows(self.hwc.len());
-        for (i, ev) in self.hwc.iter().enumerate() {
-            let req = &self.counters[ev.counter as usize];
-            cols[i] = hwc_col[ev.counter as usize] as u32;
-            pcs[i] = if req.backtrack {
-                ev.candidate_pc.unwrap_or(ev.delivered_pc)
-            } else {
-                ev.delivered_pc
-            };
         }
         Ok(())
     }
 
-    /// Rehydrate the full in-memory [`Experiment`] (callstacks cloned
-    /// out of the intern table). An interrupted run gains a log line
-    /// recording why the stream ended early.
+    /// Decode the full in-memory [`Experiment`], rehydrating each
+    /// event's callstack from the file's interned stacks. An
+    /// interrupted run gains a log line recording why the stream ended
+    /// early.
     pub fn to_experiment(&self) -> Result<Experiment, StoreError> {
-        let hwc_events = self
-            .hwc
-            .iter()
-            .map(|e| HwcEvent {
-                counter: e.counter as usize,
-                delivered_pc: e.delivered_pc,
-                candidate_pc: e.candidate_pc,
-                ea: e.ea,
-                callstack: self.stacks[e.stack as usize].clone(),
-                truth_trigger_pc: e.truth_trigger_pc,
-                truth_ea: e.truth_ea,
-                truth_skid: e.truth_skid,
-            })
-            .collect();
-        let clock_events = self
-            .clock
-            .iter()
-            .map(|e| ClockEvent {
-                pc: e.pc,
-                callstack: self.stacks[e.stack as usize].clone(),
-            })
-            .collect();
+        let mut stacks: Vec<Vec<u64>> = Vec::new();
+        let mut hwc_events = Vec::with_capacity(self.hwc_total);
+        let mut clock_events = Vec::with_capacity(self.clock_total);
+        for c in &self.chunks {
+            match c.kind {
+                CHUNK_STACKS => self.decode(c, get_stack, |_, s| stacks.push(s))?,
+                CHUNK_HWC => self.hwc_chunk(c, |_, e| {
+                    hwc_events.push(HwcEvent {
+                        counter: e.counter as usize,
+                        delivered_pc: e.delivered_pc,
+                        candidate_pc: e.candidate_pc,
+                        ea: e.ea,
+                        callstack: stacks[e.stack as usize].clone(),
+                        truth_trigger_pc: e.truth_trigger_pc,
+                        truth_ea: e.truth_ea,
+                        truth_skid: e.truth_skid,
+                    })
+                })?,
+                // CHUNK_CLOCK, the only other kind the index holds.
+                _ => self.clock_chunk(c, |_, e| {
+                    clock_events.push(ClockEvent {
+                        pc: e.pc,
+                        callstack: stacks[e.stack as usize].clone(),
+                    })
+                })?,
+            }
+        }
         let mut log = self.log.clone();
         if let Some(why) = self.truncation {
             log.push(format!("stream ended early: {why}"));
@@ -766,14 +505,23 @@ impl StreamFile {
     }
 }
 
-/// Would [`StreamFile::open`] succeed on this file? Decided from the
-/// 5-byte preamble and the first chunk alone, via positioned reads —
-/// a stream is hard-rejected *only* when its preamble or header chunk
-/// is unusable (all later damage becomes a readable prefix), so the
-/// accept/reject verdict never needs the rest of the file. The
-/// `mp-serve` sealer uses this to validate an arbitrarily large
-/// landed session in memory bounded by the header chunk, instead of
-/// materializing the whole image just to throw it away.
+/// The charge-PC rule for one counter event.
+fn charged_pc(ev: &PackedHwcEvent, backtrack: bool) -> u64 {
+    if backtrack {
+        ev.candidate_pc.unwrap_or(ev.delivered_pc)
+    } else {
+        ev.delivered_pc
+    }
+}
+
+/// Does this file have a readable prefix — an intact preamble and
+/// header chunk? Decided from those alone, via positioned reads: the
+/// `mp-serve` sealer uses this to validate an arbitrarily large landed
+/// session in memory bounded by the header chunk, instead of
+/// materializing the whole image just to throw it away. A file that
+/// passes can still fail [`StreamFile::open`], but only through bad
+/// content in a later, checksum-valid chunk (the module docs' second
+/// error rule).
 ///
 /// Returns `Ok(false)` for an unreadable stream; I/O failures other
 /// than the file being shorter than its own metadata claimed (a
@@ -796,27 +544,26 @@ pub(crate) fn stream_prefix_is_readable<R: ReadAt + ?Sized>(
         }
     }
     // Preamble: magic + version byte. Anything shorter, or with the
-    // wrong bytes, is a hard parse error in `StreamFile::parse`.
-    let preamble_len = MAGIC.len() + 1;
-    if size < preamble_len as u64 {
+    // wrong bytes, is a hard error in `StreamFile::open`.
+    if size < PREAMBLE_LEN as u64 {
         return Ok(false);
     }
-    let mut pre = [0u8; 5];
+    let mut pre = [0u8; PREAMBLE_LEN];
     if !read(src, &mut pre, 0)? {
         return Ok(false);
     }
-    if pre[..MAGIC.len()] != MAGIC || pre[MAGIC.len()] != STREAM_VERSION {
+    if pre[..MAGIC.len()] != MAGIC || pre[MAGIC.len()] != VERSION {
         return Ok(false);
     }
     // First chunk: must be a complete, checksum-valid HEADER chunk.
     // A truncated chunk header / overlong chunk / bad checksum here
-    // means the parser never gets a header, which is the one
+    // means the reader never gets a header, which is the one
     // non-recoverable condition.
-    if size - (preamble_len as u64) < CHUNK_HEADER_LEN as u64 {
+    if size - (PREAMBLE_LEN as u64) < CHUNK_HEADER_LEN as u64 {
         return Ok(false);
     }
     let mut head = [0u8; CHUNK_HEADER_LEN];
-    if !read(src, &mut head, preamble_len as u64)? {
+    if !read(src, &mut head, PREAMBLE_LEN as u64)? {
         return Ok(false);
     }
     let kind = head[0];
@@ -825,7 +572,7 @@ pub(crate) fn stream_prefix_is_readable<R: ReadAt + ?Sized>(
     if kind != CHUNK_HEADER {
         return Ok(false);
     }
-    let payload_off = (preamble_len + CHUNK_HEADER_LEN) as u64;
+    let payload_off = (PREAMBLE_LEN + CHUNK_HEADER_LEN) as u64;
     if len as u64 > size - payload_off {
         return Ok(false);
     }
@@ -836,12 +583,13 @@ pub(crate) fn stream_prefix_is_readable<R: ReadAt + ?Sized>(
     if chunk_checksum(kind, len, &payload) != stored {
         return Ok(false);
     }
-    Ok(parse_header_chunk(&payload).is_ok())
+    Ok(get_header(&payload).is_ok())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simsparc_machine::CounterEvent;
 
     fn sample_counters() -> Vec<CounterRequest> {
         vec![
@@ -928,8 +676,6 @@ mod tests {
         assert_eq!(f.attachment("syms.txt"), Some("module m 1 1\n"));
         assert_eq!(f.hwc_total(), 2);
         assert_eq!(f.clock_count(), 1);
-        assert_eq!(f.stack_count(), 3);
-        assert_eq!(f.stack(0), &[0x1000_0010, 0x1000_0200]);
         let exp = f.to_experiment().unwrap();
         assert_eq!(exp.hwc_events[0].callstack, vec![0x1000_0010, 0x1000_0200]);
         assert_eq!(exp.hwc_events[1].callstack, Vec::<u64>::new());
@@ -950,16 +696,17 @@ mod tests {
             match StreamFile::from_bytes(prefix) {
                 Ok(f) => {
                     assert!(cut >= header_len, "loaded without a full header at {cut}");
-                    // Whatever loaded is internally consistent.
-                    for ev in f.hwc_events() {
-                        assert!((ev.stack as usize) < f.stack_count());
-                    }
                     if cut < bytes.len() {
                         assert!(!f.is_complete(), "prefix at {cut} claims completeness");
                         // A synthesized run summary is still usable.
                         assert_eq!(f.run().dropped.len(), f.counters().len());
                     }
-                    f.to_experiment().unwrap();
+                    // Whatever loaded is internally consistent.
+                    let exp = f.to_experiment().unwrap();
+                    assert_eq!(exp.hwc_events.len(), f.hwc_total());
+                    let mut batch = EventBatch::new(3);
+                    f.fill_pc_batch(&mut batch, &[1, 2], Some(0)).unwrap();
+                    assert_eq!(batch.len(), f.hwc_total() + f.clock_count());
                 }
                 Err(e) => {
                     assert!(cut < header_len, "hard error {e} at offset {cut}");
@@ -1032,7 +779,7 @@ mod tests {
         for cut in 0..=bytes.len() {
             assert_eq!(
                 streaming_verdict(&bytes[..cut]),
-                StreamFile::parse(&bytes[..cut]).is_ok(),
+                StreamFile::from_bytes(bytes[..cut].to_vec()).is_ok(),
                 "verdicts diverge at cut {cut}"
             );
         }
@@ -1042,15 +789,15 @@ mod tests {
     fn prefix_validator_matches_full_parse_under_corruption() {
         let clean = sample_stream();
         // Flip one byte at a time across the preamble, the header
-        // chunk, and a sample of the tail: the streaming verdict must
-        // track the full parser everywhere (accepting tail damage,
-        // rejecting header damage).
-        for i in (0..clean.len()).step_by(1) {
+        // chunk, and the tail: the streaming verdict must track the
+        // full open everywhere (accepting tail damage, rejecting
+        // header damage).
+        for i in 0..clean.len() {
             let mut bytes = clean.clone();
             bytes[i] ^= 0x55;
             assert_eq!(
                 streaming_verdict(&bytes),
-                StreamFile::parse(&bytes).is_ok(),
+                StreamFile::from_bytes(bytes).is_ok(),
                 "verdicts diverge with byte {i} flipped"
             );
         }
@@ -1084,8 +831,21 @@ mod tests {
             truth_skid: 0,
         }])
         .unwrap();
+        // The chunk is checksum-valid, so opening indexes it; the
+        // calls that decode it report its bad content.
         let f = StreamFile::from_bytes(w.out).unwrap();
-        assert_eq!(f.hwc_total(), 0);
-        assert_eq!(f.truncation(), Some("event references undefined stack id"));
+        assert_eq!(f.truncation(), None);
+        let undefined = |r: Result<(), StoreError>| {
+            matches!(
+                r,
+                Err(StoreError::Corrupt("event references undefined stack id"))
+            )
+        };
+        assert!(undefined(f.to_experiment().map(drop)));
+        assert!(undefined(f.fill_pc_batch(
+            &mut EventBatch::new(2),
+            &[0, 1],
+            None
+        )));
     }
 }

@@ -1,10 +1,16 @@
-//! Robustness of the packed store format: property-tested lossless
-//! round-trips over arbitrary experiments, and rejection of
-//! truncated, bit-flipped, or structurally corrupt input. Mirrors the
-//! text-format robustness suite in memprof-core.
+//! Robustness of the binary format: property-tested lossless
+//! `load(pack(x)) == x` over arbitrary experiments, aggregation of a
+//! packed file equal to aggregation of its loaded experiment, and
+//! typed errors — never panics — on every truncation and byte flip of
+//! a packed image. Mirrors the text-format robustness suite in
+//! memprof-core.
+
+use std::path::{Path, PathBuf};
 
 use memprof_core::{ClockEvent, CounterRequest, Experiment, HwcEvent, RunInfo};
-use memprof_store::{pack_experiment, SegmentWriter, StoreError, StoreFile, StreamFile};
+use memprof_store::{
+    aggregate, aggregate_refs, fnv1a64, pack_experiment, ExperimentRef, StoreError, StreamFile,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use simsparc_machine::{CounterEvent, EventCounts};
@@ -74,11 +80,41 @@ fn build_experiment(
     }
 }
 
+/// A symbol table covering the generated PCs.
+const SYMS: &str =
+    "simsparc-syms text_base=0x10000\nMODULE 1 1 m m.c\nFUNC 0x10000 0x2000000 0 1 func\n";
+
+fn attachments() -> Vec<(String, String)> {
+    vec![("syms.txt".to_string(), SYMS.to_string())]
+}
+
+/// A scratch directory unique to one test.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "memprof_store_robust_{tag}_{}_{:?}",
+        std::process::id(),
+        std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_nanos()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn packed_ref(path: &Path, bytes: &[u8]) -> ExperimentRef {
+    std::fs::write(path, bytes).unwrap();
+    ExperimentRef::Packed(path.to_path_buf())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// `load(pack(x)) == x`: the property compaction's cache seeding
+    /// rests on — a seeded merge is exactly a merge that re-read the
+    /// packed store.
     #[test]
-    fn pack_unpack_round_trip(
+    fn load_of_pack_is_identity(
         intervals in (1u64..100_000, 1u64..100_000),
         period in 0u64..20_000,
         raw_events in vec(
@@ -98,35 +134,53 @@ proptest! {
         dropped in (0u64..10, 0u64..10),
     ) {
         let exp = build_experiment(intervals, period, raw_events, raw_clocks, dropped);
-        let bytes = pack_experiment(&exp, &[("syms.txt".to_string(), "s\n".to_string())]);
-        let store = StoreFile::from_bytes(bytes)?;
-        let back = store.to_experiment()?;
+        let bytes = pack_experiment(&exp, &attachments());
+        prop_assert!(bytes.starts_with(b"MPES\x02"));
+        let dir = scratch("identity");
+        let r = packed_ref(&dir.join("x.mps"), &bytes);
+        let back = r.load()?;
+        std::fs::remove_dir_all(&dir).ok();
         prop_assert_eq!(&back.counters, &exp.counters);
         prop_assert_eq!(back.clock_period, exp.clock_period);
         prop_assert_eq!(&back.hwc_events, &exp.hwc_events);
         prop_assert_eq!(&back.clock_events, &exp.clock_events);
         prop_assert_eq!(&back.run, &exp.run);
         prop_assert_eq!(&back.log, &exp.log);
+        let stream = StreamFile::from_bytes(bytes)?;
+        prop_assert!(stream.is_complete());
+        prop_assert_eq!(stream.attachments(), &attachments()[..]);
     }
 
+    /// Aggregating a packed file — its chunks decoded straight into
+    /// the batch — equals aggregating its loaded experiment.
     #[test]
-    fn truncation_at_any_point_is_rejected(cut_permille in 0u64..1000) {
-        let exp = build_experiment((4001, 53), 10007, sample_events(), sample_clocks(), (1, 0));
-        let bytes = pack_experiment(&exp, &[]);
-        let cut = (bytes.len() as u64 * cut_permille / 1000) as usize;
-        prop_assert!(cut < bytes.len());
-        prop_assert!(StoreFile::from_bytes(bytes[..cut].to_vec()).is_err());
-    }
-
-    #[test]
-    fn bit_flips_are_rejected(pos_permille in 0u64..1000, bit in 0u8..8) {
-        let exp = build_experiment((4001, 53), 10007, sample_events(), sample_clocks(), (1, 0));
-        let mut bytes = pack_experiment(&exp, &[]);
-        let pos = (bytes.len() as u64 * pos_permille / 1000) as usize;
-        bytes[pos] ^= 1 << bit;
-        // Any single-bit flip must surface as *some* StoreError —
-        // magic, version, or checksum — never as silent misparse.
-        prop_assert!(StoreFile::from_bytes(bytes).is_err());
+    fn aggregate_of_packed_equals_aggregate_of_loaded(
+        raw_events in vec(
+            (
+                0usize..2,
+                0x1_0000u64..0x1_0400,
+                any::<bool>(),
+                0u64..64,
+                any::<bool>(),
+                0u64..0x4000_0000,
+                0u64..8,
+                vec(0x1_0000u64..0x200_0000, 0..3),
+            ),
+            0..64,
+        ),
+        raw_clocks in vec((0x1_0000u64..0x1_0400, vec(0x1_0000u64..0x200_0000, 0..3)), 0..24),
+        period in 0u64..2,
+    ) {
+        let exp = build_experiment((4001, 53), period * 10007, raw_events, raw_clocks, (0, 0));
+        let dir = scratch("agg");
+        let r = packed_ref(&dir.join("x.mps"), &pack_experiment(&exp, &[]));
+        let streamed = aggregate_refs(std::slice::from_ref(&r), 1)?;
+        let loaded = aggregate(&[&r.load()?], 1)?;
+        std::fs::remove_dir_all(&dir).ok();
+        prop_assert_eq!(&streamed.columns, &loaded.columns);
+        prop_assert_eq!(&streamed.pc_samples, &loaded.pc_samples);
+        prop_assert_eq!(&streamed.totals, &loaded.totals);
+        prop_assert_eq!(streamed.render(), loaded.render());
     }
 }
 
@@ -154,247 +208,132 @@ fn sample_clocks() -> Vec<(u64, Vec<u64>)> {
         .collect()
 }
 
-#[test]
-fn empty_input_is_truncated() {
-    assert!(matches!(
-        StoreFile::from_bytes(Vec::new()),
-        Err(StoreError::Truncated)
-    ));
+fn sample_image() -> Vec<u8> {
+    let exp = build_experiment((4001, 53), 10007, sample_events(), sample_clocks(), (1, 0));
+    pack_experiment(&exp, &attachments())
 }
 
-#[test]
-fn wrong_magic_is_rejected() {
-    let exp = build_experiment((4001, 53), 10007, sample_events(), sample_clocks(), (1, 0));
-    let mut bytes = pack_experiment(&exp, &[]);
-    bytes[0] = b'X';
-    assert!(matches!(
-        StoreFile::from_bytes(bytes),
-        Err(StoreError::BadMagic)
-    ));
-    // A random non-store file is BadMagic, not a parse explosion.
-    assert!(matches!(
-        StoreFile::from_bytes(b"counters 2\nhello world\n".to_vec()),
-        Err(StoreError::BadMagic)
-    ));
-}
-
-#[test]
-fn short_headers_never_panic() {
-    let exp = build_experiment((4001, 53), 10007, sample_events(), sample_clocks(), (1, 0));
-    let bytes = pack_experiment(&exp, &[]);
-    // Every prefix shorter than the 13-byte preamble must be a clean
-    // Truncated — the fixed-offset checksum slice must never panic.
-    for len in 0..13 {
-        assert!(
-            matches!(
-                StoreFile::from_bytes(bytes[..len].to_vec()),
-                Err(StoreError::Truncated)
+/// The error a damaged image may legitimately produce: always typed,
+/// always naming the file. A symbol table whose text no longer parses
+/// is reported as the parser's `InvalidData`.
+fn assert_typed(err: &StoreError, path: &Path, what: &str) {
+    let StoreError::At(at, inner) = err else {
+        panic!("{what}: error without a path: {err}");
+    };
+    assert_eq!(at, path, "{what}");
+    assert!(
+        match &**inner {
+            StoreError::Io(e) => e.kind() == std::io::ErrorKind::InvalidData,
+            inner => matches!(
+                inner,
+                StoreError::Truncated
+                    | StoreError::BadMagic
+                    | StoreError::BadVersion(_)
+                    | StoreError::Corrupt(_)
             ),
-            "prefix of {len} bytes"
-        );
+        },
+        "{what}: unexpected error {err}"
+    );
+}
+
+/// Run a damaged image through every reading entry point: each must
+/// return `Ok` or a typed error naming the file, never panic. Returns
+/// the loaded experiment, if it loaded.
+fn read_every_way(path: &Path, what: &str) -> Option<Experiment> {
+    let r = ExperimentRef::Packed(path.to_path_buf());
+    if let Err(e) = aggregate_refs(std::slice::from_ref(&r), 1) {
+        assert_typed(&e, path, what);
     }
-    // Short files that already disagree with the preamble say so.
-    assert!(matches!(
-        StoreFile::from_bytes(b"XPES".to_vec()),
-        Err(StoreError::BadMagic)
-    ));
-    assert!(matches!(
-        StoreFile::from_bytes(b"MPES\x09".to_vec()),
-        Err(StoreError::BadVersion(9))
-    ));
-    assert!(matches!(
-        StoreFile::from_bytes(b"MPES\x01\x00\x00".to_vec()),
-        Err(StoreError::Truncated)
-    ));
-}
-
-#[test]
-fn future_version_is_rejected() {
-    let exp = build_experiment((4001, 53), 10007, sample_events(), sample_clocks(), (1, 0));
-    let mut bytes = pack_experiment(&exp, &[]);
-    bytes[4] = 99;
-    assert!(matches!(
-        StoreFile::from_bytes(bytes),
-        Err(StoreError::BadVersion(99))
-    ));
-}
-
-#[test]
-fn checksum_guards_the_body() {
-    let exp = build_experiment((4001, 53), 10007, sample_events(), sample_clocks(), (1, 0));
-    let mut bytes = pack_experiment(&exp, &[]);
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0x40;
-    assert!(matches!(
-        StoreFile::from_bytes(bytes),
-        Err(StoreError::ChecksumMismatch)
-    ));
-
-    // Trailing garbage is also a checksum failure, not extra events.
-    let mut bytes = pack_experiment(&exp, &[]);
-    bytes.extend_from_slice(b"extra");
-    assert!(matches!(
-        StoreFile::from_bytes(bytes),
-        Err(StoreError::ChecksumMismatch)
-    ));
-}
-
-/// Re-stamp the checksum after tampering with the body, so corruption
-/// must be caught by structural validation, not the hash.
-fn restamp(bytes: &mut [u8]) {
-    // FNV-1a 64, same as the writer's.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in &bytes[13..] {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    if let Err(e) = r.read_syms() {
+        assert_typed(&e, path, what);
     }
-    bytes[5..13].copy_from_slice(&h.to_le_bytes());
+    r.load().map_err(|e| assert_typed(&e, path, what)).ok()
 }
 
-#[test]
-fn structurally_corrupt_payload_is_rejected_even_with_valid_checksum() {
-    let exp = build_experiment((4001, 53), 10007, sample_events(), sample_clocks(), (1, 0));
-
-    // Chop the payload short: the segment index now points past EOF.
-    let mut bytes = pack_experiment(&exp, &[]);
-    bytes.truncate(bytes.len() - 4);
-    restamp(&mut bytes);
-    match StoreFile::from_bytes(bytes) {
-        Err(StoreError::Corrupt(_)) | Err(StoreError::Truncated) => {}
-        other => panic!("expected structural rejection, got {:?}", other.map(|_| ())),
+/// A prefix of the sample image loads no more events than the whole,
+/// and carries its symbol table only if the footer survived.
+fn assert_prefix(path: &Path, what: &str) {
+    let clean = StreamFile::from_bytes(sample_image()).unwrap();
+    if let Some(exp) = read_every_way(path, what) {
+        assert!(exp.hwc_events.len() <= clean.hwc_total(), "{what}");
+    }
+    if let Ok(Some(syms)) = ExperimentRef::Packed(path.to_path_buf()).read_syms() {
+        assert!(syms.func_at(0x1_0000).is_some(), "{what}");
     }
 }
 
-/// Write a small v2 stream through the public sink interface.
-fn sample_stream_bytes() -> Vec<u8> {
-    use memprof_core::{CallstackTable, CollectSink, PackedClockEvent, PackedHwcEvent};
-    let exp = build_experiment((4001, 53), 10007, sample_events(), sample_clocks(), (1, 0));
-    let mut w = SegmentWriter::new(Vec::<u8>::new());
-    w.begin(&exp.counters, exp.clock_period, exp.run.clock_hz)
-        .unwrap();
-    // Intern the callstacks by hand: one id per distinct stack.
-    let mut table = CallstackTable::new();
-    let hwc: Vec<PackedHwcEvent> = exp
-        .hwc_events
-        .iter()
-        .map(|e| PackedHwcEvent {
-            counter: e.counter as u32,
-            delivered_pc: e.delivered_pc,
-            candidate_pc: e.candidate_pc,
-            ea: e.ea,
-            stack: table.intern(&e.callstack),
-            truth_trigger_pc: e.truth_trigger_pc,
-            truth_ea: e.truth_ea,
-            truth_skid: e.truth_skid,
-        })
-        .collect();
-    let clock: Vec<PackedClockEvent> = exp
-        .clock_events
-        .iter()
-        .map(|e| PackedClockEvent {
-            pc: e.pc,
-            stack: table.intern(&e.callstack),
-        })
-        .collect();
-    w.stacks(table.stacks_from(0)).unwrap();
-    w.hwc_segment(&hwc).unwrap();
-    w.clock_segment(&clock).unwrap();
-    w.finish(&exp.run, &exp.log).unwrap();
-    w.into_inner()
-}
-
 #[test]
-fn stream_truncation_leaves_a_readable_prefix() {
-    let bytes = sample_stream_bytes();
-    let full = StreamFile::from_bytes(bytes.clone()).unwrap();
-    assert!(full.is_complete());
-    let total = full.hwc_total() + full.clock_count();
-    assert!(total > 0);
-    // Chop the file at every length: anything with an intact header
-    // loads as a (possibly empty) prefix; shorter is a clean error.
-    let mut readable = 0usize;
+fn every_truncation_reads_as_a_prefix_or_a_typed_error() {
+    let bytes = sample_image();
+    let dir = scratch("cuts");
+    let path = dir.join("cut.mps");
     for cut in 0..bytes.len() {
-        match StreamFile::from_bytes(bytes[..cut].to_vec()) {
-            Ok(f) => {
-                assert!(!f.is_complete());
-                assert!(f.hwc_total() + f.clock_count() <= total);
-                readable += 1;
-            }
-            Err(StoreError::Truncated | StoreError::Corrupt(_) | StoreError::BadVersion(_)) => {}
-            Err(other) => panic!("unexpected error at {cut}: {other}"),
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        assert_prefix(&path, &format!("cut at {cut}"));
+        // A cut file never passes for a finished run.
+        if let Ok(f) = StreamFile::open(&path) {
+            assert!(!f.is_complete(), "cut at {cut} claims completeness");
         }
     }
-    assert!(readable > 0, "no prefix was readable");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The `[start, end)` byte range of every chunk (header included) in
+/// an intact `MPES` image, in file order.
+fn chunk_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut pos = 5;
+    while pos < bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().unwrap());
+        let end = pos + 13 + len as usize;
+        spans.push((pos, end));
+        pos = end;
+    }
+    spans
+}
+
+/// Give the chunk at `start` a checksum that matches its (possibly
+/// damaged) kind, length and payload, as if it had been written that
+/// way. A length pushed past the end of the image is left alone: that
+/// is framing damage whatever the checksum says.
+fn reseal(bytes: &mut [u8], start: usize) {
+    let len = u32::from_le_bytes(bytes[start + 1..start + 5].try_into().unwrap());
+    let Some(payload) = bytes.get(start + 13..start + 13 + len as usize) else {
+        return;
+    };
+    let sum = fnv1a64(&[&bytes[start..start + 5], payload].concat());
+    bytes[start + 5..start + 13].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Every single-byte flip, read twice. As flipped, the chunk checksum
+/// (FNV-1a over kind, length and payload) catches the change, so the
+/// file reads as a prefix or a typed error. Resealed with a matching
+/// checksum, the damaged content reaches the decoders instead: the
+/// content checks (header and footer fields, counter bound, flags,
+/// skid, stack id, trailing bytes) must turn it into `Ok` or a typed
+/// error — never a panic.
 #[test]
-fn stream_bit_flips_never_panic_and_never_misparse_silently() {
-    let clean = sample_stream_bytes();
-    assert!(StreamFile::from_bytes(clean.clone()).unwrap().is_complete());
+fn every_byte_flip_reads_as_a_prefix_or_a_typed_error() {
+    let clean = sample_image();
+    let spans = chunk_spans(&clean);
+    let dir = scratch("flips");
+    let path = dir.join("flip.mps");
     for pos in 0..clean.len() {
-        let mut bytes = clean.clone();
-        bytes[pos] ^= 0x10;
-        // The chunk checksum covers kind and length too, so every
-        // single-bit flip either errors out (preamble/header damage)
-        // or surfaces as an incomplete readable prefix — a flipped
-        // file can never pass for a cleanly finished run.
-        if let Ok(f) = StreamFile::from_bytes(bytes) {
-            assert!(!f.is_complete(), "silent misparse at byte {pos}");
-        }
-    }
-}
-
-/// The on-disk open path now goes through pooled positioned reads
-/// (`pread`). Truncating the file on disk at any point must behave
-/// exactly like truncating the in-memory image: v1 stores reject
-/// cleanly, v2 streams keep their readable prefix, and nothing
-/// panics. This pins the read-at loop (partial fills, EOF handling)
-/// against the parsers end to end.
-#[test]
-fn truncated_files_on_disk_match_in_memory_truncation() {
-    let dir = std::env::temp_dir().join(format!(
-        "memprof_store_pread_trunc_{}_{:?}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-
-    let exp = build_experiment((4001, 53), 10007, sample_events(), sample_clocks(), (1, 0));
-    let v1 = pack_experiment(&exp, &[("syms.txt".to_string(), "sym data\n".to_string())]);
-    let v2 = sample_stream_bytes();
-
-    for (name, bytes) in [("v1.mps", &v1), ("v2.mps", &v2)] {
-        let path = dir.join(name);
-        // Sample cut points (every byte would re-open thousands of
-        // files); always include the interesting boundaries.
-        let cuts: Vec<usize> = (0..bytes.len())
-            .step_by(7)
-            .chain([0, 1, 4, 5, bytes.len() - 1, bytes.len()])
-            .collect();
-        for cut in cuts {
-            std::fs::write(&path, &bytes[..cut]).unwrap();
-            let from_disk = memprof_store::ExperimentRef::Packed(path.clone()).load();
-            let in_memory = if bytes[..cut].get(4) == Some(&2) {
-                StreamFile::from_bytes(bytes[..cut].to_vec()).and_then(|s| s.to_experiment())
-            } else {
-                StoreFile::from_bytes(bytes[..cut].to_vec()).and_then(|s| s.to_experiment())
-            };
-            match (from_disk, in_memory) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.counters, b.counters, "{name} cut {cut}");
-                    assert_eq!(a.hwc_events, b.hwc_events, "{name} cut {cut}");
-                    assert_eq!(a.clock_events, b.clock_events, "{name} cut {cut}");
-                    assert_eq!(a.log, b.log, "{name} cut {cut}");
-                }
-                (Err(_), Err(_)) => {}
-                (disk, mem) => panic!(
-                    "{name} cut {cut}: disk {:?} vs memory {:?}",
-                    disk.is_ok(),
-                    mem.is_ok()
-                ),
+        for mask in [0x01u8, 0x10, 0xff] {
+            let mut bytes = clean.clone();
+            bytes[pos] ^= mask;
+            let what = format!("byte {pos} ^ {mask:#04x}");
+            std::fs::write(&path, &bytes).unwrap();
+            assert_prefix(&path, &what);
+            // The chunk checksum covers kind and length too, so a
+            // flipped file can never pass for a cleanly finished run.
+            if let Ok(f) = StreamFile::open(&path) {
+                assert!(!f.is_complete(), "silent misparse: {what}");
+            }
+            if let Some(&(start, _)) = spans.iter().find(|&&(s, e)| (s..e).contains(&pos)) {
+                reseal(&mut bytes, start);
+                std::fs::write(&path, &bytes).unwrap();
+                read_every_way(&path, &format!("{what}, resealed"));
             }
         }
     }
@@ -402,17 +341,89 @@ fn truncated_files_on_disk_match_in_memory_truncation() {
 }
 
 #[test]
-fn event_decode_errors_stop_the_iterator() {
-    let exp = build_experiment((4001, 53), 10007, sample_events(), sample_clocks(), (1, 0));
-    let clean = pack_experiment(&exp, &[]);
-    let store = StoreFile::from_bytes(clean).unwrap();
-    // Sanity: the clean store streams every event without error.
-    for ci in 0..2 {
-        let n = store
-            .hwc_events(ci)
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap()
-            .len();
-        assert_eq!(n, store.hwc_count(ci));
+fn version_one_images_are_rejected_naming_the_file() {
+    let dir = scratch("v1");
+    let path = dir.join("old.mps");
+    let mut bytes = sample_image();
+    bytes[4] = 1;
+    let r = packed_ref(&path, &bytes);
+    for err in [
+        r.load().err(),
+        aggregate_refs(std::slice::from_ref(&r), 1).err(),
+        r.read_syms().err(),
+    ] {
+        let err = err.expect("a version 1 image must not read");
+        assert!(
+            err.to_string().contains("old.mps"),
+            "error lacks path: {err}"
+        );
+        assert!(
+            matches!(&err, StoreError::At(_, inner) if matches!(**inner, StoreError::BadVersion(1))),
+            "{err}"
+        );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn short_and_foreign_inputs_are_rejected() {
+    assert!(matches!(
+        StreamFile::from_bytes(Vec::new()),
+        Err(StoreError::Truncated)
+    ));
+    assert!(matches!(
+        StreamFile::from_bytes(b"counters 2\nhello world\n".to_vec()),
+        Err(StoreError::BadMagic)
+    ));
+    assert!(matches!(
+        StreamFile::from_bytes(b"MPES\x09".to_vec()),
+        Err(StoreError::BadVersion(9))
+    ));
+    let bytes = sample_image();
+    for len in 0..5 {
+        assert!(
+            matches!(
+                StreamFile::from_bytes(bytes[..len].to_vec()),
+                Err(StoreError::Truncated)
+            ),
+            "prefix of {len} bytes"
+        );
+    }
+}
+
+/// Reading from disk goes through pooled positioned reads (`pread`).
+/// Truncating the file on disk at any point must behave exactly like
+/// truncating the in-memory image. This pins the read-at loop
+/// (partial fills, EOF handling) against the reader end to end.
+#[test]
+fn truncated_files_on_disk_match_in_memory_truncation() {
+    let bytes = sample_image();
+    let dir = scratch("pread_trunc");
+    let path = dir.join("x.mps");
+    // Sample cut points; always include the interesting boundaries.
+    let cuts: Vec<usize> = (0..bytes.len())
+        .step_by(7)
+        .chain([0, 1, 4, 5, bytes.len() - 1, bytes.len()])
+        .collect();
+    for cut in cuts {
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        let from_disk = ExperimentRef::Packed(path.clone()).load();
+        let in_memory =
+            StreamFile::from_bytes(bytes[..cut].to_vec()).and_then(|s| s.to_experiment());
+        match (from_disk, in_memory) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.counters, b.counters, "cut {cut}");
+                assert_eq!(a.hwc_events, b.hwc_events, "cut {cut}");
+                assert_eq!(a.clock_events, b.clock_events, "cut {cut}");
+                assert_eq!(a.log, b.log, "cut {cut}");
+            }
+            (Err(_), Err(_)) => {}
+            (disk, mem) => panic!(
+                "cut {cut}: disk {:?} vs memory {:?}",
+                disk.is_ok(),
+                mem.is_ok()
+            ),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

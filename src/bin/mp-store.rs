@@ -22,7 +22,7 @@ use std::process::exit;
 
 use memprof::store::{
     self, aggregate_streams, diff_experiments, pack_dir, pack_experiment, unpack_to_dir,
-    EventStream, ExperimentRef,
+    EventStream, ExperimentRef, StreamFile,
 };
 
 fn usage(msg: &str) -> ! {
@@ -58,8 +58,20 @@ fn fail(what: &str, err: impl std::fmt::Display) -> ! {
     exit(1)
 }
 
+/// Sniff an `EXP` argument. An `MPES` file that is only a readable
+/// prefix — a collector stream cut short, or a packed store with a
+/// damaged chunk — still contributes its intact chunks, as everywhere
+/// else, but never silently: say so on stderr.
 fn open_ref(arg: &str) -> ExperimentRef {
-    ExperimentRef::open(Path::new(arg)).unwrap_or_else(|e| fail(&format!("cannot open {arg}"), e))
+    let r = ExperimentRef::open(Path::new(arg))
+        .unwrap_or_else(|e| fail(&format!("cannot open {arg}"), e));
+    if let ExperimentRef::Packed(path) = &r {
+        if let Some(f) = StreamFile::open(path).ok().filter(|f| !f.is_complete()) {
+            let why = f.truncation().unwrap_or("no footer");
+            eprintln!("mp-store: warning: {arg}: reading only a prefix ({why})");
+        }
+    }
+    r
 }
 
 fn main() {
@@ -81,6 +93,7 @@ fn main() {
             let [_, file, dir] = &args[..] else {
                 usage("unpack STORE.mps OUTDIR");
             };
+            open_ref(file);
             unpack_to_dir(Path::new(file), Path::new(dir))
                 .unwrap_or_else(|e| fail(&format!("cannot unpack {file}"), e));
             println!("unpacked {file} -> {dir}");
@@ -93,7 +106,7 @@ fn main() {
             }
             let out = PathBuf::from(&rest[0]);
             let refs: Vec<ExperimentRef> = rest[1..].iter().map(|a| open_ref(a)).collect();
-            let merged = store::merge_experiments_sharded(&refs, shards)
+            let merged = store::merge_experiments_with(Vec::new(), &refs, shards)
                 .unwrap_or_else(|e| fail("cannot merge", e));
             let attachments = store::collect_attachments(&refs);
             std::fs::write(&out, pack_experiment(&merged, &attachments))

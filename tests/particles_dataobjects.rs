@@ -9,7 +9,7 @@ use memprof::machine::{CounterEvent, Machine};
 use memprof::mcf::paper_machine_config;
 use memprof::minic::{compile_and_link, CompileOptions};
 use memprof::profiler::{analyze::Analysis, collect, parse_counter_spec, CollectConfig};
-use memprof::store::{pack_experiment, StoreFile};
+use memprof::store::{pack_experiment, StreamFile};
 
 #[test]
 fn particles_data_object_view_is_populated() {
@@ -55,7 +55,7 @@ fn particles_data_object_view_is_populated() {
     );
 
     // The same view, via the packed store round trip.
-    let store = StoreFile::from_bytes(pack_experiment(&exp, &[])).unwrap();
+    let store = StreamFile::from_bytes(pack_experiment(&exp, &[])).unwrap();
     let unpacked = store.to_experiment().unwrap();
     let analysis2 = Analysis::new(&[&unpacked], &program.syms);
     let objects2 = analysis2.data_objects(stall);

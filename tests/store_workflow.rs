@@ -19,7 +19,7 @@ use memprof::minic::CompileOptions;
 use memprof::profiler::{
     analyze::Analysis, collect, parse_counter_spec, CollectConfig, Experiment,
 };
-use memprof::store::{aggregate, merge_loaded, pack_dir, unpack_to_dir, StoreFile};
+use memprof::store::{aggregate, merge_loaded, pack_dir, unpack_to_dir, StreamFile};
 
 fn scratch(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("mp_store_{}_{tag}", std::process::id()))
@@ -224,6 +224,25 @@ fn mp_store_cli_packs_merges_and_feeds_er_print() {
     let stat = run(&["stat", "-j", "4", packed1.to_str().unwrap()]);
     assert!(stat.contains("E$ Stall Cycles"), "{stat}");
 
+    // A damaged chunk ends a readable prefix: the store still reads,
+    // and mp-store says it is reading only part of it.
+    let damaged = scratch("cli_damaged.mps");
+    let mut bytes = std::fs::read(&packed1).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&damaged, &bytes).unwrap();
+    let out = Command::new(mp_store)
+        .args(["stat", damaged.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(
+        stderr.contains("warning") && stderr.contains("reading only a prefix"),
+        "{stderr}"
+    );
+    std::fs::remove_file(&damaged).ok();
+
     // Merge a packed store with a text directory — refs mix freely.
     run(&[
         "merge",
@@ -231,7 +250,7 @@ fn mp_store_cli_packs_merges_and_feeds_er_print() {
         packed1.to_str().unwrap(),
         dir2.to_str().unwrap(),
     ]);
-    let store = StoreFile::open(&merged_mps).unwrap();
+    let store = StreamFile::open(&merged_mps).unwrap();
     assert_eq!(
         store.to_experiment().unwrap().hwc_events.len(),
         e1.hwc_events.len() + e2.hwc_events.len()
