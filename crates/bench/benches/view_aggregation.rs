@@ -16,8 +16,8 @@ use std::hint::black_box;
 
 use memprof_core::batch::ByPc;
 use memprof_core::{
-    aggregate_by, ClockEvent, CounterRequest, EventBatch, EventSource, Experiment, HwcEvent,
-    RunInfo,
+    aggregate_by, fill_clock_pc_rows, fill_hwc_pc_rows, ClockEvent, CounterRequest, EventBatch,
+    Experiment, HwcEvent, RunInfo,
 };
 use memprof_store::merge_loaded;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -97,9 +97,16 @@ fn bench_view_aggregation(c: &mut Criterion) {
         .collect();
     let merged = merge_loaded(&exps).unwrap();
 
-    // Plain batch, built once (columns: clock, then the two counters).
+    // Charge-PC batch, built once (columns: clock, then the two
+    // counters) — the columns a per-PC fold reads.
     let mut batch = EventBatch::new(3);
-    merged.fill_batch(&mut batch, &[1, 2], Some(0));
+    fill_clock_pc_rows(&mut batch, 0, &merged.clock_events);
+    assert!(fill_hwc_pc_rows(
+        &mut batch,
+        &merged.counters,
+        &[1, 2],
+        &merged.hwc_events
+    ));
 
     let serial = aggregate_by(&batch, &ByPc, 1);
     for shards in [2usize, 4, 8] {

@@ -1,13 +1,10 @@
 //! Regenerate every table and figure of the paper's evaluation (§3).
 //!
 //! ```text
-//! figures [--scale N] [--shards N] [--save DIR] [--stream DIR]
+//! figures [--scale N] [--save DIR] [--stream DIR]
 //!         [fig1|fig2|fig3|fig4|fig5|fig6|fig7|
 //!          overhead|tuning|effectiveness|addrviews|all]
 //! ```
-//!
-//! `--shards N` runs every view's aggregation on N threads (the
-//! kernel's sharded path); the output is identical to serial.
 //!
 //! `--save DIR` writes the two collection experiments as bundles
 //! (`DIR/exp1`, `DIR/exp2`) that `mp-er-print` can analyze standalone.
@@ -50,11 +47,6 @@ fn main() {
             "--stream" => {
                 i += 1;
                 stream = Some(std::path::PathBuf::from(&args[i]));
-            }
-            "--shards" => {
-                i += 1;
-                let n: usize = args[i].parse().expect("bad --shards");
-                SHARDS.store(n.max(1), std::sync::atomic::Ordering::Relaxed);
             }
             w => what = w.to_string(),
         }
@@ -149,15 +141,8 @@ fn main() {
     }
 }
 
-/// Shard count for every aggregation in this run (`--shards N`).
-static SHARDS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(1);
-
-fn shards() -> usize {
-    SHARDS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
 fn analysis(run: &PaperRun) -> Analysis<'_> {
-    Analysis::with_shards(&[&run.exp1, &run.exp2], &run.program.syms, shards())
+    Analysis::new(&[&run.exp1, &run.exp2], &run.program.syms)
 }
 
 fn header(title: &str) {

@@ -12,7 +12,6 @@ use simsparc_machine::SegmentKind;
 use super::views::sort_by_metric;
 use super::Analysis;
 use crate::batch::{AttrTag, ByAddrBucket, EventBatch, GroupKey, NO_ADDR};
-use crate::experiment::EventSource;
 
 /// Group by address-space segment of the effective address; rows
 /// without an EA are skipped. The raw key is the segment's index in
@@ -155,7 +154,7 @@ pub struct InstanceReport {
     pub straddle_fraction: f64,
 }
 
-impl<'a, S: EventSource + ?Sized> Analysis<'a, S> {
+impl Analysis<'_> {
     /// Events with reconstructed effective addresses, by segment.
     pub fn segments(&self) -> Vec<SegmentRow> {
         let map = self.kernel(&BySegment);

@@ -11,7 +11,6 @@ use minic::MemDesc;
 use super::views::sort_by_metric;
 use super::{fmt_val_pct, Analysis, UnknownKind};
 use crate::batch::{AttrTag, EventBatch, GroupKey};
-use crate::experiment::EventSource;
 
 fn intern_key(
     pool: &mut Vec<DataObjectKey>,
@@ -230,7 +229,7 @@ pub struct EffectivenessRow {
     pub effectiveness_pct: f64,
 }
 
-impl<'a, S: EventSource + ?Sized> Analysis<'a, S> {
+impl Analysis<'_> {
     /// Figure 6: data objects ranked by the given data column. Only
     /// backtracked memory counters have data-object information.
     pub fn data_objects(&self, sort_col: usize) -> Vec<DataObjectRow> {

@@ -8,9 +8,8 @@ use minic::{Feedback, PrefetchHint};
 
 use super::Analysis;
 use crate::batch::AttrTag;
-use crate::experiment::EventSource;
 
-impl<'a, S: EventSource + ?Sized> Analysis<'a, S> {
+impl Analysis<'_> {
     /// Build a prefetch feedback file from a miss column: every
     /// validated data-object load whose share of the column exceeds
     /// `min_share` *and whose reconstructed effective addresses

@@ -24,10 +24,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 use minic::{MemDesc, SymbolTable};
 use simsparc_machine::CounterEvent;
 
-use crate::batch::{
-    aggregate_by, aggregate_by_serial, AttrTag, BatchEvent, EventBatch, GroupKey, NO_ID, NO_LINE,
-};
-use crate::experiment::{EventSource, Experiment};
+use crate::batch::{aggregate_by, AttrTag, BatchEvent, EventBatch, GroupKey, NO_ID, NO_LINE};
+use crate::experiment::Experiment;
 
 /// What a metric column measures.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -158,55 +156,40 @@ impl Attribution {
     }
 }
 
-/// A combined analysis over one or more event sources (text
-/// experiment directories, packed binary stores, or merged sets —
-/// anything implementing [`EventSource`]).
+/// A combined analysis over one or more experiments (loaded from text
+/// directories or packed stores, or merged from several runs).
 ///
 /// Reduction happens once, at construction: every event is validated
 /// and written into a cached columnar [`EventBatch`]; each view is
 /// then a [`crate::batch::aggregate_by`] fold over that batch under
 /// its own [`GroupKey`] — no view re-walks the raw events.
-pub struct Analysis<'a, S: EventSource + ?Sized = Experiment> {
-    pub experiments: Vec<&'a S>,
+pub struct Analysis<'a> {
+    pub experiments: Vec<&'a Experiment>,
     pub syms: &'a SymbolTable,
     pub columns: Vec<MetricCol>,
     /// The columnar form of every validated event, built once and
     /// shared by all views.
     pub batch: EventBatch,
-    /// Shard count for the aggregation kernel (0 = one shard per
-    /// available core, 1 = single-shard inline).
-    pub shards: usize,
 }
 
-impl<'a, S: EventSource + ?Sized> Analysis<'a, S> {
+impl<'a> Analysis<'a> {
     /// Reduce the experiments: build the column set, validate every
     /// hardware-counter event, and attribute clock ticks.
-    pub fn new(experiments: &[&'a S], syms: &'a SymbolTable) -> Analysis<'a, S> {
-        Analysis::with_shards(experiments, syms, 1)
-    }
-
-    /// Like [`Analysis::new`], but view aggregations run the sharded
-    /// kernel path across `shards` scoped threads (`0` = one shard
-    /// per available core). Results are identical to the serial path.
-    pub fn with_shards(
-        experiments: &[&'a S],
-        syms: &'a SymbolTable,
-        shards: usize,
-    ) -> Analysis<'a, S> {
+    pub fn new(experiments: &[&'a Experiment], syms: &'a SymbolTable) -> Analysis<'a> {
         let mut columns = Vec::new();
         for (xi, exp) in experiments.iter().enumerate() {
-            if let Some(period) = exp.clock_period() {
+            if let Some(period) = exp.clock_period {
                 columns.push(MetricCol {
                     kind: ColKind::UserCpu { experiment: xi },
                     title: "User CPU".to_string(),
                     interval: period,
                     counts_cycles: true,
-                    clock_hz: exp.run().clock_hz,
+                    clock_hz: exp.run.clock_hz,
                 });
             }
         }
         for (xi, exp) in experiments.iter().enumerate() {
-            for (ci, req) in exp.counters().iter().enumerate() {
+            for (ci, req) in exp.counters.iter().enumerate() {
                 columns.push(MetricCol {
                     kind: ColKind::Hwc {
                         experiment: xi,
@@ -217,7 +200,7 @@ impl<'a, S: EventSource + ?Sized> Analysis<'a, S> {
                     title: req.event.title().to_string(),
                     interval: req.interval,
                     counts_cycles: req.event.counts_cycles(),
-                    clock_hz: exp.run().clock_hz,
+                    clock_hz: exp.run.clock_hz,
                 });
             }
         }
@@ -232,7 +215,7 @@ impl<'a, S: EventSource + ?Sized> Analysis<'a, S> {
         // key first appears, i.e. in first-appearance order.
         let rows = experiments
             .iter()
-            .map(|e| e.clock_events().len() + e.hwc_events().len())
+            .map(|e| e.clock_events.len() + e.hwc_events.len())
             .sum();
         let mut batch = EventBatch::new(columns.len());
         batch.reserve(rows);
@@ -241,18 +224,11 @@ impl<'a, S: EventSource + ?Sized> Analysis<'a, S> {
         for (col_idx, col) in columns.iter().enumerate() {
             match col.kind {
                 ColKind::UserCpu { experiment } => {
-                    for (ei, ev) in experiments[experiment].clock_events().iter().enumerate() {
+                    for (ei, ev) in experiments[experiment].clock_events.iter().enumerate() {
                         let c = *memo.entry((false, None, ev.pc)).or_insert_with(|| {
                             Charge::resolve(syms, &mut batch, false, None, ev.pc)
                         });
-                        c.push(
-                            &mut batch,
-                            col_idx,
-                            ev.pc,
-                            None,
-                            None,
-                            (experiment, ei, true),
-                        );
+                        c.push(&mut batch, col_idx, None, (experiment, ei, true));
                     }
                 }
                 ColKind::Hwc {
@@ -262,7 +238,7 @@ impl<'a, S: EventSource + ?Sized> Analysis<'a, S> {
                     ..
                 } => {
                     for (ei, ev) in experiments[experiment]
-                        .hwc_events()
+                        .hwc_events
                         .iter()
                         .enumerate()
                         .filter(|(_, e)| e.counter == counter)
@@ -281,14 +257,7 @@ impl<'a, S: EventSource + ?Sized> Analysis<'a, S> {
                                     ev.delivered_pc,
                                 )
                             });
-                        c.push(
-                            &mut batch,
-                            col_idx,
-                            ev.delivered_pc,
-                            ev.candidate_pc,
-                            ev.ea,
-                            (experiment, ei, false),
-                        );
+                        c.push(&mut batch, col_idx, ev.ea, (experiment, ei, false));
                     }
                 }
             }
@@ -299,7 +268,6 @@ impl<'a, S: EventSource + ?Sized> Analysis<'a, S> {
             syms,
             columns,
             batch,
-            shards,
         }
     }
 
@@ -308,16 +276,11 @@ impl<'a, S: EventSource + ?Sized> Analysis<'a, S> {
         self.batch.totals()
     }
 
-    /// Fold the cached batch under a grouping key on the configured
-    /// (possibly sharded) kernel path.
+    /// Fold the cached batch under a grouping key on one shard.
+    /// Keyers without a raw key column — the closures that chase
+    /// callstacks back into the experiments — take the serial fold.
     pub(crate) fn kernel<G: GroupKey + Sync>(&self, keyer: &G) -> HashMap<G::Key, Vec<u64>> {
-        aggregate_by(&self.batch, keyer, self.shards)
-    }
-
-    /// Serial-only kernel fold, for keys that must reach back into
-    /// the experiments (callstacks) and so cannot require `Sync`.
-    pub(crate) fn kernel_serial<G: GroupKey>(&self, keyer: &G) -> HashMap<G::Key, Vec<u64>> {
-        aggregate_by_serial(&self.batch, keyer)
+        aggregate_by(&self.batch, keyer, 1)
     }
 }
 
@@ -392,15 +355,7 @@ impl Charge {
     }
 
     /// Append one event carrying this charge.
-    fn push(
-        self,
-        batch: &mut EventBatch,
-        col: usize,
-        delivered_pc: u64,
-        candidate_pc: Option<u64>,
-        ea: Option<u64>,
-        src: (usize, usize, bool),
-    ) {
+    fn push(self, batch: &mut EventBatch, col: usize, ea: Option<u64>, src: (usize, usize, bool)) {
         // An Unresolvable event's candidate window crossed a branch
         // target, so its reconstructed address is untrustworthy: the
         // access that produced it may never have executed. Drop the EA
@@ -411,8 +366,6 @@ impl Charge {
         batch.push(BatchEvent {
             col,
             pc: self.pc,
-            delivered_pc,
-            candidate_pc,
             ea,
             tag: self.tag,
             desc: self.desc,

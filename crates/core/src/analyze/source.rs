@@ -13,7 +13,6 @@ use simsparc_isa::disasm;
 
 use super::Analysis;
 use crate::batch::{ByLine, ByLineInRange, ByPcInRange, NO_ID};
-use crate::experiment::EventSource;
 
 /// One line of annotated source.
 #[derive(Clone, Debug)]
@@ -47,7 +46,7 @@ pub struct DisasmRow {
     pub samples: Vec<u64>,
 }
 
-impl<'a, S: EventSource + ?Sized> Analysis<'a, S> {
+impl Analysis<'_> {
     /// Figure 3: the function's source, annotated per line.
     pub fn annotated_source(&self, func: &str) -> Option<Vec<SourceRow>> {
         let f = self.syms.funcs.iter().find(|f| f.name == func)?;

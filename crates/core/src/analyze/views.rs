@@ -8,7 +8,6 @@ use std::fmt::Write as _;
 
 use super::{fmt_val_pct, Analysis, Attribution, ColKind, MetricCol};
 use crate::batch::{ByFunc, ByPc, EventBatch, NO_ID};
-use crate::experiment::EventSource;
 use minic::render_memdesc;
 
 /// The shared ordering of every metric table: the sort column
@@ -74,7 +73,7 @@ pub struct PcRow {
     pub samples: Vec<u64>,
 }
 
-impl<'a, S: EventSource + ?Sized> Analysis<'a, S> {
+impl Analysis<'_> {
     /// Figure 1: the `<Total>` metrics.
     pub fn total_metrics(&self) -> TotalMetrics {
         let totals = self.totals();
@@ -88,7 +87,7 @@ impl<'a, S: EventSource + ?Sized> Analysis<'a, S> {
         let total_lwp_secs = self
             .experiments
             .first()
-            .map(|e| e.run().counts.cycles as f64 / e.run().clock_hz as f64)
+            .map(|e| e.run.counts.cycles as f64 / e.run.clock_hz as f64)
             .unwrap_or(0.0);
         TotalMetrics {
             rows,
@@ -230,16 +229,16 @@ impl<'a, S: EventSource + ?Sized> Analysis<'a, S> {
     /// Callstacks live in the experiments, not the batch, so this key
     /// runs on the kernel's serial path.
     pub fn callers_of(&self, func: &str) -> Vec<FunctionRow> {
-        let map = self.kernel_serial(&|b: &EventBatch, i: usize| {
+        let map = self.kernel(&|b: &EventBatch, i: usize| {
             let leaf = self.syms.func_at(b.pc[i])?;
             if leaf.name != func {
                 return None;
             }
             let (xi, ei, is_clock) = b.src_of(i);
             let stack = if is_clock {
-                &self.experiments[xi].clock_events()[ei].callstack
+                &self.experiments[xi].clock_events[ei].callstack
             } else {
-                &self.experiments[xi].hwc_events()[ei].callstack
+                &self.experiments[xi].hwc_events[ei].callstack
             };
             let caller = stack
                 .last()
@@ -266,12 +265,12 @@ impl<'a, S: EventSource + ?Sized> Analysis<'a, S> {
     /// `func`). Together with [`Analysis::callers_of`] this is the
     /// §2.3 callers/callees view.
     pub fn callees_of(&self, func: &str) -> Vec<FunctionRow> {
-        let map = self.kernel_serial(&|b: &EventBatch, i: usize| {
+        let map = self.kernel(&|b: &EventBatch, i: usize| {
             let (xi, ei, is_clock) = b.src_of(i);
             let stack = if is_clock {
-                &self.experiments[xi].clock_events()[ei].callstack
+                &self.experiments[xi].clock_events[ei].callstack
             } else {
-                &self.experiments[xi].hwc_events()[ei].callstack
+                &self.experiments[xi].hwc_events[ei].callstack
             };
             // Find `func` as the innermost matching frame.
             let pos = stack
@@ -345,9 +344,9 @@ impl<'a, S: EventSource + ?Sized> Analysis<'a, S> {
         for i in 0..b.len() {
             let (xi, ei, is_clock) = b.src_of(i);
             let stack = if is_clock {
-                &self.experiments[xi].clock_events()[ei].callstack
+                &self.experiments[xi].clock_events[ei].callstack
             } else {
-                &self.experiments[xi].hwc_events()[ei].callstack
+                &self.experiments[xi].hwc_events[ei].callstack
             };
             let leaf_is = self.syms.func_at(b.pc[i]).is_some_and(|f| f.name == func);
             let on_stack = stack

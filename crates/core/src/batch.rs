@@ -15,31 +15,25 @@
 //! array (no per-key allocation), and the raw groups are decoded
 //! back to typed keys once per *group* ([`GroupKey::decode_key`]),
 //! not once per event. Keyers without a raw encoding (ad-hoc
-//! closures) ride a generic variant of the same shape over
-//! materialized typed keys. Addition commutes, so every shard count
-//! produces output *identical* to [`aggregate_by_serial`] — the
-//! one-pass oracle fold kept for differential testing — not merely
-//! equivalent.
+//! closures) fold through [`aggregate_by_serial`], the one-pass
+//! oracle fold kept for differential testing. Addition commutes, so
+//! every shard count produces output *identical* to that oracle —
+//! not merely equivalent.
 //!
-//! Two producer profiles fill batches:
-//!
-//! * **Attributed** batches (built by `analyze::Analysis`): every row
-//!   carries the §2.3 validation verdict ([`AttrTag`]), an interned
-//!   data-object descriptor, the enclosing function id, the source
-//!   line, and the `(experiment, event)` provenance for callstack
-//!   access. Descriptors and function names are interned — the
-//!   batch's symbol side-tables — so rows are fixed-width integers.
-//! * **Plain** batches (built by [`EventBatch::push_plain`], the
-//!   store's streaming readers): only the charged PC, delivered PC,
-//!   candidate PC, and effective address, with the enrichment arrays
-//!   left empty. Accessors return sentinels for the missing columns.
-//!
-//! A batch must be filled by exactly one of the two profiles; mixing
-//! them would misalign the arrays.
+//! Every row is an attributed event ([`BatchEvent`], pushed by
+//! `analyze::Analysis`): it carries the §2.3 validation verdict
+//! ([`AttrTag`]), an interned data-object descriptor, the enclosing
+//! function id, the source line, and the `(experiment, event)`
+//! provenance for callstack access. Descriptors and function names
+//! are interned — the batch's symbol side-tables — so rows are
+//! fixed-width integers. The store's per-PC histograms fill only the
+//! `col` and charged-PC columns of that shape
+//! ([`EventBatch::grow_pc_rows`]); such a projected batch feeds PC
+//! keyers alone and must not be mixed with attributed rows.
 
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,7 +44,7 @@ use crate::analyze::{Attribution, UnknownKind};
 
 /// Sentinel for "no id" in the `u32` columns (function, descriptor).
 pub const NO_ID: u32 = u32::MAX;
-/// Sentinel for "no address" in the `u64` columns (candidate PC, EA).
+/// Sentinel for "no address" in the effective-address column.
 pub const NO_ADDR: u64 = u64::MAX;
 /// Sentinel for "no source line" (distinct from a recorded line 0).
 pub const NO_LINE: u32 = u32::MAX;
@@ -104,8 +98,6 @@ pub struct BatchEvent {
     pub col: usize,
     /// The PC the metric is charged to (possibly artificial).
     pub pc: u64,
-    pub delivered_pc: u64,
-    pub candidate_pc: Option<u64>,
     pub ea: Option<u64>,
     pub tag: AttrTag,
     /// Interned descriptor id ([`EventBatch::intern_desc`]) for
@@ -128,19 +120,16 @@ pub struct EventBatch {
     pub col: Vec<u32>,
     /// Charged PC (the attributed — possibly artificial — PC).
     pub pc: Vec<u64>,
-    pub delivered_pc: Vec<u64>,
-    /// Candidate trigger PC, [`NO_ADDR`] when backtracking found none.
-    pub candidate_pc: Vec<u64>,
     /// Reconstructed effective address, [`NO_ADDR`] if none.
     pub ea: Vec<u64>,
     pub tag: Vec<AttrTag>,
-    /// Interned descriptor ids (attributed batches only).
+    /// Interned descriptor ids.
     pub desc: Vec<u32>,
-    /// Enclosing-function ids (attributed batches only).
+    /// Enclosing-function ids.
     pub func: Vec<u32>,
-    /// Source lines (attributed batches only).
+    /// Source lines.
     pub line: Vec<u32>,
-    /// Provenance: experiment index (attributed batches only).
+    /// Provenance: experiment index.
     pub src_exp: Vec<u32>,
     /// Provenance: event index within the experiment.
     pub src_idx: Vec<u32>,
@@ -184,12 +173,10 @@ impl EventBatch {
         }
     }
 
-    /// Push one fully-attributed row (analyzer profile).
+    /// Push one attributed row.
     pub fn push(&mut self, ev: BatchEvent) {
         self.col.push(ev.col as u32);
         self.pc.push(ev.pc);
-        self.delivered_pc.push(ev.delivered_pc);
-        self.candidate_pc.push(ev.candidate_pc.unwrap_or(NO_ADDR));
         self.ea.push(ev.ea.unwrap_or(NO_ADDR));
         self.tag.push(ev.tag);
         self.desc.push(ev.desc);
@@ -200,10 +187,13 @@ impl EventBatch {
         self.src_clock.push(ev.src.2);
     }
 
-    /// Pre-size every attributed-profile column for `additional` more
-    /// rows, so an analyzer fill never reallocates mid-way.
+    /// Pre-size every column for `additional` more rows, so an
+    /// analyzer fill never reallocates mid-way.
     pub fn reserve(&mut self, additional: usize) {
-        self.reserve_plain(additional);
+        self.col.reserve(additional);
+        self.pc.reserve(additional);
+        self.ea.reserve(additional);
+        self.tag.reserve(additional);
         self.desc.reserve(additional);
         self.func.reserve(additional);
         self.line.reserve(additional);
@@ -212,92 +202,20 @@ impl EventBatch {
         self.src_clock.reserve(additional);
     }
 
-    /// Push one bare histogram row (store profile): no attribution,
-    /// no enrichment columns.
-    pub fn push_plain(
-        &mut self,
-        col: usize,
-        charged_pc: u64,
-        delivered_pc: u64,
-        candidate_pc: Option<u64>,
-        ea: Option<u64>,
-    ) {
-        debug_assert!(self.desc.is_empty(), "mixing plain and attributed rows");
-        self.col.push(col as u32);
-        self.pc.push(charged_pc);
-        self.delivered_pc.push(delivered_pc);
-        self.candidate_pc.push(candidate_pc.unwrap_or(NO_ADDR));
-        self.ea.push(ea.unwrap_or(NO_ADDR));
-        self.tag.push(AttrTag::Plain);
-    }
-
-    /// Bulk-append `n` plain rows and hand back the new region of
-    /// each varying column for direct writes: `(col, pc,
-    /// delivered_pc, candidate_pc, ea)`. `tag` is pre-filled
-    /// [`AttrTag::Plain`] and the candidate and ea columns
-    /// [`NO_ADDR`], so fills only write what varies — one resize per
-    /// column replaces `n` per-event pushes.
-    #[allow(clippy::type_complexity)]
-    pub fn grow_plain(
-        &mut self,
-        n: usize,
-    ) -> (&mut [u32], &mut [u64], &mut [u64], &mut [u64], &mut [u64]) {
-        debug_assert!(self.desc.is_empty(), "mixing plain and attributed rows");
-        let start = self.col.len();
-        self.col.resize(start + n, 0);
-        self.pc.resize(start + n, 0);
-        self.delivered_pc.resize(start + n, 0);
-        self.candidate_pc.resize(start + n, NO_ADDR);
-        self.ea.resize(start + n, NO_ADDR);
-        self.tag.resize(start + n, AttrTag::Plain);
-        (
-            &mut self.col[start..],
-            &mut self.pc[start..],
-            &mut self.delivered_pc[start..],
-            &mut self.candidate_pc[start..],
-            &mut self.ea[start..],
-        )
-    }
-
     /// Bulk-append `n` rows of the *pc projection* — the column
     /// subset a per-PC histogram reads (`col`, charged `pc`, `tag`) —
-    /// and hand back the new `col` and `pc` regions. The remaining
-    /// plain columns (`delivered_pc`, `candidate_pc`, `ea`) are never
-    /// materialized: a projected batch exists to feed [`aggregate_by`]
-    /// with a PC keyer, and writing three dead columns per event is
-    /// most of a plain fill's memory traffic. Keyers that read the
-    /// unprojected columns must not be run over a projected batch.
+    /// and hand back the new `col` and `pc` regions, so fills write
+    /// what varies with one resize per column instead of `n` pushes.
+    /// A projected batch exists to feed [`aggregate_by`] with a PC
+    /// keyer; keyers that read any other column must not be run over
+    /// it.
     pub fn grow_pc_rows(&mut self, n: usize) -> (&mut [u32], &mut [u64]) {
-        debug_assert!(self.desc.is_empty(), "mixing plain and attributed rows");
+        debug_assert!(self.desc.is_empty(), "mixing projected and attributed rows");
         let start = self.col.len();
         self.col.resize(start + n, 0);
         self.pc.resize(start + n, 0);
         self.tag.resize(start + n, AttrTag::Plain);
         (&mut self.col[start..], &mut self.pc[start..])
-    }
-
-    /// Pre-size the plain columns for `additional` more rows. Bulk
-    /// decode paths size batches from segment-index counts up front,
-    /// so the column vectors never reallocate mid-fill.
-    pub fn reserve_plain(&mut self, additional: usize) {
-        self.col.reserve(additional);
-        self.pc.reserve(additional);
-        self.delivered_pc.reserve(additional);
-        self.candidate_pc.reserve(additional);
-        self.ea.reserve(additional);
-        self.tag.reserve(additional);
-    }
-
-    /// Re-charge a row range to the candidate trigger PC where one
-    /// was recorded — the backtracked-counter half of the charge-PC
-    /// rule, applied column-wise after a bulk decode that charged
-    /// everything to the delivered PC.
-    pub fn charge_candidates(&mut self, range: Range<usize>) {
-        for i in range {
-            if self.candidate_pc[i] != NO_ADDR {
-                self.pc[i] = self.candidate_pc[i];
-            }
-        }
     }
 
     pub fn ea_of(&self, i: usize) -> Option<u64> {
@@ -307,27 +225,20 @@ impl EventBatch {
         }
     }
 
-    pub fn candidate_of(&self, i: usize) -> Option<u64> {
-        match self.candidate_pc[i] {
-            NO_ADDR => None,
-            pc => Some(pc),
-        }
-    }
-
-    /// Enclosing-function id, [`NO_ID`] for plain batches.
+    /// Enclosing-function id, [`NO_ID`] outside every function.
     pub fn func_of(&self, i: usize) -> u32 {
-        self.func.get(i).copied().unwrap_or(NO_ID)
+        self.func[i]
     }
 
-    /// Source line, `None` for unmapped PCs and plain batches.
+    /// Source line, `None` for unmapped PCs.
     pub fn line_of(&self, i: usize) -> Option<u32> {
-        match self.line.get(i).copied().unwrap_or(NO_LINE) {
+        match self.line[i] {
             NO_LINE => None,
             l => Some(l),
         }
     }
 
-    /// Provenance of an attributed row.
+    /// Provenance of a row.
     pub fn src_of(&self, i: usize) -> (usize, usize, bool) {
         (
             self.src_exp[i] as usize,
@@ -342,7 +253,7 @@ impl EventBatch {
         self.tag[i] == AttrTag::UnkUnresolvable
     }
 
-    /// Reconstruct the full [`Attribution`] of an attributed row.
+    /// Reconstruct the full [`Attribution`] of a row.
     pub fn attribution(&self, i: usize) -> Attribution {
         let pc = self.pc[i];
         match self.tag[i] {
@@ -385,7 +296,7 @@ pub trait GroupKey {
     /// Bulk keying: append one entry per row of `range` to `out`
     /// (`None` for skipped rows) and return `true`. The default
     /// returns `false` — no raw encoding — routing [`aggregate_by`]
-    /// onto the generic materialized-key path. Implementations must
+    /// onto the [`aggregate_by_serial`] fold. Implementations must
     /// agree with [`GroupKey::key`]: `key(batch, i)` is `Some(k)`
     /// exactly when the column holds `Some(raw)` at that row with
     /// `decode_key(batch, raw) == k`.
@@ -478,12 +389,7 @@ impl GroupKey for ByFunc {
         range: Range<usize>,
         out: &mut Vec<Option<u64>>,
     ) -> bool {
-        if batch.func.is_empty() {
-            // Plain batch: every row is outside any function.
-            out.extend(range.map(|_| Some(NO_ID as u64)));
-        } else {
-            out.extend(batch.func[range].iter().map(|&f| Some(f as u64)));
-        }
+        out.extend(batch.func[range].iter().map(|&f| Some(f as u64)));
         true
     }
 
@@ -509,14 +415,9 @@ impl GroupKey for ByLine {
         range: Range<usize>,
         out: &mut Vec<Option<u64>>,
     ) -> bool {
-        if batch.line.is_empty() {
-            // Plain batch: no source lines, every row skipped.
-            out.extend(range.map(|_| None));
-        } else {
-            for i in range {
-                let line = batch.line[i];
-                out.push((line != NO_LINE).then(|| ((batch.func[i] as u64) << 32) | line as u64));
-            }
+        for i in range {
+            let line = batch.line[i];
+            out.push((line != NO_LINE).then(|| ((batch.func[i] as u64) << 32) | line as u64));
         }
         true
     }
@@ -971,123 +872,6 @@ fn decode_folded<G: GroupKey>(
     out
 }
 
-/// Deterministic partition hash for typed keys (the generic path
-/// can't partition on raw bits it doesn't have).
-fn key_hash<K: Hash>(key: &K) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    key.hash(&mut hasher);
-    hasher.finish()
-}
-
-/// Phase 1 of the generic fold, run by each worker thread: claim
-/// morsels off the shared row cursor, materialize the typed keys,
-/// and deal the kept rows into per-partition buckets by mixed hash.
-fn generic_morsels<G: GroupKey>(
-    batch: &EventBatch,
-    keyer: &G,
-    cursor: &AtomicUsize,
-    parts: usize,
-) -> Vec<Vec<(G::Key, u32)>> {
-    let len = batch.len();
-    let mut buckets: Vec<Vec<(G::Key, u32)>> = (0..parts).map(|_| Vec::new()).collect();
-    loop {
-        let lo = cursor.fetch_add(MORSEL_ROWS, Ordering::Relaxed);
-        if lo >= len {
-            break;
-        }
-        let hi = (lo + MORSEL_ROWS).min(len);
-        for i in lo..hi {
-            if let Some(k) = keyer.key(batch, i) {
-                let p = part_of(key_hash(&k), parts);
-                buckets[p].push((k, batch.col[i]));
-            }
-        }
-    }
-    buckets
-}
-
-/// One shard's output in the generic fold: for each partition, the
-/// `(key, column)` pairs of the shard's rows that hashed into it.
-type PartitionedKeys<K> = Vec<Vec<(K, u32)>>;
-
-/// Phase 2 of the generic fold: one partition's buckets from every
-/// shard, folded into a map.
-fn fold_generic<K: Hash + Eq>(buckets: Vec<Vec<(K, u32)>>, ncols: usize) -> HashMap<K, Vec<u64>> {
-    let mut map: HashMap<K, Vec<u64>> = HashMap::new();
-    for bucket in buckets {
-        for (k, col) in bucket {
-            map.entry(k).or_insert_with(|| vec![0; ncols])[col as usize] += 1;
-        }
-    }
-    map
-}
-
-/// The partitioned fold for keyers without a raw encoding: same
-/// shape as the raw path (materialize keys per shard, partition,
-/// fold partitions in parallel), but over typed keys.
-fn aggregate_generic<G>(batch: &EventBatch, keyer: &G, shards: usize) -> HashMap<G::Key, Vec<u64>>
-where
-    G: GroupKey + Sync,
-{
-    let ncols = batch.ncols();
-    let parts = partition_count(shards);
-    let shard_buckets: Vec<PartitionedKeys<G::Key>> = if shards == 1 {
-        let cursor = AtomicUsize::new(0);
-        vec![generic_morsels(batch, keyer, &cursor, parts)]
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let cursor = &cursor;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|_| scope.spawn(move || generic_morsels(batch, keyer, cursor, parts)))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    };
-    // Transpose so each partition owns its buckets from every shard.
-    let mut by_part: Vec<PartitionedKeys<G::Key>> =
-        (0..parts).map(|_| Vec::with_capacity(shards)).collect();
-    for shard in shard_buckets {
-        for (p, bucket) in shard.into_iter().enumerate() {
-            by_part[p].push(bucket);
-        }
-    }
-    let maps: Vec<HashMap<G::Key, Vec<u64>>> = if shards == 1 {
-        by_part
-            .into_iter()
-            .map(|buckets| fold_generic(buckets, ncols))
-            .collect()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = by_part
-                .into_iter()
-                .map(|buckets| scope.spawn(move || fold_generic(buckets, ncols)))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    };
-    // A key lands in exactly one partition (the partition is a
-    // function of its hash), so this union is disjoint; merge by
-    // addition anyway so correctness never rests on that.
-    let mut out: HashMap<G::Key, Vec<u64>> =
-        HashMap::with_capacity(maps.iter().map(HashMap::len).sum());
-    for map in maps {
-        for (k, samples) in map {
-            match out.entry(k) {
-                Entry::Occupied(mut e) => {
-                    for (dst, src) in e.get_mut().iter_mut().zip(&samples) {
-                        *dst += src;
-                    }
-                }
-                Entry::Vacant(e) => {
-                    e.insert(samples);
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Floor on rows per worker thread: below this, spawn + join costs
 /// more than the fold itself, so the shard count is clamped until
 /// every worker has at least this many rows to chew on.
@@ -1114,7 +898,8 @@ pub fn effective_shards(requested: usize, rows: usize) -> usize {
 
 /// The group-by kernel behind every analyzer view and store
 /// histogram: a morsel-driven radix-partition fold over a
-/// materialized key column. The shard count is resolved through
+/// materialized key column (keyers without one — closures — fold
+/// through [`aggregate_by_serial`]). The shard count is resolved through
 /// [`effective_shards`] — `0` picks the available parallelism, and
 /// any count is capped by the core count and a min-rows floor so
 /// small batches and single-core hosts never pay spawn overhead.
@@ -1144,7 +929,7 @@ where
     if keyer.key_column(batch, 0..0, &mut probe) {
         aggregate_raw(batch, keyer, shards)
     } else {
-        aggregate_generic(batch, keyer, shards)
+        aggregate_by_serial(batch, keyer)
     }
 }
 
@@ -1155,13 +940,16 @@ mod tests {
     fn bag(n: usize) -> EventBatch {
         let mut b = EventBatch::new(3);
         for i in 0..n {
-            b.push_plain(
-                i % 3,
-                0x1000 + (i as u64 % 17) * 4,
-                0x1000 + i as u64 * 4,
-                (i % 2 == 0).then_some(0x1000 + (i as u64 % 17) * 4),
-                (i % 5 != 0).then_some(0x4000_0000 + (i as u64 % 29) * 8),
-            );
+            b.push(BatchEvent {
+                col: i % 3,
+                pc: 0x1000 + (i as u64 % 17) * 4,
+                ea: (i % 5 != 0).then_some(0x4000_0000 + (i as u64 % 29) * 8),
+                tag: AttrTag::Plain,
+                desc: NO_ID,
+                func: NO_ID,
+                line: NO_LINE,
+                src: (0, i, false),
+            });
         }
         b
     }
@@ -1217,21 +1005,6 @@ mod tests {
         assert!(effective_shards(64, 100 * MIN_ROWS_PER_SHARD) <= hw);
         // A request never resolves above itself.
         assert!(effective_shards(2, 100 * MIN_ROWS_PER_SHARD) <= 2);
-    }
-
-    #[test]
-    fn generic_fallback_agrees_with_serial() {
-        let b = bag(1000);
-        // A closure keyer has no raw key column, so this exercises
-        // the generic materialized-key path.
-        let keyer =
-            |b: &EventBatch, i: usize| -> Option<u64> { (b.col[i] == 1).then(|| b.pc[i] & !0xf) };
-        for shards in [0, 1, 2, 3, 7, 16] {
-            assert_eq!(
-                aggregate_by_exact(&b, &keyer, shards),
-                aggregate_by_serial(&b, &keyer)
-            );
-        }
     }
 
     #[test]
@@ -1331,11 +1104,19 @@ mod tests {
     #[test]
     fn plain_accessors_return_sentinels() {
         let mut b = EventBatch::new(1);
-        b.push_plain(0, 0x10, 0x14, None, None);
+        b.push(BatchEvent {
+            col: 0,
+            pc: 0x10,
+            ea: None,
+            tag: AttrTag::Plain,
+            desc: NO_ID,
+            func: NO_ID,
+            line: NO_LINE,
+            src: (0, 0, false),
+        });
         assert_eq!(b.func_of(0), NO_ID);
         assert_eq!(b.line_of(0), None);
         assert_eq!(b.ea_of(0), None);
-        assert_eq!(b.candidate_of(0), None);
         assert!(!b.is_artificial(0));
     }
 }

@@ -14,7 +14,7 @@ use std::path::Path;
 
 use simsparc_machine::{CounterEvent, EventCounts};
 
-use crate::batch::{EventBatch, NO_ADDR};
+use crate::batch::EventBatch;
 use crate::counters::CounterRequest;
 
 /// One hardware-counter overflow event, as recorded by the collector.
@@ -84,73 +84,29 @@ pub struct Experiment {
     pub log: Vec<String>,
 }
 
-/// Anything the analyzer can consume as a source of profile events:
-/// a text experiment directory loaded into an [`Experiment`], a packed
-/// binary store, or a merged multi-experiment set (`memprof-store`).
-/// The analyzer ([`crate::analyze::Analysis`]) is generic over this
-/// trait, so every view — functions, PCs, source, data objects —
-/// works unchanged over any backend.
-pub trait EventSource {
-    /// The counters that were collected (with resolved intervals).
-    fn counters(&self) -> &[CounterRequest];
-    /// Clock-profiling period in cycles, if clock profiling was on.
-    fn clock_period(&self) -> Option<u64>;
-    /// All hardware-counter overflow events.
-    fn hwc_events(&self) -> &[HwcEvent];
-    /// All clock-profiling ticks.
-    fn clock_events(&self) -> &[ClockEvent];
-    /// Run summary (exit code, ground-truth counts, clock rate).
-    fn run(&self) -> &RunInfo;
-
-    /// Append this source's events to a plain (un-attributed) columnar
-    /// batch: clock ticks land in `clock_col` charged at the tick PC,
-    /// counter `c` overflows land in `hwc_col[c]` charged at the
-    /// candidate trigger PC when the counter was collected with
-    /// backtracking (falling back to the delivered PC), else at the
-    /// delivered PC. This is the single definition of *charge PC*
-    /// shared by the analyzer-independent aggregation paths
-    /// (`memprof-store` and its tools).
-    fn fill_batch(&self, batch: &mut EventBatch, hwc_col: &[usize], clock_col: Option<usize>) {
-        let clock = if clock_col.is_some() {
-            self.clock_events().len()
-        } else {
-            0
-        };
-        batch.reserve_plain(self.hwc_events().len() + clock);
-        if let Some(col) = clock_col {
-            fill_clock_rows(batch, col, self.clock_events());
-        }
-        let ok = fill_hwc_rows(batch, self.counters(), hwc_col, self.hwc_events());
-        assert!(ok, "event references unknown counter");
-    }
-}
-
-/// Append clock-profiling rows to a plain batch, charged at the tick
-/// PC — the clock half of the charge-PC rule. Split out of
-/// [`EventSource::fill_batch`] so range-parallel fills (the sharded
-/// aggregation engine splits event slices across threads) share the
-/// one definition instead of restating it. Rows land via one bulk
-/// resize and per-column slice writes, not per-event pushes.
-pub fn fill_clock_rows(batch: &mut EventBatch, col: usize, events: &[ClockEvent]) {
-    let (cols, pcs, delivered, _candidates, _eas) = batch.grow_plain(events.len());
+/// Append clock-profiling rows to a batch in the pc projection (see
+/// [`EventBatch::grow_pc_rows`]): column and charged PC only, charged
+/// at the tick PC — the clock half of the charge-PC rule.
+pub fn fill_clock_pc_rows(batch: &mut EventBatch, col: usize, events: &[ClockEvent]) {
+    let (cols, pcs) = batch.grow_pc_rows(events.len());
     for (i, ev) in events.iter().enumerate() {
         cols[i] = col as u32;
         pcs[i] = ev.pc;
-        delivered[i] = ev.pc;
     }
 }
 
-/// Append counter-overflow rows to a plain batch: counter `c` lands
-/// in `hwc_col[c]`, charged at the candidate trigger PC when the
-/// counter was collected with backtracking (falling back to the
-/// delivered PC), else at the delivered PC — the hwc half of the
-/// charge-PC rule.
+/// Append counter-overflow rows to a batch in the pc projection:
+/// counter `c` lands in `hwc_col[c]`, charged at the candidate trigger
+/// PC when the counter was collected with backtracking (falling back
+/// to the delivered PC), else at the delivered PC — the hwc half of
+/// the charge-PC rule, the single definition shared by the
+/// analyzer-independent aggregation paths (`memprof-store`).
 ///
 /// Returns `false` (leaving the rows it did append in place) if an
-/// event references a counter outside `counters` — callers either
-/// discard the batch and surface a corruption error, or assert.
+/// event references a counter outside `counters` — callers discard
+/// the batch and surface a corruption error.
 #[must_use]
-pub fn fill_hwc_rows(
+pub fn fill_hwc_pc_rows(
     batch: &mut EventBatch,
     counters: &[CounterRequest],
     hwc_col: &[usize],
@@ -163,49 +119,6 @@ pub fn fill_hwc_rows(
         .zip(counters)
         .map(|(&c, r)| (c as u32, r.backtrack))
         .collect();
-    let (cols, pcs, delivered, candidates, eas) = batch.grow_plain(events.len());
-    for (i, ev) in events.iter().enumerate() {
-        let Some(&(col, backtrack)) = col_bt.get(ev.counter) else {
-            return false;
-        };
-        cols[i] = col;
-        pcs[i] = if backtrack {
-            ev.candidate_pc.unwrap_or(ev.delivered_pc)
-        } else {
-            ev.delivered_pc
-        };
-        delivered[i] = ev.delivered_pc;
-        candidates[i] = ev.candidate_pc.unwrap_or(NO_ADDR);
-        eas[i] = ev.ea.unwrap_or(NO_ADDR);
-    }
-    true
-}
-
-/// [`fill_clock_rows`] in the pc projection (see
-/// [`EventBatch::grow_pc_rows`]): column and charged PC only.
-pub fn fill_clock_pc_rows(batch: &mut EventBatch, col: usize, events: &[ClockEvent]) {
-    let (cols, pcs) = batch.grow_pc_rows(events.len());
-    for (i, ev) in events.iter().enumerate() {
-        cols[i] = col as u32;
-        pcs[i] = ev.pc;
-    }
-}
-
-/// [`fill_hwc_rows`] in the pc projection: the charge-PC rule applied
-/// inline, nothing else materialized. Returns `false` on an event
-/// referencing an unknown counter.
-#[must_use]
-pub fn fill_hwc_pc_rows(
-    batch: &mut EventBatch,
-    counters: &[CounterRequest],
-    hwc_col: &[usize],
-    events: &[HwcEvent],
-) -> bool {
-    let col_bt: Vec<(u32, bool)> = hwc_col
-        .iter()
-        .zip(counters)
-        .map(|(&c, r)| (c as u32, r.backtrack))
-        .collect();
     let (cols, pcs) = batch.grow_pc_rows(events.len());
     for (i, ev) in events.iter().enumerate() {
         let Some(&(col, backtrack)) = col_bt.get(ev.counter) else {
@@ -219,28 +132,6 @@ pub fn fill_hwc_pc_rows(
         };
     }
     true
-}
-
-impl EventSource for Experiment {
-    fn counters(&self) -> &[CounterRequest] {
-        &self.counters
-    }
-
-    fn clock_period(&self) -> Option<u64> {
-        self.clock_period
-    }
-
-    fn hwc_events(&self) -> &[HwcEvent] {
-        &self.hwc_events
-    }
-
-    fn clock_events(&self) -> &[ClockEvent] {
-        &self.clock_events
-    }
-
-    fn run(&self) -> &RunInfo {
-        &self.run
-    }
 }
 
 impl Experiment {

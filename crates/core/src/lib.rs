@@ -10,7 +10,8 @@
 //!   candidate trigger PC and reconstruct the effective data address
 //!   from the register file when the skid provably did not clobber the
 //!   address registers. The result is an [`Experiment`] that can be
-//!   saved to and loaded from an experiment directory.
+//!   saved to and loaded from an experiment directory — the one
+//!   in-memory form of a profile, whatever it was read from.
 //! * **Analysis** ([`analyze::Analysis`]): validate candidate trigger
 //!   PCs against the compiler's branch-target tables, then aggregate
 //!   metrics by function, PC, source line, disassembly instruction —
@@ -69,8 +70,7 @@ pub use collect::{
 };
 pub use counters::{assign_slots, parse_counter_spec, CounterRequest, CounterSpecError, Interval};
 pub use experiment::{
-    fill_clock_pc_rows, fill_clock_rows, fill_hwc_pc_rows, fill_hwc_rows, ClockEvent, EventSource,
-    Experiment, HwcEvent, RunInfo,
+    fill_clock_pc_rows, fill_hwc_pc_rows, ClockEvent, Experiment, HwcEvent, RunInfo,
 };
 pub use stream::{
     CallstackTable, CollectSink, PackedClockEvent, PackedHwcEvent, StackId, StreamConfig,

@@ -586,8 +586,6 @@ fn memoized_attribution_matches_per_event_reference() {
     assert_eq!(b.len(), rows.len());
     assert_eq!(b.col, rows.iter().map(|r| r.0).collect::<Vec<_>>());
     assert_eq!(b.pc, rows.iter().map(|r| r.1).collect::<Vec<_>>());
-    assert_eq!(b.delivered_pc, rows.iter().map(|r| r.2).collect::<Vec<_>>());
-    assert_eq!(b.candidate_pc, rows.iter().map(|r| r.3).collect::<Vec<_>>());
     assert_eq!(b.ea, rows.iter().map(|r| r.4).collect::<Vec<_>>());
     assert_eq!(b.tag, rows.iter().map(|r| r.5).collect::<Vec<_>>());
     assert_eq!(b.desc, rows.iter().map(|r| r.6).collect::<Vec<_>>());

@@ -15,21 +15,23 @@ use memprof_core::{aggregate_by, aggregate_by_exact, aggregate_by_serial, EventB
 
 type RawRow = (usize, u64, bool, u64, bool, u64);
 
-/// Build a plain batch from generated rows `(col, delivered_pc,
-/// has_candidate, candidate_delta, has_ea, ea)`, charging the
-/// candidate when present — the same shape `fill_batch` produces.
+/// Build a batch of unattributed rows from generated rows `(col,
+/// delivered_pc, has_candidate, candidate_delta, has_ea, ea)`,
+/// charging the candidate when present — the charge-PC rule.
 fn build_batch(ncols: usize, rows: &[RawRow]) -> EventBatch {
     let mut batch = EventBatch::new(ncols);
-    for &(col, delivered, has_cand, cand_delta, has_ea, ea) in rows {
+    for (i, &(col, delivered, has_cand, cand_delta, has_ea, ea)) in rows.iter().enumerate() {
         let candidate = has_cand.then(|| delivered.wrapping_sub(cand_delta));
-        let charged = candidate.unwrap_or(delivered);
-        batch.push_plain(
-            col % ncols,
-            charged,
-            delivered,
-            candidate,
-            has_ea.then_some(ea),
-        );
+        batch.push(BatchEvent {
+            col: col % ncols,
+            pc: candidate.unwrap_or(delivered),
+            ea: has_ea.then_some(ea),
+            tag: AttrTag::Plain,
+            desc: NO_ID,
+            func: NO_ID,
+            line: NO_LINE,
+            src: (0, i, false),
+        });
     }
     batch
 }
@@ -96,7 +98,7 @@ type AttrRow = (usize, u64, u8, u32, u32, (bool, u32), (bool, u64));
 
 /// Build a fully-attributed batch, the shape the analyzer produces —
 /// exercises the enrichment columns (`tag`, `desc`, `func`, `line`)
-/// that plain batches leave empty.
+/// that `build_batch` leaves at their sentinels.
 fn build_attr_batch(ncols: usize, rows: &[AttrRow]) -> EventBatch {
     let mut batch = EventBatch::new(ncols);
     for &(col, pc, tag_sel, desc, func_sel, (has_line, line), (has_ea, ea)) in rows {
@@ -108,8 +110,6 @@ fn build_attr_batch(ncols: usize, rows: &[AttrRow]) -> EventBatch {
         batch.push(BatchEvent {
             col: col % ncols,
             pc,
-            delivered_pc: pc,
-            candidate_pc: None,
             ea: has_ea.then_some(ea),
             tag,
             desc: if tag == AttrTag::Data { desc } else { NO_ID },
@@ -189,7 +189,7 @@ proptest! {
 }
 
 /// A keyer that skips every row must yield an empty aggregate on both
-/// paths — plain batches feed `ByLine`/`ByDesc` all-`None` key
+/// paths — `build_batch` rows feed `ByLine`/`ByDesc` all-`None` key
 /// columns, and the kernel must not fabricate groups from them.
 #[test]
 fn all_none_key_rows_aggregate_to_nothing() {

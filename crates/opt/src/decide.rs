@@ -23,7 +23,6 @@
 //! isolation and rejects any that do not pay for themselves.
 
 use memprof_core::analyze::Analysis;
-use memprof_core::EventSource;
 use minic::{Feedback, PrefetchHint, ReorderHint};
 use simsparc_machine::{CounterEvent, MachineConfig, TlbConfig, SUPPORTED_PAGE_BYTES};
 
@@ -152,8 +151,8 @@ impl DecideConfig {
 /// reach test); `applied` is the feedback state already in force —
 /// decisions it covers are not proposed again, which is what makes
 /// the driver's iteration converge to a fixed point.
-pub fn decide<S: EventSource + ?Sized>(
-    a: &Analysis<S>,
+pub fn decide(
+    a: &Analysis,
     heap_bytes: u64,
     cfg: &DecideConfig,
     applied: &Feedback,
@@ -253,8 +252,8 @@ pub fn decide<S: EventSource + ?Sized>(
 /// Figure 7 → a `reorder` stanza: hot members (by sample count) move
 /// to the front; the extent is padded so that an E$ line holds a
 /// whole number of objects (or vice versa), the paper's 120 → 128.
-fn reorder_hint<S: EventSource + ?Sized>(
-    a: &Analysis<S>,
+fn reorder_hint(
+    a: &Analysis,
     struct_name: &str,
     col: usize,
     cfg: &DecideConfig,
@@ -322,18 +321,14 @@ fn reorder_hint<S: EventSource + ?Sized>(
 /// §3.3's `-xpagesize_heap`: if the estimated DTLB-miss penalty is a
 /// material share of run time and the heap does not fit the TLB's
 /// reach, step up to the smallest supported page size that covers it.
-fn pagesize_decision<S: EventSource + ?Sized>(
-    a: &Analysis<S>,
-    heap_bytes: u64,
-    cfg: &DecideConfig,
-) -> Option<Decision> {
+fn pagesize_decision(a: &Analysis, heap_bytes: u64, cfg: &DecideConfig) -> Option<Decision> {
     let col = a.col_by_event(CounterEvent::DTLBMiss)?;
     let totals = a.totals();
     let est_misses = totals.get(col).copied().unwrap_or(0) * a.columns[col].interval;
     let cycles = a
         .experiments
         .iter()
-        .map(|e| e.run().counts.cycles)
+        .map(|e| e.run.counts.cycles)
         .max()
         .unwrap_or(0);
     if cycles == 0 {

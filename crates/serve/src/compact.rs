@@ -61,9 +61,10 @@
 //! A pass publishes in an order that keeps every crash point
 //! recoverable without losing or double-counting a sample:
 //!
-//! 1. delete stale leftovers (segments a *previous* pass already
-//!    folded in but crashed before deleting — identified by a
-//!    hash-valid [`Manifest`](crate::store::Manifest));
+//! 1. if there are stale leftovers (segments a *previous* pass
+//!    already folded in but crashed before deleting — identified by a
+//!    hash-valid [`Manifest`]), regenerate the summary from the packed
+//!    store, then delete them;
 //! 2. merge `[old packed] + fresh raws` in memory (seeded from the
 //!    cache when the fingerprint matches);
 //! 3. durably write the manifest naming the fresh raws, keyed by the
@@ -79,7 +80,11 @@
 //! the next pass simply redoes the merge. A crash after step 4 leaves
 //! the consumed raws on disk but hash-flagged as stale, so queries
 //! skip them and the next pass deletes them instead of re-merging.
-//! All tier writes go through [`write_durable`] (fsync before rename,
+//! While they are on disk they also flag the summary, which may still
+//! be the previous pass's: queries read the packed store instead, and
+//! step 1 regenerates the summary *before* deleting them, so a crash
+//! in step 1 never leaves an old summary with nothing to flag it. All
+//! tier writes go through `write_durable` (fsync before rename,
 //! directory fsync after), so "landed" means on disk, not in page
 //! cache — the raw segments deleted in step 6 are never the only copy
 //! of their events. The cache only ever *adds* a fast path: it is
@@ -88,9 +93,8 @@
 //! for entry take/share/put — never across a merge or a query — so
 //! windows compact concurrently; what serializes two passes over the
 //! *same* window is that window's exclusive lock in the
-//! [`WindowRegistry`](crate::registry::WindowRegistry), which
-//! [`compact_all_registered`] (the daemon's entry point) takes per
-//! window.
+//! [`WindowRegistry`], which [`compact_all_registered`] (the daemon's
+//! entry point) takes per window.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -296,15 +300,21 @@ pub fn compact_window(
     let packed = dirs.packed_path(window);
 
     // Recovery: a hash-valid manifest says these segments are already
-    // in the packed store, so deleting them is the whole job. Failing
-    // the pass on a deletion error matters — proceeding would publish
-    // a new manifest that no longer names the survivor, turning it
-    // back into a fresh (double-counted) segment.
-    for raw in &tier.stale {
-        std::fs::remove_file(raw).map_err(|e| StoreError::Io(e).at(raw))?;
+    // in the packed store, so deleting them is the whole job — after
+    // the summary is regenerated, since the pass that left them may
+    // have crashed before writing its own, and once they are gone
+    // nothing marks the summary as suspect. Failing the pass on a
+    // deletion error matters — proceeding would publish a new
+    // manifest that no longer names the survivor, turning it back
+    // into a fresh (double-counted) segment.
+    if !tier.stale.is_empty() {
+        refresh_summary(dirs, window)?;
+        for raw in &tier.stale {
+            std::fs::remove_file(raw).map_err(|e| StoreError::Io(e).at(raw))?;
+        }
     }
     if tier.fresh.is_empty() {
-        if !tier.stale.is_empty() || (packed.exists() && !dirs.summary_path(window).exists()) {
+        if packed.exists() && !dirs.summary_path(window).exists() {
             refresh_summary(dirs, window)?;
         }
         return Ok(0);
@@ -441,23 +451,6 @@ pub fn compact_all_registered(
     let mut report = CompactReport::default();
     for window in dirs.windows()? {
         match compact_window_registered(dirs, registry, &window, cache) {
-            Ok(0) => {}
-            Ok(n) => report.windows.push((window, n)),
-            Err(e) => report.errors.push((window, e.to_string())),
-        }
-    }
-    Ok(report)
-}
-
-/// [`compact_all_registered`] without a registry, for embedders and
-/// tests that already serialize passes themselves.
-pub fn compact_all(
-    dirs: &StoreDirs,
-    cache: &Mutex<CompactCache>,
-) -> Result<CompactReport, StoreError> {
-    let mut report = CompactReport::default();
-    for window in dirs.windows()? {
-        match compact_window(dirs, &window, cache) {
             Ok(0) => {}
             Ok(n) => report.windows.push((window, n)),
             Err(e) => report.errors.push((window, e.to_string())),

@@ -8,11 +8,11 @@
 //! guarantees as local streaming ([`server`]), folds them into
 //! per-window packed stores and summaries in the background
 //! ([`compact`], [`store`], [`summary`]), and answers analyzer-view
-//! queries from the tiers ([`query`]). Tier access is coordinated
-//! per window ([`registry`]): compaction of one window never blocks
-//! ingest, queries, or live `watch` subscriptions on another, and
-//! retention ([`retention`]) bounds the raw tier by aging idle
-//! windows through the same compaction path.
+//! queries from the tiers ([`query`](mod@query)). Tier access is
+//! coordinated per window ([`registry`]): compaction of one window
+//! never blocks ingest, queries, or live `watch` subscriptions on
+//! another, and retention ([`retention`]) bounds the raw tier by aging
+//! idle windows through the same compaction path.
 //!
 //! The design invariant throughout is *offline equivalence*: every
 //! artifact the daemon produces is byte-identical to what the offline
@@ -33,8 +33,7 @@ pub mod summary;
 pub mod wire;
 
 pub use compact::{
-    compact_all, compact_all_registered, compact_window, compact_window_registered, CompactCache,
-    CompactReport,
+    compact_all_registered, compact_window, compact_window_registered, CompactCache, CompactReport,
 };
 pub use query::{answer, watch_frame, window_aggregate, window_syms, QueryOutcome};
 pub use registry::{ExclusiveGuard, SharedGuard, WindowRegistry, WindowState};

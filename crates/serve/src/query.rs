@@ -20,21 +20,24 @@
 //! shutdown                     stop the daemon
 //! ```
 //!
-//! Any query may carry `--shards N` (alias `-j N`) anywhere on the
-//! line to bound the aggregation kernel's parallelism; `0` (the
-//! default) sizes it to the available cores. The flag never changes
-//! an answer — sharded aggregation is byte-identical to serial.
+//! A usage error (an unknown query or window, a bad argument) comes
+//! back as its message alone; aggregation sizes its parallelism to
+//! the available cores.
 //!
 //! `W` is a window label; views default to *all* windows where the
 //! grammar allows. Aggregate queries are served tier-first: a
 //! compacted window answers from its summary (tier 2), which
 //! round-trips the aggregate exactly, so the answer is byte-identical
 //! to re-aggregating the packed store; uncompacted raw segments are
-//! aggregated on the fly and merged in. Analyzer views (`objects`,
-//! `segments`, `pages`, `lines`) need the whole merged experiment: a
-//! compacted window whose merge the [`CompactCache`] still holds —
-//! and whose packed store still hashes to it — answers from memory,
-//! anything else decodes the packed store and raw segments.
+//! aggregated on the fly and merged in. A window whose raw tier still
+//! holds stale leftovers — segments a pass folded into the packed
+//! store but crashed before deleting — may also hold that pass's
+//! predecessor's summary, so it answers from the packed store
+//! instead. Analyzer views (`objects`, `segments`, `pages`, `lines`)
+//! need the whole merged experiment: a compacted window whose merge
+//! the [`CompactCache`] still holds — and whose packed store still
+//! hashes to it — answers from memory, anything else decodes the
+//! packed store and raw segments.
 //!
 //! Locking: each store-reading arm takes the *shared* registry lock
 //! of exactly the windows it resolves — in sorted label order when
@@ -69,8 +72,12 @@ pub enum QueryOutcome {
     Shutdown,
 }
 
+/// A usage error, rendered as its message alone.
 fn bad(msg: impl Into<String>) -> StoreError {
-    StoreError::Incompatible(msg.into())
+    StoreError::Io(std::io::Error::new(
+        std::io::ErrorKind::InvalidInput,
+        msg.into(),
+    ))
 }
 
 fn checked_label<'a>(dirs: &StoreDirs, w: &'a str) -> Result<&'a str, StoreError> {
@@ -89,25 +96,24 @@ fn checked_label<'a>(dirs: &StoreDirs, w: &'a str) -> Result<&'a str, StoreError
 /// not yet compacted. Raw segments an interrupted compaction already
 /// folded into the packed store (hash-valid manifest entries) are
 /// skipped — counting them again would double every sample they hold.
-pub fn window_aggregate(
-    dirs: &StoreDirs,
-    window: &str,
-    shards: usize,
-) -> Result<Aggregate, StoreError> {
+/// Their presence also means that pass may have crashed before writing
+/// its summary, so the summary is trusted only when there are none.
+pub fn window_aggregate(dirs: &StoreDirs, window: &str) -> Result<Aggregate, StoreError> {
     let mut parts: Vec<Aggregate> = Vec::new();
+    let tier = dirs.live_raw_segments(window)?;
     let summary = dirs.summary_path(window);
-    if summary.exists() {
+    if tier.stale.is_empty() && summary.exists() {
         parts.push(read_summary(&summary)?);
     } else if let Some(store) = dirs.open_packed(window)? {
-        parts.push(aggregate_streams(&[EventStream::Stream(store)], shards)?);
+        parts.push(aggregate_streams(&[EventStream::Stream(store)], 0)?);
     }
-    let raws = dirs.live_raw_segments(window)?.fresh;
-    if !raws.is_empty() {
-        let refs = raws
+    if !tier.fresh.is_empty() {
+        let refs = tier
+            .fresh
             .iter()
             .map(|p| ExperimentRef::open(p))
             .collect::<Result<Vec<ExperimentRef>, StoreError>>()?;
-        parts.push(aggregate_refs(&refs, shards)?);
+        parts.push(aggregate_refs(&refs, 0)?);
     }
     let mut parts = parts.into_iter();
     let mut agg = parts
@@ -162,7 +168,6 @@ fn window_experiment(
     dirs: &StoreDirs,
     window: &str,
     fresh: Vec<PathBuf>,
-    shards: usize,
 ) -> Result<Experiment, StoreError> {
     let mut seeds = Vec::new();
     if let Some(store) = dirs.open_packed(window)? {
@@ -175,7 +180,7 @@ fn window_experiment(
         .iter()
         .map(|p| ExperimentRef::open(p))
         .collect::<Result<Vec<ExperimentRef>, StoreError>>()?;
-    merge_experiments_with(seeds, &refs, shards)
+    merge_experiments_with(seeds, &refs, 0)
 }
 
 /// What an analyzer view reads: a window's merged experiment and its
@@ -194,7 +199,6 @@ fn window_view(
     dirs: &StoreDirs,
     cache: &Mutex<CompactCache>,
     window: &str,
-    shards: usize,
 ) -> Result<(Arc<Experiment>, minic::SymbolTable), StoreError> {
     let fresh = dirs.live_raw_segments(window)?.fresh;
     let packed = dirs.packed_path(window);
@@ -208,7 +212,7 @@ fn window_view(
     let (exp, syms) = match hit {
         Some(c) => (c.merged, attached_syms(&c.attachments, &packed)?),
         None => (
-            Arc::new(window_experiment(dirs, window, fresh, shards)?),
+            Arc::new(window_experiment(dirs, window, fresh)?),
             window_syms(dirs, window)?,
         ),
     };
@@ -222,12 +226,11 @@ fn view_answer(
     registry: &WindowRegistry,
     cache: &Mutex<CompactCache>,
     window: &str,
-    shards: usize,
     render: impl FnOnce(&Analysis<'_>) -> Result<String, StoreError>,
 ) -> Result<QueryOutcome, StoreError> {
     let window = checked_label(dirs, window)?;
     let _guard = registry.state(window).lock_shared();
-    let (exp, syms) = window_view(dirs, cache, window, shards)?;
+    let (exp, syms) = window_view(dirs, cache, window)?;
     let text = render(&Analysis::new(&[&*exp], &syms));
     // Release the (possibly cached) experiment before the shared lock,
     // so a compaction waiting on the exclusive lock finds itself its
@@ -252,14 +255,10 @@ fn resolve_windows(dirs: &StoreDirs, args: &[&str]) -> Result<Vec<String>, Store
     }
 }
 
-fn merged_aggregate(
-    dirs: &StoreDirs,
-    windows: &[String],
-    shards: usize,
-) -> Result<Aggregate, StoreError> {
-    let mut agg = window_aggregate(dirs, &windows[0], shards)?;
+fn merged_aggregate(dirs: &StoreDirs, windows: &[String]) -> Result<Aggregate, StoreError> {
+    let mut agg = window_aggregate(dirs, &windows[0])?;
     for w in &windows[1..] {
-        agg.merge(&window_aggregate(dirs, w, shards)?)?;
+        agg.merge(&window_aggregate(dirs, w)?)?;
     }
     Ok(agg)
 }
@@ -280,28 +279,6 @@ fn analysis_col(analysis: &Analysis<'_>, arg: Option<&&str>) -> Result<usize, St
     }
 }
 
-/// Strip `--shards N` / `-j N` (anywhere on the line) from the query
-/// fields. `0` — the default when the flag is absent — sizes the
-/// kernel to the available cores.
-fn split_shards(fields: Vec<&str>) -> Result<(usize, Vec<&str>), StoreError> {
-    let mut shards = 0usize;
-    let mut out = Vec::with_capacity(fields.len());
-    let mut it = fields.into_iter();
-    while let Some(f) = it.next() {
-        if f == "-j" || f == "--shards" {
-            let n = it
-                .next()
-                .ok_or_else(|| bad(format!("`{f}` needs a count")))?;
-            shards = n
-                .parse()
-                .map_err(|_| bad(format!("bad shard count `{n}`")))?;
-        } else {
-            out.push(f);
-        }
-    }
-    Ok((shards, out))
-}
-
 /// The `stat` answer text for an aggregate — also the body of every
 /// watch PUSH frame, so a dashboard following a window live renders
 /// the same text a one-shot `stat` query would have returned.
@@ -316,7 +293,7 @@ pub fn stat_text(agg: &Aggregate) -> String {
 /// is empty — a dashboard may subscribe before the first collector
 /// arrives). Callers hold the window's shared lock.
 pub fn watch_frame(dirs: &StoreDirs, window: &str, generation: u64) -> String {
-    match window_aggregate(dirs, window, 0) {
+    match window_aggregate(dirs, window) {
         Ok(agg) => {
             let total: u64 = agg.totals.iter().sum();
             format!(
@@ -339,7 +316,7 @@ pub fn answer(
     cache: &Mutex<CompactCache>,
     line: &str,
 ) -> Result<QueryOutcome, StoreError> {
-    let (shards, fields) = split_shards(line.split_whitespace().collect())?;
+    let fields: Vec<&str> = line.split_whitespace().collect();
     let out = match fields.split_first() {
         Some((&"windows", [])) => {
             let mut out = String::new();
@@ -366,23 +343,20 @@ pub fn answer(
         Some((&"functions", rest)) => {
             let windows = resolve_windows(dirs, rest)?;
             let _guards = registry.read_windows(&windows);
-            let agg = merged_aggregate(dirs, &windows, shards)?;
+            let agg = merged_aggregate(dirs, &windows)?;
             let syms = first_syms(dirs, windows.iter().map(String::as_str))?;
             QueryOutcome::Text(agg.stat_json(syms.as_ref()))
         }
         Some((&"stat", rest)) => {
             let windows = resolve_windows(dirs, rest)?;
             let _guards = registry.read_windows(&windows);
-            QueryOutcome::Text(stat_text(&merged_aggregate(dirs, &windows, shards)?))
+            QueryOutcome::Text(stat_text(&merged_aggregate(dirs, &windows)?))
         }
         Some((&"diff", [wa, wb])) => {
             let wa = checked_label(dirs, wa)?;
             let wb = checked_label(dirs, wb)?;
             let _guards = registry.read_windows(&[wa.to_string(), wb.to_string()]);
-            let diff = diff_aggregates(
-                &window_aggregate(dirs, wa, shards)?,
-                &window_aggregate(dirs, wb, shards)?,
-            )?;
+            let diff = diff_aggregates(&window_aggregate(dirs, wa)?, &window_aggregate(dirs, wb)?)?;
             // Function-level when either side carries symbols, like
             // `mp-store diff`.
             let text = match first_syms(dirs, [wa, wb])? {
@@ -392,11 +366,11 @@ pub fn answer(
             QueryOutcome::Text(text)
         }
         Some((&"objects", [w, col @ ..])) if col.len() <= 1 => {
-            view_answer(dirs, registry, cache, w, shards, |analysis| {
+            view_answer(dirs, registry, cache, w, |analysis| {
                 Ok(analysis.render_data_objects(analysis_col(analysis, col.first())?))
             })?
         }
-        Some((&"segments", [w])) => view_answer(dirs, registry, cache, w, shards, |analysis| {
+        Some((&"segments", [w])) => view_answer(dirs, registry, cache, w, |analysis| {
             let mut out = String::new();
             for row in analysis.segments() {
                 out.push_str(&format!(
@@ -409,7 +383,7 @@ pub fn answer(
         })?,
         Some((&"pages", [w, n @ ..])) if n.len() <= 1 => {
             let n = parse_limit(n.first(), 10)?;
-            view_answer(dirs, registry, cache, w, shards, |analysis| {
+            view_answer(dirs, registry, cache, w, |analysis| {
                 let mut out = String::new();
                 for row in analysis.pages(8192, n) {
                     out.push_str(&format!(
@@ -423,7 +397,7 @@ pub fn answer(
         }
         Some((&"lines", [w, n @ ..])) if n.len() <= 1 => {
             let n = parse_limit(n.first(), 10)?;
-            view_answer(dirs, registry, cache, w, shards, |analysis| {
+            view_answer(dirs, registry, cache, w, |analysis| {
                 let mut out = String::new();
                 for row in analysis.cache_lines(512, n) {
                     out.push_str(&format!(

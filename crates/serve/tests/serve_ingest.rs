@@ -440,6 +440,88 @@ fn interrupted_compaction_leftovers_are_not_double_counted() {
     server.shutdown();
 }
 
+/// A pass that crashes after renaming its packed store into place but
+/// before writing that store's summary leaves the previous pass's
+/// summary on disk. The consumed segment its hash-valid manifest still
+/// names flags that state: queries read the packed store instead of
+/// the old summary, and the next pass regenerates the summary before
+/// it deletes the leftover.
+#[test]
+fn a_summary_older_than_the_packed_store_is_not_served() {
+    let data = scratch("old_summary");
+    let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    let dirs = StoreDirs::create(&data).unwrap();
+
+    land(&server, "first", 1);
+    serve::query(&addr, "compact").unwrap();
+    let old_summary = std::fs::read(dirs.summary_path("w1")).unwrap();
+
+    let mut sink = SocketSink::connect(&addr, "second", "w1").unwrap();
+    sink.attach("syms.txt", SYMS);
+    drive(&mut sink, 2, 2);
+    let raw_path = dirs.raw_path("w1", sink.session());
+    let raw_bytes = std::fs::read(&raw_path).unwrap();
+    serve::query(&addr, "compact").unwrap();
+    let stat = serve::query(&addr, "stat w1").unwrap();
+    let functions = serve::query(&addr, "functions w1").unwrap();
+    let summary = std::fs::read(dirs.summary_path("w1")).unwrap();
+    assert_ne!(summary, old_summary);
+
+    // The crash state: the second pass's manifest and packed store
+    // landed, its summary and the deletion of its input did not.
+    std::fs::write(dirs.summary_path("w1"), &old_summary).unwrap();
+    std::fs::write(&raw_path, &raw_bytes).unwrap();
+    assert_eq!(serve::query(&addr, "stat w1").unwrap(), stat);
+    assert_eq!(serve::query(&addr, "functions w1").unwrap(), functions);
+
+    let report = serve::query(&addr, "compact").unwrap();
+    assert!(report.contains("nothing to compact"), "{report}");
+    assert!(!raw_path.exists(), "stale leftover survived compaction");
+    assert_eq!(std::fs::read(dirs.summary_path("w1")).unwrap(), summary);
+    assert_eq!(serve::query(&addr, "stat w1").unwrap(), stat);
+
+    server.shutdown();
+}
+
+/// A query the daemon cannot parse, or one naming a window it does not
+/// have, is answered with what is wrong and nothing else; only a real
+/// recipe mismatch reports incompatible experiments.
+#[test]
+fn query_usage_errors_are_not_reported_as_incompatible_experiments() {
+    let data = scratch("usage_errors");
+    let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    land(&server, "run", 1);
+    let error = |query: &str| serve::query(&addr, query).unwrap_err().to_string();
+
+    assert_eq!(error("functions nosuch"), "unknown window `nosuch`");
+    let unknown = error("frobnicate");
+    assert!(
+        unknown.starts_with("unknown query `frobnicate` (try: windows, functions,"),
+        "{unknown}"
+    );
+    assert_eq!(error("pages w1 x"), "bad limit `x`");
+
+    let mut odd = SocketSink::connect(&addr, "odd", "w2").unwrap();
+    let mut recipe = common::counters();
+    recipe[0].interval += 1;
+    odd.begin(&recipe, Some(10007), 900_000_000).unwrap();
+    let run = RunInfo {
+        clock_hz: 900_000_000,
+        dropped: vec![0],
+        ..Default::default()
+    };
+    odd.finish(&run, &[]).unwrap();
+    let mismatch = error("diff w1 w2");
+    assert!(
+        mismatch.starts_with("incompatible experiments: column sets differ"),
+        "{mismatch}"
+    );
+
+    server.shutdown();
+}
+
 /// Staging files left by a crashed boot are swept at startup: a
 /// readable prefix seals into its window (named in the staging file),
 /// junk is discarded, and the session counter seeds past them.

@@ -8,8 +8,9 @@
 //! recipe fold together.
 //!
 //! The reduction itself is no longer private to this crate: sources
-//! fill a columnar [`memprof_core::EventBatch`] (the charge-PC rule
-//! lives in [`EventSource::fill_batch`] and its `MPES` twin,
+//! fill the charge-PC projection of a columnar
+//! [`memprof_core::EventBatch`] (the charge-PC rule lives in
+//! [`memprof_core::fill_hwc_pc_rows`] and its `MPES` twin,
 //! [`crate::StreamFile::fill_pc_batch`]),
 //! and the per-PC histogram is one [`memprof_core::aggregate_by`]
 //! call — the same kernel every analyzer view runs on. The sharded
@@ -23,7 +24,7 @@ use std::fmt::Write as _;
 use memprof_core::batch::ByPc;
 use memprof_core::{
     aggregate_by, fill_clock_pc_rows, fill_hwc_pc_rows, ClockEvent, CounterRequest, EventBatch,
-    EventSource, HwcEvent,
+    Experiment, HwcEvent,
 };
 use simsparc_machine::CounterEvent;
 
@@ -184,13 +185,10 @@ impl Span<'_> {
 /// per shard ([`memprof_core::batch::effective_shards`]), so asking
 /// for 8 shards on a single-core host — or for a tiny profile — runs
 /// serially instead of paying thread spawns that cannot help.
-pub fn aggregate<S: EventSource + ?Sized>(
-    exps: &[&S],
-    shards: usize,
-) -> Result<Aggregate, StoreError> {
+pub fn aggregate(exps: &[&Experiment], shards: usize) -> Result<Aggregate, StoreError> {
     let rows: usize = exps
         .iter()
-        .map(|e| e.hwc_events().len() + e.clock_events().len())
+        .map(|e| e.hwc_events.len() + e.clock_events.len())
         .sum();
     aggregate_exact(exps, memprof_core::batch::effective_shards(shards, rows))
 }
@@ -199,13 +197,10 @@ pub fn aggregate<S: EventSource + ?Sized>(
 /// no hardware or row-count capping. The equivalence tests use this
 /// to exercise the sharded span-fill on any host; tools should call
 /// [`aggregate`].
-pub fn aggregate_exact<S: EventSource + ?Sized>(
-    exps: &[&S],
-    shards: usize,
-) -> Result<Aggregate, StoreError> {
+pub fn aggregate_exact(exps: &[&Experiment], shards: usize) -> Result<Aggregate, StoreError> {
     let headers: Vec<(Option<u64>, &[CounterRequest])> = exps
         .iter()
-        .map(|e| (e.clock_period(), e.counters()))
+        .map(|e| (e.clock_period, e.counters.as_slice()))
         .collect();
     let (columns, col_of, clock_col_of) = resolve_columns(&headers)?;
     let shards = shards.max(1);
@@ -213,9 +208,9 @@ pub fn aggregate_exact<S: EventSource + ?Sized>(
         let mut batch = EventBatch::new(columns.len());
         for (xi, exp) in exps.iter().enumerate() {
             if let Some(col) = clock_col_of[xi] {
-                fill_clock_pc_rows(&mut batch, col, exp.clock_events());
+                fill_clock_pc_rows(&mut batch, col, &exp.clock_events);
             }
-            if !fill_hwc_pc_rows(&mut batch, exp.counters(), &col_of[xi], exp.hwc_events()) {
+            if !fill_hwc_pc_rows(&mut batch, &exp.counters, &col_of[xi], &exp.hwc_events) {
                 return Err(StoreError::Corrupt("event references unknown counter"));
             }
         }
@@ -226,13 +221,13 @@ pub fn aggregate_exact<S: EventSource + ?Sized>(
         if let Some(col) = clock_col_of[xi] {
             spans.push(Span::Clock {
                 col,
-                events: exp.clock_events(),
+                events: &exp.clock_events,
             });
         }
         spans.push(Span::Hwc {
             cols: &col_of[xi],
-            counters: exp.counters(),
-            events: exp.hwc_events(),
+            counters: &exp.counters,
+            events: &exp.hwc_events,
         });
     }
     let total: usize = spans.iter().map(Span::len).sum();

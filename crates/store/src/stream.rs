@@ -89,7 +89,7 @@ impl EventStream {
     /// with counter `c` landing in column `hwc_col[c]` and clock ticks
     /// in `clock_col`: only the columns a per-PC histogram reads are
     /// materialized, with the charge-PC rule of
-    /// [`memprof_core::EventSource::fill_batch`] applied inline as
+    /// [`memprof_core::fill_hwc_pc_rows`] applied inline as
     /// events are decoded. `MPES` files decode their event chunks
     /// straight into the batch — interned callstacks are never
     /// rehydrated on this path.

@@ -1,16 +1,15 @@
 //! `mp-store` — pack, merge, and compare experiments.
 //!
 //! ```text
-//! mp-store pack EXPDIR OUT.mps                 pack a text experiment directory
-//! mp-store unpack STORE.mps OUTDIR             expand a packed store back to text
-//! mp-store merge [--shards N] OUT.mps EXP...   fold same-recipe experiments into one store
-//! mp-store diff [--shards N] EXP_A EXP_B       per-function sample movement between two runs
-//! mp-store stat [--shards N] [--json] EXP..    aggregate summary
+//! mp-store pack EXPDIR OUT.mps      pack a text experiment directory
+//! mp-store unpack STORE.mps OUTDIR  expand a packed store back to text
+//! mp-store merge OUT.mps EXP...     fold same-recipe experiments into one store
+//! mp-store diff EXP_A EXP_B         per-function sample movement between two runs
+//! mp-store stat [--json] EXP...     aggregate summary
 //! ```
 //!
-//! `--shards N` (alias `-j N`) bounds the parallelism of the
-//! aggregation kernel and of merge input decoding; `0` (the default)
-//! sizes it to the available cores.
+//! Aggregation and merge input decoding size their parallelism to the
+//! available cores.
 //!
 //! `EXP` arguments accept either representation — a text experiment
 //! directory or a packed `.mps` file — distinguished by the store
@@ -30,27 +29,11 @@ fn usage(msg: &str) -> ! {
         "mp-store: {msg}\n\
          usage: mp-store pack EXPDIR OUT.mps\n\
          \x20      mp-store unpack STORE.mps OUTDIR\n\
-         \x20      mp-store merge [--shards N] OUT.mps EXP...\n\
-         \x20      mp-store diff [--shards N] EXP_A EXP_B\n\
-         \x20      mp-store stat [--shards N] [--json] EXP..."
+         \x20      mp-store merge OUT.mps EXP...\n\
+         \x20      mp-store diff EXP_A EXP_B\n\
+         \x20      mp-store stat [--json] EXP..."
     );
     exit(2)
-}
-
-/// Strip a leading `--shards N` / `-j N` off `rest`. `0` means "size
-/// to the available cores" and is the default everywhere.
-fn take_shards(rest: &mut &[String]) -> Option<usize> {
-    match rest.first().map(String::as_str) {
-        Some("-j") | Some("--shards") => {
-            let n = rest
-                .get(1)
-                .unwrap_or_else(|| usage("--shards needs a count"));
-            let shards = n.parse().unwrap_or_else(|_| usage("bad shard count"));
-            *rest = &rest[2..];
-            Some(shards)
-        }
-        _ => None,
-    }
 }
 
 fn fail(what: &str, err: impl std::fmt::Display) -> ! {
@@ -99,15 +82,13 @@ fn main() {
             println!("unpacked {file} -> {dir}");
         }
         "merge" => {
-            let mut rest = &args[1..];
-            let shards = take_shards(&mut rest).unwrap_or(0);
-            if rest.len() < 2 {
-                usage("merge [--shards N] OUT.mps EXP...");
+            if args.len() < 3 {
+                usage("merge OUT.mps EXP...");
             }
-            let out = PathBuf::from(&rest[0]);
-            let refs: Vec<ExperimentRef> = rest[1..].iter().map(|a| open_ref(a)).collect();
-            let merged = store::merge_experiments_with(Vec::new(), &refs, shards)
-                .unwrap_or_else(|e| fail("cannot merge", e));
+            let out = PathBuf::from(&args[1]);
+            let refs: Vec<ExperimentRef> = args[2..].iter().map(|a| open_ref(a)).collect();
+            let merged =
+                store::merge_experiments(&refs).unwrap_or_else(|e| fail("cannot merge", e));
             let attachments = store::collect_attachments(&refs);
             std::fs::write(&out, pack_experiment(&merged, &attachments))
                 .unwrap_or_else(|e| fail(&format!("cannot write {}", out.display()), e));
@@ -120,15 +101,12 @@ fn main() {
             );
         }
         "diff" => {
-            let mut rest = &args[1..];
-            let shards = take_shards(&mut rest).unwrap_or(0);
-            let [a, b] = rest else {
-                usage("diff [--shards N] EXP_A EXP_B");
+            let [_, a, b] = &args[..] else {
+                usage("diff EXP_A EXP_B");
             };
             let ra = open_ref(a);
             let rb = open_ref(b);
-            let diff =
-                diff_experiments(&ra, &rb, shards).unwrap_or_else(|e| fail("cannot diff", e));
+            let diff = diff_experiments(&ra, &rb, 0).unwrap_or_else(|e| fail("cannot diff", e));
             // Function-level when either side carries symbols; raw
             // per-PC rows otherwise.
             match ra.load_syms().or_else(|| rb.load_syms()) {
@@ -137,24 +115,10 @@ fn main() {
             }
         }
         "stat" => {
-            let mut shards = 0usize;
-            let mut json = false;
-            let mut rest = &args[1..];
-            loop {
-                if let Some(n) = take_shards(&mut rest) {
-                    shards = n;
-                    continue;
-                }
-                match rest.first().map(String::as_str) {
-                    Some("--json") => {
-                        json = true;
-                        rest = &rest[1..];
-                    }
-                    _ => break,
-                }
-            }
+            let json = args.get(1).is_some_and(|a| a == "--json");
+            let rest = &args[1 + usize::from(json)..];
             if rest.is_empty() {
-                usage("stat [--shards N] [--json] EXP...");
+                usage("stat [--json] EXP...");
             }
             let refs: Vec<ExperimentRef> = rest.iter().map(|a| open_ref(a)).collect();
             // Open each source once as a stream: packed stores report
@@ -168,8 +132,8 @@ fn main() {
                 })
                 .collect();
             if json {
-                let agg = aggregate_streams(&streams, shards)
-                    .unwrap_or_else(|e| fail("cannot aggregate", e));
+                let agg =
+                    aggregate_streams(&streams, 0).unwrap_or_else(|e| fail("cannot aggregate", e));
                 let syms = refs.iter().find_map(|r| r.load_syms());
                 print!("{}", agg.stat_json(syms.as_ref()));
                 return;
@@ -185,15 +149,8 @@ fn main() {
                 );
             }
             let agg =
-                aggregate_streams(&streams, shards).unwrap_or_else(|e| fail("cannot aggregate", e));
-            let shard_desc = match shards {
-                0 => "auto".to_string(),
-                n => n.to_string(),
-            };
-            println!(
-                "-- aggregate over {} experiments ({shard_desc} shards)",
-                refs.len()
-            );
+                aggregate_streams(&streams, 0).unwrap_or_else(|e| fail("cannot aggregate", e));
+            println!("-- aggregate over {} experiments", refs.len());
             // Totals only; the per-PC table is for machine diffing.
             for line in agg.render().lines() {
                 if line.starts_with(char::is_alphabetic) {
