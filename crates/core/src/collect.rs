@@ -23,6 +23,8 @@
 //! only prevent provably-wrong attributions from being recorded as
 //! fact.
 
+use std::num::NonZeroU64;
+
 use simsparc_isa::Insn;
 use simsparc_machine::{
     CounterEvent, CpuState, Machine, MachineError, OverflowTrap, ProfileHook, RunOutcome, TEXT_BASE,
@@ -49,7 +51,8 @@ pub struct CollectConfig {
     pub clock_profiling: bool,
     /// Clock profiling period in cycles. The real tool samples every
     /// ~10 ms (9e6 cycles at 900 MHz); scaled-down simulated runs use
-    /// proportionally smaller periods.
+    /// proportionally smaller periods. Must be non-zero when
+    /// `clock_profiling` is on.
     pub clock_period_cycles: u64,
     /// Abort the run after this many instructions.
     pub max_insns: u64,
@@ -489,15 +492,25 @@ fn push_report(log: &mut Vec<String>, cycles: u64, stats: &StreamStats, streamed
     ));
 }
 
-/// Shared prologue + run: program the counters, build the hook
-/// (optionally wired to a sink), run the target, and return the hook,
-/// outcome, log so far, and the counter→slot assignment.
+/// Shared prologue + run: validate the recipe, program the counters,
+/// open the sink (if any) with the recipe, build the hook, run the
+/// target, and return the hook, outcome, log so far, and the
+/// counter→slot assignment. A recipe error returns before the sink
+/// sees anything.
 fn run_profiled<'a>(
     machine: &mut Machine,
     config: &CollectConfig,
-    sink: Option<&'a mut dyn CollectSink>,
+    mut sink: Option<&'a mut dyn CollectSink>,
     spill_events: usize,
 ) -> Result<(CollectorHook<'a>, RunOutcome, Vec<String>, Vec<usize>), CollectError> {
+    let clock_period = if config.clock_profiling {
+        let period = NonZeroU64::new(config.clock_period_cycles).ok_or_else(|| {
+            CounterSpecError("clock profiling period must be at least one cycle".to_string())
+        })?;
+        Some(period)
+    } else {
+        None
+    };
     let slots = assign_slots(&config.counters)?;
     let mut slot_to_counter = [None, None];
     for (ci, (&slot, req)) in slots.iter().zip(&config.counters).enumerate() {
@@ -506,8 +519,13 @@ fn run_profiled<'a>(
             .map_err(|e| CollectError::Spec(CounterSpecError(e.to_string())))?;
         slot_to_counter[slot] = Some(ci);
     }
-    if config.clock_profiling {
-        machine.set_clock_sample_period(Some(config.clock_period_cycles));
+    machine.set_clock_sample_period(clock_period);
+    if let Some(sink) = sink.as_deref_mut() {
+        sink.begin(
+            &config.counters,
+            clock_period.map(NonZeroU64::get),
+            machine.config.clock_hz,
+        )?;
     }
 
     let mut log = vec![format!(
@@ -598,11 +616,6 @@ pub fn collect_stream(
     stream: &StreamConfig,
     sink: &mut dyn CollectSink,
 ) -> Result<StreamStats, CollectError> {
-    sink.begin(
-        &config.counters,
-        config.clock_profiling.then_some(config.clock_period_cycles),
-        machine.config.clock_hz,
-    )?;
     let spill = stream.spill_events.max(1);
     let (mut hook, outcome, mut log, slots) =
         run_profiled(machine, config, Some(&mut *sink), spill)?;
@@ -1017,6 +1030,30 @@ mod tests {
         let err = collect_stream(&mut machine, &config, &stream, &mut sink).unwrap_err();
         assert!(matches!(err, CollectError::Io(_)), "got {err:?}");
         assert_eq!(sink.finished, 0, "failed run must not write a footer");
+    }
+
+    #[test]
+    fn zero_clock_period_is_a_spec_error_before_the_sink_sees_anything() {
+        let (mut machine, mut config) = demo_machine();
+        config.clock_period_cycles = 0;
+        let mut sink = BufSink::default();
+        let stream = StreamConfig::default();
+        let err = collect_stream(&mut machine, &config, &stream, &mut sink).unwrap_err();
+        assert!(matches!(err, CollectError::Spec(_)), "got {err:?}");
+        assert_eq!((sink.began, sink.bytes), (0, 0), "sink untouched");
+        assert_eq!(machine.counts().insts, 0, "nothing simulated");
+
+        let (mut machine, _) = demo_machine();
+        let err = collect(&mut machine, &config).unwrap_err();
+        assert!(matches!(err, CollectError::Spec(_)), "got {err:?}");
+
+        // With clock profiling off the period is unused.
+        config.clock_profiling = false;
+        let (mut machine, _) = demo_machine();
+        assert!(collect(&mut machine, &config)
+            .unwrap()
+            .clock_events
+            .is_empty());
     }
 
     #[test]

@@ -1,5 +1,9 @@
 //! Set-associative cache model with true-LRU replacement.
 //!
+//! Each set keeps its tags in recency order, most recently used first:
+//! a hit moves its tag to the front, a miss inserts at the front and
+//! evicts the tag at the back. A hit on the MRU way costs one compare.
+//!
 //! Used for the D$ (64 KB / 4-way / 32 B lines), the E$ (8 MB / 2-way /
 //! 512 B lines) and the I$ (32 KB / 4-way / 32 B lines) of the
 //! simulated Sun Fire 280R. The model tracks tags only — data flows
@@ -36,10 +40,10 @@ pub struct SetAssocCache {
     line_shift: u32,
     set_mask: u64,
     ways: usize,
-    /// `tags[set * ways + way]`; `u64::MAX` = invalid.
+    /// `tags[set * ways..][..ways]` holds one set's line tags in
+    /// recency order: MRU first, LRU last. `u64::MAX` = invalid, and
+    /// invalid ways always trail the valid ones.
     tags: Vec<u64>,
-    /// LRU age per way (0 = most recently used).
-    ages: Vec<u8>,
     hits: u64,
     misses: u64,
 }
@@ -64,7 +68,6 @@ impl SetAssocCache {
             set_mask: sets - 1,
             ways: config.ways as usize,
             tags: vec![INVALID; total],
-            ages: vec![0; total],
             hits: 0,
             misses: 0,
         }
@@ -79,43 +82,19 @@ impl SetAssocCache {
     #[inline]
     pub fn access(&mut self, addr: u64) -> CacheOutcome {
         let line = addr >> self.line_shift;
-        let set = (line & self.set_mask) as usize;
-        let base = set * self.ways;
-        let tags = &mut self.tags[base..base + self.ways];
-        let ages = &mut self.ages[base..base + self.ways];
-
-        // Hit path: bump the touched way to MRU.
-        for w in 0..tags.len() {
-            if tags[w] == line {
-                let age = ages[w];
-                for a in ages.iter_mut() {
-                    if *a < age {
-                        *a += 1;
-                    }
-                }
-                ages[w] = 0;
-                self.hits += 1;
-                return CacheOutcome::Hit;
-            }
+        let base = (line & self.set_mask) as usize * self.ways;
+        let set = &mut self.tags[base..base + self.ways];
+        if set[0] == line || move_to_front(set, line) {
+            self.hits += 1;
+            CacheOutcome::Hit
+        } else {
+            self.misses += 1;
+            CacheOutcome::Miss
         }
-
-        // Miss: fill an invalid way if one exists, else evict true LRU.
-        // Age every resident way and insert the new line as MRU.
-        let victim = match tags.iter().position(|&t| t == INVALID) {
-            Some(w) => w,
-            None => (0..tags.len()).max_by_key(|&w| ages[w]).unwrap(),
-        };
-        for a in ages.iter_mut() {
-            *a = a.saturating_add(1);
-        }
-        tags[victim] = line;
-        ages[victim] = 0;
-        self.misses += 1;
-        CacheOutcome::Miss
     }
 
-    /// Probe without touching LRU state or counting (used by software
-    /// prefetch and by tests).
+    /// Probe without touching recency order or counting (used by
+    /// tests).
     pub fn probe(&self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
         let set = (line & self.set_mask) as usize;
@@ -127,6 +106,22 @@ impl SetAssocCache {
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
+}
+
+/// Move `tag` to the front of a recency-ordered set, shifting the
+/// tags ahead of it back one way. Returns whether `tag` was present;
+/// if not, it is inserted as MRU and the LRU tag falls off the end.
+#[inline(always)]
+pub(crate) fn move_to_front<T: Copy + PartialEq>(set: &mut [T], tag: T) -> bool {
+    let mut carried = tag;
+    for way in set.iter_mut() {
+        let displaced = std::mem::replace(way, carried);
+        if displaced == tag {
+            return true;
+        }
+        carried = displaced;
+    }
+    false
 }
 
 #[cfg(test)]

@@ -3,6 +3,8 @@
 //! traps, clock-profiling samples, and a shadow call stack for
 //! profile callstacks.
 
+use std::num::NonZeroU64;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -90,6 +92,12 @@ impl EventCounts {
             CounterEvent::ECStallCycles => self.ec_stall_cycles,
         }
     }
+}
+
+/// `event`'s bit in [`Machine`]'s armed-event mask.
+#[inline(always)]
+const fn event_bit(event: CounterEvent) -> u8 {
+    1 << event as u8
 }
 
 /// Condition flags (subset of the SPARC icc/xcc relevant to the
@@ -245,9 +253,17 @@ pub struct Machine {
     icache: SetAssocCache,
     tlb: Tlb,
     counters: [Option<HwCounter>; NUM_COUNTER_SLOTS],
+    /// Bit `event as usize` is set iff some programmed counter counts
+    /// `event`: the one test an unarmed event costs.
+    armed: u8,
+    /// Bit `slot` is set iff that counter has a trap counting down
+    /// its skid.
+    pending: u8,
     rng: StdRng,
     counts: EventCounts,
-    clock_period: Option<u64>,
+    clock_period: Option<NonZeroU64>,
+    /// Cycle count at which the next clock sample is due; `u64::MAX`
+    /// while clock profiling is off.
     next_clock: u64,
     output: String,
     last_fetch_line: u64,
@@ -272,10 +288,12 @@ impl Machine {
             icache,
             tlb,
             counters: [None, None],
+            armed: 0,
+            pending: 0,
             rng,
             counts: EventCounts::default(),
             clock_period: None,
-            next_clock: 0,
+            next_clock: u64::MAX,
             output: String::new(),
             last_fetch_line: u64::MAX,
             annul_next: false,
@@ -308,14 +326,24 @@ impl Machine {
             return Err(PicConstraintError { event, slot });
         }
         self.counters[slot] = Some(HwCounter::new(event, interval));
+        self.pending &= !(1 << slot);
+        self.armed = self
+            .counters
+            .iter()
+            .flatten()
+            .fold(0, |mask, c| mask | event_bit(c.event));
         Ok(())
     }
 
     /// Enable clock profiling with the given period in cycles (the
-    /// real tool's `-p on` is ~10 ms; at 900 MHz that is 9e6 cycles).
-    pub fn set_clock_sample_period(&mut self, period_cycles: Option<u64>) {
+    /// real tool's `-p on` is ~10 ms; at 900 MHz that is 9e6 cycles),
+    /// or disable it with `None`.
+    pub fn set_clock_sample_period(&mut self, period_cycles: Option<NonZeroU64>) {
         self.clock_period = period_cycles;
-        self.next_clock = self.counts.cycles + period_cycles.unwrap_or(0);
+        self.next_clock = match period_cycles {
+            Some(p) => self.counts.cycles.saturating_add(p.get()),
+            None => u64::MAX,
+        };
     }
 
     /// Direct access to simulated data memory (for the host to stage
@@ -355,8 +383,26 @@ impl Machine {
         &self.text
     }
 
-    #[inline]
+    /// Feed `n` occurrences of `event` to the counters. An event no
+    /// counter is programmed for costs one mask test.
+    #[inline(always)]
     fn count_event(
+        &mut self,
+        event: CounterEvent,
+        n: u64,
+        trigger_pc: u64,
+        trigger_ea: Option<u64>,
+    ) {
+        if self.armed & event_bit(event) != 0 {
+            self.count_armed(event, n, trigger_pc, trigger_ea);
+        }
+    }
+
+    /// The counters' side of [`Machine::count_event`]: add to every
+    /// slot counting `event` and, on overflow, draw the skid and
+    /// schedule the trap.
+    #[inline(never)]
+    fn count_armed(
         &mut self,
         event: CounterEvent,
         n: u64,
@@ -378,8 +424,57 @@ impl Machine {
                         remaining: skid,
                         skid,
                     });
+                    self.pending |= 1 << slot;
                 }
             }
+        }
+    }
+
+    /// Count one retired instruction against every pending trap and
+    /// deliver those whose skid has elapsed, in slot order. The
+    /// delivered PC is the next instruction to issue — which, after
+    /// retirement, is exactly `self.cpu.pc`.
+    #[inline(never)]
+    fn deliver_pending<H: ProfileHook>(&mut self, hook: &mut H) {
+        for slot in 0..NUM_COUNTER_SLOTS {
+            let Some(c) = &mut self.counters[slot] else {
+                continue;
+            };
+            let Some(p) = &mut c.pending else {
+                continue;
+            };
+            p.remaining -= 1;
+            if p.remaining == 0 {
+                let p = *p;
+                c.pending = None;
+                self.pending &= !(1 << slot);
+                let trap = OverflowTrap {
+                    slot,
+                    event: c.event,
+                    delivered_pc: self.cpu.pc,
+                    trigger_pc: p.trigger_pc,
+                    trigger_ea: p.trigger_ea,
+                    skid: p.skid,
+                };
+                hook.on_overflow(&self.cpu, &trap);
+            }
+        }
+    }
+
+    /// Deliver one clock sample per elapsed period. The sample PC is
+    /// the next instruction to issue, so time stalled in a load is
+    /// charged to its successor — the User CPU skid visible in the
+    /// paper's Fig. 4 — and an instruction that stalls across several
+    /// periods receives several samples, keeping samples × period an
+    /// unbiased estimate of time.
+    #[inline(never)]
+    fn clock_ticks<H: ProfileHook>(&mut self, hook: &mut H) {
+        let Some(period) = self.clock_period else {
+            return;
+        };
+        while self.next_clock <= self.counts.cycles {
+            self.next_clock = self.next_clock.saturating_add(period.get());
+            hook.on_clock_sample(&self.cpu, self.cpu.pc);
         }
     }
 
@@ -431,272 +526,6 @@ impl Machine {
         stall
     }
 
-    /// Execute one instruction. Returns `Ok(true)` while running,
-    /// `Ok(false)` once halted.
-    fn step<H: ProfileHook>(&mut self, hook: &mut H) -> Result<bool, MachineError> {
-        let pc = self.cpu.pc;
-        if pc < TEXT_BASE || !pc.is_multiple_of(4) {
-            return Err(MachineError::BadPc { pc });
-        }
-        let idx = ((pc - TEXT_BASE) / 4) as usize;
-        let Some(&insn) = self.text.get(idx) else {
-            return Err(MachineError::BadPc { pc });
-        };
-
-        // Instruction fetch: model the I$ at line granularity.
-        let mut cycles = 1u64;
-        let fetch_line = pc >> self.icache.line_bytes().trailing_zeros();
-        if fetch_line != self.last_fetch_line {
-            self.last_fetch_line = fetch_line;
-            if self.icache.access(pc) == CacheOutcome::Miss {
-                self.counts.ic_miss += 1;
-                cycles += self.config.ic_miss_stall;
-                self.count_event(CounterEvent::ICMiss, 1, pc, None);
-            }
-        }
-
-        // Annulled delay slot: fetched but not executed or retired.
-        if self.annul_next {
-            self.annul_next = false;
-            self.cpu.pc = self.cpu.npc;
-            self.cpu.npc += 4;
-            self.counts.cycles += 1;
-            self.count_event(CounterEvent::Cycles, 1, pc, None);
-            return Ok(true);
-        }
-
-        // Delayed control transfer: the next instruction is always the
-        // one at `npc` (the delay slot for transfers); transfers
-        // overwrite `next_npc` only.
-        let next_pc = self.cpu.npc;
-        let mut next_npc = self.cpu.npc + 4;
-
-        match insn {
-            Insn::Nop => {}
-            Insn::Sethi { imm21, rd } => {
-                self.cpu.set_reg(rd, (imm21 as u64) << 11);
-            }
-            Insn::Alu {
-                op,
-                cc,
-                rs1,
-                op2,
-                rd,
-            } => {
-                let a = self.cpu.reg(rs1) as i64;
-                let b = self.cpu.operand(op2) as i64;
-                let (res, v) = match op {
-                    AluOp::Add => {
-                        let (r, o) = a.overflowing_add(b);
-                        (r, o)
-                    }
-                    AluOp::Sub => {
-                        let (r, o) = a.overflowing_sub(b);
-                        (r, o)
-                    }
-                    AluOp::Mul => {
-                        cycles += self.config.mul_cycles;
-                        (a.wrapping_mul(b), false)
-                    }
-                    AluOp::Div => {
-                        cycles += self.config.div_cycles;
-                        if b == 0 {
-                            return Err(MachineError::DivisionByZero { pc });
-                        }
-                        (a.wrapping_div(b), false)
-                    }
-                    AluOp::And => (a & b, false),
-                    AluOp::Or => (a | b, false),
-                    AluOp::Xor => (a ^ b, false),
-                    AluOp::Sll => (((a as u64) << (b as u64 & 63)) as i64, false),
-                    AluOp::Srl => (((a as u64) >> (b as u64 & 63)) as i64, false),
-                    AluOp::Sra => (a >> (b as u64 & 63), false),
-                };
-                if cc {
-                    self.cpu.flags = Flags {
-                        z: res == 0,
-                        n: res < 0,
-                        v,
-                    };
-                }
-                self.cpu.set_reg(rd, res as u64);
-            }
-            Insn::Load {
-                width,
-                signed,
-                rs1,
-                op2,
-                rd,
-            } => {
-                let ea = self.cpu.reg(rs1).wrapping_add(self.cpu.operand(op2));
-                let len = width.bytes();
-                if !ea.is_multiple_of(len) {
-                    return Err(MachineError::MisalignedAccess { pc, addr: ea, len });
-                }
-                let Some(mut v) = self.mem.read(ea, len) else {
-                    return Err(MachineError::UnmappedAccess { pc, addr: ea });
-                };
-                if signed {
-                    let shift = 64 - len * 8;
-                    v = (((v << shift) as i64) >> shift) as u64;
-                }
-                cycles += self.data_access(ea, true, pc);
-                self.counts.loads += 1;
-                self.cpu.set_reg(rd, v);
-            }
-            Insn::Store {
-                width,
-                src,
-                rs1,
-                op2,
-            } => {
-                let ea = self.cpu.reg(rs1).wrapping_add(self.cpu.operand(op2));
-                let len = width.bytes();
-                if !ea.is_multiple_of(len) {
-                    return Err(MachineError::MisalignedAccess { pc, addr: ea, len });
-                }
-                if !self.mem.write(ea, len, self.cpu.reg(src)) {
-                    return Err(MachineError::UnmappedAccess { pc, addr: ea });
-                }
-                cycles += self.data_access(ea, false, pc);
-                self.counts.stores += 1;
-            }
-            Insn::Branch {
-                cond,
-                annul,
-                pred_taken: _,
-                disp,
-            } => {
-                let taken = self.cpu.flags.eval(cond);
-                if taken {
-                    next_npc = pc.wrapping_add_signed(disp as i64 * 4);
-                    // `ba,a`: the delay slot is annulled even when taken.
-                    if annul && cond == Cond::A {
-                        self.annul_next = true;
-                    }
-                } else if annul {
-                    self.annul_next = true;
-                }
-            }
-            Insn::Call { disp } => {
-                self.cpu.set_reg(Reg::O7, pc);
-                next_npc = pc.wrapping_add_signed(disp as i64 * 4);
-                self.cpu.callstack.push(pc);
-            }
-            Insn::Jmpl { rs1, op2, rd } => {
-                let target = self.cpu.reg(rs1).wrapping_add(self.cpu.operand(op2));
-                let is_ret = rs1 == Reg::O7 && rd.is_zero();
-                self.cpu.set_reg(rd, pc);
-                if is_ret {
-                    self.cpu.callstack.pop();
-                } else if !rd.is_zero() {
-                    // Indirect call.
-                    self.cpu.callstack.push(pc);
-                }
-                next_npc = target;
-            }
-            Insn::Prefetch { rs1, op2 } => {
-                // Fill lines without stalling: a prefetch never adds
-                // wait cycles (it retires immediately and the fill
-                // proceeds in the background), but its address still
-                // walks the DTLB and, on a D$ miss, consumes an E$
-                // reference — the UltraSPARC counts those events for
-                // prefetches too, which is why ECRef/DTLB profiles of
-                // §3.3 prefetch-optimized code attribute samples to
-                // the prefetch instructions themselves.
-                let ea = self.cpu.reg(rs1).wrapping_add(self.cpu.operand(op2));
-                if ea < crate::TEXT_BASE {
-                    let page_bytes = if SegmentKind::of_addr(ea) == SegmentKind::Heap {
-                        self.config.heap_page_bytes
-                    } else {
-                        DEFAULT_PAGE_BYTES
-                    };
-                    if !self.tlb.access(ea, page_bytes) {
-                        self.counts.dtlb_miss += 1;
-                        self.count_event(CounterEvent::DTLBMiss, 1, pc, Some(ea));
-                    }
-                    if self.dcache.access(ea) == CacheOutcome::Miss {
-                        self.counts.ec_ref += 1;
-                        self.count_event(CounterEvent::ECRef, 1, pc, Some(ea));
-                        self.ecache.access(ea);
-                    }
-                }
-            }
-            Insn::Trap { num } => match num {
-                trap::EXIT => {
-                    self.halted = Some(self.cpu.reg(Reg::O0) as i64);
-                }
-                n if n == trap::HOSTCALL_BASE => {
-                    // print_long
-                    let v = self.cpu.reg(Reg::O0) as i64;
-                    self.output.push_str(&v.to_string());
-                    self.output.push('\n');
-                }
-                n if n == trap::HOSTCALL_BASE + 1 => {
-                    // print_char
-                    self.output.push(self.cpu.reg(Reg::O0) as u8 as char);
-                }
-                n => return Err(MachineError::BadTrap { pc, num: n }),
-            },
-        };
-
-        // Retire: advance PC, account cycles and instructions.
-        self.cpu.pc = next_pc;
-        self.cpu.npc = next_npc;
-        self.counts.cycles += cycles;
-        self.counts.insts += 1;
-        self.count_event(CounterEvent::Cycles, cycles, pc, None);
-        self.count_event(CounterEvent::Insts, 1, pc, None);
-
-        // Deliver pending overflow traps whose skid has elapsed. The
-        // delivered PC is the next instruction to issue — which, after
-        // the retire above, is exactly `self.cpu.pc`.
-        for slot in 0..NUM_COUNTER_SLOTS {
-            let deliver = match &mut self.counters[slot] {
-                Some(c) => match &mut c.pending {
-                    Some(p) => {
-                        p.remaining -= 1;
-                        if p.remaining == 0 {
-                            let t = *p;
-                            c.pending = None;
-                            Some((c.event, t))
-                        } else {
-                            None
-                        }
-                    }
-                    None => None,
-                },
-                None => None,
-            };
-            if let Some((event, p)) = deliver {
-                let trap = OverflowTrap {
-                    slot,
-                    event,
-                    delivered_pc: self.cpu.pc,
-                    trigger_pc: p.trigger_pc,
-                    trigger_ea: p.trigger_ea,
-                    skid: p.skid,
-                };
-                hook.on_overflow(&self.cpu, &trap);
-            }
-        }
-
-        // Clock-profiling tick. The sample PC is the next instruction
-        // to issue, so time stalled in a load is charged to its
-        // successor — the User CPU skid visible in the paper's Fig. 4.
-        if let Some(period) = self.clock_period {
-            // One tick per elapsed period: an instruction that stalls
-            // across several periods receives several samples, keeping
-            // samples x period an unbiased estimate of time.
-            while self.next_clock <= self.counts.cycles {
-                self.next_clock += period;
-                hook.on_clock_sample(&self.cpu, self.cpu.pc);
-            }
-        }
-
-        Ok(self.halted.is_none())
-    }
-
     /// Run until the program exits via `ta 0`, an error occurs, or
     /// `max_insns` instructions retire.
     pub fn run<H: ProfileHook>(
@@ -704,16 +533,239 @@ impl Machine {
         max_insns: u64,
         hook: &mut H,
     ) -> Result<RunOutcome, MachineError> {
-        let start_insts = self.counts.insts;
+        let limit = self.counts.insts.saturating_add(max_insns);
+        // One iteration issues one instruction.
         while self.halted.is_none() {
-            if self.counts.insts - start_insts >= max_insns {
+            if self.counts.insts >= limit {
                 return Err(MachineError::InsnLimit { limit: max_insns });
             }
-            self.step(hook)?;
+            let pc = self.cpu.pc;
+            if pc < TEXT_BASE || !pc.is_multiple_of(4) {
+                return Err(MachineError::BadPc { pc });
+            }
+            let idx = ((pc - TEXT_BASE) / 4) as usize;
+            let Some(&insn) = self.text.get(idx) else {
+                return Err(MachineError::BadPc { pc });
+            };
+
+            // Instruction fetch: model the I$ at line granularity.
+            let mut cycles = 1u64;
+            let fetch_line = pc >> self.icache.line_bytes().trailing_zeros();
+            if fetch_line != self.last_fetch_line {
+                self.last_fetch_line = fetch_line;
+                if self.icache.access(pc) == CacheOutcome::Miss {
+                    self.counts.ic_miss += 1;
+                    cycles += self.config.ic_miss_stall;
+                    self.count_event(CounterEvent::ICMiss, 1, pc, None);
+                }
+            }
+
+            // Annulled delay slot: fetched but not executed or retired.
+            if self.annul_next {
+                self.annul_next = false;
+                self.cpu.pc = self.cpu.npc;
+                self.cpu.npc += 4;
+                self.counts.cycles += 1;
+                self.count_event(CounterEvent::Cycles, 1, pc, None);
+                continue;
+            }
+
+            // Delayed control transfer: the next instruction is always
+            // the one at `npc` (the delay slot for transfers); transfers
+            // overwrite `next_npc` only.
+            let next_pc = self.cpu.npc;
+            let mut next_npc = self.cpu.npc + 4;
+
+            match insn {
+                Insn::Nop => {}
+                Insn::Sethi { imm21, rd } => {
+                    self.cpu.set_reg(rd, (imm21 as u64) << 11);
+                }
+                Insn::Alu {
+                    op,
+                    cc,
+                    rs1,
+                    op2,
+                    rd,
+                } => {
+                    let a = self.cpu.reg(rs1) as i64;
+                    let b = self.cpu.operand(op2) as i64;
+                    let (res, v) = match op {
+                        AluOp::Add => {
+                            let (r, o) = a.overflowing_add(b);
+                            (r, o)
+                        }
+                        AluOp::Sub => {
+                            let (r, o) = a.overflowing_sub(b);
+                            (r, o)
+                        }
+                        AluOp::Mul => {
+                            cycles += self.config.mul_cycles;
+                            (a.wrapping_mul(b), false)
+                        }
+                        AluOp::Div => {
+                            cycles += self.config.div_cycles;
+                            if b == 0 {
+                                return Err(MachineError::DivisionByZero { pc });
+                            }
+                            (a.wrapping_div(b), false)
+                        }
+                        AluOp::And => (a & b, false),
+                        AluOp::Or => (a | b, false),
+                        AluOp::Xor => (a ^ b, false),
+                        AluOp::Sll => (((a as u64) << (b as u64 & 63)) as i64, false),
+                        AluOp::Srl => (((a as u64) >> (b as u64 & 63)) as i64, false),
+                        AluOp::Sra => (a >> (b as u64 & 63), false),
+                    };
+                    if cc {
+                        self.cpu.flags = Flags {
+                            z: res == 0,
+                            n: res < 0,
+                            v,
+                        };
+                    }
+                    self.cpu.set_reg(rd, res as u64);
+                }
+                Insn::Load {
+                    width,
+                    signed,
+                    rs1,
+                    op2,
+                    rd,
+                } => {
+                    let ea = self.cpu.reg(rs1).wrapping_add(self.cpu.operand(op2));
+                    let len = width.bytes();
+                    if !ea.is_multiple_of(len) {
+                        return Err(MachineError::MisalignedAccess { pc, addr: ea, len });
+                    }
+                    let Some(mut v) = self.mem.read(ea, len) else {
+                        return Err(MachineError::UnmappedAccess { pc, addr: ea });
+                    };
+                    if signed {
+                        let shift = 64 - len * 8;
+                        v = (((v << shift) as i64) >> shift) as u64;
+                    }
+                    cycles += self.data_access(ea, true, pc);
+                    self.counts.loads += 1;
+                    self.cpu.set_reg(rd, v);
+                }
+                Insn::Store {
+                    width,
+                    src,
+                    rs1,
+                    op2,
+                } => {
+                    let ea = self.cpu.reg(rs1).wrapping_add(self.cpu.operand(op2));
+                    let len = width.bytes();
+                    if !ea.is_multiple_of(len) {
+                        return Err(MachineError::MisalignedAccess { pc, addr: ea, len });
+                    }
+                    if !self.mem.write(ea, len, self.cpu.reg(src)) {
+                        return Err(MachineError::UnmappedAccess { pc, addr: ea });
+                    }
+                    cycles += self.data_access(ea, false, pc);
+                    self.counts.stores += 1;
+                }
+                Insn::Branch {
+                    cond,
+                    annul,
+                    pred_taken: _,
+                    disp,
+                } => {
+                    let taken = self.cpu.flags.eval(cond);
+                    if taken {
+                        next_npc = pc.wrapping_add_signed(disp as i64 * 4);
+                        // `ba,a`: the delay slot is annulled even when taken.
+                        if annul && cond == Cond::A {
+                            self.annul_next = true;
+                        }
+                    } else if annul {
+                        self.annul_next = true;
+                    }
+                }
+                Insn::Call { disp } => {
+                    self.cpu.set_reg(Reg::O7, pc);
+                    next_npc = pc.wrapping_add_signed(disp as i64 * 4);
+                    self.cpu.callstack.push(pc);
+                }
+                Insn::Jmpl { rs1, op2, rd } => {
+                    let target = self.cpu.reg(rs1).wrapping_add(self.cpu.operand(op2));
+                    let is_ret = rs1 == Reg::O7 && rd.is_zero();
+                    self.cpu.set_reg(rd, pc);
+                    if is_ret {
+                        self.cpu.callstack.pop();
+                    } else if !rd.is_zero() {
+                        // Indirect call.
+                        self.cpu.callstack.push(pc);
+                    }
+                    next_npc = target;
+                }
+                Insn::Prefetch { rs1, op2 } => {
+                    // Fill lines without stalling: a prefetch never adds
+                    // wait cycles (it retires immediately and the fill
+                    // proceeds in the background), but its address still
+                    // walks the DTLB and, on a D$ miss, consumes an E$
+                    // reference — the UltraSPARC counts those events for
+                    // prefetches too, which is why ECRef/DTLB profiles of
+                    // §3.3 prefetch-optimized code attribute samples to
+                    // the prefetch instructions themselves.
+                    let ea = self.cpu.reg(rs1).wrapping_add(self.cpu.operand(op2));
+                    if ea < crate::TEXT_BASE {
+                        let page_bytes = if SegmentKind::of_addr(ea) == SegmentKind::Heap {
+                            self.config.heap_page_bytes
+                        } else {
+                            DEFAULT_PAGE_BYTES
+                        };
+                        if !self.tlb.access(ea, page_bytes) {
+                            self.counts.dtlb_miss += 1;
+                            self.count_event(CounterEvent::DTLBMiss, 1, pc, Some(ea));
+                        }
+                        if self.dcache.access(ea) == CacheOutcome::Miss {
+                            self.counts.ec_ref += 1;
+                            self.count_event(CounterEvent::ECRef, 1, pc, Some(ea));
+                            self.ecache.access(ea);
+                        }
+                    }
+                }
+                Insn::Trap { num } => match num {
+                    trap::EXIT => {
+                        self.halted = Some(self.cpu.reg(Reg::O0) as i64);
+                    }
+                    n if n == trap::HOSTCALL_BASE => {
+                        // print_long
+                        let v = self.cpu.reg(Reg::O0) as i64;
+                        self.output.push_str(&v.to_string());
+                        self.output.push('\n');
+                    }
+                    n if n == trap::HOSTCALL_BASE + 1 => {
+                        // print_char
+                        self.output.push(self.cpu.reg(Reg::O0) as u8 as char);
+                    }
+                    n => return Err(MachineError::BadTrap { pc, num: n }),
+                },
+            };
+
+            // Retire: advance PC, account cycles and instructions.
+            self.cpu.pc = next_pc;
+            self.cpu.npc = next_npc;
+            self.counts.cycles += cycles;
+            self.counts.insts += 1;
+            self.count_event(CounterEvent::Cycles, cycles, pc, None);
+            self.count_event(CounterEvent::Insts, 1, pc, None);
+
+            // Trap delivery and clock ticks cost one compare each unless
+            // a trap is pending or a sample is due.
+            if self.pending != 0 {
+                self.deliver_pending(hook);
+            }
+            if self.counts.cycles >= self.next_clock {
+                self.clock_ticks(hook);
+            }
         }
         // The program has halted, so a trap still counting down its
         // skid will never be delivered; account it as dropped to keep
         // delivered + dropped an exact overflow count.
+        self.pending = 0;
         let dropped = std::array::from_fn(|s| {
             self.counters[s].as_mut().map_or(0, |c| {
                 if c.pending.take().is_some() {
@@ -1033,7 +1085,7 @@ mod tests {
     fn clock_samples_arrive_at_period() {
         let mut m = Machine::new(MachineConfig::default());
         m.load(&sum_array_image(500));
-        m.set_clock_sample_period(Some(100));
+        m.set_clock_sample_period(NonZeroU64::new(100));
         let mut rec = TrapRecorder {
             traps: Vec::new(),
             samples: Vec::new(),

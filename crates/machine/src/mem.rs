@@ -55,9 +55,10 @@ impl Memory {
         slot.as_deref_mut()
     }
 
-    /// Read `N <= 8` bytes; returns `None` for out-of-range addresses.
-    /// Unmapped-but-in-range memory reads as zero (like freshly mapped
-    /// anonymous pages).
+    /// Read a little-endian value `len` (1, 2, 4 or 8) bytes wide;
+    /// returns `None` for out-of-range or misaligned addresses and for
+    /// any other width. Unmapped-but-in-range memory reads as zero
+    /// (like freshly mapped anonymous pages).
     #[inline]
     pub fn read(&self, addr: u64, len: u64) -> Option<u64> {
         debug_assert!(matches!(len, 1 | 2 | 4 | 8));
@@ -70,13 +71,19 @@ impl Memory {
             Some(p) => p,
             None => return Some(0),
         };
-        let mut buf = [0u8; 8];
-        buf[..len as usize].copy_from_slice(&page[off..off + len as usize]);
-        Some(u64::from_le_bytes(buf))
+        let bytes = &page[off..];
+        Some(match len {
+            1 => bytes[0] as u64,
+            2 => u16::from_le_bytes(head(bytes)) as u64,
+            4 => u32::from_le_bytes(head(bytes)) as u64,
+            8 => u64::from_le_bytes(head(bytes)),
+            _ => return None,
+        })
     }
 
-    /// Write the low `len` bytes of `value`; returns `false` for
-    /// out-of-range or misaligned addresses.
+    /// Write the low `len` (1, 2, 4 or 8) bytes of `value`; returns
+    /// `false` for out-of-range or misaligned addresses and for any
+    /// other width.
     #[inline]
     pub fn write(&mut self, addr: u64, len: u64, value: u64) -> bool {
         debug_assert!(matches!(len, 1 | 2 | 4 | 8));
@@ -88,7 +95,14 @@ impl Memory {
         let Some(page) = self.page_mut(addr) else {
             return false;
         };
-        page[off..off + len as usize].copy_from_slice(&value.to_le_bytes()[..len as usize]);
+        let bytes = &mut page[off..];
+        match len {
+            1 => bytes[0] = value as u8,
+            2 => bytes[..2].copy_from_slice(&(value as u16).to_le_bytes()),
+            4 => bytes[..4].copy_from_slice(&(value as u32).to_le_bytes()),
+            8 => bytes[..8].copy_from_slice(&value.to_le_bytes()),
+            _ => return false,
+        }
         true
     }
 
@@ -145,6 +159,15 @@ impl Memory {
     pub fn write_u64(&mut self, addr: u64, v: u64) -> bool {
         self.write(addr, 8, v)
     }
+}
+
+/// The first `N` bytes of `bytes`, as an array: a fixed-size copy the
+/// compiler turns into one load.
+#[inline(always)]
+fn head<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    let mut out = [0; N];
+    out.copy_from_slice(&bytes[..N]);
+    out
 }
 
 #[cfg(test)]

@@ -9,6 +9,10 @@
 //!
 //! Entries are tagged with `(virtual page, page size class)` so mixed
 //! sizes coexist, approximating the real hardware's separate arrays.
+//! Like the caches, each set keeps its entries in recency order (MRU
+//! first, move-to-front on a hit, the LRU entry evicted on a miss).
+
+use crate::cache::move_to_front;
 
 /// The Solaris default page size on the paper's machine.
 pub const DEFAULT_PAGE_BYTES: u64 = 8 * 1024;
@@ -63,12 +67,13 @@ const INVALID: TlbTag = TlbTag {
     page_shift: 0,
 };
 
-/// Set-associative DTLB with LRU replacement.
+/// Set-associative DTLB with true-LRU replacement.
 pub struct Tlb {
     set_mask: u64,
     ways: usize,
+    /// `tags[set * ways..][..ways]` holds one set's entries in recency
+    /// order: MRU first, LRU last, invalid entries trailing.
     tags: Vec<TlbTag>,
-    ages: Vec<u8>,
     hits: u64,
     misses: u64,
 }
@@ -82,7 +87,6 @@ impl Tlb {
             set_mask: sets - 1,
             ways: config.ways as usize,
             tags: vec![INVALID; config.entries as usize],
-            ages: vec![0; config.entries as usize],
             hits: 0,
             misses: 0,
         }
@@ -96,36 +100,15 @@ impl Tlb {
         let page_shift = page_bytes.trailing_zeros();
         let vpn = addr >> page_shift;
         let tag = TlbTag { vpn, page_shift };
-        let set = (vpn & self.set_mask) as usize;
-        let base = set * self.ways;
-        let tags = &mut self.tags[base..base + self.ways];
-        let ages = &mut self.ages[base..base + self.ways];
-
-        for w in 0..tags.len() {
-            if tags[w] == tag {
-                let age = ages[w];
-                for a in ages.iter_mut() {
-                    if *a < age {
-                        *a += 1;
-                    }
-                }
-                ages[w] = 0;
-                self.hits += 1;
-                return true;
-            }
+        let base = (vpn & self.set_mask) as usize * self.ways;
+        let set = &mut self.tags[base..base + self.ways];
+        let hit = set[0] == tag || move_to_front(set, tag);
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
-
-        let victim = match tags.iter().position(|&t| t == INVALID) {
-            Some(w) => w,
-            None => (0..tags.len()).max_by_key(|&w| ages[w]).unwrap(),
-        };
-        for a in ages.iter_mut() {
-            *a = a.saturating_add(1);
-        }
-        tags[victim] = tag;
-        ages[victim] = 0;
-        self.misses += 1;
-        false
+        hit
     }
 
     /// (hits, misses) since construction.

@@ -1,6 +1,6 @@
 //! Property tests for the machine substrate: the set-associative
-//! cache against a naive reference model, TLB reach invariants, and
-//! sparse-memory read/write laws.
+//! cache and the DTLB against naive MRU-list reference models, TLB
+//! page granularity, and sparse-memory read/write laws.
 
 use proptest::prelude::*;
 use simsparc_machine::{CacheConfig, CacheOutcome, Memory, SetAssocCache, Tlb, TlbConfig};
@@ -41,8 +41,65 @@ impl RefCache {
     }
 }
 
+/// The same MRU-list reference for the DTLB: entries are keyed by
+/// `(virtual page, page shift)` and indexed by the low bits of the
+/// virtual page number, so 8 KB and 512 KB pages share the sets.
+struct RefTlb {
+    sets: u64,
+    ways: usize,
+    lru: Vec<Vec<(u64, u32)>>,
+}
+
+impl RefTlb {
+    fn new(config: TlbConfig) -> RefTlb {
+        let sets = (config.entries / config.ways) as u64;
+        RefTlb {
+            sets,
+            ways: config.ways as usize,
+            lru: vec![Vec::new(); sets as usize],
+        }
+    }
+
+    fn access(&mut self, addr: u64, page_bytes: u64) -> bool {
+        let shift = page_bytes.trailing_zeros();
+        let key = (addr >> shift, shift);
+        let v = &mut self.lru[(key.0 % self.sets) as usize];
+        if let Some(pos) = v.iter().position(|&k| k == key) {
+            v.remove(pos);
+            v.insert(0, key);
+            true
+        } else {
+            v.insert(0, key);
+            v.truncate(self.ways);
+            false
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The production DTLB and the reference model agree on every
+    /// access of a random trace mixing 8 KB and 512 KB pages, for 1-,
+    /// 2- and 4-way geometries.
+    #[test]
+    fn tlb_matches_reference_model(
+        ways in prop::sample::select(&[1u32, 2, 4][..]),
+        sets_log in 0u32..=3,
+        trace in prop::collection::vec((0u64..(1 << 24), any::<bool>()), 1..500),
+    ) {
+        let config = TlbConfig { entries: ways << sets_log, ways };
+        let mut real = Tlb::new(config);
+        let mut reference = RefTlb::new(config);
+        for (i, &(addr, large)) in trace.iter().enumerate() {
+            let page_bytes = if large { 512 * 1024 } else { 8 * 1024 };
+            let a = real.access(addr, page_bytes);
+            let b = reference.access(addr, page_bytes);
+            prop_assert_eq!(a, b, "divergence at access {} (addr {:#x}, {} B pages)", i, addr, page_bytes);
+        }
+        let (hits, misses) = real.stats();
+        prop_assert_eq!(hits + misses, trace.len() as u64);
+    }
 
     /// The production cache and the reference model agree on every
     /// access of a random trace, for random (small) geometries.

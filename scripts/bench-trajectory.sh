@@ -1,7 +1,9 @@
 #!/bin/sh
 # Regenerate machine-readable benchmark results, compare them against
 # the checked-in BENCH_*.json baselines with bench_gate, and append
-# each run's records to the accumulated perf trajectory.
+# each run's records to the accumulated perf trajectory. The benches
+# are the three aggregation kernels and `machine_micro` (simulator
+# cache/TLB models and interpreter throughput).
 #
 #   scripts/bench-trajectory.sh [--threshold X]
 #
@@ -21,7 +23,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-BENCHES="store_aggregation view_aggregation merged_store_aggregation"
+BENCHES="store_aggregation view_aggregation merged_store_aggregation machine_micro"
 TRAJECTORY="bench-trajectory.jsonl"
 rev=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 date=$(date -u +%Y-%m-%dT%H:%M:%SZ)

@@ -20,7 +20,7 @@
 //!   -h SPEC           counters, e.g. "+ecstall,lo,+ecrm,on" or
 //!                     "+ecrm,101" (up to two, '+' = backtracking)
 //!   -p on|off         clock profiling (default on)
-//!   --period N        clock period in cycles (default 100003)
+//!   --period N        clock period in cycles, at least 1 (default 100003)
 //!   --machine paper|default
 //!                     memory-hierarchy config (default: default)
 //!   --max-insns N     instruction budget (default 2e9)
@@ -153,7 +153,8 @@ fn main() {
                 period = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("bad --period"));
+                    .filter(|&n: &u64| n > 0)
+                    .unwrap_or_else(|| usage("bad --period (cycles, at least 1)"));
             }
             "--machine" => {
                 i += 1;

@@ -20,7 +20,7 @@
 //!   --precision PCT       verify-gate minimum backtracked precision (70)
 //!   --spec SPEC[:clock]   counter spec for one profiled run; repeat
 //!                         to replace the default E1/E2 pair
-//!   --clock-period N      clock-profiling period in cycles (10007)
+//!   --clock-period N      clock-profiling period in cycles, >= 1 (10007)
 //!   --ecache-kb N         E$ capacity in KB (default: scaled paper config)
 //!   --tlb-entries N       DTLB entries (default: scaled paper config)
 //!   --feedback-out FILE   write the final feedback file
@@ -81,7 +81,12 @@ fn main() {
             "--rounds" => rounds = parse(&arg("--rounds")),
             "--min-gain" => min_gain_pct = parse(&arg("--min-gain")),
             "--precision" => precision = parse(&arg("--precision")),
-            "--clock-period" => clock_period = parse(&arg("--clock-period")),
+            "--clock-period" => {
+                clock_period = parse(&arg("--clock-period"));
+                if clock_period == 0 {
+                    usage("--clock-period must be at least 1 cycle");
+                }
+            }
             "--ecache-kb" => ecache_kb = Some(parse(&arg("--ecache-kb"))),
             "--tlb-entries" => tlb_entries = Some(parse(&arg("--tlb-entries"))),
             "--spec" => {

@@ -123,6 +123,59 @@ fn collect_with_no_args_lists_counters() {
     }
 }
 
+/// Run `cmd` to completion, failing the test if it is still running
+/// after `limit`.
+fn exit_within(mut cmd: Command, limit: std::time::Duration) -> std::process::Output {
+    let mut child = cmd
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let start = std::time::Instant::now();
+    while child.try_wait().unwrap().is_none() {
+        if start.elapsed() > limit {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("{cmd:?} still running after {limit:?}");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child.wait_with_output().unwrap()
+}
+
+#[test]
+fn zero_clock_period_is_a_usage_error() {
+    let dir = temp_exp_dir("zero_period");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let stream = dir.join("run.mpes");
+    let limit = std::time::Duration::from_secs(10);
+
+    let mut collect = Command::new(collect_bin());
+    collect
+        .args([
+            "--stream",
+            stream.to_str().unwrap(),
+            "-p",
+            "on",
+            "--period",
+            "0",
+        ])
+        .arg(workload_path());
+    let out = exit_within(collect, limit);
+    assert_eq!(out.status.code(), Some(2), "usage error expected");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--period"));
+    assert!(!stream.exists(), "no stream may be written");
+
+    let mut opt = Command::new(env!("CARGO_BIN_EXE_mp-opt"));
+    opt.arg(workload_path()).args(["--clock-period", "0"]);
+    let out = exit_within(opt, limit);
+    assert_eq!(out.status.code(), Some(2), "usage error expected");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--clock-period"));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn er_print_rejects_bad_input() {
     let out = Command::new(er_print_bin())
