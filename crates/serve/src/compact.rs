@@ -16,7 +16,9 @@
 //! deterministic). The packed store is in the raw segments' own
 //! format, `MPES` v2: [`pack_experiment`] replays the merge through
 //! the collector's chunk writer. The tier-2 summary is regenerated
-//! with the same aggregation kernel `mp-store stat` uses.
+//! with the same aggregation kernel `mp-store stat` uses, and carries
+//! the new store's `syms.txt` attachment so aggregate queries never
+//! open the store (see [`crate::summary`]).
 //!
 //! ## Incremental compaction
 //!
@@ -26,7 +28,7 @@
 //! the *window*, not with the new data. The daemon now keeps a
 //! [`CompactCache`]: the merged [`Experiment`] (and the attachments it
 //! was packed with) from each window's previous pass, fingerprinted by
-//! the packed store's FNV-1a hash. When the on-disk store still
+//! the packed store's XXH64 hash. When the on-disk store still
 //! matches the fingerprint — i.e. nobody replaced it behind the
 //! daemon's back — the next pass seeds the merge with the cached
 //! experiment ([`memprof_store::merge_experiments_with`]) and only
@@ -63,16 +65,16 @@
 //!
 //! 1. if there are stale leftovers (segments a *previous* pass
 //!    already folded in but crashed before deleting — identified by a
-//!    hash-valid [`Manifest`]), regenerate the summary from the packed
-//!    store, then delete them;
+//!    hash-valid [`Manifest`], of either version), regenerate the
+//!    summary from the packed store, then delete them;
 //! 2. merge `[old packed] + fresh raws` in memory (seeded from the
 //!    cache when the fingerprint matches);
-//! 3. durably write the manifest naming the fresh raws, keyed by the
-//!    *new* store's hash — inert until that store lands;
+//! 3. durably write the `MPCM 2` manifest naming the fresh raws, keyed
+//!    by the *new* store's XXH64 hash — inert until that store lands;
 //! 4. durably rename the new packed store into place — this is the
 //!    commit point: the manifest hash now matches, so the fresh raws
 //!    are stale from here on;
-//! 5. regenerate the summary;
+//! 5. regenerate the summary, symbol table included;
 //! 6. delete the consumed raws.
 //!
 //! A crash before step 4 leaves the old packed store authoritative
@@ -103,13 +105,13 @@ use std::sync::{Arc, Mutex};
 use memprof_core::Experiment;
 use memprof_store::pread::read_file_pooled;
 use memprof_store::{
-    aggregate, aggregate_streams, collect_attachments, fnv1a64, merge_experiments_with,
-    pack_experiment, EventStream, ExperimentRef, StoreError,
+    aggregate, aggregate_streams, collect_attachments, merge_experiments_with, pack_experiment,
+    syms_attachment, xxh64, EventStream, ExperimentRef, StoreError,
 };
 
 use crate::registry::WindowRegistry;
-use crate::store::{render_manifest, write_durable, Manifest, StoreDirs};
-use crate::summary::write_summary;
+use crate::store::{render_manifest, write_durable, Manifest, StoreDirs, StoreHash};
+use crate::summary::{summary_is_current, write_summary};
 
 /// One window's previous compaction result, reusable as the seed of
 /// the next pass — and as the source of the window's analyzer views —
@@ -272,16 +274,17 @@ impl CompactReport {
     }
 }
 
-/// Regenerate a window's tier-2 summary from its packed store on
-/// disk. The main compaction path summarizes the in-memory merge
-/// instead; this serves the recovery paths that have no merge in
-/// hand.
+/// Regenerate a window's tier-2 summary, symbol table included, from
+/// its packed store on disk. The main compaction path summarizes the
+/// in-memory merge instead; this serves the recovery paths that have
+/// no merge in hand, and rewrites an older daemon's `MPSUM 1`.
 fn refresh_summary(dirs: &StoreDirs, window: &str) -> Result<(), StoreError> {
     let Some(store) = dirs.open_packed(window)? else {
         return Ok(());
     };
+    let syms = syms_attachment(store.attachments()).map(str::to_string);
     let agg = aggregate_streams(&[EventStream::Stream(store)], 0)?;
-    write_summary(&dirs.summary_path(window), &agg)
+    write_summary(&dirs.summary_path(window), &agg, syms.as_deref())
 }
 
 /// Compact one window if it has sealed raw segments. Returns the
@@ -314,7 +317,7 @@ pub fn compact_window(
         }
     }
     if tier.fresh.is_empty() {
-        if packed.exists() && !dirs.summary_path(window).exists() {
+        if packed.exists() && !summary_is_current(&dirs.summary_path(window)) {
             refresh_summary(dirs, window)?;
         }
         return Ok(0);
@@ -367,8 +370,9 @@ pub fn compact_window(
 
     // Manifest first (inert until the store it hashes lands), then
     // the store itself — the commit point.
+    let packed_hash = xxh64(&bytes);
     let manifest = Manifest {
-        packed_hash: fnv1a64(&bytes),
+        packed: StoreHash::Xxh64(packed_hash),
         consumed: tier
             .fresh
             .iter()
@@ -382,11 +386,15 @@ pub fn compact_window(
     )?;
     write_durable(&packed, &bytes)?;
 
-    // The summary is the aggregate of the store just written; the
-    // merge is already in memory, so aggregate it directly instead of
-    // re-reading the file.
+    // The summary is the aggregate of the store just written, plus its
+    // symbol table; the merge is already in memory, so aggregate it
+    // directly instead of re-reading the file.
     let agg = aggregate(&[&merged], 0)?;
-    write_summary(&dirs.summary_path(window), &agg)?;
+    write_summary(
+        &dirs.summary_path(window),
+        &agg,
+        syms_attachment(&attachments),
+    )?;
 
     for raw in &tier.fresh {
         std::fs::remove_file(raw).map_err(|e| StoreError::Io(e).at(raw))?;
@@ -399,7 +407,7 @@ pub fn compact_window(
         cache.insert(
             window,
             CachedWindow {
-                packed_hash: manifest.packed_hash,
+                packed_hash,
                 merged: Arc::new(merged),
                 attachments,
                 last_used,
@@ -412,10 +420,10 @@ pub fn compact_window(
 }
 
 /// Does the store at `packed` still hash to `hash`? The full-file
-/// FNV-1a check is what lets a cached experiment stand in for a
+/// XXH64 check is what lets a cached experiment stand in for a
 /// checksummed read of the store.
 pub(crate) fn packed_hash_is(packed: &Path, hash: u64) -> bool {
-    read_file_pooled(packed).is_ok_and(|bytes| fnv1a64(&bytes) == hash)
+    read_file_pooled(packed).is_ok_and(|bytes| xxh64(&bytes) == hash)
 }
 
 /// Compact one window under its exclusive registry lock, bumping the

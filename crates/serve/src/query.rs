@@ -25,19 +25,24 @@
 //! the available cores.
 //!
 //! `W` is a window label; views default to *all* windows where the
-//! grammar allows. Aggregate queries are served tier-first: a
+//! grammar allows. Aggregate queries (`functions`, `stat`, `diff`) are
+//! served tier-first, one read per window ([`window_aggregate`]): a
 //! compacted window answers from its summary (tier 2), which
-//! round-trips the aggregate exactly, so the answer is byte-identical
-//! to re-aggregating the packed store; uncompacted raw segments are
-//! aggregated on the fly and merged in. A window whose raw tier still
-//! holds stale leftovers — segments a pass folded into the packed
-//! store but crashed before deleting — may also hold that pass's
-//! predecessor's summary, so it answers from the packed store
-//! instead. Analyzer views (`objects`, `segments`, `pages`, `lines`)
-//! need the whole merged experiment: a compacted window whose merge
-//! the [`CompactCache`] still holds — and whose packed store still
-//! hashes to it — answers from memory, anything else decodes the
-//! packed store and raw segments.
+//! round-trips the aggregate exactly and carries the packed store's
+//! symbol table, so the answer is byte-identical to re-aggregating
+//! the packed store and the store itself is never opened; uncompacted
+//! raw segments are aggregated on the fly and merged in. A window
+//! whose raw tier still holds stale leftovers — segments a pass
+//! folded into the packed store but crashed before deleting — may
+//! also hold that pass's predecessor's summary, so it answers from
+//! the packed store instead, as does a window with no summary (or an
+//! older daemon's `MPSUM 1`). The symbol table then comes from the
+//! packed store or the raw segments ([`window_syms`]), as it does when
+//! the summary holds no table. Analyzer views (`objects`, `segments`,
+//! `pages`, `lines`) need the whole merged experiment: a compacted
+//! window whose merge the [`CompactCache`] still holds — and whose
+//! packed store still hashes to it — answers from memory, anything
+//! else decodes the packed store and raw segments.
 //!
 //! Locking: each store-reading arm takes the *shared* registry lock
 //! of exactly the windows it resolves — in sorted label order when
@@ -53,7 +58,7 @@ use memprof_core::analyze::Analysis;
 use memprof_core::Experiment;
 use memprof_store::{
     aggregate_refs, aggregate_streams, attached_syms, diff_aggregates, merge_experiments_with,
-    Aggregate, EventStream, ExperimentRef, StoreError,
+    parse_syms, Aggregate, EventStream, ExperimentRef, StoreError,
 };
 use simsparc_machine::CounterEvent;
 
@@ -91,19 +96,36 @@ fn checked_label<'a>(dirs: &StoreDirs, w: &'a str) -> Result<&'a str, StoreError
     Ok(w)
 }
 
+/// One window's tier-first read (see [`window_aggregate`]).
+pub struct WindowAggregate {
+    /// Everything landed in the window, aggregated.
+    pub agg: Aggregate,
+    /// The packed store's `syms.txt` text, as the window's summary
+    /// carries it. `None` when the summary did not answer or holds no
+    /// table; [`window_syms`] is then the table's source.
+    pub syms: Option<String>,
+}
+
 /// The aggregate of everything landed in a window, tier-first: the
 /// summary (or, lacking one, the packed store) plus any raw segments
-/// not yet compacted. Raw segments an interrupted compaction already
-/// folded into the packed store (hash-valid manifest entries) are
-/// skipped — counting them again would double every sample they hold.
-/// Their presence also means that pass may have crashed before writing
-/// its summary, so the summary is trusted only when there are none.
-pub fn window_aggregate(dirs: &StoreDirs, window: &str) -> Result<Aggregate, StoreError> {
+/// not yet compacted, with the summary's symbol table when it
+/// answered. Raw segments an interrupted compaction already folded
+/// into the packed store (hash-valid manifest entries) are skipped —
+/// counting them again would double every sample they hold. Their
+/// presence also means that pass may have crashed before writing its
+/// summary, so the summary is trusted only when there are none.
+pub fn window_aggregate(dirs: &StoreDirs, window: &str) -> Result<WindowAggregate, StoreError> {
     let mut parts: Vec<Aggregate> = Vec::new();
+    let mut syms = None;
     let tier = dirs.live_raw_segments(window)?;
-    let summary = dirs.summary_path(window);
-    if tier.stale.is_empty() && summary.exists() {
-        parts.push(read_summary(&summary)?);
+    let summary = if tier.stale.is_empty() {
+        read_summary(&dirs.summary_path(window))?
+    } else {
+        None
+    };
+    if let Some(summary) = summary {
+        parts.push(summary.agg);
+        syms = summary.syms;
     } else if let Some(store) = dirs.open_packed(window)? {
         parts.push(aggregate_streams(&[EventStream::Stream(store)], 0)?);
     }
@@ -122,7 +144,7 @@ pub fn window_aggregate(dirs: &StoreDirs, window: &str) -> Result<Aggregate, Sto
     for p in parts {
         agg.merge(&p)?;
     }
-    Ok(agg)
+    Ok(WindowAggregate { agg, syms })
 }
 
 /// The window's symbol table, from the packed store's attachments or
@@ -148,14 +170,20 @@ pub fn window_syms(
     Ok(None)
 }
 
-/// The symbol table of the first of `windows` that carries one.
+/// The symbol table of the first of `windows` that carries one: the
+/// copy its tier-first read brought from the summary, else
+/// [`window_syms`].
 fn first_syms<'a>(
     dirs: &StoreDirs,
-    windows: impl IntoIterator<Item = &'a str>,
+    windows: impl IntoIterator<Item = (&'a str, &'a WindowAggregate)>,
 ) -> Result<Option<minic::SymbolTable>, StoreError> {
-    for w in windows {
-        if let Some(syms) = window_syms(dirs, w)? {
-            return Ok(Some(syms));
+    for (w, read) in windows {
+        let syms = match &read.syms {
+            Some(text) => Some(parse_syms(text, &dirs.summary_path(w))?),
+            None => window_syms(dirs, w)?,
+        };
+        if syms.is_some() {
+            return Ok(syms);
         }
     }
     Ok(None)
@@ -255,10 +283,20 @@ fn resolve_windows(dirs: &StoreDirs, args: &[&str]) -> Result<Vec<String>, Store
     }
 }
 
-fn merged_aggregate(dirs: &StoreDirs, windows: &[String]) -> Result<Aggregate, StoreError> {
-    let mut agg = window_aggregate(dirs, &windows[0])?;
-    for w in &windows[1..] {
-        agg.merge(&window_aggregate(dirs, w)?)?;
+/// Each window's tier-first read, in order.
+fn window_aggregates(
+    dirs: &StoreDirs,
+    windows: &[String],
+) -> Result<Vec<WindowAggregate>, StoreError> {
+    windows.iter().map(|w| window_aggregate(dirs, w)).collect()
+}
+
+/// The windows' aggregates summed; `reads` is never empty.
+fn merged_aggregate(reads: Vec<WindowAggregate>) -> Result<Aggregate, StoreError> {
+    let mut aggs = reads.into_iter().map(|r| r.agg);
+    let mut agg = aggs.next().expect("an aggregate query resolves a window");
+    for a in aggs {
+        agg.merge(&a)?;
     }
     Ok(agg)
 }
@@ -294,7 +332,7 @@ pub fn stat_text(agg: &Aggregate) -> String {
 /// arrives). Callers hold the window's shared lock.
 pub fn watch_frame(dirs: &StoreDirs, window: &str, generation: u64) -> String {
     match window_aggregate(dirs, window) {
-        Ok(agg) => {
+        Ok(WindowAggregate { agg, .. }) => {
             let total: u64 = agg.totals.iter().sum();
             format!(
                 "window {window} generation {generation} events {total}\n{}",
@@ -343,23 +381,25 @@ pub fn answer(
         Some((&"functions", rest)) => {
             let windows = resolve_windows(dirs, rest)?;
             let _guards = registry.read_windows(&windows);
-            let agg = merged_aggregate(dirs, &windows)?;
-            let syms = first_syms(dirs, windows.iter().map(String::as_str))?;
-            QueryOutcome::Text(agg.stat_json(syms.as_ref()))
+            let reads = window_aggregates(dirs, &windows)?;
+            let syms = first_syms(dirs, windows.iter().map(String::as_str).zip(&reads))?;
+            QueryOutcome::Text(merged_aggregate(reads)?.stat_json(syms.as_ref()))
         }
         Some((&"stat", rest)) => {
             let windows = resolve_windows(dirs, rest)?;
             let _guards = registry.read_windows(&windows);
-            QueryOutcome::Text(stat_text(&merged_aggregate(dirs, &windows)?))
+            let reads = window_aggregates(dirs, &windows)?;
+            QueryOutcome::Text(stat_text(&merged_aggregate(reads)?))
         }
         Some((&"diff", [wa, wb])) => {
             let wa = checked_label(dirs, wa)?;
             let wb = checked_label(dirs, wb)?;
             let _guards = registry.read_windows(&[wa.to_string(), wb.to_string()]);
-            let diff = diff_aggregates(&window_aggregate(dirs, wa)?, &window_aggregate(dirs, wb)?)?;
+            let (a, b) = (window_aggregate(dirs, wa)?, window_aggregate(dirs, wb)?);
+            let diff = diff_aggregates(&a.agg, &b.agg)?;
             // Function-level when either side carries symbols, like
             // `mp-store diff`.
-            let text = match first_syms(dirs, [wa, wb])? {
+            let text = match first_syms(dirs, [(wa, &a), (wb, &b)])? {
                 Some(syms) => diff.render_by_function(&syms),
                 None => diff.render(),
             };

@@ -7,7 +7,7 @@
 //!   raw/WINDOW/SESSION.mpes      tier 0: sealed raw segments (MPES v2)
 //!   packed/WINDOW.mps            tier 1: merged packed store (MPES v2)
 //!   packed/WINDOW.consumed       tier 1: compaction manifest (MPCM)
-//!   summary/WINDOW.sum           tier 2: per-PC aggregate (MPSUM)
+//!   summary/WINDOW.sum           tier 2: per-PC aggregate + symbol table (MPSUM)
 //! ```
 //!
 //! A session streams into `ingest/` and is *sealed* — atomically
@@ -24,11 +24,11 @@
 //!
 //! The **compaction manifest** (`packed/WINDOW.consumed`) makes that
 //! deletion crash-safe. It names the raw segments folded into the
-//! packed store, fingerprinted by the store's FNV-1a hash:
+//! packed store, fingerprinted by the store's XXH64 hash:
 //!
 //! ```text
-//! MPCM 1
-//! packed <fnv1a64 of packed store bytes, 16 hex digits>
+//! MPCM 2
+//! packed <xxh64 of packed store bytes, 16 hex digits>
 //! <raw segment file name>
 //! ...
 //! ```
@@ -39,12 +39,16 @@
 //! folded in and must be skipped by queries and deleted — not
 //! re-merged — by the next compaction pass. A manifest whose hash
 //! does not match the current packed store describes a compaction
-//! that never completed and is ignored.
+//! that never completed and is ignored. An `MPCM 1` manifest, written
+//! by an older daemon, has the same lines keyed by the store's FNV-1a
+//! hash and is still checked with FNV-1a: ignoring it would turn the
+//! leftovers of that daemon's crash back into fresh segments and
+//! count their samples twice. Every manifest written now is `MPCM 2`.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use memprof_store::{fnv1a64, StoreError, StreamFile};
+use memprof_store::{fnv1a64, xxh64, StoreError, StreamFile};
 
 /// Window labels become directory components; reject anything that
 /// could escape the data directory or collide with tier suffixes.
@@ -82,20 +86,44 @@ pub(crate) fn write_durable(path: &Path, bytes: &[u8]) -> Result<(), StoreError>
     Ok(())
 }
 
+/// A whole-store fingerprint, tagged with the hash that took it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StoreHash {
+    /// [`xxh64`]: the `MPCM 2` manifests this daemon writes.
+    Xxh64(u64),
+    /// [`fnv1a64`]: an `MPCM 1` manifest left by an older daemon.
+    Fnv1a(u64),
+}
+
+impl StoreHash {
+    /// Do `bytes` hash to this fingerprint?
+    pub(crate) fn matches(self, bytes: &[u8]) -> bool {
+        match self {
+            StoreHash::Xxh64(h) => xxh64(bytes) == h,
+            StoreHash::Fnv1a(h) => fnv1a64(bytes) == h,
+        }
+    }
+}
+
 /// A window's compaction manifest: which raw segments the current
 /// packed store already contains (see the module docs for the crash
 /// protocol).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Manifest {
-    /// FNV-1a hash of the packed store the `consumed` list refers to.
-    pub packed_hash: u64,
+    /// Fingerprint of the packed store the `consumed` list refers to.
+    pub packed: StoreHash,
     /// File names (not paths) of the folded-in raw segments.
     pub consumed: Vec<String>,
 }
 
-/// Render a manifest into the MPCM text format.
+/// Render a manifest into the MPCM text format: `MPCM 2` for an
+/// XXH64 fingerprint, `MPCM 1` for FNV-1a.
 pub fn render_manifest(m: &Manifest) -> String {
-    let mut out = format!("MPCM 1\npacked {:016x}\n", m.packed_hash);
+    let (version, hash) = match m.packed {
+        StoreHash::Xxh64(h) => (2, h),
+        StoreHash::Fnv1a(h) => (1, h),
+    };
+    let mut out = format!("MPCM {version}\npacked {hash:016x}\n");
     for name in &m.consumed {
         out.push_str(name);
         out.push('\n');
@@ -103,25 +131,24 @@ pub fn render_manifest(m: &Manifest) -> String {
     out
 }
 
-/// Parse the MPCM text format; `None` on any damage (a damaged
-/// manifest is treated like a missing one — conservative, since the
-/// hash check is what authorizes skipping raw segments).
+/// Parse the MPCM text format, either version; `None` on any damage (a
+/// damaged manifest is treated like a missing one — conservative,
+/// since the hash check is what authorizes skipping raw segments).
 pub fn parse_manifest(text: &str) -> Option<Manifest> {
     let mut lines = text.lines();
-    if lines.next()? != "MPCM 1" {
-        return None;
-    }
+    let fingerprint = match lines.next()? {
+        "MPCM 2" => StoreHash::Xxh64,
+        "MPCM 1" => StoreHash::Fnv1a,
+        _ => return None,
+    };
     let hash_line = lines.next()?;
     let hex = hash_line.strip_prefix("packed ")?;
-    let packed_hash = u64::from_str_radix(hex, 16).ok()?;
+    let packed = fingerprint(u64::from_str_radix(hex, 16).ok()?);
     let consumed = lines
         .filter(|l| !l.is_empty())
         .map(str::to_string)
         .collect();
-    Some(Manifest {
-        packed_hash,
-        consumed,
-    })
+    Some(Manifest { packed, consumed })
 }
 
 /// A window's tier-0 contents, split by the compaction manifest.
@@ -261,8 +288,7 @@ impl StoreDirs {
         // window with raw segments, so the allocation churn of a
         // fresh read buffer per query is worth avoiding.
         let valid = memprof_store::pread::read_file_pooled(&self.packed_path(window))
-            .map(|bytes| fnv1a64(&bytes) == manifest.packed_hash)
-            .unwrap_or(false);
+            .is_ok_and(|bytes| manifest.packed.matches(&bytes));
         if !valid {
             return Ok(RawTier {
                 fresh: raws,
@@ -359,17 +385,30 @@ mod tests {
 
     #[test]
     fn manifests_round_trip() {
-        let m = Manifest {
-            packed_hash: 0xdead_beef_0123_4567,
-            consumed: vec!["0000000001-a.mpes".into(), "0000000002-b.mpes".into()],
-        };
-        assert_eq!(parse_manifest(&render_manifest(&m)), Some(m));
+        for packed in [
+            StoreHash::Xxh64(0xdead_beef_0123_4567),
+            StoreHash::Fnv1a(0x0123_4567_dead_beef),
+        ] {
+            let m = Manifest {
+                packed,
+                consumed: vec!["0000000001-a.mpes".into(), "0000000002-b.mpes".into()],
+            };
+            assert_eq!(parse_manifest(&render_manifest(&m)), Some(m));
+        }
         assert_eq!(parse_manifest(""), None);
-        assert_eq!(parse_manifest("MPCM 2\npacked 00\n"), None);
-        assert_eq!(parse_manifest("MPCM 1\nhash zz\n"), None);
-        assert_eq!(parse_manifest("MPCM 1\npacked zz\n"), None);
-        let empty = parse_manifest("MPCM 1\npacked 0000000000000000\n").unwrap();
+        assert_eq!(parse_manifest("MPCM 3\npacked 00\n"), None);
+        for version in [1, 2] {
+            assert_eq!(parse_manifest(&format!("MPCM {version}\nhash zz\n")), None);
+            assert_eq!(
+                parse_manifest(&format!("MPCM {version}\npacked zz\n")),
+                None
+            );
+        }
+        let empty = parse_manifest("MPCM 2\npacked 0000000000000000\n").unwrap();
         assert!(empty.consumed.is_empty());
+        let old = parse_manifest("MPCM 1\npacked 00000000000000ff\nx.mpes\n").unwrap();
+        assert_eq!(old.packed, StoreHash::Fnv1a(0xff));
+        assert_eq!(old.consumed, ["x.mpes"]);
     }
 
     #[test]
@@ -401,24 +440,27 @@ mod tests {
         let tier = dirs.live_raw_segments("w").unwrap();
         assert_eq!((tier.fresh.len(), tier.stale.len()), (1, 0));
 
-        // Manifest naming it with the right packed hash: stale.
-        let manifest = Manifest {
-            packed_hash: fnv1a64(b"packed bytes"),
-            consumed: vec!["0000000001-run.mpes".into()],
+        // Manifest naming it with the right packed hash: stale. An
+        // older daemon's MPCM 1 manifest is checked with FNV-1a.
+        let consumed = vec!["0000000001-run.mpes".to_string()];
+        let split = |packed: StoreHash| {
+            let manifest = Manifest {
+                packed,
+                consumed: consumed.clone(),
+            };
+            std::fs::write(dirs.manifest_path("w"), render_manifest(&manifest)).unwrap();
+            let tier = dirs.live_raw_segments("w").unwrap();
+            (tier.fresh.len(), tier.stale.len())
         };
-        std::fs::write(dirs.manifest_path("w"), render_manifest(&manifest)).unwrap();
-        let tier = dirs.live_raw_segments("w").unwrap();
-        assert_eq!((tier.fresh.len(), tier.stale.len()), (0, 1));
-        assert_eq!(tier.stale[0], raw);
+        assert_eq!(split(StoreHash::Xxh64(xxh64(b"packed bytes"))), (0, 1));
+        assert_eq!(split(StoreHash::Fnv1a(fnv1a64(b"packed bytes"))), (0, 1));
+        assert_eq!(dirs.live_raw_segments("w").unwrap().stale, [raw]);
 
-        // Wrong hash (interrupted compaction): fresh again.
-        let bad = Manifest {
-            packed_hash: 1,
-            ..manifest
-        };
-        std::fs::write(dirs.manifest_path("w"), render_manifest(&bad)).unwrap();
-        let tier = dirs.live_raw_segments("w").unwrap();
-        assert_eq!((tier.fresh.len(), tier.stale.len()), (1, 0));
+        // Wrong hash (interrupted compaction), or the right value under
+        // the other version's hash: fresh again.
+        assert_eq!(split(StoreHash::Xxh64(1)), (1, 0));
+        assert_eq!(split(StoreHash::Fnv1a(xxh64(b"packed bytes"))), (1, 0));
+        assert_eq!(split(StoreHash::Xxh64(fnv1a64(b"packed bytes"))), (1, 0));
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,31 +1,57 @@
-//! Tier-2 summary stores: a window's per-PC aggregate, persisted so
-//! queries over long histories never rescan raw events.
+//! Tier-2 summary stores: a window's per-PC aggregate and its symbol
+//! table, persisted so aggregate queries over long histories never
+//! rescan raw events or open the packed store.
 //!
 //! A summary is exactly a [`memprof_store::Aggregate`] — the column
 //! specs, per-column totals, and the PC → samples histogram — in a
-//! line-oriented text format. All values are `u64`, so the round trip
-//! is exact: rendering a reloaded summary is byte-identical to
-//! rendering the aggregate it was written from, which is what lets
-//! the query layer serve from tier 2 while staying byte-compatible
-//! with offline `mp-store` aggregation of the tier-1 store.
+//! line-oriented text format, followed by the packed store's
+//! `syms.txt` attachment verbatim. All values are `u64`, so the round
+//! trip is exact: rendering a reloaded summary is byte-identical to
+//! rendering the aggregate it was written from, and the table is the
+//! one the packed store carries. That is what lets `functions`,
+//! `stat` and `diff` answer from tier 2 alone while staying
+//! byte-compatible with offline `mp-store` over the tier-1 store.
 //!
 //! ```text
-//! MPSUM 1
+//! MPSUM 2
 //! column clock <period> <total>
 //! column hwc <event> <backtrack:0|1> <interval> <total>
 //! pc <pc> <samples>...
+//! syms none | syms <byte length>
+//! <the store's syms.txt, exactly that many bytes>
 //! ```
+//!
+//! The symbol section is mandatory and last, and its length must
+//! account for every remaining byte: a summary cut short anywhere, or
+//! a length that runs past the end, is an error naming the file —
+//! never an answer without symbols. An `MPSUM 1` file, left by an
+//! older daemon and carrying no symbol section, reads as a missing
+//! summary: queries take the packed-store fallback and the window's
+//! next compaction pass rewrites it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io::Read as _;
 use std::path::Path;
 
 use memprof_store::{Aggregate, ColSpec, StoreError};
 use simsparc_machine::CounterEvent;
 
-/// Render an aggregate into the summary text format.
-pub fn render_summary(agg: &Aggregate) -> String {
-    let mut out = String::from("MPSUM 1\n");
+/// The first line of every summary this build writes.
+const HEADER: &str = "MPSUM 2\n";
+
+/// A parsed tier-2 summary.
+pub struct Summary {
+    pub agg: Aggregate,
+    /// The packed store's `syms.txt` attachment, verbatim; `None` when
+    /// the store carries no table.
+    pub syms: Option<String>,
+}
+
+/// Render an aggregate and the store's symbol table text into the
+/// summary format.
+pub fn render_summary(agg: &Aggregate, syms: Option<&str>) -> String {
+    let mut out = String::from(HEADER);
     for (spec, total) in agg.columns.iter().zip(&agg.totals) {
         match spec {
             ColSpec::Clock { period } => {
@@ -53,6 +79,13 @@ pub fn render_summary(agg: &Aggregate) -> String {
         }
         out.push('\n');
     }
+    match syms {
+        Some(text) => {
+            writeln!(out, "syms {}", text.len()).unwrap();
+            out.push_str(text);
+        }
+        None => out.push_str("syms none\n"),
+    }
     out
 }
 
@@ -60,16 +93,20 @@ fn corrupt(why: &'static str) -> StoreError {
     StoreError::Corrupt(why)
 }
 
-/// Parse the summary text format back into an [`Aggregate`].
-pub fn parse_summary(text: &str) -> Result<Aggregate, StoreError> {
-    let mut lines = text.lines();
-    if lines.next() != Some("MPSUM 1") {
-        return Err(corrupt("summary missing MPSUM 1 header"));
-    }
+/// Parse the summary format back into an [`Aggregate`] and the symbol
+/// table text.
+pub fn parse_summary(text: &str) -> Result<Summary, StoreError> {
+    let mut rest = text
+        .strip_prefix(HEADER)
+        .ok_or(corrupt("summary missing MPSUM 2 header"))?;
     let mut columns: Vec<ColSpec> = Vec::new();
     let mut totals: Vec<u64> = Vec::new();
     let mut pc_samples: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    for line in lines {
+    loop {
+        let (line, tail) = rest
+            .split_once('\n')
+            .ok_or(corrupt("summary has no symbol section"))?;
+        rest = tail;
         let fields: Vec<&str> = line.split_whitespace().collect();
         match fields.first().copied() {
             Some("column") => {
@@ -122,28 +159,67 @@ pub fn parse_summary(text: &str) -> Result<Aggregate, StoreError> {
                     return Err(corrupt("duplicate pc line"));
                 }
             }
+            Some("syms") => {
+                let syms = match fields[1..] {
+                    ["none"] => None,
+                    [len] => {
+                        let len: usize = len
+                            .parse()
+                            .map_err(|_| corrupt("bad symbol table length"))?;
+                        if len > rest.len() || !rest.is_char_boundary(len) {
+                            return Err(corrupt("symbol table runs past the end of the summary"));
+                        }
+                        let (table, tail) = rest.split_at(len);
+                        rest = tail;
+                        Some(table.to_string())
+                    }
+                    _ => return Err(corrupt("malformed syms line")),
+                };
+                if !rest.is_empty() {
+                    return Err(corrupt("bytes after the summary's symbol table"));
+                }
+                let agg = Aggregate {
+                    columns,
+                    pc_samples,
+                    totals,
+                };
+                return Ok(Summary { agg, syms });
+            }
             None => {}
             _ => return Err(corrupt("unknown summary line")),
         }
     }
-    Ok(Aggregate {
-        columns,
-        pc_samples,
-        totals,
-    })
 }
 
 /// Write a window summary to disk (durably: temp file + fsync +
 /// rename, like every tier write — compaction deletes raw segments
 /// on the strength of the tiers it wrote).
-pub fn write_summary(path: &Path, agg: &Aggregate) -> Result<(), StoreError> {
-    crate::store::write_durable(path, render_summary(agg).as_bytes())
+pub fn write_summary(path: &Path, agg: &Aggregate, syms: Option<&str>) -> Result<(), StoreError> {
+    crate::store::write_durable(path, render_summary(agg, syms).as_bytes())
 }
 
-/// Load a window summary from disk.
-pub fn read_summary(path: &Path) -> Result<Aggregate, StoreError> {
-    let text = std::fs::read_to_string(path).map_err(|e| StoreError::Io(e).at(path))?;
-    parse_summary(&text).map_err(|e| e.at(path))
+/// Load a window summary from disk. `Ok(None)` when there is none to
+/// serve: no file, or an `MPSUM 1` file from an older daemon.
+pub fn read_summary(path: &Path) -> Result<Option<Summary>, StoreError> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(StoreError::Io(e).at(path)),
+    };
+    if text.lines().next() == Some("MPSUM 1") {
+        return Ok(None);
+    }
+    parse_summary(&text).map(Some).map_err(|e| e.at(path))
+}
+
+/// Does `path` hold a summary in this build's format? Reads only the
+/// header: compaction uses it to regenerate a missing or `MPSUM 1`
+/// summary on a window with nothing else to do.
+pub(crate) fn summary_is_current(path: &Path) -> bool {
+    let mut head = [0u8; HEADER.len()];
+    std::fs::File::open(path)
+        .and_then(|mut f| f.read_exact(&mut head))
+        .is_ok_and(|()| head == *HEADER.as_bytes())
 }
 
 #[cfg(test)]
@@ -169,29 +245,93 @@ mod tests {
         }
     }
 
+    /// A `syms.txt` body whose lines look like summary lines, so a
+    /// parser that reads the table as lines would misparse it.
+    const TABLE: &str = "simsparc-syms text_base=0x10000\npc 16 1\nsyms none\n";
+
     #[test]
     fn summary_round_trips_exactly() {
         let agg = sample_aggregate();
-        let text = render_summary(&agg);
-        let back = parse_summary(&text).unwrap();
-        assert_eq!(back.columns, agg.columns);
-        assert_eq!(back.pc_samples, agg.pc_samples);
-        assert_eq!(back.totals, agg.totals);
-        // Rendering the reload is byte-identical — the tier-2 parity
-        // guarantee.
-        assert_eq!(back.render(), agg.render());
-        assert_eq!(render_summary(&back), text);
+        for syms in [None, Some(TABLE), Some("")] {
+            let text = render_summary(&agg, syms);
+            let back = parse_summary(&text).unwrap();
+            assert_eq!(back.agg.columns, agg.columns);
+            assert_eq!(back.agg.pc_samples, agg.pc_samples);
+            assert_eq!(back.agg.totals, agg.totals);
+            assert_eq!(back.syms.as_deref(), syms);
+            // Rendering the reload is byte-identical — the tier-2
+            // parity guarantee.
+            assert_eq!(back.agg.render(), agg.render());
+            assert_eq!(render_summary(&back.agg, back.syms.as_deref()), text);
+        }
     }
 
     #[test]
     fn damaged_summaries_error_cleanly() {
         assert!(parse_summary("").is_err());
-        assert!(parse_summary("MPSUM 2\n").is_err());
-        assert!(parse_summary("MPSUM 1\ncolumn warp 1 2\n").is_err());
-        assert!(parse_summary("MPSUM 1\ncolumn clock 5 x\n").is_err());
-        assert!(parse_summary("MPSUM 1\ncolumn clock 5 1\npc 16 1 2\n").is_err());
-        assert!(parse_summary("MPSUM 1\npc banana 1\n").is_err());
-        let dup = "MPSUM 1\ncolumn clock 5 2\npc 16 1\npc 16 1\n";
+        assert!(parse_summary("MPSUM 3\nsyms none\n").is_err());
+        assert!(parse_summary("MPSUM 1\nsyms none\n").is_err());
+        assert!(parse_summary("MPSUM 2\ncolumn warp 1 2\nsyms none\n").is_err());
+        assert!(parse_summary("MPSUM 2\ncolumn clock 5 x\nsyms none\n").is_err());
+        assert!(parse_summary("MPSUM 2\ncolumn clock 5 1\npc 16 1 2\nsyms none\n").is_err());
+        assert!(parse_summary("MPSUM 2\npc banana 1\nsyms none\n").is_err());
+        let dup = "MPSUM 2\ncolumn clock 5 2\npc 16 1\npc 16 1\nsyms none\n";
         assert!(parse_summary(dup).is_err());
+    }
+
+    /// The symbol section ends every summary, so damage there or a cut
+    /// anywhere is an error, never a summary without its table.
+    #[test]
+    fn damaged_symbol_sections_error_cleanly() {
+        let whole = render_summary(&sample_aggregate(), Some(TABLE));
+        assert!(parse_summary(&whole).is_ok());
+        for cut in 0..whole.len() {
+            assert!(parse_summary(&whole[..cut]).is_err(), "cut at {cut}");
+        }
+        let body = "MPSUM 2\ncolumn clock 5 1\npc 16 1\n";
+        for section in [
+            "syms 100\nshort\n",
+            "syms 3\nlonger\n",
+            "syms\n",
+            "syms none extra\n",
+            "syms -1\n",
+            "syms 99999999999999999999999\n",
+            "syms none\npc 17 1\n",
+        ] {
+            let text = format!("{body}{section}");
+            assert!(parse_summary(&text).is_err(), "{section:?}");
+        }
+    }
+
+    #[test]
+    fn older_and_missing_summaries_read_as_none() {
+        let dir = std::env::temp_dir().join(format!(
+            "memprof_serve_summary_{}_{:?}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("w.sum");
+        assert!(read_summary(&path).unwrap().is_none());
+        assert!(!summary_is_current(&path));
+
+        std::fs::write(&path, "MPSUM 1\ncolumn clock 5 1\npc 16 1\n").unwrap();
+        assert!(read_summary(&path).unwrap().is_none());
+        assert!(!summary_is_current(&path));
+
+        write_summary(&path, &sample_aggregate(), None).unwrap();
+        assert!(summary_is_current(&path));
+        let back = read_summary(&path).unwrap().unwrap();
+        assert_eq!(back.agg.totals, sample_aggregate().totals);
+        assert_eq!(back.syms, None);
+
+        std::fs::write(&path, "MPSUM 2\ncolumn clock 5 1\n").unwrap();
+        let err = read_summary(&path).err().unwrap().to_string();
+        assert!(err.contains("w.sum"), "{err}");
+
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

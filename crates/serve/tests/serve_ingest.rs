@@ -22,7 +22,8 @@ use memprof_serve::{
     WindowRegistry,
 };
 use memprof_store::{
-    collect_attachments, merge_experiments, pack_experiment, ExperimentRef, StreamFile,
+    collect_attachments, fnv1a64, merge_experiments, pack_experiment, xxh64, ExperimentRef,
+    StreamFile,
 };
 
 mod common;
@@ -836,17 +837,23 @@ fn cached_views_follow_a_store_replaced_on_disk() {
     disk.shutdown();
 }
 
-/// A corrupt packed store under a still-valid summary must fail the
-/// `functions` query rather than silently drop its per-function
-/// section.
+/// `functions` on a compacted window answers from the summary alone,
+/// which carries the packed store's symbol table. So a store damaged
+/// under an intact summary leaves that answer as it was, as it leaves
+/// `stat`'s — while every reader of the store itself still refuses it:
+/// the analyzer views and the next compaction fail naming the store.
 #[test]
-fn functions_on_a_corrupt_packed_store_is_an_error() {
+fn functions_on_a_corrupt_packed_store_answers_from_the_summary() {
     let data = scratch("corrupt_syms");
     let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
     let addr = server.addr().to_string();
     land(&server, "run", 1);
     serve::query(&addr, "compact").unwrap();
-    assert!(serve::query(&addr, "functions w1").is_ok());
+    let functions = serve::query(&addr, "functions w1").unwrap();
+    assert!(
+        functions.contains("\"func\""),
+        "no per-function rows: {functions}"
+    );
 
     let dirs = StoreDirs::create(&data).unwrap();
     let packed = dirs.packed_path("w1");
@@ -856,12 +863,136 @@ fn functions_on_a_corrupt_packed_store_is_an_error() {
     std::fs::write(&packed, &bytes).unwrap();
     assert!(dirs.summary_path("w1").exists());
 
-    let err = serve::query(&addr, "functions w1").unwrap_err();
+    assert_eq!(serve::query(&addr, "functions w1").unwrap(), functions);
+    let err = serve::query(&addr, "objects w1").unwrap_err();
+    assert!(err.to_string().contains("w1.mps"), "objects: {err}");
+    land(&server, "second", 2);
+    let report = serve::query(&addr, "compact").unwrap();
     assert!(
-        err.to_string().contains("w1.mps"),
-        "error lacks path: {err}"
+        report.contains("compact w1 failed: ") && report.contains("w1.mps"),
+        "{report}"
+    );
+    assert_eq!(std::fs::read(&packed).unwrap(), bytes);
+
+    server.shutdown();
+}
+
+/// The summary's symbol section is as much a part of the `functions`
+/// answer as its counts: damage there fails the query naming the
+/// summary, never answers without the per-function section.
+#[test]
+fn a_damaged_summary_symbol_table_fails_functions() {
+    let data = scratch("damaged_summary_syms");
+    let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    land(&server, "run", 1);
+    serve::query(&addr, "compact").unwrap();
+    let functions = serve::query(&addr, "functions w1").unwrap();
+
+    let dirs = StoreDirs::create(&data).unwrap();
+    let path = dirs.summary_path("w1");
+    let whole = std::fs::read_to_string(&path).unwrap();
+    assert!(whole.ends_with(SYMS), "summary does not end with the table");
+    let at = whole.rfind("\nsyms ").unwrap() + 1;
+    let (body, table) = (&whole[..at], &whole[at..]);
+    let (_, text) = table.split_once('\n').unwrap();
+    let len = text.len();
+    let garbled = "not a symbol table\n";
+    for damaged in [
+        // A length past the end of the file.
+        format!("{body}syms {}\n{text}", len + 1),
+        // A table cut short.
+        whole[..whole.len() - 10].to_string(),
+        // Framing intact, table unreadable.
+        format!("{body}syms {}\n{garbled}", garbled.len()),
+    ] {
+        std::fs::write(&path, &damaged).unwrap();
+        let err = serve::query(&addr, "functions w1").unwrap_err().to_string();
+        assert!(err.contains("w1.sum"), "{damaged:?}: {err}");
+    }
+
+    std::fs::write(&path, &whole).unwrap();
+    assert_eq!(serve::query(&addr, "functions w1").unwrap(), functions);
+    server.shutdown();
+}
+
+/// A data directory left by an older daemon, which keyed `MPCM 1`
+/// manifests by the packed store's FNV-1a and wrote `MPSUM 1`
+/// summaries without a symbol section — here in the state a crash
+/// after its compaction's commit point leaves. A restarted daemon must
+/// still honour the manifest (the leftover is already in the packed
+/// store), answer exactly as before, and upgrade both files as it
+/// compacts.
+#[test]
+fn an_older_daemons_manifest_and_summary_are_honoured_and_upgraded() {
+    const QUERIES: [&str; 3] = ["stat w1", "functions w1", "objects w1"];
+    let data = scratch("upgrade");
+    let dirs = StoreDirs::create(&data).unwrap();
+    let answers = |addr: &str| -> Vec<String> {
+        QUERIES
+            .iter()
+            .map(|q| serve::query(addr, q).unwrap())
+            .collect()
+    };
+
+    let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
+    let mut sink = SocketSink::connect(&server.addr().to_string(), "first", "w1").unwrap();
+    sink.attach("syms.txt", SYMS);
+    drive(&mut sink, 1, 2);
+    let raw_path = dirs.raw_path("w1", sink.session());
+    let raw_bytes = std::fs::read(&raw_path).unwrap();
+    serve::query(&server.addr().to_string(), "compact").unwrap();
+    let before = answers(&server.addr().to_string());
+    server.shutdown();
+
+    // The older daemon's files, then the leftover its crash left.
+    let packed = std::fs::read(dirs.packed_path("w1")).unwrap();
+    let name = raw_path.file_name().unwrap().to_string_lossy();
+    let old_manifest = format!("MPCM 1\npacked {:016x}\n{name}\n", fnv1a64(&packed));
+    std::fs::write(dirs.manifest_path("w1"), old_manifest).unwrap();
+    let summary = std::fs::read_to_string(dirs.summary_path("w1")).unwrap();
+    let body = &summary[..summary.rfind("\nsyms ").unwrap() + 1];
+    let old_summary = body.replacen("MPSUM 2\n", "MPSUM 1\n", 1);
+    std::fs::write(dirs.summary_path("w1"), &old_summary).unwrap();
+    std::fs::write(&raw_path, &raw_bytes).unwrap();
+
+    let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    assert_eq!(answers(&addr), before, "leftover counted twice");
+
+    let report = serve::query(&addr, "compact").unwrap();
+    assert!(report.contains("nothing to compact"), "{report}");
+    assert!(!raw_path.exists(), "stale leftover survived compaction");
+    assert_eq!(std::fs::read(dirs.packed_path("w1")).unwrap(), packed);
+    assert_eq!(
+        std::fs::read_to_string(dirs.summary_path("w1")).unwrap(),
+        summary
+    );
+    assert_eq!(answers(&addr), before);
+
+    // An `MPSUM 1` summary with no leftover beside it reads as missing,
+    // and the next pass with nothing to fold rewrites it.
+    std::fs::write(dirs.summary_path("w1"), &old_summary).unwrap();
+    assert_eq!(answers(&addr), before);
+    serve::query(&addr, "compact").unwrap();
+    assert_eq!(
+        std::fs::read_to_string(dirs.summary_path("w1")).unwrap(),
+        summary
     );
 
+    // A pass that folds fresh data writes an `MPCM 2` manifest, keyed
+    // by the new store's XXH64.
+    land(&server, "second", 2);
+    serve::query(&addr, "compact").unwrap();
+    let manifest = std::fs::read_to_string(dirs.manifest_path("w1")).unwrap();
+    let packed = std::fs::read(dirs.packed_path("w1")).unwrap();
+    assert!(
+        manifest.starts_with(&format!("MPCM 2\npacked {:016x}\n", xxh64(&packed))),
+        "{manifest}"
+    );
+    assert!(std::fs::read_to_string(dirs.summary_path("w1"))
+        .unwrap()
+        .starts_with("MPSUM 2\n"));
     server.shutdown();
 }
 

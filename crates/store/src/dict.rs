@@ -1,4 +1,4 @@
-//! The merge pipeline: parallel input decode, allocation-free fold.
+//! The merge pipeline: parallel input decode, in-place fold.
 //!
 //! An earlier revision of this module folded every input through a
 //! *shared* callstack dictionary: text inputs interned each decoded
@@ -20,11 +20,14 @@
 //!   their chunks against their own intern table, text directories
 //!   parse) — this is where every
 //!   per-event allocation happens, and it scales with cores;
-//! * **fold** ([`merge_inputs`]): the decoded inputs are *moved* into
-//!   the merged experiment — event vectors append by memmove, stacks
-//!   travel as already-owned `Vec`s, and only the run summaries and
-//!   logs are actually computed. The serial tail of the merge is
-//!   O(inputs), not O(events).
+//! * **fold** ([`merge_inputs`]): the merged experiment grows the
+//!   *first* input's event vectors in place — reserved once for every
+//!   later input, which then appends by memmove — so no third
+//!   full-size vector is allocated beside the inputs. Stacks travel as
+//!   already-owned `Vec`s, and only the run summaries and logs are
+//!   actually computed. The serial tail of the merge is one
+//!   reallocation of the first input's vectors plus a memmove per
+//!   later input.
 //!
 //! The output is byte-identical to the load-everything-then-
 //! [`crate::merge_loaded`] path, which the tests pin, and a caller
@@ -77,28 +80,31 @@ pub(crate) fn load_inputs(
 /// event vectors concatenate in input order, run summaries and
 /// ground-truth counts sum, and the logs concatenate under
 /// `merged from` markers — replicating [`crate::merge_loaded`]
-/// exactly, without cloning a single event.
-pub(crate) fn merge_inputs(inputs: Vec<Experiment>) -> Result<Experiment, StoreError> {
-    let first = inputs
-        .first()
+/// exactly, without cloning a single event. The merged event vectors
+/// are the first input's, grown in place.
+pub(crate) fn merge_inputs(mut inputs: Vec<Experiment>) -> Result<Experiment, StoreError> {
+    let (first, rest) = inputs
+        .split_first_mut()
         .ok_or(StoreError::Incompatible("nothing to merge".to_string()))?;
-    for other in &inputs[1..] {
+    for other in rest.iter() {
         check_compatible(first, other)?;
     }
+    let mut hwc_events = std::mem::take(&mut first.hwc_events);
+    hwc_events.reserve_exact(rest.iter().map(|e| e.hwc_events.len()).sum());
+    let mut clock_events = std::mem::take(&mut first.clock_events);
+    clock_events.reserve_exact(rest.iter().map(|e| e.clock_events.len()).sum());
     let mut merged = Experiment {
         counters: first.counters.clone(),
         clock_period: first.clock_period,
+        hwc_events,
+        clock_events,
         ..Experiment::default()
     };
     merged.run.clock_hz = first.run.clock_hz;
     merged.run.exit_code = first.run.exit_code;
     merged.run.dropped = vec![0; first.counters.len()];
-    merged
-        .hwc_events
-        .reserve(inputs.iter().map(|e| e.hwc_events.len()).sum());
-    merged
-        .clock_events
-        .reserve(inputs.iter().map(|e| e.clock_events.len()).sum());
+    // The first input's events are already in place: its vectors are
+    // empty now, so the loop appends only the later inputs'.
     for (i, mut exp) in inputs.into_iter().enumerate() {
         merged.hwc_events.append(&mut exp.hwc_events);
         merged.clock_events.append(&mut exp.clock_events);

@@ -88,10 +88,95 @@ fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a 64-bit hash: the chunk checksum's function, and the serve
-/// crate's fingerprint of whole packed stores in compaction manifests.
+/// FNV-1a 64-bit hash: the chunk checksum's function. The serve crate
+/// also reads it back from compaction manifests written before whole
+/// stores were fingerprinted with [`xxh64`].
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv_fold(FNV_OFFSET, bytes)
+}
+
+const XXH_P1: u64 = 0x9e37_79b1_85eb_ca87;
+const XXH_P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const XXH_P3: u64 = 0x1656_67b1_9e37_79f9;
+const XXH_P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const XXH_P5: u64 = 0x27d4_eb2f_1656_67c5;
+
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
+}
+
+fn xxh_merge(acc: u64, lane: u64) -> u64 {
+    (acc ^ xxh_round(0, lane))
+        .wrapping_mul(XXH_P1)
+        .wrapping_add(XXH_P4)
+}
+
+/// The little-endian `u64` in the first 8 bytes of `bytes`.
+fn le_u64(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&bytes[..8]);
+    u64::from_le_bytes(word)
+}
+
+/// XXH64 with seed 0: the serve crate's fingerprint of whole packed
+/// stores (its compaction cache and manifests). It reads 32-byte
+/// stripes through four independent lanes, about ten times the speed
+/// of the byte-at-a-time [`fnv1a64`]. Like FNV-1a it detects damage,
+/// not a deliberate collision.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [
+            XXH_P1.wrapping_add(XXH_P2),
+            XXH_P2,
+            0,
+            XXH_P1.wrapping_neg(),
+        ];
+        for s in &mut stripes {
+            v[0] = xxh_round(v[0], le_u64(&s[0..]));
+            v[1] = xxh_round(v[1], le_u64(&s[8..]));
+            v[2] = xxh_round(v[2], le_u64(&s[16..]));
+            v[3] = xxh_round(v[3], le_u64(&s[24..]));
+        }
+        let h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.into_iter().fold(h, xxh_merge)
+    } else {
+        XXH_P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for w in &mut words {
+        h = (h ^ xxh_round(0, le_u64(w)))
+            .rotate_left(27)
+            .wrapping_mul(XXH_P1)
+            .wrapping_add(XXH_P4);
+    }
+    let mut tail = words.remainder();
+    if tail.len() >= 4 {
+        let mut word = [0u8; 4];
+        word.copy_from_slice(&tail[..4]);
+        h = (h ^ u64::from(u32::from_le_bytes(word)).wrapping_mul(XXH_P1))
+            .rotate_left(23)
+            .wrapping_mul(XXH_P2)
+            .wrapping_add(XXH_P3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(XXH_P5))
+            .rotate_left(11)
+            .wrapping_mul(XXH_P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_P3);
+    h ^ (h >> 32)
 }
 
 /// FNV-1a 64 over `kind || len_le || payload`.
@@ -450,4 +535,42 @@ pub fn unpack_to_dir(file: &Path, dir: &Path) -> Result<(), StoreError> {
         std::fs::write(dir.join(name), contents)?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::xxh64;
+
+    #[test]
+    fn xxh64_matches_published_seed_zero_values() {
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
+        );
+    }
+
+    #[test]
+    fn xxh64_changes_with_every_single_bit_flip() {
+        let mut buf: Vec<u8> = (0..1024u32).map(|i| (i * 131 + 7) as u8).collect();
+        let base = xxh64(&buf);
+        for bit in 0..buf.len() * 8 {
+            buf[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(xxh64(&buf), base, "flipping bit {bit} kept the hash");
+            buf[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    /// Lengths 0..=100 cover the short-input path, whole 32-byte
+    /// stripes, and every 8-, 4- and 1-byte tail after them.
+    #[test]
+    fn xxh64_prefixes_hash_to_distinct_values() {
+        let pattern: Vec<u8> = (0..100u32).map(|i| (i * 37 % 251) as u8).collect();
+        let mut seen = std::collections::HashSet::new();
+        for len in 0..=pattern.len() {
+            assert!(seen.insert(xxh64(&pattern[..len])), "prefix {len} collided");
+        }
+    }
 }

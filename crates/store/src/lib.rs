@@ -41,7 +41,7 @@ pub use aggregate::{
     aggregate, aggregate_exact, aggregate_streams, diff_aggregates, AggDiff, Aggregate, ColSpec,
     DiffRow,
 };
-pub use format::{fnv1a64, pack_dir, pack_experiment, unpack_to_dir, ATTACHMENT_FILES};
+pub use format::{fnv1a64, pack_dir, pack_experiment, unpack_to_dir, xxh64, ATTACHMENT_FILES};
 pub use stream::EventStream;
 pub use writer::{validate_stream_prefix, SegmentWriter, StreamFile};
 
@@ -175,7 +175,7 @@ impl ExperimentRef {
             ExperimentRef::TextDir(dir) => {
                 let path = dir.join("syms.txt");
                 match std::fs::read_to_string(&path) {
-                    Ok(text) => parse_syms(&text).map(Some).path_context(&path),
+                    Ok(text) => parse_syms(&text, &path).map(Some),
                     Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
                     Err(e) => Err(StoreError::Io(e).at(&path)),
                 }
@@ -191,9 +191,21 @@ impl ExperimentRef {
     }
 }
 
-/// Parse a `syms.txt` body (see [`minic::SymbolTable::parse`]).
-fn parse_syms(text: &str) -> Result<minic::SymbolTable, StoreError> {
-    minic::SymbolTable::parse(text).map_err(StoreError::Io)
+/// Parse a `syms.txt` body (see [`minic::SymbolTable::parse`]);
+/// `path` names the file it came from in an error.
+pub fn parse_syms(text: &str, path: &Path) -> Result<minic::SymbolTable, StoreError> {
+    minic::SymbolTable::parse(text)
+        .map_err(StoreError::Io)
+        .path_context(path)
+}
+
+/// The `syms.txt` text among a packed store's attachments, if it
+/// carries one.
+pub fn syms_attachment(attachments: &[(String, String)]) -> Option<&str> {
+    attachments
+        .iter()
+        .find(|(name, _)| name == "syms.txt")
+        .map(|(_, text)| text.as_str())
 }
 
 /// The symbol table among a packed store's attachments (`syms.txt`),
@@ -202,10 +214,8 @@ pub fn attached_syms(
     attachments: &[(String, String)],
     path: &Path,
 ) -> Result<Option<minic::SymbolTable>, StoreError> {
-    attachments
-        .iter()
-        .find(|(name, _)| name == "syms.txt")
-        .map(|(_, text)| parse_syms(text).path_context(path))
+    syms_attachment(attachments)
+        .map(|text| parse_syms(text, path))
         .transpose()
 }
 
