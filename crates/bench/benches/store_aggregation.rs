@@ -12,7 +12,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use memprof_core::{ClockEvent, CounterRequest, Experiment, HwcEvent, RunInfo};
+use memprof_core::{
+    CallstackTable, CounterRequest, Experiment, PackedClockEvent, PackedHwcEvent, RunInfo,
+};
 use memprof_store::aggregate;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use simsparc_machine::CounterEvent;
@@ -34,17 +36,18 @@ fn synthetic_experiment(seed: u64, n_events: usize) -> Experiment {
             0x1_0000 + 4 * rng.random_range(0..12_000u64)
         }
     };
+    let mut stacks = CallstackTable::new();
     let hwc_events = (0..n_events)
         .map(|_| {
             let delivered = pc(&mut rng);
-            HwcEvent {
+            PackedHwcEvent {
                 counter: rng.random_range(0..2usize),
                 delivered_pc: delivered,
                 candidate_pc: rng.random_bool(0.9).then(|| delivered.saturating_sub(8)),
                 ea: rng
                     .random_bool(0.7)
                     .then(|| 0x4000_0000 + rng.random_range(0..1u64 << 24)),
-                callstack: vec![0x1_0000, delivered],
+                stack: stacks.intern(&[0x1_0000, delivered]),
                 truth_trigger_pc: delivered.saturating_sub(8),
                 truth_ea: rng
                     .random_bool(0.7)
@@ -54,9 +57,9 @@ fn synthetic_experiment(seed: u64, n_events: usize) -> Experiment {
         })
         .collect();
     let clock_events = (0..n_events / 4)
-        .map(|_| ClockEvent {
+        .map(|_| PackedClockEvent {
             pc: pc(&mut rng),
-            callstack: vec![0x1_0000],
+            stack: stacks.intern(&[0x1_0000]),
         })
         .collect();
     Experiment {
@@ -73,6 +76,7 @@ fn synthetic_experiment(seed: u64, n_events: usize) -> Experiment {
             },
         ],
         clock_period: Some(20011),
+        stacks: stacks.into_stacks(),
         hwc_events,
         clock_events,
         run: RunInfo {

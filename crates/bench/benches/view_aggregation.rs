@@ -16,8 +16,8 @@ use std::hint::black_box;
 
 use memprof_core::batch::ByPc;
 use memprof_core::{
-    aggregate_by, fill_clock_pc_rows, fill_hwc_pc_rows, ClockEvent, CounterRequest, EventBatch,
-    Experiment, HwcEvent, RunInfo,
+    aggregate_by, fill_clock_pc_rows, fill_hwc_pc_rows, CallstackTable, CounterRequest, EventBatch,
+    Experiment, PackedClockEvent, PackedHwcEvent, RunInfo,
 };
 use memprof_store::merge_loaded;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -36,17 +36,18 @@ fn synthetic_experiment(seed: u64, n_events: usize) -> Experiment {
             0x1_0000 + 4 * rng.random_range(0..12_000u64)
         }
     };
+    let mut stacks = CallstackTable::new();
     let hwc_events = (0..n_events)
         .map(|_| {
             let delivered = pc(&mut rng);
-            HwcEvent {
+            PackedHwcEvent {
                 counter: rng.random_range(0..2usize),
                 delivered_pc: delivered,
                 candidate_pc: rng.random_bool(0.9).then(|| delivered.saturating_sub(8)),
                 ea: rng
                     .random_bool(0.7)
                     .then(|| 0x4000_0000 + rng.random_range(0..1u64 << 24)),
-                callstack: vec![0x1_0000, delivered],
+                stack: stacks.intern(&[0x1_0000, delivered]),
                 truth_trigger_pc: delivered.saturating_sub(8),
                 truth_ea: rng
                     .random_bool(0.7)
@@ -56,9 +57,9 @@ fn synthetic_experiment(seed: u64, n_events: usize) -> Experiment {
         })
         .collect();
     let clock_events = (0..n_events / 4)
-        .map(|_| ClockEvent {
+        .map(|_| PackedClockEvent {
             pc: pc(&mut rng),
-            callstack: vec![0x1_0000],
+            stack: stacks.intern(&[0x1_0000]),
         })
         .collect();
     Experiment {
@@ -75,6 +76,7 @@ fn synthetic_experiment(seed: u64, n_events: usize) -> Experiment {
             },
         ],
         clock_period: Some(20011),
+        stacks: stacks.into_stacks(),
         hwc_events,
         clock_events,
         run: RunInfo {
@@ -101,12 +103,7 @@ fn bench_view_aggregation(c: &mut Criterion) {
     // counters) — the columns a per-PC fold reads.
     let mut batch = EventBatch::new(3);
     fill_clock_pc_rows(&mut batch, 0, &merged.clock_events);
-    assert!(fill_hwc_pc_rows(
-        &mut batch,
-        &merged.counters,
-        &[1, 2],
-        &merged.hwc_events
-    ));
+    fill_hwc_pc_rows(&mut batch, &merged.counters, &[1, 2], &merged.hwc_events);
 
     let serial = aggregate_by(&batch, &ByPc, 1);
     for shards in [2usize, 4, 8] {

@@ -223,6 +223,19 @@ impl Analysis<'_> {
         out
     }
 
+    /// The callstack of batch row `i`, looked up in its experiment's
+    /// stack table.
+    fn stack_of(&self, b: &EventBatch, i: usize) -> &[u64] {
+        let (xi, ei, is_clock) = b.src_of(i);
+        let exp = self.experiments[xi];
+        let id = if is_clock {
+            exp.clock_events[ei].stack
+        } else {
+            exp.hwc_events[ei].stack
+        };
+        &exp.stacks[id as usize]
+    }
+
     /// Callers of `func`: which functions the profiled events in
     /// `func` were called from, with sample counts.
     ///
@@ -234,12 +247,7 @@ impl Analysis<'_> {
             if leaf.name != func {
                 return None;
             }
-            let (xi, ei, is_clock) = b.src_of(i);
-            let stack = if is_clock {
-                &self.experiments[xi].clock_events[ei].callstack
-            } else {
-                &self.experiments[xi].hwc_events[ei].callstack
-            };
+            let stack = self.stack_of(b, i);
             let caller = stack
                 .last()
                 .and_then(|&pc| self.syms.func_at(pc))
@@ -266,12 +274,7 @@ impl Analysis<'_> {
     /// §2.3 callers/callees view.
     pub fn callees_of(&self, func: &str) -> Vec<FunctionRow> {
         let map = self.kernel(&|b: &EventBatch, i: usize| {
-            let (xi, ei, is_clock) = b.src_of(i);
-            let stack = if is_clock {
-                &self.experiments[xi].clock_events[ei].callstack
-            } else {
-                &self.experiments[xi].hwc_events[ei].callstack
-            };
+            let stack = self.stack_of(b, i);
             // Find `func` as the innermost matching frame.
             let pos = stack
                 .iter()
@@ -342,12 +345,7 @@ impl Analysis<'_> {
         let b = &self.batch;
         let mut out = vec![0u64; self.columns.len()];
         for i in 0..b.len() {
-            let (xi, ei, is_clock) = b.src_of(i);
-            let stack = if is_clock {
-                &self.experiments[xi].clock_events[ei].callstack
-            } else {
-                &self.experiments[xi].hwc_events[ei].callstack
-            };
+            let stack = self.stack_of(b, i);
             let leaf_is = self.syms.func_at(b.pc[i]).is_some_and(|f| f.name == func);
             let on_stack = stack
                 .iter()

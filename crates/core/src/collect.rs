@@ -31,7 +31,7 @@ use simsparc_machine::{
 };
 
 use crate::counters::{assign_slots, CounterRequest, CounterSpecError};
-use crate::experiment::{ClockEvent, Experiment, HwcEvent, RunInfo};
+use crate::experiment::{Experiment, RunInfo};
 use crate::stream::{
     CallstackTable, CollectSink, PackedClockEvent, PackedHwcEvent, StreamConfig, StreamStats,
     EST_CYCLES_PER_SAMPLE,
@@ -434,7 +434,7 @@ impl ProfileHook for CollectorHook<'_> {
         };
         let stack = self.stacks.intern(cpu.callstack());
         self.hwc.push(PackedHwcEvent {
-            counter: ci as u32,
+            counter: ci,
             delivered_pc: trap.delivered_pc,
             candidate_pc,
             ea,
@@ -565,34 +565,14 @@ pub fn collect(machine: &mut Machine, config: &CollectConfig) -> Result<Experime
     let stats = hook.stats(&dropped, outcome.counts.cycles, 0);
     push_report(&mut log, outcome.counts.cycles, &stats, false);
 
-    // Rehydrate the interned stacks into the in-memory event form.
-    let hwc_events = hook
-        .hwc
-        .iter()
-        .map(|e| HwcEvent {
-            counter: e.counter as usize,
-            delivered_pc: e.delivered_pc,
-            candidate_pc: e.candidate_pc,
-            ea: e.ea,
-            callstack: hook.stacks.resolve(e.stack).to_vec(),
-            truth_trigger_pc: e.truth_trigger_pc,
-            truth_ea: e.truth_ea,
-            truth_skid: e.truth_skid,
-        })
-        .collect();
-    let clock_events = hook
-        .clock
-        .iter()
-        .map(|e| ClockEvent {
-            pc: e.pc,
-            callstack: hook.stacks.resolve(e.stack).to_vec(),
-        })
-        .collect();
+    // With no sink nothing spilled: the hook's table and buffers are
+    // the whole experiment.
     Ok(Experiment {
         counters: config.counters.clone(),
         clock_period: config.clock_profiling.then_some(config.clock_period_cycles),
-        hwc_events,
-        clock_events,
+        stacks: hook.stacks.into_stacks(),
+        hwc_events: hook.hwc,
+        clock_events: hook.clock,
         run: RunInfo {
             exit_code: outcome.exit_code,
             output: outcome.output,
@@ -986,32 +966,11 @@ mod tests {
         assert!(stats.bytes_written > 0);
         assert_eq!(sink.run.as_ref().unwrap(), &exp.run);
 
-        // Rehydrating the sink's interned events reproduces the
-        // in-memory experiment exactly.
-        let rehydrated: Vec<HwcEvent> = sink
-            .hwc
-            .iter()
-            .map(|e| HwcEvent {
-                counter: e.counter as usize,
-                delivered_pc: e.delivered_pc,
-                candidate_pc: e.candidate_pc,
-                ea: e.ea,
-                callstack: sink.stacks[e.stack as usize].clone(),
-                truth_trigger_pc: e.truth_trigger_pc,
-                truth_ea: e.truth_ea,
-                truth_skid: e.truth_skid,
-            })
-            .collect();
-        assert_eq!(rehydrated, exp.hwc_events);
-        let clocks: Vec<ClockEvent> = sink
-            .clock
-            .iter()
-            .map(|e| ClockEvent {
-                pc: e.pc,
-                callstack: sink.stacks[e.stack as usize].clone(),
-            })
-            .collect();
-        assert_eq!(clocks, exp.clock_events);
+        // The sink's table and events are the in-memory experiment's,
+        // id for id.
+        assert_eq!(sink.stacks, exp.stacks);
+        assert_eq!(sink.hwc, exp.hwc_events);
+        assert_eq!(sink.clock, exp.clock_events);
 
         // Both logs carry the collector self-report.
         assert!(exp.log.iter().any(|l| l.contains("intern hit rate")));

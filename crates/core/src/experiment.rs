@@ -5,9 +5,17 @@
 //! data recorded, containing the profile events and the callstacks
 //! associated with them."
 //!
+//! In memory an experiment holds the collector's own form: a table of
+//! distinct callstacks and fixed-size [`PackedHwcEvent`] /
+//! [`PackedClockEvent`] records that name a stack by its index in that
+//! table. The table may hold duplicates and stacks no event uses (a
+//! merge concatenates its inputs' tables); what an experiment means is
+//! each event with its frames, never the numbering.
+//!
 //! The on-disk format is a simple line-oriented text format (one
-//! record per line); [`Experiment::save`] and [`Experiment::load`]
-//! round-trip exactly.
+//! record per line, each event with its frames written out);
+//! [`Experiment::save`] and [`Experiment::load`] round-trip every
+//! event and its frames exactly.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -16,44 +24,7 @@ use simsparc_machine::{CounterEvent, EventCounts};
 
 use crate::batch::EventBatch;
 use crate::counters::CounterRequest;
-
-/// One hardware-counter overflow event, as recorded by the collector.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HwcEvent {
-    /// Index into [`Experiment::counters`].
-    pub counter: usize,
-    /// PC delivered with the overflow signal (next instruction to
-    /// issue — *not* the trigger; §2.2.2).
-    pub delivered_pc: u64,
-    /// Candidate trigger PC found by the apropos backtracking search,
-    /// if backtracking was requested and found a memory-reference
-    /// instruction within range.
-    pub candidate_pc: Option<u64>,
-    /// Putative effective data address, when the candidate's address
-    /// registers were provably not clobbered during the skid.
-    pub ea: Option<u64>,
-    /// Call stack at delivery: call-site PCs, outermost first.
-    pub callstack: Vec<u64>,
-    /// Ground-truth trigger PC from the simulator. Real hardware does
-    /// not expose this; it is recorded *only* so the effectiveness
-    /// experiments can score the backtracking search. The analyzer
-    /// never reads it.
-    pub truth_trigger_pc: u64,
-    /// Ground-truth effective address of the triggering access (same
-    /// caveat); `None` for events with no data address.
-    pub truth_ea: Option<u64>,
-    /// Ground-truth skid in retired instructions (same caveat).
-    pub truth_skid: u32,
-}
-
-/// One clock-profiling tick (`-p on`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ClockEvent {
-    /// PC of the next instruction to issue at the tick.
-    pub pc: u64,
-    /// Call stack at the tick, outermost first.
-    pub callstack: Vec<u64>,
-}
+use crate::stream::{CallstackTable, PackedClockEvent, PackedHwcEvent, StackId};
 
 /// Summary of the profiled run.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -76,8 +47,12 @@ pub struct Experiment {
     pub counters: Vec<CounterRequest>,
     /// Clock-profiling period in cycles, if `-p on`.
     pub clock_period: Option<u64>,
-    pub hwc_events: Vec<HwcEvent>,
-    pub clock_events: Vec<ClockEvent>,
+    /// Callstacks (call-site PCs, outermost first), indexed by the
+    /// events' `stack` ids. Every id an event holds, `counter` and
+    /// `stack`, is in range: the decoders check it.
+    pub stacks: Vec<Vec<u64>>,
+    pub hwc_events: Vec<PackedHwcEvent>,
+    pub clock_events: Vec<PackedClockEvent>,
     pub run: RunInfo,
     /// Timestamped high-level events (cycle counts stand in for wall
     /// clock).
@@ -87,7 +62,7 @@ pub struct Experiment {
 /// Append clock-profiling rows to a batch in the pc projection (see
 /// [`EventBatch::grow_pc_rows`]): column and charged PC only, charged
 /// at the tick PC — the clock half of the charge-PC rule.
-pub fn fill_clock_pc_rows(batch: &mut EventBatch, col: usize, events: &[ClockEvent]) {
+pub fn fill_clock_pc_rows(batch: &mut EventBatch, col: usize, events: &[PackedClockEvent]) {
     let (cols, pcs) = batch.grow_pc_rows(events.len());
     for (i, ev) in events.iter().enumerate() {
         cols[i] = col as u32;
@@ -95,43 +70,34 @@ pub fn fill_clock_pc_rows(batch: &mut EventBatch, col: usize, events: &[ClockEve
     }
 }
 
+/// The hwc half of the charge-PC rule: the candidate trigger PC when
+/// the event's counter was collected with backtracking (falling back
+/// to the delivered PC when the search found none), else the
+/// delivered PC. The one definition every analyzer-independent
+/// aggregation path uses (`memprof-store`'s in-memory and `MPES`
+/// fills alike).
+#[inline]
+pub fn charged_pc(ev: &PackedHwcEvent, backtrack: bool) -> u64 {
+    if backtrack {
+        ev.candidate_pc.unwrap_or(ev.delivered_pc)
+    } else {
+        ev.delivered_pc
+    }
+}
+
 /// Append counter-overflow rows to a batch in the pc projection:
-/// counter `c` lands in `hwc_col[c]`, charged at the candidate trigger
-/// PC when the counter was collected with backtracking (falling back
-/// to the delivered PC), else at the delivered PC — the hwc half of
-/// the charge-PC rule, the single definition shared by the
-/// analyzer-independent aggregation paths (`memprof-store`).
-///
-/// Returns `false` (leaving the rows it did append in place) if an
-/// event references a counter outside `counters` — callers discard
-/// the batch and surface a corruption error.
-#[must_use]
+/// counter `c` lands in `hwc_col[c]`, charged at [`charged_pc`].
 pub fn fill_hwc_pc_rows(
     batch: &mut EventBatch,
     counters: &[CounterRequest],
     hwc_col: &[usize],
-    events: &[HwcEvent],
-) -> bool {
-    // One tiny lookup table fuses the unknown-counter check into the
-    // fill loop — no separate validation pass over the events.
-    let col_bt: Vec<(u32, bool)> = hwc_col
-        .iter()
-        .zip(counters)
-        .map(|(&c, r)| (c as u32, r.backtrack))
-        .collect();
+    events: &[PackedHwcEvent],
+) {
     let (cols, pcs) = batch.grow_pc_rows(events.len());
     for (i, ev) in events.iter().enumerate() {
-        let Some(&(col, backtrack)) = col_bt.get(ev.counter) else {
-            return false;
-        };
-        cols[i] = col;
-        pcs[i] = if backtrack {
-            ev.candidate_pc.unwrap_or(ev.delivered_pc)
-        } else {
-            ev.delivered_pc
-        };
+        cols[i] = hwc_col[ev.counter] as u32;
+        pcs[i] = charged_pc(ev, counters[ev.counter].backtrack);
     }
-    true
 }
 
 impl Experiment {
@@ -163,7 +129,7 @@ impl Experiment {
     // ------------------------------------------------------------------
 
     /// Write the experiment directory (`log`, `counters`, `hwcdata`,
-    /// `clockdata`, `run`).
+    /// `clockdata`, `run`), each event with its stack's frames.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
         let mut log = String::new();
@@ -189,12 +155,17 @@ impl Experiment {
             Some(v) => format!("{v:#x}"),
             None => "-".to_string(),
         };
-        let fmt_stack = |s: &[u64]| {
-            s.iter()
-                .map(|p| format!("{p:#x}"))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
+        // Each stack is formatted once, however many events share it.
+        let stacks: Vec<String> = self
+            .stacks
+            .iter()
+            .map(|s| {
+                s.iter()
+                    .map(|p| format!("{p:#x}"))
+                    .collect::<Vec<_>>()
+                    .join(",")
+            })
+            .collect();
 
         let mut hwc = String::new();
         for e in &self.hwc_events {
@@ -208,7 +179,7 @@ impl Experiment {
                 e.truth_trigger_pc,
                 fmt_opt(e.truth_ea),
                 e.truth_skid,
-                fmt_stack(&e.callstack),
+                stacks[e.stack as usize],
             )
             .unwrap();
         }
@@ -216,7 +187,7 @@ impl Experiment {
 
         let mut clock = String::new();
         for e in &self.clock_events {
-            writeln!(clock, "{:#x} [{}]", e.pc, fmt_stack(&e.callstack)).unwrap();
+            writeln!(clock, "{:#x} [{}]", e.pc, stacks[e.stack as usize]).unwrap();
         }
         std::fs::write(dir.join("clockdata"), clock)?;
 
@@ -248,7 +219,11 @@ impl Experiment {
         Ok(())
     }
 
-    /// Load an experiment directory written by [`Experiment::save`].
+    /// Load an experiment directory written by [`Experiment::save`],
+    /// interning each event's frames into the stack table. Content the
+    /// `MPES` decoder rejects is rejected here too: a backtrack flag
+    /// other than `0`/`1`, an event naming a counter the `counters`
+    /// file does not list.
     pub fn load(dir: &Path) -> std::io::Result<Experiment> {
         let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
         let parse_hex = |s: &str| -> std::io::Result<u64> {
@@ -262,15 +237,21 @@ impl Experiment {
                 parse_hex(s).map(Some)
             }
         };
-        let parse_stack = |s: &str| -> std::io::Result<Vec<u64>> {
+        // One frame buffer for every line; only new stacks allocate.
+        let mut table = CallstackTable::new();
+        let mut frames = Vec::new();
+        let mut intern = |s: &str| -> std::io::Result<StackId> {
             let inner = s
                 .strip_prefix('[')
                 .and_then(|s| s.strip_suffix(']'))
                 .ok_or_else(|| bad("bad callstack"))?;
-            if inner.is_empty() {
-                return Ok(vec![]);
+            frames.clear();
+            if !inner.is_empty() {
+                for frame in inner.split(',') {
+                    frames.push(parse_hex(frame)?);
+                }
             }
-            inner.split(',').map(parse_hex).collect()
+            Ok(table.intern(&frames))
         };
 
         let mut exp = Experiment {
@@ -287,9 +268,14 @@ impl Experiment {
                 return Err(bad("bad counters line"));
             }
             let event = CounterEvent::parse(f[0]).ok_or_else(|| bad("bad counter name"))?;
+            let backtrack = match f[1] {
+                "0" => false,
+                "1" => true,
+                _ => return Err(bad("bad backtrack flag")),
+            };
             exp.counters.push(CounterRequest {
                 event,
-                backtrack: f[1] == "1",
+                backtrack,
                 interval: f[2].parse().map_err(|_| bad("bad interval"))?,
             });
         }
@@ -303,15 +289,19 @@ impl Experiment {
                 8 => (parse_opt(f[5])?, &f[6..]),
                 _ => return Err(bad("bad hwcdata line")),
             };
-            exp.hwc_events.push(HwcEvent {
-                counter: f[0].parse().map_err(|_| bad("bad counter idx"))?,
+            let counter: usize = f[0].parse().map_err(|_| bad("bad counter idx"))?;
+            if counter >= exp.counters.len() {
+                return Err(bad("event references unknown counter"));
+            }
+            exp.hwc_events.push(PackedHwcEvent {
+                counter,
                 delivered_pc: parse_hex(f[1])?,
                 candidate_pc: parse_opt(f[2])?,
                 ea: parse_opt(f[3])?,
+                stack: intern(rest[1])?,
                 truth_trigger_pc: parse_hex(f[4])?,
                 truth_ea,
                 truth_skid: rest[0].parse().map_err(|_| bad("bad skid"))?,
-                callstack: parse_stack(rest[1])?,
             });
         }
 
@@ -320,11 +310,12 @@ impl Experiment {
             if f.len() != 2 {
                 return Err(bad("bad clockdata line"));
             }
-            exp.clock_events.push(ClockEvent {
+            exp.clock_events.push(PackedClockEvent {
                 pc: parse_hex(f[0])?,
-                callstack: parse_stack(f[1])?,
+                stack: intern(f[1])?,
             });
         }
+        exp.stacks = table.into_stacks();
 
         let run_text = std::fs::read_to_string(dir.join("run"))?;
         let mut counts = EventCounts::default();
@@ -386,31 +377,50 @@ mod tests {
                 },
             ],
             clock_period: Some(5000),
+            // The clock tick's stack comes first, one stack is listed
+            // twice and one is unused: the numbering is arbitrary.
+            stacks: vec![
+                vec![0x10000010],
+                vec![0x10000010, 0x10000200],
+                vec![0x7777],
+                vec![],
+                vec![0x10000010, 0x10000200],
+            ],
             hwc_events: vec![
-                HwcEvent {
+                PackedHwcEvent {
                     counter: 0,
                     delivered_pc: 0x1000031b8,
                     candidate_pc: Some(0x1000031b0),
                     ea: Some(0x4000_0038),
-                    callstack: vec![0x10000010, 0x10000200],
+                    stack: 4,
                     truth_trigger_pc: 0x1000031b0,
                     truth_ea: Some(0x4000_0038),
                     truth_skid: 2,
                 },
-                HwcEvent {
+                PackedHwcEvent {
                     counter: 1,
                     delivered_pc: 0x1000031d8,
                     candidate_pc: None,
                     ea: None,
-                    callstack: vec![],
+                    stack: 3,
                     truth_trigger_pc: 0x1000031d4,
                     truth_ea: None,
                     truth_skid: 1,
                 },
+                PackedHwcEvent {
+                    counter: 0,
+                    delivered_pc: 0x1000031b8,
+                    candidate_pc: Some(0x1000031b0),
+                    ea: Some(0x4000_0110),
+                    stack: 1,
+                    truth_trigger_pc: 0x1000031b4,
+                    truth_ea: Some(0x4000_0110),
+                    truth_skid: 1,
+                },
             ],
-            clock_events: vec![ClockEvent {
+            clock_events: vec![PackedClockEvent {
                 pc: 0x1000031d8,
-                callstack: vec![0x10000010],
+                stack: 0,
             }],
             run: RunInfo {
                 exit_code: 0,
@@ -428,11 +438,32 @@ mod tests {
         }
     }
 
+    /// Each hwc event with its frames in place of its stack id.
+    fn hwc_frames(e: &Experiment) -> Vec<(PackedHwcEvent, &[u64])> {
+        e.hwc_events
+            .iter()
+            .map(|ev| {
+                (
+                    PackedHwcEvent { stack: 0, ..*ev },
+                    &e.stacks[ev.stack as usize][..],
+                )
+            })
+            .collect()
+    }
+
+    /// Each clock tick with its frames in place of its stack id.
+    fn clock_frames(e: &Experiment) -> Vec<(u64, &[u64])> {
+        e.clock_events
+            .iter()
+            .map(|ev| (ev.pc, &e.stacks[ev.stack as usize][..]))
+            .collect()
+    }
+
     #[test]
     fn estimated_totals() {
         let e = sample();
-        // 1 event + 3 dropped, interval 1009.
-        assert_eq!(e.estimated_total(0), 4 * 1009);
+        // 2 events + 3 dropped, interval 1009.
+        assert_eq!(e.estimated_total(0), 5 * 1009);
         assert_eq!(e.estimated_total(1), 101);
         let secs = e.estimated_user_cpu_secs().unwrap();
         assert!((secs - 5000.0 / 900e6).abs() < 1e-12);
@@ -455,10 +486,16 @@ mod tests {
 
         assert_eq!(loaded.counters, e.counters);
         assert_eq!(loaded.clock_period, e.clock_period);
-        assert_eq!(loaded.hwc_events, e.hwc_events);
-        assert_eq!(loaded.clock_events, e.clock_events);
+        assert_eq!(hwc_frames(&loaded), hwc_frames(&e));
+        assert_eq!(clock_frames(&loaded), clock_frames(&e));
         assert_eq!(loaded.run, e.run);
         assert_eq!(loaded.log, e.log);
+        // Loading interns: one entry per distinct stack, numbered in
+        // first use, hwc lines before clock lines.
+        assert_eq!(
+            loaded.stacks,
+            vec![vec![0x10000010, 0x10000200], vec![], vec![0x10000010]]
+        );
     }
 
     #[test]
@@ -483,12 +520,12 @@ mod tests {
         let loaded = Experiment::load(&dir).unwrap();
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(loaded.hwc_events.len(), e.hwc_events.len());
-        for (l, orig) in loaded.hwc_events.iter().zip(&e.hwc_events) {
+        for ((l, l_frames), (orig, frames)) in hwc_frames(&loaded).into_iter().zip(hwc_frames(&e)) {
             assert_eq!(l.truth_ea, None);
             assert_eq!(l.truth_trigger_pc, orig.truth_trigger_pc);
             assert_eq!(l.truth_skid, orig.truth_skid);
             assert_eq!(l.candidate_pc, orig.candidate_pc);
-            assert_eq!(l.callstack, orig.callstack);
+            assert_eq!(l_frames, frames);
         }
     }
 }

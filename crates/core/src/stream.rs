@@ -12,6 +12,10 @@
 //! memory is O(segment size) + O(distinct callstacks), not O(total
 //! events).
 //!
+//! These records are the one event form: the `MPES` format and the
+//! wire carry them, and an [`crate::Experiment`] holds them beside the
+//! stack table their ids index.
+//!
 //! The sink trait lives here (not in `memprof-store`) because the
 //! crate dependency points the other way: the store implements
 //! `CollectSink` with its packed on-disk format, and anything else —
@@ -56,11 +60,6 @@ impl CallstackTable {
         id
     }
 
-    /// Resolve an id back to its frames.
-    pub fn resolve(&self, id: StackId) -> &[u64] {
-        &self.stacks[id as usize]
-    }
-
     /// Number of distinct stacks interned so far. Ids are dense:
     /// `0..len()` are all valid.
     pub fn len(&self) -> usize {
@@ -69,6 +68,11 @@ impl CallstackTable {
 
     pub fn is_empty(&self) -> bool {
         self.stacks.is_empty()
+    }
+
+    /// The table itself, indexed by id.
+    pub fn into_stacks(self) -> Vec<Vec<u64>> {
+        self.stacks
     }
 
     /// The stacks interned at or after index `start`, in id order —
@@ -89,36 +93,42 @@ impl CallstackTable {
     }
 }
 
-/// One hardware-counter overflow event in packed (interned) form: the
-/// fixed-size record the collector buffers and spills. Identical to
-/// [`crate::HwcEvent`] except the callstack is a [`StackId`].
+/// One hardware-counter overflow event, as the collector records it;
+/// the callstack is a [`StackId`] into the events' stack table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PackedHwcEvent {
     /// Index into the experiment's counter list.
-    pub counter: u32,
-    /// PC delivered with the overflow signal (§2.2.2).
+    pub counter: usize,
+    /// PC delivered with the overflow signal (next instruction to
+    /// issue — *not* the trigger; §2.2.2).
     pub delivered_pc: u64,
-    /// Candidate trigger PC from the apropos backtracking search.
+    /// Candidate trigger PC found by the apropos backtracking search,
+    /// if backtracking was requested and found a memory-reference
+    /// instruction within range.
     pub candidate_pc: Option<u64>,
-    /// Putative effective data address, when reconstructible.
+    /// Putative effective data address, when the candidate's address
+    /// registers were provably not clobbered during the skid.
     pub ea: Option<u64>,
-    /// Interned callstack at delivery.
+    /// Interned callstack at delivery: call-site PCs, outermost first.
     pub stack: StackId,
-    /// Ground-truth trigger PC (simulator only; see [`crate::HwcEvent`]).
+    /// Ground-truth trigger PC from the simulator. Real hardware does
+    /// not expose this; it is recorded *only* so the effectiveness
+    /// experiments can score the backtracking search. The analyzer
+    /// never reads it.
     pub truth_trigger_pc: u64,
-    /// Ground-truth effective address of the trigger, when the event
-    /// has one (simulator only, like `truth_trigger_pc`).
+    /// Ground-truth effective address of the triggering access (same
+    /// caveat); `None` for events with no data address.
     pub truth_ea: Option<u64>,
-    /// Ground-truth skid in retired instructions.
+    /// Ground-truth skid in retired instructions (same caveat).
     pub truth_skid: u32,
 }
 
-/// One clock-profiling tick in packed form.
+/// One clock-profiling tick (`-p on`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PackedClockEvent {
     /// PC of the next instruction to issue at the tick.
     pub pc: u64,
-    /// Interned callstack at the tick.
+    /// Interned callstack at the tick, outermost first.
     pub stack: StackId,
 }
 
@@ -236,9 +246,10 @@ mod tests {
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.resolve(a), &[0x10, 0x20]);
-        assert_eq!(t.resolve(empty), &[] as &[u64]);
         assert_eq!((t.lookups(), t.hits()), (4, 1));
+        let stacks = t.into_stacks();
+        assert_eq!(stacks[a as usize], [0x10, 0x20]);
+        assert_eq!(stacks[empty as usize], [] as [u64; 0]);
     }
 
     #[test]
@@ -251,6 +262,12 @@ mod tests {
         t.intern(&[2]); // hit, no new stack
         assert_eq!(t.stacks_from(watermark), &[vec![3]]);
         assert_eq!(t.stacks_from(t.len()), &[] as &[Vec<u64>]);
+    }
+
+    #[test]
+    fn event_records_stay_fixed_size() {
+        assert_eq!(std::mem::size_of::<PackedHwcEvent>(), 80);
+        assert_eq!(std::mem::size_of::<PackedClockEvent>(), 16);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 use minic::SymbolTable;
 
 use crate::analyze::{validate, Attribution, UnknownKind};
-use crate::experiment::{Experiment, HwcEvent};
+use crate::{experiment::Experiment, stream::PackedHwcEvent};
 
 /// How one event's recorded attribution compares against the oracle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -123,7 +123,7 @@ impl Bucket {
 /// the profiler's claim is the delivered PC itself (classic
 /// instruction-space profiling), which the skid makes wrong almost
 /// always — that contrast is the point of Figure 1.
-pub fn classify(syms: &SymbolTable, ev: &HwcEvent, backtrack: bool) -> (Bucket, Verdict) {
+pub fn classify(syms: &SymbolTable, ev: &PackedHwcEvent, backtrack: bool) -> (Bucket, Verdict) {
     let attr = if backtrack {
         validate(syms, ev.candidate_pc, ev.delivered_pc)
     } else {
@@ -469,7 +469,7 @@ fn fuzz_machine(seed: u64) -> simsparc_machine::MachineConfig {
 /// Verdict totals for one clean fuzz case.
 type CaseStats = (u64, [u64; 5]);
 /// An invariant violation: the message and the offending event.
-type CaseViolation = (String, Option<HwcEvent>);
+type CaseViolation = (String, Option<PackedHwcEvent>);
 
 /// Run one fuzz case: returns the invariant-violation message and the
 /// offending event, or per-verdict totals when clean. The outer error
@@ -509,7 +509,7 @@ fn run_case(source: &str, seed: u64) -> Result<Result<CaseStats, CaseViolation>,
                     "event classified Exact with candidate {:?} != truth {:#x}",
                     ev.candidate_pc, ev.truth_trigger_pc
                 ),
-                Some(ev.clone()),
+                Some(*ev),
             )));
         }
         // Invariant (collection-side branch-target check): an event
@@ -522,7 +522,7 @@ fn run_case(source: &str, seed: u64) -> Result<Result<CaseStats, CaseViolation>,
                     "Unresolvable event at delivered {:#x} carries ea {:?}",
                     ev.delivered_pc, ev.ea
                 ),
-                Some(ev.clone()),
+                Some(*ev),
             )));
         }
         // Invariant: a wrongly-invalidated event really had the true
@@ -530,7 +530,7 @@ fn run_case(source: &str, seed: u64) -> Result<Result<CaseStats, CaseViolation>,
         if verdict == Verdict::WronglyInvalidated && ev.candidate_pc != Some(ev.truth_trigger_pc) {
             return Ok(Err((
                 "wrongly-invalidated without a matching candidate".to_string(),
-                Some(ev.clone()),
+                Some(*ev),
             )));
         }
     }
@@ -544,7 +544,7 @@ fn run_case(source: &str, seed: u64) -> Result<Result<CaseStats, CaseViolation>,
 }
 
 /// Disassemble the instruction window around an event's true trigger.
-fn disasm_window(source: &str, ev: &HwcEvent) -> String {
+fn disasm_window(source: &str, ev: &PackedHwcEvent) -> String {
     let Ok(program) =
         minic::compile_and_link(&[("fuzz.c", source)], minic::CompileOptions::profiling())
     else {
@@ -583,7 +583,10 @@ fn disasm_window(source: &str, ev: &HwcEvent) -> String {
 
 /// Shrink a failing block set: repeatedly drop any block whose removal
 /// preserves the failure.
-fn shrink(blocks: &[(usize, Block)], seed: u64) -> (Vec<(usize, Block)>, String, Option<HwcEvent>) {
+fn shrink(
+    blocks: &[(usize, Block)],
+    seed: u64,
+) -> (Vec<(usize, Block)>, String, Option<PackedHwcEvent>) {
     let mut best: Vec<(usize, Block)> = blocks.to_vec();
     let (mut msg, mut ev) = match run_case(&render_program(&best), seed) {
         Ok(Err(fail)) => fail,
@@ -710,13 +713,13 @@ mod tests {
         ea: Option<u64>,
         truth_pc: u64,
         truth_ea: Option<u64>,
-    ) -> HwcEvent {
-        HwcEvent {
+    ) -> PackedHwcEvent {
+        PackedHwcEvent {
             counter: 0,
             delivered_pc: delivered,
             candidate_pc: cand,
             ea,
-            callstack: vec![],
+            stack: 0,
             truth_trigger_pc: truth_pc,
             truth_ea,
             truth_skid: 1,
@@ -783,6 +786,7 @@ mod tests {
                 interval: 100,
             }],
             clock_period: None,
+            stacks: vec![vec![]],
             hwc_events: vec![
                 ev(Some(base), base + 4, Some(0x10), base, Some(0x10)),
                 ev(Some(base), base + 4, Some(0x18), base, Some(0x10)),

@@ -3,7 +3,9 @@
 //! the §3.2.5 taxonomy, and the callers/callees attribution.
 
 use memprof_core::analyze::{validate, Analysis, Attribution, ColKind, UnknownKind};
-use memprof_core::{ClockEvent, CounterRequest, Experiment, HwcEvent, RunInfo};
+use memprof_core::{
+    CounterRequest, Experiment, PackedClockEvent, PackedHwcEvent, RunInfo, StackId,
+};
 use minic::{FuncSym, GlobalSym, MemDesc, ModuleSym, PcMeta, SymbolTable};
 use simsparc_machine::CounterEvent;
 
@@ -207,20 +209,30 @@ fn taxonomy_unidentified_and_unspecified() {
     }
 }
 
-fn event(counter: usize, cand: Option<u64>, delivered: u64, stack: Vec<u64>) -> HwcEvent {
-    HwcEvent {
+/// The stack table every [`experiment`] carries: no caller, called
+/// from `f` (call site at idx3), called from `libfn` (idx17).
+const NO_STACK: StackId = 0;
+const FROM_F: StackId = 1;
+const FROM_LIBFN: StackId = 2;
+
+fn stacks() -> Vec<Vec<u64>> {
+    vec![vec![], vec![pc(3)], vec![pc(17)]]
+}
+
+fn event(counter: usize, cand: Option<u64>, delivered: u64, stack: StackId) -> PackedHwcEvent {
+    PackedHwcEvent {
         counter,
         delivered_pc: delivered,
         candidate_pc: cand,
         ea: Some(0x4000_0000),
-        callstack: stack,
+        stack,
         truth_trigger_pc: cand.unwrap_or(delivered),
         truth_ea: Some(0x4000_0000),
         truth_skid: 1,
     }
 }
 
-fn experiment(hwc: Vec<HwcEvent>, clock: Vec<ClockEvent>) -> Experiment {
+fn experiment(hwc: Vec<PackedHwcEvent>, clock: Vec<PackedClockEvent>) -> Experiment {
     Experiment {
         counters: vec![CounterRequest {
             event: CounterEvent::ECReadMiss,
@@ -228,6 +240,7 @@ fn experiment(hwc: Vec<HwcEvent>, clock: Vec<ClockEvent>) -> Experiment {
             interval: 100,
         }],
         clock_period: (!clock.is_empty()).then_some(1000),
+        stacks: stacks(),
         hwc_events: hwc,
         clock_events: clock,
         run: RunInfo {
@@ -244,9 +257,9 @@ fn function_attribution_and_artificial_rows() {
     let t = table();
     let exp = experiment(
         vec![
-            event(0, Some(pc(2)), pc(3), vec![]),   // valid, in f
-            event(0, Some(pc(2)), pc(5), vec![]),   // blocked -> artificial at idx4 (in f)
-            event(0, Some(pc(10)), pc(11), vec![]), // valid, in g
+            event(0, Some(pc(2)), pc(3), NO_STACK),   // valid, in f
+            event(0, Some(pc(2)), pc(5), NO_STACK),   // blocked -> artificial at idx4 (in f)
+            event(0, Some(pc(10)), pc(11), NO_STACK), // valid, in g
         ],
         vec![],
     );
@@ -272,11 +285,11 @@ fn data_object_view_counts_by_member_struct() {
     let t = table();
     let exp = experiment(
         vec![
-            event(0, Some(pc(0)), pc(1), vec![]),   // alpha
-            event(0, Some(pc(2)), pc(3), vec![]),   // beta
-            event(0, Some(pc(2)), pc(3), vec![]),   // beta again
-            event(0, Some(pc(6)), pc(7), vec![]),   // Temporary -> Unidentified
-            event(0, Some(pc(17)), pc(18), vec![]), // libc -> Unascertainable
+            event(0, Some(pc(0)), pc(1), NO_STACK),   // alpha
+            event(0, Some(pc(2)), pc(3), NO_STACK),   // beta
+            event(0, Some(pc(2)), pc(3), NO_STACK),   // beta again
+            event(0, Some(pc(6)), pc(7), NO_STACK),   // Temporary -> Unidentified
+            event(0, Some(pc(17)), pc(18), NO_STACK), // libc -> Unascertainable
         ],
         vec![],
     );
@@ -304,13 +317,13 @@ fn callers_and_inclusive_attribution() {
     // f), one called from libfn.
     let exp = experiment(
         vec![
-            event(0, Some(pc(10)), pc(11), vec![pc(3)]),  // f -> g
-            event(0, Some(pc(10)), pc(11), vec![pc(17)]), // libfn -> g
-            event(0, Some(pc(2)), pc(3), vec![]),         // f leaf
+            event(0, Some(pc(10)), pc(11), FROM_F),     // f -> g
+            event(0, Some(pc(10)), pc(11), FROM_LIBFN), // libfn -> g
+            event(0, Some(pc(2)), pc(3), NO_STACK),     // f leaf
         ],
-        vec![ClockEvent {
+        vec![PackedClockEvent {
             pc: pc(11),
-            callstack: vec![pc(3)],
+            stack: FROM_F,
         }],
     );
     let a = Analysis::new(&[&exp], &t);
@@ -356,13 +369,13 @@ fn callers_and_inclusive_attribution() {
 #[test]
 fn address_views_group_by_ea() {
     let t = table();
-    let mut e1 = event(0, Some(pc(0)), pc(1), vec![]);
+    let mut e1 = event(0, Some(pc(0)), pc(1), NO_STACK);
     e1.ea = Some(0x4000_0000); // heap
-    let mut e2 = event(0, Some(pc(2)), pc(3), vec![]);
+    let mut e2 = event(0, Some(pc(2)), pc(3), NO_STACK);
     e2.ea = Some(0x4000_0008); // same node instance (beta at +8)
-    let mut e3 = event(0, Some(pc(2)), pc(3), vec![]);
+    let mut e3 = event(0, Some(pc(2)), pc(3), NO_STACK);
     e3.ea = Some(0x2000_0000); // data segment
-    let mut e4 = event(0, Some(pc(2)), pc(3), vec![]);
+    let mut e4 = event(0, Some(pc(2)), pc(3), NO_STACK);
     e4.ea = None; // unreconstructable
     let exp = experiment(vec![e1, e2, e3, e4], vec![]);
     let a = Analysis::new(&[&exp], &t);
@@ -391,9 +404,9 @@ fn unresolvable_events_contribute_no_ea_to_address_views() {
     // so validation yields Unresolvable. Even if the collector recorded
     // an EA (as pre-fix collectors did), the address views must not use
     // it: the access may never have executed.
-    let mut blocked = event(0, Some(pc(2)), pc(5), vec![]);
+    let mut blocked = event(0, Some(pc(2)), pc(5), NO_STACK);
     blocked.ea = Some(0x4000_0000);
-    let mut clean = event(0, Some(pc(0)), pc(1), vec![]);
+    let mut clean = event(0, Some(pc(0)), pc(1), NO_STACK);
     clean.ea = Some(0x4000_0200);
     let exp = experiment(vec![blocked, clean], vec![]);
     let a = Analysis::new(&[&exp], &t);
@@ -421,9 +434,9 @@ fn hot_lines_aggregate_per_function_line() {
     // are 1 in the fixture) plus one in g.
     let exp = experiment(
         vec![
-            event(0, Some(pc(0)), pc(1), vec![]),
-            event(0, Some(pc(2)), pc(3), vec![]),
-            event(0, Some(pc(10)), pc(11), vec![]),
+            event(0, Some(pc(0)), pc(1), NO_STACK),
+            event(0, Some(pc(2)), pc(3), NO_STACK),
+            event(0, Some(pc(10)), pc(11), NO_STACK),
         ],
         vec![],
     );
@@ -450,13 +463,13 @@ fn memoized_attribution_matches_per_event_reference() {
         m.line = i as u32 + 1;
     }
     let outside = pc(40); // past every function and every PC record
-    let ev = |counter: usize, cand: Option<u64>, delivered: u64, ea: u64| HwcEvent {
+    let ev = |counter: usize, cand: Option<u64>, delivered: u64, ea: u64| PackedHwcEvent {
         ea: Some(ea),
-        ..event(counter, cand, delivered, vec![])
+        ..event(counter, cand, delivered, NO_STACK)
     };
-    let tick = |p: u64| ClockEvent {
+    let tick = |p: u64| PackedClockEvent {
         pc: p,
-        callstack: vec![],
+        stack: NO_STACK,
     };
     let exp = Experiment {
         counters: vec![

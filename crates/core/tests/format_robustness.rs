@@ -58,6 +58,14 @@ fn corrupt_lines_error_cleanly() {
         ("hwcdata", "too few fields\n"),
         ("clockdata", "justonefield\n"),
         ("hwcdata", "0 0x10 - - 0x0 1 missingbrackets\n"),
+        // Content the MPES decoder rejects: an event naming a counter
+        // the recipe does not list, and a backtrack flag that is
+        // neither 0 nor 1.
+        (
+            "hwcdata",
+            "1 0x100000010 0x10000000c 0x40000000 0x10000000c 1 [0x100000004]\n",
+        ),
+        ("counters", "ecstall 2 4001\n"),
     ] {
         let d = scratch("corrupt");
         minimal_valid(&d);
@@ -76,7 +84,7 @@ fn empty_callstacks_and_missing_ea_round_trip() {
     let exp = Experiment::load(&d).unwrap();
     assert_eq!(exp.hwc_events[0].candidate_pc, None);
     assert_eq!(exp.hwc_events[0].ea, None);
-    assert!(exp.hwc_events[0].callstack.is_empty());
+    assert!(exp.stacks[exp.hwc_events[0].stack as usize].is_empty());
     assert_eq!(exp.hwc_events[0].truth_skid, 3);
     std::fs::remove_dir_all(&d).ok();
 }

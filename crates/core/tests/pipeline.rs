@@ -6,7 +6,7 @@
 
 use memprof_core::{
     analyze::{Analysis, Attribution, UnknownKind},
-    collect, parse_counter_spec, CollectConfig, Experiment,
+    collect, parse_counter_spec, CollectConfig, Experiment, PackedHwcEvent,
 };
 use minic::{compile_and_link, CompileOptions, Program};
 use simsparc_machine::{CounterEvent, Machine, MachineConfig};
@@ -406,7 +406,21 @@ fn experiment_save_load_round_trip_on_real_data() {
     exp.save(&dir).unwrap();
     let loaded = Experiment::load(&dir).unwrap();
     std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(loaded.hwc_events, exp.hwc_events);
+    // The same events with the same frames: loading numbers the
+    // stacks in first use, hwc lines before clock lines, whereas the
+    // collector numbered them in collection order.
+    let hwc_frames = |e: &Experiment| -> Vec<(PackedHwcEvent, Vec<u64>)> {
+        e.hwc_events
+            .iter()
+            .map(|ev| {
+                (
+                    PackedHwcEvent { stack: 0, ..*ev },
+                    e.stacks[ev.stack as usize].clone(),
+                )
+            })
+            .collect()
+    };
+    assert_eq!(hwc_frames(&loaded), hwc_frames(&exp));
     assert_eq!(loaded.clock_events.len(), exp.clock_events.len());
     assert_eq!(loaded.run.counts, exp.run.counts);
 

@@ -32,10 +32,14 @@
 //! matches the fingerprint — i.e. nobody replaced it behind the
 //! daemon's back — the next pass seeds the merge with the cached
 //! experiment ([`memprof_store::merge_experiments_with`]) and only
-//! decodes the fresh segments. Packing is lossless (`load(pack(x)) ==
-//! x`, pinned by the store tests), so the seeded merge's inputs are
-//! exactly what re-reading the store would have produced and the
-//! output bytes are identical either way. A hash mismatch, a missing
+//! decodes the fresh segments. The cached experiment and the store
+//! read back hold the same events with the same frames; only their
+//! stack tables are numbered differently (the cached one is the
+//! previous merge's concatenated tables, duplicates included). Packing
+//! depends on nothing but each event's frames, so
+//! `pack(merge(cached, fresh)) == pack(merge(load(packed), fresh))`
+//! (pinned by the store tests) and the output bytes are identical
+//! either way. A hash mismatch, a missing
 //! cache entry (first pass, restarted daemon), or any failed pass
 //! falls back to the re-read path. That path opens the store through
 //! [`StoreDirs::open_packed`], which refuses a store without its
@@ -45,8 +49,9 @@
 //!
 //! ## Serving views from the cache
 //!
-//! The same entry is, byte for byte, what an analyzer view on the
-//! compacted window would otherwise decode from the packed store. So
+//! The same entry holds the events and frames an analyzer view on the
+//! compacted window would otherwise decode from the packed store, and
+//! no view reads the stack numbering. So
 //! `objects`, `segments`, `pages` and `lines` queries on a window with
 //! no fresh raw segments answer from it (see
 //! [`crate::query::answer`]), after the same full-file hash check a

@@ -9,9 +9,10 @@
 //!
 //! The reduction itself is no longer private to this crate: sources
 //! fill the charge-PC projection of a columnar
-//! [`memprof_core::EventBatch`] (the charge-PC rule lives in
-//! [`memprof_core::fill_hwc_pc_rows`] and its `MPES` twin,
-//! [`crate::StreamFile::fill_pc_batch`]),
+//! [`memprof_core::EventBatch`] (the charge-PC rule is
+//! [`memprof_core::charged_pc`], applied by
+//! [`memprof_core::fill_hwc_pc_rows`] in memory and by
+//! [`crate::StreamFile::fill_pc_batch`] as `MPES` chunks decode),
 //! and the per-PC histogram is one [`memprof_core::aggregate_by`]
 //! call — the same kernel every analyzer view runs on. The sharded
 //! path merges commutative sums into an ordered `BTreeMap`, so serial
@@ -23,8 +24,8 @@ use std::fmt::Write as _;
 
 use memprof_core::batch::ByPc;
 use memprof_core::{
-    aggregate_by, fill_clock_pc_rows, fill_hwc_pc_rows, ClockEvent, CounterRequest, EventBatch,
-    Experiment, HwcEvent,
+    aggregate_by, fill_clock_pc_rows, fill_hwc_pc_rows, CounterRequest, EventBatch, Experiment,
+    PackedClockEvent, PackedHwcEvent,
 };
 use simsparc_machine::CounterEvent;
 
@@ -154,12 +155,12 @@ fn totals_of(map: &HashMap<u64, Vec<u64>>, ncols: usize) -> Vec<u64> {
 enum Span<'a> {
     Clock {
         col: usize,
-        events: &'a [ClockEvent],
+        events: &'a [PackedClockEvent],
     },
     Hwc {
         cols: &'a [usize],
         counters: &'a [CounterRequest],
-        events: &'a [HwcEvent],
+        events: &'a [PackedHwcEvent],
     },
 }
 
@@ -175,11 +176,11 @@ impl Span<'_> {
 /// Aggregate a set of experiments into a per-PC histogram.
 ///
 /// `shards = 1` runs serially on the calling thread (`0` sizes to the
-/// available cores); larger values split the *whole* pipeline — event
-/// validation, the batch fill, and the group-by fold — across that
-/// many scoped threads, each folding its contiguous slice of the
-/// concatenated event sequence and merging by addition. The result is
-/// identical at every shard count.
+/// available cores); larger values split the *whole* pipeline — the
+/// batch fill and the group-by fold — across that many scoped
+/// threads, each folding its contiguous slice of the concatenated
+/// event sequence and merging by addition. The result is identical at
+/// every shard count.
 ///
 /// Requests are capped by the hardware and by a minimum useful rows
 /// per shard ([`memprof_core::batch::effective_shards`]), so asking
@@ -210,9 +211,7 @@ pub fn aggregate_exact(exps: &[&Experiment], shards: usize) -> Result<Aggregate,
             if let Some(col) = clock_col_of[xi] {
                 fill_clock_pc_rows(&mut batch, col, &exp.clock_events);
             }
-            if !fill_hwc_pc_rows(&mut batch, &exp.counters, &col_of[xi], &exp.hwc_events) {
-                return Err(StoreError::Corrupt("event references unknown counter"));
-            }
+            fill_hwc_pc_rows(&mut batch, &exp.counters, &col_of[xi], &exp.hwc_events);
         }
         return Ok(finish(columns, &batch, 1));
     }
@@ -234,11 +233,10 @@ pub fn aggregate_exact(exps: &[&Experiment], shards: usize) -> Result<Aggregate,
     let per = total.div_ceil(shards).max(1);
     let ncols = columns.len();
     let spans = &spans;
-    type ShardResult = Result<(HashMap<u64, Vec<u64>>, Vec<u64>), StoreError>;
-    let results: Vec<ShardResult> = std::thread::scope(|scope| {
+    let results = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..shards)
             .map(|s| {
-                scope.spawn(move || -> ShardResult {
+                scope.spawn(move || {
                     let lo = (s * per).min(total);
                     let hi = ((s + 1) * per).min(total);
                     let mut batch = EventBatch::new(ncols);
@@ -260,11 +258,7 @@ pub fn aggregate_exact(exps: &[&Experiment], shards: usize) -> Result<Aggregate,
                                     events,
                                 } => {
                                     let events = &events[a - base..b - base];
-                                    if !fill_hwc_pc_rows(&mut batch, counters, cols, events) {
-                                        return Err(StoreError::Corrupt(
-                                            "event references unknown counter",
-                                        ));
-                                    }
+                                    fill_hwc_pc_rows(&mut batch, counters, cols, events);
                                 }
                             }
                         }
@@ -272,16 +266,18 @@ pub fn aggregate_exact(exps: &[&Experiment], shards: usize) -> Result<Aggregate,
                     }
                     let map = aggregate_by(&batch, &ByPc, 1);
                     let totals = totals_of(&map, ncols);
-                    Ok((map, totals))
+                    (map, totals)
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .collect::<Vec<_>>()
     });
     let mut pc_samples: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
     let mut totals = vec![0u64; ncols];
-    for result in results {
-        let (map, shard_totals) = result?;
+    for (map, shard_totals) in results {
         for (pc, samples) in map {
             match pc_samples.entry(pc) {
                 std::collections::btree_map::Entry::Occupied(mut e) => {

@@ -1,43 +1,33 @@
 //! The merge pipeline: parallel input decode, in-place fold.
 //!
-//! An earlier revision of this module folded every input through a
-//! *shared* callstack dictionary: text inputs interned each decoded
-//! event's stack, stream tables were remapped id-for-id, and the
-//! merged store materialized every callstack from the shared table at
-//! the end. Measuring that path showed the dictionary to be
-//! pure overhead for this output shape: a merged [`Experiment`]
-//! carries each event's callstack as an owned `Vec<u64>`, so every
-//! stack must be materialized per *event* regardless — the shared
-//! table deduplicated storage that was about to be duplicated anyway,
-//! at the cost of an intern hash per event, a remap pass per input,
-//! and a second materialization pass over the whole event set.
-//!
-//! The pipeline is now two phases with all per-event work in the
-//! parallel one:
+//! An experiment holds the collector's interned form: a stack table
+//! and fixed-size events naming a stack by its index. So a merge never
+//! touches a frame: it appends each input's table to the merged one
+//! and shifts that input's stack ids by the number of stacks already
+//! there. Nothing is hashed, and a stack several inputs share is
+//! listed once per input; [`crate::pack_experiment`] collapses such
+//! duplicates when the merge is written out.
 //!
 //! * **load** ([`load_inputs`]): each reference decodes to a full
-//!   [`Experiment`] on its own scoped thread (`MPES` files decode
-//!   their chunks against their own intern table, text directories
-//!   parse) — this is where every
-//!   per-event allocation happens, and it scales with cores;
+//!   [`Experiment`] on its own scoped thread — every per-event decode
+//!   happens here, and it scales with cores;
 //! * **fold** ([`merge_inputs`]): the merged experiment grows the
-//!   *first* input's event vectors in place — reserved once for every
-//!   later input, which then appends by memmove — so no third
-//!   full-size vector is allocated beside the inputs. Stacks travel as
-//!   already-owned `Vec`s, and only the run summaries and logs are
-//!   actually computed. The serial tail of the merge is one
-//!   reallocation of the first input's vectors plus a memmove per
-//!   later input.
+//!   *first* input's table and event vectors in place — reserved once
+//!   for every later input, which then appends with its ids shifted —
+//!   so no third full-size vector is allocated beside the inputs.
 //!
-//! The output is byte-identical to the load-everything-then-
-//! [`crate::merge_loaded`] path, which the tests pin, and a caller
-//! holding an already-merged window can seed the fold with it
-//! ([`crate::merge_experiments_with`]) instead of re-reading its
-//! packed form — the incremental-compaction fast path.
+//! The output holds the events and frames of the
+//! load-everything-then-[`crate::merge_loaded`] path, which the tests
+//! pin, and a caller holding an already-merged window can seed the
+//! fold with it ([`crate::merge_experiments_with`]) instead of
+//! re-reading its packed form — the incremental-compaction fast path.
+//! The seeded and re-read merges number their stacks differently, but
+//! packing depends only on each event's frames, so both write the
+//! same bytes.
 
 use std::num::NonZeroUsize;
 
-use memprof_core::Experiment;
+use memprof_core::{Experiment, StackId};
 
 use crate::{check_compatible, ExperimentRef, StoreError};
 
@@ -77,11 +67,12 @@ pub(crate) fn load_inputs(
 }
 
 /// Fold decoded inputs into one merged [`Experiment`] by moving them:
-/// event vectors concatenate in input order, run summaries and
-/// ground-truth counts sum, and the logs concatenate under
-/// `merged from` markers — replicating [`crate::merge_loaded`]
-/// exactly, without cloning a single event. The merged event vectors
-/// are the first input's, grown in place.
+/// stack tables and event vectors concatenate in input order (each
+/// later input's stack ids shifted past the tables before it), run
+/// summaries and ground-truth counts sum, and the logs concatenate
+/// under `merged from` markers — the events and frames of
+/// [`crate::merge_loaded`], without hashing a single stack. The merged
+/// vectors are the first input's, grown in place.
 pub(crate) fn merge_inputs(mut inputs: Vec<Experiment>) -> Result<Experiment, StoreError> {
     let (first, rest) = inputs
         .split_first_mut()
@@ -89,6 +80,10 @@ pub(crate) fn merge_inputs(mut inputs: Vec<Experiment>) -> Result<Experiment, St
     for other in rest.iter() {
         check_compatible(first, other)?;
     }
+    let n_stacks = first.stacks.len() + rest.iter().map(|e| e.stacks.len()).sum::<usize>();
+    StackId::try_from(n_stacks).expect("more than 2^32 callstacks");
+    let mut stacks = std::mem::take(&mut first.stacks);
+    stacks.reserve_exact(n_stacks - stacks.len());
     let mut hwc_events = std::mem::take(&mut first.hwc_events);
     hwc_events.reserve_exact(rest.iter().map(|e| e.hwc_events.len()).sum());
     let mut clock_events = std::mem::take(&mut first.clock_events);
@@ -96,6 +91,7 @@ pub(crate) fn merge_inputs(mut inputs: Vec<Experiment>) -> Result<Experiment, St
     let mut merged = Experiment {
         counters: first.counters.clone(),
         clock_period: first.clock_period,
+        stacks,
         hwc_events,
         clock_events,
         ..Experiment::default()
@@ -103,9 +99,19 @@ pub(crate) fn merge_inputs(mut inputs: Vec<Experiment>) -> Result<Experiment, St
     merged.run.clock_hz = first.run.clock_hz;
     merged.run.exit_code = first.run.exit_code;
     merged.run.dropped = vec![0; first.counters.len()];
-    // The first input's events are already in place: its vectors are
-    // empty now, so the loop appends only the later inputs'.
+    // The first input's table and events are already in place: its
+    // vectors are empty now, so the loop appends only the later
+    // inputs'.
     for (i, mut exp) in inputs.into_iter().enumerate() {
+        // Every shifted id stays below `n_stacks`, checked above.
+        let base = merged.stacks.len() as StackId;
+        for e in &mut exp.hwc_events {
+            e.stack += base;
+        }
+        for e in &mut exp.clock_events {
+            e.stack += base;
+        }
+        merged.stacks.append(&mut exp.stacks);
         merged.hwc_events.append(&mut exp.hwc_events);
         merged.clock_events.append(&mut exp.clock_events);
         merged.run.output.push_str(&exp.run.output);

@@ -50,7 +50,7 @@ use std::path::Path;
 
 use memprof_core::{
     CallstackTable, CollectSink, CounterRequest, Experiment, PackedClockEvent, PackedHwcEvent,
-    RunInfo, StreamConfig,
+    RunInfo, StackId, StreamConfig,
 };
 use simsparc_machine::{CounterEvent, EventCounts};
 
@@ -337,7 +337,7 @@ pub(crate) fn get_hwc_event(
     let truth_skid =
         u32::try_from(cur.get_u64()?).map_err(|_| StoreError::Corrupt("skid overflows u32"))?;
     Ok(PackedHwcEvent {
-        counter: counter as u32,
+        counter: counter as usize,
         delivered_pc,
         candidate_pc,
         ea,
@@ -452,10 +452,17 @@ pub(crate) fn get_footer(payload: &[u8], clock_hz: u64) -> Result<Footer, StoreE
 
 /// Encode an experiment (plus auxiliary text files such as `syms.txt`
 /// and `image.txt`) as an `MPES` v2 image. The events replay through
-/// the collector's own [`SegmentWriter`] and [`CallstackTable`] one
-/// spill-sized chunk at a time — the stacks a chunk newly interns
-/// first, then the chunk — so at most one chunk of packed events is
-/// held besides the output image.
+/// the collector's own [`SegmentWriter`] one spill-sized chunk at a
+/// time — the stacks a chunk newly uses first, then the chunk — so at
+/// most one chunk of events is held besides the output image.
+///
+/// Stacks are renumbered in first use, hwc chunks before clock chunks,
+/// and a stack the experiment's table lists twice is written once. So
+/// the output depends only on each event's frames, never on how the
+/// input table is numbered: `pack(load(pack(x))) == pack(x)`, and a
+/// merge of concatenated tables packs like a merge of re-read ones.
+/// The first use of an input id interns its frames through a
+/// [`CallstackTable`]; every later use is an array lookup.
 pub fn pack_experiment(exp: &Experiment, attachments: &[(String, String)]) -> Vec<u8> {
     fn pack(exp: &Experiment, attachments: &[(String, String)]) -> std::io::Result<Vec<u8>> {
         let chunk = StreamConfig::default().spill_events;
@@ -465,19 +472,17 @@ pub fn pack_experiment(exp: &Experiment, attachments: &[(String, String)]) -> Ve
         }
         w.begin(&exp.counters, exp.clock_period, exp.run.clock_hz)?;
         let mut table = CallstackTable::new();
+        let mut remap: Vec<Option<StackId>> = vec![None; exp.stacks.len()];
+        let mut renumber = |table: &mut CallstackTable, id: StackId| {
+            *remap[id as usize].get_or_insert_with(|| table.intern(&exp.stacks[id as usize]))
+        };
         let mut hwc: Vec<PackedHwcEvent> = Vec::with_capacity(chunk.min(exp.hwc_events.len()));
         for events in exp.hwc_events.chunks(chunk) {
             let known = table.len();
             hwc.clear();
             hwc.extend(events.iter().map(|ev| PackedHwcEvent {
-                counter: ev.counter as u32,
-                delivered_pc: ev.delivered_pc,
-                candidate_pc: ev.candidate_pc,
-                ea: ev.ea,
-                stack: table.intern(&ev.callstack),
-                truth_trigger_pc: ev.truth_trigger_pc,
-                truth_ea: ev.truth_ea,
-                truth_skid: ev.truth_skid,
+                stack: renumber(&mut table, ev.stack),
+                ..*ev
             }));
             if table.len() > known {
                 w.stacks(table.stacks_from(known))?;
@@ -491,8 +496,8 @@ pub fn pack_experiment(exp: &Experiment, attachments: &[(String, String)]) -> Ve
             let known = table.len();
             clock.clear();
             clock.extend(events.iter().map(|ev| PackedClockEvent {
-                pc: ev.pc,
-                stack: table.intern(&ev.callstack),
+                stack: renumber(&mut table, ev.stack),
+                ..*ev
             }));
             if table.len() > known {
                 w.stacks(table.stacks_from(known))?;

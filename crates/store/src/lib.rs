@@ -35,7 +35,9 @@ mod writer;
 
 use std::path::{Path, PathBuf};
 
-use memprof_core::{CounterRequest, Experiment};
+use memprof_core::{
+    CallstackTable, CounterRequest, Experiment, PackedClockEvent, PackedHwcEvent, StackId,
+};
 
 pub use aggregate::{
     aggregate, aggregate_exact, aggregate_streams, diff_aggregates, AggDiff, Aggregate, ColSpec,
@@ -315,7 +317,10 @@ fn check_compatible(a: &Experiment, b: &Experiment) -> Result<(), StoreError> {
 /// and the logs concatenate under `merged from` markers. The result
 /// is an ordinary [`Experiment`], so every analyzer view works on it
 /// unchanged, and per-function / per-data-object totals equal the
-/// element-wise sum of the inputs' individual analyses.
+/// element-wise sum of the inputs' individual analyses. Stacks are
+/// interned into one table, so this is an independent oracle for
+/// [`merge_experiments_with`]: the two agree on every event and its
+/// frames, not on stack numbering.
 pub fn merge_loaded(exps: &[Experiment]) -> Result<Experiment, StoreError> {
     let first = exps
         .first()
@@ -331,9 +336,17 @@ pub fn merge_loaded(exps: &[Experiment]) -> Result<Experiment, StoreError> {
     merged.run.clock_hz = first.run.clock_hz;
     merged.run.exit_code = first.run.exit_code;
     merged.run.dropped = vec![0; first.counters.len()];
+    let mut table = CallstackTable::new();
     for (i, exp) in exps.iter().enumerate() {
-        merged.hwc_events.extend(exp.hwc_events.iter().cloned());
-        merged.clock_events.extend(exp.clock_events.iter().cloned());
+        let mut intern = |id: StackId| table.intern(&exp.stacks[id as usize]);
+        for &e in &exp.hwc_events {
+            let stack = intern(e.stack);
+            merged.hwc_events.push(PackedHwcEvent { stack, ..e });
+        }
+        for &e in &exp.clock_events {
+            let stack = intern(e.stack);
+            merged.clock_events.push(PackedClockEvent { stack, ..e });
+        }
         merged.run.output.push_str(&exp.run.output);
         for (dst, src) in merged.run.dropped.iter_mut().zip(&exp.run.dropped) {
             *dst += src;
@@ -352,6 +365,7 @@ pub fn merge_loaded(exps: &[Experiment]) -> Result<Experiment, StoreError> {
         merged.log.push(format!("merged from experiment {i}"));
         merged.log.extend(exp.log.iter().cloned());
     }
+    merged.stacks = table.into_stacks();
     Ok(merged)
 }
 
@@ -363,16 +377,17 @@ pub fn merge_experiments(refs: &[ExperimentRef]) -> Result<Experiment, StoreErro
 }
 
 /// Merge `seeds` — experiments the caller already holds in memory —
-/// and then the decoded `refs`, exactly as if every seed had been
-/// packed, referenced, and re-loaded; so an incremental compactor
-/// folds fresh segments into last round's merged window without
-/// re-reading its packed image. The references decode `shards` at a
-/// time on scoped threads (0 = one per available core; requests
-/// beyond the hardware are capped), which is where all per-event work
-/// happens; the fold itself moves the decoded events, so its cost is
-/// proportional to the number of inputs. The result is identical at
-/// every shard count, and to loading every input and calling
-/// [`merge_loaded`].
+/// and then the decoded `refs`, with the events and frames of a merge
+/// that had packed and re-loaded every seed (only stack numbering
+/// differs), so `pack(merge([x], refs)) == pack(merge([load(pack(x))],
+/// refs))` and an incremental compactor folds fresh segments into
+/// last round's merged window without re-reading its packed image.
+/// The references decode `shards` at a time on scoped threads (0 = one
+/// per available core; requests beyond the hardware are capped), which
+/// is where all per-event decoding happens; the fold concatenates the
+/// stack tables and moves the events. The result is identical at every
+/// shard count, and holds the events and frames of loading every input
+/// and calling [`merge_loaded`].
 pub fn merge_experiments_with(
     seeds: Vec<Experiment>,
     refs: &[ExperimentRef],
@@ -437,8 +452,36 @@ pub fn aggregate_refs(refs: &[ExperimentRef], shards: usize) -> Result<Aggregate
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memprof_core::{ClockEvent, CounterRequest, HwcEvent};
+    use memprof_core::CounterRequest;
     use simsparc_machine::CounterEvent;
+
+    /// Each hwc event with its frames in place of its stack id.
+    fn hwc_frames(e: &Experiment) -> Vec<(PackedHwcEvent, &[u64])> {
+        e.hwc_events
+            .iter()
+            .map(|ev| {
+                (
+                    PackedHwcEvent { stack: 0, ..*ev },
+                    &e.stacks[ev.stack as usize][..],
+                )
+            })
+            .collect()
+    }
+
+    /// Each clock tick with its frames in place of its stack id.
+    fn clock_frames(e: &Experiment) -> Vec<(u64, &[u64])> {
+        e.clock_events
+            .iter()
+            .map(|ev| (ev.pc, &e.stacks[ev.stack as usize][..]))
+            .collect()
+    }
+
+    /// Two experiments hold the same events with the same frames,
+    /// however their stack tables are numbered.
+    fn assert_same_events(a: &Experiment, b: &Experiment) {
+        assert_eq!(hwc_frames(a), hwc_frames(b));
+        assert_eq!(clock_frames(a), clock_frames(b));
+    }
 
     pub(crate) fn sample_experiment() -> Experiment {
         Experiment {
@@ -455,46 +498,56 @@ mod tests {
                 },
             ],
             clock_period: Some(10007),
+            // Numbered as a collector numbers them when a clock tick
+            // meets a stack first, with one stack listed twice and one
+            // unused — all legal, none visible in what the events mean.
+            stacks: vec![
+                vec![0x1000_0010],
+                vec![],
+                vec![0x1000_0010, 0x1000_0200],
+                vec![0xdead],
+                vec![0x1000_0010],
+            ],
             hwc_events: vec![
-                HwcEvent {
+                PackedHwcEvent {
                     counter: 0,
                     delivered_pc: 0x1000_31b8,
                     candidate_pc: Some(0x1000_31b0),
                     ea: Some(0x4000_0038),
-                    callstack: vec![0x1000_0010, 0x1000_0200],
+                    stack: 2,
                     truth_trigger_pc: 0x1000_31b0,
                     truth_ea: Some(0x4000_0038),
                     truth_skid: 2,
                 },
-                HwcEvent {
+                PackedHwcEvent {
                     counter: 1,
                     delivered_pc: 0x1000_31d8,
                     candidate_pc: None,
                     ea: None,
-                    callstack: vec![],
+                    stack: 1,
                     truth_trigger_pc: 0x1000_31d4,
                     truth_ea: None,
                     truth_skid: 1,
                 },
-                HwcEvent {
+                PackedHwcEvent {
                     counter: 0,
                     delivered_pc: 0x1000_31b8,
                     candidate_pc: Some(0x1000_31b0),
                     ea: Some(0x4000_0110),
-                    callstack: vec![0x1000_0010],
+                    stack: 4,
                     truth_trigger_pc: 0x1000_31b4,
                     truth_ea: Some(0x4000_0110),
                     truth_skid: 1,
                 },
             ],
             clock_events: vec![
-                ClockEvent {
+                PackedClockEvent {
                     pc: 0x1000_31d8,
-                    callstack: vec![0x1000_0010],
+                    stack: 0,
                 },
-                ClockEvent {
+                PackedClockEvent {
                     pc: 0x1000_31b8,
-                    callstack: vec![],
+                    stack: 1,
                 },
             ],
             run: memprof_core::RunInfo {
@@ -520,16 +573,22 @@ mod tests {
         let attachments = vec![("syms.txt".to_string(), "module m 1 1\n".to_string())];
         let bytes = pack_experiment(&exp, &attachments);
         assert!(bytes.starts_with(b"MPES\x02"));
-        let store = StreamFile::from_bytes(bytes).unwrap();
+        let store = StreamFile::from_bytes(bytes.clone()).unwrap();
         assert!(store.is_complete());
         assert_eq!(store.attachments(), &attachments[..]);
         let back = store.to_experiment().unwrap();
         assert_eq!(back.counters, exp.counters);
         assert_eq!(back.clock_period, exp.clock_period);
-        assert_eq!(back.hwc_events, exp.hwc_events);
-        assert_eq!(back.clock_events, exp.clock_events);
+        assert_same_events(&back, &exp);
         assert_eq!(back.run, exp.run);
         assert_eq!(back.log, exp.log);
+        // Packing renumbers in first use, hwc before clock, and drops
+        // the duplicate and the unused stack.
+        assert_eq!(
+            back.stacks,
+            vec![vec![0x1000_0010, 0x1000_0200], vec![], vec![0x1000_0010]]
+        );
+        assert_eq!(pack_experiment(&back, &attachments), bytes);
     }
 
     #[test]
@@ -554,19 +613,22 @@ mod tests {
     fn packing_chunks_events_and_interns_each_stack_once() {
         let mut exp = sample_experiment();
         let chunk = memprof_core::StreamConfig::default().spill_events;
-        let template = exp.hwc_events[0].clone();
+        let template = exp.hwc_events[0];
+        let base = exp.stacks.len() as u32;
+        exp.stacks
+            .extend((0..3).map(|k| vec![0x1000_0010, 0x1000_0200 + k]));
         exp.hwc_events = (0..2 * chunk + 3)
-            .map(|i| HwcEvent {
+            .map(|i| PackedHwcEvent {
                 delivered_pc: 0x1000_0000 + 4 * i as u64,
-                callstack: vec![0x1000_0010, 0x1000_0200 + (i % 3) as u64],
-                ..template.clone()
+                stack: base + (i % 3) as u32,
+                ..template
             })
             .collect();
         let bytes = pack_experiment(&exp, &[]);
         let store = StreamFile::from_bytes(bytes.clone()).unwrap();
         assert_eq!(store.hwc_total(), exp.hwc_events.len());
         assert_eq!(store.clock_count(), exp.clock_events.len());
-        assert_eq!(store.to_experiment().unwrap().hwc_events, exp.hwc_events);
+        assert_same_events(&store.to_experiment().unwrap(), &exp);
         // Three hwc chunks and one clock chunk; stacks only where new
         // ones first appear (the first hwc chunk and the clock chunk).
         let kinds = chunk_kinds(&bytes);
@@ -613,46 +675,43 @@ mod tests {
 
     #[test]
     fn dict_merge_matches_load_then_merge_loaded() {
-        use memprof_core::{CallstackTable, CollectSink as _, PackedClockEvent, PackedHwcEvent};
+        use memprof_core::CollectSink as _;
         let exp = sample_experiment();
 
-        // Input 1: text directory.
+        // Input 1: text directory (loading interns, hwc lines first).
         let dir = scratch_path("dictmerge_text");
         exp.save(&dir).unwrap();
 
-        // Input 2: packed store.
+        // Input 2: packed store (numbered in pack order).
         let packed = scratch_path("dictmerge_packed");
         std::fs::write(&packed, pack_experiment(&exp, &[])).unwrap();
 
         // Input 3: a stream file carrying the same events, written
-        // through the collector's sink in one segment per kind.
-        let mut w = SegmentWriter::new(Vec::new());
-        w.begin(&exp.counters, exp.clock_period, exp.run.clock_hz)
-            .unwrap();
-        let mut table = CallstackTable::new();
+        // through the collector's sink in one segment per kind, with
+        // the sample's table reversed — so the three inputs hold the
+        // same stacks under different ids.
+        let n = exp.stacks.len() as u32;
+        let reversed: Vec<Vec<u64>> = exp.stacks.iter().rev().cloned().collect();
         let hwc: Vec<PackedHwcEvent> = exp
             .hwc_events
             .iter()
             .map(|ev| PackedHwcEvent {
-                counter: ev.counter as u32,
-                delivered_pc: ev.delivered_pc,
-                candidate_pc: ev.candidate_pc,
-                ea: ev.ea,
-                stack: table.intern(&ev.callstack),
-                truth_trigger_pc: ev.truth_trigger_pc,
-                truth_ea: ev.truth_ea,
-                truth_skid: ev.truth_skid,
+                stack: n - 1 - ev.stack,
+                ..*ev
             })
             .collect();
         let clock: Vec<PackedClockEvent> = exp
             .clock_events
             .iter()
             .map(|ev| PackedClockEvent {
-                pc: ev.pc,
-                stack: table.intern(&ev.callstack),
+                stack: n - 1 - ev.stack,
+                ..*ev
             })
             .collect();
-        w.stacks(table.stacks_from(0)).unwrap();
+        let mut w = SegmentWriter::new(Vec::new());
+        w.begin(&exp.counters, exp.clock_period, exp.run.clock_hz)
+            .unwrap();
+        w.stacks(&reversed).unwrap();
         w.hwc_segment(&hwc).unwrap();
         w.clock_segment(&clock).unwrap();
         w.finish(&exp.run, &exp.log).unwrap();
@@ -670,10 +729,29 @@ mod tests {
             let merged = merge_experiments_with(Vec::new(), &refs, shards).unwrap();
             assert_eq!(merged.counters, oracle.counters);
             assert_eq!(merged.clock_period, oracle.clock_period);
-            assert_eq!(merged.hwc_events, oracle.hwc_events);
-            assert_eq!(merged.clock_events, oracle.clock_events);
+            assert_same_events(&merged, &oracle);
             assert_eq!(merged.run, oracle.run);
             assert_eq!(merged.log, oracle.log);
+            // The fold concatenates tables: duplicates stay.
+            assert_eq!(
+                merged.stacks.len(),
+                loaded.iter().map(|e| e.stacks.len()).sum::<usize>()
+            );
+            assert_eq!(pack_experiment(&merged, &[]), pack_experiment(&oracle, &[]));
+
+            // The `CompactCache` seeding property: a merge seeded with
+            // an experiment in memory packs exactly like one seeded
+            // with that experiment's packed form read back.
+            let reread = StreamFile::from_bytes(pack_experiment(&exp, &[]))
+                .unwrap()
+                .to_experiment()
+                .unwrap();
+            let seeded = merge_experiments_with(vec![exp.clone()], &refs, shards).unwrap();
+            let reseeded = merge_experiments_with(vec![reread], &refs, shards).unwrap();
+            assert_eq!(
+                pack_experiment(&seeded, &[]),
+                pack_experiment(&reseeded, &[])
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_file(&packed).ok();
@@ -706,12 +784,12 @@ mod tests {
     fn diff_reports_moved_pcs_only() {
         let a = sample_experiment();
         let mut b = sample_experiment();
-        b.hwc_events.push(HwcEvent {
+        b.hwc_events.push(PackedHwcEvent {
             counter: 1,
             delivered_pc: 0x1000_4000,
             candidate_pc: None,
             ea: None,
-            callstack: vec![],
+            stack: 1,
             truth_trigger_pc: 0x1000_4000,
             truth_ea: None,
             truth_skid: 0,

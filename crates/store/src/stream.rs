@@ -88,11 +88,10 @@ impl EventStream {
     /// projection (see [`memprof_core::EventBatch::grow_pc_rows`]),
     /// with counter `c` landing in column `hwc_col[c]` and clock ticks
     /// in `clock_col`: only the columns a per-PC histogram reads are
-    /// materialized, with the charge-PC rule of
-    /// [`memprof_core::fill_hwc_pc_rows`] applied inline as
-    /// events are decoded. `MPES` files decode their event chunks
-    /// straight into the batch — interned callstacks are never
-    /// rehydrated on this path.
+    /// materialized, with the charge-PC rule
+    /// ([`memprof_core::charged_pc`]) applied inline as events are
+    /// decoded. `MPES` files decode their event chunks straight into
+    /// the batch — no stack is decoded on this path.
     pub fn fill_pc_batch(
         &self,
         batch: &mut EventBatch,
@@ -104,9 +103,7 @@ impl EventStream {
                 if let Some(col) = clock_col {
                     memprof_core::fill_clock_pc_rows(batch, col, &e.clock_events);
                 }
-                if !memprof_core::fill_hwc_pc_rows(batch, &e.counters, hwc_col, &e.hwc_events) {
-                    return Err(StoreError::Corrupt("event references unknown counter"));
-                }
+                memprof_core::fill_hwc_pc_rows(batch, &e.counters, hwc_col, &e.hwc_events);
                 Ok(())
             }
             EventStream::Stream(s) => s.fill_pc_batch(batch, hwc_col, clock_col),

@@ -31,7 +31,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use memprof_core::{
-    ClockEvent, CollectSink, CounterRequest, EventBatch, Experiment, HwcEvent, PackedClockEvent,
+    charged_pc, CollectSink, CounterRequest, EventBatch, Experiment, PackedClockEvent,
     PackedHwcEvent, RunInfo,
 };
 use simsparc_machine::EventCounts;
@@ -423,9 +423,9 @@ impl StreamFile {
 
     /// Stream the events into a columnar batch in the pc projection
     /// (see [`EventBatch::grow_pc_rows`]): each chunk is decoded
-    /// straight into the `col` and charge-PC columns — candidate
-    /// trigger for backtracked counters, delivered PC otherwise — and
-    /// no callstack is ever rehydrated. Clock chunks are decoded and
+    /// straight into the `col` and charge-PC columns
+    /// ([`memprof_core::charged_pc`]), and no STACKS chunk is decoded.
+    /// Clock chunks are decoded and
     /// checked even when `clock_col` is `None`, but then add no rows.
     pub fn fill_pc_batch(
         &self,
@@ -438,9 +438,8 @@ impl StreamFile {
                 CHUNK_HWC => {
                     let (cols, pcs) = batch.grow_pc_rows(c.count);
                     self.hwc_chunk(c, |i, ev| {
-                        let counter = ev.counter as usize;
-                        cols[i] = hwc_col[counter] as u32;
-                        pcs[i] = charged_pc(&ev, self.counters[counter].backtrack);
+                        cols[i] = hwc_col[ev.counter] as u32;
+                        pcs[i] = charged_pc(&ev, self.counters[ev.counter].backtrack);
                     })?;
                 }
                 CHUNK_CLOCK => {
@@ -458,36 +457,21 @@ impl StreamFile {
         Ok(())
     }
 
-    /// Decode the full in-memory [`Experiment`], rehydrating each
-    /// event's callstack from the file's interned stacks. An
-    /// interrupted run gains a log line recording why the stream ended
-    /// early.
+    /// Decode the full in-memory [`Experiment`]: the STACKS chunks
+    /// concatenate into its stack table, and events keep the file's
+    /// stack ids, which are dense and cumulative and so index that
+    /// table as they are. No stack is cloned per event. An interrupted
+    /// run gains a log line recording why the stream ended early.
     pub fn to_experiment(&self) -> Result<Experiment, StoreError> {
-        let mut stacks: Vec<Vec<u64>> = Vec::new();
+        let mut stacks = Vec::new();
         let mut hwc_events = Vec::with_capacity(self.hwc_total);
         let mut clock_events = Vec::with_capacity(self.clock_total);
         for c in &self.chunks {
             match c.kind {
                 CHUNK_STACKS => self.decode(c, get_stack, |_, s| stacks.push(s))?,
-                CHUNK_HWC => self.hwc_chunk(c, |_, e| {
-                    hwc_events.push(HwcEvent {
-                        counter: e.counter as usize,
-                        delivered_pc: e.delivered_pc,
-                        candidate_pc: e.candidate_pc,
-                        ea: e.ea,
-                        callstack: stacks[e.stack as usize].clone(),
-                        truth_trigger_pc: e.truth_trigger_pc,
-                        truth_ea: e.truth_ea,
-                        truth_skid: e.truth_skid,
-                    })
-                })?,
+                CHUNK_HWC => self.hwc_chunk(c, |_, e| hwc_events.push(e))?,
                 // CHUNK_CLOCK, the only other kind the index holds.
-                _ => self.clock_chunk(c, |_, e| {
-                    clock_events.push(ClockEvent {
-                        pc: e.pc,
-                        callstack: stacks[e.stack as usize].clone(),
-                    })
-                })?,
+                _ => self.clock_chunk(c, |_, e| clock_events.push(e))?,
             }
         }
         let mut log = self.log.clone();
@@ -497,20 +481,12 @@ impl StreamFile {
         Ok(Experiment {
             counters: self.counters.clone(),
             clock_period: self.clock_period,
+            stacks,
             hwc_events,
             clock_events,
             run: self.run.clone(),
             log,
         })
-    }
-}
-
-/// The charge-PC rule for one counter event.
-fn charged_pc(ev: &PackedHwcEvent, backtrack: bool) -> u64 {
-    if backtrack {
-        ev.candidate_pc.unwrap_or(ev.delivered_pc)
-    } else {
-        ev.delivered_pc
     }
 }
 
@@ -677,9 +653,15 @@ mod tests {
         assert_eq!(f.hwc_total(), 2);
         assert_eq!(f.clock_count(), 1);
         let exp = f.to_experiment().unwrap();
-        assert_eq!(exp.hwc_events[0].callstack, vec![0x1000_0010, 0x1000_0200]);
-        assert_eq!(exp.hwc_events[1].callstack, Vec::<u64>::new());
-        assert_eq!(exp.clock_events[0].callstack, vec![0x1000_0010]);
+        assert_eq!(
+            exp.stacks,
+            vec![vec![0x1000_0010, 0x1000_0200], vec![], vec![0x1000_0010]]
+        );
+        assert_eq!(
+            exp.hwc_events.iter().map(|e| e.stack).collect::<Vec<_>>(),
+            [0, 1]
+        );
+        assert_eq!(exp.clock_events[0].stack, 2);
     }
 
     #[test]

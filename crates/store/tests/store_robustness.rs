@@ -1,13 +1,14 @@
-//! Robustness of the binary format: property-tested lossless
-//! `load(pack(x)) == x` over arbitrary experiments, aggregation of a
-//! packed file equal to aggregation of its loaded experiment, and
+//! Robustness of the binary format: property-tested lossless packing
+//! over arbitrary experiments (`load(pack(x))` holds x's events with
+//! x's frames, and packs to the same bytes), aggregation of a packed
+//! file equal to aggregation of its loaded experiment, and
 //! typed errors — never panics — on every truncation and byte flip of
 //! a packed image. Mirrors the text-format robustness suite in
 //! memprof-core.
 
 use std::path::{Path, PathBuf};
 
-use memprof_core::{ClockEvent, CounterRequest, Experiment, HwcEvent, RunInfo};
+use memprof_core::{CounterRequest, Experiment, PackedClockEvent, PackedHwcEvent, RunInfo};
 use memprof_store::{
     aggregate, aggregate_refs, fnv1a64, pack_experiment, ExperimentRef, StoreError, StreamFile,
 };
@@ -32,24 +33,36 @@ fn counters(i0: u64, i1: u64) -> Vec<CounterRequest> {
     ]
 }
 
-type RawHwc = (usize, u64, bool, u64, bool, u64, u64, Vec<u64>);
+/// One generated hwc event; the last field picks its stack.
+type RawHwc = (usize, u64, bool, u64, bool, u64, u64, usize);
 
+/// A stack no generated event uses.
+const UNUSED_STACK: u64 = 0x7fff_0000;
+
+/// Build an experiment whose stack table is `pool` twice over plus one
+/// stack no event uses, so every table holds duplicates and an unused
+/// entry. Each event's pick selects any of the `2 * pool.len()` used
+/// positions, so either copy of a stack can be used, and a clock tick
+/// can be the first event to use one.
 fn build_experiment(
     intervals: (u64, u64),
     period: u64,
+    pool: Vec<Vec<u64>>,
     raw_events: Vec<RawHwc>,
-    raw_clocks: Vec<(u64, Vec<u64>)>,
+    raw_clocks: Vec<(u64, usize)>,
     dropped: (u64, u64),
 ) -> Experiment {
+    let used = 2 * pool.len();
+    let id = |pick: usize| (pick % used) as u32;
     let hwc_events = raw_events
         .into_iter()
         .map(
-            |(counter, delivered, has_cand, cand_delta, has_ea, ea, skid, stack)| HwcEvent {
+            |(counter, delivered, has_cand, cand_delta, has_ea, ea, skid, pick)| PackedHwcEvent {
                 counter,
                 delivered_pc: delivered,
                 candidate_pc: has_cand.then(|| delivered.wrapping_sub(cand_delta)),
                 ea: has_ea.then_some(ea),
-                callstack: stack,
+                stack: id(pick),
                 truth_trigger_pc: delivered.wrapping_sub(cand_delta / 2),
                 truth_ea: has_ea.then_some(ea ^ 0x40),
                 truth_skid: (skid % 8) as u32,
@@ -58,11 +71,18 @@ fn build_experiment(
         .collect();
     let clock_events = raw_clocks
         .into_iter()
-        .map(|(pc, callstack)| ClockEvent { pc, callstack })
+        .map(|(pc, pick)| PackedClockEvent {
+            pc,
+            stack: id(pick),
+        })
         .collect();
+    let mut stacks = pool.clone();
+    stacks.extend(pool);
+    stacks.push(vec![UNUSED_STACK]);
     Experiment {
         counters: counters(intervals.0, intervals.1),
         clock_period: (period > 0).then_some(period),
+        stacks,
         hwc_events,
         clock_events,
         run: RunInfo {
@@ -107,16 +127,40 @@ fn packed_ref(path: &Path, bytes: &[u8]) -> ExperimentRef {
     ExperimentRef::Packed(path.to_path_buf())
 }
 
+/// Each hwc event with its frames in place of its stack id.
+fn hwc_frames(e: &Experiment) -> Vec<(PackedHwcEvent, &[u64])> {
+    e.hwc_events
+        .iter()
+        .map(|ev| {
+            (
+                PackedHwcEvent { stack: 0, ..*ev },
+                &e.stacks[ev.stack as usize][..],
+            )
+        })
+        .collect()
+}
+
+/// Each clock tick with its frames in place of its stack id.
+fn clock_frames(e: &Experiment) -> Vec<(u64, &[u64])> {
+    e.clock_events
+        .iter()
+        .map(|ev| (ev.pc, &e.stacks[ev.stack as usize][..]))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `load(pack(x)) == x`: the property compaction's cache seeding
-    /// rests on — a seeded merge is exactly a merge that re-read the
-    /// packed store.
+    /// Packing is lossless up to stack numbering: `load(pack(x))`
+    /// holds x's events, each with x's frames, and packs to x's bytes.
+    /// Pack depends only on each event's frames — the property
+    /// compaction's cache seeding rests on: a seeded merge packs
+    /// exactly like a merge that re-read the packed store.
     #[test]
     fn load_of_pack_is_identity(
         intervals in (1u64..100_000, 1u64..100_000),
         period in 0u64..20_000,
+        pool in vec(vec(0x1_0000u64..0x200_0000, 0..5), 1..8),
         raw_events in vec(
             (
                 0usize..2,
@@ -126,14 +170,14 @@ proptest! {
                 any::<bool>(),
                 0u64..0x4000_0000,
                 0u64..8,
-                vec(0x1_0000u64..0x200_0000, 0..5),
+                any::<usize>(),
             ),
             0..48,
         ),
-        raw_clocks in vec((0x1_0000u64..0x200_0000, vec(0x1_0000u64..0x200_0000, 0..4)), 0..24),
+        raw_clocks in vec((0x1_0000u64..0x200_0000, any::<usize>()), 0..24),
         dropped in (0u64..10, 0u64..10),
     ) {
-        let exp = build_experiment(intervals, period, raw_events, raw_clocks, dropped);
+        let exp = build_experiment(intervals, period, pool, raw_events, raw_clocks, dropped);
         let bytes = pack_experiment(&exp, &attachments());
         prop_assert!(bytes.starts_with(b"MPES\x02"));
         let dir = scratch("identity");
@@ -142,10 +186,11 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
         prop_assert_eq!(&back.counters, &exp.counters);
         prop_assert_eq!(back.clock_period, exp.clock_period);
-        prop_assert_eq!(&back.hwc_events, &exp.hwc_events);
-        prop_assert_eq!(&back.clock_events, &exp.clock_events);
+        prop_assert_eq!(hwc_frames(&back), hwc_frames(&exp));
+        prop_assert_eq!(clock_frames(&back), clock_frames(&exp));
         prop_assert_eq!(&back.run, &exp.run);
         prop_assert_eq!(&back.log, &exp.log);
+        prop_assert!(pack_experiment(&back, &attachments()) == bytes, "pack(load(pack(x))) != pack(x)");
         let stream = StreamFile::from_bytes(bytes)?;
         prop_assert!(stream.is_complete());
         prop_assert_eq!(stream.attachments(), &attachments()[..]);
@@ -164,14 +209,15 @@ proptest! {
                 any::<bool>(),
                 0u64..0x4000_0000,
                 0u64..8,
-                vec(0x1_0000u64..0x200_0000, 0..3),
+                any::<usize>(),
             ),
             0..64,
         ),
-        raw_clocks in vec((0x1_0000u64..0x1_0400, vec(0x1_0000u64..0x200_0000, 0..3)), 0..24),
+        raw_clocks in vec((0x1_0000u64..0x1_0400, any::<usize>()), 0..24),
+        pool in vec(vec(0x1_0000u64..0x200_0000, 0..3), 1..4),
         period in 0u64..2,
     ) {
-        let exp = build_experiment((4001, 53), period * 10007, raw_events, raw_clocks, (0, 0));
+        let exp = build_experiment((4001, 53), period * 10007, pool, raw_events, raw_clocks, (0, 0));
         let dir = scratch("agg");
         let r = packed_ref(&dir.join("x.mps"), &pack_experiment(&exp, &[]));
         let streamed = aggregate_refs(std::slice::from_ref(&r), 1)?;
@@ -184,7 +230,17 @@ proptest! {
     }
 }
 
-/// A small deterministic event mix used by the corruption tests.
+/// A small deterministic event mix used by the corruption tests:
+/// event `i` calls from `[0x1_0000, 0x1_0040 + i]`, every clock tick
+/// from `[0x1_0000]` (the pool's last stack, picked in its second
+/// copy).
+fn sample_pool() -> Vec<Vec<u64>> {
+    (0..24)
+        .map(|i| vec![0x1_0000, 0x1_0040 + i])
+        .chain([vec![0x1_0000]])
+        .collect()
+}
+
 fn sample_events() -> Vec<RawHwc> {
     (0..24)
         .map(|i| {
@@ -196,20 +252,25 @@ fn sample_events() -> Vec<RawHwc> {
                 i % 4 == 0,
                 0x4000_0000 + i * 16,
                 i % 8,
-                vec![0x1_0000, 0x1_0040 + i],
+                i as usize,
             )
         })
         .collect()
 }
 
-fn sample_clocks() -> Vec<(u64, Vec<u64>)> {
-    (0..12)
-        .map(|i| (0x1_0100 + i * 4, vec![0x1_0000]))
-        .collect()
+fn sample_clocks() -> Vec<(u64, usize)> {
+    (0..12).map(|i| (0x1_0100 + i * 4, 2 * 25 - 1)).collect()
 }
 
 fn sample_image() -> Vec<u8> {
-    let exp = build_experiment((4001, 53), 10007, sample_events(), sample_clocks(), (1, 0));
+    let exp = build_experiment(
+        (4001, 53),
+        10007,
+        sample_pool(),
+        sample_events(),
+        sample_clocks(),
+        (1, 0),
+    );
     pack_experiment(&exp, &attachments())
 }
 
@@ -413,6 +474,7 @@ fn truncated_files_on_disk_match_in_memory_truncation() {
         match (from_disk, in_memory) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.counters, b.counters, "cut {cut}");
+                assert_eq!(a.stacks, b.stacks, "cut {cut}");
                 assert_eq!(a.hwc_events, b.hwc_events, "cut {cut}");
                 assert_eq!(a.clock_events, b.clock_events, "cut {cut}");
                 assert_eq!(a.log, b.log, "cut {cut}");

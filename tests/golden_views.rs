@@ -1,12 +1,16 @@
-//! Golden snapshot tests for the rendered analyzer views and the
-//! store aggregation/diff renders.
+//! Golden snapshot tests for the rendered analyzer views, the store
+//! aggregation/diff renders, and the bytes of the encoded experiments.
 //!
 //! The snapshots under `tests/golden/` were captured from the
 //! pre-columnar-refactor analyzer at the paper's figure scale
 //! (MCF n_trips=1200, window=60, seed=181) and pin the Figure 1–7
 //! output plus the `mp-store` aggregate/merge/diff renders
 //! byte-for-byte. Any aggregation change that alters a rendered view
-//! fails here.
+//! fails here. `mpes_digests.txt` pins the length and XXH64 of the
+//! `MPES` images `pack_experiment` writes for both runs and for a
+//! merge, and of every file `Experiment::save` writes for that merge,
+//! so a change to how experiments are held in memory cannot move a
+//! byte on disk.
 //!
 //! Regenerate intentionally with:
 //!
@@ -14,11 +18,12 @@
 //! MEMPROF_UPDATE_GOLDEN=1 cargo test --test golden_views
 //! ```
 
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use mcf_bench::{run_paper_experiments, Scale};
 use memprof_core::analyze::Analysis;
-use memprof_store::{aggregate, diff_aggregates, merge_loaded};
+use memprof_store::{aggregate, diff_aggregates, merge_loaded, pack_experiment, xxh64};
 use simsparc_machine::CounterEvent;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -105,4 +110,30 @@ fn golden_views_and_store_renders() {
         "store_diff_by_function.txt",
         &diff.render_by_function(&run.program.syms),
     );
+
+    // The encoded bytes of the same experiments: both runs and the
+    // merge packed as `MPES`, and the merge saved as a text directory.
+    let mut digests = String::new();
+    let mut pin = |name: &str, bytes: &[u8]| {
+        writeln!(digests, "{name} {} {:016x}", bytes.len(), xxh64(bytes)).unwrap();
+    };
+    pin("pack exp1", &pack_experiment(&run.exp1, &[]));
+    pin("pack exp2", &pack_experiment(&run.exp2, &[]));
+    pin("pack merge", &pack_experiment(&merged, &[]));
+    let dir = std::env::temp_dir().join(format!("memprof_golden_save_{}", std::process::id()));
+    merged.save(&dir).expect("save merge");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list saved merge")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    files.sort();
+    for path in files {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        pin(
+            &format!("save merge/{name}"),
+            &std::fs::read(&path).unwrap(),
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    check("mpes_digests.txt", &digests);
 }
