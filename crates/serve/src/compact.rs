@@ -14,7 +14,7 @@
 //! previous packed tier first, then raw segments in file-name order
 //! (session ids embed an arrival sequence number, so the order is
 //! deterministic). The packed store is in the raw segments' own
-//! format, `MPES` v2: [`pack_experiment`] replays the merge through
+//! format, `MPES` v3: [`pack_experiment`] replays the merge through
 //! the collector's chunk writer. The tier-2 summary is regenerated
 //! with the same aggregation kernel `mp-store stat` uses, and carries
 //! the new store's `syms.txt` attachment so aggregate queries never
@@ -375,7 +375,7 @@ pub fn compact_window(
 
     // Manifest first (inert until the store it hashes lands), then
     // the store itself — the commit point.
-    let packed_hash = xxh64(&bytes);
+    let packed_hash = xxh64(&bytes, 0);
     let manifest = Manifest {
         packed: StoreHash::Xxh64(packed_hash),
         consumed: tier
@@ -428,7 +428,7 @@ pub fn compact_window(
 /// XXH64 check is what lets a cached experiment stand in for a
 /// checksummed read of the store.
 pub(crate) fn packed_hash_is(packed: &Path, hash: u64) -> bool {
-    read_file_pooled(packed).is_ok_and(|bytes| xxh64(&bytes) == hash)
+    read_file_pooled(packed).is_ok_and(|bytes| xxh64(&bytes, 0) == hash)
 }
 
 /// Compact one window under its exclusive registry lock, bumping the

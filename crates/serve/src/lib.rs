@@ -2,7 +2,7 @@
 //!
 //! The paper's workflow is batch: run `collect`, get an experiment,
 //! analyze it offline. This crate turns that into a service for
-//! fleet-style profiling: a daemon (`mp-serve`) that accepts MPES v2
+//! fleet-style profiling: a daemon (`mp-serve`) that accepts MPES v3
 //! event streams from many concurrent collectors over a socket
 //! ([`wire`]), lands them as raw segments with the same crash-safety
 //! guarantees as local streaming ([`server`]), folds them into

@@ -19,9 +19,17 @@
 //!
 //! ```text
 //! HELLO ──► ingest/WINDOW@ID.part created, HELLO_OK(ID) sent
-//! CHUNK*──► frame payloads appended verbatim (MPES v2 bytes)
-//! END  ───► fsync, seal to raw/WINDOW/ID.mpes, END_OK sent
+//! CHUNK*──► frame payloads appended verbatim (MPES v3 bytes)
+//! END  ───► fsync, seal to raw/WINDOW/ID.mpes, fsync raw/WINDOW/,
+//!           END_OK sent (ERROR if nothing readable arrived)
 //! ```
+//!
+//! `END_OK` acknowledges a commit that survives a power loss: the
+//! staging file's data is synced before the rename, and the window
+//! directory (and `raw/` itself, when the window directory is new) is
+//! synced after it, so the raw segment's directory entry is on disk
+//! too. A clean END whose bytes hold no readable MPES prefix gets an
+//! ERROR frame saying the session was discarded.
 //!
 //! Session ids are `SEQ-NAME` with a zero-padded arrival sequence
 //! number. The counter is seeded at startup from the highest sequence
@@ -59,7 +67,7 @@ use crate::compact::{compact_all_registered, CompactCache};
 use crate::query::{answer, watch_frame, QueryOutcome};
 use crate::registry::{WindowRegistry, WindowState};
 use crate::retention::{enforce_retention, RetentionPolicy};
-use crate::store::{valid_label, StoreDirs};
+use crate::store::{sync_dir, valid_label, StoreDirs};
 use crate::wire::{
     is_timeout, parse_hello, read_frame, write_frame, WireError, TAG_CHUNK, TAG_END, TAG_END_OK,
     TAG_ERROR, TAG_HELLO, TAG_HELLO_OK, TAG_PUSH, TAG_QUERY, TAG_RESULT, TAG_WATCH,
@@ -389,7 +397,7 @@ fn handle_session(shared: &Shared, mut stream: TcpStream, hello: &[u8]) -> std::
     write_frame(&mut stream, TAG_HELLO_OK, session.as_bytes())?;
 
     // Ingest until END, disconnect, or idle timeout. Every CHUNK
-    // payload is MPES v2 bytes, appended verbatim.
+    // payload is MPES v3 bytes, appended verbatim.
     let mut clean_end = false;
     loop {
         match read_frame(&mut stream) {
@@ -440,6 +448,10 @@ fn handle_session(shared: &Shared, mut stream: TcpStream, hello: &[u8]) -> std::
         }
         Ok(false) => {
             eprintln!("mp-serve: discarded {session}: no parseable prefix");
+            if clean_end {
+                let msg = format!("session {session} discarded: no readable MPES prefix");
+                let _ = write_frame(&mut stream, TAG_ERROR, msg.as_bytes());
+            }
         }
         Err(e) => {
             eprintln!("mp-serve: cannot seal {session}: {e}");
@@ -463,6 +475,8 @@ fn handle_session(shared: &Shared, mut stream: TcpStream, hello: &[u8]) -> std::
 /// compaction pass captured its fresh list before the rename (the
 /// manifest it publishes won't name the new segment, which therefore
 /// stays fresh for the next pass — never double-counted, never lost).
+/// Returns only once the rename is durable: the window directory is
+/// synced after it, and `raw/` too when the window directory is new.
 fn seal_part(
     dirs: &StoreDirs,
     part: &Path,
@@ -474,7 +488,13 @@ fn seal_part(
         return Ok(false);
     }
     let raw_dir = dirs.raw_dir(window);
+    let new_dir = !raw_dir.is_dir();
     std::fs::create_dir_all(&raw_dir).map_err(|e| StoreError::Io(e).at(&raw_dir))?;
+    if new_dir {
+        if let Some(raw) = raw_dir.parent() {
+            sync_dir(raw)?;
+        }
+    }
     let dest = dirs.raw_path(window, session);
     // The seeded session counter makes collisions impossible in
     // normal operation; refuse rather than silently replace sealed
@@ -486,6 +506,7 @@ fn seal_part(
         )));
     }
     std::fs::rename(part, &dest).map_err(|e| StoreError::Io(e).at(&dest))?;
+    sync_dir(&raw_dir)?;
     Ok(true)
 }
 

@@ -4,8 +4,8 @@
 //! ```text
 //! DATA/
 //!   ingest/WINDOW@SESSION.part   active collector sessions (unsealed)
-//!   raw/WINDOW/SESSION.mpes      tier 0: sealed raw segments (MPES v2)
-//!   packed/WINDOW.mps            tier 1: merged packed store (MPES v2)
+//!   raw/WINDOW/SESSION.mpes      tier 0: sealed raw segments (MPES v3)
+//!   packed/WINDOW.mps            tier 1: merged packed store (MPES v3)
 //!   packed/WINDOW.consumed       tier 1: compaction manifest (MPCM)
 //!   summary/WINDOW.sum           tier 2: per-PC aggregate + symbol table (MPSUM)
 //! ```
@@ -78,12 +78,19 @@ pub(crate) fn write_durable(path: &Path, bytes: &[u8]) -> Result<(), StoreError>
     file.sync_all().map_err(|e| StoreError::Io(e).at(&tmp))?;
     drop(file);
     std::fs::rename(&tmp, path).map_err(|e| StoreError::Io(e).at(path))?;
-    if let Some(dir) = path.parent() {
-        std::fs::File::open(dir)
-            .and_then(|d| d.sync_all())
-            .map_err(|e| StoreError::Io(e).at(dir))?;
+    match path.parent() {
+        Some(dir) => sync_dir(dir),
+        None => Ok(()),
     }
-    Ok(())
+}
+
+/// `fsync` a directory, so the entries just created in it or renamed
+/// into it survive a power loss. Every durable tier write ends with
+/// one, and so does sealing a session.
+pub(crate) fn sync_dir(dir: &Path) -> Result<(), StoreError> {
+    std::fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| StoreError::Io(e).at(dir))
 }
 
 /// A whole-store fingerprint, tagged with the hash that took it.
@@ -99,7 +106,7 @@ impl StoreHash {
     /// Do `bytes` hash to this fingerprint?
     pub(crate) fn matches(self, bytes: &[u8]) -> bool {
         match self {
-            StoreHash::Xxh64(h) => xxh64(bytes) == h,
+            StoreHash::Xxh64(h) => xxh64(bytes, 0) == h,
             StoreHash::Fnv1a(h) => fnv1a64(bytes) == h,
         }
     }
@@ -452,14 +459,14 @@ mod tests {
             let tier = dirs.live_raw_segments("w").unwrap();
             (tier.fresh.len(), tier.stale.len())
         };
-        assert_eq!(split(StoreHash::Xxh64(xxh64(b"packed bytes"))), (0, 1));
+        assert_eq!(split(StoreHash::Xxh64(xxh64(b"packed bytes", 0))), (0, 1));
         assert_eq!(split(StoreHash::Fnv1a(fnv1a64(b"packed bytes"))), (0, 1));
         assert_eq!(dirs.live_raw_segments("w").unwrap().stale, [raw]);
 
         // Wrong hash (interrupted compaction), or the right value under
         // the other version's hash: fresh again.
         assert_eq!(split(StoreHash::Xxh64(1)), (1, 0));
-        assert_eq!(split(StoreHash::Fnv1a(xxh64(b"packed bytes"))), (1, 0));
+        assert_eq!(split(StoreHash::Fnv1a(xxh64(b"packed bytes", 0))), (1, 0));
         assert_eq!(split(StoreHash::Xxh64(fnv1a64(b"packed bytes"))), (1, 0));
 
         std::fs::remove_dir_all(&dir).unwrap();

@@ -2,7 +2,7 @@
 //! stream.
 //!
 //! The framing is deliberately thin. A collector session's payload is
-//! the `MPES` v2 stream format *verbatim* — the preamble and every
+//! the `MPES` v3 stream format *verbatim* — the preamble and every
 //! self-delimiting, checksummed chunk pass through untouched, so the
 //! daemon lands raw segments byte-identical to what
 //! `mp-collect --stream` would have written locally, and every
@@ -15,9 +15,10 @@
 //!
 //! 1 HELLO     collector handshake: ver:u8, name:str16, window:str16
 //! 2 HELLO_OK  server reply: assigned session id (str16)
-//! 3 CHUNK     raw MPES v2 bytes (appended verbatim to the raw segment)
+//! 3 CHUNK     raw MPES v3 bytes (appended verbatim to the raw segment)
 //! 4 END       collector is done (after the footer chunk)
-//! 5 END_OK    server has made the session durable
+//! 5 END_OK    server has made the session durable (data and directory
+//!             entry synced); ERROR instead if the session was discarded
 //! 6 QUERY     one query line (UTF-8)
 //! 7 RESULT    query result text (UTF-8)
 //! 8 ERROR     query/ingest failure message (UTF-8)
@@ -51,8 +52,12 @@
 
 use std::io::{Read, Write};
 
-/// Protocol version carried in HELLO; bumped on incompatible changes.
-pub const PROTO_VERSION: u8 = 1;
+/// Protocol version carried in HELLO; bumped on incompatible changes,
+/// including a new MPES version, since CHUNK payloads are MPES bytes.
+/// Version 2 carries MPES v3. A collector built against another
+/// version is refused at HELLO with an ERROR naming both, before it
+/// streams a session this daemon could not read.
+pub const PROTO_VERSION: u8 = 2;
 
 /// Frames larger than this are a protocol violation, not a payload.
 pub const MAX_FRAME: usize = 64 << 20;

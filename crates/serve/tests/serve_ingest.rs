@@ -15,7 +15,8 @@ use std::sync::Mutex;
 
 use memprof_core::{CollectSink as _, PackedHwcEvent, RunInfo};
 use memprof_serve::wire::{
-    hello_payload, read_frame, write_frame, TAG_CHUNK, TAG_HELLO, TAG_HELLO_OK,
+    hello_payload, read_frame, write_frame, PROTO_VERSION, TAG_CHUNK, TAG_END, TAG_ERROR,
+    TAG_HELLO, TAG_HELLO_OK,
 };
 use memprof_serve::{
     self as serve, CompactCache, RetentionPolicy, Server, ServerConfig, SocketSink, StoreDirs,
@@ -258,6 +259,68 @@ fn disconnect_before_any_chunk_discards_the_session() {
         empty.then_some(())
     });
     assert!(dirs.raw_segments("w1").unwrap().is_empty());
+
+    server.shutdown();
+}
+
+/// Nothing of a session is left in `ingest/` or `raw/W/`.
+fn nothing_landed(dirs: &StoreDirs, window: &str) {
+    wait_for("staging file cleanup", || {
+        let ingest = dirs.root.join("ingest");
+        std::fs::read_dir(ingest)
+            .unwrap()
+            .next()
+            .is_none()
+            .then_some(())
+    });
+    assert!(dirs.raw_segments(window).unwrap().is_empty());
+}
+
+/// A collector built against protocol version 1, whose CHUNK payloads
+/// were MPES v2, is refused at HELLO with an ERROR naming both
+/// versions, before it streams anything.
+#[test]
+fn an_older_protocol_version_is_refused_at_hello() {
+    let data = scratch("oldproto");
+    let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
+    let dirs = StoreDirs::create(&data).unwrap();
+
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut hello = hello_payload("old", "w1");
+    hello[0] = 1;
+    write_frame(&mut stream, TAG_HELLO, &hello).unwrap();
+    let reply = read_frame(&mut stream).unwrap();
+    assert_eq!(reply.tag, TAG_ERROR);
+    let msg = String::from_utf8(reply.payload).unwrap();
+    assert!(
+        msg.contains("protocol version 1") && msg.contains(&format!("speaks {PROTO_VERSION}")),
+        "{msg}"
+    );
+    nothing_landed(&dirs, "w1");
+
+    server.shutdown();
+}
+
+/// A clean END after bytes with no readable MPES prefix is answered:
+/// the collector hears that its session was discarded instead of
+/// seeing the connection close without a reply.
+#[test]
+fn a_clean_end_with_no_readable_prefix_gets_an_error() {
+    let data = scratch("junk");
+    let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
+    let dirs = StoreDirs::create(&data).unwrap();
+
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    write_frame(&mut stream, TAG_HELLO, &hello_payload("junk", "w1")).unwrap();
+    let reply = read_frame(&mut stream).unwrap();
+    assert_eq!(reply.tag, TAG_HELLO_OK);
+    write_frame(&mut stream, TAG_CHUNK, b"junk bytes, not an MPES stream").unwrap();
+    write_frame(&mut stream, TAG_END, b"").unwrap();
+    let reply = read_frame(&mut stream).expect("an answer to END");
+    assert_eq!(reply.tag, TAG_ERROR);
+    let msg = String::from_utf8(reply.payload).unwrap();
+    assert!(msg.contains("discarded"), "{msg}");
+    nothing_landed(&dirs, "w1");
 
     server.shutdown();
 }
@@ -987,7 +1050,7 @@ fn an_older_daemons_manifest_and_summary_are_honoured_and_upgraded() {
     let manifest = std::fs::read_to_string(dirs.manifest_path("w1")).unwrap();
     let packed = std::fs::read(dirs.packed_path("w1")).unwrap();
     assert!(
-        manifest.starts_with(&format!("MPCM 2\npacked {:016x}\n", xxh64(&packed))),
+        manifest.starts_with(&format!("MPCM 2\npacked {:016x}\n", xxh64(&packed, 0))),
         "{manifest}"
     );
     assert!(std::fs::read_to_string(dirs.summary_path("w1"))

@@ -1,4 +1,4 @@
-//! The binary experiment format: `MPES` version 2, the one on-disk
+//! The binary experiment format: `MPES` version 3, the one on-disk
 //! encoding of an experiment. A live collector writes it incrementally
 //! through [`crate::SegmentWriter`]; [`pack_experiment`] replays a
 //! whole in-memory experiment through that same writer, so `mp-store
@@ -8,19 +8,21 @@
 //! ## Layout
 //!
 //! ```text
-//! file   := magic(4)=b"MPES" version(1)=2 chunk*
+//! file   := magic(4)=b"MPES" version(1)=3 chunk*
 //! chunk  := kind:u8 len:u32le checksum:u64le payload(len)
 //! ```
 //!
-//! The checksum is FNV-1a 64 over `kind || len || payload` — covering
-//! the chunk header too, so a corrupted kind or length byte cannot
-//! silently skip or resize a chunk. Chunk kinds and their payloads:
+//! The checksum is XXH64 of the payload, seeded with `kind | len << 8`,
+//! so it covers the chunk header too: a corrupted kind or length byte
+//! cannot silently skip or resize a chunk. Chunk kinds and their
+//! payloads:
 //!
 //! ```text
 //! 0 HEADER  counters clock_period clock_hz        (first, exactly once)
 //! 1 STACKS  n, n × stack                          newly interned stacks
-//! 2 HWC     n, n × hwc_event                      collection order
-//! 3 CLOCK   n, n × { pc stack_id }                collection order
+//! 2 HWC     n, tag pc_dict pc_index candidate ea  n events, collection
+//!              truth_pc truth_ea skid stack_id    order, by column
+//! 3 CLOCK   n, pc_dict pc_index stack_id          n ticks, likewise
 //! 4 FOOTER  run log attachments                   (last, on clean exit)
 //!
 //! counters  := n, n × { name:str backtrack:u8 interval }
@@ -28,24 +30,52 @@
 //!              counts(10 × varint)
 //! log       := n, n × str
 //! attach    := n, n × { name:str contents:str }
-//! hwc_event := counter flags:u8 delivered_pc [candidate_delta:zigzag]
-//!              [ea] truth_delta:zigzag [truth_ea] truth_skid stack_id
 //! stack     := n, first_frame, (n-1) × frame_delta:zigzag
 //! str       := len, bytes (UTF-8)
 //! ```
 //!
 //! All integers are LEB128 varints; signed values are zigzag-mapped.
-//! Candidate and truth PCs are deltas from `delivered_pc` (they sit
-//! within a few instructions of delivery — the skid, §2.2.2), frames
-//! are deltas from the previous frame, and events name their
+//! Frames are deltas from the previous frame, and events name their
 //! callstack by a dense intern id ([`memprof_core::StackId`]) that a
-//! `STACKS` chunk earlier in the file defines. Any *prefix* of chunks
-//! is therefore self-contained, which is the crash-safety story (see
-//! [`crate::StreamFile`]). `truth_ea` (flag bit 4) is the simulator's
-//! ground-truth effective address; streams written before it existed
-//! never set the bit and load with no truth EA. Unknown chunk kinds
-//! are skipped, which is safe precisely because they are checksummed.
+//! `STACKS` chunk earlier in the file defines.
+//!
+//! ## Event columns
+//!
+//! An HWC or CLOCK chunk stores its events column by column. Each
+//! column is `len, bytes(len)` and must hold exactly its items:
+//!
+//! ```text
+//! tag        n × (counter << 4 | flags)   1 candidate, 2 ea, 4 truth_ea,
+//!                                         8 truth_ea equals ea
+//! pc_dict    m, m × pc_delta:zigzag        the chunk's distinct delivered
+//!                                         PCs in first use, each a delta
+//!                                         from the one before
+//! pc_index   n × index (< m)               each event's delivered PC
+//! candidate  (candidate − delivered):zigzag, one per flag-1 event
+//! ea         (ea − counter's previous ea):zigzag, one per flag-2 event
+//! truth_pc   n × (truth_pc − delivered):zigzag
+//! truth_ea   (truth_ea − counter's previous truth_ea):zigzag, one per
+//!            flag-4 event
+//! skid       n × truth_skid (≤ u32::MAX)
+//! stack_id   n × stack_id
+//! ```
+//!
+//! Within a chunk a handful of delivered PCs repeat, a counter's
+//! addresses move in small strides, and the ground-truth EA usually
+//! equals the reconstructed one, so a counter event costs 8–10 bytes
+//! against the 20–21 of a row-wise record. Candidate and truth PCs sit
+//! within a few instructions of delivery — the skid, §2.2.2. All
+//! delta state (the dictionary, each counter's previous addresses)
+//! starts afresh in every chunk, so each chunk decodes alone and any
+//! *prefix* of chunks is self-contained, which is the crash-safety
+//! story (see [`crate::StreamFile`]). Delta arithmetic wraps. Unknown
+//! chunk kinds are skipped, which is safe precisely because they are
+//! checksummed.
+//!
+//! Per-item decoders return [`DecodeError`], which the reader turns
+//! into a [`crate::StoreError`] once per chunk.
 
+use std::collections::HashMap;
 use std::path::Path;
 
 use memprof_core::{
@@ -54,12 +84,12 @@ use memprof_core::{
 };
 use simsparc_machine::{CounterEvent, EventCounts};
 
-use crate::varint::{get_str, put_i64, put_str, put_u64, Cursor};
+use crate::varint::{get_str, put_i64, put_str, put_u64, Cursor, DecodeError};
 use crate::writer::SegmentWriter;
 use crate::StoreError;
 
 pub(crate) const MAGIC: [u8; 4] = *b"MPES";
-pub(crate) const VERSION: u8 = 2;
+pub(crate) const VERSION: u8 = 3;
 /// magic + version.
 pub(crate) const PREAMBLE_LEN: usize = MAGIC.len() + 1;
 /// kind + len + checksum.
@@ -74,25 +104,23 @@ pub(crate) const CHUNK_FOOTER: u8 = 4;
 /// Size ceiling for any single decoded allocation (strings, counts).
 pub(crate) const LIMIT: usize = 1 << 31;
 
-const FLAG_CANDIDATE: u8 = 1;
-const FLAG_EA: u8 = 2;
-const FLAG_TRUTH_EA: u8 = 4;
+const FLAG_CANDIDATE: u64 = 1;
+const FLAG_EA: u64 = 2;
+/// The truth EA is stored in its column.
+const FLAG_TRUTH_EA: u64 = 4;
+/// The truth EA equals the event's EA and is not stored.
+const FLAG_TRUTH_IS_EA: u64 = 8;
+const FLAG_BITS: u32 = 4;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// FNV-1a 64-bit hash: the chunk checksum's function. The serve crate
-/// also reads it back from compaction manifests written before whole
-/// stores were fingerprinted with [`xxh64`].
+/// FNV-1a 64-bit hash. The serve crate still checks compaction
+/// manifests written before whole stores were fingerprinted with
+/// [`xxh64`]; nothing else hashes with it.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv_fold(FNV_OFFSET, bytes)
+    bytes.iter().fold(FNV_OFFSET, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 const XXH_P1: u64 = 0x9e37_79b1_85eb_ca87;
@@ -120,19 +148,20 @@ fn le_u64(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(word)
 }
 
-/// XXH64 with seed 0: the serve crate's fingerprint of whole packed
-/// stores (its compaction cache and manifests). It reads 32-byte
-/// stripes through four independent lanes, about ten times the speed
-/// of the byte-at-a-time [`fnv1a64`]. Like FNV-1a it detects damage,
-/// not a deliberate collision.
-pub fn xxh64(bytes: &[u8]) -> u64 {
+/// XXH64 of `bytes` with `seed`. It reads 32-byte stripes through
+/// four independent lanes, about ten times the speed of the
+/// byte-at-a-time [`fnv1a64`]. Seed 0 is the serve crate's fingerprint
+/// of whole packed stores (its compaction cache and manifests); the
+/// chunk checksum seeds it with the chunk's kind and length. Like
+/// FNV-1a it detects damage, not a deliberate collision.
+pub fn xxh64(bytes: &[u8], seed: u64) -> u64 {
     let mut stripes = bytes.chunks_exact(32);
     let mut h = if bytes.len() >= 32 {
         let mut v = [
-            XXH_P1.wrapping_add(XXH_P2),
-            XXH_P2,
-            0,
-            XXH_P1.wrapping_neg(),
+            seed.wrapping_add(XXH_P1).wrapping_add(XXH_P2),
+            seed.wrapping_add(XXH_P2),
+            seed,
+            seed.wrapping_sub(XXH_P1),
         ];
         for s in &mut stripes {
             v[0] = xxh_round(v[0], le_u64(&s[0..]));
@@ -147,7 +176,7 @@ pub fn xxh64(bytes: &[u8]) -> u64 {
             .wrapping_add(v[3].rotate_left(18));
         v.into_iter().fold(h, xxh_merge)
     } else {
-        XXH_P5
+        seed.wrapping_add(XXH_P5)
     };
     h = h.wrapping_add(bytes.len() as u64);
     let mut words = stripes.remainder().chunks_exact(8);
@@ -179,12 +208,9 @@ pub fn xxh64(bytes: &[u8]) -> u64 {
     h ^ (h >> 32)
 }
 
-/// FNV-1a 64 over `kind || len_le || payload`.
+/// XXH64 of the payload, seeded with `kind | len << 8`.
 pub(crate) fn chunk_checksum(kind: u8, len: u32, payload: &[u8]) -> u64 {
-    let mut head = [0u8; 5];
-    head[0] = kind;
-    head[1..5].copy_from_slice(&len.to_le_bytes());
-    fnv_fold(fnv_fold(FNV_OFFSET, &head), payload)
+    xxh64(payload, u64::from(kind) | u64::from(len) << 8)
 }
 
 /// The HEADER payload: the collection recipe.
@@ -207,18 +233,18 @@ pub(crate) fn put_header(
 /// Decoded HEADER chunk: counters, clock period, clock rate.
 pub(crate) type Header = (Vec<CounterRequest>, Option<u64>, u64);
 
-pub(crate) fn get_header(payload: &[u8]) -> Result<Header, StoreError> {
+pub(crate) fn get_header(payload: &[u8]) -> Result<Header, DecodeError> {
     let mut cur = Cursor::new(payload);
     let n = cur.get_len(4096)?;
     let mut counters = Vec::with_capacity(n);
     for _ in 0..n {
         let name = get_str(&mut cur, 256)?;
         let event =
-            CounterEvent::parse(&name).ok_or(StoreError::Corrupt("unknown counter event name"))?;
+            CounterEvent::parse(&name).ok_or(DecodeError::Corrupt("unknown counter event name"))?;
         let backtrack = match cur.take_byte()? {
             0 => false,
             1 => true,
-            _ => return Err(StoreError::Corrupt("bad backtrack flag")),
+            _ => return Err(DecodeError::Corrupt("bad backtrack flag")),
         };
         let interval = cur.get_u64()?;
         counters.push(CounterRequest {
@@ -245,7 +271,7 @@ pub(crate) fn put_stack(out: &mut Vec<u8>, stack: &[u64]) {
     }
 }
 
-pub(crate) fn get_stack(cur: &mut Cursor<'_>) -> Result<Vec<u64>, StoreError> {
+fn get_stack(cur: &mut Cursor<'_>) -> Result<Vec<u64>, DecodeError> {
     let n = cur.get_len(cur.remaining())?;
     let mut stack = Vec::with_capacity(n);
     let mut prev = 0u64;
@@ -261,102 +287,325 @@ pub(crate) fn get_stack(cur: &mut Cursor<'_>) -> Result<Vec<u64>, StoreError> {
     Ok(stack)
 }
 
-pub(crate) fn put_hwc_event(out: &mut Vec<u8>, ev: &PackedHwcEvent) {
-    put_u64(out, ev.counter as u64);
-    let mut flags = 0u8;
-    if ev.candidate_pc.is_some() {
-        flags |= FLAG_CANDIDATE;
+/// Decode a STACKS chunk's `n` stacks onto `out`.
+pub(crate) fn get_stacks(
+    items: &[u8],
+    n: usize,
+    out: &mut Vec<Vec<u64>>,
+) -> Result<(), DecodeError> {
+    let mut cur = Cursor::new(items);
+    for _ in 0..n {
+        out.push(get_stack(&mut cur)?);
     }
-    if ev.ea.is_some() {
-        flags |= FLAG_EA;
+    consumed(&[cur])
+}
+
+/// A counter's previous addresses within the current chunk: the bases
+/// its `ea` and `truth_ea` deltas apply to.
+#[derive(Clone, Copy, Default)]
+struct Prev {
+    ea: u64,
+    truth_ea: u64,
+}
+
+/// Reusable encode scratch for event chunks: one buffer per column,
+/// the chunk's PC dictionary and each counter's previous addresses.
+/// A [`SegmentWriter`] keeps one, so the buffers grow to a chunk's
+/// size once and are reused for every later chunk.
+#[derive(Default)]
+pub(crate) struct ChunkEncoder {
+    cols: [Vec<u8>; 9],
+    /// Delivered PC → its dictionary index.
+    index: HashMap<u64, u64>,
+    /// Dictionary PCs in first use.
+    dict: Vec<u64>,
+    prev: Vec<Prev>,
+}
+
+/// Append `bytes` as one length-prefixed column.
+fn put_column(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_u64(out, bytes.len() as u64);
+    out.extend_from_slice(bytes);
+}
+
+impl ChunkEncoder {
+    /// Clear every column and the dictionary for a new chunk.
+    fn reset(&mut self) {
+        for col in &mut self.cols {
+            col.clear();
+        }
+        self.index.clear();
+        self.dict.clear();
     }
-    if ev.truth_ea.is_some() {
-        flags |= FLAG_TRUTH_EA;
+
+    /// Append `pc`'s dictionary index to `out`, adding it to the
+    /// dictionary on first use.
+    fn put_pc(index: &mut HashMap<u64, u64>, dict: &mut Vec<u64>, out: &mut Vec<u8>, pc: u64) {
+        let next = dict.len() as u64;
+        let i = *index.entry(pc).or_insert_with(|| {
+            dict.push(pc);
+            next
+        });
+        put_u64(out, i);
     }
-    out.push(flags);
-    put_u64(out, ev.delivered_pc);
-    if let Some(c) = ev.candidate_pc {
-        put_i64(out, c.wrapping_sub(ev.delivered_pc) as i64);
+
+    /// The dictionary column: its size, then each PC as a delta from
+    /// the one before.
+    fn put_dict(dict: &[u64], out: &mut Vec<u8>) {
+        put_u64(out, dict.len() as u64);
+        let mut prev = 0u64;
+        for &pc in dict {
+            put_i64(out, pc.wrapping_sub(prev) as i64);
+            prev = pc;
+        }
     }
-    if let Some(ea) = ev.ea {
-        put_u64(out, ea);
+
+    /// The HWC payload for `events` (see the module docs), replacing
+    /// `out`'s contents. Every event must name one of the header's
+    /// `n_counters` counters.
+    pub(crate) fn hwc(
+        &mut self,
+        events: &[PackedHwcEvent],
+        n_counters: usize,
+        out: &mut Vec<u8>,
+    ) -> std::io::Result<()> {
+        self.reset();
+        self.prev.clear();
+        self.prev.resize(n_counters, Prev::default());
+        let ChunkEncoder {
+            cols,
+            index,
+            dict,
+            prev,
+        } = self;
+        let [tags, dict_col, pcs, cands, eas, truth_pcs, truth_eas, skids, stacks] = &mut *cols;
+        for ev in events {
+            let last = prev.get_mut(ev.counter).ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    "event names a counter the header does not declare",
+                )
+            })?;
+            let mut flags = 0;
+            if let Some(c) = ev.candidate_pc {
+                flags |= FLAG_CANDIDATE;
+                put_i64(cands, c.wrapping_sub(ev.delivered_pc) as i64);
+            }
+            if let Some(a) = ev.ea {
+                flags |= FLAG_EA;
+                put_i64(eas, a.wrapping_sub(last.ea) as i64);
+                last.ea = a;
+            }
+            if let Some(t) = ev.truth_ea {
+                if ev.ea == Some(t) {
+                    flags |= FLAG_TRUTH_IS_EA;
+                } else {
+                    flags |= FLAG_TRUTH_EA;
+                    put_i64(truth_eas, t.wrapping_sub(last.truth_ea) as i64);
+                }
+                last.truth_ea = t;
+            }
+            put_u64(tags, (ev.counter as u64) << FLAG_BITS | flags);
+            Self::put_pc(index, dict, pcs, ev.delivered_pc);
+            put_i64(
+                truth_pcs,
+                ev.truth_trigger_pc.wrapping_sub(ev.delivered_pc) as i64,
+            );
+            put_u64(skids, u64::from(ev.truth_skid));
+            put_u64(stacks, u64::from(ev.stack));
+        }
+        Self::put_dict(dict, dict_col);
+        out.clear();
+        put_u64(out, events.len() as u64);
+        for col in cols.iter() {
+            put_column(out, col);
+        }
+        Ok(())
     }
-    put_i64(
-        out,
-        ev.truth_trigger_pc.wrapping_sub(ev.delivered_pc) as i64,
-    );
-    if let Some(tea) = ev.truth_ea {
-        put_u64(out, tea);
+
+    /// The CLOCK payload for `events`, replacing `out`'s contents.
+    pub(crate) fn clock(&mut self, events: &[PackedClockEvent], out: &mut Vec<u8>) {
+        self.reset();
+        let ChunkEncoder {
+            cols, index, dict, ..
+        } = self;
+        let [dict_col, pcs, stacks, ..] = &mut *cols;
+        for ev in events {
+            Self::put_pc(index, dict, pcs, ev.pc);
+            put_u64(stacks, u64::from(ev.stack));
+        }
+        Self::put_dict(dict, dict_col);
+        out.clear();
+        put_u64(out, events.len() as u64);
+        for col in &cols[..3] {
+            put_column(out, col);
+        }
     }
-    put_u64(out, ev.truth_skid as u64);
-    put_u64(out, ev.stack as u64);
+}
+
+/// Split a chunk's items into its `N` length-prefixed columns, which
+/// must fill the items exactly.
+fn columns<const N: usize>(items: &[u8]) -> Result<[Cursor<'_>; N], DecodeError> {
+    let mut cur = Cursor::new(items);
+    let mut cols = [(); N].map(|_| Cursor::new(&[]));
+    for col in &mut cols {
+        let len = cur.get_len(cur.remaining())?;
+        *col = Cursor::new(cur.take_bytes(len)?);
+    }
+    consumed(&[cur])?;
+    Ok(cols)
+}
+
+/// Every column read to its end: a byte left over is corrupt.
+fn consumed(cols: &[Cursor<'_>]) -> Result<(), DecodeError> {
+    if cols.iter().all(Cursor::is_empty) {
+        Ok(())
+    } else {
+        Err(DecodeError::Corrupt("trailing bytes in chunk"))
+    }
 }
 
 /// A stack id that must be one of the `n_stacks` defined so far.
-fn get_stack_id(cur: &mut Cursor<'_>, n_stacks: usize) -> Result<u32, StoreError> {
+#[inline]
+fn get_stack_id(cur: &mut Cursor<'_>, n_stacks: usize) -> Result<u32, DecodeError> {
     u32::try_from(cur.get_u64()?)
         .ok()
         .filter(|&id| (id as usize) < n_stacks)
-        .ok_or(StoreError::Corrupt("event references undefined stack id"))
+        .ok_or(DecodeError::Corrupt("event references undefined stack id"))
 }
 
-/// Decode one hwc event, checking its counter against the recipe's
-/// `n_counters` and its stack id against the `n_stacks` defined
-/// before its chunk.
-#[inline]
-pub(crate) fn get_hwc_event(
-    cur: &mut Cursor<'_>,
-    n_counters: usize,
-    n_stacks: usize,
-) -> Result<PackedHwcEvent, StoreError> {
-    let counter = cur.get_u64()?;
-    if counter >= n_counters as u64 {
-        return Err(StoreError::Corrupt("event references unknown counter"));
-    }
-    let flags = cur.take_byte()?;
-    if flags & !(FLAG_CANDIDATE | FLAG_EA | FLAG_TRUTH_EA) != 0 {
-        return Err(StoreError::Corrupt("unknown hwc event flags"));
-    }
-    let delivered_pc = cur.get_u64()?;
-    let candidate_pc = if flags & FLAG_CANDIDATE != 0 {
-        Some(delivered_pc.wrapping_add(cur.get_i64()? as u64))
-    } else {
-        None
-    };
-    let ea = if flags & FLAG_EA != 0 {
-        Some(cur.get_u64()?)
-    } else {
-        None
-    };
-    let truth_trigger_pc = delivered_pc.wrapping_add(cur.get_i64()? as u64);
-    let truth_ea = if flags & FLAG_TRUTH_EA != 0 {
-        Some(cur.get_u64()?)
-    } else {
-        None
-    };
-    let truth_skid =
-        u32::try_from(cur.get_u64()?).map_err(|_| StoreError::Corrupt("skid overflows u32"))?;
-    Ok(PackedHwcEvent {
-        counter: counter as usize,
-        delivered_pc,
-        candidate_pc,
-        ea,
-        stack: get_stack_id(cur, n_stacks)?,
-        truth_trigger_pc,
-        truth_ea,
-        truth_skid,
-    })
+/// Reusable decode scratch for event chunks: the chunk's PC
+/// dictionary and each counter's previous addresses. One decode call
+/// keeps one across all the chunks it reads.
+#[derive(Default)]
+pub(crate) struct ChunkDecoder {
+    dict: Vec<u64>,
+    prev: Vec<Prev>,
 }
 
-#[inline]
-pub(crate) fn get_clock_event(
-    cur: &mut Cursor<'_>,
-    n_stacks: usize,
-) -> Result<PackedClockEvent, StoreError> {
-    Ok(PackedClockEvent {
-        pc: cur.get_u64()?,
-        stack: get_stack_id(cur, n_stacks)?,
-    })
+impl ChunkDecoder {
+    /// Read a whole dictionary column into `dict`.
+    fn read_dict(dict: &mut Vec<u64>, col: &mut Cursor<'_>) -> Result<(), DecodeError> {
+        // Every entry takes at least one byte, which bounds the size.
+        let m = col.get_len(col.remaining())?;
+        dict.clear();
+        dict.reserve(m);
+        let mut pc = 0u64;
+        for _ in 0..m {
+            pc = pc.wrapping_add(col.get_i64()? as u64);
+            dict.push(pc);
+        }
+        Ok(())
+    }
+
+    /// The dictionary PC the next index in `col` names.
+    #[inline]
+    fn get_pc(dict: &[u64], col: &mut Cursor<'_>) -> Result<u64, DecodeError> {
+        usize::try_from(col.get_u64()?)
+            .ok()
+            .and_then(|i| dict.get(i).copied())
+            .ok_or(DecodeError::Corrupt("pc index past the dictionary"))
+    }
+
+    /// Decode an HWC chunk's `n` events in order, handing each to `f`
+    /// with its position. Each is checked against the recipe's
+    /// `n_counters` and the `n_stacks` defined before its chunk; every
+    /// column is parsed and checked whatever `f` reads.
+    #[inline]
+    pub(crate) fn hwc(
+        &mut self,
+        items: &[u8],
+        n: usize,
+        n_counters: usize,
+        n_stacks: usize,
+        mut f: impl FnMut(usize, PackedHwcEvent),
+    ) -> Result<(), DecodeError> {
+        let mut cols = columns::<9>(items)?;
+        let [tags, dict_col, pcs, cands, eas, truth_pcs, truth_eas, skids, stacks] = &mut cols;
+        let ChunkDecoder { dict, prev } = self;
+        Self::read_dict(dict, dict_col)?;
+        prev.clear();
+        prev.resize(n_counters, Prev::default());
+        for i in 0..n {
+            let tag = tags.get_u64()?;
+            let counter = usize::try_from(tag >> FLAG_BITS)
+                .ok()
+                .filter(|&c| c < n_counters)
+                .ok_or(DecodeError::Corrupt("event references unknown counter"))?;
+            let flags = tag & ((1 << FLAG_BITS) - 1);
+            if flags & FLAG_TRUTH_EA != 0 && flags & FLAG_TRUTH_IS_EA != 0 {
+                return Err(DecodeError::Corrupt("unknown hwc event flags"));
+            }
+            if flags & FLAG_TRUTH_IS_EA != 0 && flags & FLAG_EA == 0 {
+                return Err(DecodeError::Corrupt("truth ea equals a missing ea"));
+            }
+            let last = &mut prev[counter];
+            let delivered_pc = Self::get_pc(dict, pcs)?;
+            let candidate_pc = if flags & FLAG_CANDIDATE != 0 {
+                Some(delivered_pc.wrapping_add(cands.get_i64()? as u64))
+            } else {
+                None
+            };
+            let ea = if flags & FLAG_EA != 0 {
+                last.ea = last.ea.wrapping_add(eas.get_i64()? as u64);
+                Some(last.ea)
+            } else {
+                None
+            };
+            let truth_trigger_pc = delivered_pc.wrapping_add(truth_pcs.get_i64()? as u64);
+            let truth_ea = if flags & FLAG_TRUTH_EA != 0 {
+                last.truth_ea = last.truth_ea.wrapping_add(truth_eas.get_i64()? as u64);
+                Some(last.truth_ea)
+            } else if flags & FLAG_TRUTH_IS_EA != 0 {
+                last.truth_ea = last.ea;
+                ea
+            } else {
+                None
+            };
+            let truth_skid = u32::try_from(skids.get_u64()?)
+                .map_err(|_| DecodeError::Corrupt("skid overflows u32"))?;
+            f(
+                i,
+                PackedHwcEvent {
+                    counter,
+                    delivered_pc,
+                    candidate_pc,
+                    ea,
+                    stack: get_stack_id(stacks, n_stacks)?,
+                    truth_trigger_pc,
+                    truth_ea,
+                    truth_skid,
+                },
+            );
+        }
+        consumed(&cols)
+    }
+
+    /// Decode a CLOCK chunk's `n` ticks in order, checking each
+    /// tick's stack id.
+    #[inline]
+    pub(crate) fn clock(
+        &mut self,
+        items: &[u8],
+        n: usize,
+        n_stacks: usize,
+        mut f: impl FnMut(usize, PackedClockEvent),
+    ) -> Result<(), DecodeError> {
+        let mut cols = columns::<3>(items)?;
+        let [dict_col, pcs, stacks] = &mut cols;
+        Self::read_dict(&mut self.dict, dict_col)?;
+        for i in 0..n {
+            let pc = Self::get_pc(&self.dict, pcs)?;
+            f(
+                i,
+                PackedClockEvent {
+                    pc,
+                    stack: get_stack_id(stacks, n_stacks)?,
+                },
+            );
+        }
+        consumed(&cols)
+    }
 }
 
 /// The FOOTER payload: run summary, collector log, attachments.
@@ -401,7 +650,7 @@ pub(crate) fn put_footer(
 /// Decoded FOOTER chunk: run summary, collector log, attachments.
 pub(crate) type Footer = (RunInfo, Vec<String>, Vec<(String, String)>);
 
-pub(crate) fn get_footer(payload: &[u8], clock_hz: u64) -> Result<Footer, StoreError> {
+pub(crate) fn get_footer(payload: &[u8], clock_hz: u64) -> Result<Footer, DecodeError> {
     let mut cur = Cursor::new(payload);
     let exit_code = cur.get_i64()?;
     let output = get_str(&mut cur, LIMIT)?;
@@ -451,7 +700,7 @@ pub(crate) fn get_footer(payload: &[u8], clock_hz: u64) -> Result<Footer, StoreE
 }
 
 /// Encode an experiment (plus auxiliary text files such as `syms.txt`
-/// and `image.txt`) as an `MPES` v2 image. The events replay through
+/// and `image.txt`) as an `MPES` v3 image. The events replay through
 /// the collector's own [`SegmentWriter`] one spill-sized chunk at a
 /// time — the stacks a chunk newly uses first, then the chunk — so at
 /// most one chunk of events is held besides the output image.
@@ -507,9 +756,11 @@ pub fn pack_experiment(exp: &Experiment, attachments: &[(String, String)]) -> Ve
         w.finish(&exp.run, &exp.log)?;
         Ok(w.into_inner())
     }
-    // Writes into a `Vec` cannot fail; only a single chunk over the
-    // format's 4 GiB limit can, and event chunks are spill-sized.
-    pack(exp, attachments).expect("experiment chunk exceeds the 4 GiB chunk limit")
+    // Writes into a `Vec` cannot fail. Only a single chunk over the
+    // format's 4 GiB limit can, and event chunks are spill-sized, or
+    // an event naming a counter the recipe lacks, which every loader
+    // of an `Experiment` rejects.
+    pack(exp, attachments).expect("experiment events fit the MPES chunk format")
 }
 
 /// The auxiliary files `mp-collect` writes next to the experiment
@@ -544,15 +795,15 @@ pub fn unpack_to_dir(file: &Path, dir: &Path) -> Result<(), StoreError> {
 
 #[cfg(test)]
 mod tests {
-    use super::xxh64;
+    use super::*;
 
     #[test]
     fn xxh64_matches_published_seed_zero_values() {
-        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
-        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
-        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(xxh64(b"", 0), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a", 0), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc", 0), 0x44bc_2cf5_ad77_0999);
         assert_eq!(
-            xxh64(b"Nobody inspects the spammish repetition"),
+            xxh64(b"Nobody inspects the spammish repetition", 0),
             0xfbce_a83c_8a37_8bf1
         );
     }
@@ -560,10 +811,10 @@ mod tests {
     #[test]
     fn xxh64_changes_with_every_single_bit_flip() {
         let mut buf: Vec<u8> = (0..1024u32).map(|i| (i * 131 + 7) as u8).collect();
-        let base = xxh64(&buf);
+        let base = xxh64(&buf, 0);
         for bit in 0..buf.len() * 8 {
             buf[bit / 8] ^= 1 << (bit % 8);
-            assert_ne!(xxh64(&buf), base, "flipping bit {bit} kept the hash");
+            assert_ne!(xxh64(&buf, 0), base, "flipping bit {bit} kept the hash");
             buf[bit / 8] ^= 1 << (bit % 8);
         }
     }
@@ -575,7 +826,196 @@ mod tests {
         let pattern: Vec<u8> = (0..100u32).map(|i| (i * 37 % 251) as u8).collect();
         let mut seen = std::collections::HashSet::new();
         for len in 0..=pattern.len() {
-            assert!(seen.insert(xxh64(&pattern[..len])), "prefix {len} collided");
+            assert!(
+                seen.insert(xxh64(&pattern[..len], 0)),
+                "prefix {len} collided"
+            );
         }
+    }
+
+    /// The seed reaches both the short-input path and the four
+    /// stripe lanes, so the chunk checksum covers a chunk's kind and
+    /// length whatever its payload size.
+    #[test]
+    fn chunk_checksum_covers_kind_and_length() {
+        for len in [0usize, 5, 31, 32, 100] {
+            let payload: Vec<u8> = (0..len as u32).map(|i| (i * 29 + 3) as u8).collect();
+            let n = len as u32;
+            let sum = chunk_checksum(CHUNK_HWC, n, &payload);
+            assert_eq!(
+                sum,
+                xxh64(&payload, u64::from(CHUNK_HWC) | u64::from(n) << 8)
+            );
+            for kind in [CHUNK_HEADER, CHUNK_STACKS, CHUNK_CLOCK, CHUNK_FOOTER, 0x82] {
+                assert_ne!(
+                    chunk_checksum(kind, n, &payload),
+                    sum,
+                    "kind {kind}, {len} B"
+                );
+            }
+            for other in [n ^ 1, n ^ 0x100, n ^ 0x8000_0000] {
+                assert_ne!(
+                    chunk_checksum(CHUNK_HWC, other, &payload),
+                    sum,
+                    "len {other}"
+                );
+            }
+        }
+    }
+
+    fn hwc_event(counter: usize, delivered_pc: u64) -> PackedHwcEvent {
+        PackedHwcEvent {
+            counter,
+            delivered_pc,
+            candidate_pc: None,
+            ea: None,
+            stack: 0,
+            truth_trigger_pc: delivered_pc,
+            truth_ea: None,
+            truth_skid: 0,
+        }
+    }
+
+    /// Encode `events`, decode them back, and return what came out.
+    fn hwc_round_trip(events: &[PackedHwcEvent]) -> Vec<PackedHwcEvent> {
+        let mut payload = Vec::new();
+        ChunkEncoder::default()
+            .hwc(events, 2, &mut payload)
+            .unwrap();
+        let mut cur = Cursor::new(&payload);
+        let n = cur.get_len(payload.len()).unwrap();
+        let mut back = Vec::new();
+        ChunkDecoder::default()
+            .hwc(
+                &payload[payload.len() - cur.remaining()..],
+                n,
+                2,
+                4,
+                |_, e| back.push(e),
+            )
+            .unwrap();
+        back
+    }
+
+    /// Deltas wrap at both ends of the address space, per counter,
+    /// and every flag combination survives.
+    #[test]
+    fn hwc_columns_round_trip_extreme_values() {
+        let mut events = Vec::new();
+        for (i, pc) in [0u64, u64::MAX, 1, u64::MAX - 3, 0x1_0000]
+            .iter()
+            .enumerate()
+        {
+            for ea in [
+                None,
+                Some(0u64),
+                Some(u64::MAX),
+                Some(0x4000_0000 + i as u64),
+            ] {
+                for truth in [None, ea, Some(u64::MAX - i as u64), Some(7)] {
+                    events.push(PackedHwcEvent {
+                        candidate_pc: (i % 2 == 0).then(|| pc.wrapping_sub(4 * i as u64)),
+                        ea,
+                        truth_ea: truth,
+                        truth_trigger_pc: pc.wrapping_add(i as u64 * 8),
+                        truth_skid: u32::MAX - i as u32,
+                        stack: (i % 4) as u32,
+                        ..hwc_event(i % 2, *pc)
+                    });
+                }
+            }
+        }
+        assert_eq!(hwc_round_trip(&events), events);
+        assert_eq!(hwc_round_trip(&[]), []);
+    }
+
+    #[test]
+    fn encoder_refuses_an_undeclared_counter() {
+        let err = ChunkEncoder::default()
+            .hwc(&[hwc_event(2, 0x1000)], 2, &mut Vec::new())
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
+
+    /// Columns laid out by hand: `cols` are the nine HWC columns of
+    /// one event, for checks the encoder never produces.
+    fn hwc_from_columns(cols: [&[u8]; 9]) -> Result<(), DecodeError> {
+        let mut items = Vec::new();
+        for col in cols {
+            put_column(&mut items, col);
+        }
+        ChunkDecoder::default().hwc(&items, 1, 2, 1, |_, _| {})
+    }
+
+    #[test]
+    fn hand_laid_columns_hit_every_new_check() {
+        let dict: &[u8] = &[1, 2];
+        let ok = hwc_from_columns([&[0], dict, &[0], &[], &[], &[0], &[], &[0], &[0]]);
+        assert_eq!(ok, Ok(()));
+        let cases: [([&[u8]; 9], &str); 5] = [
+            (
+                [&[0], dict, &[1], &[], &[], &[0], &[], &[0], &[0]],
+                "pc index past the dictionary",
+            ),
+            (
+                [
+                    &[FLAG_TRUTH_IS_EA as u8],
+                    dict,
+                    &[0],
+                    &[],
+                    &[],
+                    &[0],
+                    &[],
+                    &[0],
+                    &[0],
+                ],
+                "truth ea equals a missing ea",
+            ),
+            (
+                [&[12], dict, &[0], &[], &[], &[0], &[0], &[0], &[0]],
+                "unknown hwc event flags",
+            ),
+            (
+                [&[0], dict, &[0], &[], &[], &[0], &[], &[0], &[0, 0]],
+                "trailing bytes in chunk",
+            ),
+            (
+                [
+                    &[2 << FLAG_BITS],
+                    dict,
+                    &[0],
+                    &[],
+                    &[],
+                    &[0],
+                    &[],
+                    &[0],
+                    &[0],
+                ],
+                "event references unknown counter",
+            ),
+        ];
+        for (cols, why) in cases {
+            assert_eq!(hwc_from_columns(cols), Err(DecodeError::Corrupt(why)));
+        }
+        // A column the chunk's events do not reach the end of.
+        assert_eq!(
+            hwc_from_columns([&[0], dict, &[0], &[3], &[], &[0], &[], &[0], &[0]]),
+            Err(DecodeError::Corrupt("trailing bytes in chunk"))
+        );
+        // A flagged event whose column has run dry.
+        assert_eq!(
+            hwc_from_columns([
+                &[FLAG_CANDIDATE as u8],
+                dict,
+                &[0],
+                &[],
+                &[],
+                &[0],
+                &[],
+                &[0],
+                &[0]
+            ]),
+            Err(DecodeError::Truncated)
+        );
     }
 }

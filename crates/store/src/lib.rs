@@ -6,7 +6,8 @@
 //! archival and aggregation at scale:
 //!
 //! * one compact, versioned, chunk-checksummed **binary format**
-//!   (`MPES` v2) for a whole experiment (events, run summary, log, and
+//!   (`MPES` v3, events in delta-coded column blocks) for a whole
+//!   experiment (events, run summary, log, and
 //!   the `syms.txt` / `image.txt` companions): the collector streams
 //!   it through [`SegmentWriter`], and [`pack_experiment`] writes the
 //!   same format for a packed store, losslessly convertible to and
@@ -572,7 +573,7 @@ mod tests {
         let exp = sample_experiment();
         let attachments = vec![("syms.txt".to_string(), "module m 1 1\n".to_string())];
         let bytes = pack_experiment(&exp, &attachments);
-        assert!(bytes.starts_with(b"MPES\x02"));
+        assert!(bytes.starts_with(b"MPES\x03"));
         let store = StreamFile::from_bytes(bytes.clone()).unwrap();
         assert!(store.is_complete());
         assert_eq!(store.attachments(), &attachments[..]);

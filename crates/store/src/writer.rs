@@ -1,4 +1,4 @@
-//! Writing and reading `MPES` v2 files (see [`crate::format`] for the
+//! Writing and reading `MPES` v3 files (see [`crate::format`] for the
 //! layout).
 //!
 //! [`SegmentWriter`] is the collector's streaming sink: it appends one
@@ -24,7 +24,9 @@
 //!   counter, an undefined stack id, trailing bytes — is
 //!   [`StoreError::Corrupt`] from whichever call decodes that chunk:
 //!   [`StreamFile::open`] for the header, footer and per-chunk event
-//!   counts, the event-reading calls for everything else.
+//!   counts, the event-reading calls for everything else. The
+//!   per-item loops carry a small `Copy` error; each chunk's decode
+//!   turns it into that `StoreError`, naming the file, once.
 
 use std::io::Write;
 use std::ops::Range;
@@ -37,15 +39,15 @@ use memprof_core::{
 use simsparc_machine::EventCounts;
 
 use crate::format::{
-    chunk_checksum, get_clock_event, get_footer, get_header, get_hwc_event, get_stack, put_footer,
-    put_header, put_hwc_event, put_stack, Footer, Header, CHUNK_CLOCK, CHUNK_FOOTER, CHUNK_HEADER,
+    chunk_checksum, get_footer, get_header, get_stacks, put_footer, put_header, put_stack,
+    ChunkDecoder, ChunkEncoder, Footer, Header, CHUNK_CLOCK, CHUNK_FOOTER, CHUNK_HEADER,
     CHUNK_HEADER_LEN, CHUNK_HWC, CHUNK_STACKS, MAGIC, PREAMBLE_LEN, VERSION,
 };
 use crate::pread::{read_exact_at, read_file_pooled, PooledBuf, ReadAt};
-use crate::varint::{put_u64, Cursor};
+use crate::varint::{put_u64, Cursor, DecodeError};
 use crate::StoreError;
 
-/// The collector's streaming sink: writes `MPES` v2 chunks through
+/// The collector's streaming sink: writes `MPES` v3 chunks through
 /// any `Write`, flushing after every chunk so each completed segment
 /// is durable independently of the run's fate.
 pub struct SegmentWriter<W: Write> {
@@ -55,6 +57,11 @@ pub struct SegmentWriter<W: Write> {
     /// footer; register them with [`SegmentWriter::attach`] before the
     /// run finishes.
     attachments: Vec<(String, String)>,
+    /// Counters the header declares: the bound on an event's counter.
+    n_counters: usize,
+    /// Payload and column buffers, reused from chunk to chunk.
+    payload: Vec<u8>,
+    encoder: ChunkEncoder,
 }
 
 impl SegmentWriter<std::io::BufWriter<std::fs::File>> {
@@ -73,6 +80,9 @@ impl<W: Write> SegmentWriter<W> {
             out,
             bytes: 0,
             attachments: Vec::new(),
+            n_counters: 0,
+            payload: Vec::new(),
+            encoder: ChunkEncoder::default(),
         }
     }
 
@@ -94,7 +104,9 @@ impl<W: Write> SegmentWriter<W> {
         &mut self.out
     }
 
-    fn chunk(&mut self, kind: u8, payload: &[u8]) -> std::io::Result<()> {
+    /// Write the payload buffer as one chunk of `kind`.
+    fn chunk(&mut self, kind: u8) -> std::io::Result<()> {
+        let payload = &self.payload;
         let len = u32::try_from(payload.len()).map_err(|_| {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, "chunk exceeds 4 GiB")
         })?;
@@ -122,43 +134,36 @@ impl<W: Write> CollectSink for SegmentWriter<W> {
         self.out.write_all(&MAGIC)?;
         self.out.write_all(&[VERSION])?;
         self.bytes += PREAMBLE_LEN as u64;
-        let mut payload = Vec::new();
-        put_header(&mut payload, counters, clock_period, clock_hz);
-        self.chunk(CHUNK_HEADER, &payload)
+        self.n_counters = counters.len();
+        self.payload.clear();
+        put_header(&mut self.payload, counters, clock_period, clock_hz);
+        self.chunk(CHUNK_HEADER)
     }
 
     fn stacks(&mut self, stacks: &[Vec<u64>]) -> std::io::Result<()> {
-        let mut payload = Vec::new();
-        put_u64(&mut payload, stacks.len() as u64);
+        self.payload.clear();
+        put_u64(&mut self.payload, stacks.len() as u64);
         for s in stacks {
-            put_stack(&mut payload, s);
+            put_stack(&mut self.payload, s);
         }
-        self.chunk(CHUNK_STACKS, &payload)
+        self.chunk(CHUNK_STACKS)
     }
 
     fn hwc_segment(&mut self, events: &[PackedHwcEvent]) -> std::io::Result<()> {
-        let mut payload = Vec::new();
-        put_u64(&mut payload, events.len() as u64);
-        for ev in events {
-            put_hwc_event(&mut payload, ev);
-        }
-        self.chunk(CHUNK_HWC, &payload)
+        self.encoder
+            .hwc(events, self.n_counters, &mut self.payload)?;
+        self.chunk(CHUNK_HWC)
     }
 
     fn clock_segment(&mut self, events: &[PackedClockEvent]) -> std::io::Result<()> {
-        let mut payload = Vec::new();
-        put_u64(&mut payload, events.len() as u64);
-        for ev in events {
-            put_u64(&mut payload, ev.pc);
-            put_u64(&mut payload, ev.stack as u64);
-        }
-        self.chunk(CHUNK_CLOCK, &payload)
+        self.encoder.clock(events, &mut self.payload);
+        self.chunk(CHUNK_CLOCK)
     }
 
     fn finish(&mut self, run: &RunInfo, log: &[String]) -> std::io::Result<()> {
-        let mut payload = Vec::new();
-        put_footer(&mut payload, run, log, &self.attachments);
-        self.chunk(CHUNK_FOOTER, &payload)
+        self.payload.clear();
+        put_footer(&mut self.payload, run, log, &self.attachments);
+        self.chunk(CHUNK_FOOTER)
     }
 
     fn bytes_written(&self) -> u64 {
@@ -176,7 +181,7 @@ struct Chunk {
     stacks: usize,
 }
 
-/// An `MPES` v2 file opened for reading: header and footer decoded,
+/// An `MPES` v3 file opened for reading: header and footer decoded,
 /// event chunks indexed but still encoded (see the module docs for
 /// what opening checks and the two error rules). The byte image lives
 /// in a pooled buffer, so repeated open/decode cycles recycle one
@@ -376,29 +381,21 @@ impl StreamFile {
         self.clock_total
     }
 
-    /// Decode one indexed chunk's items in order, handing each to `f`
-    /// with its position; the chunk must hold exactly its count.
-    fn decode<T>(
+    /// Run one indexed chunk's decode over its items. The per-item
+    /// loops inside carry a [`DecodeError`]; this turns it into a
+    /// `StoreError` naming the file, once per chunk.
+    fn decode(
         &self,
         chunk: &Chunk,
-        mut get: impl FnMut(&mut Cursor<'_>) -> Result<T, StoreError>,
-        mut f: impl FnMut(usize, T),
+        body: impl FnOnce(&[u8]) -> Result<(), DecodeError>,
     ) -> Result<(), StoreError> {
-        let decoded = (|| {
-            let mut cur = Cursor::new(&self.bytes[chunk.items.clone()]);
-            for i in 0..chunk.count {
-                f(i, get(&mut cur)?);
+        body(&self.bytes[chunk.items.clone()]).map_err(|e| {
+            let e = StoreError::from(e);
+            match &self.path {
+                Some(path) => e.at(path),
+                None => e,
             }
-            if cur.is_empty() {
-                Ok(())
-            } else {
-                Err(StoreError::Corrupt("trailing bytes in chunk"))
-            }
-        })();
-        match &self.path {
-            Some(path) => decoded.map_err(|e| e.at(path)),
-            None => decoded,
-        }
+        })
     }
 
     /// Decode one HWC chunk, checking each event against the recipe's
@@ -406,45 +403,54 @@ impl StreamFile {
     fn hwc_chunk(
         &self,
         chunk: &Chunk,
+        dec: &mut ChunkDecoder,
         f: impl FnMut(usize, PackedHwcEvent),
     ) -> Result<(), StoreError> {
         let n_counters = self.counters.len();
-        self.decode(chunk, |cur| get_hwc_event(cur, n_counters, chunk.stacks), f)
+        self.decode(chunk, |items| {
+            dec.hwc(items, chunk.count, n_counters, chunk.stacks, f)
+        })
     }
 
     /// Decode one CLOCK chunk, checking each tick's stack id.
     fn clock_chunk(
         &self,
         chunk: &Chunk,
+        dec: &mut ChunkDecoder,
         f: impl FnMut(usize, PackedClockEvent),
     ) -> Result<(), StoreError> {
-        self.decode(chunk, |cur| get_clock_event(cur, chunk.stacks), f)
+        self.decode(chunk, |items| {
+            dec.clock(items, chunk.count, chunk.stacks, f)
+        })
     }
 
     /// Stream the events into a columnar batch in the pc projection
     /// (see [`EventBatch::grow_pc_rows`]): each chunk is decoded
     /// straight into the `col` and charge-PC columns
     /// ([`memprof_core::charged_pc`]), and no STACKS chunk is decoded.
-    /// Clock chunks are decoded and
-    /// checked even when `clock_col` is `None`, but then add no rows.
+    /// Every other column is still parsed and checked, exactly as
+    /// [`StreamFile::to_experiment`] checks it. Clock chunks are
+    /// decoded and checked even when `clock_col` is `None`, but then
+    /// add no rows.
     pub fn fill_pc_batch(
         &self,
         batch: &mut EventBatch,
         hwc_col: &[usize],
         clock_col: Option<usize>,
     ) -> Result<(), StoreError> {
+        let mut dec = ChunkDecoder::default();
         for c in &self.chunks {
             match c.kind {
                 CHUNK_HWC => {
                     let (cols, pcs) = batch.grow_pc_rows(c.count);
-                    self.hwc_chunk(c, |i, ev| {
+                    self.hwc_chunk(c, &mut dec, |i, ev| {
                         cols[i] = hwc_col[ev.counter] as u32;
                         pcs[i] = charged_pc(&ev, self.counters[ev.counter].backtrack);
                     })?;
                 }
                 CHUNK_CLOCK => {
                     let (cols, pcs) = batch.grow_pc_rows(clock_col.map_or(0, |_| c.count));
-                    self.clock_chunk(c, |i, ev| {
+                    self.clock_chunk(c, &mut dec, |i, ev| {
                         if let Some(col) = clock_col {
                             cols[i] = col as u32;
                             pcs[i] = ev.pc;
@@ -466,12 +472,13 @@ impl StreamFile {
         let mut stacks = Vec::new();
         let mut hwc_events = Vec::with_capacity(self.hwc_total);
         let mut clock_events = Vec::with_capacity(self.clock_total);
+        let mut dec = ChunkDecoder::default();
         for c in &self.chunks {
             match c.kind {
-                CHUNK_STACKS => self.decode(c, get_stack, |_, s| stacks.push(s))?,
-                CHUNK_HWC => self.hwc_chunk(c, |_, e| hwc_events.push(e))?,
+                CHUNK_STACKS => self.decode(c, |items| get_stacks(items, c.count, &mut stacks))?,
+                CHUNK_HWC => self.hwc_chunk(c, &mut dec, |_, e| hwc_events.push(e))?,
                 // CHUNK_CLOCK, the only other kind the index holds.
-                _ => self.clock_chunk(c, |_, e| clock_events.push(e))?,
+                _ => self.clock_chunk(c, &mut dec, |_, e| clock_events.push(e))?,
             }
         }
         let mut log = self.log.clone();

@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 
 use memprof_core::{CounterRequest, Experiment, PackedClockEvent, PackedHwcEvent, RunInfo};
 use memprof_store::{
-    aggregate, aggregate_refs, fnv1a64, pack_experiment, ExperimentRef, StoreError, StreamFile,
+    aggregate, aggregate_refs, pack_experiment, xxh64, ExperimentRef, StoreError, StreamFile,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -43,7 +43,8 @@ const UNUSED_STACK: u64 = 0x7fff_0000;
 /// stack no event uses, so every table holds duplicates and an unused
 /// entry. Each event's pick selects any of the `2 * pool.len()` used
 /// positions, so either copy of a stack can be used, and a clock tick
-/// can be the first event to use one.
+/// can be the first event to use one. The skid also picks the truth
+/// EA: equal to the EA, different from it, or present without one.
 fn build_experiment(
     intervals: (u64, u64),
     period: u64,
@@ -64,7 +65,12 @@ fn build_experiment(
                 ea: has_ea.then_some(ea),
                 stack: id(pick),
                 truth_trigger_pc: delivered.wrapping_sub(cand_delta / 2),
-                truth_ea: has_ea.then_some(ea ^ 0x40),
+                truth_ea: match (has_ea, skid % 3) {
+                    (true, 0) => Some(ea),
+                    (true, _) => Some(ea ^ 0x40),
+                    (false, 0) => None,
+                    (false, _) => Some(ea | 8),
+                },
                 truth_skid: (skid % 8) as u32,
             },
         )
@@ -179,7 +185,7 @@ proptest! {
     ) {
         let exp = build_experiment(intervals, period, pool, raw_events, raw_clocks, dropped);
         let bytes = pack_experiment(&exp, &attachments());
-        prop_assert!(bytes.starts_with(b"MPES\x02"));
+        prop_assert!(bytes.starts_with(b"MPES\x03"));
         let dir = scratch("identity");
         let r = packed_ref(&dir.join("x.mps"), &bytes);
         let back = r.load()?;
@@ -355,30 +361,35 @@ fn chunk_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
 
 /// Give the chunk at `start` a checksum that matches its (possibly
 /// damaged) kind, length and payload, as if it had been written that
-/// way. A length pushed past the end of the image is left alone: that
-/// is framing damage whatever the checksum says.
+/// way: XXH64 of the payload seeded with `kind | len << 8`. A length
+/// pushed past the end of the image is left alone: that is framing
+/// damage whatever the checksum says.
 fn reseal(bytes: &mut [u8], start: usize) {
+    let kind = bytes[start];
     let len = u32::from_le_bytes(bytes[start + 1..start + 5].try_into().unwrap());
     let Some(payload) = bytes.get(start + 13..start + 13 + len as usize) else {
         return;
     };
-    let sum = fnv1a64(&[&bytes[start..start + 5], payload].concat());
+    let sum = xxh64(payload, u64::from(kind) | u64::from(len) << 8);
     bytes[start + 5..start + 13].copy_from_slice(&sum.to_le_bytes());
 }
 
 /// Every single-byte flip, read twice. As flipped, the chunk checksum
-/// (FNV-1a over kind, length and payload) catches the change, so the
-/// file reads as a prefix or a typed error. Resealed with a matching
-/// checksum, the damaged content reaches the decoders instead: the
-/// content checks (header and footer fields, counter bound, flags,
-/// skid, stack id, trailing bytes) must turn it into `Ok` or a typed
-/// error — never a panic.
+/// (XXH64 of the payload, seeded with kind and length) catches the
+/// change, so the file reads as a prefix or a typed error. Resealed
+/// with a matching checksum, the damaged content reaches the decoders
+/// instead: the content checks (header and footer fields, counter
+/// bound, flags, PC index, skid, stack id, bytes left in a column)
+/// must turn it into `Ok` or a typed error — never a panic. Some
+/// resealed images must open and then fail `load` as `Corrupt`, or the
+/// reseal missed the checksum and nothing reached a content check.
 #[test]
 fn every_byte_flip_reads_as_a_prefix_or_a_typed_error() {
     let clean = sample_image();
     let spans = chunk_spans(&clean);
     let dir = scratch("flips");
     let path = dir.join("flip.mps");
+    let mut corrupt_past_open = 0;
     for pos in 0..clean.len() {
         for mask in [0x01u8, 0x10, 0xff] {
             let mut bytes = clean.clone();
@@ -395,33 +406,117 @@ fn every_byte_flip_reads_as_a_prefix_or_a_typed_error() {
                 reseal(&mut bytes, start);
                 std::fs::write(&path, &bytes).unwrap();
                 read_every_way(&path, &format!("{what}, resealed"));
+                if StreamFile::open(&path).is_ok_and(|f| f.truncation().is_none())
+                    && is_corrupt(ExperimentRef::Packed(path.clone()).load())
+                {
+                    corrupt_past_open += 1;
+                }
             }
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        corrupt_past_open > 0,
+        "no resealed flip reached a content check"
+    );
 }
 
+/// Did reading fail with `Corrupt`, naming the file?
+fn is_corrupt<T>(read: Result<T, StoreError>) -> bool {
+    matches!(read, Err(StoreError::At(_, inner)) if matches!(*inner, StoreError::Corrupt(_)))
+}
+
+/// The projected decode behind `aggregate_refs` keeps every content
+/// check of the full decode behind `load`. For every flip inside an
+/// HWC or CLOCK chunk's payload, resealed so the damage reaches the
+/// decoders, the two fail together, and when both succeed they agree
+/// on every column's samples. Some of those images must open cleanly
+/// and then fail `load` as `Corrupt`, or the flips never reached a
+/// content check.
+#[test]
+fn resealed_event_payload_flips_fail_aggregate_and_load_alike() {
+    let clean = sample_image();
+    let dir = scratch("differential");
+    let path = dir.join("flip.mps");
+    let r = ExperimentRef::Packed(path.clone());
+    let (mut both_ok, mut both_failed, mut corrupt_past_open) = (0, 0, 0);
+    for (start, end) in chunk_spans(&clean) {
+        if !matches!(clean[start], 2 | 3) {
+            continue;
+        }
+        for pos in start + 13..end {
+            for mask in [0x01u8, 0x10, 0xff] {
+                let mut bytes = clean.clone();
+                bytes[pos] ^= mask;
+                reseal(&mut bytes, start);
+                std::fs::write(&path, &bytes).unwrap();
+                let what = format!("byte {pos} ^ {mask:#04x}, resealed");
+                if let Ok(f) = StreamFile::open(&path) {
+                    assert_eq!(f.truncation(), None, "{what}: walk stopped at the flip");
+                }
+                let streamed = aggregate_refs(std::slice::from_ref(&r), 1);
+                let loaded = r.load();
+                match (streamed, loaded) {
+                    (Ok(s), Ok(exp)) => {
+                        let l = aggregate(&[&exp], 1).unwrap();
+                        assert_eq!(s.columns, l.columns, "{what}");
+                        assert_eq!(s.totals, l.totals, "{what}");
+                        assert_eq!(s.pc_samples, l.pc_samples, "{what}");
+                        both_ok += 1;
+                    }
+                    (Err(_), Err(e)) => {
+                        assert_typed(&e, &path, &what);
+                        if StreamFile::open(&path).is_ok() && is_corrupt::<()>(Err(e)) {
+                            corrupt_past_open += 1;
+                        }
+                        both_failed += 1;
+                    }
+                    (s, l) => panic!(
+                        "{what}: aggregate {} but load {}",
+                        s.map_or_else(|e| e.to_string(), |_| "ok".into()),
+                        l.map_or_else(|e| e.to_string(), |_| "ok".into())
+                    ),
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    eprintln!(
+        "{both_ok} images read on both paths, {both_failed} failed on both \
+         ({corrupt_past_open} as Corrupt after a clean open)"
+    );
+    assert!(
+        both_ok > 0 && corrupt_past_open > 0,
+        "flips never reached the decoders"
+    );
+}
+
+/// Versions 1 and 2 are earlier layouts of the same format. No
+/// decoder for them remains, so each reads as `BadVersion` naming the
+/// file, on every entry point.
 #[test]
 fn version_one_images_are_rejected_naming_the_file() {
     let dir = scratch("v1");
     let path = dir.join("old.mps");
-    let mut bytes = sample_image();
-    bytes[4] = 1;
-    let r = packed_ref(&path, &bytes);
-    for err in [
-        r.load().err(),
-        aggregate_refs(std::slice::from_ref(&r), 1).err(),
-        r.read_syms().err(),
-    ] {
-        let err = err.expect("a version 1 image must not read");
-        assert!(
-            err.to_string().contains("old.mps"),
-            "error lacks path: {err}"
-        );
-        assert!(
-            matches!(&err, StoreError::At(_, inner) if matches!(**inner, StoreError::BadVersion(1))),
-            "{err}"
-        );
+    for version in [1u8, 2] {
+        let mut bytes = sample_image();
+        bytes[4] = version;
+        let r = packed_ref(&path, &bytes);
+        for err in [
+            r.load().err(),
+            aggregate_refs(std::slice::from_ref(&r), 1).err(),
+            r.read_syms().err(),
+        ] {
+            let err = err.expect("an earlier version's image must not read");
+            assert!(
+                err.to_string().contains("old.mps"),
+                "error lacks path: {err}"
+            );
+            assert!(
+                matches!(&err, StoreError::At(_, inner) if matches!(**inner, StoreError::BadVersion(v) if v == version)),
+                "{err}"
+            );
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

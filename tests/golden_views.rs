@@ -115,7 +115,7 @@ fn golden_views_and_store_renders() {
     // merge packed as `MPES`, and the merge saved as a text directory.
     let mut digests = String::new();
     let mut pin = |name: &str, bytes: &[u8]| {
-        writeln!(digests, "{name} {} {:016x}", bytes.len(), xxh64(bytes)).unwrap();
+        writeln!(digests, "{name} {} {:016x}", bytes.len(), xxh64(bytes, 0)).unwrap();
     };
     pin("pack exp1", &pack_experiment(&run.exp1, &[]));
     pin("pack exp2", &pack_experiment(&run.exp2, &[]));
