@@ -70,8 +70,8 @@
 //!
 //! 1. if there are stale leftovers (segments a *previous* pass
 //!    already folded in but crashed before deleting — identified by a
-//!    hash-valid [`Manifest`], of either version), regenerate the
-//!    summary from the packed store, then delete them;
+//!    hash-valid [`Manifest`]), regenerate the summary from the packed
+//!    store, then delete them;
 //! 2. merge `[old packed] + fresh raws` in memory (seeded from the
 //!    cache when the fingerprint matches);
 //! 3. durably write the `MPCM 2` manifest naming the fresh raws, keyed
@@ -108,15 +108,14 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use memprof_core::Experiment;
-use memprof_store::pread::read_file_pooled;
 use memprof_store::{
     aggregate, aggregate_streams, collect_attachments, merge_experiments_with, pack_experiment,
-    syms_attachment, xxh64, EventStream, ExperimentRef, StoreError,
+    syms_attachment, xxh64, ExperimentRef, StoreError,
 };
 
 use crate::registry::WindowRegistry;
-use crate::store::{render_manifest, write_durable, Manifest, StoreDirs, StoreHash};
-use crate::summary::{summary_is_current, write_summary};
+use crate::store::{render_manifest, write_durable, Manifest, StoreDirs};
+use crate::summary::write_summary;
 
 /// One window's previous compaction result, reusable as the seed of
 /// the next pass — and as the source of the window's analyzer views —
@@ -282,14 +281,17 @@ impl CompactReport {
 /// Regenerate a window's tier-2 summary, symbol table included, from
 /// its packed store on disk. The main compaction path summarizes the
 /// in-memory merge instead; this serves the recovery paths that have
-/// no merge in hand, and rewrites an older daemon's `MPSUM 1`.
+/// no merge in hand.
 fn refresh_summary(dirs: &StoreDirs, window: &str) -> Result<(), StoreError> {
     let Some(store) = dirs.open_packed(window)? else {
         return Ok(());
     };
-    let syms = syms_attachment(store.attachments()).map(str::to_string);
-    let agg = aggregate_streams(&[EventStream::Stream(store)], 0)?;
-    write_summary(&dirs.summary_path(window), &agg, syms.as_deref())
+    let agg = aggregate_streams(std::slice::from_ref(&store), 0)?;
+    write_summary(
+        &dirs.summary_path(window),
+        &agg,
+        syms_attachment(store.attachments()),
+    )
 }
 
 /// Compact one window if it has sealed raw segments. Returns the
@@ -322,7 +324,7 @@ pub fn compact_window(
         }
     }
     if tier.fresh.is_empty() {
-        if packed.exists() && !summary_is_current(&dirs.summary_path(window)) {
+        if packed.exists() && !dirs.summary_path(window).exists() {
             refresh_summary(dirs, window)?;
         }
         return Ok(0);
@@ -377,7 +379,7 @@ pub fn compact_window(
     // the store itself — the commit point.
     let packed_hash = xxh64(&bytes, 0);
     let manifest = Manifest {
-        packed: StoreHash::Xxh64(packed_hash),
+        packed: packed_hash,
         consumed: tier
             .fresh
             .iter()
@@ -428,7 +430,7 @@ pub fn compact_window(
 /// XXH64 check is what lets a cached experiment stand in for a
 /// checksummed read of the store.
 pub(crate) fn packed_hash_is(packed: &Path, hash: u64) -> bool {
-    read_file_pooled(packed).is_ok_and(|bytes| xxh64(&bytes, 0) == hash)
+    std::fs::read(packed).is_ok_and(|bytes| xxh64(&bytes, 0) == hash)
 }
 
 /// Compact one window under its exclusive registry lock, bumping the

@@ -35,12 +35,10 @@ pub mod wire;
 pub use compact::{
     compact_all_registered, compact_window, compact_window_registered, CompactCache, CompactReport,
 };
-pub use query::{
-    answer, watch_frame, window_aggregate, window_syms, QueryOutcome, WindowAggregate,
-};
+pub use query::{answer, watch_frame, window_aggregate, QueryOutcome, WindowAggregate};
 pub use registry::{ExclusiveGuard, SharedGuard, WindowRegistry, WindowState};
 pub use retention::{enforce_retention, RetentionPolicy, RetentionReport};
 pub use server::{query, watch, Server, ServerConfig, WatchClient};
 pub use sink::SocketSink;
-pub use store::{parse_manifest, render_manifest, Manifest, RawTier, StoreDirs, StoreHash};
+pub use store::{parse_manifest, render_manifest, Manifest, RawTier, StoreDirs};
 pub use summary::{parse_summary, read_summary, render_summary, write_summary, Summary};

@@ -26,7 +26,7 @@
 //!
 //! `W` is a window label; views default to *all* windows where the
 //! grammar allows. Aggregate queries (`functions`, `stat`, `diff`) are
-//! served tier-first, one read per window ([`window_aggregate`]): a
+//! served tier-first, one read per tier file ([`window_aggregate`]): a
 //! compacted window answers from its summary (tier 2), which
 //! round-trips the aggregate exactly and carries the packed store's
 //! symbol table, so the answer is byte-identical to re-aggregating
@@ -35,14 +35,15 @@
 //! whose raw tier still holds stale leftovers — segments a pass
 //! folded into the packed store but crashed before deleting — may
 //! also hold that pass's predecessor's summary, so it answers from
-//! the packed store instead, as does a window with no summary (or an
-//! older daemon's `MPSUM 1`). The symbol table then comes from the
-//! packed store or the raw segments ([`window_syms`]), as it does when
-//! the summary holds no table. Analyzer views (`objects`, `segments`,
-//! `pages`, `lines`) need the whole merged experiment: a compacted
-//! window whose merge the [`CompactCache`] still holds — and whose
-//! packed store still hashes to it — answers from memory, anything
-//! else decodes the packed store and raw segments.
+//! the packed store instead, as does a window with no summary. The
+//! symbol table comes from the first file the read opened that
+//! carries one: the summary, the packed store, then the raw segments.
+//! Analyzer views (`objects`, `segments`, `pages`, `lines`) need the
+//! whole merged experiment: a compacted window whose merge the
+//! [`CompactCache`] still holds — and whose packed store still hashes
+//! to it — answers from memory, anything else decodes the packed
+//! store and raw segments, each opened once, and takes the table from
+//! them in the same order.
 //!
 //! Locking: each store-reading arm takes the *shared* registry lock
 //! of exactly the windows it resolves — in sorted label order when
@@ -51,14 +52,14 @@
 //! while window B is mid-compaction; only a query *on the compacting
 //! window itself* waits.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use memprof_core::analyze::Analysis;
 use memprof_core::Experiment;
 use memprof_store::{
-    aggregate_refs, aggregate_streams, attached_syms, diff_aggregates, merge_experiments_with,
-    parse_syms, Aggregate, EventStream, ExperimentRef, StoreError,
+    aggregate_streams, attached_syms, diff_aggregates, merge_experiments_with, parse_syms,
+    syms_attachment, Aggregate, StoreError, StreamFile,
 };
 use simsparc_machine::CounterEvent;
 
@@ -100,20 +101,35 @@ fn checked_label<'a>(dirs: &StoreDirs, w: &'a str) -> Result<&'a str, StoreError
 pub struct WindowAggregate {
     /// Everything landed in the window, aggregated.
     pub agg: Aggregate,
-    /// The packed store's `syms.txt` text, as the window's summary
-    /// carries it. `None` when the summary did not answer or holds no
-    /// table; [`window_syms`] is then the table's source.
-    pub syms: Option<String>,
+    /// The window's `syms.txt` text and the tier file it came from:
+    /// the first of the files the read opened that carries one, in
+    /// the order summary, packed store, fresh raw segments. `None`
+    /// when none of them does.
+    pub syms: Option<(PathBuf, String)>,
+}
+
+/// The `syms.txt` text `file` carries, paired with its `path`.
+fn carried_syms(file: &StreamFile, path: &Path) -> Option<(PathBuf, String)> {
+    syms_attachment(file.attachments()).map(|text| (path.to_path_buf(), text.to_string()))
+}
+
+/// Parse a symbol table text found by [`carried_syms`] or a summary;
+/// a table that does not parse is an error naming its file.
+fn parse_carried(
+    syms: Option<&(PathBuf, String)>,
+) -> Result<Option<minic::SymbolTable>, StoreError> {
+    syms.map(|(path, text)| parse_syms(text, path)).transpose()
 }
 
 /// The aggregate of everything landed in a window, tier-first: the
 /// summary (or, lacking one, the packed store) plus any raw segments
-/// not yet compacted, with the summary's symbol table when it
-/// answered. Raw segments an interrupted compaction already folded
-/// into the packed store (hash-valid manifest entries) are skipped —
-/// counting them again would double every sample they hold. Their
-/// presence also means that pass may have crashed before writing its
-/// summary, so the summary is trusted only when there are none.
+/// not yet compacted, with the symbol table text of the first of
+/// those that carries one. Raw segments an interrupted compaction
+/// already folded into the packed store (hash-valid manifest entries)
+/// are skipped — counting them again would double every sample they
+/// hold. Their presence also means that pass may have crashed before
+/// writing its summary, so the summary is trusted only when there are
+/// none. Each file is read once.
 pub fn window_aggregate(dirs: &StoreDirs, window: &str) -> Result<WindowAggregate, StoreError> {
     let mut parts: Vec<Aggregate> = Vec::new();
     let mut syms = None;
@@ -125,17 +141,25 @@ pub fn window_aggregate(dirs: &StoreDirs, window: &str) -> Result<WindowAggregat
     };
     if let Some(summary) = summary {
         parts.push(summary.agg);
-        syms = summary.syms;
+        syms = summary.syms.map(|text| (dirs.summary_path(window), text));
     } else if let Some(store) = dirs.open_packed(window)? {
-        parts.push(aggregate_streams(&[EventStream::Stream(store)], 0)?);
+        parts.push(aggregate_streams(std::slice::from_ref(&store), 0)?);
+        syms = carried_syms(&store, &dirs.packed_path(window));
     }
     if !tier.fresh.is_empty() {
-        let refs = tier
+        let raws = tier
             .fresh
             .iter()
-            .map(|p| ExperimentRef::open(p))
-            .collect::<Result<Vec<ExperimentRef>, StoreError>>()?;
-        parts.push(aggregate_refs(&refs, 0)?);
+            .map(|p| StreamFile::open(p))
+            .collect::<Result<Vec<StreamFile>, StoreError>>()?;
+        parts.push(aggregate_streams(&raws, 0)?);
+        if syms.is_none() {
+            syms = tier
+                .fresh
+                .iter()
+                .zip(&raws)
+                .find_map(|(p, f)| carried_syms(f, p));
+        }
     }
     let mut parts = parts.into_iter();
     let mut agg = parts
@@ -147,68 +171,41 @@ pub fn window_aggregate(dirs: &StoreDirs, window: &str) -> Result<WindowAggregat
     Ok(WindowAggregate { agg, syms })
 }
 
-/// The window's symbol table, from the packed store's attachments or
-/// the first raw segment that carries one. `Ok(None)` means no tier
-/// carries a table; a store that exists but cannot be read — a packed
-/// tier without its footer included ([`StoreDirs::open_packed`]) — is
-/// an error naming it, never a silently missing table. A raw segment
-/// without a footer is just an interrupted run.
-pub fn window_syms(
-    dirs: &StoreDirs,
-    window: &str,
-) -> Result<Option<minic::SymbolTable>, StoreError> {
-    if let Some(store) = dirs.open_packed(window)? {
-        if let Some(syms) = attached_syms(store.attachments(), &dirs.packed_path(window))? {
-            return Ok(Some(syms));
-        }
-    }
-    for raw in dirs.live_raw_segments(window)?.fresh {
-        if let Some(syms) = ExperimentRef::Packed(raw).read_syms()? {
-            return Ok(Some(syms));
-        }
-    }
-    Ok(None)
-}
-
-/// The symbol table of the first of `windows` that carries one: the
-/// copy its tier-first read brought from the summary, else
-/// [`window_syms`].
+/// The symbol table of the first of `reads` that carries one. A
+/// table that does not parse is an error naming its file, never a
+/// silently missing table.
 fn first_syms<'a>(
-    dirs: &StoreDirs,
-    windows: impl IntoIterator<Item = (&'a str, &'a WindowAggregate)>,
+    reads: impl IntoIterator<Item = &'a WindowAggregate>,
 ) -> Result<Option<minic::SymbolTable>, StoreError> {
-    for (w, read) in windows {
-        let syms = match &read.syms {
-            Some(text) => Some(parse_syms(text, &dirs.summary_path(w))?),
-            None => window_syms(dirs, w)?,
-        };
-        if syms.is_some() {
-            return Ok(syms);
-        }
-    }
-    Ok(None)
+    parse_carried(reads.into_iter().find_map(|r| r.syms.as_ref()))
 }
 
 /// Materialize a window as one merged [`Experiment`] from disk — the
 /// packed store, then the `fresh` raw segments in file-name order, the
-/// input order compaction uses.
+/// input order compaction uses — with the symbol table text of the
+/// first of those files that carries one. Each file is read once.
 fn window_experiment(
     dirs: &StoreDirs,
     window: &str,
     fresh: Vec<PathBuf>,
-) -> Result<Experiment, StoreError> {
-    let mut seeds = Vec::new();
+) -> Result<(Experiment, Option<(PathBuf, String)>), StoreError> {
+    let mut inputs = Vec::new();
+    let mut syms = None;
+    let mut add = |path: &Path, file: StreamFile| -> Result<(), StoreError> {
+        syms = syms.take().or_else(|| carried_syms(&file, path));
+        inputs.push(file.to_experiment()?);
+        Ok(())
+    };
     if let Some(store) = dirs.open_packed(window)? {
-        seeds.push(store.to_experiment()?);
+        add(&dirs.packed_path(window), store)?;
     }
-    if seeds.is_empty() && fresh.is_empty() {
+    for raw in &fresh {
+        add(raw, StreamFile::open(raw)?)?;
+    }
+    if inputs.is_empty() {
         return Err(bad(format!("window `{window}` has no data")));
     }
-    let refs = fresh
-        .iter()
-        .map(|p| ExperimentRef::open(p))
-        .collect::<Result<Vec<ExperimentRef>, StoreError>>()?;
-    merge_experiments_with(seeds, &refs, 0)
+    Ok((merge_experiments_with(inputs, &[], 0)?, syms))
 }
 
 /// What an analyzer view reads: a window's merged experiment and its
@@ -239,10 +236,10 @@ fn window_view(
     cache.lock().unwrap().record_view(hit.is_some());
     let (exp, syms) = match hit {
         Some(c) => (c.merged, attached_syms(&c.attachments, &packed)?),
-        None => (
-            Arc::new(window_experiment(dirs, window, fresh)?),
-            window_syms(dirs, window)?,
-        ),
+        None => {
+            let (exp, syms) = window_experiment(dirs, window, fresh)?;
+            (Arc::new(exp), parse_carried(syms.as_ref())?)
+        }
     };
     Ok((exp, syms.ok_or_else(|| bad("window has no symbol table"))?))
 }
@@ -382,7 +379,7 @@ pub fn answer(
             let windows = resolve_windows(dirs, rest)?;
             let _guards = registry.read_windows(&windows);
             let reads = window_aggregates(dirs, &windows)?;
-            let syms = first_syms(dirs, windows.iter().map(String::as_str).zip(&reads))?;
+            let syms = first_syms(&reads)?;
             QueryOutcome::Text(merged_aggregate(reads)?.stat_json(syms.as_ref()))
         }
         Some((&"stat", rest)) => {
@@ -399,7 +396,7 @@ pub fn answer(
             let diff = diff_aggregates(&a.agg, &b.agg)?;
             // Function-level when either side carries symbols, like
             // `mp-store diff`.
-            let text = match first_syms(dirs, [(wa, &a), (wb, &b)])? {
+            let text = match first_syms([&a, &b])? {
                 Some(syms) => diff.render_by_function(&syms),
                 None => diff.render(),
             };

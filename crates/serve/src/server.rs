@@ -467,9 +467,10 @@ fn handle_session(shared: &Shared, mut stream: TcpStream, hello: &[u8]) -> std::
 /// Returns `Ok(false)` (and deletes the staging file) if the landed
 /// bytes are too short to parse as an MPES stream — nothing usable
 /// arrived. The verdict comes from [`validate_stream_prefix`], which
-/// reads only the stream preamble and header chunk through positioned
-/// reads — a full parse can only fail on those, so sealing a large
-/// session no longer buffers its whole image just to decide yes/no.
+/// reads only the stream preamble and first chunk and lets the one
+/// stream reader judge those bytes — a full parse can only fail on
+/// them, so sealing a large session never buffers its whole image
+/// just to decide yes/no.
 /// Needs no tier lock: the rename is atomic, so a concurrent reader
 /// sees the complete segment or no segment, and a concurrent
 /// compaction pass captured its fresh list before the rename (the

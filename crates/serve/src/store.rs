@@ -39,16 +39,13 @@
 //! folded in and must be skipped by queries and deleted — not
 //! re-merged — by the next compaction pass. A manifest whose hash
 //! does not match the current packed store describes a compaction
-//! that never completed and is ignored. An `MPCM 1` manifest, written
-//! by an older daemon, has the same lines keyed by the store's FNV-1a
-//! hash and is still checked with FNV-1a: ignoring it would turn the
-//! leftovers of that daemon's crash back into fresh segments and
-//! count their samples twice. Every manifest written now is `MPCM 2`.
+//! that never completed and is ignored, and so is a manifest that does
+//! not parse — any other first line included.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use memprof_store::{fnv1a64, xxh64, StoreError, StreamFile};
+use memprof_store::{xxh64, StoreError, StreamFile};
 
 /// Window labels become directory components; reject anything that
 /// could escape the data directory or collide with tier suffixes.
@@ -93,44 +90,21 @@ pub(crate) fn sync_dir(dir: &Path) -> Result<(), StoreError> {
         .map_err(|e| StoreError::Io(e).at(dir))
 }
 
-/// A whole-store fingerprint, tagged with the hash that took it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StoreHash {
-    /// [`xxh64`]: the `MPCM 2` manifests this daemon writes.
-    Xxh64(u64),
-    /// [`fnv1a64`]: an `MPCM 1` manifest left by an older daemon.
-    Fnv1a(u64),
-}
-
-impl StoreHash {
-    /// Do `bytes` hash to this fingerprint?
-    pub(crate) fn matches(self, bytes: &[u8]) -> bool {
-        match self {
-            StoreHash::Xxh64(h) => xxh64(bytes, 0) == h,
-            StoreHash::Fnv1a(h) => fnv1a64(bytes) == h,
-        }
-    }
-}
-
 /// A window's compaction manifest: which raw segments the current
 /// packed store already contains (see the module docs for the crash
 /// protocol).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Manifest {
-    /// Fingerprint of the packed store the `consumed` list refers to.
-    pub packed: StoreHash,
+    /// XXH64 (seed 0) of the packed store the `consumed` list refers
+    /// to.
+    pub packed: u64,
     /// File names (not paths) of the folded-in raw segments.
     pub consumed: Vec<String>,
 }
 
-/// Render a manifest into the MPCM text format: `MPCM 2` for an
-/// XXH64 fingerprint, `MPCM 1` for FNV-1a.
+/// Render a manifest into the MPCM text format.
 pub fn render_manifest(m: &Manifest) -> String {
-    let (version, hash) = match m.packed {
-        StoreHash::Xxh64(h) => (2, h),
-        StoreHash::Fnv1a(h) => (1, h),
-    };
-    let mut out = format!("MPCM {version}\npacked {hash:016x}\n");
+    let mut out = format!("MPCM 2\npacked {:016x}\n", m.packed);
     for name in &m.consumed {
         out.push_str(name);
         out.push('\n');
@@ -138,19 +112,18 @@ pub fn render_manifest(m: &Manifest) -> String {
     out
 }
 
-/// Parse the MPCM text format, either version; `None` on any damage (a
-/// damaged manifest is treated like a missing one — conservative,
-/// since the hash check is what authorizes skipping raw segments).
+/// Parse the MPCM text format; `None` on any damage (a damaged
+/// manifest is treated like a missing one — conservative, since the
+/// hash check is what authorizes skipping raw segments). Lines end at
+/// `\n` alone, as [`render_manifest`] writes them, so a name keeps
+/// every other byte it holds.
 pub fn parse_manifest(text: &str) -> Option<Manifest> {
-    let mut lines = text.lines();
-    let fingerprint = match lines.next()? {
-        "MPCM 2" => StoreHash::Xxh64,
-        "MPCM 1" => StoreHash::Fnv1a,
-        _ => return None,
-    };
-    let hash_line = lines.next()?;
-    let hex = hash_line.strip_prefix("packed ")?;
-    let packed = fingerprint(u64::from_str_radix(hex, 16).ok()?);
+    let mut lines = text.split('\n');
+    if lines.next()? != "MPCM 2" {
+        return None;
+    }
+    let hex = lines.next()?.strip_prefix("packed ")?;
+    let packed = u64::from_str_radix(hex, 16).ok()?;
     let consumed = lines
         .filter(|l| !l.is_empty())
         .map(str::to_string)
@@ -291,11 +264,8 @@ impl StoreDirs {
         }
         // Some on-disk segments are named by the manifest: hash the
         // packed store to decide whether they were really folded in.
-        // Pooled positioned read — this runs on every query of a
-        // window with raw segments, so the allocation churn of a
-        // fresh read buffer per query is worth avoiding.
-        let valid = memprof_store::pread::read_file_pooled(&self.packed_path(window))
-            .is_ok_and(|bytes| manifest.packed.matches(&bytes));
+        let valid = std::fs::read(self.packed_path(window))
+            .is_ok_and(|bytes| xxh64(&bytes, 0) == manifest.packed);
         if !valid {
             return Ok(RawTier {
                 fresh: raws,
@@ -392,30 +362,22 @@ mod tests {
 
     #[test]
     fn manifests_round_trip() {
-        for packed in [
-            StoreHash::Xxh64(0xdead_beef_0123_4567),
-            StoreHash::Fnv1a(0x0123_4567_dead_beef),
-        ] {
-            let m = Manifest {
-                packed,
-                consumed: vec!["0000000001-a.mpes".into(), "0000000002-b.mpes".into()],
-            };
-            assert_eq!(parse_manifest(&render_manifest(&m)), Some(m));
-        }
+        let m = Manifest {
+            packed: 0xdead_beef_0123_4567,
+            consumed: vec!["0000000001-a.mpes".into(), "0000000002-b.mpes".into()],
+        };
+        assert_eq!(parse_manifest(&render_manifest(&m)), Some(m));
         assert_eq!(parse_manifest(""), None);
         assert_eq!(parse_manifest("MPCM 3\npacked 00\n"), None);
-        for version in [1, 2] {
-            assert_eq!(parse_manifest(&format!("MPCM {version}\nhash zz\n")), None);
-            assert_eq!(
-                parse_manifest(&format!("MPCM {version}\npacked zz\n")),
-                None
-            );
-        }
+        assert_eq!(parse_manifest("MPCM 2\nhash zz\n"), None);
+        assert_eq!(parse_manifest("MPCM 2\npacked zz\n"), None);
         let empty = parse_manifest("MPCM 2\npacked 0000000000000000\n").unwrap();
         assert!(empty.consumed.is_empty());
-        let old = parse_manifest("MPCM 1\npacked 00000000000000ff\nx.mpes\n").unwrap();
-        assert_eq!(old.packed, StoreHash::Fnv1a(0xff));
-        assert_eq!(old.consumed, ["x.mpes"]);
+        // A version-1 manifest parses as damaged, so it is ignored.
+        assert_eq!(
+            parse_manifest("MPCM 1\npacked 00000000000000ff\nx.mpes\n"),
+            None
+        );
     }
 
     #[test]
@@ -447,27 +409,28 @@ mod tests {
         let tier = dirs.live_raw_segments("w").unwrap();
         assert_eq!((tier.fresh.len(), tier.stale.len()), (1, 0));
 
-        // Manifest naming it with the right packed hash: stale. An
-        // older daemon's MPCM 1 manifest is checked with FNV-1a.
+        // Manifest naming it with the right packed hash: stale.
         let consumed = vec!["0000000001-run.mpes".to_string()];
-        let split = |packed: StoreHash| {
-            let manifest = Manifest {
-                packed,
-                consumed: consumed.clone(),
-            };
-            std::fs::write(dirs.manifest_path("w"), render_manifest(&manifest)).unwrap();
+        let split = |text: String| {
+            std::fs::write(dirs.manifest_path("w"), text).unwrap();
             let tier = dirs.live_raw_segments("w").unwrap();
             (tier.fresh.len(), tier.stale.len())
         };
-        assert_eq!(split(StoreHash::Xxh64(xxh64(b"packed bytes", 0))), (0, 1));
-        assert_eq!(split(StoreHash::Fnv1a(fnv1a64(b"packed bytes"))), (0, 1));
+        let manifest = |packed: u64| {
+            render_manifest(&Manifest {
+                packed,
+                consumed: consumed.clone(),
+            })
+        };
+        let hash = xxh64(b"packed bytes", 0);
+        assert_eq!(split(manifest(hash)), (0, 1));
         assert_eq!(dirs.live_raw_segments("w").unwrap().stale, [raw]);
 
-        // Wrong hash (interrupted compaction), or the right value under
-        // the other version's hash: fresh again.
-        assert_eq!(split(StoreHash::Xxh64(1)), (1, 0));
-        assert_eq!(split(StoreHash::Fnv1a(xxh64(b"packed bytes", 0))), (1, 0));
-        assert_eq!(split(StoreHash::Xxh64(fnv1a64(b"packed bytes"))), (1, 0));
+        // Wrong hash (interrupted compaction), or the right hash in a
+        // version-1 manifest, which no longer parses: fresh again.
+        assert_eq!(split(manifest(1)), (1, 0));
+        let version1 = manifest(hash).replacen("MPCM 2", "MPCM 1", 1);
+        assert_eq!(split(version1), (1, 0));
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

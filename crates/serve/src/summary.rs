@@ -22,16 +22,12 @@
 //! ```
 //!
 //! The symbol section is mandatory and last, and its length must
-//! account for every remaining byte: a summary cut short anywhere, or
-//! a length that runs past the end, is an error naming the file —
-//! never an answer without symbols. An `MPSUM 1` file, left by an
-//! older daemon and carrying no symbol section, reads as a missing
-//! summary: queries take the packed-store fallback and the window's
-//! next compaction pass rewrites it.
+//! account for every remaining byte: a summary cut short anywhere, a
+//! length that runs past the end, or any other first line is an error
+//! naming the file — never an answer without symbols.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::Read as _;
 use std::path::Path;
 
 use memprof_store::{Aggregate, ColSpec, StoreError};
@@ -198,28 +194,15 @@ pub fn write_summary(path: &Path, agg: &Aggregate, syms: Option<&str>) -> Result
     crate::store::write_durable(path, render_summary(agg, syms).as_bytes())
 }
 
-/// Load a window summary from disk. `Ok(None)` when there is none to
-/// serve: no file, or an `MPSUM 1` file from an older daemon.
+/// Load a window summary from disk. `Ok(None)` when there is no file;
+/// a file that does not parse is an error naming it.
 pub fn read_summary(path: &Path) -> Result<Option<Summary>, StoreError> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(StoreError::Io(e).at(path)),
     };
-    if text.lines().next() == Some("MPSUM 1") {
-        return Ok(None);
-    }
     parse_summary(&text).map(Some).map_err(|e| e.at(path))
-}
-
-/// Does `path` hold a summary in this build's format? Reads only the
-/// header: compaction uses it to regenerate a missing or `MPSUM 1`
-/// summary on a window with nothing else to do.
-pub(crate) fn summary_is_current(path: &Path) -> bool {
-    let mut head = [0u8; HEADER.len()];
-    std::fs::File::open(path)
-        .and_then(|mut f| f.read_exact(&mut head))
-        .is_ok_and(|()| head == *HEADER.as_bytes())
 }
 
 #[cfg(test)]
@@ -304,7 +287,7 @@ mod tests {
     }
 
     #[test]
-    fn older_and_missing_summaries_read_as_none() {
+    fn missing_summaries_read_as_none_and_older_ones_fail() {
         let dir = std::env::temp_dir().join(format!(
             "memprof_serve_summary_{}_{:?}",
             std::process::id(),
@@ -316,14 +299,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("w.sum");
         assert!(read_summary(&path).unwrap().is_none());
-        assert!(!summary_is_current(&path));
 
+        // A version-1 summary is damage like any other, named by file.
         std::fs::write(&path, "MPSUM 1\ncolumn clock 5 1\npc 16 1\n").unwrap();
-        assert!(read_summary(&path).unwrap().is_none());
-        assert!(!summary_is_current(&path));
+        let err = read_summary(&path).err().unwrap().to_string();
+        assert!(err.contains("w.sum"), "{err}");
+        assert!(err.contains("summary missing MPSUM 2 header"), "{err}");
 
         write_summary(&path, &sample_aggregate(), None).unwrap();
-        assert!(summary_is_current(&path));
         let back = read_summary(&path).unwrap().unwrap();
         assert_eq!(back.agg.totals, sample_aggregate().totals);
         assert_eq!(back.syms, None);

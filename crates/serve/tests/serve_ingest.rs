@@ -23,8 +23,7 @@ use memprof_serve::{
     WindowRegistry,
 };
 use memprof_store::{
-    collect_attachments, fnv1a64, merge_experiments, pack_experiment, xxh64, ExperimentRef,
-    StreamFile,
+    collect_attachments, merge_experiments, pack_experiment, ExperimentRef, StreamFile,
 };
 
 mod common;
@@ -635,7 +634,7 @@ fn open_errors_carry_the_file_path() {
 
     let corrupt = dir.join("bad.mps");
     std::fs::write(&corrupt, b"MPS\x00garbage").unwrap();
-    let err = match open_as_stream(&corrupt) {
+    let err = match ExperimentRef::open(&corrupt).and_then(|r| r.open_stream()) {
         Ok(_) => panic!("corrupt store opened"),
         Err(e) => e,
     };
@@ -643,11 +642,6 @@ fn open_errors_carry_the_file_path() {
         err.to_string().contains("bad.mps"),
         "error lacks path: {err}"
     );
-}
-
-fn open_as_stream(path: &Path) -> Result<memprof_store::EventStream, memprof_store::StoreError> {
-    let r = ExperimentRef::open(path)?;
-    memprof_store::EventStream::open(&r)
 }
 
 /// LRU cap satellite: a capped cache evicts the least recently
@@ -976,86 +970,6 @@ fn a_damaged_summary_symbol_table_fails_functions() {
 
     std::fs::write(&path, &whole).unwrap();
     assert_eq!(serve::query(&addr, "functions w1").unwrap(), functions);
-    server.shutdown();
-}
-
-/// A data directory left by an older daemon, which keyed `MPCM 1`
-/// manifests by the packed store's FNV-1a and wrote `MPSUM 1`
-/// summaries without a symbol section — here in the state a crash
-/// after its compaction's commit point leaves. A restarted daemon must
-/// still honour the manifest (the leftover is already in the packed
-/// store), answer exactly as before, and upgrade both files as it
-/// compacts.
-#[test]
-fn an_older_daemons_manifest_and_summary_are_honoured_and_upgraded() {
-    const QUERIES: [&str; 3] = ["stat w1", "functions w1", "objects w1"];
-    let data = scratch("upgrade");
-    let dirs = StoreDirs::create(&data).unwrap();
-    let answers = |addr: &str| -> Vec<String> {
-        QUERIES
-            .iter()
-            .map(|q| serve::query(addr, q).unwrap())
-            .collect()
-    };
-
-    let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
-    let mut sink = SocketSink::connect(&server.addr().to_string(), "first", "w1").unwrap();
-    sink.attach("syms.txt", SYMS);
-    drive(&mut sink, 1, 2);
-    let raw_path = dirs.raw_path("w1", sink.session());
-    let raw_bytes = std::fs::read(&raw_path).unwrap();
-    serve::query(&server.addr().to_string(), "compact").unwrap();
-    let before = answers(&server.addr().to_string());
-    server.shutdown();
-
-    // The older daemon's files, then the leftover its crash left.
-    let packed = std::fs::read(dirs.packed_path("w1")).unwrap();
-    let name = raw_path.file_name().unwrap().to_string_lossy();
-    let old_manifest = format!("MPCM 1\npacked {:016x}\n{name}\n", fnv1a64(&packed));
-    std::fs::write(dirs.manifest_path("w1"), old_manifest).unwrap();
-    let summary = std::fs::read_to_string(dirs.summary_path("w1")).unwrap();
-    let body = &summary[..summary.rfind("\nsyms ").unwrap() + 1];
-    let old_summary = body.replacen("MPSUM 2\n", "MPSUM 1\n", 1);
-    std::fs::write(dirs.summary_path("w1"), &old_summary).unwrap();
-    std::fs::write(&raw_path, &raw_bytes).unwrap();
-
-    let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
-    let addr = server.addr().to_string();
-    assert_eq!(answers(&addr), before, "leftover counted twice");
-
-    let report = serve::query(&addr, "compact").unwrap();
-    assert!(report.contains("nothing to compact"), "{report}");
-    assert!(!raw_path.exists(), "stale leftover survived compaction");
-    assert_eq!(std::fs::read(dirs.packed_path("w1")).unwrap(), packed);
-    assert_eq!(
-        std::fs::read_to_string(dirs.summary_path("w1")).unwrap(),
-        summary
-    );
-    assert_eq!(answers(&addr), before);
-
-    // An `MPSUM 1` summary with no leftover beside it reads as missing,
-    // and the next pass with nothing to fold rewrites it.
-    std::fs::write(dirs.summary_path("w1"), &old_summary).unwrap();
-    assert_eq!(answers(&addr), before);
-    serve::query(&addr, "compact").unwrap();
-    assert_eq!(
-        std::fs::read_to_string(dirs.summary_path("w1")).unwrap(),
-        summary
-    );
-
-    // A pass that folds fresh data writes an `MPCM 2` manifest, keyed
-    // by the new store's XXH64.
-    land(&server, "second", 2);
-    serve::query(&addr, "compact").unwrap();
-    let manifest = std::fs::read_to_string(dirs.manifest_path("w1")).unwrap();
-    let packed = std::fs::read(dirs.packed_path("w1")).unwrap();
-    assert!(
-        manifest.starts_with(&format!("MPCM 2\npacked {:016x}\n", xxh64(&packed, 0))),
-        "{manifest}"
-    );
-    assert!(std::fs::read_to_string(dirs.summary_path("w1"))
-        .unwrap()
-        .starts_with("MPSUM 2\n"));
     server.shutdown();
 }
 

@@ -11,8 +11,10 @@
 //! fill the charge-PC projection of a columnar
 //! [`memprof_core::EventBatch`] (the charge-PC rule is
 //! [`memprof_core::charged_pc`], applied by
-//! [`memprof_core::fill_hwc_pc_rows`] in memory and by
-//! [`crate::StreamFile::fill_pc_batch`] as `MPES` chunks decode),
+//! [`memprof_core::fill_hwc_pc_rows`] to an experiment in memory and
+//! by [`crate::StreamFile::fill_pc_batch`] as `MPES` chunks decode;
+//! every experiment on disk, text directories included, reaches
+//! [`aggregate_streams`] as a [`crate::StreamFile`]),
 //! and the per-PC histogram is one [`memprof_core::aggregate_by`]
 //! call — the same kernel every analyzer view runs on. The sharded
 //! path merges commutative sums into an ordered `BTreeMap`, so serial
@@ -29,8 +31,7 @@ use memprof_core::{
 };
 use simsparc_machine::CounterEvent;
 
-use crate::stream::EventStream;
-use crate::StoreError;
+use crate::{StoreError, StreamFile};
 
 /// What one aggregate column measures.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -301,10 +302,10 @@ pub fn aggregate_exact(exps: &[&Experiment], shards: usize) -> Result<Aggregate,
     })
 }
 
-/// Aggregate a set of opened [`EventStream`]s — packed stores stream
-/// their event segments straight into the batch without ever
-/// materializing an `Experiment`.
-pub fn aggregate_streams(streams: &[EventStream], shards: usize) -> Result<Aggregate, StoreError> {
+/// Aggregate a set of opened [`StreamFile`]s: each streams its event
+/// chunks straight into the batch without ever materializing an
+/// `Experiment`.
+pub fn aggregate_streams(streams: &[StreamFile], shards: usize) -> Result<Aggregate, StoreError> {
     let headers: Vec<(Option<u64>, &[CounterRequest])> = streams
         .iter()
         .map(|s| (s.clock_period(), s.counters()))

@@ -112,17 +112,6 @@ const FLAG_TRUTH_EA: u64 = 4;
 const FLAG_TRUTH_IS_EA: u64 = 8;
 const FLAG_BITS: u32 = 4;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a 64-bit hash. The serve crate still checks compaction
-/// manifests written before whole stores were fingerprinted with
-/// [`xxh64`]; nothing else hashes with it.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 const XXH_P1: u64 = 0x9e37_79b1_85eb_ca87;
 const XXH_P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
 const XXH_P3: u64 = 0x1656_67b1_9e37_79f9;
@@ -149,11 +138,10 @@ fn le_u64(bytes: &[u8]) -> u64 {
 }
 
 /// XXH64 of `bytes` with `seed`. It reads 32-byte stripes through
-/// four independent lanes, about ten times the speed of the
-/// byte-at-a-time [`fnv1a64`]. Seed 0 is the serve crate's fingerprint
-/// of whole packed stores (its compaction cache and manifests); the
-/// chunk checksum seeds it with the chunk's kind and length. Like
-/// FNV-1a it detects damage, not a deliberate collision.
+/// four independent lanes. Seed 0 is the serve crate's fingerprint of
+/// whole packed stores (its compaction cache and manifests); the chunk
+/// checksum seeds it with the chunk's kind and length. It detects
+/// damage, not a deliberate collision.
 pub fn xxh64(bytes: &[u8], seed: u64) -> u64 {
     let mut stripes = bytes.chunks_exact(32);
     let mut h = if bytes.len() >= 32 {

@@ -12,9 +12,9 @@
 //!   it through [`SegmentWriter`], and [`pack_experiment`] writes the
 //!   same format for a packed store, losslessly convertible to and
 //!   from the text directory ([`pack_dir`] / [`unpack_to_dir`]);
-//! * one **lazy reader** ([`StreamFile`]) that indexes a file's chunks
-//!   on open and decodes events straight from the bytes only when
-//!   asked;
+//! * one **lazy reader** ([`StreamFile`]) that indexes an image's
+//!   chunks on open and decodes events straight from the bytes only
+//!   when asked;
 //! * a **parallel aggregation engine** ([`aggregate`]) reducing many
 //!   experiments to per-PC histograms with scoped threads, with
 //!   results identical to the serial path;
@@ -24,13 +24,14 @@
 //!
 //! Sources are addressed by [`ExperimentRef`], which accepts either a
 //! text directory or a packed file and distinguishes them by the
-//! store magic.
+//! store magic. [`ExperimentRef::open_stream`] opens either one, once,
+//! as a [`StreamFile`] — a text directory by packing it in memory — so
+//! the tools that aggregate (`stat`, `diff`) and every serve tier read
+//! through that one reader.
 
 mod aggregate;
 mod dict;
 mod format;
-pub mod pread;
-mod stream;
 mod varint;
 mod writer;
 
@@ -44,8 +45,7 @@ pub use aggregate::{
     aggregate, aggregate_exact, aggregate_streams, diff_aggregates, AggDiff, Aggregate, ColSpec,
     DiffRow,
 };
-pub use format::{fnv1a64, pack_dir, pack_experiment, unpack_to_dir, xxh64, ATTACHMENT_FILES};
-pub use stream::EventStream;
+pub use format::{pack_dir, pack_experiment, unpack_to_dir, xxh64, ATTACHMENT_FILES};
 pub use writer::{validate_stream_prefix, SegmentWriter, StreamFile};
 
 /// Everything that can go wrong opening, decoding, or combining
@@ -156,6 +156,23 @@ impl ExperimentRef {
         }
     }
 
+    /// Open the experiment as an `MPES` image, whichever representation
+    /// it is in: a packed file is read whole, and a text directory is
+    /// loaded and packed in memory with the `syms.txt`/`image.txt`
+    /// beside it attached (the files [`collect_attachments`] reads).
+    /// Errors from opening and from every later decode name the path.
+    pub fn open_stream(&self) -> Result<StreamFile, StoreError> {
+        match self {
+            ExperimentRef::TextDir(dir) => {
+                let exp = Experiment::load(dir)
+                    .map_err(StoreError::Io)
+                    .path_context(dir)?;
+                StreamFile::named(pack_experiment(&exp, &dir_attachments(dir)), dir)
+            }
+            ExperimentRef::Packed(file) => StreamFile::open(file),
+        }
+    }
+
     /// Load the full experiment, whichever representation it is in.
     pub fn load(&self) -> Result<Experiment, StoreError> {
         match self {
@@ -228,6 +245,18 @@ pub fn load_attachments(path: &Path) -> Result<Vec<(String, String)>, StoreError
     Ok(StreamFile::open(path)?.attachments().to_vec())
 }
 
+/// The [`ATTACHMENT_FILES`] beside a text experiment directory, in
+/// that order; a file that is missing or unreadable is left out.
+fn dir_attachments(dir: &Path) -> Vec<(String, String)> {
+    ATTACHMENT_FILES
+        .iter()
+        .filter_map(|&name| {
+            let contents = std::fs::read_to_string(dir.join(name)).ok()?;
+            Some((name.to_string(), contents))
+        })
+        .collect()
+}
+
 /// The auxiliary files to carry into a packed store, from whichever
 /// input has them — the first reference with any attachment wins.
 /// Every producer of merged stores (`mp-store merge`, the `mp-serve`
@@ -236,13 +265,7 @@ pub fn load_attachments(path: &Path) -> Result<Vec<(String, String)>, StoreError
 pub fn collect_attachments(refs: &[ExperimentRef]) -> Vec<(String, String)> {
     for r in refs {
         let found: Vec<(String, String)> = match r {
-            ExperimentRef::TextDir(dir) => ATTACHMENT_FILES
-                .iter()
-                .filter_map(|&name| {
-                    let contents = std::fs::read_to_string(dir.join(name)).ok()?;
-                    Some((name.to_string(), contents))
-                })
-                .collect(),
+            ExperimentRef::TextDir(dir) => dir_attachments(dir),
             // One read per reference, whatever the number of names.
             ExperimentRef::Packed(file) => {
                 let attached = load_attachments(file).unwrap_or_default();
@@ -399,54 +422,56 @@ pub fn merge_experiments_with(
     dict::merge_inputs(inputs)
 }
 
-/// Compare two experiments collected with the same recipe: aggregate
-/// each side over `shards` shards (0 = one per available core) and
-/// diff the per-PC histograms. Render the result with
-/// [`AggDiff::render`] or, with a symbol table,
+/// Compare two experiments collected with the same recipe: open both
+/// sides ([`ExperimentRef::open_stream`]), then [`diff_streams`].
+/// Render the result with [`AggDiff::render`] or, with a symbol table,
 /// [`AggDiff::render_by_function`].
 pub fn diff_experiments(
     a: &ExperimentRef,
     b: &ExperimentRef,
     shards: usize,
 ) -> Result<AggDiff, StoreError> {
-    let sa = EventStream::open(a)?;
-    let sb = EventStream::open(b)?;
-    // Compatibility is a header property; packed stores are checked
-    // (and then aggregated) without decoding a full experiment.
+    diff_streams(&a.open_stream()?, &b.open_stream()?, shards)
+}
+
+/// Compare two opened experiments collected with the same recipe:
+/// aggregate each side over `shards` shards (0 = one per available
+/// core), the two sides concurrently when there is more than one
+/// core, and diff the per-PC histograms.
+pub fn diff_streams(a: &StreamFile, b: &StreamFile, shards: usize) -> Result<AggDiff, StoreError> {
+    // Compatibility is a header property, checked before any event
+    // chunk is decoded.
     check_compatible_headers(
-        sa.counters(),
-        sa.clock_period(),
-        sa.clock_hz(),
-        sb.counters(),
-        sb.clock_period(),
-        sb.clock_hz(),
+        a.counters(),
+        a.clock_period(),
+        a.run().clock_hz,
+        b.counters(),
+        b.clock_period(),
+        b.run().clock_hz,
     )?;
     let hw = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
+    let aggregate_one = |s: &StreamFile| aggregate_streams(std::slice::from_ref(s), shards);
     let (agg_a, agg_b) = if hw > 1 {
         // The two sides are independent; aggregate them concurrently.
         std::thread::scope(|scope| {
-            let ha = scope.spawn(|| aggregate_streams(std::slice::from_ref(&sa), shards));
-            let hb = scope.spawn(|| aggregate_streams(std::slice::from_ref(&sb), shards));
-            (ha.join().unwrap(), hb.join().unwrap())
+            let hb = scope.spawn(|| aggregate_one(b));
+            (aggregate_one(a), hb.join().unwrap())
         })
     } else {
-        (
-            aggregate_streams(std::slice::from_ref(&sa), shards),
-            aggregate_streams(std::slice::from_ref(&sb), shards),
-        )
+        (aggregate_one(a), aggregate_one(b))
     };
     diff_aggregates(&agg_a?, &agg_b?)
 }
 
-/// Convenience for tools: aggregate whatever `refs` point at,
-/// streaming packed stores rather than loading them.
+/// Convenience for tools: aggregate whatever `refs` point at, each
+/// opened once as a stream ([`ExperimentRef::open_stream`]).
 pub fn aggregate_refs(refs: &[ExperimentRef], shards: usize) -> Result<Aggregate, StoreError> {
     let streams = refs
         .iter()
-        .map(EventStream::open)
-        .collect::<Result<Vec<EventStream>, StoreError>>()?;
+        .map(ExperimentRef::open_stream)
+        .collect::<Result<Vec<StreamFile>, StoreError>>()?;
     aggregate_streams(&streams, shards)
 }
 

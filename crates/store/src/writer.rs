@@ -4,11 +4,15 @@
 //! [`SegmentWriter`] is the collector's streaming sink: it appends one
 //! self-delimiting, checksummed chunk per call and flushes after each,
 //! so every completed segment is durable independently of the run's
-//! fate. [`StreamFile`] is the one binary reader, for collector
-//! streams and packed stores alike. Opening walks the chunk framing
-//! and checksums, decodes only the small HEADER and FOOTER chunks, and
-//! indexes the event chunks; the event-reading calls then decode those
-//! chunks straight into their output.
+//! fate. [`StreamFile`] is the one reader of any experiment, for
+//! collector streams and packed stores alike, and for text directories
+//! once [`crate::ExperimentRef::open_stream`] has packed them in
+//! memory. It owns the whole image in a plain `Vec<u8>`; a file is
+//! read with `std::fs::read`, which sizes the buffer from the file's
+//! metadata. Opening walks the chunk framing and checksums, decodes
+//! only the small HEADER and FOOTER chunks, and indexes the event
+//! chunks; the event-reading calls then decode those chunks straight
+//! into their output.
 //!
 //! Two error rules govern reading:
 //!
@@ -28,7 +32,7 @@
 //!   per-item loops carry a small `Copy` error; each chunk's decode
 //!   turns it into that `StoreError`, naming the file, once.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
@@ -43,7 +47,6 @@ use crate::format::{
     ChunkDecoder, ChunkEncoder, Footer, Header, CHUNK_CLOCK, CHUNK_FOOTER, CHUNK_HEADER,
     CHUNK_HEADER_LEN, CHUNK_HWC, CHUNK_STACKS, MAGIC, PREAMBLE_LEN, VERSION,
 };
-use crate::pread::{read_exact_at, read_file_pooled, PooledBuf, ReadAt};
 use crate::varint::{put_u64, Cursor, DecodeError};
 use crate::StoreError;
 
@@ -183,11 +186,10 @@ struct Chunk {
 
 /// An `MPES` v3 file opened for reading: header and footer decoded,
 /// event chunks indexed but still encoded (see the module docs for
-/// what opening checks and the two error rules). The byte image lives
-/// in a pooled buffer, so repeated open/decode cycles recycle one
-/// allocation per thread.
+/// what opening checks and the two error rules). It owns the whole
+/// byte image.
 pub struct StreamFile {
-    bytes: PooledBuf,
+    bytes: Vec<u8>,
     /// Where the image came from, to name in decode errors.
     path: Option<PathBuf>,
     counters: Vec<CounterRequest>,
@@ -203,28 +205,30 @@ pub struct StreamFile {
 }
 
 impl StreamFile {
+    /// [`StreamFile::from_bytes`] on the file's contents. Errors — from
+    /// opening and from every later decode — name `path`.
+    pub fn open(path: &Path) -> Result<StreamFile, StoreError> {
+        use crate::PathContext as _;
+        let bytes = std::fs::read(path)
+            .map_err(StoreError::Io)
+            .path_context(path)?;
+        StreamFile::named(bytes, path)
+    }
+
+    /// [`StreamFile::from_bytes`] on an image read from, or packed from,
+    /// `path`: errors from opening and from every later decode name it.
+    pub(crate) fn named(bytes: Vec<u8>, path: &Path) -> Result<StreamFile, StoreError> {
+        use crate::PathContext as _;
+        let mut file = StreamFile::from_bytes(bytes).path_context(path)?;
+        file.path = Some(path.to_path_buf());
+        Ok(file)
+    }
+
     /// Open a stream image. Fails only when the 5-byte preamble or the
     /// header chunk is unusable, or a chunk decoded here carries bad
     /// content; framing damage after the header turns into a readable
     /// prefix (see [`StreamFile::truncation`]).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<StreamFile, StoreError> {
-        StreamFile::index(PooledBuf::from_vec(bytes))
-    }
-
-    /// [`StreamFile::from_bytes`] via positioned reads into a pooled
-    /// buffer. Errors — from opening and from every later decode —
-    /// name `path`.
-    pub fn open(path: &Path) -> Result<StreamFile, StoreError> {
-        use crate::PathContext as _;
-        let mut file = read_file_pooled(path)
-            .map_err(StoreError::Io)
-            .and_then(StreamFile::index)
-            .path_context(path)?;
-        file.path = Some(path.to_path_buf());
-        Ok(file)
-    }
-
-    fn index(bytes: PooledBuf) -> Result<StreamFile, StoreError> {
         if bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] != MAGIC {
             return Err(StoreError::BadMagic);
         }
@@ -438,25 +442,32 @@ impl StreamFile {
         hwc_col: &[usize],
         clock_col: Option<usize>,
     ) -> Result<(), StoreError> {
+        // The index holds every chunk's count: grow the batch once,
+        // then hand each chunk its rows.
+        let rows = self.hwc_total + clock_col.map_or(0, |_| self.clock_total);
+        let (mut cols, mut pcs) = batch.grow_pc_rows(rows);
         let mut dec = ChunkDecoder::default();
         for c in &self.chunks {
+            let n = match c.kind {
+                CHUNK_HWC => c.count,
+                CHUNK_CLOCK => clock_col.map_or(0, |_| c.count),
+                _ => 0,
+            };
+            let (col, rest) = std::mem::take(&mut cols).split_at_mut(n);
+            cols = rest;
+            let (pc, rest) = std::mem::take(&mut pcs).split_at_mut(n);
+            pcs = rest;
             match c.kind {
-                CHUNK_HWC => {
-                    let (cols, pcs) = batch.grow_pc_rows(c.count);
-                    self.hwc_chunk(c, &mut dec, |i, ev| {
-                        cols[i] = hwc_col[ev.counter] as u32;
-                        pcs[i] = charged_pc(&ev, self.counters[ev.counter].backtrack);
-                    })?;
-                }
-                CHUNK_CLOCK => {
-                    let (cols, pcs) = batch.grow_pc_rows(clock_col.map_or(0, |_| c.count));
-                    self.clock_chunk(c, &mut dec, |i, ev| {
-                        if let Some(col) = clock_col {
-                            cols[i] = col as u32;
-                            pcs[i] = ev.pc;
-                        }
-                    })?;
-                }
+                CHUNK_HWC => self.hwc_chunk(c, &mut dec, |i, ev| {
+                    col[i] = hwc_col[ev.counter] as u32;
+                    pc[i] = charged_pc(&ev, self.counters[ev.counter].backtrack);
+                })?,
+                CHUNK_CLOCK => self.clock_chunk(c, &mut dec, |i, ev| {
+                    if let Some(k) = clock_col {
+                        col[i] = k as u32;
+                        pc[i] = ev.pc;
+                    }
+                })?,
                 _ => {}
             }
         }
@@ -498,75 +509,50 @@ impl StreamFile {
 }
 
 /// Does this file have a readable prefix — an intact preamble and
-/// header chunk? Decided from those alone, via positioned reads: the
-/// `mp-serve` sealer uses this to validate an arbitrarily large landed
-/// session in memory bounded by the header chunk, instead of
-/// materializing the whole image just to throw it away. A file that
-/// passes can still fail [`StreamFile::open`], but only through bad
-/// content in a later, checksum-valid chunk (the module docs' second
-/// error rule).
+/// header chunk? The `mp-serve` sealer uses this to validate an
+/// arbitrarily large landed session in memory bounded by the header
+/// chunk: it reads the preamble, the first chunk's 13-byte header and
+/// that chunk's payload, and [`StreamFile::from_bytes`] on those bytes
+/// gives the verdict. A first chunk that claims more bytes than the
+/// file holds is refused before anything is allocated for it. A file
+/// that passes can still fail [`StreamFile::open`], but only through
+/// bad content in a later, checksum-valid chunk (the module docs'
+/// second error rule).
 ///
 /// Returns `Ok(false)` for an unreadable stream; I/O failures other
 /// than the file being shorter than its own metadata claimed (a
 /// concurrent truncation, which is just "unreadable") are `Err`.
 pub fn validate_stream_prefix(path: &Path) -> Result<bool, StoreError> {
-    let file = std::fs::File::open(path)?;
+    let mut file = std::fs::File::open(path)?;
     let size = file.metadata()?.len();
-    stream_prefix_is_readable(&file, size)
-}
-
-pub(crate) fn stream_prefix_is_readable<R: ReadAt + ?Sized>(
-    src: &R,
-    size: u64,
-) -> Result<bool, StoreError> {
-    fn read<R: ReadAt + ?Sized>(src: &R, buf: &mut [u8], off: u64) -> Result<bool, StoreError> {
-        match read_exact_at(src, buf, off) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
-            Err(e) => Err(StoreError::Io(e)),
-        }
-    }
-    // Preamble: magic + version byte. Anything shorter, or with the
-    // wrong bytes, is a hard error in `StreamFile::open`.
-    if size < PREAMBLE_LEN as u64 {
+    let mut read = |buf: &mut [u8]| match file.read_exact(buf) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(StoreError::Io(e)),
+    };
+    let head_len = PREAMBLE_LEN + CHUNK_HEADER_LEN;
+    if size < head_len as u64 {
         return Ok(false);
     }
-    let mut pre = [0u8; PREAMBLE_LEN];
-    if !read(src, &mut pre, 0)? {
+    let mut prefix = vec![0u8; head_len];
+    if !read(&mut prefix)? {
         return Ok(false);
     }
-    if pre[..MAGIC.len()] != MAGIC || pre[MAGIC.len()] != VERSION {
+    // Only a header chunk can open a stream, and only a payload the
+    // file holds can complete one: check both before allocating it.
+    let len = u32::from_le_bytes(
+        prefix[PREAMBLE_LEN + 1..PREAMBLE_LEN + 5]
+            .try_into()
+            .unwrap(),
+    );
+    if prefix[PREAMBLE_LEN] != CHUNK_HEADER || u64::from(len) > size - head_len as u64 {
         return Ok(false);
     }
-    // First chunk: must be a complete, checksum-valid HEADER chunk.
-    // A truncated chunk header / overlong chunk / bad checksum here
-    // means the reader never gets a header, which is the one
-    // non-recoverable condition.
-    if size - (PREAMBLE_LEN as u64) < CHUNK_HEADER_LEN as u64 {
+    prefix.resize(head_len + len as usize, 0);
+    if !read(&mut prefix[head_len..])? {
         return Ok(false);
     }
-    let mut head = [0u8; CHUNK_HEADER_LEN];
-    if !read(src, &mut head, PREAMBLE_LEN as u64)? {
-        return Ok(false);
-    }
-    let kind = head[0];
-    let len = u32::from_le_bytes(head[1..5].try_into().unwrap());
-    let stored = u64::from_le_bytes(head[5..13].try_into().unwrap());
-    if kind != CHUNK_HEADER {
-        return Ok(false);
-    }
-    let payload_off = (PREAMBLE_LEN + CHUNK_HEADER_LEN) as u64;
-    if len as u64 > size - payload_off {
-        return Ok(false);
-    }
-    let mut payload = vec![0u8; len as usize];
-    if !read(src, &mut payload, payload_off)? {
-        return Ok(false);
-    }
-    if chunk_checksum(kind, len, &payload) != stored {
-        return Ok(false);
-    }
-    Ok(get_header(&payload).is_ok())
+    Ok(StreamFile::from_bytes(prefix).is_ok())
 }
 
 #[cfg(test)]
@@ -741,25 +727,20 @@ mod tests {
         ));
     }
 
-    /// In-memory positioned source for driving the prefix validator
-    /// the way `seal_part` does, without temp files. Serves short
-    /// fills to exercise the `read_exact_at` loop as well.
-    struct SliceReader<'a>(&'a [u8]);
-
-    impl ReadAt for SliceReader<'_> {
-        fn read_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<usize> {
-            let offset = offset as usize;
-            if offset >= self.0.len() {
-                return Ok(0);
-            }
-            let n = buf.len().min(self.0.len() - offset).min(3);
-            buf[..n].copy_from_slice(&self.0[offset..offset + n]);
-            Ok(n)
-        }
-    }
-
+    /// The prefix validator's verdict on `bytes`, written to a file
+    /// the way the sealer finds a landed session.
     fn streaming_verdict(bytes: &[u8]) -> bool {
-        stream_prefix_is_readable(&SliceReader(bytes), bytes.len() as u64).unwrap()
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "memprof_prefix_{}_{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&path, bytes).unwrap();
+        let verdict = validate_stream_prefix(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        verdict
     }
 
     #[test]
@@ -800,6 +781,12 @@ mod tests {
         std::fs::write(&path, b"junk, not a stream").unwrap();
         assert!(!validate_stream_prefix(&path).unwrap());
         std::fs::write(&path, b"").unwrap();
+        assert!(!validate_stream_prefix(&path).unwrap());
+        // A header chunk claiming 4 GiB in a tiny file is refused
+        // without reading (or allocating) its claimed payload.
+        let mut overlong = sample_stream();
+        overlong[PREAMBLE_LEN + 1..PREAMBLE_LEN + 5].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &overlong).unwrap();
         assert!(!validate_stream_prefix(&path).unwrap());
         std::fs::remove_file(&path).ok();
     }

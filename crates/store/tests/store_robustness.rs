@@ -547,10 +547,10 @@ fn short_and_foreign_inputs_are_rejected() {
     }
 }
 
-/// Reading from disk goes through pooled positioned reads (`pread`).
-/// Truncating the file on disk at any point must behave exactly like
-/// truncating the in-memory image. This pins the read-at loop
-/// (partial fills, EOF handling) against the reader end to end.
+/// Reading from disk reads the whole file into the image the reader
+/// owns. Truncating the file on disk at any point must behave exactly
+/// like truncating the in-memory image, end to end through
+/// [`ExperimentRef::load`].
 #[test]
 fn truncated_files_on_disk_match_in_memory_truncation() {
     let bytes = sample_image();

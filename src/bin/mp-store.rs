@@ -20,8 +20,8 @@ use std::path::{Path, PathBuf};
 use std::process::exit;
 
 use memprof::store::{
-    self, aggregate_streams, diff_experiments, pack_dir, pack_experiment, unpack_to_dir,
-    EventStream, ExperimentRef, StreamFile,
+    self, aggregate_streams, diff_streams, pack_dir, pack_experiment, unpack_to_dir, ExperimentRef,
+    StreamFile,
 };
 
 fn usage(msg: &str) -> ! {
@@ -46,15 +46,39 @@ fn fail(what: &str, err: impl std::fmt::Display) -> ! {
 /// damaged chunk — still contributes its intact chunks, as everywhere
 /// else, but never silently: say so on stderr.
 fn open_ref(arg: &str) -> ExperimentRef {
-    let r = ExperimentRef::open(Path::new(arg))
-        .unwrap_or_else(|e| fail(&format!("cannot open {arg}"), e));
+    let r = sniff(arg);
     if let ExperimentRef::Packed(path) = &r {
-        if let Some(f) = StreamFile::open(path).ok().filter(|f| !f.is_complete()) {
-            let why = f.truncation().unwrap_or("no footer");
-            eprintln!("mp-store: warning: {arg}: reading only a prefix ({why})");
+        if let Ok(f) = StreamFile::open(path) {
+            warn_if_prefix(arg, &f);
         }
     }
     r
+}
+
+/// Sniff an `EXP` argument and open it, once, as a stream: a text
+/// directory is packed in memory. Fails as `what`; warns like
+/// [`open_ref`].
+fn open_stream(arg: &str, what: &str) -> StreamFile {
+    let f = sniff(arg).open_stream().unwrap_or_else(|e| fail(what, e));
+    warn_if_prefix(arg, &f);
+    f
+}
+
+fn sniff(arg: &str) -> ExperimentRef {
+    ExperimentRef::open(Path::new(arg)).unwrap_or_else(|e| fail(&format!("cannot open {arg}"), e))
+}
+
+fn warn_if_prefix(arg: &str, f: &StreamFile) {
+    if !f.is_complete() {
+        let why = f.truncation().unwrap_or("no footer");
+        eprintln!("mp-store: warning: {arg}: reading only a prefix ({why})");
+    }
+}
+
+/// The symbol table a stream carries, if it parses; output is only
+/// decorated with it, so a bad table reads as none.
+fn stream_syms(f: &StreamFile) -> Option<minic::SymbolTable> {
+    minic::SymbolTable::parse(f.attachment("syms.txt")?).ok()
 }
 
 fn main() {
@@ -104,12 +128,11 @@ fn main() {
             let [_, a, b] = &args[..] else {
                 usage("diff EXP_A EXP_B");
             };
-            let ra = open_ref(a);
-            let rb = open_ref(b);
-            let diff = diff_experiments(&ra, &rb, 0).unwrap_or_else(|e| fail("cannot diff", e));
+            let (sa, sb) = (open_stream(a, "cannot diff"), open_stream(b, "cannot diff"));
+            let diff = diff_streams(&sa, &sb, 0).unwrap_or_else(|e| fail("cannot diff", e));
             // Function-level when either side carries symbols; raw
             // per-PC rows otherwise.
-            match ra.load_syms().or_else(|| rb.load_syms()) {
+            match stream_syms(&sa).or_else(|| stream_syms(&sb)) {
                 Some(syms) => print!("{}", diff.render_by_function(&syms)),
                 None => print!("{}", diff.render()),
             }
@@ -120,37 +143,31 @@ fn main() {
             if rest.is_empty() {
                 usage("stat [--json] EXP...");
             }
-            let refs: Vec<ExperimentRef> = rest.iter().map(|a| open_ref(a)).collect();
-            // Open each source once as a stream: packed stores report
-            // their counts from the segment index and aggregate
-            // without materializing an experiment.
-            let streams: Vec<EventStream> = refs
+            // Each source is read once: the counts come from the chunk
+            // index, and aggregation decodes no experiment.
+            let streams: Vec<StreamFile> = rest
                 .iter()
-                .map(|r| {
-                    EventStream::open(r)
-                        .unwrap_or_else(|e| fail(&format!("cannot load {}", r.path().display()), e))
-                })
+                .map(|a| open_stream(a, &format!("cannot load {a}")))
                 .collect();
             if json {
                 let agg =
                     aggregate_streams(&streams, 0).unwrap_or_else(|e| fail("cannot aggregate", e));
-                let syms = refs.iter().find_map(|r| r.load_syms());
+                let syms = streams.iter().find_map(stream_syms);
                 print!("{}", agg.stat_json(syms.as_ref()));
                 return;
             }
-            for (r, s) in refs.iter().zip(&streams) {
+            for (arg, s) in rest.iter().zip(&streams) {
                 println!(
-                    "{}: {} counters, {} hwc events, {} clock ticks, exit {}",
-                    r.path().display(),
+                    "{arg}: {} counters, {} hwc events, {} clock ticks, exit {}",
                     s.counters().len(),
                     s.hwc_total(),
-                    s.clock_total(),
-                    s.exit_code()
+                    s.clock_count(),
+                    s.run().exit_code
                 );
             }
             let agg =
                 aggregate_streams(&streams, 0).unwrap_or_else(|e| fail("cannot aggregate", e));
-            println!("-- aggregate over {} experiments", refs.len());
+            println!("-- aggregate over {} experiments", streams.len());
             // Totals only; the per-PC table is for machine diffing.
             for line in agg.render().lines() {
                 if line.starts_with(char::is_alphabetic) {

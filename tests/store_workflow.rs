@@ -289,3 +289,91 @@ fn mp_store_cli_packs_merges_and_feeds_er_print() {
     std::fs::remove_file(&merged_mps).ok();
     std::fs::remove_file(&packed1).ok();
 }
+
+/// `mp-store stat --json` and `diff` read a text directory by packing
+/// it in memory. Their output must not tell the two representations
+/// apart: text directories, their packed forms and a mixed list answer
+/// byte-identically, and a damaged text directory fails naming itself.
+#[test]
+fn text_directories_answer_exactly_like_their_packed_form() {
+    let (program, e1) = collect_mcf();
+    let e2 = shortened(&e1);
+    let dirs = [scratch("text_e1"), scratch("text_e2")];
+    let packed = [scratch("text_e1.mps"), scratch("text_e2.mps")];
+    let bad = scratch("text_bad");
+    for d in dirs.iter().chain([&bad]) {
+        let _ = std::fs::remove_dir_all(d);
+    }
+    for ((dir, out), exp) in dirs.iter().zip(&packed).zip([&e1, &e2]) {
+        exp.save(dir).unwrap();
+        program.image.save(&dir.join("image.txt")).unwrap();
+        program.syms.save(&dir.join("syms.txt")).unwrap();
+        pack_dir(dir, out).unwrap();
+    }
+
+    let mp_store = env!("CARGO_BIN_EXE_mp-store");
+    let run = |args: &[&std::path::Path]| -> std::process::Output {
+        Command::new(mp_store).args(args).output().unwrap()
+    };
+    let stdout = |args: &[&std::path::Path]| -> Vec<u8> {
+        let out = run(args);
+        assert!(
+            out.status.success(),
+            "mp-store {args:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let (stat, json, diff) = (
+        std::path::Path::new("stat"),
+        std::path::Path::new("--json"),
+        std::path::Path::new("diff"),
+    );
+    let [d1, d2] = [dirs[0].as_path(), dirs[1].as_path()];
+    let [p1, p2] = [packed[0].as_path(), packed[1].as_path()];
+
+    let packed_stat = stdout(&[stat, json, p1, p2]);
+    assert!(
+        String::from_utf8_lossy(&packed_stat).contains("\"functions\""),
+        "no per-function rows from the attached symbol table"
+    );
+    assert_eq!(stdout(&[stat, json, d1, d2]), packed_stat);
+    assert_eq!(stdout(&[stat, json, d1, p2]), packed_stat);
+    assert_eq!(stdout(&[stat, json, d1]), stdout(&[stat, json, p1]));
+
+    let packed_diff = stdout(&[diff, p1, p2]);
+    assert!(
+        String::from_utf8_lossy(&packed_diff).contains("User CPU"),
+        "{}",
+        String::from_utf8_lossy(&packed_diff)
+    );
+    assert_eq!(stdout(&[diff, d1, d2]), packed_diff);
+    assert_eq!(stdout(&[diff, d1, p2]), packed_diff);
+    assert_eq!(stdout(&[diff, p1, d2]), packed_diff);
+
+    // A damaged hwcdata line fails both commands, naming the directory.
+    e1.save(&bad).unwrap();
+    let hwcdata = std::fs::read_to_string(bad.join("hwcdata")).unwrap();
+    std::fs::write(bad.join("hwcdata"), format!("not an event\n{hwcdata}")).unwrap();
+    let name = bad.file_name().unwrap().to_str().unwrap();
+    for args in [
+        &[stat, json, bad.as_path()][..],
+        &[stat, &bad],
+        &[diff, &bad, d2],
+    ] {
+        let out = run(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "mp-store {args:?} succeeded");
+        assert!(
+            stderr.contains(name) && stderr.contains("bad hwcdata line"),
+            "mp-store {args:?}: {stderr}"
+        );
+    }
+
+    for d in dirs.iter().chain([&bad]) {
+        std::fs::remove_dir_all(d).ok();
+    }
+    for p in &packed {
+        std::fs::remove_file(p).ok();
+    }
+}
