@@ -112,7 +112,7 @@ fn bench_merged_store_aggregation(c: &mut Criterion) {
     for shards in [1usize, 4] {
         group.bench_function(format!("merge_shards_{shards}"), |b| {
             b.iter(|| {
-                let merged = merge_experiments_with(Vec::new(), black_box(&refs), shards).unwrap();
+                let merged = merge_experiments_with(black_box(&refs), shards).unwrap();
                 black_box(merged.hwc_events.len());
             })
         });
@@ -120,7 +120,7 @@ fn bench_merged_store_aggregation(c: &mut Criterion) {
 
     // One merged packed store, aggregated the way `mp-store stat`
     // does it: every iteration re-opens and re-decodes the store.
-    let merged = merge_experiments_with(Vec::new(), &refs, 0).unwrap();
+    let merged = merge_experiments_with(&refs, 0).unwrap();
     let merged_path = scratch("out");
     std::fs::write(&merged_path, pack_experiment(&merged, &[])).unwrap();
     drop(merged);

@@ -137,6 +137,12 @@ impl Sema {
                 if ty == Type::Void {
                     return self.err(f.line, &format!("field `{}` has type void", f.name));
                 }
+                if fields.iter().any(|(name, _, _)| *name == f.name) {
+                    return self.err(
+                        f.line,
+                        &format!("duplicate member `{}` in struct `{}`", f.name, s.name),
+                    );
+                }
                 fields.push((f.name.clone(), ty, desc));
             }
             if let Some(hint) = feedback.reorder_for(&s.name) {

@@ -77,6 +77,20 @@ fn error_lines_point_at_the_problem() {
     assert!(e.to_string().starts_with("diag.c:3:"), "{e}");
 }
 
+/// Fig. 7's expansion keys samples by member name, so two members of
+/// one name would pool their samples under the first.
+#[test]
+fn duplicate_struct_members_are_rejected_at_the_second() {
+    let src = "struct s {\n    long a;\n    long a;\n};\nlong main() { return 0; }\n";
+    let e = compile_err(src);
+    assert_eq!(e.phase, Phase::Sema, "{e}");
+    assert_eq!(e.line, 3, "{e}");
+    assert!(
+        e.to_string().contains("duplicate member `a` in struct `s`"),
+        "{e}"
+    );
+}
+
 #[test]
 fn builtin_names_cannot_be_redefined() {
     let e = compile_err("long print_long(long x) { return x; } long main() { return 0; }");

@@ -1,5 +1,5 @@
 //! Tiered compaction: fold a window's sealed raw segments into its
-//! packed store and regenerate the summary.
+//! packed store and refresh the summary.
 //!
 //! Compacting a window is equivalent to running, offline:
 //!
@@ -8,60 +8,33 @@
 //! ```
 //!
 //! and the resulting packed store is byte-identical to that command's
-//! output because both go through the same
-//! [`memprof_store::merge_experiments_with`] + [`pack_experiment`] +
-//! [`collect_attachments`] path with the same input order: the
-//! previous packed tier first, then raw segments in file-name order
-//! (session ids embed an arrival sequence number, so the order is
-//! deterministic). The packed store is in the raw segments' own
-//! format, `MPES` v3: [`pack_experiment`] replays the merge through
-//! the collector's chunk writer. The tier-2 summary is regenerated
-//! with the same aggregation kernel `mp-store stat` uses, and carries
-//! the new store's `syms.txt` attachment so aggregate queries never
-//! open the store (see [`crate::summary`]).
+//! output because both write [`merge_streams`] over the same inputs in
+//! the same order: the previous packed tier first, then raw segments
+//! in file-name order (session ids embed an arrival sequence number, so
+//! the order is deterministic). The merge copies each input's chunks
+//! and rewrites only their stack-id columns, so a pass copies the
+//! packed store instead of decoding and re-encoding the window. The
+//! merge is associative, so however many passes folded a window's
+//! sessions in, its packed store is one offline merge of all of them.
 //!
-//! ## Incremental compaction
+//! ## What a pass checks
 //!
-//! A long-lived daemon compacts the same windows over and over, and
-//! each pass used to re-read and re-decode the whole packed store just
-//! to fold in a handful of fresh segments — compaction cost grew with
-//! the *window*, not with the new data. The daemon now keeps a
-//! [`CompactCache`]: the merged [`Experiment`] (and the attachments it
-//! was packed with) from each window's previous pass, fingerprinted by
-//! the packed store's XXH64 hash. When the on-disk store still
-//! matches the fingerprint — i.e. nobody replaced it behind the
-//! daemon's back — the next pass seeds the merge with the cached
-//! experiment ([`memprof_store::merge_experiments_with`]) and only
-//! decodes the fresh segments. The cached experiment and the store
-//! read back hold the same events with the same frames; only their
-//! stack tables are numbered differently (the cached one is the
-//! previous merge's concatenated tables, duplicates included). Packing
-//! depends on nothing but each event's frames, so
-//! `pack(merge(cached, fresh)) == pack(merge(load(packed), fresh))`
-//! (pinned by the store tests) and the output bytes are identical
-//! either way. A hash mismatch, a missing
-//! cache entry (first pass, restarted daemon), or any failed pass
-//! falls back to the re-read path. That path opens the store through
-//! [`StoreDirs::open_packed`], which refuses a store without its
-//! footer: a damaged packed tier fails the pass and stays as it is,
-//! instead of being merged as a prefix and overwritten by a whole
-//! store that no longer holds the lost chunks.
-//!
-//! ## Serving views from the cache
-//!
-//! The same entry holds the events and frames an analyzer view on the
-//! compacted window would otherwise decode from the packed store, and
-//! no view reads the stack numbering. So
-//! `objects`, `segments`, `pages` and `lines` queries on a window with
-//! no fresh raw segments answer from it (see
-//! [`crate::query::answer`]), after the same full-file hash check a
-//! seeding pass makes. Entries are shared (`Arc`): a query clones the
-//! handles under the cache mutex and drops them before releasing its
-//! shared window lock, so a pass — which holds the exclusive lock —
-//! always owns its entry outright and unwraps the experiment without
-//! copying it. If a share ever lingered the pass would take the
-//! re-read path; it never deep-clones. [`CompactCache::view_hits`] and
-//! [`CompactCache::view_misses`] count which path answered.
+//! The merge checks recipes, framing, stack tables and stack ids, and
+//! copies the other event columns undecoded. So the fresh segments'
+//! content is checked by aggregating them, which the summary needs
+//! anyway: the new summary is the current summary's aggregate plus the
+//! fresh segments', and it carries the new store's `syms.txt`
+//! attachment so aggregate queries never open the store (see
+//! [`crate::summary`]). The current summary counts only while the
+//! manifest names the store's XXH64; otherwise (a store replaced
+//! behind the daemon, a missing summary) the store's own aggregate
+//! does. The packed tier is trusted: its content was
+//! checked when it was fresh, and its chunk checksums show it is
+//! unchanged. [`StoreDirs::open_packed`] refuses a store without its
+//! footer, so a damaged packed tier fails the pass and stays as it is,
+//! instead of being merged as a prefix and overwritten by a whole store
+//! that no longer holds the lost chunks. Every check runs before
+//! anything is written.
 //!
 //! ## Crash safety
 //!
@@ -72,14 +45,14 @@
 //!    already folded in but crashed before deleting — identified by a
 //!    hash-valid [`Manifest`]), regenerate the summary from the packed
 //!    store, then delete them;
-//! 2. merge `[old packed] + fresh raws` in memory (seeded from the
-//!    cache when the fingerprint matches);
+//! 2. merge `[old packed] + fresh raws` in memory and aggregate the
+//!    fresh raws;
 //! 3. durably write the `MPCM 2` manifest naming the fresh raws, keyed
 //!    by the *new* store's XXH64 hash — inert until that store lands;
 //! 4. durably rename the new packed store into place — this is the
 //!    commit point: the manifest hash now matches, so the fresh raws
 //!    are stale from here on;
-//! 5. regenerate the summary, symbol table included;
+//! 5. write the summary, symbol table included;
 //! 6. delete the consumed raws.
 //!
 //! A crash before step 4 leaves the old packed store authoritative
@@ -94,164 +67,19 @@
 //! tier writes go through `write_durable` (fsync before rename,
 //! directory fsync after), so "landed" means on disk, not in page
 //! cache — the raw segments deleted in step 6 are never the only copy
-//! of their events. The cache only ever *adds* a fast path: it is
-//! updated after the pass fully succeeds and revalidated against the
-//! on-disk bytes before use. It lives behind its own mutex, held only
-//! for entry take/share/put — never across a merge or a query — so
-//! windows compact concurrently; what serializes two passes over the
-//! *same* window is that window's exclusive lock in the
-//! [`WindowRegistry`], which [`compact_all_registered`] (the daemon's
-//! entry point) takes per window.
+//! of their events. Windows compact concurrently; what serializes two
+//! passes over the *same* window is that window's exclusive lock in
+//! the [`WindowRegistry`], which [`compact_all_registered`] (the
+//! daemon's entry point) takes per window.
 
-use std::collections::HashMap;
-use std::path::Path;
-use std::sync::{Arc, Mutex};
-
-use memprof_core::Experiment;
 use memprof_store::{
-    aggregate, aggregate_streams, collect_attachments, merge_experiments_with, pack_experiment,
-    syms_attachment, xxh64, ExperimentRef, StoreError,
+    aggregate_streams, merge_streams, merged_attachments, syms_attachment, xxh64, Aggregate,
+    StoreError, StreamFile,
 };
 
 use crate::registry::WindowRegistry;
-use crate::store::{render_manifest, write_durable, Manifest, StoreDirs};
-use crate::summary::write_summary;
-
-/// One window's previous compaction result, reusable as the seed of
-/// the next pass — and as the source of the window's analyzer views —
-/// while the on-disk packed store still hashes to `packed_hash`. The
-/// experiment and attachments are `Arc`s so view queries can share
-/// them (see the module docs for why a pass still owns them outright).
-struct CachedWindow {
-    packed_hash: u64,
-    merged: Arc<Experiment>,
-    attachments: Arc<Vec<(String, String)>>,
-    /// Value of the cache clock when this entry was last written —
-    /// the LRU eviction key.
-    last_used: u64,
-}
-
-/// Per-window merge results carried between compaction passes (see
-/// the module docs). Owned by the daemon behind its own mutex; an
-/// empty cache is always correct — every lookup revalidates against
-/// the bytes on disk.
-///
-/// Each cached window pins a fully decoded [`Experiment`] in memory,
-/// so the cache holds at most [`CompactCache::DEFAULT_CACHED_WINDOWS`]
-/// entries unless [`CompactCache::with_cap`] says otherwise; beyond
-/// the cap the least-recently-compacted window is dropped and its next
-/// pass simply re-reads the packed store from disk (the slow path
-/// every entry starts from anyway). The cap therefore also bounds
-/// which windows' analyzer views answer from memory: a view query on
-/// an uncached window decodes its packed store instead.
-pub struct CompactCache {
-    windows: HashMap<String, CachedWindow>,
-    /// Monotonic compaction counter; entries stamp it on insert.
-    clock: u64,
-    cap: usize,
-    /// View queries answered from a cached experiment / from disk.
-    view_hits: u64,
-    view_misses: u64,
-    /// Compaction passes seeded from a cached experiment.
-    seeded_passes: u64,
-}
-
-impl Default for CompactCache {
-    fn default() -> Self {
-        Self::with_cap(Self::DEFAULT_CACHED_WINDOWS)
-    }
-}
-
-impl CompactCache {
-    /// Deliberately small: a daemon usually compacts a handful of hot
-    /// (recent) windows over and over while old windows go quiet, and
-    /// one entry can hold a large merged experiment.
-    pub const DEFAULT_CACHED_WINDOWS: usize = 4;
-
-    /// A cache that keeps at most `cap` windows; `0` disables seeding
-    /// and cached views entirely (every pass and view query takes the
-    /// re-read path).
-    pub fn with_cap(cap: usize) -> Self {
-        CompactCache {
-            windows: HashMap::new(),
-            clock: 0,
-            cap,
-            view_hits: 0,
-            view_misses: 0,
-            seeded_passes: 0,
-        }
-    }
-
-    /// Windows currently cached (for tests and introspection).
-    pub fn len(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Analyzer-view queries answered from a cached experiment.
-    pub fn view_hits(&self) -> u64 {
-        self.view_hits
-    }
-
-    /// Analyzer-view queries that decoded the window from disk.
-    pub fn view_misses(&self) -> u64 {
-        self.view_misses
-    }
-
-    /// Compaction passes that seeded their merge from a cached
-    /// experiment instead of re-reading the packed store.
-    pub fn seeded_passes(&self) -> u64 {
-        self.seeded_passes
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
-
-    /// `window`'s cached experiment and attachments, with the packed
-    /// store hash they are valid for. The caller validates the hash
-    /// against the disk outside the cache mutex.
-    pub(crate) fn view(&self, window: &str) -> Option<CachedView> {
-        self.windows.get(window).map(|c| CachedView {
-            packed_hash: c.packed_hash,
-            merged: Arc::clone(&c.merged),
-            attachments: Arc::clone(&c.attachments),
-        })
-    }
-
-    /// Count one analyzer-view query by the path that answered it.
-    pub(crate) fn record_view(&mut self, hit: bool) {
-        if hit {
-            self.view_hits += 1;
-        } else {
-            self.view_misses += 1;
-        }
-    }
-
-    /// Record `window`'s pass result, evicting the least recently
-    /// compacted window if that pushes the cache over its cap.
-    fn insert(&mut self, window: &str, entry: CachedWindow) {
-        if self.cap == 0 {
-            return;
-        }
-        self.windows.insert(window.to_string(), entry);
-        while self.windows.len() > self.cap {
-            let oldest = self
-                .windows
-                .iter()
-                .min_by_key(|(_, c)| c.last_used)
-                .map(|(w, _)| w.clone())
-                .expect("cache over cap is non-empty");
-            self.windows.remove(&oldest);
-        }
-    }
-}
-
-/// A shared snapshot of one cached window, for a view query.
-pub(crate) struct CachedView {
-    pub packed_hash: u64,
-    pub merged: Arc<Experiment>,
-    pub attachments: Arc<Vec<(String, String)>>,
-}
+use crate::store::{parse_manifest, render_manifest, write_durable, Manifest, StoreDirs};
+use crate::summary::{read_summary, write_summary};
 
 /// What one compaction pass did.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -279,9 +107,9 @@ impl CompactReport {
 }
 
 /// Regenerate a window's tier-2 summary, symbol table included, from
-/// its packed store on disk. The main compaction path summarizes the
-/// in-memory merge instead; this serves the recovery paths that have
-/// no merge in hand.
+/// its packed store on disk. The main compaction path adds the fresh
+/// segments' aggregate to the current summary instead; this serves the
+/// recovery paths that have nothing to fold.
 fn refresh_summary(dirs: &StoreDirs, window: &str) -> Result<(), StoreError> {
     let Some(store) = dirs.open_packed(window)? else {
         return Ok(());
@@ -294,20 +122,23 @@ fn refresh_summary(dirs: &StoreDirs, window: &str) -> Result<(), StoreError> {
     )
 }
 
+/// The current summary's aggregate, if it describes `store`: the
+/// manifest the pass that wrote both names the store's XXH64.
+fn summary_of(dirs: &StoreDirs, window: &str, store: &StreamFile) -> Option<Aggregate> {
+    let manifest = parse_manifest(&std::fs::read_to_string(dirs.manifest_path(window)).ok()?)?;
+    let summary = read_summary(&dirs.summary_path(window)).ok()??;
+    (manifest.packed == xxh64(store.bytes(), 0)).then_some(summary.agg)
+}
+
 /// Compact one window if it has sealed raw segments. Returns the
 /// number of segments folded in (0 = nothing to do, though stale
 /// leftovers from an interrupted earlier pass may still be cleaned
-/// up). See the module docs for the crash protocol and the cache's
-/// role. Callers must hold the window's exclusive lock (or otherwise
-/// guarantee one pass per window at a time) — the daemon path is
-/// [`compact_all_registered`] / [`compact_window_registered`].
-pub fn compact_window(
-    dirs: &StoreDirs,
-    window: &str,
-    cache: &Mutex<CompactCache>,
-) -> Result<usize, StoreError> {
+/// up). See the module docs for what a pass checks and its crash
+/// protocol. Callers must hold the window's exclusive lock (or
+/// otherwise guarantee one pass per window at a time) — the daemon
+/// path is [`compact_all_registered`] / [`compact_window_registered`].
+pub fn compact_window(dirs: &StoreDirs, window: &str) -> Result<usize, StoreError> {
     let tier = dirs.live_raw_segments(window)?;
-    let packed = dirs.packed_path(window);
 
     // Recovery: a hash-valid manifest says these segments are already
     // in the packed store, so deleting them is the whole job — after
@@ -324,62 +155,38 @@ pub fn compact_window(
         }
     }
     if tier.fresh.is_empty() {
-        if packed.exists() && !dirs.summary_path(window).exists() {
+        if dirs.packed_path(window).exists() && !dirs.summary_path(window).exists() {
             refresh_summary(dirs, window)?;
         }
         return Ok(0);
     }
 
-    // Seed from the cache when the on-disk store is still the one the
-    // cached experiment was packed into; otherwise (first pass,
-    // restart, or an externally replaced store) decode the seed from
-    // disk, refusing a store without its footer
-    // ([`StoreDirs::open_packed`]). A pass that fails below leaves the
-    // entry removed, so the next attempt re-reads from disk. The
-    // entry is taken out under a brief lock and the hash validated
-    // outside it — the disk read must not stall other windows' passes.
-    // Should a view query's share of the experiment ever linger, the
-    // pass re-reads the store rather than deep-cloning it.
-    let cached = cache
-        .lock()
-        .unwrap()
-        .windows
-        .remove(window)
-        .filter(|c| packed_hash_is(&packed, c.packed_hash))
-        .and_then(|c| Some((Arc::try_unwrap(c.merged).ok()?, c.attachments)));
-    let seeded = cached.is_some();
-    let (seeds, seed_attachments) = match cached {
-        Some((merged, attachments)) => (vec![merged], attachments),
-        None => match dirs.open_packed(window)? {
-            Some(store) => (
-                vec![store.to_experiment()?],
-                Arc::new(store.attachments().to_vec()),
-            ),
-            None => (Vec::new(), Arc::default()),
-        },
-    };
-    let refs = tier
-        .fresh
-        .iter()
-        .map(|p| ExperimentRef::open(p))
-        .collect::<Result<Vec<ExperimentRef>, StoreError>>()?;
-    let merged = merge_experiments_with(seeds, &refs, 0)?;
-    // Attachment rule: first input with any attachment wins. The seed
-    // attachments — cached or read — are exactly what the packed
-    // store carries, so using them (when non-empty) equals collecting
-    // over `[packed] + fresh`.
-    let attachments = if seed_attachments.is_empty() {
-        Arc::new(collect_attachments(&refs))
-    } else {
-        seed_attachments
-    };
-    let bytes = pack_experiment(&merged, &attachments);
+    // Each input is read once: the packed store, refused without its
+    // footer, then the fresh raws in canonical order.
+    let mut inputs: Vec<StreamFile> = dirs.open_packed(window)?.into_iter().collect();
+    let packed = inputs.len();
+    for raw in &tier.fresh {
+        inputs.push(StreamFile::open(raw)?);
+    }
+    // The merge checks recipes, framing, stack tables and stack ids.
+    // Aggregating the fresh raws checks the rest of their content, and
+    // the summary needs that aggregate anyway; the packed tier is
+    // trusted.
+    let bytes = merge_streams(&inputs)?;
+    let (old, fresh) = inputs.split_at(packed);
+    let mut agg = aggregate_streams(fresh, 0)?;
+    if let [store] = old {
+        let mut whole =
+            summary_of(dirs, window, store).map_or_else(|| aggregate_streams(old, 0), Ok)?;
+        whole.merge(&agg)?;
+        agg = whole;
+    }
+    let attachments = merged_attachments(inputs.iter().map(StreamFile::attachments));
 
     // Manifest first (inert until the store it hashes lands), then
     // the store itself — the commit point.
-    let packed_hash = xxh64(&bytes, 0);
     let manifest = Manifest {
-        packed: packed_hash,
+        packed: xxh64(&bytes, 0),
         consumed: tier
             .fresh
             .iter()
@@ -391,12 +198,7 @@ pub fn compact_window(
         &dirs.manifest_path(window),
         render_manifest(&manifest).as_bytes(),
     )?;
-    write_durable(&packed, &bytes)?;
-
-    // The summary is the aggregate of the store just written, plus its
-    // symbol table; the merge is already in memory, so aggregate it
-    // directly instead of re-reading the file.
-    let agg = aggregate(&[&merged], 0)?;
+    write_durable(&dirs.packed_path(window), &bytes)?;
     write_summary(
         &dirs.summary_path(window),
         &agg,
@@ -406,31 +208,9 @@ pub fn compact_window(
     for raw in &tier.fresh {
         std::fs::remove_file(raw).map_err(|e| StoreError::Io(e).at(raw))?;
     }
-    {
-        let mut cache = cache.lock().unwrap();
-        cache.seeded_passes += u64::from(seeded);
-        cache.clock += 1;
-        let last_used = cache.clock;
-        cache.insert(
-            window,
-            CachedWindow {
-                packed_hash,
-                merged: Arc::new(merged),
-                attachments,
-                last_used,
-            },
-        );
-    }
     // The per-window raw dir stays (possibly empty); new sessions for
     // the window keep landing there.
     Ok(tier.fresh.len())
-}
-
-/// Does the store at `packed` still hash to `hash`? The full-file
-/// XXH64 check is what lets a cached experiment stand in for a
-/// checksummed read of the store.
-pub(crate) fn packed_hash_is(packed: &Path, hash: u64) -> bool {
-    std::fs::read(packed).is_ok_and(|bytes| xxh64(&bytes, 0) == hash)
 }
 
 /// Compact one window under its exclusive registry lock, bumping the
@@ -441,12 +221,11 @@ pub fn compact_window_registered(
     dirs: &StoreDirs,
     registry: &WindowRegistry,
     window: &str,
-    cache: &Mutex<CompactCache>,
 ) -> Result<usize, StoreError> {
     let state = registry.state(window);
     let folded = {
         let _exclusive = state.lock_exclusive();
-        compact_window(dirs, window, cache)?
+        compact_window(dirs, window)?
     };
     if folded > 0 {
         state.bump_generation();
@@ -461,11 +240,10 @@ pub fn compact_window_registered(
 pub fn compact_all_registered(
     dirs: &StoreDirs,
     registry: &WindowRegistry,
-    cache: &Mutex<CompactCache>,
 ) -> Result<CompactReport, StoreError> {
     let mut report = CompactReport::default();
     for window in dirs.windows()? {
-        match compact_window_registered(dirs, registry, &window, cache) {
+        match compact_window_registered(dirs, registry, &window) {
             Ok(0) => {}
             Ok(n) => report.windows.push((window, n)),
             Err(e) => report.errors.push((window, e.to_string())),

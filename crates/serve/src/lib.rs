@@ -18,9 +18,10 @@
 //! artifact the daemon produces is byte-identical to what the offline
 //! tools would have produced from the same inputs — a landed raw
 //! segment matches `mp-collect --stream` output, a compacted store
-//! matches `mp-store merge` over the same segments, and query answers
-//! match `mp-store stat --json` / `mp-store diff` on those stores.
-//! The service adds availability, not a second format.
+//! matches one `mp-store merge` over every session the window sealed,
+//! however many passes folded them in, and query answers match
+//! `mp-store stat --json` / `mp-store diff` on those stores. The
+//! service adds availability, not a second format.
 
 pub mod compact;
 pub mod query;
@@ -33,9 +34,9 @@ pub mod summary;
 pub mod wire;
 
 pub use compact::{
-    compact_all_registered, compact_window, compact_window_registered, CompactCache, CompactReport,
+    compact_all_registered, compact_window, compact_window_registered, CompactReport,
 };
-pub use query::{answer, watch_frame, window_aggregate, QueryOutcome, WindowAggregate};
+pub use query::{answer, watch_frame, window_aggregate, QueryOutcome, ViewCache, WindowAggregate};
 pub use registry::{ExclusiveGuard, SharedGuard, WindowRegistry, WindowState};
 pub use retention::{enforce_retention, RetentionPolicy, RetentionReport};
 pub use server::{query, watch, Server, ServerConfig, WatchClient};

@@ -39,11 +39,13 @@
 //! symbol table comes from the first file the read opened that
 //! carries one: the summary, the packed store, then the raw segments.
 //! Analyzer views (`objects`, `segments`, `pages`, `lines`) need the
-//! whole merged experiment: a compacted window whose merge the
-//! [`CompactCache`] still holds — and whose packed store still hashes
-//! to it — answers from memory, anything else decodes the packed
-//! store and raw segments, each opened once, and takes the table from
-//! them in the same order.
+//! whole merged experiment. They read it from disk, each file opened
+//! once: a window with no fresh raw segments decodes its packed store,
+//! and one with fresh raws decodes [`merge_streams`] over the packed
+//! store and the raws, the merge compaction writes. The table comes
+//! from those files in the same order. The [`ViewCache`] keeps the
+//! decoded experiments of windows with no fresh raws, so a repeated
+//! view on an unchanged window only hashes its packed store.
 //!
 //! Locking: each store-reading arm takes the *shared* registry lock
 //! of exactly the windows it resolves — in sorted label order when
@@ -52,21 +54,124 @@
 //! while window B is mid-compaction; only a query *on the compacting
 //! window itself* waits.
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use memprof_core::analyze::Analysis;
 use memprof_core::Experiment;
 use memprof_store::{
-    aggregate_streams, attached_syms, diff_aggregates, merge_experiments_with, parse_syms,
-    syms_attachment, Aggregate, StoreError, StreamFile,
+    aggregate_streams, diff_aggregates, merge_streams, parse_syms, syms_attachment, xxh64,
+    Aggregate, StoreError, StreamFile,
 };
 use simsparc_machine::CounterEvent;
 
-use crate::compact::{packed_hash_is, CompactCache};
 use crate::registry::WindowRegistry;
 use crate::store::{valid_label, StoreDirs};
 use crate::summary::read_summary;
+
+/// What an analyzer view reads: a window's merged experiment and its
+/// symbol table.
+struct WindowView {
+    exp: Experiment,
+    syms: minic::SymbolTable,
+}
+
+/// One window's view, valid while its packed store hashes to
+/// `packed_hash`.
+struct CachedView {
+    packed_hash: u64,
+    view: Arc<WindowView>,
+    /// Value of the cache clock when this entry was last filled or
+    /// hit — the LRU eviction key.
+    last_used: u64,
+}
+
+/// The decoded experiments of compacted windows, for the analyzer
+/// views. A view's disk path fills an entry when its window has no
+/// fresh raw segments, keyed by the XXH64 of the packed store it
+/// decoded; a later view on that window answers from the entry while
+/// the window still has no fresh raws and its store on disk still
+/// hashes to the key. An empty cache is always correct.
+///
+/// Each entry pins a decoded [`Experiment`] in memory, so the cache
+/// holds at most [`ViewCache::DEFAULT_CACHED_WINDOWS`] entries unless
+/// [`ViewCache::with_cap`] says otherwise; beyond the cap the least
+/// recently used window is dropped, and its next view decodes from
+/// disk again.
+pub struct ViewCache {
+    windows: HashMap<String, CachedView>,
+    /// Monotonic use counter; entries stamp it when filled or hit.
+    clock: u64,
+    cap: usize,
+    view_hits: u64,
+    view_misses: u64,
+}
+
+impl ViewCache {
+    /// Deliberately small: views usually ask about a handful of recent
+    /// windows, and one entry can hold a large experiment.
+    pub const DEFAULT_CACHED_WINDOWS: usize = 4;
+
+    /// A cache that keeps at most `cap` windows; `0` disables it (every
+    /// view decodes from disk).
+    pub fn with_cap(cap: usize) -> Self {
+        ViewCache {
+            windows: HashMap::new(),
+            clock: 0,
+            cap,
+            view_hits: 0,
+            view_misses: 0,
+        }
+    }
+
+    /// Analyzer-view queries answered from a cached experiment.
+    pub fn view_hits(&self) -> u64 {
+        self.view_hits
+    }
+
+    /// Analyzer-view queries that decoded the window from disk.
+    pub fn view_misses(&self) -> u64 {
+        self.view_misses
+    }
+
+    /// `window`'s entry, with the packed store hash it is valid for,
+    /// stamped as used. The caller checks the hash against the disk
+    /// outside the cache mutex.
+    fn get(&mut self, window: &str) -> Option<(u64, Arc<WindowView>)> {
+        self.clock += 1;
+        let entry = self.windows.get_mut(window)?;
+        entry.last_used = self.clock;
+        Some((entry.packed_hash, Arc::clone(&entry.view)))
+    }
+
+    /// Record `window`'s view, evicting the least recently used window
+    /// if that pushes the cache over its cap.
+    fn insert(&mut self, window: &str, packed_hash: u64, view: Arc<WindowView>) {
+        if self.cap == 0 {
+            return;
+        }
+        self.clock += 1;
+        let last_used = self.clock;
+        self.windows.insert(
+            window.to_string(),
+            CachedView {
+                packed_hash,
+                view,
+                last_used,
+            },
+        );
+        while self.windows.len() > self.cap {
+            let oldest = self
+                .windows
+                .iter()
+                .min_by_key(|(_, c)| c.last_used)
+                .map(|(w, _)| w.clone())
+                .expect("cache over cap is non-empty");
+            self.windows.remove(&oldest);
+        }
+    }
+}
 
 /// What the server should do with a parsed query.
 pub enum QueryOutcome {
@@ -180,68 +285,90 @@ fn first_syms<'a>(
     parse_carried(reads.into_iter().find_map(|r| r.syms.as_ref()))
 }
 
-/// Materialize a window as one merged [`Experiment`] from disk — the
-/// packed store, then the `fresh` raw segments in file-name order, the
-/// input order compaction uses — with the symbol table text of the
-/// first of those files that carries one. Each file is read once.
-fn window_experiment(
+/// Decode a window from disk, each file read once: its packed store
+/// alone when it has no `fresh` raw segments, else [`merge_streams`]
+/// over the packed store and the raws in file-name order, the merge
+/// compaction writes. The symbol table is the first of those files'
+/// that carries one. Returns the packed store's XXH64 too when the
+/// view is the store alone. Until the window's next pass, keeping one
+/// merge rule costs a view a copy of the window and a second checksum
+/// pass over it.
+fn window_from_disk(
     dirs: &StoreDirs,
     window: &str,
-    fresh: Vec<PathBuf>,
-) -> Result<(Experiment, Option<(PathBuf, String)>), StoreError> {
+    fresh: &[PathBuf],
+) -> Result<(WindowView, Option<u64>), StoreError> {
     let mut inputs = Vec::new();
     let mut syms = None;
-    let mut add = |path: &Path, file: StreamFile| -> Result<(), StoreError> {
+    let mut add = |path: &Path, file: StreamFile| {
         syms = syms.take().or_else(|| carried_syms(&file, path));
-        inputs.push(file.to_experiment()?);
-        Ok(())
+        inputs.push(file);
     };
     if let Some(store) = dirs.open_packed(window)? {
-        add(&dirs.packed_path(window), store)?;
+        add(&dirs.packed_path(window), store);
     }
-    for raw in &fresh {
-        add(raw, StreamFile::open(raw)?)?;
+    for raw in fresh {
+        add(raw, StreamFile::open(raw)?);
     }
-    if inputs.is_empty() {
-        return Err(bad(format!("window `{window}` has no data")));
-    }
-    Ok((merge_experiments_with(inputs, &[], 0)?, syms))
+    let (exp, packed_hash) = match &inputs[..] {
+        [] => return Err(bad(format!("window `{window}` has no data"))),
+        [only] => (
+            only.to_experiment()?,
+            fresh.is_empty().then(|| xxh64(only.bytes(), 0)),
+        ),
+        _ => {
+            // The merged image has no file to name in an error: on bad
+            // content, decode the inputs one by one to name the culprit.
+            let merged = StreamFile::from_bytes(merge_streams(&inputs)?)?;
+            let exp = merged.to_experiment().or_else(|e| {
+                inputs
+                    .iter()
+                    .try_for_each(|f| f.to_experiment().map(drop))?;
+                Err(e)
+            })?;
+            (exp, None)
+        }
+    };
+    let syms = parse_carried(syms.as_ref())?.ok_or_else(|| bad("window has no symbol table"))?;
+    Ok((WindowView { exp, syms }, packed_hash))
 }
 
-/// What an analyzer view reads: a window's merged experiment and its
-/// symbol table.
-///
-/// A compacted window — no fresh raw segments — whose merge the
-/// [`CompactCache`] still holds answers from memory, provided the
-/// packed store on disk hashes to the cached entry's fingerprint: the
-/// full-file check makes the cached experiment exactly as trustworthy
-/// as a checksummed read of the store, and packing is lossless, so
-/// the answer is byte-identical to the disk path. Anything else (fresh
-/// raws, an uncached window, a store replaced behind the daemon)
-/// decodes the window from disk. Callers hold the window's shared
-/// lock and must drop the returned `Arc` before releasing it.
+/// A window's view: from the [`ViewCache`] when the window has no
+/// fresh raw segments and its packed store on disk still hashes to
+/// the entry — the full-file check makes the cached experiment exactly
+/// as trustworthy as a checksummed read of the store, so the answer is
+/// byte-identical to the disk path — and from disk otherwise, filling
+/// the cache when the view is the packed store alone. Callers hold the
+/// window's shared lock.
 fn window_view(
     dirs: &StoreDirs,
-    cache: &Mutex<CompactCache>,
+    cache: &Mutex<ViewCache>,
     window: &str,
-) -> Result<(Arc<Experiment>, minic::SymbolTable), StoreError> {
+) -> Result<Arc<WindowView>, StoreError> {
+    let cache = || {
+        cache
+            .lock()
+            .expect("a query panicked holding the view cache")
+    };
     let fresh = dirs.live_raw_segments(window)?.fresh;
-    let packed = dirs.packed_path(window);
     let cached = if fresh.is_empty() {
-        cache.lock().unwrap().view(window)
+        cache().get(window)
     } else {
         None
     };
-    let hit = cached.filter(|c| packed_hash_is(&packed, c.packed_hash));
-    cache.lock().unwrap().record_view(hit.is_some());
-    let (exp, syms) = match hit {
-        Some(c) => (c.merged, attached_syms(&c.attachments, &packed)?),
-        None => {
-            let (exp, syms) = window_experiment(dirs, window, fresh)?;
-            (Arc::new(exp), parse_carried(syms.as_ref())?)
-        }
-    };
-    Ok((exp, syms.ok_or_else(|| bad("window has no symbol table"))?))
+    let on_disk =
+        |hash| std::fs::read(dirs.packed_path(window)).is_ok_and(|b| xxh64(&b, 0) == hash);
+    if let Some((_, view)) = cached.filter(|&(hash, _)| on_disk(hash)) {
+        cache().view_hits += 1;
+        return Ok(view);
+    }
+    cache().view_misses += 1;
+    let (view, packed_hash) = window_from_disk(dirs, window, &fresh)?;
+    let view = Arc::new(view);
+    if let Some(hash) = packed_hash {
+        cache().insert(window, hash, Arc::clone(&view));
+    }
+    Ok(view)
 }
 
 /// Answer one analyzer-view query on `window`: resolve the window
@@ -249,19 +376,17 @@ fn window_view(
 fn view_answer(
     dirs: &StoreDirs,
     registry: &WindowRegistry,
-    cache: &Mutex<CompactCache>,
+    cache: &Mutex<ViewCache>,
     window: &str,
     render: impl FnOnce(&Analysis<'_>) -> Result<String, StoreError>,
 ) -> Result<QueryOutcome, StoreError> {
     let window = checked_label(dirs, window)?;
     let _guard = registry.state(window).lock_shared();
-    let (exp, syms) = window_view(dirs, cache, window)?;
-    let text = render(&Analysis::new(&[&*exp], &syms));
-    // Release the (possibly cached) experiment before the shared lock,
-    // so a compaction waiting on the exclusive lock finds itself its
-    // sole owner.
-    drop(exp);
-    Ok(QueryOutcome::Text(text?))
+    let view = window_view(dirs, cache, window)?;
+    Ok(QueryOutcome::Text(render(&Analysis::new(
+        &[&view.exp],
+        &view.syms,
+    ))?))
 }
 
 /// Resolve the window arguments of an aggregate query: explicit
@@ -343,12 +468,12 @@ pub fn watch_frame(dirs: &StoreDirs, window: &str, generation: u64) -> String {
 /// Parse and answer one query line, taking the shared registry lock
 /// of exactly the windows each arm reads. Store-dependent queries run
 /// here, the analyzer views (`objects`, `segments`, `pages`, `lines`)
-/// from `cache` when it holds the window's current merge; `compact`
-/// and `shutdown` are returned for the server to act on.
+/// from `cache` when it holds the window's current experiment;
+/// `compact` and `shutdown` are returned for the server to act on.
 pub fn answer(
     dirs: &StoreDirs,
     registry: &WindowRegistry,
-    cache: &Mutex<CompactCache>,
+    cache: &Mutex<ViewCache>,
     line: &str,
 ) -> Result<QueryOutcome, StoreError> {
     let fields: Vec<&str> = line.split_whitespace().collect();

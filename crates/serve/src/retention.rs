@@ -29,12 +29,11 @@
 //! ingest or queries elsewhere.
 
 use std::collections::BTreeSet;
-use std::sync::Mutex;
 use std::time::{Duration, SystemTime};
 
 use memprof_store::StoreError;
 
-use crate::compact::{compact_window_registered, CompactCache};
+use crate::compact::compact_window_registered;
 use crate::registry::WindowRegistry;
 use crate::store::{leading_seq, StoreDirs};
 
@@ -93,7 +92,6 @@ struct Standing {
 pub fn enforce_retention(
     dirs: &StoreDirs,
     registry: &WindowRegistry,
-    cache: &Mutex<CompactCache>,
     policy: &RetentionPolicy,
 ) -> Result<RetentionReport, StoreError> {
     let mut report = RetentionReport::default();
@@ -151,7 +149,7 @@ pub fn enforce_retention(
     }
 
     for window in to_age {
-        match compact_window_registered(dirs, registry, &window, cache) {
+        match compact_window_registered(dirs, registry, &window) {
             Ok(n) => report.aged.push((window, n)),
             Err(e) => report.errors.push((window, e.to_string())),
         }
@@ -171,13 +169,7 @@ mod tests {
             root: std::path::PathBuf::from("/nonexistent-retention-test"),
         };
         // Never touches the (nonexistent) store when inactive.
-        let report = enforce_retention(
-            &dirs,
-            &WindowRegistry::new(),
-            &Mutex::new(CompactCache::default()),
-            &policy,
-        )
-        .unwrap();
+        let report = enforce_retention(&dirs, &WindowRegistry::new(), &policy).unwrap();
         assert_eq!(report, RetentionReport::default());
     }
 }

@@ -63,8 +63,8 @@ use std::time::{Duration, Instant};
 
 use memprof_store::{validate_stream_prefix, StoreError};
 
-use crate::compact::{compact_all_registered, CompactCache};
-use crate::query::{answer, watch_frame, QueryOutcome};
+use crate::compact::compact_all_registered;
+use crate::query::{answer, watch_frame, QueryOutcome, ViewCache};
 use crate::registry::{WindowRegistry, WindowState};
 use crate::retention::{enforce_retention, RetentionPolicy};
 use crate::store::{sync_dir, valid_label, StoreDirs};
@@ -101,12 +101,10 @@ pub struct ServerConfig {
     /// Seconds between background compaction passes; `None` compacts
     /// only on explicit `compact` queries.
     pub compact_secs: Option<u64>,
-    /// Max windows whose merged experiments stay cached between
-    /// compaction passes — which also bounds the windows whose
-    /// analyzer views answer from memory; `None` uses
-    /// [`CompactCache::DEFAULT_CACHED_WINDOWS`], `Some(0)` disables
-    /// the cache (every pass re-reads the packed store, every view
-    /// query decodes it).
+    /// Max windows whose decoded experiments the view cache keeps
+    /// for the analyzer views; `None` uses
+    /// [`ViewCache::DEFAULT_CACHED_WINDOWS`], `Some(0)` disables the
+    /// cache (every view query decodes from disk).
     pub cache_windows: Option<usize>,
     /// Seconds a connection may sit idle between frames before its
     /// readable prefix is sealed exactly as a disconnect would seal
@@ -125,11 +123,10 @@ struct Shared {
     /// Per-window tier locks and generation counters; see
     /// [`crate::registry`].
     registry: WindowRegistry,
-    /// Per-window merge results that make repeat compaction
-    /// incremental and let analyzer views on compacted windows answer
-    /// from memory. Held only to take, share, or put one window's
-    /// entry, never across a merge or a query.
-    cache: Mutex<CompactCache>,
+    /// Decoded experiments of compacted windows, for the analyzer
+    /// views. Held only to look up, count or fill one window's entry,
+    /// never across a decode or a query.
+    cache: Mutex<ViewCache>,
     /// Arrival sequence for session ids; zero-padded into the file
     /// name so sorted-order merges are deterministic.
     seq: AtomicU64,
@@ -183,10 +180,10 @@ impl Server {
         let shared = Arc::new(Shared {
             dirs,
             registry: WindowRegistry::new(),
-            cache: Mutex::new(CompactCache::with_cap(
+            cache: Mutex::new(ViewCache::with_cap(
                 config
                     .cache_windows
-                    .unwrap_or(CompactCache::DEFAULT_CACHED_WINDOWS),
+                    .unwrap_or(ViewCache::DEFAULT_CACHED_WINDOWS),
             )),
             seq: AtomicU64::new(next_seq),
             stop: AtomicBool::new(false),
@@ -233,11 +230,7 @@ impl Server {
                         std::thread::sleep(Duration::from_millis(100));
                         if compact_period.is_some_and(|p| last_compact.elapsed() >= p) {
                             last_compact = Instant::now();
-                            match compact_all_registered(
-                                &shared.dirs,
-                                &shared.registry,
-                                &shared.cache,
-                            ) {
+                            match compact_all_registered(&shared.dirs, &shared.registry) {
                                 Ok(report) if !report.windows.is_empty() => {
                                     eprint!("mp-serve: {}", report.render());
                                 }
@@ -252,7 +245,6 @@ impl Server {
                             match enforce_retention(
                                 &shared.dirs,
                                 &shared.registry,
-                                &shared.cache,
                                 &shared.retention,
                             ) {
                                 Ok(report) if report != Default::default() => {
@@ -288,10 +280,10 @@ impl Server {
         self.shared.registry.state(window)
     }
 
-    /// The daemon's [`CompactCache`] — exposed so embedders and tests
-    /// can read its counters (e.g. which analyzer-view queries were
-    /// answered from memory).
-    pub fn compact_cache(&self) -> &Mutex<CompactCache> {
+    /// The daemon's [`ViewCache`] — exposed so embedders and tests can
+    /// read its counters (which analyzer-view queries were answered
+    /// from memory).
+    pub fn view_cache(&self) -> &Mutex<ViewCache> {
         &self.shared.cache
     }
 
@@ -567,12 +559,10 @@ fn handle_query(shared: &Shared, mut stream: TcpStream, payload: &[u8]) -> std::
     let outcome = answer(&shared.dirs, &shared.registry, &shared.cache, line.trim());
     match outcome {
         Ok(QueryOutcome::Text(text)) => write_frame(&mut stream, TAG_RESULT, text.as_bytes()),
-        Ok(QueryOutcome::Compact) => {
-            match compact_all_registered(&shared.dirs, &shared.registry, &shared.cache) {
-                Ok(r) => write_frame(&mut stream, TAG_RESULT, r.render().as_bytes()),
-                Err(e) => write_frame(&mut stream, TAG_ERROR, e.to_string().as_bytes()),
-            }
-        }
+        Ok(QueryOutcome::Compact) => match compact_all_registered(&shared.dirs, &shared.registry) {
+            Ok(r) => write_frame(&mut stream, TAG_RESULT, r.render().as_bytes()),
+            Err(e) => write_frame(&mut stream, TAG_ERROR, e.to_string().as_bytes()),
+        },
         Ok(QueryOutcome::Shutdown) => {
             write_frame(&mut stream, TAG_RESULT, b"shutting down\n")?;
             shared.stop.store(true, Ordering::SeqCst);

@@ -17,10 +17,11 @@
 //! labels nor session ids) so a daemon restart can seal leftover
 //! staging files from a crashed boot into the right window.
 //! Compaction folds a window's tier-0 segments (plus any previous
-//! tier-1 store) into a fresh tier-1 store, regenerates the tier-2
+//! tier-1 store) into a fresh tier-1 store, refreshes the tier-2
 //! summary, and deletes the consumed segments; storage per window is
-//! then bounded by the merged store, not by how many collectors
-//! streamed into it.
+//! then the merged store, whose events do not multiply with the
+//! collectors that streamed into it, though it keeps each session's
+//! stack table.
 //!
 //! The **compaction manifest** (`packed/WINDOW.consumed`) makes that
 //! deletion crash-safe. It names the raw segments folded into the

@@ -190,28 +190,21 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
             "frame of {len} bytes exceeds the {MAX_FRAME}-byte limit"
         )));
     }
-    let mut payload = vec![0u8; len];
-    let mut got = 0usize;
-    while got < len {
-        match r.read(&mut payload[got..]) {
-            Ok(0) => {
-                payload.truncate(got);
-                return Err(WireError::TruncatedFrame {
-                    tag,
-                    partial: payload,
-                });
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) => {
-                payload.truncate(got);
-                return Err(WireError::TruncatedFrame {
-                    tag,
-                    partial: payload,
-                });
-            }
-            Err(e) => return Err(WireError::Io(e)),
-        }
+    // The claimed length only bounds the read: the buffer grows with
+    // the bytes that arrive, so a header claiming `MAX_FRAME` bytes
+    // costs nothing until they come. `read_to_end` retries
+    // `Interrupted` and keeps what arrived before an error.
+    let mut payload = Vec::new();
+    let truncated = match Read::take(&mut *r, len as u64).read_to_end(&mut payload) {
+        Ok(got) => got < len,
+        Err(e) if is_timeout(&e) => true,
+        Err(e) => return Err(WireError::Io(e)),
+    };
+    if truncated {
+        return Err(WireError::TruncatedFrame {
+            tag,
+            partial: payload,
+        });
     }
     Ok(Frame { tag, payload })
 }
@@ -310,6 +303,66 @@ mod tests {
             }
             other => panic!("expected TruncatedFrame, got {other:?}"),
         }
+    }
+
+    /// A header claiming the largest legal frame, then 10 bytes and
+    /// EOF: the payload buffer holds what arrived, not what was
+    /// claimed.
+    #[test]
+    fn a_claimed_length_allocates_only_what_arrives() {
+        let mut buf = vec![TAG_CHUNK];
+        buf.extend_from_slice(&(MAX_FRAME as u32).to_le_bytes());
+        buf.extend_from_slice(b"0123456789");
+        let mut r = &buf[..];
+        match read_frame(&mut r) {
+            Err(WireError::TruncatedFrame { tag, partial }) => {
+                assert_eq!(tag, TAG_CHUNK);
+                assert_eq!(partial, b"0123456789".to_vec());
+                assert!(
+                    partial.capacity() < 64 * 1024,
+                    "{} bytes reserved for 10 received",
+                    partial.capacity()
+                );
+            }
+            other => panic!("expected TruncatedFrame, got {other:?}"),
+        }
+    }
+
+    /// A reader that fails with `Interrupted` before every read that
+    /// would return data.
+    struct Interrupting<'a> {
+        bytes: &'a [u8],
+        interrupt: bool,
+    }
+
+    impl Read for Interrupting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.interrupt = !self.interrupt;
+            if self.interrupt {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(self.bytes.len()).min(3);
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn interrupted_reads_are_retried() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, TAG_CHUNK, b"hello chunk").unwrap();
+        let mut r = Interrupting {
+            bytes: &buf,
+            interrupt: false,
+        };
+        assert_eq!(
+            read_frame(&mut r).unwrap(),
+            Frame {
+                tag: TAG_CHUNK,
+                payload: b"hello chunk".to_vec()
+            }
+        );
     }
 
     #[test]

@@ -10,21 +10,17 @@
 
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::path::Path;
-use std::sync::Mutex;
+use std::path::{Path, PathBuf};
 
 use memprof_core::{CollectSink as _, PackedHwcEvent, RunInfo};
 use memprof_serve::wire::{
-    hello_payload, read_frame, write_frame, PROTO_VERSION, TAG_CHUNK, TAG_END, TAG_ERROR,
-    TAG_HELLO, TAG_HELLO_OK,
+    hello_payload, read_frame, write_frame, PROTO_VERSION, TAG_CHUNK, TAG_END, TAG_END_OK,
+    TAG_ERROR, TAG_HELLO, TAG_HELLO_OK,
 };
 use memprof_serve::{
-    self as serve, CompactCache, RetentionPolicy, Server, ServerConfig, SocketSink, StoreDirs,
-    WindowRegistry,
+    self as serve, RetentionPolicy, Server, ServerConfig, SocketSink, StoreDirs, WindowRegistry,
 };
-use memprof_store::{
-    collect_attachments, merge_experiments, pack_experiment, ExperimentRef, StreamFile,
-};
+use memprof_store::{merge_streams, xxh64, ExperimentRef, StreamFile};
 
 mod common;
 use common::{drive, local_bytes, scratch, wait_for, SYMS};
@@ -76,12 +72,7 @@ fn parallel_collectors_compact_to_the_offline_merge() {
     let report = serve::query(&addr, "compact").unwrap();
     assert!(report.contains("compacted w1: 3 raw segments"), "{report}");
 
-    let refs: Vec<ExperimentRef> = offline_files
-        .iter()
-        .map(|p| ExperimentRef::open(p).unwrap())
-        .collect();
-    let merged = merge_experiments(&refs).unwrap();
-    let expected = pack_experiment(&merged, &collect_attachments(&refs));
+    let expected = offline_merge(&offline_files);
     let packed = std::fs::read(dirs.packed_path("w1")).unwrap();
     assert_eq!(
         packed, expected,
@@ -95,16 +86,22 @@ fn parallel_collectors_compact_to_the_offline_merge() {
     server.shutdown();
 }
 
-/// Incremental compaction must be invisible in the artifacts: a
-/// second pass that seeds from the daemon's in-memory cache has to
-/// produce exactly the bytes a cold-cache daemon (restarted between
-/// passes, so it re-reads the packed store) and the offline toolchain
-/// produce from the same inputs.
+/// `mp-store merge` over `files`, in that order: each opened once and
+/// folded with [`merge_streams`].
+fn offline_merge(files: &[PathBuf]) -> Vec<u8> {
+    let inputs: Vec<StreamFile> = files.iter().map(|p| StreamFile::open(p).unwrap()).collect();
+    merge_streams(&inputs).unwrap()
+}
+
+/// Incremental compaction is invisible in the artifacts: a second
+/// pass on the same daemon and one on a daemon restarted between the
+/// passes write the same bytes, and both are the offline merge of the
+/// previous store and the new segment — and, the merge being
+/// associative, one flat offline merge of all three sessions.
 #[test]
 fn incremental_compaction_matches_cold_cache_and_offline() {
     // Run the same two-round ingest+compact sequence; `restart`
-    // decides whether round 2 sees a warm cache (same daemon) or a
-    // cold one (fresh boot).
+    // decides whether round 2 runs on the same daemon or a fresh boot.
     let run = |tag: &str, restart: bool| -> (Vec<u8>, Vec<u8>, String) {
         let data = scratch(tag);
         let mut server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
@@ -136,50 +133,34 @@ fn incremental_compaction_matches_cold_cache_and_offline() {
 
     let (warm1, warm2, warm_stat) = run("incr_warm", false);
     let (cold1, cold2, cold_stat) = run("incr_cold", true);
-    assert_eq!(warm1, cold1, "first passes diverge before any cache use");
-    assert_eq!(
-        warm2, cold2,
-        "seeded compaction differs from re-read compaction"
-    );
+    assert_eq!(warm1, cold1, "first passes diverge");
+    assert_eq!(warm2, cold2, "second passes diverge across a restart");
     assert_eq!(warm_stat, cold_stat);
 
-    // And both equal the offline toolchain replaying the same rounds:
-    // merge round 1's segments, pack, then merge that store with
-    // round 2's segment.
+    // Both equal the offline toolchain replaying the same rounds —
+    // merge round 1's segments, then that store with round 2's — and
+    // one merge of all three sessions.
     let offline = scratch("incr_offline");
-    let mut files = Vec::new();
-    for (i, seed) in [1u64, 2].iter().enumerate() {
-        let path = offline.join(format!("000000000{}-run{seed}.mpes", i + 1));
-        std::fs::write(&path, local_bytes(*seed, 2)).unwrap();
-        files.push(path);
-    }
-    let refs: Vec<ExperimentRef> = files
+    let files: Vec<PathBuf> = [1u64, 2, 3]
         .iter()
-        .map(|p| ExperimentRef::open(p).unwrap())
+        .map(|&seed| {
+            let path = offline.join(format!("000000000{seed}-run{seed}.mpes"));
+            std::fs::write(&path, local_bytes(seed, 2)).unwrap();
+            path
+        })
         .collect();
+    assert_eq!(offline_merge(&files[..2]), warm1);
     let packed1_path = offline.join("w1.mps");
-    std::fs::write(
-        &packed1_path,
-        pack_experiment(
-            &merge_experiments(&refs).unwrap(),
-            &collect_attachments(&refs),
-        ),
-    )
-    .unwrap();
-    assert_eq!(std::fs::read(&packed1_path).unwrap(), warm1);
-    let round2_path = offline.join("0000000003-run3.mpes");
-    std::fs::write(&round2_path, local_bytes(3, 2)).unwrap();
-    let refs2 = vec![
-        ExperimentRef::open(&packed1_path).unwrap(),
-        ExperimentRef::open(&round2_path).unwrap(),
-    ];
-    let expected2 = pack_experiment(
-        &merge_experiments(&refs2).unwrap(),
-        &collect_attachments(&refs2),
+    std::fs::write(&packed1_path, &warm1).unwrap();
+    assert_eq!(
+        offline_merge(&[packed1_path, files[2].clone()]),
+        warm2,
+        "compacted store differs from the offline merge of its rounds"
     );
     assert_eq!(
-        warm2, expected2,
-        "compacted store differs from offline merge"
+        offline_merge(&files),
+        warm2,
+        "two passes differ from one flat merge of the three sessions"
     );
 }
 
@@ -644,70 +625,90 @@ fn open_errors_carry_the_file_path() {
     );
 }
 
-/// LRU cap satellite: a capped cache evicts the least recently
-/// compacted window, and an evicted window's next pass — forced onto
-/// the re-read-from-disk path — produces byte-identical packed stores
-/// and summaries to both an uncapped (always-seeded) cache and a
-/// disabled one (always re-read).
+/// LRU cap: a view cache capped at one window keeps the window viewed
+/// last. A view on an evicted window decodes its packed store again,
+/// and every answer equals that of a daemon with the cache disabled.
 #[test]
 fn lru_eviction_falls_back_to_disk_path_byte_identically() {
-    use memprof_serve::compact_window;
-
-    const WINDOWS: [&str; 3] = ["w1", "w2", "w3"];
-
-    // Drive two rounds of segment-landing + compaction over three
-    // windows through one cache. With cap 1, each round's passes
-    // evict each other in turn, so round 2 finds w1 and w2 evicted
-    // (disk path) and only w3 still seeded.
-    let run = |tag: &str, cache: &std::sync::Mutex<CompactCache>| -> Vec<(Vec<u8>, Vec<u8>)> {
-        let data = scratch(tag);
-        let dirs = StoreDirs::create(&data).unwrap();
-        for round in 0u64..2 {
-            for (i, window) in WINDOWS.iter().enumerate() {
-                std::fs::create_dir_all(dirs.raw_dir(window)).unwrap();
-                let session = format!("{:010}-r{round}", round * 10 + i as u64 + 1);
-                let seed = round * 10 + i as u64 + 1;
-                std::fs::write(dirs.raw_path(window, &session), local_bytes(seed, 2)).unwrap();
-                assert_eq!(compact_window(&dirs, window, cache).unwrap(), 1);
-            }
-        }
-        WINDOWS
-            .iter()
-            .map(|w| {
-                (
-                    std::fs::read(dirs.packed_path(w)).unwrap(),
-                    std::fs::read(dirs.summary_path(w)).unwrap(),
-                )
-            })
-            .collect()
+    let data = scratch("lru");
+    let one = ServerConfig {
+        cache_windows: Some(1),
+        ..ServerConfig::default()
     };
+    let capped = Server::start("127.0.0.1:0", &data, one).unwrap();
+    let addr = capped.addr().to_string();
+    for (window, seed) in [("w1", 1u64), ("w2", 2)] {
+        let mut sink = SocketSink::connect(&addr, "run", window).unwrap();
+        sink.attach("syms.txt", SYMS);
+        drive(&mut sink, seed, 2);
+    }
+    serve::query(&addr, "compact").unwrap();
 
-    let capped = std::sync::Mutex::new(CompactCache::with_cap(1));
-    let capped_tiers = run("lru_capped", &capped);
-    assert_eq!(
-        capped.lock().unwrap().len(),
-        1,
-        "cap 1 holds exactly one window"
-    );
+    let copy = scratch("lru_disk");
+    copy_dir(&data, &copy);
+    let no_cache = ServerConfig {
+        cache_windows: Some(0),
+        ..ServerConfig::default()
+    };
+    let disk = Server::start("127.0.0.1:0", &copy, no_cache).unwrap();
 
-    let uncapped = std::sync::Mutex::new(CompactCache::with_cap(usize::MAX));
-    let uncapped_tiers = run("lru_uncapped", &uncapped);
-    assert_eq!(uncapped.lock().unwrap().len(), WINDOWS.len());
-
-    let disabled = std::sync::Mutex::new(CompactCache::with_cap(0));
-    let disabled_tiers = run("lru_disabled", &disabled);
-    assert!(disabled.lock().unwrap().is_empty(), "cap 0 caches nothing");
-
-    for (i, w) in WINDOWS.iter().enumerate() {
+    // (query, answered from the cache?)
+    for (query, hit) in [
+        ("objects w1", false),
+        ("objects w1", true),
+        ("objects w2", false),
+        ("objects w2", true),
+        ("objects w1", false),
+    ] {
+        let before = view_counts(&capped);
+        let answer = serve::query(&addr, query).unwrap();
+        let after = view_counts(&capped);
         assert_eq!(
-            capped_tiers[i], uncapped_tiers[i],
-            "{w}: evicted (re-read) pass diverged from seeded pass"
+            (after.0 - before.0, after.1 - before.1),
+            (u64::from(hit), u64::from(!hit)),
+            "{query}"
         );
         assert_eq!(
-            capped_tiers[i], disabled_tiers[i],
-            "{w}: capped pass diverged from cache-disabled pass"
+            answer,
+            serve::query(&disk.addr().to_string(), query).unwrap()
         );
     }
+    assert_eq!(view_counts(&disk), (0, 5), "cap 0 caches nothing");
+    capped.shutdown();
+    disk.shutdown();
+}
+
+/// A pass adds the fresh segments' aggregate to the window's summary.
+/// When that summary is missing or does not parse, the pass starts from
+/// the packed store's own aggregate instead, so it writes the summary a
+/// pass over an intact one writes.
+#[test]
+fn a_missing_or_damaged_summary_is_rebuilt_from_the_packed_store() {
+    // Two passes of one session each; `damage` acts on the summary the
+    // first pass wrote.
+    let run = |tag: &str, damage: &dyn Fn(&Path)| -> (Vec<u8>, Vec<u8>) {
+        let dirs = StoreDirs::create(&scratch(tag)).unwrap();
+        std::fs::create_dir_all(dirs.raw_dir("w1")).unwrap();
+        for seed in [1u64, 2] {
+            let session = format!("{seed:010}-run{seed}");
+            std::fs::write(dirs.raw_path("w1", &session), local_bytes(seed, 2)).unwrap();
+            assert_eq!(serve::compact_window(&dirs, "w1").unwrap(), 1);
+            if seed == 1 {
+                damage(&dirs.summary_path("w1"));
+            }
+        }
+        (
+            std::fs::read(dirs.packed_path("w1")).unwrap(),
+            std::fs::read(dirs.summary_path("w1")).unwrap(),
+        )
+    };
+    let intact = run("summary_intact", &|_| {});
+    let missing = run("summary_missing", &|p| std::fs::remove_file(p).unwrap());
+    assert_eq!(missing, intact);
+    let damaged = run("summary_damaged", &|p| {
+        std::fs::write(p, "MPSUM 2\ngarbage\n").unwrap()
+    });
+    assert_eq!(damaged, intact);
 }
 
 /// Copy a daemon data directory (tiers, manifests, summaries) so a
@@ -734,7 +735,7 @@ const VIEWS: [&str; 5] = [
 ];
 
 fn view_counts(server: &Server) -> (u64, u64) {
-    let cache = server.compact_cache().lock().unwrap();
+    let cache = server.view_cache().lock().unwrap();
     (cache.view_hits(), cache.view_misses())
 }
 
@@ -762,11 +763,12 @@ fn land(server: &Server, name: &str, seed: u64) {
     drive(&mut sink, seed, 2);
 }
 
-/// Analyzer views on a compacted window answer from the compaction
-/// cache's merged experiment, byte-identically to a cache-less daemon
-/// decoding the same store; fresh raw segments force the disk path;
-/// and a compaction after cached answers still seeds from the cache
-/// and lands the offline merge.
+/// Analyzer views on a compacted window fill the view cache on first
+/// use and answer from it after, byte-identically to a cache-less
+/// daemon decoding the same store; fresh raw segments force the disk
+/// path, where the window is decoded through the merge compaction
+/// writes; and the compaction that folds them in lands the offline
+/// merge.
 #[test]
 fn cached_view_answers_match_the_disk_path() {
     let data = scratch("views_cached");
@@ -785,11 +787,12 @@ fn cached_view_answers_match_the_disk_path() {
     let disk = Server::start("127.0.0.1:0", &copy, no_cache).unwrap();
 
     let n = VIEWS.len() as u64;
-    let from_cache = answer_views(&cached, n, 0);
+    let from_cache = answer_views(&cached, n - 1, 1);
     assert_eq!(from_cache, answer_views(&disk, 0, n));
+    assert_eq!(from_cache, answer_views(&cached, n, 0));
     assert!(from_cache[0].contains("<Total>"), "{}", from_cache[0]);
 
-    // A fresh raw segment means the cached merge is no longer the
+    // A fresh raw segment means the cached store is no longer the
     // whole window: both daemons decode from disk and still agree.
     let dirs = StoreDirs::create(&data).unwrap();
     let round1 = std::fs::read(dirs.packed_path("w1")).unwrap();
@@ -799,28 +802,16 @@ fn cached_view_answers_match_the_disk_path() {
     assert_eq!(with_fresh, answer_views(&disk, 0, n));
     assert_ne!(with_fresh, from_cache, "the fourth session is missing");
 
-    // Compaction after those view queries still seeds from the cache,
-    // and lands exactly the offline merge of [round-1 store, segment].
-    let seeded = |s: &Server| s.compact_cache().lock().unwrap().seeded_passes();
-    let seeded_before = seeded(&cached);
+    // Compaction lands exactly the offline merge of [round-1 store,
+    // segment], which is one merge of all four sessions.
     serve::query(&cached.addr().to_string(), "compact").unwrap();
     serve::query(&disk.addr().to_string(), "compact").unwrap();
-    assert_eq!(seeded(&cached), seeded_before + 1, "pass did not seed");
-    assert_eq!(seeded(&disk), 0);
-
     let offline = scratch("views_offline");
     let packed1 = offline.join("w1.mps");
     std::fs::write(&packed1, &round1).unwrap();
     let raw4 = offline.join("0000000004-run4.mpes");
     std::fs::write(&raw4, local_bytes(4, 2)).unwrap();
-    let refs = vec![
-        ExperimentRef::open(&packed1).unwrap(),
-        ExperimentRef::open(&raw4).unwrap(),
-    ];
-    let expected = pack_experiment(
-        &merge_experiments(&refs).unwrap(),
-        &collect_attachments(&refs),
-    );
+    let expected = offline_merge(&[packed1, raw4]);
     let packed2 = std::fs::read(dirs.packed_path("w1")).unwrap();
     assert_eq!(
         packed2, expected,
@@ -832,8 +823,8 @@ fn cached_view_answers_match_the_disk_path() {
         expected
     );
 
-    // And the new merge answers from memory again.
-    let round2 = answer_views(&cached, n, 0);
+    // The new store fills the cache once and answers from it after.
+    let round2 = answer_views(&cached, n - 1, 1);
     assert_eq!(round2, with_fresh);
     assert_eq!(round2, answer_views(&disk, 0, n));
 
@@ -842,7 +833,7 @@ fn cached_view_answers_match_the_disk_path() {
 }
 
 /// A packed store replaced behind the daemon's back no longer hashes
-/// to the cached fingerprint: views must follow the bytes on disk.
+/// to the cached entry's key: views must follow the bytes on disk.
 #[test]
 fn cached_views_follow_a_store_replaced_on_disk() {
     let data = scratch("views_replaced");
@@ -853,11 +844,11 @@ fn cached_views_follow_a_store_replaced_on_disk() {
     }
     serve::query(&addr, "compact").unwrap();
     let n = VIEWS.len() as u64;
-    let all_three = answer_views(&server, n, 0);
+    let all_three = answer_views(&server, n - 1, 1);
 
     // Offline merge of only the first two sessions, swapped in.
     let offline = scratch("views_replaced_offline");
-    let files: Vec<_> = [1u64, 2]
+    let files: Vec<PathBuf> = [1u64, 2]
         .iter()
         .enumerate()
         .map(|(i, seed)| {
@@ -866,19 +857,11 @@ fn cached_views_follow_a_store_replaced_on_disk() {
             path
         })
         .collect();
-    let refs: Vec<ExperimentRef> = files
-        .iter()
-        .map(|p| ExperimentRef::open(p).unwrap())
-        .collect();
-    let subset = pack_experiment(
-        &merge_experiments(&refs).unwrap(),
-        &collect_attachments(&refs),
-    );
     let dirs = StoreDirs::create(&data).unwrap();
-    std::fs::write(dirs.packed_path("w1"), &subset).unwrap();
+    std::fs::write(dirs.packed_path("w1"), offline_merge(&files)).unwrap();
 
-    let replaced = answer_views(&server, 0, n);
-    assert_ne!(replaced, all_three, "views still answer the cached merge");
+    let replaced = answer_views(&server, n - 1, 1);
+    assert_ne!(replaced, all_three, "views still answer the cached store");
 
     // The reference: a cache-less daemon over the replaced store.
     let copy = scratch("views_replaced_copy");
@@ -892,6 +875,41 @@ fn cached_views_follow_a_store_replaced_on_disk() {
 
     server.shutdown();
     disk.shutdown();
+}
+
+/// A pass adds the fresh segments' aggregate to the current summary
+/// only while that summary describes the store on disk. After the
+/// store is replaced behind the daemon, the next pass summarizes the
+/// store itself, so `functions` answers what `mp-store stat --json` on
+/// the compacted store does.
+#[test]
+fn compaction_after_a_replaced_store_summarizes_the_store_on_disk() {
+    let data = scratch("summary_replaced");
+    let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    for seed in [1u64, 2, 3] {
+        land(&server, &format!("run{seed}"), seed);
+    }
+    serve::query(&addr, "compact").unwrap();
+
+    // The first session alone, merged offline and swapped in.
+    let offline = scratch("summary_replaced_offline");
+    let first = offline.join("0000000001-run1.mpes");
+    std::fs::write(&first, local_bytes(1, 2)).unwrap();
+    let dirs = StoreDirs::create(&data).unwrap();
+    let packed = dirs.packed_path("w1");
+    std::fs::write(&packed, offline_merge(&[first])).unwrap();
+
+    land(&server, "run4", 4);
+    serve::query(&addr, "compact").unwrap();
+    assert!(dirs.live_raw_segments("w1").unwrap().fresh.is_empty());
+    let store = ExperimentRef::open(&packed).unwrap();
+    let stat_json = memprof_store::aggregate_refs(&[store], 1)
+        .unwrap()
+        .stat_json(ExperimentRef::open(&packed).unwrap().load_syms().as_ref());
+    assert_eq!(serve::query(&addr, "functions w1").unwrap(), stat_json);
+
+    server.shutdown();
 }
 
 /// `functions` on a compacted window answers from the summary alone,
@@ -1059,7 +1077,6 @@ fn a_session_with_bad_chunk_content_fails_only_its_window() {
         serve::enforce_retention(
             &dirs,
             &WindowRegistry::new(),
-            &Mutex::new(CompactCache::default()),
             &RetentionPolicy {
                 raw_windows: Some(1),
                 age_secs: None,
@@ -1080,6 +1097,125 @@ fn a_session_with_bad_chunk_content_fails_only_its_window() {
     }
     std::fs::remove_dir_all(dirs.raw_dir("w2")).unwrap();
     assert!(sweep().errors.iter().all(|(w, _)| w != "w2"));
+}
+
+/// `image` with the payload of its first chunk of `kind` changed by
+/// `edit`, resealed with a matching length and checksum so the damage
+/// passes the framing and reaches the content checks.
+fn resealed(image: &[u8], kind: u8, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let len_at = |at: usize| u32::from_le_bytes(image[at + 1..at + 5].try_into().unwrap());
+    let mut at = 5;
+    while image[at] != kind {
+        at += 13 + len_at(at) as usize;
+    }
+    let end = at + 13 + len_at(at) as usize;
+    let mut payload = image[at + 13..end].to_vec();
+    edit(&mut payload);
+    let len = payload.len() as u32;
+    let mut bytes = image[..at].to_vec();
+    bytes.push(kind);
+    bytes.extend_from_slice(&len.to_le_bytes());
+    bytes.extend_from_slice(&xxh64(&payload, u64::from(kind) | u64::from(len) << 8).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    bytes.extend_from_slice(&image[end..]);
+    bytes
+}
+
+/// `image` with its first HWC chunk's first event naming counter 7,
+/// which no test recipe declares.
+fn with_unknown_counter(image: &[u8]) -> Vec<u8> {
+    resealed(image, 2, |payload| {
+        // Past the event count and the tag column's length, both varints.
+        let mut tag = 0;
+        for _ in 0..2 {
+            while payload[tag] & 0x80 != 0 {
+                tag += 1;
+            }
+            tag += 1;
+        }
+        payload[tag] = 0x70 | (payload[tag] & 0x0f);
+    })
+}
+
+/// Seal `bad` as a session into a compacted window. Its next pass must
+/// fail with `why`, naming the segment, and leave every tier file as
+/// it was; each of `queries` must fail with `why` too.
+fn bad_session_fails_compaction_before_any_write(
+    name: &str,
+    bad: Vec<u8>,
+    why: &str,
+    queries: &[&str],
+) {
+    let data = scratch(name);
+    let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    land(&server, "first", 1);
+    serve::query(&addr, "compact").unwrap();
+
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    write_frame(&mut stream, TAG_HELLO, &hello_payload("bad", "w1")).unwrap();
+    assert_eq!(read_frame(&mut stream).unwrap().tag, TAG_HELLO_OK);
+    write_frame(&mut stream, TAG_CHUNK, &bad).unwrap();
+    write_frame(&mut stream, TAG_END, b"").unwrap();
+    assert_eq!(read_frame(&mut stream).unwrap().tag, TAG_END_OK);
+
+    let dirs = StoreDirs::create(&data).unwrap();
+    let tiers = || -> Vec<Vec<u8>> {
+        let mut files = vec![
+            dirs.packed_path("w1"),
+            dirs.summary_path("w1"),
+            dirs.manifest_path("w1"),
+        ];
+        files.extend(dirs.raw_segments("w1").unwrap());
+        files.iter().map(|p| std::fs::read(p).unwrap()).collect()
+    };
+    let before = tiers();
+    assert_eq!(before.len(), 4, "one sealed raw segment beside the tiers");
+    assert_eq!(before[3], bad);
+
+    let report = serve::query(&addr, "compact").unwrap();
+    assert!(
+        report.contains("compact w1 failed: ") && report.contains(why),
+        "{report}"
+    );
+    assert_eq!(tiers(), before);
+    for query in queries {
+        let err = serve::query(&addr, query).unwrap_err().to_string();
+        assert!(err.contains(why), "{query}: {err}");
+    }
+
+    server.shutdown();
+}
+
+/// The merge copies every column but the stack ids without decoding
+/// it, so compaction checks the fresh segments' content before it
+/// writes anything. A session sealed into a compacted window with an
+/// event naming a counter its header lacks fails the window's next
+/// pass, naming the segment, and every tier file stays as it was. The
+/// window's queries fail naming the segment too.
+#[test]
+fn bad_content_in_a_copied_column_fails_compaction_before_any_write() {
+    bad_session_fails_compaction_before_any_write(
+        "bad_column",
+        with_unknown_counter(&local_bytes(2, 2)),
+        ".mpes: corrupt store: event references unknown counter",
+        &["functions w1", "objects w1", "pages w1"],
+    );
+}
+
+/// The merge copies STACKS chunks whole, so it decodes each one first:
+/// a session whose stack table ends in a stray byte under a valid
+/// checksum fails the window's next pass the same way, instead of
+/// landing in the packed store that every later view decodes. The
+/// aggregate queries read no stack table; the views fail.
+#[test]
+fn bad_stack_table_fails_compaction_before_any_write() {
+    bad_session_fails_compaction_before_any_write(
+        "bad_stacks",
+        resealed(&local_bytes(2, 2), 1, |payload| payload.push(0)),
+        ".mpes: corrupt store: trailing bytes in chunk",
+        &["objects w1", "pages w1"],
+    );
 }
 
 /// A packed tier damaged on disk is refused, never read as a prefix:

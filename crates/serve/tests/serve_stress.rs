@@ -2,24 +2,16 @@
 //! windows while a compaction loop folds tiers and query clients
 //! hammer the daemon — ending with the strongest check the design
 //! makes available: every window's final packed store is
-//! byte-identical to the offline toolchain replaying the *same
-//! compaction rounds* over the same sessions.
-//!
-//! The replay is round-by-round because merging is not associative at
-//! the byte level (each `mp-store merge` stamps its inputs into the
-//! experiment log), so "one flat offline merge" is the wrong oracle —
-//! the right one is the sequence of merges the daemon actually ran,
-//! which the test reconstructs from the compaction manifest it
-//! captures after each pass (the test's compact loop being the only
-//! compaction driver).
+//! byte-identical to one offline merge of all its sessions, in
+//! session-id order. However the compaction passes happened to batch
+//! the sessions, the merge is associative, so that one merge is the
+//! whole oracle.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use memprof_serve::{self as serve, Server, ServerConfig, SocketSink, StoreDirs};
-use memprof_store::{
-    aggregate_refs, collect_attachments, merge_experiments, pack_experiment, ExperimentRef,
-};
+use memprof_store::{aggregate_streams, merge_streams, StreamFile};
 
 mod common;
 use common::{drive, local_bytes, scratch, wait_for, SYMS};
@@ -28,19 +20,9 @@ const WINDOWS: [&str; 3] = ["sw0", "sw1", "sw2"];
 const SESSIONS_PER_WINDOW: u64 = 4;
 const SEGS: usize = 2;
 
-/// Seeds are globally unique so a consumed segment's bytes are
-/// recoverable from its session name alone (`s{seed}`).
+/// Seeds are globally unique, so every session's events differ.
 fn seed_of(window_idx: u64, session_idx: u64) -> u64 {
     window_idx * 100 + session_idx + 1
-}
-
-fn seed_from_name(file_name: &str) -> u64 {
-    file_name
-        .strip_suffix(".mpes")
-        .and_then(|stem| stem.split_once('-'))
-        .and_then(|(_, name)| name.strip_prefix('s'))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable consumed segment `{file_name}`"))
 }
 
 #[test]
@@ -53,19 +35,23 @@ fn concurrent_ingest_compaction_and_queries_replay_offline() {
     let done = Arc::new(AtomicBool::new(false));
 
     // Collectors: one thread per window, each streaming several
-    // sessions back to back.
+    // sessions back to back and reporting the session ids the daemon
+    // assigned them.
     let collectors: Vec<_> = (0..WINDOWS.len() as u64)
         .map(|wi| {
             let addr = addr.clone();
             std::thread::spawn(move || {
-                for si in 0..SESSIONS_PER_WINDOW {
-                    let seed = seed_of(wi, si);
-                    let mut sink =
-                        SocketSink::connect(&addr, &format!("s{seed}"), WINDOWS[wi as usize])
-                            .unwrap();
-                    sink.attach("syms.txt", SYMS);
-                    drive(&mut sink, seed, SEGS);
-                }
+                (0..SESSIONS_PER_WINDOW)
+                    .map(|si| {
+                        let seed = seed_of(wi, si);
+                        let mut sink =
+                            SocketSink::connect(&addr, &format!("s{seed}"), WINDOWS[wi as usize])
+                                .unwrap();
+                        sink.attach("syms.txt", SYMS);
+                        drive(&mut sink, seed, SEGS);
+                        (sink.session().to_string(), seed)
+                    })
+                    .collect::<Vec<_>>()
             })
         })
         .collect();
@@ -122,101 +108,53 @@ fn concurrent_ingest_compaction_and_queries_replay_offline() {
         })
     };
 
-    // Compaction loop — the only compaction driver, so the manifest on
-    // disk after each `compact` query is exactly that pass's consumed
-    // batch. Record each window's batches in order for the replay.
-    let mut batches: Vec<Vec<Vec<String>>> = vec![Vec::new(); WINDOWS.len()];
-    let mut last_manifest: Vec<Option<String>> = vec![None; WINDOWS.len()];
-    let mut record_pass = |batches: &mut Vec<Vec<Vec<String>>>| {
-        serve::query(&addr, "compact").unwrap();
-        for (wi, window) in WINDOWS.iter().enumerate() {
-            let Ok(text) = std::fs::read_to_string(dirs.manifest_path(window)) else {
-                continue;
-            };
-            if last_manifest[wi].as_deref() == Some(text.as_str()) {
-                continue; // this pass folded nothing for the window
-            }
-            let manifest = serve::parse_manifest(&text).expect("daemon wrote a bad manifest");
-            let mut consumed = manifest.consumed;
-            consumed.sort();
-            batches[wi].push(consumed);
-            last_manifest[wi] = Some(text);
-        }
-    };
-
+    // Compaction loop, racing the collectors: each pass folds
+    // whatever sealed since the last one.
     while !collectors.iter().all(|c| c.is_finished()) {
-        record_pass(&mut batches);
+        serve::query(&addr, "compact").unwrap();
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
-    for c in collectors {
-        c.join().unwrap();
-    }
-    // Final pass folds whatever sealed after the last loop iteration.
-    record_pass(&mut batches);
+    let sessions: Vec<Vec<(String, u64)>> =
+        collectors.into_iter().map(|c| c.join().unwrap()).collect();
+    // A final pass folds whatever sealed after the last loop iteration.
+    serve::query(&addr, "compact").unwrap();
 
     done.store(true, Ordering::SeqCst);
     for q in query_clients {
         assert!(q.join().unwrap() > 0, "query client never got an answer");
     }
 
-    // Replay each window's compaction rounds offline: regenerate every
-    // consumed session's bytes from its seed, merge
-    // `[previous pack] + batch` with the offline toolchain, and demand
-    // byte-identity with what the daemon published.
-    let replay = scratch("stress_replay");
+    // Each window's packed store is one offline merge of its sessions'
+    // bytes, regenerated from their seeds, in session-id order.
+    let mut expected_total = 0;
     for (wi, window) in WINDOWS.iter().enumerate() {
-        let consumed_total: usize = batches[wi].iter().map(Vec::len).sum();
-        assert_eq!(
-            consumed_total, SESSIONS_PER_WINDOW as usize,
-            "{window}: compaction consumed {consumed_total} sessions"
-        );
         assert!(
-            dirs.live_raw_segments(window).unwrap().fresh.is_empty(),
+            dirs.raw_segments(window).unwrap().is_empty(),
             "{window}: raw segments left after the final pass"
         );
-
-        let packed_path = replay.join(format!("{window}.mps"));
-        for (round, batch) in batches[wi].iter().enumerate() {
-            let mut inputs = Vec::new();
-            if round > 0 {
-                inputs.push(packed_path.clone());
-            }
-            for name in batch {
-                let p = replay.join(name);
-                std::fs::write(&p, local_bytes(seed_from_name(name), SEGS)).unwrap();
-                inputs.push(p);
-            }
-            let refs: Vec<ExperimentRef> = inputs
-                .iter()
-                .map(|p| ExperimentRef::open(p).unwrap())
-                .collect();
-            let bytes = pack_experiment(
-                &merge_experiments(&refs).unwrap(),
-                &collect_attachments(&refs),
-            );
-            drop(refs);
-            std::fs::write(&packed_path, bytes).unwrap();
-        }
+        let mut ordered = sessions[wi].clone();
+        ordered.sort();
+        let inputs: Vec<StreamFile> = ordered
+            .iter()
+            .map(|(_, seed)| StreamFile::from_bytes(local_bytes(*seed, SEGS)).unwrap())
+            .collect();
+        let expected = merge_streams(&inputs).unwrap();
         assert_eq!(
-            std::fs::read(&packed_path).unwrap(),
             std::fs::read(dirs.packed_path(window)).unwrap(),
-            "{window}: daemon pack differs from the offline replay of its rounds"
+            expected,
+            "{window}: daemon pack differs from the offline merge of its sessions"
         );
+        if wi == 0 {
+            let agg = aggregate_streams(&[StreamFile::from_bytes(expected).unwrap()], 0).unwrap();
+            expected_total = agg.totals.iter().sum();
+        }
     }
 
     // The watch client must converge on the true event total of its
     // window before shutdown (its last frame follows the final fold).
-    let expected: u64 = {
-        let agg = aggregate_refs(
-            &[ExperimentRef::open(&replay.join(format!("{}.mps", WINDOWS[0]))).unwrap()],
-            0,
-        )
-        .unwrap();
-        agg.totals.iter().sum()
-    };
-    assert!(expected > 0);
+    assert!(expected_total > 0);
     wait_for("watch to observe the final event total", || {
-        (watch_total.load(Ordering::SeqCst) == expected).then_some(())
+        (watch_total.load(Ordering::SeqCst) == expected_total).then_some(())
     });
 
     server.shutdown();

@@ -104,6 +104,10 @@ pub(crate) const CHUNK_FOOTER: u8 = 4;
 /// Size ceiling for any single decoded allocation (strings, counts).
 pub(crate) const LIMIT: usize = 1 << 31;
 
+/// Columns of an HWC and of a CLOCK chunk; the stack ids are the last.
+pub(crate) const HWC_COLUMNS: usize = 9;
+pub(crate) const CLOCK_COLUMNS: usize = 3;
+
 const FLAG_CANDIDATE: u64 = 1;
 const FLAG_EA: u64 = 2;
 /// The truth EA is stored in its column.
@@ -302,7 +306,7 @@ struct Prev {
 /// size once and are reused for every later chunk.
 #[derive(Default)]
 pub(crate) struct ChunkEncoder {
-    cols: [Vec<u8>; 9],
+    cols: [Vec<u8>; HWC_COLUMNS],
     /// Delivered PC → its dictionary index.
     index: HashMap<u64, u64>,
     /// Dictionary PCs in first use.
@@ -425,7 +429,7 @@ impl ChunkEncoder {
         Self::put_dict(dict, dict_col);
         out.clear();
         put_u64(out, events.len() as u64);
-        for col in &cols[..3] {
+        for col in &cols[..CLOCK_COLUMNS] {
             put_column(out, col);
         }
     }
@@ -460,6 +464,39 @@ fn get_stack_id(cur: &mut Cursor<'_>, n_stacks: usize) -> Result<u32, DecodeErro
         .ok()
         .filter(|&id| (id as usize) < n_stacks)
         .ok_or(DecodeError::Corrupt("event references undefined stack id"))
+}
+
+/// Append an event chunk's items — `columns` length-prefixed columns
+/// for `n` events, the last holding their stack ids — to `out` with
+/// every stack id checked against the `n_stacks` defined before the
+/// chunk and shifted by `base`. The other columns are copied byte for
+/// byte and not decoded. `base + n_stacks` must fit a [`StackId`].
+pub(crate) fn shift_stack_ids(
+    items: &[u8],
+    columns: usize,
+    n: usize,
+    n_stacks: usize,
+    base: StackId,
+    out: &mut Vec<u8>,
+) -> Result<(), DecodeError> {
+    let mut cur = Cursor::new(items);
+    for _ in 1..columns {
+        let len = cur.get_len(cur.remaining())?;
+        cur.take_bytes(len)?;
+    }
+    out.extend_from_slice(&items[..items.len() - cur.remaining()]);
+    let len = cur.get_len(cur.remaining())?;
+    let mut ids = Cursor::new(cur.take_bytes(len)?);
+    let mut shifted = Vec::with_capacity(len);
+    for _ in 0..n {
+        put_u64(
+            &mut shifted,
+            u64::from(get_stack_id(&mut ids, n_stacks)? + base),
+        );
+    }
+    consumed(&[cur, ids])?;
+    put_column(out, &shifted);
+    Ok(())
 }
 
 /// Reusable decode scratch for event chunks: the chunk's PC
@@ -508,7 +545,7 @@ impl ChunkDecoder {
         n_stacks: usize,
         mut f: impl FnMut(usize, PackedHwcEvent),
     ) -> Result<(), DecodeError> {
-        let mut cols = columns::<9>(items)?;
+        let mut cols = columns::<HWC_COLUMNS>(items)?;
         let [tags, dict_col, pcs, cands, eas, truth_pcs, truth_eas, skids, stacks] = &mut cols;
         let ChunkDecoder { dict, prev } = self;
         Self::read_dict(dict, dict_col)?;
@@ -579,7 +616,7 @@ impl ChunkDecoder {
         n_stacks: usize,
         mut f: impl FnMut(usize, PackedClockEvent),
     ) -> Result<(), DecodeError> {
-        let mut cols = columns::<3>(items)?;
+        let mut cols = columns::<CLOCK_COLUMNS>(items)?;
         let [dict_col, pcs, stacks] = &mut cols;
         Self::read_dict(&mut self.dict, dict_col)?;
         for i in 0..n {
@@ -770,10 +807,9 @@ pub fn pack_dir(dir: &Path, out: &Path) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Unpack a packed store (or a collector's stream file) back into a
-/// text experiment directory.
-pub fn unpack_to_dir(file: &Path, dir: &Path) -> Result<(), StoreError> {
-    let stream = crate::StreamFile::open(file)?;
+/// Unpack an opened packed store (or a collector's stream file) back
+/// into a text experiment directory.
+pub fn unpack_to_dir(stream: &crate::StreamFile, dir: &Path) -> Result<(), StoreError> {
     stream.to_experiment()?.save(dir)?;
     for (name, contents) in stream.attachments() {
         std::fs::write(dir.join(name), contents)?;

@@ -18,9 +18,14 @@
 //! * a **parallel aggregation engine** ([`aggregate`]) reducing many
 //!   experiments to per-PC histograms with scoped threads, with
 //!   results identical to the serial path;
-//! * [`merge_experiments`] and [`diff_experiments`], which fold
-//!   same-recipe runs together (feeding the ordinary analyzer views)
-//!   and compare two runs function by function.
+//! * one merge rule in two representations: [`merge_experiments`]
+//!   folds same-recipe runs into one in-memory experiment (feeding the
+//!   ordinary analyzer views), and [`merge_streams`] folds their
+//!   `MPES` images into one image by copying chunks, rewriting only the
+//!   stack ids; decoding the second gives the first, and both are
+//!   associative;
+//! * [`diff_experiments`], which compares two runs function by
+//!   function.
 //!
 //! Sources are addressed by [`ExperimentRef`], which accepts either a
 //! text directory or a packed file and distinguishes them by the
@@ -46,7 +51,7 @@ pub use aggregate::{
     DiffRow,
 };
 pub use format::{pack_dir, pack_experiment, unpack_to_dir, xxh64, ATTACHMENT_FILES};
-pub use writer::{validate_stream_prefix, SegmentWriter, StreamFile};
+pub use writer::{merge_streams, validate_stream_prefix, SegmentWriter, StreamFile};
 
 /// Everything that can go wrong opening, decoding, or combining
 /// stores.
@@ -200,7 +205,9 @@ impl ExperimentRef {
                     Err(e) => Err(StoreError::Io(e).at(&path)),
                 }
             }
-            ExperimentRef::Packed(file) => attached_syms(&load_attachments(file)?, file),
+            ExperimentRef::Packed(file) => syms_attachment(StreamFile::open(file)?.attachments())
+                .map(|text| parse_syms(text, file))
+                .transpose(),
         }
     }
 
@@ -228,23 +235,6 @@ pub fn syms_attachment(attachments: &[(String, String)]) -> Option<&str> {
         .map(|(_, text)| text.as_str())
 }
 
-/// The symbol table among a packed store's attachments (`syms.txt`),
-/// if it carries one; `path` names that store in a parse error.
-pub fn attached_syms(
-    attachments: &[(String, String)],
-    path: &Path,
-) -> Result<Option<minic::SymbolTable>, StoreError> {
-    syms_attachment(attachments)
-        .map(|text| parse_syms(text, path))
-        .transpose()
-}
-
-/// The auxiliary text files (`syms.txt`, `image.txt`) carried in an
-/// `MPES` file's footer. Decodes no event chunk.
-pub fn load_attachments(path: &Path) -> Result<Vec<(String, String)>, StoreError> {
-    Ok(StreamFile::open(path)?.attachments().to_vec())
-}
-
 /// The [`ATTACHMENT_FILES`] beside a text experiment directory, in
 /// that order; a file that is missing or unreadable is left out.
 fn dir_attachments(dir: &Path) -> Vec<(String, String)> {
@@ -257,29 +247,38 @@ fn dir_attachments(dir: &Path) -> Vec<(String, String)> {
         .collect()
 }
 
-/// The auxiliary files to carry into a packed store, from whichever
-/// input has them — the first reference with any attachment wins.
-/// Every producer of merged stores (`mp-store merge`, the `mp-serve`
-/// compactor) goes through here, so a store compacted by the daemon
-/// is byte-identical to one merged offline from the same inputs.
-pub fn collect_attachments(refs: &[ExperimentRef]) -> Vec<(String, String)> {
-    for r in refs {
-        let found: Vec<(String, String)> = match r {
-            ExperimentRef::TextDir(dir) => dir_attachments(dir),
-            // One read per reference, whatever the number of names.
-            ExperimentRef::Packed(file) => {
-                let attached = load_attachments(file).unwrap_or_default();
-                ATTACHMENT_FILES
-                    .iter()
-                    .filter_map(|&name| attached.iter().find(|(n, _)| n == name).cloned())
-                    .collect()
-            }
-        };
+/// The auxiliary files a merge carries: the [`ATTACHMENT_FILES`] of
+/// the first input that has any of them, in that order. Each item is
+/// one input's attachments; inputs after the first that has any are
+/// never visited. [`merge_streams`] writes these, and
+/// [`collect_attachments`] picks them from references.
+pub fn merged_attachments<A: AsRef<[(String, String)]>>(
+    inputs: impl IntoIterator<Item = A>,
+) -> Vec<(String, String)> {
+    for attached in inputs {
+        let found: Vec<(String, String)> = ATTACHMENT_FILES
+            .iter()
+            .filter_map(|&name| attached.as_ref().iter().find(|(n, _)| n == name).cloned())
+            .collect();
         if !found.is_empty() {
             return found;
         }
     }
     Vec::new()
+}
+
+/// The auxiliary files to carry into a packed store merged from
+/// `refs`, by [`merged_attachments`]' rule: a text directory offers
+/// the files beside it, a packed file its footer's (one read each).
+pub fn collect_attachments(refs: &[ExperimentRef]) -> Vec<(String, String)> {
+    merged_attachments(refs.iter().map(|r| {
+        match r {
+            ExperimentRef::TextDir(dir) => dir_attachments(dir),
+            ExperimentRef::Packed(file) => StreamFile::open(file)
+                .map(|f| f.attachments().to_vec())
+                .unwrap_or_default(),
+        }
+    }))
 }
 
 #[cfg(test)]
@@ -293,18 +292,14 @@ fn scratch_path(tag: &str) -> PathBuf {
     ))
 }
 
-/// Check that two collection-recipe headers line up — the
-/// precondition for folding their events together. Works on header
-/// fields alone, so a packed store never needs decoding to be
-/// checked.
-fn check_compatible_headers(
-    counters_a: &[CounterRequest],
-    period_a: Option<u64>,
-    hz_a: u64,
-    counters_b: &[CounterRequest],
-    period_b: Option<u64>,
-    hz_b: u64,
-) -> Result<(), StoreError> {
+/// A collection recipe: counters, clock period and clock rate.
+type Recipe<'a> = (&'a [CounterRequest], Option<u64>, u64);
+
+/// Check that two collection recipes line up — the precondition for
+/// folding their events together. Works on header fields alone, so a
+/// packed store never needs decoding to be checked.
+fn check_compatible_headers(a: Recipe<'_>, b: Recipe<'_>) -> Result<(), StoreError> {
+    let ((counters_a, period_a, hz_a), (counters_b, period_b, hz_b)) = (a, b);
     if counters_a != counters_b {
         return Err(StoreError::Incompatible(format!(
             "counter sets differ: {counters_a:?} vs {counters_b:?}"
@@ -323,45 +318,36 @@ fn check_compatible_headers(
     Ok(())
 }
 
-/// Check that two experiments were collected with the same recipe.
-fn check_compatible(a: &Experiment, b: &Experiment) -> Result<(), StoreError> {
-    check_compatible_headers(
-        &a.counters,
-        a.clock_period,
-        a.run.clock_hz,
-        &b.counters,
-        b.clock_period,
-        b.run.clock_hz,
-    )
+/// An experiment's collection recipe.
+fn recipe(e: &Experiment) -> Recipe<'_> {
+    (&e.counters, e.clock_period, e.run.clock_hz)
 }
 
 /// Merge already-loaded experiments collected with the same recipe
 /// into one. Events concatenate in argument order (per-experiment
-/// order is preserved), dropped-overflow and ground-truth counts sum,
-/// and the logs concatenate under `merged from` markers. The result
-/// is an ordinary [`Experiment`], so every analyzer view works on it
-/// unchanged, and per-function / per-data-object totals equal the
-/// element-wise sum of the inputs' individual analyses. Stacks are
-/// interned into one table, so this is an independent oracle for
-/// [`merge_experiments_with`]: the two agree on every event and its
-/// frames, not on stack numbering.
+/// order is preserved), the run summaries sum and the logs
+/// concatenate, so merging is associative. The result is an ordinary
+/// [`Experiment`], so every analyzer view works on it unchanged, and
+/// per-function / per-data-object totals equal the element-wise sum of
+/// the inputs' individual analyses. Stacks are interned into one
+/// table, so this is an independent oracle for
+/// [`merge_experiments_with`] and [`merge_streams`]: they agree on
+/// every event and its frames, not on stack numbering.
 pub fn merge_loaded(exps: &[Experiment]) -> Result<Experiment, StoreError> {
     let first = exps
         .first()
         .ok_or(StoreError::Incompatible("nothing to merge".to_string()))?;
     for other in &exps[1..] {
-        check_compatible(first, other)?;
+        check_compatible_headers(recipe(first), recipe(other))?;
     }
     let mut merged = Experiment {
         counters: first.counters.clone(),
         clock_period: first.clock_period,
+        run: dict::merged_run(first.counters.len(), exps.iter().map(|e| &e.run)),
         ..Experiment::default()
     };
-    merged.run.clock_hz = first.run.clock_hz;
-    merged.run.exit_code = first.run.exit_code;
-    merged.run.dropped = vec![0; first.counters.len()];
     let mut table = CallstackTable::new();
-    for (i, exp) in exps.iter().enumerate() {
+    for exp in exps {
         let mut intern = |id: StackId| table.intern(&exp.stacks[id as usize]);
         for &e in &exp.hwc_events {
             let stack = intern(e.stack);
@@ -371,22 +357,6 @@ pub fn merge_loaded(exps: &[Experiment]) -> Result<Experiment, StoreError> {
             let stack = intern(e.stack);
             merged.clock_events.push(PackedClockEvent { stack, ..e });
         }
-        merged.run.output.push_str(&exp.run.output);
-        for (dst, src) in merged.run.dropped.iter_mut().zip(&exp.run.dropped) {
-            *dst += src;
-        }
-        let (c, e) = (&mut merged.run.counts, &exp.run.counts);
-        c.cycles += e.cycles;
-        c.insts += e.insts;
-        c.ic_miss += e.ic_miss;
-        c.dc_read_miss += e.dc_read_miss;
-        c.dtlb_miss += e.dtlb_miss;
-        c.ec_ref += e.ec_ref;
-        c.ec_read_miss += e.ec_read_miss;
-        c.ec_stall_cycles += e.ec_stall_cycles;
-        c.loads += e.loads;
-        c.stores += e.stores;
-        merged.log.push(format!("merged from experiment {i}"));
         merged.log.extend(exp.log.iter().cloned());
     }
     merged.stacks = table.into_stacks();
@@ -394,32 +364,25 @@ pub fn merge_loaded(exps: &[Experiment]) -> Result<Experiment, StoreError> {
 }
 
 /// Load and merge a set of experiment references (text directories or
-/// packed stores, freely mixed): [`merge_experiments_with`] with no
-/// seeds and one decode thread per available core.
+/// packed stores, freely mixed): [`merge_experiments_with`] with one
+/// decode thread per available core.
 pub fn merge_experiments(refs: &[ExperimentRef]) -> Result<Experiment, StoreError> {
-    merge_experiments_with(Vec::new(), refs, 0)
+    merge_experiments_with(refs, 0)
 }
 
-/// Merge `seeds` — experiments the caller already holds in memory —
-/// and then the decoded `refs`, with the events and frames of a merge
-/// that had packed and re-loaded every seed (only stack numbering
-/// differs), so `pack(merge([x], refs)) == pack(merge([load(pack(x))],
-/// refs))` and an incremental compactor folds fresh segments into
-/// last round's merged window without re-reading its packed image.
-/// The references decode `shards` at a time on scoped threads (0 = one
-/// per available core; requests beyond the hardware are capped), which
-/// is where all per-event decoding happens; the fold concatenates the
+/// Decode `refs` and fold them into one experiment, in memory. The
+/// references decode `shards` at a time on scoped threads (0 = one per
+/// available core; requests beyond the hardware are capped), which is
+/// where all per-event decoding happens; the fold concatenates the
 /// stack tables and moves the events. The result is identical at every
-/// shard count, and holds the events and frames of loading every input
-/// and calling [`merge_loaded`].
+/// shard count, holds the events and frames of loading every input
+/// and calling [`merge_loaded`], and is what decoding [`merge_streams`]
+/// over the same inputs gives, field for field.
 pub fn merge_experiments_with(
-    seeds: Vec<Experiment>,
     refs: &[ExperimentRef],
     shards: usize,
 ) -> Result<Experiment, StoreError> {
-    let mut inputs = seeds;
-    inputs.extend(dict::load_inputs(refs, shards)?);
-    dict::merge_inputs(inputs)
+    dict::merge_inputs(dict::load_inputs(refs, shards)?)
 }
 
 /// Compare two experiments collected with the same recipe: open both
@@ -441,14 +404,7 @@ pub fn diff_experiments(
 pub fn diff_streams(a: &StreamFile, b: &StreamFile, shards: usize) -> Result<AggDiff, StoreError> {
     // Compatibility is a header property, checked before any event
     // chunk is decoded.
-    check_compatible_headers(
-        a.counters(),
-        a.clock_period(),
-        a.run().clock_hz,
-        b.counters(),
-        b.clock_period(),
-        b.run().clock_hz,
-    )?;
+    check_compatible_headers(a.recipe(), b.recipe())?;
     let hw = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -507,6 +463,18 @@ mod tests {
     fn assert_same_events(a: &Experiment, b: &Experiment) {
         assert_eq!(hwc_frames(a), hwc_frames(b));
         assert_eq!(clock_frames(a), clock_frames(b));
+    }
+
+    /// Two experiments equal field for field: the same stacks, ids,
+    /// events, run and log.
+    fn assert_identical(a: &Experiment, b: &Experiment) {
+        assert_eq!(a.counters, b.counters);
+        assert_eq!(a.clock_period, b.clock_period);
+        assert_eq!(a.stacks, b.stacks);
+        assert_eq!(a.hwc_events, b.hwc_events);
+        assert_eq!(a.clock_events, b.clock_events);
+        assert_eq!(a.run, b.run);
+        assert_eq!(a.log, b.log);
     }
 
     pub(crate) fn sample_experiment() -> Experiment {
@@ -751,8 +719,15 @@ mod tests {
         ];
         let loaded: Vec<Experiment> = refs.iter().map(|r| r.load().unwrap()).collect();
         let oracle = merge_loaded(&loaded).unwrap();
+        // The same fold over the images: its decode is the in-memory
+        // fold's result, field for field.
+        let streams: Vec<StreamFile> = refs.iter().map(|r| r.open_stream().unwrap()).collect();
+        let concatenated = StreamFile::from_bytes(merge_streams(&streams).unwrap())
+            .unwrap()
+            .to_experiment()
+            .unwrap();
         for shards in [1, 3] {
-            let merged = merge_experiments_with(Vec::new(), &refs, shards).unwrap();
+            let merged = merge_experiments_with(&refs, shards).unwrap();
             assert_eq!(merged.counters, oracle.counters);
             assert_eq!(merged.clock_period, oracle.clock_period);
             assert_same_events(&merged, &oracle);
@@ -764,20 +739,7 @@ mod tests {
                 loaded.iter().map(|e| e.stacks.len()).sum::<usize>()
             );
             assert_eq!(pack_experiment(&merged, &[]), pack_experiment(&oracle, &[]));
-
-            // The `CompactCache` seeding property: a merge seeded with
-            // an experiment in memory packs exactly like one seeded
-            // with that experiment's packed form read back.
-            let reread = StreamFile::from_bytes(pack_experiment(&exp, &[]))
-                .unwrap()
-                .to_experiment()
-                .unwrap();
-            let seeded = merge_experiments_with(vec![exp.clone()], &refs, shards).unwrap();
-            let reseeded = merge_experiments_with(vec![reread], &refs, shards).unwrap();
-            assert_eq!(
-                pack_experiment(&seeded, &[]),
-                pack_experiment(&reseeded, &[])
-            );
+            assert_identical(&merged, &concatenated);
         }
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_file(&packed).ok();

@@ -12,7 +12,9 @@
 //! metadata. Opening walks the chunk framing and checksums, decodes
 //! only the small HEADER and FOOTER chunks, and indexes the event
 //! chunks; the event-reading calls then decode those chunks straight
-//! into their output.
+//! into their output. [`merge_streams`] writes one image from several
+//! opened ones by copying their indexed chunks, checking their stack
+//! tables and rewriting only the stack ids.
 //!
 //! Two error rules govern reading:
 //!
@@ -38,17 +40,19 @@ use std::path::{Path, PathBuf};
 
 use memprof_core::{
     charged_pc, CollectSink, CounterRequest, EventBatch, Experiment, PackedClockEvent,
-    PackedHwcEvent, RunInfo,
+    PackedHwcEvent, RunInfo, StackId,
 };
 use simsparc_machine::EventCounts;
 
+use crate::dict::merged_run;
 use crate::format::{
     chunk_checksum, get_footer, get_header, get_stacks, put_footer, put_header, put_stack,
-    ChunkDecoder, ChunkEncoder, Footer, Header, CHUNK_CLOCK, CHUNK_FOOTER, CHUNK_HEADER,
-    CHUNK_HEADER_LEN, CHUNK_HWC, CHUNK_STACKS, MAGIC, PREAMBLE_LEN, VERSION,
+    shift_stack_ids, ChunkDecoder, ChunkEncoder, Footer, Header, CHUNK_CLOCK, CHUNK_FOOTER,
+    CHUNK_HEADER, CHUNK_HEADER_LEN, CHUNK_HWC, CHUNK_STACKS, CLOCK_COLUMNS, HWC_COLUMNS, MAGIC,
+    PREAMBLE_LEN, VERSION,
 };
 use crate::varint::{put_u64, Cursor, DecodeError};
-use crate::StoreError;
+use crate::{check_compatible_headers, merged_attachments, Recipe, StoreError};
 
 /// The collector's streaming sink: writes `MPES` v3 chunks through
 /// any `Write`, flushing after every chunk so each completed segment
@@ -177,6 +181,8 @@ impl<W: Write> CollectSink for SegmentWriter<W> {
 /// One indexed STACKS, HWC or CLOCK chunk, still encoded.
 struct Chunk {
     kind: u8,
+    /// Where the chunk's payload starts: its leading count.
+    start: usize,
     /// The chunk's items: its payload after the leading count.
     items: Range<usize>,
     count: usize,
@@ -280,6 +286,7 @@ impl StreamFile {
                     let count = cur.get_len(payload.len())?;
                     chunks.push(Chunk {
                         kind,
+                        start,
                         items: end - cur.remaining()..end,
                         count,
                         stacks,
@@ -344,6 +351,10 @@ impl StreamFile {
         self.clock_period
     }
 
+    pub(crate) fn recipe(&self) -> Recipe<'_> {
+        (&self.counters, self.clock_period, self.run.clock_hz)
+    }
+
     pub fn run(&self) -> &RunInfo {
         &self.run
     }
@@ -385,6 +396,28 @@ impl StreamFile {
         self.clock_total
     }
 
+    /// The whole image, as read or packed.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The log as the decode gives it: the footer's lines, then, for
+    /// an interrupted run, a line recording why the stream ended early.
+    fn decoded_log(&self) -> impl Iterator<Item = String> + '_ {
+        let early = self
+            .truncation
+            .map(|why| format!("stream ended early: {why}"));
+        self.log.iter().cloned().chain(early)
+    }
+
+    /// `e`, naming the file the image came from.
+    fn error_at(&self, e: StoreError) -> StoreError {
+        match &self.path {
+            Some(path) => e.at(path),
+            None => e,
+        }
+    }
+
     /// Run one indexed chunk's decode over its items. The per-item
     /// loops inside carry a [`DecodeError`]; this turns it into a
     /// `StoreError` naming the file, once per chunk.
@@ -393,13 +426,7 @@ impl StreamFile {
         chunk: &Chunk,
         body: impl FnOnce(&[u8]) -> Result<(), DecodeError>,
     ) -> Result<(), StoreError> {
-        body(&self.bytes[chunk.items.clone()]).map_err(|e| {
-            let e = StoreError::from(e);
-            match &self.path {
-                Some(path) => e.at(path),
-                None => e,
-            }
-        })
+        body(&self.bytes[chunk.items.clone()]).map_err(|e| self.error_at(e.into()))
     }
 
     /// Decode one HWC chunk, checking each event against the recipe's
@@ -492,10 +519,6 @@ impl StreamFile {
                 _ => self.clock_chunk(c, &mut dec, |_, e| clock_events.push(e))?,
             }
         }
-        let mut log = self.log.clone();
-        if let Some(why) = self.truncation {
-            log.push(format!("stream ended early: {why}"));
-        }
         Ok(Experiment {
             counters: self.counters.clone(),
             clock_period: self.clock_period,
@@ -503,9 +526,86 @@ impl StreamFile {
             hwc_events,
             clock_events,
             run: self.run.clone(),
-            log,
+            log: self.decoded_log().collect(),
         })
     }
+}
+
+/// Merge opened `MPES` images collected with one recipe into one
+/// image, by the rule [`crate::merge_experiments`] folds decoded
+/// experiments with. Every recipe is checked before any event is read.
+/// After the first input's header, each input's indexed chunks follow
+/// in order: STACKS chunks decoded to check them and copied unchanged,
+/// and HWC and CLOCK chunks with only their stack-id column (the last)
+/// rewritten, each id checked against the stacks its input defines
+/// before the chunk and shifted past the stacks every earlier input
+/// defines. The other event columns are copied undecoded, so a caller
+/// checks them in inputs it did not write itself (with
+/// [`crate::aggregate_streams`], say). Chunks of unknown kinds are
+/// dropped, as the reader skips them. One footer closes the image: the
+/// run summaries summed, the logs concatenated as each input's decode
+/// gives them, and the attachments of the first input that carries any
+/// ([`crate::merged_attachments`]). Decoding the output gives what
+/// [`crate::merge_experiments`] gives for the same inputs, and the
+/// merge is associative byte for byte:
+/// `merge([merge([a, b]), c]) == merge([a, b, c])`.
+pub fn merge_streams(inputs: &[StreamFile]) -> Result<Vec<u8>, StoreError> {
+    let first = inputs
+        .first()
+        .ok_or_else(|| StoreError::Incompatible("nothing to merge".to_string()))?;
+    for other in &inputs[1..] {
+        check_compatible_headers(first.recipe(), other.recipe())?;
+    }
+    let mut w = SegmentWriter::new(Vec::with_capacity(
+        inputs.iter().map(|f| f.bytes.len()).sum(),
+    ));
+    w.attachments = merged_attachments(inputs.iter().map(StreamFile::attachments));
+    w.begin(&first.counters, first.clock_period, first.run.clock_hz)?;
+    // Stacks the inputs before this one define: its ids' shift.
+    let mut base: StackId = 0;
+    // Where a STACKS chunk decodes to, only to check it.
+    let mut stacks = Vec::new();
+    for input in inputs {
+        let defined: usize = input
+            .chunks
+            .iter()
+            .filter(|c| c.kind == CHUNK_STACKS)
+            .map(|c| c.count)
+            .sum();
+        let next = StackId::try_from(base as usize + defined).map_err(|_| {
+            input.error_at(StoreError::Corrupt("merged stack table exceeds u32 ids"))
+        })?;
+        for c in &input.chunks {
+            // A STACKS payload is checked, then copied whole; an event
+            // chunk's leading count is copied as written, then its
+            // columns with the ids shifted.
+            let payload = &mut w.payload;
+            payload.clear();
+            if c.kind == CHUNK_STACKS {
+                stacks.clear();
+                input.decode(c, |items| get_stacks(items, c.count, &mut stacks))?;
+                payload.extend_from_slice(&input.bytes[c.start..c.items.end]);
+            } else {
+                payload.extend_from_slice(&input.bytes[c.start..c.items.start]);
+                let columns = if c.kind == CHUNK_HWC {
+                    HWC_COLUMNS
+                } else {
+                    CLOCK_COLUMNS
+                };
+                input.decode(c, |items| {
+                    shift_stack_ids(items, columns, c.count, c.stacks, base, payload)
+                })?;
+            }
+            w.chunk(c.kind)?;
+        }
+        base = next;
+    }
+    let log: Vec<String> = inputs.iter().flat_map(StreamFile::decoded_log).collect();
+    w.finish(
+        &merged_run(first.counters.len(), inputs.iter().map(|f| &f.run)),
+        &log,
+    )?;
+    Ok(w.into_inner())
 }
 
 /// Does this file have a readable prefix — an intact preamble and

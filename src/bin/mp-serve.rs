@@ -15,12 +15,11 @@
 //! to read. `--compact-secs N` folds sealed raw segments into packed
 //! stores every N seconds; without it, compaction runs only on an
 //! explicit `compact` query. `--cache-windows N` bounds how many
-//! windows' merge results stay resident between compaction passes
-//! (LRU, default 4; 0 disables the cache — evicted windows just
-//! re-read their packed store from disk). The same N bounds which
-//! compacted windows answer analyzer views (`objects`, `segments`,
-//! `pages`, `lines`) from memory; views on other windows decode their
-//! packed store.
+//! compacted windows keep their decoded packed store in memory for
+//! the analyzer views (`objects`, `segments`, `pages`, `lines`): LRU,
+//! default 4, and 0 disables the cache. A view fills the cache when
+//! it decodes a window with no fresh raw segments; views on other
+//! windows decode from disk.
 //!
 //! `--idle-secs N` (default 300, 0 disables) drops a connection that
 //! sends nothing for N seconds, sealing whatever readable prefix its

@@ -8,8 +8,8 @@
 //! mp-store stat [--json] EXP...     aggregate summary
 //! ```
 //!
-//! Aggregation and merge input decoding size their parallelism to the
-//! available cores.
+//! Aggregation sizes its parallelism to the available cores. Every
+//! command reads each argument once.
 //!
 //! `EXP` arguments accept either representation — a text experiment
 //! directory or a packed `.mps` file — distinguished by the store
@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use std::process::exit;
 
 use memprof::store::{
-    self, aggregate_streams, diff_streams, pack_dir, pack_experiment, unpack_to_dir, ExperimentRef,
+    aggregate_streams, diff_streams, merge_streams, pack_dir, unpack_to_dir, ExperimentRef,
     StreamFile,
 };
 
@@ -41,23 +41,11 @@ fn fail(what: &str, err: impl std::fmt::Display) -> ! {
     exit(1)
 }
 
-/// Sniff an `EXP` argument. An `MPES` file that is only a readable
-/// prefix — a collector stream cut short, or a packed store with a
-/// damaged chunk — still contributes its intact chunks, as everywhere
-/// else, but never silently: say so on stderr.
-fn open_ref(arg: &str) -> ExperimentRef {
-    let r = sniff(arg);
-    if let ExperimentRef::Packed(path) = &r {
-        if let Ok(f) = StreamFile::open(path) {
-            warn_if_prefix(arg, &f);
-        }
-    }
-    r
-}
-
 /// Sniff an `EXP` argument and open it, once, as a stream: a text
-/// directory is packed in memory. Fails as `what`; warns like
-/// [`open_ref`].
+/// directory is packed in memory. Fails as `what`. An `MPES` file that
+/// is only a readable prefix — a collector stream cut short, or a
+/// packed store with a damaged chunk — still contributes its intact
+/// chunks, as everywhere else, but never silently: say so on stderr.
 fn open_stream(arg: &str, what: &str) -> StreamFile {
     let f = sniff(arg).open_stream().unwrap_or_else(|e| fail(what, e));
     warn_if_prefix(arg, &f);
@@ -100,9 +88,9 @@ fn main() {
             let [_, file, dir] = &args[..] else {
                 usage("unpack STORE.mps OUTDIR");
             };
-            open_ref(file);
-            unpack_to_dir(Path::new(file), Path::new(dir))
-                .unwrap_or_else(|e| fail(&format!("cannot unpack {file}"), e));
+            let what = format!("cannot unpack {file}");
+            unpack_to_dir(&open_stream(file, &what), Path::new(dir))
+                .unwrap_or_else(|e| fail(&what, e));
             println!("unpacked {file} -> {dir}");
         }
         "merge" => {
@@ -110,18 +98,23 @@ fn main() {
                 usage("merge OUT.mps EXP...");
             }
             let out = PathBuf::from(&args[1]);
-            let refs: Vec<ExperimentRef> = args[2..].iter().map(|a| open_ref(a)).collect();
-            let merged =
-                store::merge_experiments(&refs).unwrap_or_else(|e| fail("cannot merge", e));
-            let attachments = store::collect_attachments(&refs);
-            std::fs::write(&out, pack_experiment(&merged, &attachments))
+            let inputs: Vec<StreamFile> = args[2..]
+                .iter()
+                .map(|a| open_stream(a, "cannot merge"))
+                .collect();
+            // The merge checks recipes, framing, stack tables and
+            // stack ids, and copies the other event columns undecoded:
+            // check their content here, before anything is written.
+            aggregate_streams(&inputs, 0).unwrap_or_else(|e| fail("cannot merge", e));
+            let merged = merge_streams(&inputs).unwrap_or_else(|e| fail("cannot merge", e));
+            std::fs::write(&out, merged)
                 .unwrap_or_else(|e| fail(&format!("cannot write {}", out.display()), e));
             println!(
                 "merged {} experiments -> {} ({} hwc events, {} clock ticks)",
-                refs.len(),
+                inputs.len(),
                 out.display(),
-                merged.hwc_events.len(),
-                merged.clock_events.len()
+                inputs.iter().map(StreamFile::hwc_total).sum::<usize>(),
+                inputs.iter().map(StreamFile::clock_count).sum::<usize>()
             );
         }
         "diff" => {

@@ -8,9 +8,10 @@
 //! byte-for-byte. Any aggregation change that alters a rendered view
 //! fails here. `mpes_digests.txt` pins the length and XXH64 of the
 //! `MPES` images `pack_experiment` writes for both runs and for a
-//! merge, and of every file `Experiment::save` writes for that merge,
-//! so a change to how experiments are held in memory cannot move a
-//! byte on disk.
+//! merge, of the image `merge_streams` writes from the merge's two
+//! packed inputs, and of every file `Experiment::save` writes for that
+//! merge, so a change to how experiments are held in memory cannot
+//! move a byte on disk.
 //!
 //! Regenerate intentionally with:
 //!
@@ -23,7 +24,9 @@ use std::path::PathBuf;
 
 use mcf_bench::{run_paper_experiments, Scale};
 use memprof_core::analyze::Analysis;
-use memprof_store::{aggregate, diff_aggregates, merge_loaded, pack_experiment, xxh64};
+use memprof_store::{
+    aggregate, diff_aggregates, merge_loaded, merge_streams, pack_experiment, xxh64, StreamFile,
+};
 use simsparc_machine::CounterEvent;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -120,6 +123,12 @@ fn golden_views_and_store_renders() {
     pin("pack exp1", &pack_experiment(&run.exp1, &[]));
     pin("pack exp2", &pack_experiment(&run.exp2, &[]));
     pin("pack merge", &pack_experiment(&merged, &[]));
+    let inputs = [&run.exp1, &shorter]
+        .map(|exp| StreamFile::from_bytes(pack_experiment(exp, &[])).expect("open packed run"));
+    pin(
+        "merge_streams exp1 shorter",
+        &merge_streams(&inputs).expect("merge packed runs"),
+    );
     let dir = std::env::temp_dir().join(format!("memprof_golden_save_{}", std::process::id()));
     merged.save(&dir).expect("save merge");
     let mut files: Vec<_> = std::fs::read_dir(&dir)

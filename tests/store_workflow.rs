@@ -19,7 +19,10 @@ use memprof::minic::CompileOptions;
 use memprof::profiler::{
     analyze::Analysis, collect, parse_counter_spec, CollectConfig, Experiment,
 };
-use memprof::store::{aggregate, merge_loaded, pack_dir, unpack_to_dir, StreamFile};
+use memprof::store::{
+    aggregate, merge_loaded, merge_streams, pack_dir, pack_experiment, unpack_to_dir, xxh64,
+    StreamFile,
+};
 
 fn scratch(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("mp_store_{}_{tag}", std::process::id()))
@@ -78,7 +81,7 @@ fn pack_unpack_reproduces_the_experiment_directory() {
     program.syms.save(&dir.join("syms.txt")).unwrap();
 
     pack_dir(&dir, &packed).unwrap();
-    unpack_to_dir(&packed, &back).unwrap();
+    unpack_to_dir(&StreamFile::open(&packed).unwrap(), &back).unwrap();
 
     for file in [
         "log",
@@ -255,6 +258,16 @@ fn mp_store_cli_packs_merges_and_feeds_er_print() {
         store.to_experiment().unwrap().hwc_events.len(),
         e1.hwc_events.len() + e2.hwc_events.len()
     );
+    // It is the stream merge of its inputs, the text directory packed
+    // in memory the way `stat` reads one.
+    let inputs = [
+        StreamFile::open(&packed1).unwrap(),
+        memprof::store::ExperimentRef::open(&dir2)
+            .unwrap()
+            .open_stream()
+            .unwrap(),
+    ];
+    assert_eq!(store.bytes(), merge_streams(&inputs).unwrap());
 
     // diff reports movement between the full and shortened runs.
     let diff = run(&["diff", dir1.to_str().unwrap(), dir2.to_str().unwrap()]);
@@ -376,4 +389,80 @@ fn text_directories_answer_exactly_like_their_packed_form() {
     for p in &packed {
         std::fs::remove_file(p).ok();
     }
+}
+
+/// `image` with the payload of its first chunk of `kind` changed by
+/// `edit`, resealed with a matching length and checksum so the damage
+/// passes the framing and reaches the content checks.
+fn resealed(image: &[u8], kind: u8, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let len_at = |at: usize| u32::from_le_bytes(image[at + 1..at + 5].try_into().unwrap());
+    let mut at = 5;
+    while image[at] != kind {
+        at += 13 + len_at(at) as usize;
+    }
+    let end = at + 13 + len_at(at) as usize;
+    let mut payload = image[at + 13..end].to_vec();
+    edit(&mut payload);
+    let len = payload.len() as u32;
+    let mut bytes = image[..at].to_vec();
+    bytes.push(kind);
+    bytes.extend_from_slice(&len.to_le_bytes());
+    bytes.extend_from_slice(&xxh64(&payload, u64::from(kind) | u64::from(len) << 8).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    bytes.extend_from_slice(&image[end..]);
+    bytes
+}
+
+/// `image` with its first HWC chunk's first event naming counter 7,
+/// which the recipe lacks.
+fn with_unknown_counter(image: &[u8]) -> Vec<u8> {
+    resealed(image, 2, |payload| {
+        // Past the event count and the tag column's length, both varints.
+        let mut tag = 0;
+        for _ in 0..2 {
+            while payload[tag] & 0x80 != 0 {
+                tag += 1;
+            }
+            tag += 1;
+        }
+        payload[tag] = 0x70 | (payload[tag] & 0x0f);
+    })
+}
+
+/// `mp-store merge` copies every column but the stack ids without
+/// decoding it, so it checks its inputs' content first: a store whose
+/// event names a counter its header lacks, or whose stack table ends
+/// in a stray byte, fails the merge, naming the store, before the
+/// output is created.
+#[test]
+fn merge_refuses_bad_content_before_writing() {
+    let (_, e1) = collect_mcf();
+    let good = scratch("badcol_good.mpes");
+    let bad = scratch("badcol_bad.mpes");
+    let out = scratch("badcol_out.mps");
+    let image = pack_experiment(&e1, &[]);
+    std::fs::write(&good, &image).unwrap();
+    for (damaged, why) in [
+        (with_unknown_counter(&image), "unknown counter"),
+        (
+            resealed(&image, 1, |payload| payload.push(0)),
+            "trailing bytes in chunk",
+        ),
+    ] {
+        std::fs::write(&bad, damaged).unwrap();
+        let _ = std::fs::remove_file(&out);
+        let result = Command::new(env!("CARGO_BIN_EXE_mp-store"))
+            .args(["merge"])
+            .args([&out, &good, &bad])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert_eq!(result.status.code(), Some(1), "{stderr}");
+        let name = bad.file_name().unwrap().to_str().unwrap();
+        assert!(stderr.contains(name) && stderr.contains(why), "{stderr}");
+        assert!(!out.exists(), "merge wrote its output past bad content");
+    }
+
+    std::fs::remove_file(&good).ok();
+    std::fs::remove_file(&bad).ok();
 }
