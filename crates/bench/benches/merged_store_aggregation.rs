@@ -1,14 +1,12 @@
 //! The `mp-store merge` + `mp-store stat` pipeline over packed
 //! stores: fold several same-recipe packed experiments into one
-//! merged store (cross-segment dictionary reuse), then aggregate the
-//! merged store at several shard counts (bulk segment decode feeding
-//! the key-column kernel).
+//! merged experiment, then aggregate the merged store.
 //!
-//! `merge_shards_N` measures the dictionary merge over the packed
-//! inputs; `aggregate_shards_N` measures stat-style aggregation of
-//! the single merged store, where every iteration re-decodes the
-//! store's varint segments — the bulk-decode path is most of the
-//! wall clock at low shard counts.
+//! `merge` measures the in-memory merge over the packed inputs, which
+//! decodes them one per core; `aggregate` measures stat-style
+//! aggregation of the single merged store, where every iteration
+//! re-reads and re-decodes the store's column chunks — the decode is
+//! most of its wall clock.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -17,7 +15,7 @@ use std::path::PathBuf;
 use memprof_core::{
     CallstackTable, CounterRequest, Experiment, PackedClockEvent, PackedHwcEvent, RunInfo,
 };
-use memprof_store::{aggregate_refs, merge_experiments_with, pack_experiment, ExperimentRef};
+use memprof_store::{aggregate_refs, merge_experiments, pack_experiment, ExperimentRef};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use simsparc_machine::CounterEvent;
 
@@ -109,31 +107,27 @@ fn bench_merged_store_aggregation(c: &mut Criterion) {
         .map(|p| ExperimentRef::open(p).unwrap())
         .collect();
 
-    for shards in [1usize, 4] {
-        group.bench_function(format!("merge_shards_{shards}"), |b| {
-            b.iter(|| {
-                let merged = merge_experiments_with(black_box(&refs), shards).unwrap();
-                black_box(merged.hwc_events.len());
-            })
-        });
-    }
+    group.bench_function("merge", |b| {
+        b.iter(|| {
+            let merged = merge_experiments(black_box(&refs)).unwrap();
+            black_box(merged.hwc_events.len());
+        })
+    });
 
     // One merged packed store, aggregated the way `mp-store stat`
     // does it: every iteration re-opens and re-decodes the store.
-    let merged = merge_experiments_with(&refs, 0).unwrap();
+    let merged = merge_experiments(&refs).unwrap();
     let merged_path = scratch("out");
     std::fs::write(&merged_path, pack_experiment(&merged, &[])).unwrap();
     drop(merged);
 
-    for shards in [1usize, 2, 4, 8] {
-        let merged_ref = [ExperimentRef::open(&merged_path).unwrap()];
-        group.bench_function(format!("aggregate_shards_{shards}"), |b| {
-            b.iter(|| {
-                let agg = aggregate_refs(black_box(&merged_ref), shards).unwrap();
-                black_box(agg.totals);
-            })
-        });
-    }
+    let merged_ref = [ExperimentRef::open(&merged_path).unwrap()];
+    group.bench_function("aggregate", |b| {
+        b.iter(|| {
+            let agg = aggregate_refs(black_box(&merged_ref), 0).unwrap();
+            black_box(agg.totals);
+        })
+    });
     group.finish();
 
     for path in inputs.iter().chain([&merged_path]) {

@@ -1,13 +1,7 @@
-//! Scaling of the multi-experiment aggregation engine: the same
-//! event set reduced serially and with 2 / 4 / 8 shards. The engine's
-//! contract is that every shard count produces identical output, so
-//! the only thing that varies here is wall clock.
-//!
-//! The shard scan is embarrassingly parallel and the final merge is
-//! proportional to the distinct-PC count (small for instruction-space
-//! histograms), so speedup tracks available cores: on an N-core
-//! machine expect wins up to `shards = N`, and on a single-core
-//! machine expect parity-with-overhead rather than a win.
+//! The multi-experiment aggregation engine over experiments in
+//! memory: four ~250k-event profiles filled into one charge-PC batch
+//! and folded to a per-PC histogram by `memprof_store::aggregate`,
+//! the oracle every streamed aggregate is tested against.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -98,14 +92,12 @@ fn bench_store_aggregation(c: &mut Criterion) {
         .collect();
     let views: Vec<&Experiment> = exps.iter().collect();
 
-    for shards in [1usize, 2, 4, 8] {
-        group.bench_function(format!("aggregate_shards_{shards}"), |b| {
-            b.iter(|| {
-                let agg = aggregate(black_box(&views), shards).unwrap();
-                black_box(agg.totals);
-            })
-        });
-    }
+    group.bench_function("aggregate", |b| {
+        b.iter(|| {
+            let agg = aggregate(black_box(&views)).unwrap();
+            black_box(agg.totals);
+        })
+    });
     group.finish();
 }
 

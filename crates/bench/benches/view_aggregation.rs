@@ -1,15 +1,12 @@
-//! Scaling of the shared view-aggregation kernel: a merged
-//! 8-experiment store reduced to a per-PC histogram by
-//! `memprof_core::aggregate_by`, serially and with 2 / 4 / 8 shards —
-//! the same kernel every analyzer view and `mp-store stat` run on, so
-//! this measures the engine under every table in the tool.
+//! The shared view-aggregation kernel: a merged 8-experiment store
+//! reduced to a per-PC histogram by `memprof_core::aggregate_by` — the
+//! same kernel every analyzer view and `mp-store stat` run on, so this
+//! measures the engine under every table in the tool.
 //!
 //! The batch build (one streaming pass per source) is kept outside
 //! the timed region: the kernel contract is that the batch is built
 //! once per analysis and every view re-reduces it, so the fold is
-//! what repeats in practice. As with `store_aggregation`, every shard
-//! count produces identical output; on a single-core machine expect
-//! parity-with-overhead rather than a win.
+//! what repeats in practice.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -105,19 +102,12 @@ fn bench_view_aggregation(c: &mut Criterion) {
     fill_clock_pc_rows(&mut batch, 0, &merged.clock_events);
     fill_hwc_pc_rows(&mut batch, &merged.counters, &[1, 2], &merged.hwc_events);
 
-    let serial = aggregate_by(&batch, &ByPc, 1);
-    for shards in [2usize, 4, 8] {
-        assert_eq!(aggregate_by(&batch, &ByPc, shards), serial);
-    }
-
-    for shards in [1usize, 2, 4, 8] {
-        group.bench_function(format!("aggregate_by_shards_{shards}"), |b| {
-            b.iter(|| {
-                let map = aggregate_by(black_box(&batch), &ByPc, shards);
-                black_box(map.len());
-            })
-        });
-    }
+    group.bench_function("aggregate_by", |b| {
+        b.iter(|| {
+            let map = aggregate_by(black_box(&batch), &ByPc);
+            black_box(map.len());
+        })
+    });
     group.finish();
 }
 

@@ -276,11 +276,11 @@ impl<'a> Analysis<'a> {
         self.batch.totals()
     }
 
-    /// Fold the cached batch under a grouping key on one shard.
-    /// Keyers without a raw key column — the closures that chase
-    /// callstacks back into the experiments — take the serial fold.
-    pub(crate) fn kernel<G: GroupKey + Sync>(&self, keyer: &G) -> HashMap<G::Key, Vec<u64>> {
-        aggregate_by(&self.batch, keyer, 1)
+    /// Fold the cached batch under a grouping key. Keyers without a
+    /// raw key column — the closures that chase callstacks back into
+    /// the experiments — take the serial fold.
+    pub(crate) fn kernel<G: GroupKey>(&self, keyer: &G) -> HashMap<G::Key, Vec<u64>> {
+        aggregate_by(&self.batch, keyer)
     }
 }
 

@@ -7,18 +7,16 @@
 //! once, as parallel arrays (struct-of-arrays), and
 //! [`aggregate_by`] folds it under any [`GroupKey`].
 //!
-//! The fold is a radix-partition group-by, not a per-event hash
-//! fold: the keyer first materializes a *key column* (one raw `u64`
-//! per kept row, [`GroupKey::key_column`]), shards deal their rows
-//! into partitions by a bit-mixed key prefix, partitions fold in
-//! parallel through open-addressing tables with one flat sample
-//! array (no per-key allocation), and the raw groups are decoded
-//! back to typed keys once per *group* ([`GroupKey::decode_key`]),
-//! not once per event. Keyers without a raw encoding (ad-hoc
-//! closures) fold through [`aggregate_by_serial`], the one-pass
-//! oracle fold kept for differential testing. Addition commutes, so
-//! every shard count produces output *identical* to that oracle —
-//! not merely equivalent.
+//! The fold is a raw-key group-by, not a per-event hash fold: the
+//! keyer yields a *key column* (one raw `u64` per kept row,
+//! [`GroupKey::key_column`]), one open-addressing table with one flat
+//! sample array (no per-key allocation) folds it on the calling
+//! thread, and the raw groups are decoded back to typed keys once per
+//! *group* ([`GroupKey::decode_key`]), not once per event. Keyers
+//! without a raw encoding (ad-hoc closures) fold through
+//! [`aggregate_by_serial`], the one-pass oracle fold kept for
+//! differential testing; every keyer's output is *identical* to that
+//! oracle's — not merely equivalent.
 //!
 //! Every row is an attributed event ([`BatchEvent`], pushed by
 //! `analyze::Analysis`): it carries the §2.3 validation verdict
@@ -34,9 +32,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use minic::MemDesc;
 
@@ -285,12 +281,11 @@ impl EventBatch {
 ///
 /// Keyers whose key fits a raw `u64` additionally implement the bulk
 /// [`GroupKey::key_column`] / [`GroupKey::decode_key`] pair, which
-/// routes [`aggregate_by`] onto the radix-partition fast path: the
-/// key column is materialized range-wise, rows are partitioned and
-/// folded on the raw value alone, and typed keys are reconstructed
-/// once per distinct group.
+/// routes [`aggregate_by`] onto its raw-table fold: the key column is
+/// materialized block by block, rows fold on the raw value alone, and
+/// typed keys are reconstructed once per distinct group.
 pub trait GroupKey {
-    type Key: Hash + Eq + Clone + Send;
+    type Key: Hash + Eq + Clone;
     fn key(&self, batch: &EventBatch, i: usize) -> Option<Self::Key>;
 
     /// Bulk keying: append one entry per row of `range` to `out`
@@ -334,7 +329,7 @@ pub trait GroupKey {
 
 impl<K, F> GroupKey for F
 where
-    K: Hash + Eq + Clone + Send,
+    K: Hash + Eq + Clone,
     F: Fn(&EventBatch, usize) -> Option<K>,
 {
     type Key = K;
@@ -565,7 +560,7 @@ impl GroupKey for ByLineInRange {
 /// Serial group-by fold: one pass over the batch, one sample-count
 /// vector per key, driven by per-row [`GroupKey::key`] calls. This is
 /// the *oracle* path: it never touches the key-column machinery, so
-/// differential tests pin the radix kernel against it.
+/// differential tests pin the raw-table kernel against it.
 pub fn aggregate_by_serial<G: GroupKey>(
     batch: &EventBatch,
     keyer: &G,
@@ -581,9 +576,8 @@ pub fn aggregate_by_serial<G: GroupKey>(
 }
 
 /// `splitmix64` finalizer. Raw keys are low-entropy (small interned
-/// ids, word-aligned PCs, bucket bases), so both the partition index
-/// (top bits) and the probe slot (bottom bits) come from the mixed
-/// value, never the raw one.
+/// ids, word-aligned PCs, bucket bases), so the probe slot comes from
+/// the mixed value's low bits, never the raw one's.
 #[inline]
 fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -592,77 +586,10 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Partition index of a raw key: the top `log2(parts)` bits of the
-/// mixed key. `parts` must be a power of two.
-#[inline]
-fn part_of(raw: u64, parts: usize) -> usize {
-    debug_assert!(parts.is_power_of_two());
-    if parts == 1 {
-        0
-    } else {
-        (mix(raw) >> (64 - parts.trailing_zeros())) as usize
-    }
-}
-
-/// How many radix partitions a fold uses: the shard count rounded up
-/// to a power of two (so the partition index is a bit prefix), capped
-/// to keep tiny partitions from dominating at silly shard counts.
-fn partition_count(shards: usize) -> usize {
-    shards.next_power_of_two().min(256)
-}
-
-/// How many rows one morsel claims. Matches the serial path's block
-/// size: big enough that the claim (one `fetch_add`) is noise, small
-/// enough that a straggler thread holds at most one morsel of work
-/// while its peers sit idle.
-const MORSEL_ROWS: usize = 1 << 16;
-
-/// One worker's rows, dealt into per-partition `(raw key, column)`
-/// runs. Workers claim morsels off a shared cursor, so which rows a
-/// worker saw is nondeterministic — but addition commutes, so the
-/// fold's output never depends on the claim order.
-struct WorkerPartitions {
-    parts: Vec<Vec<(u64, u32)>>,
-}
-
-/// Phase 1 of the raw fold, run by each worker thread: claim morsels
-/// off the shared row cursor until the batch is exhausted,
-/// materialize each morsel's key column (or borrow the batch's own
-/// array on the dense path), and deal kept rows into per-partition
-/// runs.
-fn partition_morsels<G: GroupKey>(
-    batch: &EventBatch,
-    keyer: &G,
-    cursor: &AtomicUsize,
-    nparts: usize,
-) -> WorkerPartitions {
-    let len = batch.len();
-    let dense = keyer.dense_keys(batch);
-    let mut parts: Vec<Vec<(u64, u32)>> = (0..nparts).map(|_| Vec::new()).collect();
-    let mut keys: Vec<Option<u64>> = Vec::new();
-    loop {
-        let lo = cursor.fetch_add(MORSEL_ROWS, Ordering::Relaxed);
-        if lo >= len {
-            break;
-        }
-        let hi = (lo + MORSEL_ROWS).min(len);
-        if let Some(col) = dense {
-            for (&raw, &c) in col[lo..hi].iter().zip(&batch.col[lo..hi]) {
-                parts[part_of(raw, nparts)].push((raw, c));
-            }
-        } else {
-            keys.clear();
-            let raw_ok = keyer.key_column(batch, lo..hi, &mut keys);
-            debug_assert!(raw_ok, "raw fold on a keyer without a key column");
-            for (key, &c) in keys.iter().zip(&batch.col[lo..hi]) {
-                if let Some(raw) = *key {
-                    parts[part_of(raw, nparts)].push((raw, c));
-                }
-            }
-        }
-    }
-    WorkerPartitions { parts }
-}
+/// How many rows one materialized key-column block holds: big enough
+/// that the per-block call is noise, small enough (1 MiB of
+/// `Option<u64>`) that the block is still in cache when it folds.
+const BLOCK_ROWS: usize = 1 << 16;
 
 /// Open-addressing fold table keyed by raw values. Group indices live
 /// in the slot array, sample counts in one flat row-major array — no
@@ -680,17 +607,8 @@ struct RawTable {
 
 impl RawTable {
     fn new(ncols: usize) -> RawTable {
-        RawTable::with_groups_hint(ncols, 0)
-    }
-
-    /// Size the slot array for an expected distinct-group count so
-    /// a fold over a known-large partition skips the early rehash
-    /// ladder. The hint is a ceiling estimate, not a promise — the
-    /// table still grows normally past it.
-    fn with_groups_hint(ncols: usize, groups: usize) -> RawTable {
-        let slots = (groups.max(1) * 2).next_power_of_two().clamp(1024, 1 << 17);
         RawTable {
-            slots: vec![u32::MAX; slots],
+            slots: vec![u32::MAX; 1024],
             raws: Vec::new(),
             samples: Vec::new(),
             ncols,
@@ -738,199 +656,66 @@ impl RawTable {
     }
 }
 
-/// Phase 2 of the raw fold, run once per partition: fold the
-/// partition's entries from every worker through a [`RawTable`]. Each
-/// partition owns a disjoint key range, so there is no
-/// cross-partition synchronization. The table is pre-sized from the
-/// partition's entry count (a distinct-group ceiling).
-fn fold_partition(workers: &[WorkerPartitions], p: usize, ncols: usize) -> (Vec<u64>, Vec<u64>) {
-    let total: usize = workers.iter().map(|w| w.parts[p].len()).sum();
-    if total == 0 {
-        return (Vec::new(), Vec::new());
-    }
-    let mut table = RawTable::with_groups_hint(ncols, total / 4);
-    for worker in workers {
-        for &(raw, col) in &worker.parts[p] {
-            table.add(raw, col);
-        }
-    }
-    (table.raws, table.samples)
-}
-
-/// The radix-partition fold for keyers with a raw `u64` encoding.
-fn aggregate_raw<G>(batch: &EventBatch, keyer: &G, shards: usize) -> HashMap<G::Key, Vec<u64>>
-where
-    G: GroupKey + Sync,
-{
-    let len = batch.len();
-    let ncols = batch.ncols();
-    if shards == 1 {
-        // Inline fold: with a single worker the partition deal would
-        // only copy the rows it is about to fold, so the partition
-        // phase is skipped entirely. On the dense path the batch's
-        // own key array feeds the table directly; otherwise the key
-        // column materializes in cache-sized blocks and each block
-        // folds while still warm — a full-length key vector would
-        // make a round trip through memory just to be read back once.
-        let mut table = RawTable::new(ncols);
-        if let Some(col) = keyer.dense_keys(batch) {
-            for (&raw, &c) in col.iter().zip(&batch.col) {
-                table.add(raw, c);
-            }
-            return decode_folded(batch, keyer, &[(table.raws, table.samples)], ncols);
-        }
-        let mut keys: Vec<Option<u64>> = Vec::with_capacity(MORSEL_ROWS.min(len));
-        let mut lo = 0;
-        while lo < len {
-            let hi = (lo + MORSEL_ROWS).min(len);
-            keys.clear();
-            let raw = keyer.key_column(batch, lo..hi, &mut keys);
-            debug_assert!(raw, "raw fold on a keyer without a key column");
-            for (key, &col) in keys.iter().zip(&batch.col[lo..hi]) {
-                if let Some(raw) = *key {
-                    table.add(raw, col);
-                }
-            }
-            lo = hi;
-        }
-        return decode_folded(batch, keyer, &[(table.raws, table.samples)], ncols);
-    }
-    let nparts = partition_count(shards);
-    let workers: Vec<WorkerPartitions> = {
-        let cursor = AtomicUsize::new(0);
-        let cursor = &cursor;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|_| scope.spawn(move || partition_morsels(batch, keyer, cursor, nparts)))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    };
-    // Fold partitions with the same work-stealing shape: `shards`
-    // threads claim partition indices off a cursor, so an unlucky
-    // thread stuck with the hottest partition doesn't serialize the
-    // rest behind it.
-    let folded: Vec<(Vec<u64>, Vec<u64>)> = {
-        let workers = &workers;
-        let cursor = AtomicUsize::new(0);
-        let cursor = &cursor;
-        let mut folded: Vec<(Vec<u64>, Vec<u64>)> =
-            (0..nparts).map(|_| (Vec::new(), Vec::new())).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards.min(nparts))
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut mine = Vec::new();
-                        loop {
-                            let p = cursor.fetch_add(1, Ordering::Relaxed);
-                            if p >= nparts {
-                                break;
-                            }
-                            mine.push((p, fold_partition(workers, p, ncols)));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (p, r) in h.join().unwrap() {
-                    folded[p] = r;
-                }
-            }
-        });
-        folded
-    };
-    decode_folded(batch, keyer, &folded, ncols)
-}
-
 /// Decode once per group. Addition on collision keeps the fold
 /// correct even for a non-injective decode (several raw values
 /// mapping to one typed key).
 fn decode_folded<G: GroupKey>(
     batch: &EventBatch,
     keyer: &G,
-    folded: &[(Vec<u64>, Vec<u64>)],
-    ncols: usize,
+    table: &RawTable,
 ) -> HashMap<G::Key, Vec<u64>> {
-    let mut out: HashMap<G::Key, Vec<u64>> =
-        HashMap::with_capacity(folded.iter().map(|(raws, _)| raws.len()).sum());
-    for (raws, samples) in folded {
-        for (g, &raw) in raws.iter().enumerate() {
-            let row = &samples[g * ncols..(g + 1) * ncols];
-            match out.entry(keyer.decode_key(batch, raw)) {
-                Entry::Occupied(mut e) => {
-                    for (dst, src) in e.get_mut().iter_mut().zip(row) {
-                        *dst += src;
-                    }
+    let ncols = table.ncols;
+    let mut out: HashMap<G::Key, Vec<u64>> = HashMap::with_capacity(table.raws.len());
+    for (g, &raw) in table.raws.iter().enumerate() {
+        let row = &table.samples[g * ncols..(g + 1) * ncols];
+        match out.entry(keyer.decode_key(batch, raw)) {
+            Entry::Occupied(mut e) => {
+                for (dst, src) in e.get_mut().iter_mut().zip(row) {
+                    *dst += src;
                 }
-                Entry::Vacant(e) => {
-                    e.insert(row.to_vec());
-                }
+            }
+            Entry::Vacant(e) => {
+                e.insert(row.to_vec());
             }
         }
     }
     out
 }
 
-/// Floor on rows per worker thread: below this, spawn + join costs
-/// more than the fold itself, so the shard count is clamped until
-/// every worker has at least this many rows to chew on.
-pub const MIN_ROWS_PER_SHARD: usize = 8192;
-
-/// Resolve a requested shard count against the machine and the
-/// workload: `0` means "auto", any request is capped by
-/// [`std::thread::available_parallelism`] (threads beyond the core
-/// count only add spawn and scheduling overhead), and the result is
-/// clamped so every worker gets at least [`MIN_ROWS_PER_SHARD`] rows.
-/// On a single-core host this resolves every request to 1 — the
-/// sharded fold's output is identical anyway, so only wall clock
-/// changes.
-pub fn effective_shards(requested: usize, rows: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
-    let capped = match requested {
-        0 => hw,
-        n => n.min(hw),
-    };
-    capped.min(rows / MIN_ROWS_PER_SHARD).max(1)
-}
-
 /// The group-by kernel behind every analyzer view and store
-/// histogram: a morsel-driven radix-partition fold over a
-/// materialized key column (keyers without one — closures — fold
-/// through [`aggregate_by_serial`]). The shard count is resolved through
-/// [`effective_shards`] — `0` picks the available parallelism, and
-/// any count is capped by the core count and a min-rows floor so
-/// small batches and single-core hosts never pay spawn overhead.
-/// Every shard count produces output identical to
-/// [`aggregate_by_serial`]'s.
-pub fn aggregate_by<G>(batch: &EventBatch, keyer: &G, shards: usize) -> HashMap<G::Key, Vec<u64>>
-where
-    G: GroupKey + Sync,
-{
-    aggregate_by_exact(batch, keyer, effective_shards(shards, batch.len()))
-}
-
-/// [`aggregate_by`] with the shard count honored exactly (only
-/// clamped to the row count): differential tests use this to drive
-/// the multi-worker morsel paths regardless of the host's core
-/// count. Production callers want [`aggregate_by`].
-pub fn aggregate_by_exact<G>(
-    batch: &EventBatch,
-    keyer: &G,
-    shards: usize,
-) -> HashMap<G::Key, Vec<u64>>
-where
-    G: GroupKey + Sync,
-{
-    let shards = shards.max(1).min(batch.len().max(1));
-    let mut probe = Vec::new();
-    if keyer.key_column(batch, 0..0, &mut probe) {
-        aggregate_raw(batch, keyer, shards)
-    } else {
-        aggregate_by_serial(batch, keyer)
+/// histogram, run on the calling thread. A keyer with a raw key
+/// column folds through one open-addressing table: straight from the
+/// batch's own array when [`GroupKey::dense_keys`] offers one,
+/// otherwise from its key column materialized in 64k-row blocks, each
+/// folded while still warm (a full-length key vector would make a
+/// round trip through memory just to be read back once). Typed keys
+/// are decoded once per group. Keyers without a key column (ad-hoc
+/// closures) fold through [`aggregate_by_serial`], and the output is
+/// identical to that oracle's for every keyer.
+pub fn aggregate_by<G: GroupKey>(batch: &EventBatch, keyer: &G) -> HashMap<G::Key, Vec<u64>> {
+    if !keyer.key_column(batch, 0..0, &mut Vec::new()) {
+        return aggregate_by_serial(batch, keyer);
     }
+    let mut table = RawTable::new(batch.ncols());
+    if let Some(col) = keyer.dense_keys(batch) {
+        for (&raw, &c) in col.iter().zip(&batch.col) {
+            table.add(raw, c);
+        }
+    } else {
+        let len = batch.len();
+        let mut keys: Vec<Option<u64>> = Vec::with_capacity(BLOCK_ROWS.min(len));
+        for lo in (0..len).step_by(BLOCK_ROWS) {
+            let hi = (lo + BLOCK_ROWS).min(len);
+            keys.clear();
+            keyer.key_column(batch, lo..hi, &mut keys);
+            for (key, &c) in keys.iter().zip(&batch.col[lo..hi]) {
+                if let Some(raw) = *key {
+                    table.add(raw, c);
+                }
+            }
+        }
+    }
+    decode_folded(batch, keyer, &table)
 }
 
 #[cfg(test)]
@@ -955,56 +740,23 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_sharded_agree_on_every_key() {
+    fn raw_table_fold_agrees_with_serial_on_every_key() {
         let b = bag(1000);
-        // `aggregate_by` resolves through effective_shards (0 = auto)
-        // and may collapse to the inline fold on a small box;
-        // `aggregate_by_exact` forces the multi-worker morsel path
-        // even on a single-core host.
-        for shards in [0, 1, 2, 3, 7, 16] {
-            assert_eq!(
-                aggregate_by(&b, &ByPc, shards),
-                aggregate_by_serial(&b, &ByPc)
-            );
-            assert_eq!(
-                aggregate_by_exact(&b, &ByPc, shards),
-                aggregate_by_serial(&b, &ByPc)
-            );
-            assert_eq!(
-                aggregate_by_exact(&b, &ByAddrBucket { bytes: 64 }, shards),
-                aggregate_by_serial(&b, &ByAddrBucket { bytes: 64 })
-            );
-            assert_eq!(
-                aggregate_by_exact(&b, &ByFunc, shards),
-                aggregate_by_serial(&b, &ByFunc)
-            );
-        }
+        assert_eq!(aggregate_by(&b, &ByPc), aggregate_by_serial(&b, &ByPc));
+        let bucket = ByAddrBucket { bytes: 64 };
+        assert_eq!(aggregate_by(&b, &bucket), aggregate_by_serial(&b, &bucket));
+        assert_eq!(aggregate_by(&b, &ByFunc), aggregate_by_serial(&b, &ByFunc));
     }
 
     #[test]
-    fn morsel_workers_agree_on_multi_morsel_batches() {
-        // More rows than one morsel, so multi-worker runs exercise
-        // real claim contention and per-worker partition runs.
-        let b = bag(MORSEL_ROWS * 2 + 123);
-        for shards in [2, 5] {
-            assert_eq!(
-                aggregate_by_exact(&b, &ByPc, shards),
-                aggregate_by_serial(&b, &ByPc)
-            );
-        }
-    }
-
-    #[test]
-    fn effective_shards_caps_by_floor_and_cores() {
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        // Tiny workloads stay serial no matter what was requested.
-        assert_eq!(effective_shards(8, 100), 1);
-        assert_eq!(effective_shards(0, 0), 1);
-        // Huge workloads are capped by the core count.
-        assert!(effective_shards(0, 100 * MIN_ROWS_PER_SHARD) <= hw);
-        assert!(effective_shards(64, 100 * MIN_ROWS_PER_SHARD) <= hw);
-        // A request never resolves above itself.
-        assert!(effective_shards(2, 100 * MIN_ROWS_PER_SHARD) <= 2);
+    fn batches_longer_than_one_block_agree_with_serial() {
+        // More rows than two key-column blocks, so the blocked fold
+        // (ByAddrBucket) and the dense one (ByPc) each cross block
+        // boundaries and a ragged last block.
+        let b = bag(BLOCK_ROWS * 2 + 123);
+        assert_eq!(aggregate_by(&b, &ByPc), aggregate_by_serial(&b, &ByPc));
+        let bucket = ByAddrBucket { bytes: 64 };
+        assert_eq!(aggregate_by(&b, &bucket), aggregate_by_serial(&b, &bucket));
     }
 
     #[test]
@@ -1019,16 +771,14 @@ mod tests {
             entry: 0x1008,
             end: 0x1030,
         };
-        for shards in [1, 3, 8] {
-            assert_eq!(
-                aggregate_by_exact(&b, &by_pc_range, shards),
-                aggregate_by_serial(&b, &by_pc_range)
-            );
-            assert_eq!(
-                aggregate_by_exact(&b, &by_line_range, shards),
-                aggregate_by_serial(&b, &by_line_range)
-            );
-        }
+        assert_eq!(
+            aggregate_by(&b, &by_pc_range),
+            aggregate_by_serial(&b, &by_pc_range)
+        );
+        assert_eq!(
+            aggregate_by(&b, &by_line_range),
+            aggregate_by_serial(&b, &by_line_range)
+        );
     }
 
     #[test]
@@ -1097,7 +847,7 @@ mod tests {
     #[test]
     fn empty_batch_aggregates_to_nothing() {
         let b = EventBatch::new(2);
-        assert!(aggregate_by(&b, &ByPc, 8).is_empty());
+        assert!(aggregate_by(&b, &ByPc).is_empty());
         assert_eq!(b.totals(), vec![0, 0]);
     }
 

@@ -63,7 +63,7 @@ mod experiment;
 mod stream;
 pub mod verify;
 
-pub use batch::{aggregate_by, aggregate_by_exact, aggregate_by_serial, EventBatch, GroupKey};
+pub use batch::{aggregate_by, aggregate_by_serial, EventBatch, GroupKey};
 pub use collect::{
     backtrack, collect, collect_stream, event_accepts, reconstruct_ea, CollectConfig, CollectError,
     TextMap, MAX_BACKTRACK_INSNS,

@@ -1,8 +1,8 @@
 //! Property tests for the shared aggregation kernel: for arbitrary
-//! batches, keyers, and shard counts, the sharded fold must equal the
-//! serial fold *exactly* — same keys, same per-column sums. This is
-//! the contract that lets every view and `mp-store stat` switch
-//! between the paths freely.
+//! batches and keyers, the raw-table fold ([`aggregate_by`]) must
+//! equal the per-row oracle fold ([`aggregate_by_serial`]) *exactly* —
+//! same keys, same per-column sums. This is the contract every view
+//! and `mp-store stat` rests on.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -11,7 +11,7 @@ use memprof_core::batch::{
     AttrTag, BatchEvent, ByAddrBucket, ByDesc, ByFunc, ByLine, ByLineInRange, ByPc, ByPcInRange,
     NO_ID, NO_LINE,
 };
-use memprof_core::{aggregate_by, aggregate_by_exact, aggregate_by_serial, EventBatch};
+use memprof_core::{aggregate_by, aggregate_by_serial, EventBatch};
 
 type RawRow = (usize, u64, bool, u64, bool, u64);
 
@@ -40,7 +40,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn sharded_equals_serial_for_every_shard_count(
+    fn raw_table_fold_equals_serial(
         rows in vec(
             (
                 0usize..4,
@@ -52,32 +52,21 @@ proptest! {
             ),
             0..200,
         ),
-        shards in 1usize..24,
     ) {
         let batch = build_batch(4, &rows);
 
-        // `aggregate_by` may cap the request down to the hardware (on
-        // a small host these all collapse to the serial path);
-        // `aggregate_by_exact` honors the count, so the morsel workers
-        // and partition fold are exercised on any machine.
         let by_pc = aggregate_by_serial(&batch, &ByPc);
-        prop_assert_eq!(aggregate_by(&batch, &ByPc, shards), by_pc.clone());
-        prop_assert_eq!(aggregate_by_exact(&batch, &ByPc, shards), by_pc.clone());
+        prop_assert_eq!(aggregate_by(&batch, &ByPc), by_pc.clone());
 
         let bucket = ByAddrBucket { bytes: 64 };
-        let by_bucket = aggregate_by_serial(&batch, &bucket);
-        prop_assert_eq!(aggregate_by(&batch, &bucket, shards), by_bucket.clone());
-        prop_assert_eq!(aggregate_by_exact(&batch, &bucket, shards), by_bucket);
+        prop_assert_eq!(aggregate_by(&batch, &bucket), aggregate_by_serial(&batch, &bucket));
 
         // A filtering closure key (only even PCs in column 0), to
         // cover keys that skip rows.
         let keyer = |b: &EventBatch, i: usize| -> Option<u64> {
             (b.col[i] == 0 && b.pc[i].is_multiple_of(8)).then(|| b.pc[i])
         };
-        prop_assert_eq!(
-            aggregate_by_exact(&batch, &keyer, shards),
-            aggregate_by_serial(&batch, &keyer)
-        );
+        prop_assert_eq!(aggregate_by(&batch, &keyer), aggregate_by_serial(&batch, &keyer));
 
         // Totals are the column-wise sums of any exhaustive keying.
         let mut sums = vec![0u64; 4];
@@ -125,11 +114,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every `GroupKey` shape the views use — raw-keyed and
-    /// generic-fallback alike — folds identically on the sharded and
-    /// serial paths over attributed batches, including `shards = 0`
-    /// (size to the available cores).
+    /// generic-fallback alike — folds identically on the raw-table and
+    /// oracle paths over attributed batches.
     #[test]
-    fn every_keyer_sharded_equals_serial_on_attributed_batches(
+    fn every_keyer_equals_serial_on_attributed_batches(
         rows in vec(
             (
                 0usize..3,
@@ -142,47 +130,25 @@ proptest! {
             ),
             0..300,
         ),
-        shards in 0usize..24,
     ) {
         let batch = build_attr_batch(3, &rows);
 
-        // Both the capped entry point and the exact-shard one (which
-        // keeps the parallel machinery honest on single-core hosts).
-        prop_assert_eq!(
-            aggregate_by(&batch, &ByPc, shards),
-            aggregate_by_serial(&batch, &ByPc)
-        );
-        prop_assert_eq!(
-            aggregate_by_exact(&batch, &ByPc, shards),
-            aggregate_by_serial(&batch, &ByPc)
-        );
-        prop_assert_eq!(
-            aggregate_by_exact(&batch, &ByFunc, shards),
-            aggregate_by_serial(&batch, &ByFunc)
-        );
-        prop_assert_eq!(
-            aggregate_by_exact(&batch, &ByLine, shards),
-            aggregate_by_serial(&batch, &ByLine)
-        );
-        prop_assert_eq!(
-            aggregate_by_exact(&batch, &ByDesc, shards),
-            aggregate_by_serial(&batch, &ByDesc)
-        );
+        prop_assert_eq!(aggregate_by(&batch, &ByPc), aggregate_by_serial(&batch, &ByPc));
+        prop_assert_eq!(aggregate_by(&batch, &ByFunc), aggregate_by_serial(&batch, &ByFunc));
+        prop_assert_eq!(aggregate_by(&batch, &ByLine), aggregate_by_serial(&batch, &ByLine));
+        prop_assert_eq!(aggregate_by(&batch, &ByDesc), aggregate_by_serial(&batch, &ByDesc));
         let bucket = ByAddrBucket { bytes: 256 };
-        prop_assert_eq!(
-            aggregate_by_exact(&batch, &bucket, shards),
-            aggregate_by_serial(&batch, &bucket)
-        );
+        prop_assert_eq!(aggregate_by(&batch, &bucket), aggregate_by_serial(&batch, &bucket));
         for artificial in [false, true] {
             let in_range = ByPcInRange { entry: 0x1_0800, end: 0x1_1000, artificial };
             prop_assert_eq!(
-                aggregate_by_exact(&batch, &in_range, shards),
+                aggregate_by(&batch, &in_range),
                 aggregate_by_serial(&batch, &in_range)
             );
         }
         let line_range = ByLineInRange { entry: 0x1_0800, end: 0x1_1000 };
         prop_assert_eq!(
-            aggregate_by_exact(&batch, &line_range, shards),
+            aggregate_by(&batch, &line_range),
             aggregate_by_serial(&batch, &line_range)
         );
     }
@@ -197,20 +163,16 @@ fn all_none_key_rows_aggregate_to_nothing() {
         .map(|i| (i % 4, 0x2_0000 + i as u64, false, 0, false, 0))
         .collect();
     let batch = build_batch(4, &rows);
-    for shards in [0, 1, 3, 8] {
-        assert!(aggregate_by(&batch, &ByLine, shards).is_empty());
-        assert!(aggregate_by(&batch, &ByDesc, shards).is_empty());
-        assert!(aggregate_by_exact(&batch, &ByLine, shards).is_empty());
-        assert!(aggregate_by_exact(&batch, &ByDesc, shards).is_empty());
-        let never = |_: &EventBatch, _: usize| -> Option<u64> { None };
-        assert!(aggregate_by_exact(&batch, &never, shards).is_empty());
-    }
+    assert!(aggregate_by(&batch, &ByLine).is_empty());
+    assert!(aggregate_by(&batch, &ByDesc).is_empty());
+    let never = |_: &EventBatch, _: usize| -> Option<u64> { None };
+    assert!(aggregate_by(&batch, &never).is_empty());
     assert!(aggregate_by_serial(&batch, &ByLine).is_empty());
 }
 
 /// One key repeated across every row collapses to a single group with
-/// the full column totals, at every shard count — the degenerate
-/// distribution where every radix partition but one is empty.
+/// the full column totals — the degenerate distribution where every
+/// probe lands on one slot.
 #[test]
 fn single_repeated_key_folds_to_one_group() {
     let rows: Vec<RawRow> = (0..10_000)
@@ -220,31 +182,58 @@ fn single_repeated_key_folds_to_one_group() {
     let serial = aggregate_by_serial(&batch, &ByPc);
     assert_eq!(serial.len(), 1);
     assert_eq!(serial[&0xBEEF].iter().sum::<u64>(), 10_000);
-    for shards in [0, 1, 2, 7, 16, 23] {
-        assert_eq!(aggregate_by(&batch, &ByPc, shards), serial);
-        assert_eq!(aggregate_by_exact(&batch, &ByPc, shards), serial);
-        // Every EA is in the same bucket too.
-        let bucket = ByAddrBucket { bytes: 4096 };
-        assert_eq!(aggregate_by_exact(&batch, &bucket, shards).len(), 1);
-    }
+    assert_eq!(aggregate_by(&batch, &ByPc), serial);
+    // Every EA is in the same bucket too.
+    let bucket = ByAddrBucket { bytes: 4096 };
+    assert_eq!(aggregate_by(&batch, &bucket).len(), 1);
 }
 
-/// More distinct keys than radix partitions, each key recurring in
-/// every shard's row range: partition boundaries fall *inside* key
-/// runs, so per-partition merges must re-unite groups split across
-/// shards.
+/// 999 distinct keys, more than half the table's initial 1024 slots:
+/// the fold grows its table mid-batch, and every group must survive
+/// the rehash with its counts.
 #[test]
-fn keys_straddling_partition_boundaries_reunite() {
+fn table_growth_keeps_every_group() {
     let rows: Vec<RawRow> = (0..8_192)
         .map(|i| (i % 4, 0x1_0000 + (i as u64 % 999), false, 0, false, 0))
         .collect();
     let batch = build_batch(4, &rows);
     let serial = aggregate_by_serial(&batch, &ByPc);
     assert_eq!(serial.len(), 999);
-    for shards in [0, 2, 3, 8, 13] {
-        assert_eq!(aggregate_by(&batch, &ByPc, shards), serial);
-        // The exact path forces real partitioning: boundaries fall
-        // inside key runs regardless of how many cores exist.
-        assert_eq!(aggregate_by_exact(&batch, &ByPc, shards), serial);
-    }
+    assert_eq!(aggregate_by(&batch, &ByPc), serial);
+}
+
+/// A batch longer than two 64k-row key-column blocks: groups recur
+/// in every block, and the blocked fold (`ByAddrBucket`, `ByLine`) and
+/// the dense one (`ByPc`) must both carry them across block
+/// boundaries and the ragged last block.
+#[test]
+fn batches_spanning_several_blocks_equal_serial() {
+    let rows: Vec<AttrRow> = (0..(2 << 16) + 4_321)
+        .map(|i| {
+            let i = i as u32;
+            (
+                (i % 3) as usize,
+                0x1_0000 + u64::from(i % 1_531) * 4,
+                (i % 3) as u8,
+                i % 6,
+                i % 5,
+                (!i.is_multiple_of(7), i % 50),
+                (!i.is_multiple_of(4), u64::from(i % 4_099) * 8),
+            )
+        })
+        .collect();
+    let batch = build_attr_batch(3, &rows);
+    assert_eq!(
+        aggregate_by(&batch, &ByPc),
+        aggregate_by_serial(&batch, &ByPc)
+    );
+    assert_eq!(
+        aggregate_by(&batch, &ByLine),
+        aggregate_by_serial(&batch, &ByLine)
+    );
+    let bucket = ByAddrBucket { bytes: 64 };
+    assert_eq!(
+        aggregate_by(&batch, &bucket),
+        aggregate_by_serial(&batch, &bucket)
+    );
 }

@@ -48,6 +48,7 @@ pub use error::{CompileError, Phase, Result};
 pub use feedback::{Feedback, FeedbackError, PrefetchHint, ReorderHint};
 pub use hir::MemDesc;
 pub use link::{link, Program};
+pub use parser::MAX_AST_DEPTH;
 pub use symtab::{render_memdesc, FuncSym, GlobalSym, ModuleSym, PcMeta, SymbolTable};
 pub use types::{FieldInfo, StructInfo, Type};
 

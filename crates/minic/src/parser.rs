@@ -19,11 +19,25 @@
 //! statement level; mini-C keeps that trivial by requiring type names
 //! (`long`, `char`, `struct S`, or a typedef name registered earlier
 //! in the module) to start declarations.
+//!
+//! Every phase after this one walks the tree recursively, so the
+//! parser refuses a tree deeper than [`MAX_AST_DEPTH`] with a parse
+//! error instead of handing a later phase a stack overflow.
 
 use crate::ast::*;
 use crate::error::{CompileError, Result};
 use crate::lexer::lex;
 use crate::token::{Tok, Token};
+
+/// The deepest AST the parser builds. Each nested statement, each
+/// operand (under a parenthesis, a unary operator, a cast, a call or
+/// an index) and each operator of a binary or postfix chain is one
+/// level: a left-associative chain deepens the tree once per operator.
+/// Sema, lowering and codegen recurse once per level, so this bounds
+/// their stack: every construct nested this deep compiles on a 2 MiB
+/// thread in a debug build, where the costliest (nested `for`s and
+/// `else if`s) overflows only past about 106 levels.
+pub const MAX_AST_DEPTH: usize = 100;
 
 /// Parse one module.
 pub fn parse_module(name: &str, src: &str) -> Result<Module> {
@@ -33,6 +47,7 @@ pub fn parse_module(name: &str, src: &str) -> Result<Module> {
         tokens,
         pos: 0,
         typedef_names: Vec::new(),
+        depth: 0,
     };
     let mut m = Module {
         name: name.to_string(),
@@ -51,6 +66,8 @@ struct Parser {
     pos: usize,
     /// Typedef names seen so far (needed to recognize declarations).
     typedef_names: Vec<String>,
+    /// AST depth of the node being parsed ([`MAX_AST_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -97,6 +114,24 @@ impl Parser {
 
     fn err(&self, msg: &str) -> CompileError {
         CompileError::parse(&self.module, self.line(), msg)
+    }
+
+    /// Go one AST level deeper, failing past [`MAX_AST_DEPTH`]. Errors
+    /// abandon the parse, so only successful paths restore `depth`.
+    fn deepen(&mut self) -> Result<()> {
+        self.depth += 1;
+        if self.depth > MAX_AST_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_AST_DEPTH} levels")));
+        }
+        Ok(())
+    }
+
+    /// Run `parse` one AST level deeper.
+    fn nested<T>(&mut self, parse: fn(&mut Parser) -> Result<T>) -> Result<T> {
+        self.deepen()?;
+        let out = parse(self)?;
+        self.depth -= 1;
+        Ok(out)
     }
 
     fn expect_ident(&mut self, what: &str) -> Result<String> {
@@ -253,7 +288,12 @@ impl Parser {
 
     fn parse_stmt(&mut self) -> Result<Stmt> {
         let line = self.line();
-        let kind = match self.peek().clone() {
+        let kind = self.nested(Parser::parse_stmt_kind)?;
+        Ok(Stmt { kind, line })
+    }
+
+    fn parse_stmt_kind(&mut self) -> Result<StmtKind> {
+        Ok(match self.peek().clone() {
             Tok::LBrace => StmtKind::Block(self.parse_block()?),
             Tok::KwIf => {
                 self.bump();
@@ -332,10 +372,9 @@ impl Parser {
             _ => {
                 let s = self.parse_simple_stmt()?;
                 self.expect(&Tok::Semi, "`;`")?;
-                return Ok(Stmt { kind: s.kind, line });
+                s.kind
             }
-        };
-        Ok(Stmt { kind, line })
+        })
     }
 
     /// A single statement treated as a one-element block (branch arms).
@@ -385,9 +424,12 @@ impl Parser {
         self.parse_bin(0)
     }
 
-    /// Precedence-climbing over binary operators.
+    /// Precedence-climbing over binary operators. Each operator adds a
+    /// level: its node sits above its right operand, and the next
+    /// operator of the chain builds its node above this one.
     fn parse_bin(&mut self, min_prec: u8) -> Result<Expr> {
         let mut lhs = self.parse_unary()?;
+        let depth = self.depth;
         loop {
             let (op, prec) = match self.peek() {
                 Tok::OrOr => (BinOp::LogOr, 1),
@@ -415,16 +457,22 @@ impl Parser {
             }
             let line = self.line();
             self.bump();
+            self.deepen()?;
             let rhs = self.parse_bin(prec + 1)?;
             lhs = Expr {
                 kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
                 line,
             };
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<Expr> {
+        self.nested(Parser::parse_operand)
+    }
+
+    fn parse_operand(&mut self) -> Result<Expr> {
         let line = self.line();
         match self.peek().clone() {
             Tok::Minus => {
@@ -496,8 +544,12 @@ impl Parser {
 
     fn parse_postfix(&mut self) -> Result<Expr> {
         let mut e = self.parse_primary()?;
+        let depth = self.depth;
         loop {
             let line = self.line();
+            if matches!(self.peek(), Tok::Arrow | Tok::LBracket) {
+                self.deepen()?;
+            }
             if self.eat(&Tok::Arrow) {
                 let field = self.expect_ident("field name")?;
                 e = Expr {
@@ -515,6 +567,7 @@ impl Parser {
                 break;
             }
         }
+        self.depth = depth;
         Ok(e)
     }
 

@@ -125,16 +125,27 @@ impl SymbolTable {
     /// PC, the analysis "can not be sure which instruction caused the
     /// event". Returns the *first* such target (the artificial PC the
     /// event is attributed to).
+    ///
+    /// Both ends come from the event stream, so the walk is clamped to
+    /// the PCs [`SymbolTable::pc_meta`] describes: it takes at most one
+    /// step per text instruction whatever the range, and no address
+    /// arithmetic can overflow.
     pub fn branch_target_between(&self, from: u64, to: u64) -> Option<u64> {
         if to <= from {
             return None;
         }
-        let mut pc = from + 4;
-        while pc <= to {
+        let mut pc = from.checked_add(4)?;
+        if pc < self.text_base {
+            let steps = (self.text_base - pc).div_ceil(4);
+            pc = pc.checked_add(steps.checked_mul(4)?)?;
+        }
+        let text_bytes = (self.pc_meta.len() as u64).saturating_mul(4);
+        let last = to.min(self.text_base.saturating_add(text_bytes).saturating_sub(1));
+        while pc <= last {
             if self.is_branch_target(pc) {
                 return Some(pc);
             }
-            pc += 4;
+            pc = pc.checked_add(4)?;
         }
         None
     }
@@ -270,11 +281,10 @@ impl SymbolTable {
         };
         // All legal field types are long/char/pointers (by-value
         // struct fields are rejected by sema), so the descriptor
-        // recovers the type exactly.
+        // recovers the type exactly. A typedef chain (`cost_t=long`)
+        // names its underlying type after the last `=`.
         fn ty_of_desc(desc: &str) -> Type {
-            if let Some((_, rhs)) = desc.split_once('=') {
-                return ty_of_desc(rhs);
-            }
+            let desc = desc.rsplit_once('=').map_or(desc, |(_, rhs)| rhs);
             if desc.starts_with("pointer+") {
                 return Type::ptr_to(Type::Long);
             }
@@ -406,6 +416,12 @@ impl SymbolTable {
                 "" => {}
                 _ => return Err(bad("unknown record")),
             }
+        }
+        // Every lookup that maps a function to its module indexes
+        // `modules` with `module`, so an index past the MODULE records
+        // is refused here rather than panicking there.
+        if t.funcs.iter().any(|f| f.module >= t.modules.len()) {
+            return Err(bad("FUNC module index past the MODULE records"));
         }
         Ok(t)
     }

@@ -2,7 +2,7 @@
 //! rejected in the right phase with a message that names the problem
 //! and its location.
 
-use minic::{compile_module, CompileOptions, Phase};
+use minic::{compile_module, CompileOptions, Phase, MAX_AST_DEPTH};
 
 fn compile_err(src: &str) -> minic::CompileError {
     compile_module("diag.c", src, CompileOptions::default()).expect_err("program must be rejected")
@@ -106,5 +106,62 @@ fn pointer_type_mismatches() {
     ] {
         let e = compile_err(src);
         assert_eq!(e.phase, Phase::Sema, "{src} -> {e}");
+    }
+}
+
+/// The constructs a hostile source nests to exhaust the stack of the
+/// phases after the parser.
+const NESTS: [&str; 8] = [
+    "parens", "neg", "not", "plus", "blocks", "ifs", "whiles", "fors",
+];
+
+/// `kind` nested `n` levels on line 2 of `main`. With the `return`
+/// statement and the operand (or inner statement) around it, the
+/// deepest node sits at AST depth `n + 2`.
+fn nest(kind: &str, n: usize) -> String {
+    let rep = |s: &str| s.repeat(n);
+    let body = match kind {
+        "parens" => format!("return {}1{};", rep("("), rep(")")),
+        "neg" => format!("return {}1;", rep("-")),
+        "not" => format!("return {}1;", rep("!")),
+        "plus" => format!("return 1{};", rep(" + 1")),
+        "blocks" => format!("{}return 1;{}", rep("{ "), rep(" }")),
+        "ifs" => format!("{}return 1;", rep("if (1) ")),
+        "whiles" => format!("{}return 1;", rep("while (0) ")),
+        "fors" => format!("{}return 1;", rep("for (i = 0; i < 1; i = i + 1) ")),
+        _ => unreachable!(),
+    };
+    format!("long main() {{ long i;\n    {body}\n    return 0;\n}}\n")
+}
+
+/// Past the depth limit every construct is a parse error naming its
+/// line — one level past it, and at 10,000 levels, which would
+/// otherwise overflow the stack.
+#[test]
+fn nesting_past_the_depth_limit_is_a_parse_error() {
+    for kind in NESTS {
+        for n in [MAX_AST_DEPTH - 1, 10_000] {
+            let e = compile_err(&nest(kind, n));
+            assert_eq!(e.phase, Phase::Parse, "{kind} x{n}: {e}");
+            assert_eq!(e.line, 2, "{kind} x{n}: {e}");
+            assert!(
+                e.message
+                    .contains(&format!("nesting deeper than {MAX_AST_DEPTH} levels")),
+                "{kind} x{n}: {e}"
+            );
+        }
+    }
+}
+
+/// At the limit every construct gets through every phase: it compiles,
+/// or fails with a typed error of its own (a long `-` chain runs out
+/// of scratch registers), never the depth error and never an overflow.
+#[test]
+fn every_construct_at_the_depth_limit_compiles() {
+    for kind in NESTS {
+        let src = nest(kind, MAX_AST_DEPTH - 2);
+        if let Err(e) = compile_module("diag.c", &src, CompileOptions::profiling()) {
+            assert!(!e.message.contains("nesting deeper"), "{kind}: {e}");
+        }
     }
 }

@@ -89,3 +89,52 @@ fn symbol_table_round_trips() {
     assert_eq!(loaded.global_addr("counter"), t.global_addr("counter"));
     assert_eq!(loaded.global_addr("table"), t.global_addr("table"));
 }
+
+/// A table reaches every tool as a collector's footer attachment, so
+/// its text is untrusted. A FIELD type's typedef chain is resolved
+/// without recursion: a million `=` name `long`, not a stack overflow.
+#[test]
+fn a_long_typedef_chain_parses_without_recursion() {
+    let text = format!(
+        "simsparc-syms text_base=0x10000\nSTRUCT evil 8 8 1\nFIELD a 0 {}\n",
+        "=".repeat(1_000_000)
+    );
+    let t = SymbolTable::parse(&text).unwrap();
+    let field = &t.struct_by_name("evil").unwrap().fields[0];
+    assert_eq!(field.ty, minic::Type::Long);
+}
+
+/// A FUNC naming a module past the MODULE records is refused, so
+/// `module_at` and the source views never index out of range.
+#[test]
+fn a_func_module_index_past_the_modules_is_an_error() {
+    let text = "simsparc-syms text_base=0x10000\n\
+                MODULE 1 1 a a.c\nMODULE 1 1 b b.c\nMODULE 1 1 c c.c\n\
+                FUNC 0x10000 0x10010 9 1 f\n";
+    let err = SymbolTable::parse(text).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let ok = text.replace(" 9 1 f", " 2 1 f");
+    let t = SymbolTable::parse(&ok).unwrap();
+    assert_eq!(t.module_at(0x10004).unwrap().name, "c");
+}
+
+/// Both ends of the branch-target query come from the event stream:
+/// a range reaching the top of the address space walks only the text
+/// and never overflows.
+#[test]
+fn branch_target_walks_stay_inside_the_text() {
+    let program = compile_and_link(&[("persist.c", SRC)], CompileOptions::profiling()).unwrap();
+    let t = &program.syms;
+    let last = t.text_base + 4 * (t.pc_meta.len() as u64 - 1);
+    assert_eq!(t.branch_target_between(last, u64::MAX), None);
+    assert_eq!(t.branch_target_between(u64::MAX - 2, u64::MAX), None);
+    assert_eq!(t.branch_target_between(u64::MAX - 4, u64::MAX), None);
+    // The first target at or past the text base is still found from
+    // far below it, in one clamped step.
+    let first = (1..t.pc_meta.len() as u64)
+        .map(|i| t.text_base + 4 * i)
+        .find(|&pc| t.is_branch_target(pc))
+        .unwrap();
+    assert_eq!(t.branch_target_between(0, u64::MAX), Some(first));
+    assert_eq!(t.branch_target_between(t.text_base, u64::MAX), Some(first));
+}

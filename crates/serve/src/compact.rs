@@ -114,7 +114,7 @@ fn refresh_summary(dirs: &StoreDirs, window: &str) -> Result<(), StoreError> {
     let Some(store) = dirs.open_packed(window)? else {
         return Ok(());
     };
-    let agg = aggregate_streams(std::slice::from_ref(&store), 0)?;
+    let agg = aggregate_streams(std::slice::from_ref(&store))?;
     write_summary(
         &dirs.summary_path(window),
         &agg,
@@ -174,10 +174,10 @@ pub fn compact_window(dirs: &StoreDirs, window: &str) -> Result<usize, StoreErro
     // trusted.
     let bytes = merge_streams(&inputs)?;
     let (old, fresh) = inputs.split_at(packed);
-    let mut agg = aggregate_streams(fresh, 0)?;
+    let mut agg = aggregate_streams(fresh)?;
     if let [store] = old {
         let mut whole =
-            summary_of(dirs, window, store).map_or_else(|| aggregate_streams(old, 0), Ok)?;
+            summary_of(dirs, window, store).map_or_else(|| aggregate_streams(old), Ok)?;
         whole.merge(&agg)?;
         agg = whole;
     }

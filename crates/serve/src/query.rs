@@ -21,8 +21,7 @@
 //! ```
 //!
 //! A usage error (an unknown query or window, a bad argument) comes
-//! back as its message alone; aggregation sizes its parallelism to
-//! the available cores.
+//! back as its message alone.
 //!
 //! `W` is a window label; views default to *all* windows where the
 //! grammar allows. Aggregate queries (`functions`, `stat`, `diff`) are
@@ -248,7 +247,7 @@ pub fn window_aggregate(dirs: &StoreDirs, window: &str) -> Result<WindowAggregat
         parts.push(summary.agg);
         syms = summary.syms.map(|text| (dirs.summary_path(window), text));
     } else if let Some(store) = dirs.open_packed(window)? {
-        parts.push(aggregate_streams(std::slice::from_ref(&store), 0)?);
+        parts.push(aggregate_streams(std::slice::from_ref(&store))?);
         syms = carried_syms(&store, &dirs.packed_path(window));
     }
     if !tier.fresh.is_empty() {
@@ -257,7 +256,7 @@ pub fn window_aggregate(dirs: &StoreDirs, window: &str) -> Result<WindowAggregat
             .iter()
             .map(|p| StreamFile::open(p))
             .collect::<Result<Vec<StreamFile>, StoreError>>()?;
-        parts.push(aggregate_streams(&raws, 0)?);
+        parts.push(aggregate_streams(&raws)?);
         if syms.is_none() {
             syms = tier
                 .fresh

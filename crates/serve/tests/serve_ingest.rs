@@ -369,6 +369,31 @@ fn queries_answer_from_tiers_and_match_offline_aggregation() {
     server.shutdown();
 }
 
+/// The symbol table reaches the daemon as a footer attachment from any
+/// collector that connects. A FIELD type with a 300,000-link typedef
+/// chain must parse like any other table: the window answers, and the
+/// daemon stays up for the next query.
+#[test]
+fn a_hostile_symbol_table_does_not_take_the_daemon_down() {
+    let data = scratch("hostile_syms");
+    let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+
+    let hostile = format!(
+        "{SYMS}STRUCT evil 8 8 1\nFIELD a 0 {}\n",
+        "=".repeat(300_000)
+    );
+    let mut sink = SocketSink::connect(&addr, "run", "w1").unwrap();
+    sink.attach("syms.txt", &hostile);
+    drive(&mut sink, 1, 2);
+
+    let functions = serve::query(&addr, "functions w1").unwrap();
+    assert!(functions.contains("\"name\": \"func\""), "{functions}");
+    let windows = serve::query(&addr, "windows").unwrap();
+    assert!(windows.contains("w1: 1 raw segment,"), "{windows}");
+    server.shutdown();
+}
+
 #[test]
 fn shutdown_query_stops_the_daemon() {
     let data = scratch("shutdown");

@@ -145,7 +145,7 @@ fn concurrent_ingest_compaction_and_queries_replay_offline() {
             "{window}: daemon pack differs from the offline merge of its sessions"
         );
         if wi == 0 {
-            let agg = aggregate_streams(&[StreamFile::from_bytes(expected).unwrap()], 0).unwrap();
+            let agg = aggregate_streams(&[StreamFile::from_bytes(expected).unwrap()]).unwrap();
             expected_total = agg.totals.iter().sum();
         }
     }

@@ -16,10 +16,10 @@
 //! every experiment on disk, text directories included, reaches
 //! [`aggregate_streams`] as a [`crate::StreamFile`]),
 //! and the per-PC histogram is one [`memprof_core::aggregate_by`]
-//! call — the same kernel every analyzer view runs on. The sharded
-//! path merges commutative sums into an ordered `BTreeMap`, so serial
-//! and parallel results are *identical* — not just equivalent — which
-//! the tests assert byte-for-byte on the rendered output.
+//! call — the same kernel every analyzer view runs on — folded into an
+//! ordered `BTreeMap`, so the rendered output is deterministic.
+//! [`aggregate`] over in-memory experiments is the oracle the tests
+//! pin [`aggregate_streams`] against, byte for byte.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -27,7 +27,6 @@ use std::fmt::Write as _;
 use memprof_core::batch::ByPc;
 use memprof_core::{
     aggregate_by, fill_clock_pc_rows, fill_hwc_pc_rows, CounterRequest, EventBatch, Experiment,
-    PackedClockEvent, PackedHwcEvent,
 };
 use simsparc_machine::CounterEvent;
 
@@ -123,11 +122,9 @@ fn resolve_columns(
 }
 
 /// Reduce a filled batch to the final histogram: one shared-kernel
-/// call, folded into an ordered map. Addition commutes and the
-/// `BTreeMap` fixes the iteration order, so serial and sharded
-/// results are equal.
-fn finish(columns: Vec<ColSpec>, batch: &EventBatch, shards: usize) -> Aggregate {
-    let map = aggregate_by(batch, &ByPc, shards);
+/// call, folded into an ordered map.
+fn finish(columns: Vec<ColSpec>, batch: &EventBatch) -> Aggregate {
+    let map = aggregate_by(batch, &ByPc);
     // A per-PC grouping keeps every row, so the column totals are the
     // sums of the group rows — no second pass over the events.
     let totals = totals_of(&map, columns.len());
@@ -150,162 +147,31 @@ fn totals_of(map: &HashMap<u64, Vec<u64>>, ncols: usize) -> Vec<u64> {
     totals
 }
 
-/// One contiguous run of same-shaped events in the concatenated
-/// multi-experiment sequence, with its resolved column mapping — the
-/// unit the sharded fill splits by row range.
-enum Span<'a> {
-    Clock {
-        col: usize,
-        events: &'a [PackedClockEvent],
-    },
-    Hwc {
-        cols: &'a [usize],
-        counters: &'a [CounterRequest],
-        events: &'a [PackedHwcEvent],
-    },
-}
-
-impl Span<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Span::Clock { events, .. } => events.len(),
-            Span::Hwc { events, .. } => events.len(),
-        }
-    }
-}
-
-/// Aggregate a set of experiments into a per-PC histogram.
-///
-/// `shards = 1` runs serially on the calling thread (`0` sizes to the
-/// available cores); larger values split the *whole* pipeline — the
-/// batch fill and the group-by fold — across that many scoped
-/// threads, each folding its contiguous slice of the concatenated
-/// event sequence and merging by addition. The result is identical at
-/// every shard count.
-///
-/// Requests are capped by the hardware and by a minimum useful rows
-/// per shard ([`memprof_core::batch::effective_shards`]), so asking
-/// for 8 shards on a single-core host — or for a tiny profile — runs
-/// serially instead of paying thread spawns that cannot help.
-pub fn aggregate(exps: &[&Experiment], shards: usize) -> Result<Aggregate, StoreError> {
-    let rows: usize = exps
-        .iter()
-        .map(|e| e.hwc_events.len() + e.clock_events.len())
-        .sum();
-    aggregate_exact(exps, memprof_core::batch::effective_shards(shards, rows))
-}
-
-/// [`aggregate`] honoring the shard count exactly (0 acts as 1), with
-/// no hardware or row-count capping. The equivalence tests use this
-/// to exercise the sharded span-fill on any host; tools should call
-/// [`aggregate`].
-pub fn aggregate_exact(exps: &[&Experiment], shards: usize) -> Result<Aggregate, StoreError> {
+/// Aggregate a set of experiments in memory into a per-PC histogram:
+/// fill one batch with every experiment's charge-PC rows, then fold
+/// it. No tool reads experiments this way — every experiment on disk
+/// reaches [`aggregate_streams`] — so this is the oracle the tests
+/// compare the streamed path with.
+pub fn aggregate(exps: &[&Experiment]) -> Result<Aggregate, StoreError> {
     let headers: Vec<(Option<u64>, &[CounterRequest])> = exps
         .iter()
         .map(|e| (e.clock_period, e.counters.as_slice()))
         .collect();
     let (columns, col_of, clock_col_of) = resolve_columns(&headers)?;
-    let shards = shards.max(1);
-    if shards == 1 {
-        let mut batch = EventBatch::new(columns.len());
-        for (xi, exp) in exps.iter().enumerate() {
-            if let Some(col) = clock_col_of[xi] {
-                fill_clock_pc_rows(&mut batch, col, &exp.clock_events);
-            }
-            fill_hwc_pc_rows(&mut batch, &exp.counters, &col_of[xi], &exp.hwc_events);
-        }
-        return Ok(finish(columns, &batch, 1));
-    }
-    let mut spans: Vec<Span> = Vec::new();
+    let mut batch = EventBatch::new(columns.len());
     for (xi, exp) in exps.iter().enumerate() {
         if let Some(col) = clock_col_of[xi] {
-            spans.push(Span::Clock {
-                col,
-                events: &exp.clock_events,
-            });
+            fill_clock_pc_rows(&mut batch, col, &exp.clock_events);
         }
-        spans.push(Span::Hwc {
-            cols: &col_of[xi],
-            counters: &exp.counters,
-            events: &exp.hwc_events,
-        });
+        fill_hwc_pc_rows(&mut batch, &exp.counters, &col_of[xi], &exp.hwc_events);
     }
-    let total: usize = spans.iter().map(Span::len).sum();
-    let per = total.div_ceil(shards).max(1);
-    let ncols = columns.len();
-    let spans = &spans;
-    let results = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|s| {
-                scope.spawn(move || {
-                    let lo = (s * per).min(total);
-                    let hi = ((s + 1) * per).min(total);
-                    let mut batch = EventBatch::new(ncols);
-                    let mut base = 0usize;
-                    for span in spans {
-                        let (a, b) = (lo.max(base), hi.min(base + span.len()));
-                        if a < b {
-                            match span {
-                                Span::Clock { col, events } => {
-                                    fill_clock_pc_rows(
-                                        &mut batch,
-                                        *col,
-                                        &events[a - base..b - base],
-                                    );
-                                }
-                                Span::Hwc {
-                                    cols,
-                                    counters,
-                                    events,
-                                } => {
-                                    let events = &events[a - base..b - base];
-                                    fill_hwc_pc_rows(&mut batch, counters, cols, events);
-                                }
-                            }
-                        }
-                        base += span.len();
-                    }
-                    let map = aggregate_by(&batch, &ByPc, 1);
-                    let totals = totals_of(&map, ncols);
-                    (map, totals)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .collect::<Vec<_>>()
-    });
-    let mut pc_samples: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    let mut totals = vec![0u64; ncols];
-    for (map, shard_totals) in results {
-        for (pc, samples) in map {
-            match pc_samples.entry(pc) {
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    for (dst, src) in e.get_mut().iter_mut().zip(&samples) {
-                        *dst += src;
-                    }
-                }
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(samples);
-                }
-            }
-        }
-        for (dst, src) in totals.iter_mut().zip(&shard_totals) {
-            *dst += src;
-        }
-    }
-    Ok(Aggregate {
-        columns,
-        pc_samples,
-        totals,
-    })
+    Ok(finish(columns, &batch))
 }
 
 /// Aggregate a set of opened [`StreamFile`]s: each streams its event
 /// chunks straight into the batch without ever materializing an
 /// `Experiment`.
-pub fn aggregate_streams(streams: &[StreamFile], shards: usize) -> Result<Aggregate, StoreError> {
+pub fn aggregate_streams(streams: &[StreamFile]) -> Result<Aggregate, StoreError> {
     let headers: Vec<(Option<u64>, &[CounterRequest])> = streams
         .iter()
         .map(|s| (s.clock_period(), s.counters()))
@@ -315,7 +181,7 @@ pub fn aggregate_streams(streams: &[StreamFile], shards: usize) -> Result<Aggreg
     for (xi, stream) in streams.iter().enumerate() {
         stream.fill_pc_batch(&mut batch, &col_of[xi], clock_col_of[xi])?;
     }
-    Ok(finish(columns, &batch, shards))
+    Ok(finish(columns, &batch))
 }
 
 /// Minimal JSON string escaping for the stat/query documents (names
@@ -458,7 +324,7 @@ impl Aggregate {
 
     /// Render the histogram as deterministic text: a totals line per
     /// column, then one line per PC. Used by `mp-store stat` and by
-    /// the serial-vs-parallel equivalence tests (byte equality).
+    /// the equivalence tests (byte equality).
     pub fn render(&self) -> String {
         let mut out = String::new();
         for (spec, total) in self.columns.iter().zip(&self.totals) {

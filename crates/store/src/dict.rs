@@ -10,8 +10,8 @@
 //! this fold's result field for field.
 //!
 //! * **load** ([`load_inputs`]): each reference decodes to a full
-//!   [`Experiment`] on its own scoped thread — every per-event decode
-//!   happens here, and it scales with cores;
+//!   [`Experiment`], one input per core on scoped threads — every
+//!   per-event decode happens here, and it scales with cores;
 //! * **fold** ([`merge_inputs`]): the merged experiment grows the
 //!   *first* input's table and event vectors in place — reserved once
 //!   for every later input, which then appends with its ids shifted —
@@ -27,27 +27,20 @@ use memprof_core::{Experiment, RunInfo, StackId};
 
 use crate::{check_compatible_headers, recipe, ExperimentRef, StoreError};
 
-/// Decode every reference into a full [`Experiment`], `shards` inputs
-/// at a time (0 = auto; every request is capped by the available
-/// parallelism, so a single-core host decodes serially with no spawn
-/// overhead). Inputs come back in argument order regardless of which
+/// Decode every reference into a full [`Experiment`], the inputs
+/// split across one scoped thread per available core (at most one
+/// thread per input; a single-core host decodes serially with no
+/// spawn). Inputs come back in argument order regardless of which
 /// thread decoded them.
-pub(crate) fn load_inputs(
-    refs: &[ExperimentRef],
-    shards: usize,
-) -> Result<Vec<Experiment>, StoreError> {
-    let hw = std::thread::available_parallelism()
+pub(crate) fn load_inputs(refs: &[ExperimentRef]) -> Result<Vec<Experiment>, StoreError> {
+    let threads = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
-        .unwrap_or(1);
-    let shards = match shards {
-        0 => hw,
-        n => n.min(hw),
-    }
-    .min(refs.len().max(1));
-    if shards <= 1 {
+        .unwrap_or(1)
+        .min(refs.len());
+    if threads <= 1 {
         return refs.iter().map(ExperimentRef::load).collect();
     }
-    let per = refs.len().div_ceil(shards);
+    let per = refs.len().div_ceil(threads);
     let chunks: Vec<Result<Vec<Experiment>, StoreError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = refs
             .chunks(per)

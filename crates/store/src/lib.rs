@@ -15,9 +15,10 @@
 //! * one **lazy reader** ([`StreamFile`]) that indexes an image's
 //!   chunks on open and decodes events straight from the bytes only
 //!   when asked;
-//! * a **parallel aggregation engine** ([`aggregate`]) reducing many
-//!   experiments to per-PC histograms with scoped threads, with
-//!   results identical to the serial path;
+//! * one **aggregation engine** ([`aggregate_streams`]) reducing many
+//!   experiments to per-PC histograms through the shared group-by
+//!   kernel, with [`aggregate`] over in-memory experiments as its
+//!   oracle;
 //! * one merge rule in two representations: [`merge_experiments`]
 //!   folds same-recipe runs into one in-memory experiment (feeding the
 //!   ordinary analyzer views), and [`merge_streams`] folds their
@@ -47,8 +48,7 @@ use memprof_core::{
 };
 
 pub use aggregate::{
-    aggregate, aggregate_exact, aggregate_streams, diff_aggregates, AggDiff, Aggregate, ColSpec,
-    DiffRow,
+    aggregate, aggregate_streams, diff_aggregates, AggDiff, Aggregate, ColSpec, DiffRow,
 };
 pub use format::{pack_dir, pack_experiment, unpack_to_dir, xxh64, ATTACHMENT_FILES};
 pub use writer::{merge_streams, validate_stream_prefix, SegmentWriter, StreamFile};
@@ -331,8 +331,8 @@ fn recipe(e: &Experiment) -> Recipe<'_> {
 /// per-function / per-data-object totals equal the element-wise sum of
 /// the inputs' individual analyses. Stacks are interned into one
 /// table, so this is an independent oracle for
-/// [`merge_experiments_with`] and [`merge_streams`]: they agree on
-/// every event and its frames, not on stack numbering.
+/// [`merge_experiments`] and [`merge_streams`]: they agree on every
+/// event and its frames, not on stack numbering.
 pub fn merge_loaded(exps: &[Experiment]) -> Result<Experiment, StoreError> {
     let first = exps
         .first()
@@ -364,51 +364,45 @@ pub fn merge_loaded(exps: &[Experiment]) -> Result<Experiment, StoreError> {
 }
 
 /// Load and merge a set of experiment references (text directories or
-/// packed stores, freely mixed): [`merge_experiments_with`] with one
-/// decode thread per available core.
+/// packed stores, freely mixed) into one experiment, in memory. The
+/// references decode one per available core on scoped threads, which
+/// is where all per-event decoding happens; the fold concatenates the
+/// stack tables and moves the events. The result holds the events and
+/// frames of loading every input and calling [`merge_loaded`], and is
+/// what decoding [`merge_streams`] over the same inputs gives, field
+/// for field.
 pub fn merge_experiments(refs: &[ExperimentRef]) -> Result<Experiment, StoreError> {
-    merge_experiments_with(refs, 0)
-}
-
-/// Decode `refs` and fold them into one experiment, in memory. The
-/// references decode `shards` at a time on scoped threads (0 = one per
-/// available core; requests beyond the hardware are capped), which is
-/// where all per-event decoding happens; the fold concatenates the
-/// stack tables and moves the events. The result is identical at every
-/// shard count, holds the events and frames of loading every input
-/// and calling [`merge_loaded`], and is what decoding [`merge_streams`]
-/// over the same inputs gives, field for field.
-pub fn merge_experiments_with(
-    refs: &[ExperimentRef],
-    shards: usize,
-) -> Result<Experiment, StoreError> {
-    dict::merge_inputs(dict::load_inputs(refs, shards)?)
+    dict::merge_inputs(dict::load_inputs(refs)?)
 }
 
 /// Compare two experiments collected with the same recipe: open both
 /// sides ([`ExperimentRef::open_stream`]), then [`diff_streams`].
 /// Render the result with [`AggDiff::render`] or, with a symbol table,
 /// [`AggDiff::render_by_function`].
+///
+/// `_shards` is ignored: the fold is serial and [`diff_streams`] sizes
+/// its own threads to the machine. The argument stays only because the
+/// `mp-bench` benchmark calls this with `0`, and its sources change
+/// only with the benchmark itself.
 pub fn diff_experiments(
     a: &ExperimentRef,
     b: &ExperimentRef,
-    shards: usize,
+    _shards: usize,
 ) -> Result<AggDiff, StoreError> {
-    diff_streams(&a.open_stream()?, &b.open_stream()?, shards)
+    diff_streams(&a.open_stream()?, &b.open_stream()?)
 }
 
 /// Compare two opened experiments collected with the same recipe:
-/// aggregate each side over `shards` shards (0 = one per available
-/// core), the two sides concurrently when there is more than one
-/// core, and diff the per-PC histograms.
-pub fn diff_streams(a: &StreamFile, b: &StreamFile, shards: usize) -> Result<AggDiff, StoreError> {
+/// aggregate each side, the two sides concurrently when there is more
+/// than one core, and diff the per-PC histograms.
+pub fn diff_streams(a: &StreamFile, b: &StreamFile) -> Result<AggDiff, StoreError> {
     // Compatibility is a header property, checked before any event
     // chunk is decoded.
     check_compatible_headers(a.recipe(), b.recipe())?;
     let hw = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let aggregate_one = |s: &StreamFile| aggregate_streams(std::slice::from_ref(s), shards);
+    let aggregate_one = |s: &StreamFile| aggregate_streams(std::slice::from_ref(s));
     let (agg_a, agg_b) = if hw > 1 {
         // The two sides are independent; aggregate them concurrently.
         std::thread::scope(|scope| {
@@ -423,12 +417,16 @@ pub fn diff_streams(a: &StreamFile, b: &StreamFile, shards: usize) -> Result<Agg
 
 /// Convenience for tools: aggregate whatever `refs` point at, each
 /// opened once as a stream ([`ExperimentRef::open_stream`]).
-pub fn aggregate_refs(refs: &[ExperimentRef], shards: usize) -> Result<Aggregate, StoreError> {
+///
+/// `_shards` is ignored: the fold runs on the calling thread. The
+/// argument stays only because the `mp-bench` benchmark calls this
+/// with `0`, and its sources change only with the benchmark itself.
+pub fn aggregate_refs(refs: &[ExperimentRef], _shards: usize) -> Result<Aggregate, StoreError> {
     let streams = refs
         .iter()
         .map(ExperimentRef::open_stream)
         .collect::<Result<Vec<StreamFile>, StoreError>>()?;
-    aggregate_streams(&streams, shards)
+    aggregate_streams(&streams)
 }
 
 #[cfg(test)]
@@ -726,21 +724,19 @@ mod tests {
             .unwrap()
             .to_experiment()
             .unwrap();
-        for shards in [1, 3] {
-            let merged = merge_experiments_with(&refs, shards).unwrap();
-            assert_eq!(merged.counters, oracle.counters);
-            assert_eq!(merged.clock_period, oracle.clock_period);
-            assert_same_events(&merged, &oracle);
-            assert_eq!(merged.run, oracle.run);
-            assert_eq!(merged.log, oracle.log);
-            // The fold concatenates tables: duplicates stay.
-            assert_eq!(
-                merged.stacks.len(),
-                loaded.iter().map(|e| e.stacks.len()).sum::<usize>()
-            );
-            assert_eq!(pack_experiment(&merged, &[]), pack_experiment(&oracle, &[]));
-            assert_identical(&merged, &concatenated);
-        }
+        let merged = merge_experiments(&refs).unwrap();
+        assert_eq!(merged.counters, oracle.counters);
+        assert_eq!(merged.clock_period, oracle.clock_period);
+        assert_same_events(&merged, &oracle);
+        assert_eq!(merged.run, oracle.run);
+        assert_eq!(merged.log, oracle.log);
+        // The fold concatenates tables: duplicates stay.
+        assert_eq!(
+            merged.stacks.len(),
+            loaded.iter().map(|e| e.stacks.len()).sum::<usize>()
+        );
+        assert_eq!(pack_experiment(&merged, &[]), pack_experiment(&oracle, &[]));
+        assert_identical(&merged, &concatenated);
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_file(&packed).ok();
         std::fs::remove_file(&stream).ok();
@@ -748,24 +744,26 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_aggregation_agree() {
+        // The in-memory oracle against the streamed path every tool
+        // and tier runs, over the packed images of the same inputs.
         let a = sample_experiment();
-        let b = sample_experiment();
-        let views: Vec<&Experiment> = vec![&a, &b];
-        let serial = aggregate(&views, 1).unwrap();
-        for shards in [2, 3, 8] {
-            // `aggregate` may legitimately cap tiny inputs back to the
-            // serial path; the exact variant pins the sharded span
-            // fill itself on any host.
-            for par in [
-                aggregate(&views, shards).unwrap(),
-                aggregate_exact(&views, shards).unwrap(),
-            ] {
-                assert_eq!(par.columns, serial.columns);
-                assert_eq!(par.pc_samples, serial.pc_samples);
-                assert_eq!(par.totals, serial.totals);
-                assert_eq!(par.render(), serial.render());
-            }
+        let mut b = sample_experiment();
+        b.counters.swap(0, 1);
+        for e in &mut b.hwc_events {
+            e.counter = 1 - e.counter;
         }
+        let views: Vec<&Experiment> = vec![&a, &b, &a];
+        let oracle = aggregate(&views).unwrap();
+        let streams: Vec<StreamFile> = views
+            .iter()
+            .map(|e| StreamFile::from_bytes(pack_experiment(e, &[])).unwrap())
+            .collect();
+        let streamed = aggregate_streams(&streams).unwrap();
+        assert_eq!(streamed.columns, oracle.columns);
+        assert_eq!(streamed.pc_samples, oracle.pc_samples);
+        assert_eq!(streamed.totals, oracle.totals);
+        assert_eq!(streamed.render(), oracle.render());
+        assert_eq!(streamed.stat_json(None), oracle.stat_json(None));
     }
 
     #[test]
@@ -782,8 +780,8 @@ mod tests {
             truth_ea: None,
             truth_skid: 0,
         });
-        let agg_a = aggregate(&[&a], 1).unwrap();
-        let agg_b = aggregate(&[&b], 1).unwrap();
+        let agg_a = aggregate(&[&a]).unwrap();
+        let agg_b = aggregate(&[&b]).unwrap();
         let diff = diff_aggregates(&agg_a, &agg_b).unwrap();
         assert_eq!(diff.rows.len(), 1);
         assert_eq!(diff.rows[0].pc, 0x1000_4000);

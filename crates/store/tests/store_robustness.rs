@@ -227,7 +227,7 @@ proptest! {
         let dir = scratch("agg");
         let r = packed_ref(&dir.join("x.mps"), &pack_experiment(&exp, &[]));
         let streamed = aggregate_refs(std::slice::from_ref(&r), 1)?;
-        let loaded = aggregate(&[&r.load()?], 1)?;
+        let loaded = aggregate(&[&r.load()?])?;
         std::fs::remove_dir_all(&dir).ok();
         prop_assert_eq!(&streamed.columns, &loaded.columns);
         prop_assert_eq!(&streamed.pc_samples, &loaded.pc_samples);
@@ -458,7 +458,7 @@ fn resealed_event_payload_flips_fail_aggregate_and_load_alike() {
                 let loaded = r.load();
                 match (streamed, loaded) {
                     (Ok(s), Ok(exp)) => {
-                        let l = aggregate(&[&exp], 1).unwrap();
+                        let l = aggregate(&[&exp]).unwrap();
                         assert_eq!(s.columns, l.columns, "{what}");
                         assert_eq!(s.totals, l.totals, "{what}");
                         assert_eq!(s.pc_samples, l.pc_samples, "{what}");

@@ -17,7 +17,8 @@
 # Every run also appends one line per bench to bench-trajectory.jsonl
 # — `{"rev", "date", "nproc", "bench", "records"}` — so the checked-in
 # file accumulates the perf history across PRs, each line stamped with
-# the core count it was measured on. Set
+# the core count it was measured on and with the commit (`-dirty` when
+# the working tree has uncommitted changes). Set
 # BENCH_TRAJECTORY_APPEND=0 to skip the append (e.g. for throwaway
 # local runs).
 set -eu
@@ -25,7 +26,7 @@ cd "$(dirname "$0")/.."
 
 BENCHES="store_aggregation view_aggregation merged_store_aggregation machine_micro"
 TRAJECTORY="bench-trajectory.jsonl"
-rev=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+rev=$(git describe --always --dirty --abbrev=7 2>/dev/null || echo unknown)
 date=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 nproc=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 mkdir -p target/bench-json
@@ -40,28 +41,9 @@ for b in $BENCHES; do
         printf '{"rev":"%s","date":"%s","nproc":%s,"bench":"%s","records":%s}\n' \
             "$rev" "$date" "$nproc" "$b" "$(tr -d '\n' < "$out")" >> "$TRAJECTORY"
     fi
-    # Machine-relative scaling shape: over-sharding must never lose
-    # to the serial path (the kernel caps shard requests to the
-    # hardware, so shards_8 on any host should track shards_1). On a
-    # host with fewer cores than a clause's shard count, bench_gate
-    # reports the clause as not applicable instead of passing it.
-    case $b in
-    store_aggregation)
-        scaling="--assert-scaling store_aggregation/aggregate_shards_8:store_aggregation/aggregate_shards_1:1.10"
-        ;;
-    view_aggregation)
-        scaling="--assert-scaling view_aggregation/aggregate_by_shards_8:view_aggregation/aggregate_by_shards_1:1.10"
-        ;;
-    merged_store_aggregation)
-        scaling="--assert-scaling merged_store_aggregation/aggregate_shards_8:merged_store_aggregation/aggregate_shards_1:1.10 \
-                 --assert-scaling merged_store_aggregation/merge_shards_4:merged_store_aggregation/merge_shards_1:1.10"
-        ;;
-    *) scaling="" ;;
-    esac
     if [ -f "BENCH_$b.json" ]; then
-        # shellcheck disable=SC2086  # $scaling is a flag list
         cargo run -q --release --offline -p mcf-bench --bin bench_gate -- \
-            "BENCH_$b.json" "$out" $scaling "$@" || fail=1
+            "BENCH_$b.json" "$out" "$@" || fail=1
     else
         echo "bench-trajectory: no baseline BENCH_$b.json checked in;"
         echo "  cp $out BENCH_$b.json   # to record one"

@@ -8,8 +8,9 @@
 //! mp-store stat [--json] EXP...     aggregate summary
 //! ```
 //!
-//! Aggregation sizes its parallelism to the available cores. Every
-//! command reads each argument once.
+//! Aggregation folds on one thread; `diff` aggregates its two sides
+//! concurrently when there is more than one core. Every command reads
+//! each argument once.
 //!
 //! `EXP` arguments accept either representation — a text experiment
 //! directory or a packed `.mps` file — distinguished by the store
@@ -105,7 +106,7 @@ fn main() {
             // The merge checks recipes, framing, stack tables and
             // stack ids, and copies the other event columns undecoded:
             // check their content here, before anything is written.
-            aggregate_streams(&inputs, 0).unwrap_or_else(|e| fail("cannot merge", e));
+            aggregate_streams(&inputs).unwrap_or_else(|e| fail("cannot merge", e));
             let merged = merge_streams(&inputs).unwrap_or_else(|e| fail("cannot merge", e));
             std::fs::write(&out, merged)
                 .unwrap_or_else(|e| fail(&format!("cannot write {}", out.display()), e));
@@ -122,7 +123,7 @@ fn main() {
                 usage("diff EXP_A EXP_B");
             };
             let (sa, sb) = (open_stream(a, "cannot diff"), open_stream(b, "cannot diff"));
-            let diff = diff_streams(&sa, &sb, 0).unwrap_or_else(|e| fail("cannot diff", e));
+            let diff = diff_streams(&sa, &sb).unwrap_or_else(|e| fail("cannot diff", e));
             // Function-level when either side carries symbols; raw
             // per-PC rows otherwise.
             match stream_syms(&sa).or_else(|| stream_syms(&sb)) {
@@ -144,7 +145,7 @@ fn main() {
                 .collect();
             if json {
                 let agg =
-                    aggregate_streams(&streams, 0).unwrap_or_else(|e| fail("cannot aggregate", e));
+                    aggregate_streams(&streams).unwrap_or_else(|e| fail("cannot aggregate", e));
                 let syms = streams.iter().find_map(stream_syms);
                 print!("{}", agg.stat_json(syms.as_ref()));
                 return;
@@ -158,8 +159,7 @@ fn main() {
                     s.run().exit_code
                 );
             }
-            let agg =
-                aggregate_streams(&streams, 0).unwrap_or_else(|e| fail("cannot aggregate", e));
+            let agg = aggregate_streams(&streams).unwrap_or_else(|e| fail("cannot aggregate", e));
             println!("-- aggregate over {} experiments", streams.len());
             // Totals only; the per-PC table is for machine diffing.
             for line in agg.render().lines() {

@@ -16,7 +16,7 @@
 //! * [`mcf`] — the MCF network-simplex benchmark written in mini-C,
 //!   with an instance generator and a pure-Rust min-cost-flow oracle,
 //! * [`store`] — the packed binary experiment store, streaming reader
-//!   and parallel multi-experiment aggregation (merge/diff) engine,
+//!   and multi-experiment aggregation (merge/diff) engine,
 //! * [`serve`] — the always-on aggregation service: the `mp-serve`
 //!   daemon's wire protocol, multi-collector ingest, tiered
 //!   compaction and query layer.

@@ -88,7 +88,7 @@ fn golden_views_and_store_renders() {
     // The store engine over the same experiments: the `mp-store stat`
     // histogram, a merge of two same-recipe runs, and a diff against
     // a truncated re-run (so both sides share a recipe but differ).
-    let agg = aggregate(&[&run.exp1, &run.exp2], 1).expect("aggregate");
+    let agg = aggregate(&[&run.exp1, &run.exp2]).expect("aggregate");
     check("store_aggregate.txt", &agg.render());
 
     let mut shorter = run.exp1.clone();
@@ -102,11 +102,11 @@ fn golden_views_and_store_renders() {
     let merged = merge_loaded(&[run.exp1.clone(), shorter.clone()]).expect("merge");
     check(
         "store_merge_aggregate.txt",
-        &aggregate(&[&merged], 1).expect("aggregate merged").render(),
+        &aggregate(&[&merged]).expect("aggregate merged").render(),
     );
 
-    let agg_a = aggregate(&[&run.exp1], 1).expect("aggregate a");
-    let agg_b = aggregate(&[&shorter], 1).expect("aggregate b");
+    let agg_a = aggregate(&[&run.exp1]).expect("aggregate a");
+    let agg_b = aggregate(&[&shorter]).expect("aggregate b");
     let diff = diff_aggregates(&agg_a, &agg_b).expect("diff");
     check("store_diff_raw.txt", &diff.render());
     check(

@@ -5,8 +5,8 @@
 //!   byte-for-byte;
 //! * merging two experiments yields per-function and per-data-object
 //!   totals equal to the element-wise sum of the individual analyses;
-//! * the parallel aggregator's output is byte-identical to the serial
-//!   one's;
+//! * the threaded merge decode and diff give byte-identical output to
+//!   their serial oracles;
 //! * the `mp-store` CLI round-trips and merges experiment bundles that
 //!   `mp-er-print` can then analyze.
 
@@ -20,8 +20,8 @@ use memprof::profiler::{
     analyze::Analysis, collect, parse_counter_spec, CollectConfig, Experiment,
 };
 use memprof::store::{
-    aggregate, merge_loaded, merge_streams, pack_dir, pack_experiment, unpack_to_dir, xxh64,
-    StreamFile,
+    aggregate, diff_aggregates, diff_streams, merge_experiments, merge_loaded, merge_streams,
+    pack_dir, pack_experiment, unpack_to_dir, xxh64, ExperimentRef, StreamFile,
 };
 
 fn scratch(tag: &str) -> std::path::PathBuf {
@@ -180,17 +180,56 @@ fn merged_analysis_equals_elementwise_sum_of_parts() {
     }
 }
 
+/// The two places the store still runs threads, each against its
+/// serial oracle: `merge_experiments` decodes its inputs one per core,
+/// and `diff_streams` aggregates its two sides concurrently.
 #[test]
 fn parallel_aggregation_is_byte_identical_to_serial() {
-    let (_, e1) = collect_mcf();
+    let (program, e1) = collect_mcf();
     let e2 = shortened(&e1);
-    let views: Vec<&Experiment> = vec![&e1, &e2];
-    let serial = aggregate(&views, 1).unwrap().render();
+    let packed1 = scratch("par_e1.mps");
+    let dir2 = scratch("par_e2");
+    let _ = std::fs::remove_dir_all(&dir2);
+    std::fs::write(&packed1, pack_experiment(&e1, &[])).unwrap();
+    e2.save(&dir2).unwrap();
+    program.syms.save(&dir2.join("syms.txt")).unwrap();
+    let refs = [
+        ExperimentRef::open(&packed1).unwrap(),
+        ExperimentRef::open(&dir2).unwrap(),
+        ExperimentRef::open(&packed1).unwrap(),
+    ];
+
+    let loaded: Vec<Experiment> = refs.iter().map(|r| r.load().unwrap()).collect();
+    let oracle = merge_loaded(&loaded).unwrap();
+    let merged = merge_experiments(&refs).unwrap();
+    assert_eq!(
+        pack_experiment(&merged, &[]),
+        pack_experiment(&oracle, &[]),
+        "threaded merge must pack like the serial one"
+    );
+    let serial = aggregate(&[&oracle]).unwrap().render();
     assert!(!serial.is_empty());
-    for shards in [2, 4, 8] {
-        let par = aggregate(&views, shards).unwrap().render();
-        assert_eq!(par, serial, "{shards}-shard output must be byte-identical");
-    }
+    assert_eq!(aggregate(&[&merged]).unwrap().render(), serial);
+
+    let (sa, sb) = (
+        refs[0].open_stream().unwrap(),
+        refs[1].open_stream().unwrap(),
+    );
+    let threaded = diff_streams(&sa, &sb).unwrap();
+    let oracle = diff_aggregates(
+        &aggregate(&[&loaded[0]]).unwrap(),
+        &aggregate(&[&loaded[1]]).unwrap(),
+    )
+    .unwrap();
+    assert!(!oracle.rows.is_empty());
+    assert_eq!(threaded.render(), oracle.render());
+    assert_eq!(
+        threaded.render_by_function(&program.syms),
+        oracle.render_by_function(&program.syms)
+    );
+
+    let _ = std::fs::remove_file(&packed1);
+    let _ = std::fs::remove_dir_all(&dir2);
 }
 
 #[test]

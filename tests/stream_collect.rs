@@ -115,8 +115,8 @@ fn streamed_views_are_byte_identical_to_in_memory() {
         a_mem.render_data_objects(ecstall)
     );
     assert_eq!(
-        aggregate(&[&exp_stream], 1).unwrap().render(),
-        aggregate(&[&exp_mem], 1).unwrap().render(),
+        aggregate(&[&exp_stream]).unwrap().render(),
+        aggregate(&[&exp_mem]).unwrap().render(),
         "store histograms must agree"
     );
 
