@@ -11,12 +11,12 @@ use simsparc_machine::SegmentKind;
 
 use super::views::sort_by_metric;
 use super::Analysis;
-use crate::batch::{AttrTag, ByAddrBucket, EventBatch, GroupKey, NO_ADDR};
+use crate::batch::{aggregate_by, AttrTag, ByAddrBucket, EventBatch, GroupKey};
 
 /// Group by address-space segment of the effective address; rows
 /// without an EA are skipped. The raw key is the segment's index in
 /// [`BY_SEGMENT_KINDS`].
-struct BySegment;
+pub(super) struct BySegment;
 
 const BY_SEGMENT_KINDS: [SegmentKind; 4] = [
     SegmentKind::Text,
@@ -37,34 +37,22 @@ fn segment_index(kind: SegmentKind) -> u64 {
 impl GroupKey for BySegment {
     type Key = SegmentKind;
 
-    fn key(&self, batch: &EventBatch, i: usize) -> Option<SegmentKind> {
-        batch.ea_of(i).map(SegmentKind::of_addr)
+    fn raw(&self, batch: &EventBatch, i: usize) -> Option<u64> {
+        batch
+            .ea_of(i)
+            .map(|ea| segment_index(SegmentKind::of_addr(ea)))
     }
 
-    fn key_column(
-        &self,
-        batch: &EventBatch,
-        range: std::ops::Range<usize>,
-        out: &mut Vec<Option<u64>>,
-    ) -> bool {
-        out.extend(
-            batch.ea[range]
-                .iter()
-                .map(|&ea| (ea != NO_ADDR).then(|| segment_index(SegmentKind::of_addr(ea)))),
-        );
-        true
-    }
-
-    fn decode_key(&self, _batch: &EventBatch, raw: u64) -> SegmentKind {
+    fn decode(&self, raw: u64) -> SegmentKind {
         BY_SEGMENT_KINDS[raw as usize]
     }
 }
 
 /// Group by structure-instance base address (`ea - member offset`)
 /// for one target structure. The per-descriptor offsets are
-/// precomputed from the batch's interned descriptor pool, so the key
-/// column is a table lookup per row, not a descriptor match.
-struct ByInstanceBase {
+/// precomputed from the batch's interned descriptor pool, so the raw
+/// key is a table lookup per row, not a descriptor match.
+pub(super) struct ByInstanceBase {
     /// Offset of the accessed member within the target structure,
     /// indexed by interned descriptor id; `None` for descriptors of
     /// other structures (and non-member descriptors).
@@ -72,7 +60,7 @@ struct ByInstanceBase {
 }
 
 impl ByInstanceBase {
-    fn new(batch: &EventBatch, struct_name: &str) -> ByInstanceBase {
+    pub(super) fn new(batch: &EventBatch, struct_name: &str) -> ByInstanceBase {
         let offsets = batch
             .descs
             .iter()
@@ -92,7 +80,7 @@ impl ByInstanceBase {
 impl GroupKey for ByInstanceBase {
     type Key = u64;
 
-    fn key(&self, batch: &EventBatch, i: usize) -> Option<u64> {
+    fn raw(&self, batch: &EventBatch, i: usize) -> Option<u64> {
         let ea = batch.ea_of(i)?;
         if batch.tag[i] != AttrTag::Data {
             return None;
@@ -100,19 +88,7 @@ impl GroupKey for ByInstanceBase {
         self.offsets[batch.desc[i] as usize].map(|off| ea.wrapping_sub(off))
     }
 
-    fn key_column(
-        &self,
-        batch: &EventBatch,
-        range: std::ops::Range<usize>,
-        out: &mut Vec<Option<u64>>,
-    ) -> bool {
-        for i in range {
-            out.push(self.key(batch, i));
-        }
-        true
-    }
-
-    fn decode_key(&self, _batch: &EventBatch, raw: u64) -> u64 {
+    fn decode(&self, raw: u64) -> u64 {
         raw
     }
 }
@@ -157,19 +133,23 @@ pub struct InstanceReport {
 impl Analysis<'_> {
     /// Events with reconstructed effective addresses, by segment.
     pub fn segments(&self) -> Vec<SegmentRow> {
-        let map = self.kernel(&BySegment);
+        let map = aggregate_by(&self.batch, &BySegment);
         let mut rows: Vec<SegmentRow> = map
             .into_iter()
             .map(|(segment, samples)| SegmentRow { segment, samples })
             .collect();
-        rows.sort_by_key(|r| std::cmp::Reverse(r.samples.iter().sum::<u64>()));
+        sort_by_metric(
+            &mut rows,
+            |r| r.samples.iter().sum::<u64>(),
+            |a, b| segment_index(a.segment).cmp(&segment_index(b.segment)),
+        );
         rows
     }
 
     /// Top pages by total events. `page_bytes` must be a power of two.
     pub fn pages(&self, page_bytes: u64, limit: usize) -> Vec<PageRow> {
         assert!(page_bytes.is_power_of_two());
-        let map = self.kernel(&ByAddrBucket { bytes: page_bytes });
+        let map = aggregate_by(&self.batch, &ByAddrBucket { bytes: page_bytes });
         let mut rows: Vec<PageRow> = map
             .into_iter()
             .map(|(page_base, samples)| PageRow {
@@ -190,7 +170,7 @@ impl Analysis<'_> {
     /// Top cache lines by total events.
     pub fn cache_lines(&self, line_bytes: u64, limit: usize) -> Vec<CacheLineRow> {
         assert!(line_bytes.is_power_of_two());
-        let map = self.kernel(&ByAddrBucket { bytes: line_bytes });
+        let map = aggregate_by(&self.batch, &ByAddrBucket { bytes: line_bytes });
         let mut rows: Vec<CacheLineRow> = map
             .into_iter()
             .map(|(line_base, samples)| CacheLineRow { line_base, samples })
@@ -217,7 +197,7 @@ impl Analysis<'_> {
         let size = sinfo.size;
 
         let map: HashMap<u64, Vec<u64>> =
-            self.kernel(&ByInstanceBase::new(&self.batch, struct_name));
+            aggregate_by(&self.batch, &ByInstanceBase::new(&self.batch, struct_name));
         if map.is_empty() {
             return Some(InstanceReport {
                 struct_name: struct_name.to_string(),

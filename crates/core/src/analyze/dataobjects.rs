@@ -10,7 +10,7 @@ use minic::MemDesc;
 
 use super::views::sort_by_metric;
 use super::{fmt_val_pct, Analysis, UnknownKind};
-use crate::batch::{AttrTag, EventBatch, GroupKey};
+use crate::batch::{aggregate_by, AttrTag, EventBatch, GroupKey};
 
 fn intern_key(
     pool: &mut Vec<DataObjectKey>,
@@ -25,9 +25,9 @@ fn intern_key(
 
 /// Group by [`DataObjectKey`] over the data columns — the Figure 6
 /// keyer. Every interned descriptor and `Unk*` tag is mapped to a
-/// pooled key id up front, so the key column is two table lookups
-/// per row and typed keys are cloned once per group, not per event.
-struct ByDataObject {
+/// pooled key id up front, so the raw key is two table lookups per
+/// row and typed keys are cloned once per group, not per event.
+pub(super) struct ByDataObject {
     /// Is column `c` a backtracked data column?
     col_is_data: Vec<bool>,
     /// Pooled key id per interned descriptor id.
@@ -39,7 +39,7 @@ struct ByDataObject {
 }
 
 impl ByDataObject {
-    fn new(batch: &EventBatch, data_cols: &[usize], ncols: usize) -> ByDataObject {
+    pub(super) fn new(batch: &EventBatch, data_cols: &[usize], ncols: usize) -> ByDataObject {
         let mut col_is_data = vec![false; ncols];
         for &c in data_cols {
             col_is_data[c] = true;
@@ -86,30 +86,7 @@ impl ByDataObject {
 impl GroupKey for ByDataObject {
     type Key = DataObjectKey;
 
-    fn key(&self, batch: &EventBatch, i: usize) -> Option<DataObjectKey> {
-        self.raw_of(batch, i)
-            .map(|raw| self.pool[raw as usize].clone())
-    }
-
-    fn key_column(
-        &self,
-        batch: &EventBatch,
-        range: std::ops::Range<usize>,
-        out: &mut Vec<Option<u64>>,
-    ) -> bool {
-        for i in range {
-            out.push(self.raw_of(batch, i));
-        }
-        true
-    }
-
-    fn decode_key(&self, _batch: &EventBatch, raw: u64) -> DataObjectKey {
-        self.pool[raw as usize].clone()
-    }
-}
-
-impl ByDataObject {
-    fn raw_of(&self, batch: &EventBatch, i: usize) -> Option<u64> {
+    fn raw(&self, batch: &EventBatch, i: usize) -> Option<u64> {
         if !self.col_is_data[batch.col[i] as usize] {
             return None;
         }
@@ -119,12 +96,16 @@ impl ByDataObject {
             tag => Some(self.tag_raw[tag as usize]),
         }
     }
+
+    fn decode(&self, raw: u64) -> DataObjectKey {
+        self.pool[raw as usize].clone()
+    }
 }
 
 /// Group by member name within one target structure — the Figure 7
 /// keyer. The raw key is the interned descriptor id; descriptors of
 /// other structures resolve to `None` via a precomputed table.
-struct ByMemberName {
+pub(super) struct ByMemberName {
     col_is_data: Vec<bool>,
     /// Member name per interned descriptor id, for members of the
     /// target structure only.
@@ -132,7 +113,12 @@ struct ByMemberName {
 }
 
 impl ByMemberName {
-    fn new(batch: &EventBatch, data_cols: &[usize], ncols: usize, target: &str) -> ByMemberName {
+    pub(super) fn new(
+        batch: &EventBatch,
+        data_cols: &[usize],
+        ncols: usize,
+        target: &str,
+    ) -> ByMemberName {
         let mut col_is_data = vec![false; ncols];
         for &c in data_cols {
             col_is_data[c] = true;
@@ -159,29 +145,14 @@ impl ByMemberName {
 impl GroupKey for ByMemberName {
     type Key = String;
 
-    fn key(&self, batch: &EventBatch, i: usize) -> Option<String> {
-        if !self.col_is_data[batch.col[i] as usize] || batch.tag[i] != AttrTag::Data {
-            return None;
-        }
-        self.member[batch.desc[i] as usize].clone()
+    fn raw(&self, batch: &EventBatch, i: usize) -> Option<u64> {
+        let keep = self.col_is_data[batch.col[i] as usize]
+            && batch.tag[i] == AttrTag::Data
+            && self.member[batch.desc[i] as usize].is_some();
+        keep.then(|| batch.desc[i] as u64)
     }
 
-    fn key_column(
-        &self,
-        batch: &EventBatch,
-        range: std::ops::Range<usize>,
-        out: &mut Vec<Option<u64>>,
-    ) -> bool {
-        for i in range {
-            let keep = self.col_is_data[batch.col[i] as usize]
-                && batch.tag[i] == AttrTag::Data
-                && self.member[batch.desc[i] as usize].is_some();
-            out.push(keep.then(|| batch.desc[i] as u64));
-        }
-        true
-    }
-
-    fn decode_key(&self, _batch: &EventBatch, raw: u64) -> String {
+    fn decode(&self, raw: u64) -> String {
         self.member[raw as usize].clone().unwrap()
     }
 }
@@ -234,11 +205,10 @@ impl Analysis<'_> {
     /// backtracked memory counters have data-object information.
     pub fn data_objects(&self, sort_col: usize) -> Vec<DataObjectRow> {
         let data_cols = self.data_columns();
-        let map = self.kernel(&ByDataObject::new(
+        let map = aggregate_by(
             &self.batch,
-            &data_cols,
-            self.columns.len(),
-        ));
+            &ByDataObject::new(&self.batch, &data_cols, self.columns.len()),
+        );
 
         let ncols = self.columns.len();
         let mut unknown_total = vec![0u64; ncols];
@@ -335,12 +305,10 @@ impl Analysis<'_> {
 
         // One kernel pass keyed by member name; the whole-struct
         // total is the elementwise sum of the member rows.
-        let mut by_member: HashMap<String, Vec<u64>> = self.kernel(&ByMemberName::new(
+        let mut by_member: HashMap<String, Vec<u64>> = aggregate_by(
             &self.batch,
-            &data_cols,
-            ncols,
-            struct_name,
-        ));
+            &ByMemberName::new(&self.batch, &data_cols, ncols, struct_name),
+        );
         let mut total = vec![0u64; ncols];
         for samples in by_member.values() {
             for (t, x) in total.iter_mut().zip(samples) {

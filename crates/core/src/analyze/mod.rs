@@ -24,7 +24,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use minic::{MemDesc, SymbolTable};
 use simsparc_machine::CounterEvent;
 
-use crate::batch::{aggregate_by, AttrTag, BatchEvent, EventBatch, GroupKey, NO_ID, NO_LINE};
+use crate::batch::{AttrTag, BatchEvent, EventBatch, NO_ID, NO_LINE};
 use crate::experiment::Experiment;
 
 /// What a metric column measures.
@@ -161,8 +161,11 @@ impl Attribution {
 ///
 /// Reduction happens once, at construction: every event is validated
 /// and written into a cached columnar [`EventBatch`]; each view is
-/// then a [`crate::batch::aggregate_by`] fold over that batch under
-/// its own [`GroupKey`] — no view re-walks the raw events.
+/// then one [`crate::batch::aggregate_by`] fold over that batch under
+/// its own keyer, a raw `u64` per row and its decode
+/// ([`crate::batch::GroupKey`]). No view re-walks the raw events;
+/// callers/callees reach each row's callstack through its provenance
+/// and key it by function index.
 pub struct Analysis<'a> {
     pub experiments: Vec<&'a Experiment>,
     pub syms: &'a SymbolTable,
@@ -274,13 +277,6 @@ impl<'a> Analysis<'a> {
     /// Total raw sample counts per column.
     pub fn totals(&self) -> Vec<u64> {
         self.batch.totals()
-    }
-
-    /// Fold the cached batch under a grouping key. Keyers without a
-    /// raw key column — the closures that chase callstacks back into
-    /// the experiments — take the serial fold.
-    pub(crate) fn kernel<G: GroupKey>(&self, keyer: &G) -> HashMap<G::Key, Vec<u64>> {
-        aggregate_by(&self.batch, keyer)
     }
 }
 
@@ -439,5 +435,212 @@ pub(crate) fn fmt_val_pct(col: &MetricCol, samples: u64, total: u64) -> String {
     match col.secs(samples) {
         Some(s) => format!("{s:>10.3} {pct:>5.1}"),
         None => format!("{pct:>5.1}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::addrviews::{ByInstanceBase, BySegment};
+    use super::dataobjects::{ByDataObject, ByMemberName};
+    use super::views::ByStackFunc;
+    use super::*;
+    use crate::batch::{aggregate_by, aggregate_by_serial, GroupKey};
+    use crate::{collect, parse_counter_spec, CollectConfig};
+    use minic::{compile_and_link, CompileOptions, Program};
+    use simsparc_machine::{Machine, MachineConfig};
+
+    /// The particles sweep of `workloads/particles.c`, split into
+    /// functions so callstacks have depth, on 20,000 particles.
+    const PARTICLES: &str = r#"
+extern char *malloc(long nbytes);
+
+struct particle {
+    long x;
+    long y;
+    long vx;
+    long vy;
+    long mass;
+    long charge;
+};
+
+long sweeps;
+
+long init(struct particle *ps, long n) {
+    struct particle *p;
+    for (p = ps; p < ps + n; p = p + 1) {
+        p->x = (long)p % 97;
+        p->y = (long)p % 89;
+        p->vx = 1;
+        p->vy = 2;
+        p->mass = 3;
+        p->charge = 1;
+    }
+    return n;
+}
+
+long push(struct particle *p) {
+    p->x = p->x + p->vx;
+    p->y = p->y + p->vy;
+    return p->mass * (p->vx * p->vx + p->vy * p->vy);
+}
+
+long sweep(struct particle *ps, long n) {
+    struct particle *p;
+    long energy = 0;
+    for (p = ps; p < ps + n; p = p + 1) {
+        energy = energy + push(p);
+    }
+    sweeps = sweeps + 1;
+    return energy;
+}
+
+long main() {
+    long n = 20000;
+    struct particle *ps = (struct particle*)malloc(n * sizeof(struct particle));
+    long step;
+    long energy = 0;
+    init(ps, n);
+    for (step = 0; step < 3; step = step + 1) {
+        energy = energy + sweep(ps, n);
+    }
+    print_long(energy);
+    return 0;
+}
+"#;
+
+    /// One profiled run on a memory hierarchy scaled down so the
+    /// ~1 MB particle array misses the E$.
+    fn run(program: &Program, spec: &str, clock: bool) -> Experiment {
+        let mut cfg = MachineConfig::default();
+        cfg.dcache.bytes = 16 * 1024;
+        cfg.ecache.bytes = 256 * 1024;
+        let mut m = Machine::new(cfg);
+        m.load(&program.image);
+        let config = CollectConfig {
+            counters: parse_counter_spec(spec).unwrap(),
+            clock_profiling: clock,
+            clock_period_cycles: 4001,
+            ..CollectConfig::default()
+        };
+        collect(&mut m, &config).unwrap()
+    }
+
+    /// The paper's two experiments: E1 (E$ stalls and read misses,
+    /// plus clock ticks) and E2 (E$ references and DTLB misses).
+    fn experiments() -> (Program, Experiment, Experiment) {
+        let program =
+            compile_and_link(&[("particles.c", PARTICLES)], CompileOptions::profiling()).unwrap();
+        let e1 = run(&program, "+ecstall,997,+ecrm,101", true);
+        let e2 = run(&program, "+ecref,211,+dtlbm,53", false);
+        (program, e1, e2)
+    }
+
+    fn assert_oracle<G: GroupKey>(a: &Analysis, keyer: &G) -> usize
+    where
+        G::Key: std::fmt::Debug,
+    {
+        let map = aggregate_by(&a.batch, keyer);
+        assert_eq!(map, aggregate_by_serial(&a.batch, keyer));
+        map.len()
+    }
+
+    /// Every private keyer folds to the oracle's map over a real run.
+    #[test]
+    fn analyzer_keyers_equal_the_oracle_fold() {
+        let (program, e1, e2) = experiments();
+        let a = Analysis::new(&[&e1, &e2], &program.syms);
+        let data_cols = a.data_columns();
+        let ncols = a.columns.len();
+        let by_object = ByDataObject::new(&a.batch, &data_cols, ncols);
+        assert!(assert_oracle(&a, &by_object) > 1);
+        let by_member = ByMemberName::new(&a.batch, &data_cols, ncols, "particle");
+        assert!(assert_oracle(&a, &by_member) > 1);
+        assert!(assert_oracle(&a, &BySegment) > 1);
+        let by_instance = ByInstanceBase::new(&a.batch, "particle");
+        assert!(assert_oracle(&a, &by_instance) > 100);
+        for f in &program.syms.funcs {
+            for callees in [false, true] {
+                let keyer = ByStackFunc {
+                    analysis: &a,
+                    func: &f.name,
+                    callees,
+                };
+                assert_oracle(&a, &keyer);
+            }
+        }
+    }
+
+    /// The callers/callees rows by a walk over every event's stack in
+    /// its experiment, keyed by function *name* per event.
+    fn stack_walk(a: &Analysis, func: &str, callees: bool) -> Vec<(String, Vec<u64>)> {
+        let name = |pc: u64| a.syms.func_at(pc).map(|f| f.name.clone());
+        let b = &a.batch;
+        let mut map: HashMap<String, Vec<u64>> = HashMap::new();
+        for i in 0..b.len() {
+            let (xi, ei, is_clock) = b.src_of(i);
+            let exp = a.experiments[xi];
+            let id = if is_clock {
+                exp.clock_events[ei].stack
+            } else {
+                exp.hwc_events[ei].stack
+            };
+            let stack = &exp.stacks[id as usize];
+            let leaf = name(b.pc[i]);
+            let key = if callees {
+                match stack
+                    .iter()
+                    .rposition(|&pc| name(pc).as_deref() == Some(func))
+                {
+                    Some(p) => Some(
+                        stack
+                            .get(p + 1)
+                            .map_or(leaf, |&pc| name(pc))
+                            .unwrap_or_else(|| "<unknown>".to_string()),
+                    ),
+                    None => (leaf.as_deref() == Some(func)).then(|| "<self>".to_string()),
+                }
+            } else {
+                (leaf.as_deref() == Some(func)).then(|| {
+                    stack
+                        .last()
+                        .and_then(|&pc| name(pc))
+                        .unwrap_or_else(|| "<no caller>".to_string())
+                })
+            };
+            if let Some(k) = key {
+                map.entry(k).or_insert_with(|| vec![0; a.columns.len()])[b.col[i] as usize] += 1;
+            }
+        }
+        let mut rows: Vec<(String, Vec<u64>)> = map.into_iter().collect();
+        let total = |r: &(String, Vec<u64>)| r.1.iter().sum::<u64>();
+        rows.sort_by(|x, y| total(y).cmp(&total(x)).then_with(|| x.0.cmp(&y.0)));
+        rows
+    }
+
+    #[test]
+    fn callers_and_callees_equal_a_stack_walk() {
+        let (program, e1, e2) = experiments();
+        let a = Analysis::new(&[&e1, &e2], &program.syms);
+        let rows = |rows: Vec<FunctionRow>| -> Vec<(String, Vec<u64>)> {
+            rows.into_iter().map(|r| (r.name, r.samples)).collect()
+        };
+        for f in &program.syms.funcs {
+            assert_eq!(
+                rows(a.callers_of(&f.name)),
+                stack_walk(&a, &f.name, false),
+                "callers of {}",
+                f.name
+            );
+            assert_eq!(
+                rows(a.callees_of(&f.name)),
+                stack_walk(&a, &f.name, true),
+                "callees of {}",
+                f.name
+            );
+        }
+        // The run calls `push` from `sweep`, and `sweep` from `main`.
+        assert_eq!(a.callers_of("push")[0].name, "sweep");
+        let callees: Vec<String> = a.callees_of("main").into_iter().map(|r| r.name).collect();
+        assert!(callees.iter().any(|n| n == "sweep"), "{callees:?}");
     }
 }

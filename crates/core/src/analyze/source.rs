@@ -12,7 +12,7 @@ use minic::render_memdesc;
 use simsparc_isa::disasm;
 
 use super::Analysis;
-use crate::batch::{ByLine, ByLineInRange, ByPcInRange, NO_ID};
+use crate::batch::{aggregate_by, ByLine, ByLineInRange, ByPcInRange, NO_ID};
 
 /// One line of annotated source.
 #[derive(Clone, Debug)]
@@ -56,10 +56,13 @@ impl Analysis<'_> {
         // Accumulate samples per line, restricted to this function.
         // The batch caches each event's source line, so the keyer
         // only needs the function's pc range.
-        let map = self.kernel(&ByLineInRange {
-            entry: f.entry,
-            end: f.end,
-        });
+        let map = aggregate_by(
+            &self.batch,
+            &ByLineInRange {
+                entry: f.entry,
+                end: f.end,
+            },
+        );
 
         // Line span of the function: from its metadata.
         let mut min_line = u32::MAX;
@@ -136,7 +139,7 @@ impl Analysis<'_> {
         // Aggregate on interned (function id, line) pairs, then fold
         // ids into (name, module, line) keys — duplicate names merge
         // exactly as when keying on the name directly.
-        let map = self.kernel(&ByLine);
+        let map = aggregate_by(&self.batch, &ByLine);
         let mut by_name: HashMap<(String, usize, u32), Vec<u64>> = HashMap::new();
         for ((fid, line), samples) in map {
             if fid == NO_ID {
@@ -187,17 +190,23 @@ impl Analysis<'_> {
         let ncols = self.columns.len();
 
         // Real-instruction samples.
-        let real = self.kernel(&ByPcInRange {
-            entry: f.entry,
-            end: f.end,
-            artificial: false,
-        });
+        let real = aggregate_by(
+            &self.batch,
+            &ByPcInRange {
+                entry: f.entry,
+                end: f.end,
+                artificial: false,
+            },
+        );
         // Artificial branch-target samples.
-        let artificial = self.kernel(&ByPcInRange {
-            entry: f.entry,
-            end: f.end,
-            artificial: true,
-        });
+        let artificial = aggregate_by(
+            &self.batch,
+            &ByPcInRange {
+                entry: f.entry,
+                end: f.end,
+                artificial: true,
+            },
+        );
 
         // Instructions from the first experiment's text are not
         // available here; the symbol table has enough (meta) but the

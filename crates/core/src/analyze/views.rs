@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use super::{fmt_val_pct, Analysis, Attribution, ColKind, MetricCol};
-use crate::batch::{ByFunc, ByPc, EventBatch, NO_ID};
+use crate::batch::{aggregate_by, ByFunc, ByPc, EventBatch, GroupKey, NO_ID};
 use minic::render_memdesc;
 
 /// The shared ordering of every metric table: the sort column
@@ -19,6 +19,69 @@ pub(crate) fn sort_by_metric<T>(
     tie: impl Fn(&T, &T) -> std::cmp::Ordering,
 ) {
     rows.sort_by(|a, b| metric(b).cmp(&metric(a)).then_with(|| tie(a, b)));
+}
+
+/// Group by the function one frame away from `func` on a row's
+/// callstack: its caller, or (with `callees`) the frame below `func`.
+/// Callstacks live in the experiments, not the batch, so the keyer
+/// holds the analysis. The raw key is the frame's index in the symbol
+/// table's function list; the three raws past the last index are the
+/// pseudo-rows of [`STACK_PSEUDO_ROWS`]. Functions that share a name
+/// decode to one key, and their samples sum.
+pub(super) struct ByStackFunc<'a, 'b> {
+    pub(super) analysis: &'b Analysis<'a>,
+    pub(super) func: &'b str,
+    pub(super) callees: bool,
+}
+
+/// Raw-key offsets past the function list, and their row names.
+const NO_CALLER: u64 = 0;
+const SELF: u64 = 1;
+const UNKNOWN: u64 = 2;
+const STACK_PSEUDO_ROWS: [&str; 3] = ["<no caller>", "<self>", "<unknown>"];
+
+impl GroupKey for ByStackFunc<'_, '_> {
+    type Key = String;
+
+    fn raw(&self, b: &EventBatch, i: usize) -> Option<u64> {
+        let syms = self.analysis.syms;
+        let is_func = |f: usize| syms.funcs[f].name == self.func;
+        let leaf = (b.func[i] != NO_ID).then_some(b.func[i] as usize);
+        let frame = |f: Option<usize>, pseudo: u64| {
+            Some(f.map_or(syms.funcs.len() as u64 + pseudo, |f| f as u64))
+        };
+        if !self.callees {
+            if !leaf.is_some_and(is_func) {
+                return None;
+            }
+            let caller = self.analysis.stack_of(b, i).last();
+            return frame(caller.and_then(|&pc| syms.func_index_at(pc)), NO_CALLER);
+        }
+        let stack = self.analysis.stack_of(b, i);
+        // Find `func` as the innermost matching frame.
+        match stack
+            .iter()
+            .rposition(|&pc| syms.func_index_at(pc).is_some_and(is_func))
+        {
+            // The frame below `func` is the callee the metric flows
+            // through; the leaf if `func` is the last call site.
+            Some(p) => frame(
+                stack.get(p + 1).map_or(leaf, |&pc| syms.func_index_at(pc)),
+                UNKNOWN,
+            ),
+            // Leaf samples inside `func` itself.
+            None if leaf.is_some_and(is_func) => frame(None, SELF),
+            None => None,
+        }
+    }
+
+    fn decode(&self, raw: u64) -> String {
+        let funcs = &self.analysis.syms.funcs;
+        match funcs.get(raw as usize) {
+            Some(f) => f.name.clone(),
+            None => STACK_PSEUDO_ROWS[(raw - funcs.len() as u64) as usize].to_string(),
+        }
+    }
 }
 
 /// The `<Total>` pseudo-function metrics of Figure 1.
@@ -100,7 +163,7 @@ impl Analysis<'_> {
     pub fn function_list(&self, sort_col: usize) -> Vec<FunctionRow> {
         // Aggregate by interned function id, then fold ids to names
         // (ids outside every function fold into `<unknown>`).
-        let map = self.kernel(&ByFunc);
+        let map = aggregate_by(&self.batch, &ByFunc);
         let mut by_name: HashMap<String, Vec<u64>> = HashMap::new();
         for (fid, samples) in map {
             let name = if fid == NO_ID {
@@ -168,7 +231,7 @@ impl Analysis<'_> {
     /// Figure 5: PCs ranked by one metric, with data-object
     /// descriptors.
     pub fn pc_list(&self, sort_col: usize, limit: usize) -> Vec<PcRow> {
-        let map = self.kernel(&ByPc);
+        let map = aggregate_by(&self.batch, &ByPc);
         let mut pcs: Vec<(u64, Vec<u64>)> = map.into_iter().collect();
         sort_by_metric(&mut pcs, |r| r.1[sort_col], |a, b| a.0.cmp(&b.0));
         pcs.truncate(limit);
@@ -238,33 +301,8 @@ impl Analysis<'_> {
 
     /// Callers of `func`: which functions the profiled events in
     /// `func` were called from, with sample counts.
-    ///
-    /// Callstacks live in the experiments, not the batch, so this key
-    /// runs on the kernel's serial path.
     pub fn callers_of(&self, func: &str) -> Vec<FunctionRow> {
-        let map = self.kernel(&|b: &EventBatch, i: usize| {
-            let leaf = self.syms.func_at(b.pc[i])?;
-            if leaf.name != func {
-                return None;
-            }
-            let stack = self.stack_of(b, i);
-            let caller = stack
-                .last()
-                .and_then(|&pc| self.syms.func_at(pc))
-                .map(|f| f.name.clone())
-                .unwrap_or_else(|| "<no caller>".to_string());
-            Some(caller)
-        });
-        let mut rows: Vec<FunctionRow> = map
-            .into_iter()
-            .map(|(name, samples)| FunctionRow { name, samples })
-            .collect();
-        sort_by_metric(
-            &mut rows,
-            |r| r.samples.iter().sum::<u64>(),
-            |a, b| a.name.cmp(&b.name),
-        );
-        rows
+        self.stack_func_rows(func, false)
     }
 
     /// Callees of `func`: attribute each sample whose callstack
@@ -273,31 +311,18 @@ impl Analysis<'_> {
     /// `func`). Together with [`Analysis::callers_of`] this is the
     /// §2.3 callers/callees view.
     pub fn callees_of(&self, func: &str) -> Vec<FunctionRow> {
-        let map = self.kernel(&|b: &EventBatch, i: usize| {
-            let stack = self.stack_of(b, i);
-            // Find `func` as the innermost matching frame.
-            let pos = stack
-                .iter()
-                .rposition(|&pc| self.syms.func_at(pc).is_some_and(|f| f.name == func));
-            match pos {
-                Some(p) => {
-                    // The frame below `func` is the callee the metric
-                    // flows through; the leaf if `func` is the last
-                    // call site.
-                    let callee = match stack.get(p + 1) {
-                        Some(&pc) => self.syms.func_at(pc).map(|f| f.name.clone()),
-                        None => self.syms.func_at(b.pc[i]).map(|f| f.name.clone()),
-                    };
-                    Some(callee.unwrap_or_else(|| "<unknown>".to_string()))
-                }
-                None => {
-                    // Leaf samples inside `func` itself.
-                    let leaf = self.syms.func_at(b.pc[i])?;
-                    (leaf.name == func).then(|| "<self>".to_string())
-                }
-            }
-        });
-        let mut rows: Vec<FunctionRow> = map
+        self.stack_func_rows(func, true)
+    }
+
+    /// The rows of [`Analysis::callers_of`] or
+    /// [`Analysis::callees_of`], hottest first.
+    fn stack_func_rows(&self, func: &str, callees: bool) -> Vec<FunctionRow> {
+        let keyer = ByStackFunc {
+            analysis: self,
+            func,
+            callees,
+        };
+        let mut rows: Vec<FunctionRow> = aggregate_by(&self.batch, &keyer)
             .into_iter()
             .map(|(name, samples)| FunctionRow { name, samples })
             .collect();

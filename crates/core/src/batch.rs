@@ -7,16 +7,13 @@
 //! once, as parallel arrays (struct-of-arrays), and
 //! [`aggregate_by`] folds it under any [`GroupKey`].
 //!
-//! The fold is a raw-key group-by, not a per-event hash fold: the
-//! keyer yields a *key column* (one raw `u64` per kept row,
-//! [`GroupKey::key_column`]), one open-addressing table with one flat
-//! sample array (no per-key allocation) folds it on the calling
-//! thread, and the raw groups are decoded back to typed keys once per
-//! *group* ([`GroupKey::decode_key`]), not once per event. Keyers
-//! without a raw encoding (ad-hoc closures) fold through
-//! [`aggregate_by_serial`], the one-pass oracle fold kept for
-//! differential testing; every keyer's output is *identical* to that
-//! oracle's — not merely equivalent.
+//! A keyer is a raw `u64` per row ([`GroupKey::raw`]) and its decode
+//! ([`GroupKey::decode`]). The fold adds each kept row to one
+//! open-addressing table with one flat sample array (no per-key
+//! allocation) on the calling thread, and decodes the raw groups back
+//! to typed keys once per *group*, not once per event. Its output is
+//! *identical* to that of [`aggregate_by_serial`], the per-row oracle
+//! fold kept for differential testing — not merely equivalent.
 //!
 //! Every row is an attributed event ([`BatchEvent`], pushed by
 //! `analyze::Analysis`): it carries the §2.3 validation verdict
@@ -32,7 +29,6 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::ops::Range;
 
 use minic::MemDesc;
 
@@ -221,11 +217,6 @@ impl EventBatch {
         }
     }
 
-    /// Enclosing-function id, [`NO_ID`] outside every function.
-    pub fn func_of(&self, i: usize) -> u32 {
-        self.func[i]
-    }
-
     /// Source line, `None` for unmapped PCs.
     pub fn line_of(&self, i: usize) -> Option<u32> {
         match self.line[i] {
@@ -275,68 +266,14 @@ impl EventBatch {
     }
 }
 
-/// A grouping key for [`aggregate_by`]: maps a batch row to the key
-/// its sample accumulates under, or `None` to skip the row. Closures
-/// `Fn(&EventBatch, usize) -> Option<K>` implement this directly.
-///
-/// Keyers whose key fits a raw `u64` additionally implement the bulk
-/// [`GroupKey::key_column`] / [`GroupKey::decode_key`] pair, which
-/// routes [`aggregate_by`] onto its raw-table fold: the key column is
-/// materialized block by block, rows fold on the raw value alone, and
-/// typed keys are reconstructed once per distinct group.
+/// A grouping key for [`aggregate_by`]: a raw `u64` per row and its
+/// decode back to the typed key. [`GroupKey::raw`] returns `None` to
+/// skip a row; [`GroupKey::decode`] runs once per distinct raw value
+/// and may map several raws to one key, whose samples then sum.
 pub trait GroupKey {
     type Key: Hash + Eq + Clone;
-    fn key(&self, batch: &EventBatch, i: usize) -> Option<Self::Key>;
-
-    /// Bulk keying: append one entry per row of `range` to `out`
-    /// (`None` for skipped rows) and return `true`. The default
-    /// returns `false` — no raw encoding — routing [`aggregate_by`]
-    /// onto the [`aggregate_by_serial`] fold. Implementations must
-    /// agree with [`GroupKey::key`]: `key(batch, i)` is `Some(k)`
-    /// exactly when the column holds `Some(raw)` at that row with
-    /// `decode_key(batch, raw) == k`.
-    fn key_column(
-        &self,
-        batch: &EventBatch,
-        range: Range<usize>,
-        out: &mut Vec<Option<u64>>,
-    ) -> bool {
-        let _ = (batch, range, out);
-        false
-    }
-
-    /// Decode a raw value produced by [`GroupKey::key_column`] back
-    /// into the typed key. Called once per distinct group, only with
-    /// values the key column yielded.
-    fn decode_key(&self, batch: &EventBatch, raw: u64) -> Self::Key {
-        let _ = (batch, raw);
-        unreachable!("decode_key on a keyer without a raw key column")
-    }
-
-    /// Borrow a batch column that *is* the raw key column: one raw
-    /// value per row with no skipped rows. When a keyer can return
-    /// one, the fold reads the batch's own array directly instead of
-    /// materializing 16-byte `Option<u64>` entries per row — on a
-    /// per-PC histogram that materialization is a full extra pass of
-    /// memory traffic. Must agree with [`GroupKey::key_column`]:
-    /// `dense_keys(batch)[i]` equals the raw value `key_column` would
-    /// yield for row `i`, for every row.
-    fn dense_keys<'a>(&self, batch: &'a EventBatch) -> Option<&'a [u64]> {
-        let _ = batch;
-        None
-    }
-}
-
-impl<K, F> GroupKey for F
-where
-    K: Hash + Eq + Clone,
-    F: Fn(&EventBatch, usize) -> Option<K>,
-{
-    type Key = K;
-
-    fn key(&self, batch: &EventBatch, i: usize) -> Option<K> {
-        self(batch, i)
-    }
+    fn raw(&self, batch: &EventBatch, i: usize) -> Option<u64>;
+    fn decode(&self, raw: u64) -> Self::Key;
 }
 
 /// Group by charged PC.
@@ -345,26 +282,12 @@ pub struct ByPc;
 impl GroupKey for ByPc {
     type Key = u64;
 
-    fn key(&self, batch: &EventBatch, i: usize) -> Option<u64> {
+    fn raw(&self, batch: &EventBatch, i: usize) -> Option<u64> {
         Some(batch.pc[i])
     }
 
-    fn key_column(
-        &self,
-        batch: &EventBatch,
-        range: Range<usize>,
-        out: &mut Vec<Option<u64>>,
-    ) -> bool {
-        out.extend(batch.pc[range].iter().copied().map(Some));
-        true
-    }
-
-    fn decode_key(&self, _batch: &EventBatch, raw: u64) -> u64 {
+    fn decode(&self, raw: u64) -> u64 {
         raw
-    }
-
-    fn dense_keys<'a>(&self, batch: &'a EventBatch) -> Option<&'a [u64]> {
-        Some(&batch.pc)
     }
 }
 
@@ -374,21 +297,11 @@ pub struct ByFunc;
 impl GroupKey for ByFunc {
     type Key = u32;
 
-    fn key(&self, batch: &EventBatch, i: usize) -> Option<u32> {
-        Some(batch.func_of(i))
+    fn raw(&self, batch: &EventBatch, i: usize) -> Option<u64> {
+        Some(batch.func[i] as u64)
     }
 
-    fn key_column(
-        &self,
-        batch: &EventBatch,
-        range: Range<usize>,
-        out: &mut Vec<Option<u64>>,
-    ) -> bool {
-        out.extend(batch.func[range].iter().map(|&f| Some(f as u64)));
-        true
-    }
-
-    fn decode_key(&self, _batch: &EventBatch, raw: u64) -> u32 {
+    fn decode(&self, raw: u64) -> u32 {
         raw as u32
     }
 }
@@ -400,52 +313,13 @@ pub struct ByLine;
 impl GroupKey for ByLine {
     type Key = (u32, u32);
 
-    fn key(&self, batch: &EventBatch, i: usize) -> Option<(u32, u32)> {
-        Some((batch.func_of(i), batch.line_of(i)?))
+    fn raw(&self, batch: &EventBatch, i: usize) -> Option<u64> {
+        let line = batch.line_of(i)?;
+        Some(((batch.func[i] as u64) << 32) | line as u64)
     }
 
-    fn key_column(
-        &self,
-        batch: &EventBatch,
-        range: Range<usize>,
-        out: &mut Vec<Option<u64>>,
-    ) -> bool {
-        for i in range {
-            let line = batch.line[i];
-            out.push((line != NO_LINE).then(|| ((batch.func[i] as u64) << 32) | line as u64));
-        }
-        true
-    }
-
-    fn decode_key(&self, _batch: &EventBatch, raw: u64) -> (u32, u32) {
+    fn decode(&self, raw: u64) -> (u32, u32) {
         ((raw >> 32) as u32, raw as u32)
-    }
-}
-
-/// Group by interned data-object descriptor id (`Data` rows only).
-pub struct ByDesc;
-
-impl GroupKey for ByDesc {
-    type Key = u32;
-
-    fn key(&self, batch: &EventBatch, i: usize) -> Option<u32> {
-        (batch.tag[i] == AttrTag::Data).then(|| batch.desc[i])
-    }
-
-    fn key_column(
-        &self,
-        batch: &EventBatch,
-        range: Range<usize>,
-        out: &mut Vec<Option<u64>>,
-    ) -> bool {
-        for i in range {
-            out.push((batch.tag[i] == AttrTag::Data).then(|| batch.desc[i] as u64));
-        }
-        true
-    }
-
-    fn decode_key(&self, _batch: &EventBatch, raw: u64) -> u32 {
-        raw as u32
     }
 }
 
@@ -459,28 +333,12 @@ pub struct ByAddrBucket {
 impl GroupKey for ByAddrBucket {
     type Key = u64;
 
-    fn key(&self, batch: &EventBatch, i: usize) -> Option<u64> {
+    fn raw(&self, batch: &EventBatch, i: usize) -> Option<u64> {
         debug_assert!(self.bytes.is_power_of_two());
         Some(batch.ea_of(i)? & !(self.bytes - 1))
     }
 
-    fn key_column(
-        &self,
-        batch: &EventBatch,
-        range: Range<usize>,
-        out: &mut Vec<Option<u64>>,
-    ) -> bool {
-        debug_assert!(self.bytes.is_power_of_two());
-        let mask = !(self.bytes - 1);
-        out.extend(
-            batch.ea[range]
-                .iter()
-                .map(|&ea| (ea != NO_ADDR).then_some(ea & mask)),
-        );
-        true
-    }
-
-    fn decode_key(&self, _batch: &EventBatch, raw: u64) -> u64 {
+    fn decode(&self, raw: u64) -> u64 {
         raw
     }
 }
@@ -498,25 +356,13 @@ pub struct ByPcInRange {
 impl GroupKey for ByPcInRange {
     type Key = u64;
 
-    fn key(&self, batch: &EventBatch, i: usize) -> Option<u64> {
+    fn raw(&self, batch: &EventBatch, i: usize) -> Option<u64> {
         let pc = batch.pc[i];
         (batch.is_artificial(i) == self.artificial && pc >= self.entry && pc < self.end)
             .then_some(pc)
     }
 
-    fn key_column(
-        &self,
-        batch: &EventBatch,
-        range: Range<usize>,
-        out: &mut Vec<Option<u64>>,
-    ) -> bool {
-        for i in range {
-            out.push(self.key(batch, i));
-        }
-        true
-    }
-
-    fn decode_key(&self, _batch: &EventBatch, raw: u64) -> u64 {
+    fn decode(&self, raw: u64) -> u64 {
         raw
     }
 }
@@ -531,36 +377,24 @@ pub struct ByLineInRange {
 impl GroupKey for ByLineInRange {
     type Key = u32;
 
-    fn key(&self, batch: &EventBatch, i: usize) -> Option<u32> {
+    fn raw(&self, batch: &EventBatch, i: usize) -> Option<u64> {
         let pc = batch.pc[i];
         if pc >= self.entry && pc < self.end {
-            batch.line_of(i)
+            batch.line_of(i).map(u64::from)
         } else {
             None
         }
     }
 
-    fn key_column(
-        &self,
-        batch: &EventBatch,
-        range: Range<usize>,
-        out: &mut Vec<Option<u64>>,
-    ) -> bool {
-        for i in range {
-            out.push(self.key(batch, i).map(u64::from));
-        }
-        true
-    }
-
-    fn decode_key(&self, _batch: &EventBatch, raw: u64) -> u32 {
+    fn decode(&self, raw: u64) -> u32 {
         raw as u32
     }
 }
 
-/// Serial group-by fold: one pass over the batch, one sample-count
-/// vector per key, driven by per-row [`GroupKey::key`] calls. This is
-/// the *oracle* path: it never touches the key-column machinery, so
-/// differential tests pin the raw-table kernel against it.
+/// Serial group-by oracle: one pass over the batch, decoding every
+/// kept row's raw key and folding it into a std `HashMap`. It shares
+/// no table code with [`aggregate_by`], so differential tests pin the
+/// raw table's probing, growth, mixing and collision sums against it.
 pub fn aggregate_by_serial<G: GroupKey>(
     batch: &EventBatch,
     keyer: &G,
@@ -568,8 +402,9 @@ pub fn aggregate_by_serial<G: GroupKey>(
     let ncols = batch.ncols();
     let mut map: HashMap<G::Key, Vec<u64>> = HashMap::new();
     for i in 0..batch.len() {
-        if let Some(k) = keyer.key(batch, i) {
-            map.entry(k).or_insert_with(|| vec![0; ncols])[batch.col[i] as usize] += 1;
+        if let Some(raw) = keyer.raw(batch, i) {
+            map.entry(keyer.decode(raw))
+                .or_insert_with(|| vec![0; ncols])[batch.col[i] as usize] += 1;
         }
     }
     map
@@ -585,11 +420,6 @@ fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
-
-/// How many rows one materialized key-column block holds: big enough
-/// that the per-block call is noise, small enough (1 MiB of
-/// `Option<u64>`) that the block is still in cache when it folds.
-const BLOCK_ROWS: usize = 1 << 16;
 
 /// Open-addressing fold table keyed by raw values. Group indices live
 /// in the slot array, sample counts in one flat row-major array — no
@@ -659,16 +489,12 @@ impl RawTable {
 /// Decode once per group. Addition on collision keeps the fold
 /// correct even for a non-injective decode (several raw values
 /// mapping to one typed key).
-fn decode_folded<G: GroupKey>(
-    batch: &EventBatch,
-    keyer: &G,
-    table: &RawTable,
-) -> HashMap<G::Key, Vec<u64>> {
+fn decode_folded<G: GroupKey>(keyer: &G, table: &RawTable) -> HashMap<G::Key, Vec<u64>> {
     let ncols = table.ncols;
     let mut out: HashMap<G::Key, Vec<u64>> = HashMap::with_capacity(table.raws.len());
     for (g, &raw) in table.raws.iter().enumerate() {
         let row = &table.samples[g * ncols..(g + 1) * ncols];
-        match out.entry(keyer.decode_key(batch, raw)) {
+        match out.entry(keyer.decode(raw)) {
             Entry::Occupied(mut e) => {
                 for (dst, src) in e.get_mut().iter_mut().zip(row) {
                     *dst += src;
@@ -683,39 +509,18 @@ fn decode_folded<G: GroupKey>(
 }
 
 /// The group-by kernel behind every analyzer view and store
-/// histogram, run on the calling thread. A keyer with a raw key
-/// column folds through one open-addressing table: straight from the
-/// batch's own array when [`GroupKey::dense_keys`] offers one,
-/// otherwise from its key column materialized in 64k-row blocks, each
-/// folded while still warm (a full-length key vector would make a
-/// round trip through memory just to be read back once). Typed keys
-/// are decoded once per group. Keyers without a key column (ad-hoc
-/// closures) fold through [`aggregate_by_serial`], and the output is
-/// identical to that oracle's for every keyer.
+/// histogram, run on the calling thread: every kept row's raw key
+/// folds into one open-addressing table, and typed keys are decoded
+/// once per group. The output is identical to
+/// [`aggregate_by_serial`]'s for every keyer.
 pub fn aggregate_by<G: GroupKey>(batch: &EventBatch, keyer: &G) -> HashMap<G::Key, Vec<u64>> {
-    if !keyer.key_column(batch, 0..0, &mut Vec::new()) {
-        return aggregate_by_serial(batch, keyer);
-    }
     let mut table = RawTable::new(batch.ncols());
-    if let Some(col) = keyer.dense_keys(batch) {
-        for (&raw, &c) in col.iter().zip(&batch.col) {
+    for (i, &c) in batch.col.iter().enumerate() {
+        if let Some(raw) = keyer.raw(batch, i) {
             table.add(raw, c);
         }
-    } else {
-        let len = batch.len();
-        let mut keys: Vec<Option<u64>> = Vec::with_capacity(BLOCK_ROWS.min(len));
-        for lo in (0..len).step_by(BLOCK_ROWS) {
-            let hi = (lo + BLOCK_ROWS).min(len);
-            keys.clear();
-            keyer.key_column(batch, lo..hi, &mut keys);
-            for (key, &c) in keys.iter().zip(&batch.col[lo..hi]) {
-                if let Some(raw) = *key {
-                    table.add(raw, c);
-                }
-            }
-        }
     }
-    decode_folded(batch, keyer, &table)
+    decode_folded(keyer, &table)
 }
 
 #[cfg(test)]
@@ -749,17 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn batches_longer_than_one_block_agree_with_serial() {
-        // More rows than two key-column blocks, so the blocked fold
-        // (ByAddrBucket) and the dense one (ByPc) each cross block
-        // boundaries and a ragged last block.
-        let b = bag(BLOCK_ROWS * 2 + 123);
-        assert_eq!(aggregate_by(&b, &ByPc), aggregate_by_serial(&b, &ByPc));
-        let bucket = ByAddrBucket { bytes: 64 };
-        assert_eq!(aggregate_by(&b, &bucket), aggregate_by_serial(&b, &bucket));
-    }
-
-    #[test]
     fn range_keyers_agree_with_serial() {
         let b = bag(1000);
         let by_pc_range = ByPcInRange {
@@ -778,56 +572,6 @@ mod tests {
         assert_eq!(
             aggregate_by(&b, &by_line_range),
             aggregate_by_serial(&b, &by_line_range)
-        );
-    }
-
-    #[test]
-    fn key_columns_agree_with_per_row_keys() {
-        // The key_column/decode_key contract: for every row, the
-        // column's raw entry decodes to exactly key(batch, i).
-        fn check<G: GroupKey>(b: &EventBatch, keyer: &G)
-        where
-            G::Key: std::fmt::Debug,
-        {
-            let mut col = Vec::new();
-            assert!(keyer.key_column(b, 0..b.len(), &mut col));
-            assert_eq!(col.len(), b.len());
-            for (i, raw) in col.iter().enumerate() {
-                assert_eq!(
-                    raw.map(|r| keyer.decode_key(b, r)),
-                    keyer.key(b, i),
-                    "row {i}"
-                );
-            }
-            // A dense column, when offered, must be the key column:
-            // same raw value at every row, no skipped rows.
-            if let Some(dense) = keyer.dense_keys(b) {
-                assert_eq!(dense.len(), b.len());
-                for (i, (&d, raw)) in dense.iter().zip(&col).enumerate() {
-                    assert_eq!(Some(d), *raw, "dense row {i}");
-                }
-            }
-        }
-        let b = bag(300);
-        check(&b, &ByPc);
-        check(&b, &ByFunc);
-        check(&b, &ByLine);
-        check(&b, &ByDesc);
-        check(&b, &ByAddrBucket { bytes: 64 });
-        check(
-            &b,
-            &ByPcInRange {
-                entry: 0x1008,
-                end: 0x1030,
-                artificial: false,
-            },
-        );
-        check(
-            &b,
-            &ByLineInRange {
-                entry: 0x1008,
-                end: 0x1030,
-            },
         );
     }
 
@@ -864,7 +608,7 @@ mod tests {
             line: NO_LINE,
             src: (0, 0, false),
         });
-        assert_eq!(b.func_of(0), NO_ID);
+        assert_eq!(b.func[0], NO_ID);
         assert_eq!(b.line_of(0), None);
         assert_eq!(b.ea_of(0), None);
         assert!(!b.is_artificial(0));

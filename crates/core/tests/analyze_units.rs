@@ -397,6 +397,34 @@ fn address_views_group_by_ea() {
     assert_eq!(lines[0].samples[0], 2);
 }
 
+/// Segments with equal totals print in Text/Data/Heap/Stack order on
+/// every call, not in the fold's hash-map order (which changes from
+/// fold to fold): `mp-serve query segments` and `mp-er-print segments`
+/// must agree byte for byte.
+#[test]
+fn tied_segments_keep_segment_order() {
+    use simsparc_machine::SegmentKind;
+    let t = table();
+    let events = [0x4000_0000u64, 0x2000_0000, 0x4000_0040, 0x2000_0040].map(|ea| {
+        let mut e = event(0, Some(pc(0)), pc(1), NO_STACK);
+        e.ea = Some(ea);
+        e
+    });
+    let exp = experiment(events.to_vec(), vec![]);
+    let a = Analysis::new(&[&exp], &t);
+    for _ in 0..32 {
+        let rows: Vec<(SegmentKind, Vec<u64>)> = a
+            .segments()
+            .into_iter()
+            .map(|r| (r.segment, r.samples))
+            .collect();
+        assert_eq!(
+            rows,
+            [(SegmentKind::Data, vec![2]), (SegmentKind::Heap, vec![2])]
+        );
+    }
+}
+
 #[test]
 fn unresolvable_events_contribute_no_ea_to_address_views() {
     let t = table();

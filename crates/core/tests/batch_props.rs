@@ -8,12 +8,32 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use memprof_core::batch::{
-    AttrTag, BatchEvent, ByAddrBucket, ByDesc, ByFunc, ByLine, ByLineInRange, ByPc, ByPcInRange,
-    NO_ID, NO_LINE,
+    AttrTag, BatchEvent, ByAddrBucket, ByFunc, ByLine, ByLineInRange, ByPc, ByPcInRange, NO_ID,
+    NO_LINE,
 };
-use memprof_core::{aggregate_by, aggregate_by_serial, EventBatch};
+use memprof_core::{aggregate_by, aggregate_by_serial, EventBatch, GroupKey};
 
 type RawRow = (usize, u64, bool, u64, bool, u64);
+
+/// A keyer that skips rows and folds raws: it keeps rows of column
+/// `col` whose PC is a multiple of 8, and decodes each PC to its
+/// 64-byte block, so several raws decode to one key and their samples
+/// must sum. A column no row has skips every row.
+struct AlignedPcBlock {
+    col: u32,
+}
+
+impl GroupKey for AlignedPcBlock {
+    type Key = u64;
+
+    fn raw(&self, b: &EventBatch, i: usize) -> Option<u64> {
+        (b.col[i] == self.col && b.pc[i].is_multiple_of(8)).then(|| b.pc[i])
+    }
+
+    fn decode(&self, raw: u64) -> u64 {
+        raw / 64
+    }
+}
 
 /// Build a batch of unattributed rows from generated rows `(col,
 /// delivered_pc, has_candidate, candidate_delta, has_ea, ea)`,
@@ -61,11 +81,8 @@ proptest! {
         let bucket = ByAddrBucket { bytes: 64 };
         prop_assert_eq!(aggregate_by(&batch, &bucket), aggregate_by_serial(&batch, &bucket));
 
-        // A filtering closure key (only even PCs in column 0), to
-        // cover keys that skip rows.
-        let keyer = |b: &EventBatch, i: usize| -> Option<u64> {
-            (b.col[i] == 0 && b.pc[i].is_multiple_of(8)).then(|| b.pc[i])
-        };
+        // A keyer that skips rows and decodes several raws to one key.
+        let keyer = AlignedPcBlock { col: 0 };
         prop_assert_eq!(aggregate_by(&batch, &keyer), aggregate_by_serial(&batch, &keyer));
 
         // Totals are the column-wise sums of any exhaustive keying.
@@ -113,8 +130,7 @@ fn build_attr_batch(ncols: usize, rows: &[AttrRow]) -> EventBatch {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every `GroupKey` shape the views use — raw-keyed and
-    /// generic-fallback alike — folds identically on the raw-table and
+    /// Every public `GroupKey` folds identically on the raw-table and
     /// oracle paths over attributed batches.
     #[test]
     fn every_keyer_equals_serial_on_attributed_batches(
@@ -136,7 +152,6 @@ proptest! {
         prop_assert_eq!(aggregate_by(&batch, &ByPc), aggregate_by_serial(&batch, &ByPc));
         prop_assert_eq!(aggregate_by(&batch, &ByFunc), aggregate_by_serial(&batch, &ByFunc));
         prop_assert_eq!(aggregate_by(&batch, &ByLine), aggregate_by_serial(&batch, &ByLine));
-        prop_assert_eq!(aggregate_by(&batch, &ByDesc), aggregate_by_serial(&batch, &ByDesc));
         let bucket = ByAddrBucket { bytes: 256 };
         prop_assert_eq!(aggregate_by(&batch, &bucket), aggregate_by_serial(&batch, &bucket));
         for artificial in [false, true] {
@@ -155,8 +170,8 @@ proptest! {
 }
 
 /// A keyer that skips every row must yield an empty aggregate on both
-/// paths — `build_batch` rows feed `ByLine`/`ByDesc` all-`None` key
-/// columns, and the kernel must not fabricate groups from them.
+/// paths — `build_batch` rows have no source line, and no row is in
+/// column 4 — and the kernel must not fabricate groups from them.
 #[test]
 fn all_none_key_rows_aggregate_to_nothing() {
     let rows: Vec<RawRow> = (0..500)
@@ -164,8 +179,7 @@ fn all_none_key_rows_aggregate_to_nothing() {
         .collect();
     let batch = build_batch(4, &rows);
     assert!(aggregate_by(&batch, &ByLine).is_empty());
-    assert!(aggregate_by(&batch, &ByDesc).is_empty());
-    let never = |_: &EventBatch, _: usize| -> Option<u64> { None };
+    let never = AlignedPcBlock { col: 4 };
     assert!(aggregate_by(&batch, &never).is_empty());
     assert!(aggregate_by_serial(&batch, &ByLine).is_empty());
 }
@@ -202,12 +216,11 @@ fn table_growth_keeps_every_group() {
     assert_eq!(aggregate_by(&batch, &ByPc), serial);
 }
 
-/// A batch longer than two 64k-row key-column blocks: groups recur
-/// in every block, and the blocked fold (`ByAddrBucket`, `ByLine`) and
-/// the dense one (`ByPc`) must both carry them across block
-/// boundaries and the ragged last block.
+/// A long attributed batch (135k rows, 1,531 PCs, 4,099 EA words):
+/// the table grows twice past its 1,024 initial slots while groups
+/// keep recurring, and every keyer must still equal the oracle.
 #[test]
-fn batches_spanning_several_blocks_equal_serial() {
+fn long_attributed_batch_equals_serial() {
     let rows: Vec<AttrRow> = (0..(2 << 16) + 4_321)
         .map(|i| {
             let i = i as u32;

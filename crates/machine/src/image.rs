@@ -80,6 +80,11 @@ impl Image {
     /// line, then one encoded instruction word per line, then the
     /// initialized data as hex bytes.
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
+        std::fs::write(path, self.to_text())
+    }
+
+    /// The text [`Image::save`] writes.
+    pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(self.text.len() * 9 + 64);
         writeln!(
@@ -100,7 +105,7 @@ impl Image {
             }
             out.push('\n');
         }
-        std::fs::write(path, out)
+        out
     }
 
     /// Load an image written by [`Image::save`].

@@ -191,6 +191,11 @@ impl SymbolTable {
     /// DWARF sections the real tool reads back from the executable at
     /// analysis time).
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
+        std::fs::write(path, self.to_text())
+    }
+
+    /// The text [`SymbolTable::save`] writes.
+    pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
         let esc = |s: &str| s.replace('\\', "\\\\").replace('\n', "\\n");
         let mut out = String::new();
@@ -249,7 +254,7 @@ impl SymbolTable {
             )
             .unwrap();
         }
-        std::fs::write(path, out)
+        out
     }
 
     /// Load a table written by [`SymbolTable::save`].

@@ -38,9 +38,7 @@ use std::process::exit;
 
 use memprof::machine::{CounterEvent, Machine, MachineConfig};
 use memprof::minic::{compile_and_link, CompileOptions};
-use memprof::profiler::{
-    collect, collect_stream, parse_counter_spec, CollectConfig, Interval, StreamConfig,
-};
+use memprof::profiler::{collect, collect_stream, parse_counter_spec, CollectConfig, StreamConfig};
 use memprof::serve::SocketSink;
 use memprof::store::SegmentWriter;
 
@@ -241,8 +239,8 @@ fn main() {
             eprintln!("mp-collect: cannot connect to {addr}: {e}");
             exit(1)
         });
-        sink.attach("image.txt", &render_to_string(|p| program.image.save(p)));
-        sink.attach("syms.txt", &render_to_string(|p| program.syms.save(p)));
+        sink.attach("image.txt", &program.image.to_text());
+        sink.attach("syms.txt", &program.syms.to_text());
         let stream = StreamConfig { spill_events };
         let stats = collect_stream(&mut machine, &config, &stream, &mut sink).unwrap_or_else(|e| {
             eprintln!("mp-collect: {e}");
@@ -263,8 +261,8 @@ fn main() {
             eprintln!("mp-collect: cannot create {}: {e}", out_file.display());
             exit(1)
         });
-        writer.attach("image.txt", &render_to_string(|p| program.image.save(p)));
-        writer.attach("syms.txt", &render_to_string(|p| program.syms.save(p)));
+        writer.attach("image.txt", &program.image.to_text());
+        writer.attach("syms.txt", &program.syms.to_text());
         let stream = StreamConfig { spill_events };
         let stats =
             collect_stream(&mut machine, &config, &stream, &mut writer).unwrap_or_else(|e| {
@@ -306,15 +304,4 @@ fn main() {
             out_dir.display()
         );
     }
-    let _ = Interval::On; // (re-exported for library users)
-}
-
-/// The image/symbol `save` APIs write to a path; round-trip through a
-/// scratch file to obtain the text for a stream attachment.
-fn render_to_string(save: impl FnOnce(&std::path::Path) -> std::io::Result<()>) -> String {
-    let path = std::env::temp_dir().join(format!("mp-collect-attach-{}.txt", std::process::id()));
-    save(&path).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    let _ = std::fs::remove_file(&path);
-    text
 }

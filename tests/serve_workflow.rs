@@ -182,11 +182,28 @@ fn daemon_serves_two_concurrent_collectors_and_matches_offline_tools() {
     ]));
     assert_eq!(served_diff, offline_diff, "diff query != mp-store diff");
 
-    // The analyzer views answer over the compacted windows.
-    let objects = query(&addr, &["objects", "wa"]);
-    assert!(!objects.trim().is_empty(), "empty data-object view");
-    let segments = query(&addr, &["segments", "wa"]);
-    assert!(segments.contains("events"), "{segments}");
+    // The analyzer views answer over the compacted windows exactly
+    // like `mp-er-print` over the unpacked store.
+    let unpacked = data.join("wa-unpacked");
+    run_ok(Command::new(store_bin()).args([
+        "unpack",
+        packed_wa.to_str().unwrap(),
+        unpacked.to_str().unwrap(),
+    ]));
+    for (served_view, offline_view) in [
+        ("objects", "data_objects"),
+        ("segments", "segments"),
+        ("lines", "lines"),
+    ] {
+        let served = query(&addr, &[served_view, "wa"]);
+        let offline = run_ok(
+            Command::new(env!("CARGO_BIN_EXE_mp-er-print"))
+                .arg(&unpacked)
+                .arg(offline_view),
+        );
+        assert_eq!(served, offline, "{served_view} query != mp-er-print");
+        assert!(!served.trim().is_empty(), "empty {served_view} view");
+    }
 
     // A second compaction pass has nothing to do.
     let report = query(&addr, &["compact"]);

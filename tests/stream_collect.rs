@@ -244,3 +244,51 @@ fn cli_stream_collect_feeds_store_and_er_print() {
     std::fs::remove_file(&out_mpes).ok();
     std::fs::remove_dir_all(&out_dir).ok();
 }
+
+/// `mp-collect` renders the `image.txt`/`syms.txt` stream attachments
+/// in memory: with `TMPDIR` naming a missing directory `--stream`
+/// still succeeds, and its attachments equal the files `-o` writes for
+/// the same source.
+#[test]
+fn stream_attachments_need_no_temp_dir_and_equal_the_bundle_files() {
+    let src_path = scratch("attach.c");
+    std::fs::write(
+        &src_path,
+        "long main() { long i; long s = 0; \
+         for (i = 0; i < 5000; i = i + 1) { s = s + i; } return s % 256; }",
+    )
+    .unwrap();
+    let out_mpes = scratch("attach.mpes");
+    let out_dir = scratch("attach_dir");
+    let _ = std::fs::remove_dir_all(&out_dir);
+    let collect = |out_flag: &str, out: &std::path::Path, tmpdir: Option<&std::path::Path>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_mp-collect"));
+        if let Some(dir) = tmpdir {
+            cmd.env("TMPDIR", dir);
+        }
+        let out = cmd
+            .args([out_flag, out.to_str().unwrap(), "-h", "+ecstall,4001"])
+            .arg(&src_path)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "mp-collect {out_flag} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    let missing = scratch("no_such_tmpdir");
+    assert!(!missing.exists());
+    collect("--stream", &out_mpes, Some(&missing));
+    collect("-o", &out_dir, None);
+
+    let stream = StreamFile::open(&out_mpes).unwrap();
+    for name in ["syms.txt", "image.txt"] {
+        let file = std::fs::read_to_string(out_dir.join(name)).unwrap();
+        assert_eq!(stream.attachment(name), Some(file.as_str()), "{name}");
+    }
+
+    std::fs::remove_file(&src_path).ok();
+    std::fs::remove_file(&out_mpes).ok();
+    std::fs::remove_dir_all(&out_dir).ok();
+}
