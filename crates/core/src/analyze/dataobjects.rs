@@ -6,10 +6,10 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use minic::MemDesc;
+use minic::{MemDesc, SymbolTable};
 
 use super::views::sort_by_metric;
-use super::{fmt_val_pct, Analysis, UnknownKind};
+use super::{data_columns, fmt_val_pct, validate, Analysis, Attribution, MetricCol, UnknownKind};
 use crate::batch::{aggregate_by, AttrTag, EventBatch, GroupKey};
 
 fn intern_key(
@@ -49,16 +49,7 @@ impl ByDataObject {
         let desc_raw = batch
             .descs
             .iter()
-            .map(|d| {
-                let key = match d {
-                    MemDesc::Member { struct_name, .. } => {
-                        DataObjectKey::Struct(struct_name.clone())
-                    }
-                    MemDesc::Scalar { .. } => DataObjectKey::Scalars,
-                    _ => DataObjectKey::Unknown(UnknownKind::Unspecified),
-                };
-                intern_key(&mut pool, &mut index, key)
-            })
+            .map(|d| intern_key(&mut pool, &mut index, DataObjectKey::of_desc(d)))
             .collect();
         let mut tag_raw = [u64::MAX; 7];
         for tag in [
@@ -168,6 +159,145 @@ pub enum DataObjectKey {
     Unknown(UnknownKind),
 }
 
+impl DataObjectKey {
+    /// The row a validated data-object descriptor lands in: its
+    /// structure, the scalars, or `(Unspecified)` for anything else.
+    fn of_desc(desc: &MemDesc) -> DataObjectKey {
+        match desc {
+            MemDesc::Member { struct_name, .. } => DataObjectKey::Struct(struct_name.clone()),
+            MemDesc::Scalar { .. } => DataObjectKey::Scalars,
+            _ => DataObjectKey::Unknown(UnknownKind::Unspecified),
+        }
+    }
+
+    /// The row an attribution lands in; `None` for a plain one, which
+    /// carries no data-object information.
+    fn of(attr: &Attribution) -> Option<DataObjectKey> {
+        match attr {
+            Attribution::DataObject { desc, .. } => Some(DataObjectKey::of_desc(desc)),
+            Attribution::Unknown { kind, .. } => Some(DataObjectKey::Unknown(*kind)),
+            Attribution::Plain { .. } => None,
+        }
+    }
+
+    /// The row's name in Figure 6.
+    fn name(&self) -> String {
+        match self {
+            DataObjectKey::Struct(s) => format!("{{structure:{s} -}}"),
+            DataObjectKey::Scalars => "<Scalars>".to_string(),
+            DataObjectKey::Unknown(u) => u.label().to_string(),
+        }
+    }
+}
+
+/// Figure 6's rows from a `DataObjectKey → samples` map: the keyed
+/// rows and, when any sample is indeterminate, their `<Unknown>` sum,
+/// ranked by `sort_col`, under a `<Total>` row. Every data-column
+/// sample has exactly one keyed row (a backtracked column is never
+/// plain), so `<Total>` is the column sums of those rows.
+fn object_rows(
+    map: HashMap<DataObjectKey, Vec<u64>>,
+    sort_col: usize,
+    ncols: usize,
+) -> Vec<DataObjectRow> {
+    let add = |sum: &mut [u64], samples: &[u64]| {
+        for (t, x) in sum.iter_mut().zip(samples) {
+            *t += x;
+        }
+    };
+    let mut total = vec![0u64; ncols];
+    let mut unknown = vec![0u64; ncols];
+    let mut rows = Vec::with_capacity(map.len() + 1);
+    for (key, samples) in map {
+        add(&mut total, &samples);
+        if matches!(key, DataObjectKey::Unknown(_)) {
+            add(&mut unknown, &samples);
+        }
+        rows.push(DataObjectRow {
+            name: key.name(),
+            samples,
+        });
+    }
+    if unknown.iter().any(|&x| x > 0) {
+        rows.push(DataObjectRow {
+            name: "<Unknown>".to_string(),
+            samples: unknown,
+        });
+    }
+    sort_by_metric(
+        &mut rows,
+        |r| r.samples[sort_col],
+        |a, b| a.name.cmp(&b.name),
+    );
+    let mut out = vec![DataObjectRow {
+        name: "<Total>".to_string(),
+        samples: total,
+    }];
+    out.extend(rows);
+    out
+}
+
+/// Figure 6 from a histogram of attribution keys
+/// ([`crate::attribution_key`]): each `(candidate, delivered)` key is
+/// validated once against `syms` and its data-column samples land in
+/// the row of its verdict. `columns` describe the histogram's sample
+/// vectors. Over the keys of an experiment's events this equals
+/// [`Analysis::data_objects`] over the experiment, because validation
+/// reads nothing of an event but its key.
+pub fn data_objects_of_pairs<'p>(
+    syms: &SymbolTable,
+    columns: &[MetricCol],
+    pairs: impl IntoIterator<Item = (&'p (Option<u64>, u64), &'p Vec<u64>)>,
+    sort_col: usize,
+) -> Vec<DataObjectRow> {
+    let data_cols = data_columns(columns);
+    let mut map: HashMap<DataObjectKey, Vec<u64>> = HashMap::new();
+    for (&(candidate, delivered), samples) in pairs {
+        if data_cols.iter().all(|&c| samples[c] == 0) {
+            continue;
+        }
+        let Some(key) = DataObjectKey::of(&validate(syms, candidate, delivered)) else {
+            continue;
+        };
+        let row = map.entry(key).or_insert_with(|| vec![0; columns.len()]);
+        for &c in &data_cols {
+            row[c] += samples[c];
+        }
+    }
+    object_rows(map, sort_col, columns.len())
+}
+
+/// Render Figure 6's rows. Only the backtracked memory counters carry
+/// data-object information, so (as in the paper) only those columns
+/// appear; percentages are of the `<Total>` row, the first.
+pub fn render_data_object_rows(columns: &[MetricCol], rows: &[DataObjectRow]) -> String {
+    let data_cols = data_columns(columns);
+    let totals = rows
+        .first()
+        .map(|t| t.samples.as_slice())
+        .unwrap_or_default();
+    let mut out = String::new();
+    let headers: Vec<String> = data_cols
+        .iter()
+        .map(|&i| format!("Data. {}", columns[i].title))
+        .collect();
+    writeln!(out, "{}   Name", headers.join(" | ")).unwrap();
+    for r in rows {
+        let cells: Vec<String> = data_cols
+            .iter()
+            .map(|&i| {
+                fmt_val_pct(
+                    &columns[i],
+                    r.samples[i],
+                    totals.get(i).copied().unwrap_or(0),
+                )
+            })
+            .collect();
+        writeln!(out, "{}   {}", cells.join("  "), r.name).unwrap();
+    }
+    out
+}
+
 /// One row of the Figure 6 table.
 #[derive(Clone, Debug)]
 pub struct DataObjectRow {
@@ -204,96 +334,17 @@ impl Analysis<'_> {
     /// Figure 6: data objects ranked by the given data column. Only
     /// backtracked memory counters have data-object information.
     pub fn data_objects(&self, sort_col: usize) -> Vec<DataObjectRow> {
-        let data_cols = self.data_columns();
+        let ncols = self.columns.len();
         let map = aggregate_by(
             &self.batch,
-            &ByDataObject::new(&self.batch, &data_cols, self.columns.len()),
+            &ByDataObject::new(&self.batch, &self.data_columns(), ncols),
         );
-
-        let ncols = self.columns.len();
-        let mut unknown_total = vec![0u64; ncols];
-        for (k, v) in &map {
-            if matches!(k, DataObjectKey::Unknown(_)) {
-                for (t, x) in unknown_total.iter_mut().zip(v) {
-                    *t += x;
-                }
-            }
-        }
-
-        let mut rows: Vec<DataObjectRow> = map
-            .into_iter()
-            .map(|(k, samples)| DataObjectRow {
-                name: match k {
-                    DataObjectKey::Struct(s) => format!("{{structure:{s} -}}"),
-                    DataObjectKey::Scalars => "<Scalars>".to_string(),
-                    DataObjectKey::Unknown(u) => u.label().to_string(),
-                },
-                samples,
-            })
-            .collect();
-        sort_by_metric(
-            &mut rows,
-            |r| r.samples[sort_col],
-            |a, b| a.name.cmp(&b.name),
-        );
-
-        // <Total> and <Unknown> pseudo-rows, as in Figure 6.
-        let b = &self.batch;
-        let mut total = vec![0u64; ncols];
-        for i in 0..b.len() {
-            let col = b.col[i] as usize;
-            if data_cols.contains(&col) && b.tag[i] != AttrTag::Plain {
-                total[col] += 1;
-            }
-        }
-        let mut out = vec![DataObjectRow {
-            name: "<Total>".to_string(),
-            samples: total,
-        }];
-        if unknown_total.iter().any(|&x| x > 0) {
-            // Insert <Unknown> at its sorted position later; simplest
-            // is to add and re-sort the tail.
-            rows.push(DataObjectRow {
-                name: "<Unknown>".to_string(),
-                samples: unknown_total,
-            });
-            sort_by_metric(
-                &mut rows,
-                |r| r.samples[sort_col],
-                |a, b| a.name.cmp(&b.name),
-            );
-        }
-        out.extend(rows);
-        out
+        object_rows(map, sort_col, ncols)
     }
 
-    /// Render Figure 6. Only the backtracked memory counters carry
-    /// data-object information, so (as in the paper) only those
-    /// columns appear.
+    /// Render Figure 6 ([`render_data_object_rows`]).
     pub fn render_data_objects(&self, sort_col: usize) -> String {
-        let rows = self.data_objects(sort_col);
-        let data_cols = self.data_columns();
-        let totals = rows.first().map(|t| t.samples.clone()).unwrap_or_default();
-        let mut out = String::new();
-        let headers: Vec<String> = data_cols
-            .iter()
-            .map(|&i| format!("Data. {}", self.columns[i].title))
-            .collect();
-        writeln!(out, "{}   Name", headers.join(" | ")).unwrap();
-        for r in rows {
-            let cells: Vec<String> = data_cols
-                .iter()
-                .map(|&i| {
-                    fmt_val_pct(
-                        &self.columns[i],
-                        r.samples[i],
-                        totals.get(i).copied().unwrap_or(0),
-                    )
-                })
-                .collect();
-            writeln!(out, "{}   {}", cells.join("  "), r.name).unwrap();
-        }
-        out
+        render_data_object_rows(&self.columns, &self.data_objects(sort_col))
     }
 
     /// Figure 7: expand one structure into per-member rows (all

@@ -14,7 +14,10 @@ mod source;
 mod views;
 
 pub use addrviews::{CacheLineRow, InstanceReport, PageRow, SegmentRow};
-pub use dataobjects::{DataObjectRow, EffectivenessRow, StructExpansion};
+pub use dataobjects::{
+    data_objects_of_pairs, render_data_object_rows, DataObjectRow, EffectivenessRow,
+    StructExpansion,
+};
 pub use source::{DisasmRow, LineRow, SourceRow};
 pub use views::{FunctionRow, PcRow, TotalMetrics};
 
@@ -25,7 +28,7 @@ use minic::{MemDesc, SymbolTable};
 use simsparc_machine::CounterEvent;
 
 use crate::batch::{AttrTag, BatchEvent, EventBatch, NO_ID, NO_LINE};
-use crate::experiment::Experiment;
+use crate::experiment::{attribution_key, Experiment};
 
 /// What a metric column measures.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -77,6 +80,27 @@ impl MetricCol {
             }
         )
     }
+}
+
+/// The indices of the backtracked (data-object) columns in `columns`.
+pub fn data_columns(columns: &[MetricCol]) -> Vec<usize> {
+    (0..columns.len())
+        .filter(|&i| columns[i].is_data_column())
+        .collect()
+}
+
+/// The first counter column of `event` in `columns`.
+pub fn col_by_event(columns: &[MetricCol], event: CounterEvent) -> Option<usize> {
+    columns
+        .iter()
+        .position(|c| matches!(c.kind, ColKind::Hwc { event: e, .. } if e == event))
+}
+
+/// The User CPU (clock) column in `columns`, if any.
+pub fn user_cpu_col(columns: &[MetricCol]) -> Option<usize> {
+    columns
+        .iter()
+        .position(|c| matches!(c.kind, ColKind::UserCpu { .. }))
 }
 
 /// The taxonomy of §3.2.5 for events that cannot be attributed to a
@@ -210,12 +234,12 @@ impl<'a> Analysis<'a> {
 
         // The batch preserves collection order within each column
         // (feedback generation depends on the EA sequence order).
-        // Attribution is a pure function of (backtracked?, candidate
-        // PC, delivered PC), and a run revisits a few dozen such keys
-        // across hundreds of thousands of events, so each distinct key
-        // is validated and resolved once and its charge stamped onto
-        // every event that shares it. Descriptors intern when their
-        // key first appears, i.e. in first-appearance order.
+        // Attribution is a pure function of the backtrack flag and the
+        // event's [`attribution_key`], and a run revisits a few dozen
+        // such keys across hundreds of thousands of events, so each
+        // distinct key is validated and resolved once and its charge
+        // stamped onto every event that shares it. Descriptors intern
+        // when their key first appears, i.e. in first-appearance order.
         let rows = experiments
             .iter()
             .map(|e| e.clock_events.len() + e.hwc_events.len())
@@ -246,19 +270,11 @@ impl<'a> Analysis<'a> {
                         .enumerate()
                         .filter(|(_, e)| e.counter == counter)
                     {
-                        // Without backtracking the candidate is never
-                        // consulted, so it stays out of the key.
-                        let candidate = ev.candidate_pc.filter(|_| backtrack);
+                        let (candidate, delivered) = attribution_key(ev, backtrack);
                         let c = *memo
-                            .entry((backtrack, candidate, ev.delivered_pc))
+                            .entry((backtrack, candidate, delivered))
                             .or_insert_with(|| {
-                                Charge::resolve(
-                                    syms,
-                                    &mut batch,
-                                    backtrack,
-                                    candidate,
-                                    ev.delivered_pc,
-                                )
+                                Charge::resolve(syms, &mut batch, backtrack, candidate, delivered)
                             });
                         c.push(&mut batch, col_idx, ev.ea, (experiment, ei, false));
                     }
@@ -280,12 +296,13 @@ impl<'a> Analysis<'a> {
     }
 }
 
-/// A multiply-rotate hasher (rustc's `FxHasher` scheme) for the
-/// attribution memo. Its keys are a few dozen PCs, looked up once per
-/// event: SipHash's flooding resistance buys nothing here and costs
-/// more than the rest of the per-event work.
+/// A multiply-rotate hasher (rustc's `FxHasher` scheme) for maps
+/// keyed by [`attribution_key`]s: the attribution memo here and the
+/// store's pair fold. Their keys are a few dozen PC pairs, looked up
+/// once per event: SipHash's flooding resistance buys nothing here and
+/// costs more than the rest of the per-event work.
 #[derive(Default)]
-struct KeyHasher(u64);
+pub struct KeyHasher(u64);
 
 impl Hasher for KeyHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -615,6 +632,75 @@ long main() {
         let total = |r: &(String, Vec<u64>)| r.1.iter().sum::<u64>();
         rows.sort_by(|x, y| total(y).cmp(&total(x)).then_with(|| x.0.cmp(&y.0)));
         rows
+    }
+
+    /// The callers/callees view prints the column sums of the callees
+    /// rows as its inclusive line; the stack walk agrees for every
+    /// function.
+    #[test]
+    fn inclusive_metrics_are_the_column_sums_of_the_callees_rows() {
+        let (program, e1, e2) = experiments();
+        let a = Analysis::new(&[&e1, &e2], &program.syms);
+        for f in &program.syms.funcs {
+            let mut sums = vec![0u64; a.columns.len()];
+            for r in a.callees_of(&f.name) {
+                for (t, x) in sums.iter_mut().zip(&r.samples) {
+                    *t += x;
+                }
+            }
+            assert_eq!(a.inclusive_of(&f.name), sums, "{}", f.name);
+        }
+        assert!(a.inclusive_of("main").iter().sum::<u64>() > 0);
+    }
+
+    /// Figure 6 from the histogram of the runs' attribution keys equals
+    /// Figure 6 from the analysis of their events, for every sort
+    /// column.
+    #[test]
+    fn data_objects_from_attribution_keys_equal_the_analysis() {
+        let (program, e1, e2) = experiments();
+        let a = Analysis::new(&[&e1, &e2], &program.syms);
+        let mut pairs: std::collections::BTreeMap<(Option<u64>, u64), Vec<u64>> =
+            Default::default();
+        let ncols = a.columns.len();
+        for (col, c) in a.columns.iter().enumerate() {
+            let mut add = |key| pairs.entry(key).or_insert_with(|| vec![0; ncols])[col] += 1;
+            match c.kind {
+                ColKind::UserCpu { experiment } => {
+                    for ev in &[&e1, &e2][experiment].clock_events {
+                        add((None, ev.pc));
+                    }
+                }
+                ColKind::Hwc {
+                    experiment,
+                    counter,
+                    backtrack,
+                    ..
+                } => {
+                    for ev in &[&e1, &e2][experiment].hwc_events {
+                        if ev.counter == counter {
+                            add(attribution_key(ev, backtrack));
+                        }
+                    }
+                }
+            }
+        }
+        let rows = |rows: Vec<DataObjectRow>| -> Vec<(String, Vec<u64>)> {
+            rows.into_iter().map(|r| (r.name, r.samples)).collect()
+        };
+        for sort in 0..ncols {
+            let from_pairs = data_objects_of_pairs(&program.syms, &a.columns, &pairs, sort);
+            assert_eq!(
+                rows(from_pairs.clone()),
+                rows(a.data_objects(sort)),
+                "{sort}"
+            );
+            assert_eq!(
+                render_data_object_rows(&a.columns, &from_pairs),
+                a.render_data_objects(sort)
+            );
+        }
+        assert!(a.data_objects(1).len() > 2);
     }
 
     #[test]

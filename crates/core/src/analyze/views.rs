@@ -6,7 +6,9 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use super::{fmt_val_pct, Analysis, Attribution, ColKind, MetricCol};
+use super::{
+    col_by_event, data_columns, fmt_val_pct, user_cpu_col, Analysis, Attribution, MetricCol,
+};
 use crate::batch::{aggregate_by, ByFunc, ByPc, EventBatch, GroupKey, NO_ID};
 use minic::render_memdesc;
 
@@ -351,7 +353,15 @@ impl Analysis<'_> {
         };
         writeln!(out, "Callers of `{func}`:").unwrap();
         fmt_rows(&mut out, &self.callers_of(func));
-        let incl = self.inclusive_of(func);
+        // The callees rows key exactly the samples whose leaf or stack
+        // holds `func`, so their column sums are `inclusive_of(func)`.
+        let callees = self.callees_of(func);
+        let mut incl = vec![0u64; self.columns.len()];
+        for r in &callees {
+            for (t, x) in incl.iter_mut().zip(&r.samples) {
+                *t += x;
+            }
+        }
         let cells: Vec<String> = self
             .columns
             .iter()
@@ -360,12 +370,14 @@ impl Analysis<'_> {
             .collect();
         writeln!(out, "*: {}   {func} (inclusive)", cells.join("  ")).unwrap();
         writeln!(out, "Callees of `{func}`:").unwrap();
-        fmt_rows(&mut out, &self.callees_of(func));
+        fmt_rows(&mut out, &callees);
         out
     }
 
     /// Inclusive metrics: samples whose callstack passes through
-    /// `func` (or whose leaf is `func`).
+    /// `func` (or whose leaf is `func`), by a walk over every row's
+    /// stack — the reference the callers/callees view's inclusive line
+    /// (the column sums of [`Analysis::callees_of`]) is tested against.
     pub fn inclusive_of(&self, func: &str) -> Vec<u64> {
         let b = &self.batch;
         let mut out = vec![0u64; self.columns.len()];
@@ -382,26 +394,19 @@ impl Analysis<'_> {
         out
     }
 
-    /// The experiment's user-visible metric column for an event kind,
-    /// if collected with backtracking.
+    /// The indices of the backtracked (data-object) columns.
     pub fn data_columns(&self) -> Vec<usize> {
-        (0..self.columns.len())
-            .filter(|&i| self.columns[i].is_data_column())
-            .collect()
+        data_columns(&self.columns)
     }
 
-    /// Column index by title prefix (convenience for tests/benches).
+    /// The first counter column of `event` ([`col_by_event`]).
     pub fn col_by_event(&self, event: simsparc_machine::CounterEvent) -> Option<usize> {
-        self.columns
-            .iter()
-            .position(|c| matches!(c.kind, ColKind::Hwc { event: e, .. } if e == event))
+        col_by_event(&self.columns, event)
     }
 
-    /// Column index of the User CPU (clock) column, if any.
+    /// The User CPU (clock) column, if any ([`user_cpu_col`]).
     pub fn user_cpu_col(&self) -> Option<usize> {
-        self.columns
-            .iter()
-            .position(|c| matches!(c.kind, ColKind::UserCpu { .. }))
+        user_cpu_col(&self.columns)
     }
 
     /// Fraction of samples in a column attributed to each artificial

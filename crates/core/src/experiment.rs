@@ -70,19 +70,26 @@ pub fn fill_clock_pc_rows(batch: &mut EventBatch, col: usize, events: &[PackedCl
     }
 }
 
-/// The hwc half of the charge-PC rule: the candidate trigger PC when
-/// the event's counter was collected with backtracking (falling back
-/// to the delivered PC when the search found none), else the
-/// delivered PC. The one definition every analyzer-independent
-/// aggregation path uses (`memprof-store`'s in-memory and `MPES`
-/// fills alike).
+/// An event's attribution key, `(candidate, delivered)`: everything
+/// the §2.3 validation reads of it. The candidate trigger PC counts
+/// only when the event's counter was collected with backtracking, so
+/// it is `None` otherwise; a clock tick's key is `(None, pc)`. The
+/// analyzer validates each distinct key once, and the store's pair
+/// histogram counts samples per key.
+#[inline]
+pub fn attribution_key(ev: &PackedHwcEvent, backtrack: bool) -> (Option<u64>, u64) {
+    (ev.candidate_pc.filter(|_| backtrack), ev.delivered_pc)
+}
+
+/// The hwc half of the charge-PC rule, the projection of
+/// [`attribution_key`]: the candidate trigger PC when there is one,
+/// else the delivered PC. The one definition every
+/// analyzer-independent aggregation path uses (`memprof-store`'s
+/// in-memory and `MPES` fills alike).
 #[inline]
 pub fn charged_pc(ev: &PackedHwcEvent, backtrack: bool) -> u64 {
-    if backtrack {
-        ev.candidate_pc.unwrap_or(ev.delivered_pc)
-    } else {
-        ev.delivered_pc
-    }
+    let (candidate, delivered) = attribution_key(ev, backtrack);
+    candidate.unwrap_or(delivered)
 }
 
 /// Append counter-overflow rows to a batch in the pc projection:

@@ -20,8 +20,8 @@
 //! segment matches `mp-collect --stream` output, a compacted store
 //! matches one `mp-store merge` over every session the window sealed,
 //! however many passes folded them in, and query answers match
-//! `mp-store stat --json` / `mp-store diff` on those stores. The
-//! service adds availability, not a second format.
+//! `mp-store stat --json` / `mp-store diff` / `mp-er-print` on those
+//! stores. The service adds availability, not a second format.
 
 pub mod compact;
 pub mod query;
@@ -36,7 +36,7 @@ pub mod wire;
 pub use compact::{
     compact_all_registered, compact_window, compact_window_registered, CompactReport,
 };
-pub use query::{answer, watch_frame, window_aggregate, QueryOutcome, ViewCache, WindowAggregate};
+pub use query::{answer, watch_frame, window_aggregate, QueryOutcome, WindowAggregate};
 pub use registry::{ExclusiveGuard, SharedGuard, WindowRegistry, WindowState};
 pub use retention::{enforce_retention, RetentionPolicy, RetentionReport};
 pub use server::{query, watch, Server, ServerConfig, WatchClient};

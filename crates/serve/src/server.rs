@@ -58,13 +58,13 @@ use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use memprof_store::{validate_stream_prefix, StoreError};
 
 use crate::compact::compact_all_registered;
-use crate::query::{answer, watch_frame, QueryOutcome, ViewCache};
+use crate::query::{answer, watch_frame, QueryOutcome};
 use crate::registry::{WindowRegistry, WindowState};
 use crate::retention::{enforce_retention, RetentionPolicy};
 use crate::store::{sync_dir, valid_label, StoreDirs};
@@ -101,11 +101,6 @@ pub struct ServerConfig {
     /// Seconds between background compaction passes; `None` compacts
     /// only on explicit `compact` queries.
     pub compact_secs: Option<u64>,
-    /// Max windows whose decoded experiments the view cache keeps
-    /// for the analyzer views; `None` uses
-    /// [`ViewCache::DEFAULT_CACHED_WINDOWS`], `Some(0)` disables the
-    /// cache (every view query decodes from disk).
-    pub cache_windows: Option<usize>,
     /// Seconds a connection may sit idle between frames before its
     /// readable prefix is sealed exactly as a disconnect would seal
     /// it; `None` uses [`DEFAULT_IDLE_SECS`], `Some(0)` disables the
@@ -123,10 +118,6 @@ struct Shared {
     /// Per-window tier locks and generation counters; see
     /// [`crate::registry`].
     registry: WindowRegistry,
-    /// Decoded experiments of compacted windows, for the analyzer
-    /// views. Held only to look up, count or fill one window's entry,
-    /// never across a decode or a query.
-    cache: Mutex<ViewCache>,
     /// Arrival sequence for session ids; zero-padded into the file
     /// name so sorted-order merges are deterministic.
     seq: AtomicU64,
@@ -180,11 +171,6 @@ impl Server {
         let shared = Arc::new(Shared {
             dirs,
             registry: WindowRegistry::new(),
-            cache: Mutex::new(ViewCache::with_cap(
-                config
-                    .cache_windows
-                    .unwrap_or(ViewCache::DEFAULT_CACHED_WINDOWS),
-            )),
             seq: AtomicU64::new(next_seq),
             stop: AtomicBool::new(false),
             conns: AtomicUsize::new(0),
@@ -278,13 +264,6 @@ impl Server {
     /// held, as during compaction).
     pub fn window_state(&self, window: &str) -> Arc<WindowState> {
         self.shared.registry.state(window)
-    }
-
-    /// The daemon's [`ViewCache`] — exposed so embedders and tests can
-    /// read its counters (which analyzer-view queries were answered
-    /// from memory).
-    pub fn view_cache(&self) -> &Mutex<ViewCache> {
-        &self.shared.cache
     }
 
     /// Stop the daemon and wait for its threads.
@@ -556,7 +535,7 @@ fn handle_query(shared: &Shared, mut stream: TcpStream, payload: &[u8]) -> std::
     // `answer` takes the shared lock of exactly the windows the query
     // reads — no global lock, so a query against one window completes
     // while another window is mid-compaction.
-    let outcome = answer(&shared.dirs, &shared.registry, &shared.cache, line.trim());
+    let outcome = answer(&shared.dirs, &shared.registry, line.trim());
     match outcome {
         Ok(QueryOutcome::Text(text)) => write_frame(&mut stream, TAG_RESULT, text.as_bytes()),
         Ok(QueryOutcome::Compact) => match compact_all_registered(&shared.dirs, &shared.registry) {

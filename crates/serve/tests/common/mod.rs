@@ -29,6 +29,23 @@ pub fn scratch(tag: &str) -> PathBuf {
 pub const SYMS: &str =
     "simsparc-syms text_base=0x10000\nMODULE 1 1 m m.c\nFUNC 0x10000 0x20000 0 1 func\n";
 
+/// [`SYMS`] with a data-object descriptor for each of the first 96
+/// PCs — two members of one structure and a scalar, in turn — so
+/// Figure 6 over the synthetic runs has rows whose shares move with the
+/// sessions a window holds (the runs' candidate PCs start 31 × seed
+/// instructions past the text base).
+pub fn object_syms() -> String {
+    let mut out = SYMS.to_string();
+    for i in 0..96 {
+        out.push_str(match i % 3 {
+            0 => "PC 1 0 M particle x long 0\n",
+            1 => "PC 1 0 M particle y long 8\n",
+            _ => "PC 1 0 S long count\n",
+        });
+    }
+    out
+}
+
 pub fn counters() -> Vec<CounterRequest> {
     vec![CounterRequest {
         event: CounterEvent::ECStallCycles,
@@ -81,8 +98,13 @@ pub fn drive(sink: &mut impl CollectSink, seed: u64, segments: usize) {
 
 /// The same run rendered to local bytes with a plain [`SegmentWriter`].
 pub fn local_bytes(seed: u64, segments: usize) -> Vec<u8> {
+    local_bytes_with(seed, segments, SYMS)
+}
+
+/// [`local_bytes`] carrying `syms` as its symbol table.
+pub fn local_bytes_with(seed: u64, segments: usize, syms: &str) -> Vec<u8> {
     let mut writer = SegmentWriter::new(Vec::new());
-    writer.attach("syms.txt", SYMS);
+    writer.attach("syms.txt", syms);
     drive(&mut writer, seed, segments);
     writer.into_inner()
 }

@@ -23,7 +23,7 @@ use memprof_serve::{
 use memprof_store::{merge_streams, xxh64, ExperimentRef, StreamFile};
 
 mod common;
-use common::{drive, local_bytes, scratch, wait_for, SYMS};
+use common::{drive, local_bytes, local_bytes_with, object_syms, scratch, wait_for, SYMS};
 
 #[test]
 fn parallel_collectors_compact_to_the_offline_merge() {
@@ -650,63 +650,10 @@ fn open_errors_carry_the_file_path() {
     );
 }
 
-/// LRU cap: a view cache capped at one window keeps the window viewed
-/// last. A view on an evicted window decodes its packed store again,
-/// and every answer equals that of a daemon with the cache disabled.
-#[test]
-fn lru_eviction_falls_back_to_disk_path_byte_identically() {
-    let data = scratch("lru");
-    let one = ServerConfig {
-        cache_windows: Some(1),
-        ..ServerConfig::default()
-    };
-    let capped = Server::start("127.0.0.1:0", &data, one).unwrap();
-    let addr = capped.addr().to_string();
-    for (window, seed) in [("w1", 1u64), ("w2", 2)] {
-        let mut sink = SocketSink::connect(&addr, "run", window).unwrap();
-        sink.attach("syms.txt", SYMS);
-        drive(&mut sink, seed, 2);
-    }
-    serve::query(&addr, "compact").unwrap();
-
-    let copy = scratch("lru_disk");
-    copy_dir(&data, &copy);
-    let no_cache = ServerConfig {
-        cache_windows: Some(0),
-        ..ServerConfig::default()
-    };
-    let disk = Server::start("127.0.0.1:0", &copy, no_cache).unwrap();
-
-    // (query, answered from the cache?)
-    for (query, hit) in [
-        ("objects w1", false),
-        ("objects w1", true),
-        ("objects w2", false),
-        ("objects w2", true),
-        ("objects w1", false),
-    ] {
-        let before = view_counts(&capped);
-        let answer = serve::query(&addr, query).unwrap();
-        let after = view_counts(&capped);
-        assert_eq!(
-            (after.0 - before.0, after.1 - before.1),
-            (u64::from(hit), u64::from(!hit)),
-            "{query}"
-        );
-        assert_eq!(
-            answer,
-            serve::query(&disk.addr().to_string(), query).unwrap()
-        );
-    }
-    assert_eq!(view_counts(&disk), (0, 5), "cap 0 caches nothing");
-    capped.shutdown();
-    disk.shutdown();
-}
-
-/// A pass adds the fresh segments' aggregate to the window's summary.
-/// When that summary is missing or does not parse, the pass starts from
-/// the packed store's own aggregate instead, so it writes the summary a
-/// pass over an intact one writes.
+/// A pass adds the fresh segments' histogram to the window's summary.
+/// When that summary is missing, does not parse, or is the previous
+/// build's `MPSUM 2`, the pass starts from the fold of the packed store
+/// instead, so it writes the summary a pass over an intact one writes.
 #[test]
 fn a_missing_or_damaged_summary_is_rebuilt_from_the_packed_store() {
     // Two passes of one session each; `damage` acts on the summary the
@@ -731,9 +678,13 @@ fn a_missing_or_damaged_summary_is_rebuilt_from_the_packed_store() {
     let missing = run("summary_missing", &|p| std::fs::remove_file(p).unwrap());
     assert_eq!(missing, intact);
     let damaged = run("summary_damaged", &|p| {
-        std::fs::write(p, "MPSUM 2\ngarbage\n").unwrap()
+        std::fs::write(p, "MPSUM 3\ngarbage\n").unwrap()
     });
     assert_eq!(damaged, intact);
+    let previous = run("summary_previous", &|p| {
+        std::fs::write(p, "MPSUM 2\ngarbage\n").unwrap()
+    });
+    assert_eq!(previous, intact);
 }
 
 /// Copy a daemon data directory (tiers, manifests, summaries) so a
@@ -751,85 +702,83 @@ fn copy_dir(from: &Path, to: &Path) {
     }
 }
 
-const VIEWS: [&str; 5] = [
+const VIEWS: [&str; 6] = [
     "objects w1",
     "objects w1 cpu",
+    "objects w1 ecstall",
     "segments w1",
     "pages w1 5",
     "lines w1 5",
 ];
 
-fn view_counts(server: &Server) -> (u64, u64) {
-    let cache = server.view_cache().lock().unwrap();
-    (cache.view_hits(), cache.view_misses())
-}
-
-/// Answer every view query, asserting how many came from the cache.
-fn answer_views(server: &Server, hits: u64, misses: u64) -> Vec<String> {
+/// Every view query's answer.
+fn answer_views(server: &Server) -> Vec<String> {
     let addr = server.addr().to_string();
-    let before = view_counts(server);
-    let answers = VIEWS
+    VIEWS
         .iter()
         .map(|q| serve::query(&addr, q).unwrap())
-        .collect();
-    let after = view_counts(server);
-    assert_eq!(
-        (after.0 - before.0, after.1 - before.1),
-        (hits, misses),
-        "(hits, misses) over {} view queries",
-        VIEWS.len()
-    );
-    answers
+        .collect()
 }
 
+/// Land run `seed` in window `w1`, carrying [`object_syms`].
 fn land(server: &Server, name: &str, seed: u64) {
     let mut sink = SocketSink::connect(&server.addr().to_string(), name, "w1").unwrap();
-    sink.attach("syms.txt", SYMS);
+    sink.attach("syms.txt", &object_syms());
     drive(&mut sink, seed, 2);
 }
 
-/// Analyzer views on a compacted window fill the view cache on first
-/// use and answer from it after, byte-identically to a cache-less
-/// daemon decoding the same store; fresh raw segments force the disk
-/// path, where the window is decoded through the merge compaction
-/// writes; and the compaction that folds them in lands the offline
-/// merge.
+/// `objects` answers from the summary (plus the fold of any fresh raw
+/// segments) and the other views decode the window from disk. Every
+/// view answers byte-identically to a daemon over a copy of the store
+/// whose summary was deleted, which answers `objects` from the packed
+/// store: on a compacted window, after a fresh raw segment lands, and
+/// after the compaction that folds it in — which lands the offline
+/// merge, and the summary a pass over the missing one writes too. The
+/// served figure is the analyzer's over the decoded packed store.
 #[test]
-fn cached_view_answers_match_the_disk_path() {
-    let data = scratch("views_cached");
-    let cached = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
+fn view_answers_match_a_daemon_without_summaries() {
+    let data = scratch("views");
+    let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
     for seed in [1u64, 2, 3] {
-        land(&cached, &format!("run{seed}"), seed);
+        land(&server, &format!("run{seed}"), seed);
     }
-    serve::query(&cached.addr().to_string(), "compact").unwrap();
+    serve::query(&server.addr().to_string(), "compact").unwrap();
 
-    let copy = scratch("views_disk");
-    copy_dir(&data, &copy);
-    let no_cache = ServerConfig {
-        cache_windows: Some(0),
-        ..ServerConfig::default()
-    };
-    let disk = Server::start("127.0.0.1:0", &copy, no_cache).unwrap();
-
-    let n = VIEWS.len() as u64;
-    let from_cache = answer_views(&cached, n - 1, 1);
-    assert_eq!(from_cache, answer_views(&disk, 0, n));
-    assert_eq!(from_cache, answer_views(&cached, n, 0));
-    assert!(from_cache[0].contains("<Total>"), "{}", from_cache[0]);
-
-    // A fresh raw segment means the cached store is no longer the
-    // whole window: both daemons decode from disk and still agree.
     let dirs = StoreDirs::create(&data).unwrap();
+    let copy = scratch("views_copy");
+    copy_dir(&data, &copy);
+    let copy_dirs = StoreDirs::create(&copy).unwrap();
+    std::fs::remove_file(copy_dirs.summary_path("w1")).unwrap();
+    let disk = Server::start("127.0.0.1:0", &copy, ServerConfig::default()).unwrap();
+
+    let compacted = answer_views(&server);
+    assert_eq!(compacted, answer_views(&disk));
+    assert!(
+        compacted[0].contains("{structure:particle -}") && compacted[0].contains("<Scalars>"),
+        "{}",
+        compacted[0]
+    );
+    let store = StreamFile::open(&dirs.packed_path("w1")).unwrap();
+    let exp = store.to_experiment().unwrap();
+    let syms = minic::SymbolTable::parse(&object_syms()).unwrap();
+    let analysis = memprof_core::analyze::Analysis::new(&[&exp], &syms);
+    assert_eq!(compacted[0], analysis.render_data_objects(0));
+    assert_eq!(compacted[1], analysis.render_data_objects(0));
+    assert_eq!(compacted[2], analysis.render_data_objects(1));
+
+    // A fresh raw segment: `objects` adds its fold to the summary, the
+    // other views decode the merge compaction writes.
     let round1 = std::fs::read(dirs.packed_path("w1")).unwrap();
-    land(&cached, "run4", 4);
+    land(&server, "run4", 4);
     land(&disk, "run4", 4);
-    let with_fresh = answer_views(&cached, 0, n);
-    assert_eq!(with_fresh, answer_views(&disk, 0, n));
-    assert_ne!(with_fresh, from_cache, "the fourth session is missing");
+    let with_fresh = answer_views(&server);
+    assert_eq!(with_fresh, answer_views(&disk));
+    assert_ne!(with_fresh, compacted, "the fourth session is missing");
 
     // Compaction lands exactly the offline merge of [round-1 store,
-    // segment], which is one merge of all four sessions.
-    serve::query(&cached.addr().to_string(), "compact").unwrap();
+    // segment], which is one merge of all four sessions, and the
+    // copy's pass rebuilds the summary the original's pass extends.
+    serve::query(&server.addr().to_string(), "compact").unwrap();
     serve::query(&disk.addr().to_string(), "compact").unwrap();
     let offline = scratch("views_offline");
     let packed1 = offline.join("w1.mps");
@@ -842,25 +791,29 @@ fn cached_view_answers_match_the_disk_path() {
         packed2, expected,
         "compacted store differs from offline merge"
     );
-    let copy_dirs = StoreDirs::create(&copy).unwrap();
     assert_eq!(
         std::fs::read(copy_dirs.packed_path("w1")).unwrap(),
         expected
     );
-
-    // The new store fills the cache once and answers from it after.
-    let round2 = answer_views(&cached, n - 1, 1);
+    assert_eq!(
+        std::fs::read(copy_dirs.summary_path("w1")).unwrap(),
+        std::fs::read(dirs.summary_path("w1")).unwrap()
+    );
+    std::fs::remove_file(copy_dirs.summary_path("w1")).unwrap();
+    let round2 = answer_views(&server);
     assert_eq!(round2, with_fresh);
-    assert_eq!(round2, answer_views(&disk, 0, n));
+    assert_eq!(round2, answer_views(&disk));
 
-    cached.shutdown();
+    server.shutdown();
     disk.shutdown();
 }
 
-/// A packed store replaced behind the daemon's back no longer hashes
-/// to the cached entry's key: views must follow the bytes on disk.
+/// A packed store replaced behind the daemon's back: `objects` and
+/// `functions` keep answering from the summary, which still describes
+/// the store the last pass wrote, until the next pass; `segments`,
+/// `pages` and `lines` follow the bytes on disk.
 #[test]
-fn cached_views_follow_a_store_replaced_on_disk() {
+fn views_follow_a_store_replaced_on_disk() {
     let data = scratch("views_replaced");
     let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
     let addr = server.addr().to_string();
@@ -868,8 +821,8 @@ fn cached_views_follow_a_store_replaced_on_disk() {
         land(&server, &format!("run{seed}"), seed);
     }
     serve::query(&addr, "compact").unwrap();
-    let n = VIEWS.len() as u64;
-    let all_three = answer_views(&server, n - 1, 1);
+    let all_three = answer_views(&server);
+    let functions = serve::query(&addr, "functions w1").unwrap();
 
     // Offline merge of only the first two sessions, swapped in.
     let offline = scratch("views_replaced_offline");
@@ -878,25 +831,31 @@ fn cached_views_follow_a_store_replaced_on_disk() {
         .enumerate()
         .map(|(i, seed)| {
             let path = offline.join(format!("000000000{}-run{seed}.mpes", i + 1));
-            std::fs::write(&path, local_bytes(*seed, 2)).unwrap();
+            std::fs::write(&path, local_bytes_with(*seed, 2, &object_syms())).unwrap();
             path
         })
         .collect();
     let dirs = StoreDirs::create(&data).unwrap();
     std::fs::write(dirs.packed_path("w1"), offline_merge(&files)).unwrap();
 
-    let replaced = answer_views(&server, n - 1, 1);
-    assert_ne!(replaced, all_three, "views still answer the cached store");
-
-    // The reference: a cache-less daemon over the replaced store.
+    let replaced = answer_views(&server);
+    assert_eq!(serve::query(&addr, "functions w1").unwrap(), functions);
+    // The reference for the disk side: a daemon over a copy of the
+    // replaced store with no summary, which reads every view from it.
     let copy = scratch("views_replaced_copy");
     copy_dir(&data, &copy);
-    let no_cache = ServerConfig {
-        cache_windows: Some(0),
-        ..ServerConfig::default()
-    };
-    let disk = Server::start("127.0.0.1:0", &copy, no_cache).unwrap();
-    assert_eq!(replaced, answer_views(&disk, 0, n));
+    std::fs::remove_file(StoreDirs::create(&copy).unwrap().summary_path("w1")).unwrap();
+    let disk = Server::start("127.0.0.1:0", &copy, ServerConfig::default()).unwrap();
+    let on_disk = answer_views(&disk);
+    for (i, query) in VIEWS.iter().enumerate() {
+        if query.starts_with("objects") {
+            assert_eq!(replaced[i], all_three[i], "{query} left the summary");
+            assert_ne!(replaced[i], on_disk[i], "{query}");
+        } else {
+            assert_eq!(replaced[i], on_disk[i], "{query} missed the new store");
+            assert_ne!(replaced[i], all_three[i], "{query}");
+        }
+    }
 
     server.shutdown();
     disk.shutdown();
@@ -937,11 +896,12 @@ fn compaction_after_a_replaced_store_summarizes_the_store_on_disk() {
     server.shutdown();
 }
 
-/// `functions` on a compacted window answers from the summary alone,
-/// which carries the packed store's symbol table. So a store damaged
-/// under an intact summary leaves that answer as it was, as it leaves
-/// `stat`'s — while every reader of the store itself still refuses it:
-/// the analyzer views and the next compaction fail naming the store.
+/// `functions` and `objects` on a compacted window answer from the
+/// summary alone, which carries the packed store's symbol table. So a
+/// store damaged under an intact summary leaves those answers as they
+/// were, as it leaves `stat`'s — while every reader of the store itself
+/// still refuses it: the address-keyed views and the next compaction
+/// fail naming the store.
 #[test]
 fn functions_on_a_corrupt_packed_store_answers_from_the_summary() {
     let data = scratch("corrupt_syms");
@@ -954,6 +914,7 @@ fn functions_on_a_corrupt_packed_store_answers_from_the_summary() {
         functions.contains("\"func\""),
         "no per-function rows: {functions}"
     );
+    let objects = serve::query(&addr, "objects w1").unwrap();
 
     let dirs = StoreDirs::create(&data).unwrap();
     let packed = dirs.packed_path("w1");
@@ -964,8 +925,11 @@ fn functions_on_a_corrupt_packed_store_answers_from_the_summary() {
     assert!(dirs.summary_path("w1").exists());
 
     assert_eq!(serve::query(&addr, "functions w1").unwrap(), functions);
-    let err = serve::query(&addr, "objects w1").unwrap_err();
-    assert!(err.to_string().contains("w1.mps"), "objects: {err}");
+    assert_eq!(serve::query(&addr, "objects w1").unwrap(), objects);
+    for query in ["pages w1", "segments w1"] {
+        let err = serve::query(&addr, query).unwrap_err();
+        assert!(err.to_string().contains("w1.mps"), "{query}: {err}");
+    }
     land(&server, "second", 2);
     let report = serve::query(&addr, "compact").unwrap();
     assert!(
@@ -992,7 +956,10 @@ fn a_damaged_summary_symbol_table_fails_functions() {
     let dirs = StoreDirs::create(&data).unwrap();
     let path = dirs.summary_path("w1");
     let whole = std::fs::read_to_string(&path).unwrap();
-    assert!(whole.ends_with(SYMS), "summary does not end with the table");
+    assert!(
+        whole.ends_with(&object_syms()),
+        "summary does not end with the table"
+    );
     let at = whole.rfind("\nsyms ").unwrap() + 1;
     let (body, table) = (&whole[..at], &whole[at..]);
     let (_, text) = table.split_once('\n').unwrap();
@@ -1014,6 +981,108 @@ fn a_damaged_summary_symbol_table_fails_functions() {
     std::fs::write(&path, &whole).unwrap();
     assert_eq!(serve::query(&addr, "functions w1").unwrap(), functions);
     server.shutdown();
+}
+
+/// A window whose sessions carry no symbol table answers `functions`
+/// without its per-function section, but Figure 6 and the address
+/// views need the table: they fail saying so, from the raw tier and
+/// from the summary alike.
+#[test]
+fn a_window_without_a_symbol_table_fails_the_views() {
+    let data = scratch("no_syms");
+    let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    let mut sink = SocketSink::connect(&addr, "bare", "w1").unwrap();
+    drive(&mut sink, 1, 2);
+    for round in ["raw", "compacted"] {
+        let functions = serve::query(&addr, "functions w1").unwrap();
+        assert!(!functions.contains("\"functions\""), "{round}: {functions}");
+        for query in ["objects w1", "pages w1"] {
+            let err = serve::query(&addr, query).unwrap_err().to_string();
+            assert_eq!(err, "window has no symbol table", "{round}: {query}");
+        }
+        serve::query(&addr, "compact").unwrap();
+    }
+    server.shutdown();
+}
+
+/// `agg` and `syms` in the previous build's `MPSUM 2` grammar: the
+/// per-PC histogram, then the symbol section.
+fn mpsum2(agg: &memprof_store::Aggregate, syms: &str) -> String {
+    let mut out = String::from("MPSUM 2\n");
+    for (spec, total) in agg.columns.iter().zip(&agg.totals) {
+        out.push_str(&match spec {
+            memprof_store::ColSpec::Clock { period } => format!("column clock {period} {total}\n"),
+            memprof_store::ColSpec::Hwc {
+                event,
+                backtrack,
+                interval,
+            } => format!(
+                "column hwc {} {} {interval} {total}\n",
+                event.name(),
+                u8::from(*backtrack)
+            ),
+        });
+    }
+    for (pc, samples) in &agg.pc_samples {
+        let samples: Vec<String> = samples.iter().map(u64::to_string).collect();
+        out.push_str(&format!("pc {pc} {}\n", samples.join(" ")));
+    }
+    out.push_str(&format!("syms {}\n{syms}", syms.len()));
+    out
+}
+
+/// A window compacted by the previous build holds an `MPSUM 2`
+/// summary. It reads as no summary: `functions`, `stat` and `objects`
+/// answer from the packed store, byte-identically to a copy of the
+/// window whose summary was deleted, and the next pass — with nothing
+/// to fold — rewrites it as the `MPSUM 3` summary this build writes,
+/// with the answers unchanged.
+#[test]
+fn a_previous_format_summary_reads_as_none_and_is_rewritten() {
+    const QUERIES: [&str; 3] = ["functions w1", "stat w1", "objects w1"];
+    let data = scratch("previous_summary");
+    let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    land(&server, "first", 1);
+    land(&server, "second", 2);
+    serve::query(&addr, "compact").unwrap();
+    let answers: Vec<String> = QUERIES
+        .iter()
+        .map(|q| serve::query(&addr, q).unwrap())
+        .collect();
+
+    let dirs = StoreDirs::create(&data).unwrap();
+    let path = dirs.summary_path("w1");
+    let current = std::fs::read_to_string(&path).unwrap();
+    assert!(current.starts_with("MPSUM 3\n"), "{current}");
+    let store = ExperimentRef::open(&dirs.packed_path("w1")).unwrap();
+    let agg = memprof_store::aggregate_refs(&[store], 0).unwrap();
+    std::fs::write(&path, mpsum2(&agg, &object_syms())).unwrap();
+
+    let copy = scratch("previous_summary_copy");
+    copy_dir(&data, &copy);
+    std::fs::remove_file(StoreDirs::create(&copy).unwrap().summary_path("w1")).unwrap();
+    let bare = Server::start("127.0.0.1:0", &copy, ServerConfig::default()).unwrap();
+    let bare_addr = bare.addr().to_string();
+    for (query, answer) in QUERIES.iter().zip(&answers) {
+        let previous = serve::query(&addr, query).unwrap();
+        assert_eq!(&previous, answer, "{query}");
+        assert_eq!(
+            previous,
+            serve::query(&bare_addr, query).unwrap(),
+            "{query}"
+        );
+    }
+
+    let report = serve::query(&addr, "compact").unwrap();
+    assert!(report.contains("nothing to compact"), "{report}");
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), current);
+    for (query, answer) in QUERIES.iter().zip(&answers) {
+        assert_eq!(&serve::query(&addr, query).unwrap(), answer, "{query}");
+    }
+    server.shutdown();
+    bare.shutdown();
 }
 
 /// A session whose chunk passes its checksum but carries bad content
@@ -1232,14 +1301,15 @@ fn bad_content_in_a_copied_column_fails_compaction_before_any_write() {
 /// a session whose stack table ends in a stray byte under a valid
 /// checksum fails the window's next pass the same way, instead of
 /// landing in the packed store that every later view decodes. The
-/// aggregate queries read no stack table; the views fail.
+/// aggregate queries, `objects` among them, read no stack table; the
+/// address-keyed views decode the window and fail.
 #[test]
 fn bad_stack_table_fails_compaction_before_any_write() {
     bad_session_fails_compaction_before_any_write(
         "bad_stacks",
         resealed(&local_bytes(2, 2), 1, |payload| payload.push(0)),
         ".mpes: corrupt store: trailing bytes in chunk",
-        &["objects w1", "pages w1"],
+        &["pages w1", "segments w1"],
     );
 }
 

@@ -1,5 +1,5 @@
 //! The daemon's two on-disk text formats — the tier-2 summary
-//! (`MPSUM 2`) and the compaction manifest (`MPCM 2`) — never panic on
+//! (`MPSUM 3`) and the compaction manifest (`MPCM 2`) — never panic on
 //! hostile input. Every input, whether arbitrary bytes, a truncation
 //! or a single-byte replacement of a rendered file, either fails to
 //! parse or parses to a value whose render parses back to an equal
@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use memprof_serve::{parse_manifest, parse_summary, render_manifest, render_summary, Manifest};
-use memprof_store::{Aggregate, ColSpec};
+use memprof_store::{ColSpec, PairHistogram};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::sample::select;
@@ -19,12 +19,10 @@ fn check_summary(text: &str) -> Result<(), TestCaseError> {
     let Ok(first) = parse_summary(text) else {
         return Ok(());
     };
-    let again = parse_summary(&render_summary(&first.agg, first.syms.as_deref()));
+    let again = parse_summary(&render_summary(&first.pairs, first.syms.as_deref()));
     prop_assert!(again.is_ok(), "render of {text:?} does not parse");
     let again = again.unwrap();
-    prop_assert_eq!(&again.agg.columns, &first.agg.columns);
-    prop_assert_eq!(&again.agg.totals, &first.agg.totals);
-    prop_assert_eq!(&again.agg.pc_samples, &first.agg.pc_samples);
+    prop_assert_eq!(&again.pairs, &first.pairs);
     prop_assert_eq!(&again.syms, &first.syms);
     Ok(())
 }
@@ -66,6 +64,7 @@ fn check_damage(rendered: &str) -> Result<(), TestCaseError> {
 
 /// The words either grammar is made of, plus a few near misses.
 const TOKENS: &[&str] = &[
+    "MPSUM 3\n",
     "MPSUM 2\n",
     "MPSUM 1\n",
     "MPCM 2\n",
@@ -75,6 +74,9 @@ const TOKENS: &[&str] = &[
     "clock ",
     "hwc ",
     "pc ",
+    "at ",
+    "- ",
+    "clock_hz ",
     "syms ",
     "none",
     "ecstall ",
@@ -96,7 +98,10 @@ const TOKENS: &[&str] = &[
     "é",
 ];
 
-fn summary_of(columns: &[(bool, usize, bool, u64)], pcs: &[(u64, Vec<u64>)]) -> Aggregate {
+fn summary_of(
+    columns: &[(bool, usize, bool, u64)],
+    keys: &[(bool, u64, u64, Vec<u64>)],
+) -> PairHistogram {
     let columns: Vec<ColSpec> = columns
         .iter()
         .map(|&(clock, event, backtrack, n)| {
@@ -112,16 +117,20 @@ fn summary_of(columns: &[(bool, usize, bool, u64)], pcs: &[(u64, Vec<u64>)]) -> 
         })
         .collect();
     let width = columns.len();
-    let pc_samples: BTreeMap<u64, Vec<u64>> = pcs
+    let pairs: BTreeMap<(Option<u64>, u64), Vec<u64>> = keys
         .iter()
-        .map(|(pc, samples)| (*pc, samples.iter().copied().cycle().take(width).collect()))
+        .map(|(backtracked, candidate, delivered, samples)| {
+            let samples = samples.iter().copied().cycle().take(width).collect();
+            ((backtracked.then_some(*candidate), *delivered), samples)
+        })
         .collect();
     let totals = (0..width)
-        .map(|c| pc_samples.values().map(|s| s[c]).sum())
+        .map(|c| pairs.values().map(|s| s[c]).sum())
         .collect();
-    Aggregate {
+    PairHistogram {
         columns,
-        pc_samples,
+        clock_hz: 900_000_000,
+        pairs,
         totals,
     }
 }
@@ -133,7 +142,7 @@ proptest! {
     /// words, after each header or none.
     #[test]
     fn arbitrary_text_never_panics(
-        header in select(&["", "MPSUM 2\n", "MPCM 2\npacked "]),
+        header in select(&["", "MPSUM 3\nclock_hz 7\n", "MPSUM 2\n", "MPCM 2\npacked "]),
         raw in vec(any::<u8>(), 0..200),
         words in vec(select(TOKENS), 0..40),
     ) {
@@ -149,19 +158,24 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A rendered summary carrying a symbol table, and a rendered
-    /// manifest, cut at every point and with every byte replaced by
-    /// every other value.
+    /// A rendered summary carrying a symbol table parses back to exactly
+    /// what was rendered; it and a rendered manifest, cut at every point
+    /// and with every byte replaced by every other value, never panic.
     #[test]
     fn rendered_tier_files_survive_every_cut_and_byte_replacement(
         columns in vec((any::<bool>(), 0usize..8, any::<bool>(), 1u64..100_000), 1..3),
-        pcs in vec((0x1_0000u64..0x1_0100, vec(0u64..1000, 1..3)), 0..4),
+        keys in vec((any::<bool>(), 0x1_0000u64..0x1_0100, 0x1_0000u64..0x1_0100, vec(0u64..1000, 1..3)), 0..4),
         syms in vec(select(&["simsparc-syms text_base=0x10000\n", "pc 16 1\n", "syms none\n", "func main 0x10000 64\n"]), 1..3),
         packed in any::<u64>(),
         consumed in vec(select(&["0000000001-a.mpes", "0000000002-run.mpes", "x"]), 0..3),
     ) {
-        let agg = summary_of(&columns, &pcs);
-        check_damage(&render_summary(&agg, Some(&syms.concat())))?;
+        let pairs = summary_of(&columns, &keys);
+        let table = syms.concat();
+        let text = render_summary(&pairs, Some(&table));
+        let back = parse_summary(&text).unwrap();
+        prop_assert_eq!(&back.pairs, &pairs);
+        prop_assert_eq!(back.syms.as_deref(), Some(table.as_str()));
+        check_damage(&text)?;
         let manifest = Manifest {
             packed,
             consumed: consumed.iter().map(|s| s.to_string()).collect(),

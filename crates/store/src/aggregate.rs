@@ -20,10 +20,18 @@
 //! ordered `BTreeMap`, so the rendered output is deterministic.
 //! [`aggregate`] over in-memory experiments is the oracle the tests
 //! pin [`aggregate_streams`] against, byte for byte.
+//!
+//! [`PairHistogram`] keeps one step less of the reduction: samples per
+//! attribution key ([`memprof_core::attribution_key`]) rather than per
+//! charge PC. The per-PC histogram is its projection, and Figure 6 is
+//! a function of it and a symbol table, so the serve tier's summaries
+//! keep it; [`pair_streams`] folds it from opened streams.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
+use std::hash::BuildHasherDefault;
 
+use memprof_core::analyze::{ColKind, KeyHasher, MetricCol};
 use memprof_core::batch::ByPc;
 use memprof_core::{
     aggregate_by, fill_clock_pc_rows, fill_hwc_pc_rows, CounterRequest, EventBatch, Experiment,
@@ -127,7 +135,7 @@ fn finish(columns: Vec<ColSpec>, batch: &EventBatch) -> Aggregate {
     let map = aggregate_by(batch, &ByPc);
     // A per-PC grouping keeps every row, so the column totals are the
     // sums of the group rows — no second pass over the events.
-    let totals = totals_of(&map, columns.len());
+    let totals = totals_of(map.values(), columns.len());
     Aggregate {
         columns,
         pc_samples: map.into_iter().collect::<BTreeMap<u64, Vec<u64>>>(),
@@ -135,11 +143,12 @@ fn finish(columns: Vec<ColSpec>, batch: &EventBatch) -> Aggregate {
     }
 }
 
-/// Column totals recovered from a per-PC fold: equal to summing the
-/// source rows directly, because grouping by PC drops nothing.
-fn totals_of(map: &HashMap<u64, Vec<u64>>, ncols: usize) -> Vec<u64> {
+/// Column totals recovered from the rows of a fold that keeps every
+/// event (by PC, or by attribution key): equal to summing the source
+/// rows directly, because such a grouping drops nothing.
+fn totals_of<'a>(rows: impl IntoIterator<Item = &'a Vec<u64>>, ncols: usize) -> Vec<u64> {
     let mut totals = vec![0u64; ncols];
-    for samples in map.values() {
+    for samples in rows {
         for (dst, src) in totals.iter_mut().zip(samples) {
             *dst += src;
         }
@@ -182,6 +191,153 @@ pub fn aggregate_streams(streams: &[StreamFile]) -> Result<Aggregate, StoreError
         stream.fill_pc_batch(&mut batch, &col_of[xi], clock_col_of[xi])?;
     }
     Ok(finish(columns, &batch))
+}
+
+/// An attribution key, `(candidate, delivered)`
+/// ([`memprof_core::attribution_key`]).
+pub type PairKey = (Option<u64>, u64);
+
+/// Per-attribution-key sample histogram over a set of experiments: the
+/// histogram [`Aggregate`] is a projection of. An event's charge PC
+/// and its Figure 6 row are both functions of its key (and, for the
+/// row, the symbol table), so the few dozen keys a run revisits answer
+/// both views without the events.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PairHistogram {
+    /// The deduplicated columns, as [`Aggregate::columns`].
+    pub columns: Vec<ColSpec>,
+    /// The recipe's clock rate, which Figure 6 needs to show cycle
+    /// counts as seconds.
+    pub clock_hz: u64,
+    /// Attribution key → one sample count per column, ordered by key.
+    pub pairs: BTreeMap<PairKey, Vec<u64>>,
+    /// Total samples per column.
+    pub totals: Vec<u64>,
+}
+
+/// Fold the attribution keys of a set of opened [`StreamFile`]s, with
+/// the columns [`aggregate_streams`] gives them. Each HWC and CLOCK
+/// chunk is decoded once ([`StreamFile::fold_keys`]), so the content
+/// is checked exactly as [`aggregate_streams`] checks it; no STACKS
+/// chunk is decoded. The streams must share one clock rate.
+pub fn pair_streams(streams: &[StreamFile]) -> Result<PairHistogram, StoreError> {
+    let headers: Vec<(Option<u64>, &[CounterRequest])> = streams
+        .iter()
+        .map(|s| (s.clock_period(), s.counters()))
+        .collect();
+    let (columns, col_of, clock_col_of) = resolve_columns(&headers)?;
+    let clock_hz = streams.first().map_or(0, |s| s.run().clock_hz);
+    if let Some(other) = streams.iter().find(|s| s.run().clock_hz != clock_hz) {
+        return Err(StoreError::Incompatible(format!(
+            "clock rates differ: {clock_hz} vs {}",
+            other.run().clock_hz
+        )));
+    }
+    let ncols = columns.len();
+    let mut map: HashMap<PairKey, Vec<u64>, BuildHasherDefault<KeyHasher>> = HashMap::default();
+    for (xi, stream) in streams.iter().enumerate() {
+        stream.fold_keys(&col_of[xi], clock_col_of[xi], |col, key| {
+            map.entry(key).or_insert_with(|| vec![0; ncols])[col] += 1;
+        })?;
+    }
+    Ok(PairHistogram {
+        totals: totals_of(map.values(), ncols),
+        columns,
+        clock_hz,
+        pairs: map.into_iter().collect(),
+    })
+}
+
+impl PairHistogram {
+    /// Fold another histogram with the same columns and clock rate
+    /// into this one; anything else is an error, never a silent sum.
+    /// Addition commutes, so summing histograms equals folding the
+    /// union of their events.
+    pub fn merge(&mut self, other: &PairHistogram) -> Result<(), StoreError> {
+        if self.columns != other.columns {
+            return Err(StoreError::ColumnMismatch(format!(
+                "cannot merge histograms with different column sets: {:?} vs {:?}",
+                self.columns, other.columns
+            )));
+        }
+        if self.clock_hz != other.clock_hz {
+            return Err(StoreError::Incompatible(format!(
+                "clock rates differ: {} vs {}",
+                self.clock_hz, other.clock_hz
+            )));
+        }
+        for (key, samples) in &other.pairs {
+            let slot = self
+                .pairs
+                .entry(*key)
+                .or_insert_with(|| vec![0; self.columns.len()]);
+            for (d, s) in slot.iter_mut().zip(samples) {
+                *d += s;
+            }
+        }
+        for (d, s) in self.totals.iter_mut().zip(&other.totals) {
+            *d += s;
+        }
+        Ok(())
+    }
+
+    /// The per-PC histogram: each key's samples charged to its
+    /// candidate, else its delivered PC ([`memprof_core::charged_pc`]).
+    /// Exactly what [`aggregate_streams`] gives over the same events.
+    pub fn to_aggregate(&self) -> Aggregate {
+        let mut pc_samples: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for (&(candidate, delivered), samples) in &self.pairs {
+            let slot = pc_samples
+                .entry(candidate.unwrap_or(delivered))
+                .or_insert_with(|| vec![0; self.columns.len()]);
+            for (d, s) in slot.iter_mut().zip(samples) {
+                *d += s;
+            }
+        }
+        Aggregate {
+            columns: self.columns.clone(),
+            pc_samples,
+            totals: self.totals.clone(),
+        }
+    }
+
+    /// The analyzer's metric columns for the histogram's columns, in
+    /// order: those of one experiment collected with this recipe.
+    /// Counters are numbered in recipe order; two identical counters
+    /// share one column here, and only non-memory counters (never
+    /// backtracked) can repeat in a recipe.
+    pub fn metric_cols(&self) -> Vec<MetricCol> {
+        let mut counter = 0;
+        self.columns
+            .iter()
+            .map(|spec| {
+                let (kind, interval, counts_cycles) = match *spec {
+                    ColSpec::Clock { period } => (ColKind::UserCpu { experiment: 0 }, period, true),
+                    ColSpec::Hwc {
+                        event,
+                        backtrack,
+                        interval,
+                    } => {
+                        counter += 1;
+                        let kind = ColKind::Hwc {
+                            experiment: 0,
+                            counter: counter - 1,
+                            event,
+                            backtrack,
+                        };
+                        (kind, interval, event.counts_cycles())
+                    }
+                };
+                MetricCol {
+                    kind,
+                    title: spec.title(),
+                    interval,
+                    counts_cycles,
+                    clock_hz: self.clock_hz,
+                }
+            })
+            .collect()
+    }
 }
 
 /// Minimal JSON string escaping for the stat/query documents (names

@@ -18,7 +18,10 @@
 //! * one **aggregation engine** ([`aggregate_streams`]) reducing many
 //!   experiments to per-PC histograms through the shared group-by
 //!   kernel, with [`aggregate`] over in-memory experiments as its
-//!   oracle;
+//!   oracle; beside it, [`pair_streams`] folds each event's
+//!   attribution key (candidate PC, delivered PC) into a
+//!   [`PairHistogram`], which the per-PC histogram is a projection of
+//!   and from which Figure 6 follows without the events;
 //! * one merge rule in two representations: [`merge_experiments`]
 //!   folds same-recipe runs into one in-memory experiment (feeding the
 //!   ordinary analyzer views), and [`merge_streams`] folds their
@@ -48,7 +51,8 @@ use memprof_core::{
 };
 
 pub use aggregate::{
-    aggregate, aggregate_streams, diff_aggregates, AggDiff, Aggregate, ColSpec, DiffRow,
+    aggregate, aggregate_streams, diff_aggregates, pair_streams, AggDiff, Aggregate, ColSpec,
+    DiffRow, PairHistogram, PairKey,
 };
 pub use format::{pack_dir, pack_experiment, unpack_to_dir, xxh64, ATTACHMENT_FILES};
 pub use writer::{merge_streams, validate_stream_prefix, SegmentWriter, StreamFile};

@@ -39,8 +39,8 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use memprof_core::{
-    charged_pc, CollectSink, CounterRequest, EventBatch, Experiment, PackedClockEvent,
-    PackedHwcEvent, RunInfo, StackId,
+    attribution_key, charged_pc, CollectSink, CounterRequest, EventBatch, Experiment,
+    PackedClockEvent, PackedHwcEvent, RunInfo, StackId,
 };
 use simsparc_machine::EventCounts;
 
@@ -493,6 +493,37 @@ impl StreamFile {
                     if let Some(k) = clock_col {
                         col[i] = k as u32;
                         pc[i] = ev.pc;
+                    }
+                })?,
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Hand every event's column and attribution key to `f`, in
+    /// chunk order: counter `c`'s events go to column `hwc_col[c]`
+    /// keyed by [`memprof_core::attribution_key`], and clock ticks to
+    /// `clock_col` keyed `(None, pc)`. Each HWC and CLOCK chunk is
+    /// decoded once and checked exactly as [`StreamFile::fill_pc_batch`]
+    /// checks it (ticks too when `clock_col` is `None`, which then
+    /// reach no column); no STACKS chunk is decoded.
+    pub fn fold_keys(
+        &self,
+        hwc_col: &[usize],
+        clock_col: Option<usize>,
+        mut f: impl FnMut(usize, (Option<u64>, u64)),
+    ) -> Result<(), StoreError> {
+        let mut dec = ChunkDecoder::default();
+        for c in &self.chunks {
+            match c.kind {
+                CHUNK_HWC => self.hwc_chunk(c, &mut dec, |_, ev| {
+                    let backtrack = self.counters[ev.counter].backtrack;
+                    f(hwc_col[ev.counter], attribution_key(&ev, backtrack));
+                })?,
+                CHUNK_CLOCK => self.clock_chunk(c, &mut dec, |_, ev| {
+                    if let Some(k) = clock_col {
+                        f(k, (None, ev.pc));
                     }
                 })?,
                 _ => {}

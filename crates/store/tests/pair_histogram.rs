@@ -1,0 +1,244 @@
+//! The attribution-key histogram, pinned over generated `MPES` images,
+//! recipes and symbol tables: its per-PC projection is
+//! [`aggregate_streams`]' histogram byte for byte, the fold of a merged
+//! image is the sum of the inputs' folds, and Figure 6 attributed from
+//! its keys is the analyzer's Figure 6 over the decoded experiment, for
+//! every sort column.
+
+use memprof_core::analyze::{data_objects_of_pairs, render_data_object_rows, Analysis, ColKind};
+use memprof_core::{CollectSink as _, CounterRequest, PackedClockEvent, PackedHwcEvent, RunInfo};
+use memprof_store::{
+    aggregate_streams, merge_streams, pair_streams, ColSpec, PairHistogram, SegmentWriter,
+    StreamFile,
+};
+use minic::SymbolTable;
+use proptest::prelude::*;
+use proptest::strategy::BoxedStrategy;
+use proptest::test_runner::TestRng;
+use simsparc_machine::CounterEvent;
+
+const CLOCK_HZ: u64 = 900_000_000;
+
+/// A draw in `0..n`.
+fn below(rng: &mut TestRng, n: u64) -> u64 {
+    rng.next_u64() % n
+}
+
+fn chance(rng: &mut TestRng, one_in: u64) -> bool {
+    below(rng, one_in) == 0
+}
+
+/// A collection recipe: clock profiling or not, and up to two
+/// counters, backtracked only when they count a memory event. Two
+/// identical counters occur (the collector accepts `cycles,N,cycles,N`),
+/// but never two identical backtracked ones: each memory event has one
+/// counter register.
+fn recipe(rng: &mut TestRng) -> (Vec<CounterRequest>, Option<u64>) {
+    let counter = |rng: &mut TestRng| {
+        let event = CounterEvent::ALL[below(rng, 8) as usize];
+        CounterRequest {
+            event,
+            backtrack: event.is_memory_event() && !chance(rng, 3),
+            interval: [53, 101, 4001][below(rng, 3) as usize],
+        }
+    };
+    let mut counters: Vec<CounterRequest> = (0..below(rng, 3)).map(|_| counter(rng)).collect();
+    if let [a, b] = &mut counters[..] {
+        if chance(rng, 3) {
+            *b = *a;
+        }
+        if a == b && a.backtrack {
+            b.backtrack = false;
+        }
+    }
+    let clock = (counters.is_empty() || !chance(rng, 3)).then_some(10007);
+    (counters, clock)
+}
+
+/// A symbol table over 64 instructions from `0x10000`: two modules
+/// with random `-xhwcprof`/DWARF flags, functions that leave a gap,
+/// and a random descriptor and branch-target flag per instruction.
+fn symbol_table(rng: &mut TestRng) -> SymbolTable {
+    let mut text = String::from("simsparc-syms text_base=0x10000\n");
+    for m in 0..2 {
+        let flag = |rng: &mut TestRng| u8::from(!chance(rng, 3));
+        let (hwcprof, dwarf) = (flag(rng), flag(rng));
+        text.push_str(&format!("MODULE {hwcprof} {dwarf} m{m} m{m}.c\n"));
+    }
+    text.push_str("FUNC 0x10000 0x10080 0 1 f\nFUNC 0x10080 0x100e0 1 9 g\n");
+    for _ in 0..64 {
+        let desc = match below(rng, 6) {
+            0 => "-".to_string(),
+            1 => "T".to_string(),
+            2 => "S long count".to_string(),
+            k => format!("M s{} m{} long 8", k % 2, below(rng, 3)),
+        };
+        let target = u8::from(chance(rng, 8));
+        text.push_str(&format!("PC 1 {target} {desc}\n"));
+    }
+    SymbolTable::parse(&text).unwrap()
+}
+
+fn hwc_event(rng: &mut TestRng, n_counters: usize) -> PackedHwcEvent {
+    let delivered = 0x1_0000 + 4 * below(rng, 72);
+    PackedHwcEvent {
+        counter: below(rng, n_counters as u64) as usize,
+        delivered_pc: delivered,
+        candidate_pc: chance(rng, 2).then(|| delivered - 4 * below(rng, 4)),
+        ea: None,
+        stack: 0,
+        truth_trigger_pc: delivered,
+        truth_ea: None,
+        truth_skid: 0,
+    }
+}
+
+/// One image collected with `recipe`: a few chunks of counter events
+/// and clock ticks, then a footer.
+fn image(rng: &mut TestRng, recipe: &(Vec<CounterRequest>, Option<u64>)) -> Vec<u8> {
+    let (counters, clock) = recipe;
+    let mut w = SegmentWriter::new(Vec::new());
+    w.begin(counters, *clock, CLOCK_HZ).unwrap();
+    w.stacks(&[vec![0x1_0000]]).unwrap();
+    for _ in 0..1 + below(rng, 3) {
+        if !counters.is_empty() {
+            let events: Vec<PackedHwcEvent> = (0..below(rng, 40))
+                .map(|_| hwc_event(rng, counters.len()))
+                .collect();
+            w.hwc_segment(&events).unwrap();
+        }
+        let ticks: Vec<PackedClockEvent> = (0..below(rng, 12))
+            .map(|_| PackedClockEvent {
+                pc: 0x1_0000 + 4 * below(rng, 72),
+                stack: 0,
+            })
+            .collect();
+        w.clock_segment(&ticks).unwrap();
+    }
+    let run = RunInfo {
+        clock_hz: CLOCK_HZ,
+        dropped: vec![0; counters.len()],
+        ..RunInfo::default()
+    };
+    w.finish(&run, &[]).unwrap();
+    w.into_inner()
+}
+
+/// One case: two images of one recipe, a third of another, and a
+/// symbol table.
+type Case = (Vec<u8>, Vec<u8>, Vec<u8>, SymbolTable);
+
+fn cases() -> BoxedStrategy<Case> {
+    BoxedStrategy::new(|rng| {
+        let shared = recipe(rng);
+        let (a, b) = (image(rng, &shared), image(rng, &shared));
+        let other = recipe(rng);
+        (a, b, image(rng, &other), symbol_table(rng))
+    })
+}
+
+fn open(bytes: &[u8]) -> StreamFile {
+    StreamFile::from_bytes(bytes.to_vec()).unwrap()
+}
+
+fn pairs(images: &[&[u8]]) -> PairHistogram {
+    let streams: Vec<StreamFile> = images.iter().map(|b| open(b)).collect();
+    pair_streams(&streams).unwrap()
+}
+
+/// The histogram column an analyzer column lands in.
+fn spec_of(kind: &ColKind, interval: u64) -> ColSpec {
+    match *kind {
+        ColKind::UserCpu { .. } => ColSpec::Clock { period: interval },
+        ColKind::Hwc {
+            event, backtrack, ..
+        } => ColSpec::Hwc {
+            event,
+            backtrack,
+            interval,
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn the_projection_is_the_per_pc_aggregate(case in cases()) {
+        let (a, b, c, syms) = case;
+        for images in [vec![&a[..]], vec![&a[..], &b[..]], vec![&a[..], &c[..]], vec![&c[..], &a[..], &b[..]]] {
+            let streams: Vec<StreamFile> = images.iter().map(|b| open(b)).collect();
+            let projected = pair_streams(&streams).unwrap().to_aggregate();
+            let direct = aggregate_streams(&streams).unwrap();
+            prop_assert_eq!(projected.stat_json(Some(&syms)), direct.stat_json(Some(&syms)));
+            prop_assert_eq!(projected.render(), direct.render());
+        }
+    }
+
+    #[test]
+    fn the_fold_of_a_merge_is_the_sum_of_the_folds(case in cases()) {
+        let (a, b, _, _) = case;
+        let merged = merge_streams(&[open(&a), open(&b)]).unwrap();
+        let mut sum = pairs(&[&a]);
+        sum.merge(&pairs(&[&b])).unwrap();
+        prop_assert_eq!(&pairs(&[&merged]), &sum);
+        prop_assert_eq!(&pairs(&[&a, &b]), &sum);
+        prop_assert_eq!(sum.clock_hz, CLOCK_HZ);
+    }
+
+    #[test]
+    fn figure_6_from_the_keys_is_the_analyzers(case in cases()) {
+        let (a, b, _, syms) = case;
+        let merged = merge_streams(&[open(&a), open(&b)]).unwrap();
+        let exp = open(&merged).to_experiment().unwrap();
+        let analysis = Analysis::new(&[&exp], &syms);
+        let hist = pairs(&[&merged]);
+        let columns = hist.metric_cols();
+        let data = |cols: &[usize], rows: Vec<memprof_core::analyze::DataObjectRow>| {
+            rows.into_iter()
+                .map(|r| (r.name, cols.iter().map(|&c| r.samples[c]).collect::<Vec<u64>>()))
+                .collect::<Vec<_>>()
+        };
+        for (sort, col) in analysis.columns.iter().enumerate() {
+            let at = hist
+                .columns
+                .iter()
+                .position(|s| *s == spec_of(&col.kind, col.interval))
+                .unwrap();
+            let rows = data_objects_of_pairs(&syms, &columns, &hist.pairs, at);
+            prop_assert_eq!(render_data_object_rows(&columns, &rows), analysis.render_data_objects(sort));
+            prop_assert_eq!(
+                data(&memprof_core::analyze::data_columns(&columns), rows),
+                data(&analysis.data_columns(), analysis.data_objects(sort))
+            );
+        }
+    }
+}
+
+/// Folds with different clock rates, or different columns, refuse to
+/// merge instead of summing.
+#[test]
+fn mismatched_histograms_refuse_to_merge() {
+    let mut rng = TestRng::new("mismatched_histograms");
+    let recipe = (
+        vec![CounterRequest {
+            event: CounterEvent::ECStallCycles,
+            backtrack: true,
+            interval: 4001,
+        }],
+        Some(10007),
+    );
+    let one = pairs(&[&image(&mut rng, &recipe)]);
+    let mut other_rate = one.clone();
+    other_rate.clock_hz += 1;
+    assert!(one.clone().merge(&other_rate).is_err());
+    let mut other_columns = one.clone();
+    other_columns.columns.pop();
+    assert!(one.clone().merge(&other_columns).is_err());
+    let mut twice = one.clone();
+    twice.merge(&one).unwrap();
+    assert_eq!(
+        twice.totals,
+        one.totals.iter().map(|t| 2 * t).collect::<Vec<_>>()
+    );
+}

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! mp-serve daemon --data DIR [--listen ADDR] [--compact-secs N]
-//!          [--cache-windows N] [--idle-secs N] [--max-conns N]
+//!          [--idle-secs N] [--max-conns N]
 //!          [--retain-raw-windows N] [--retain-age SECS] [--port-file P]
 //! mp-serve query ADDR QUERY...
 //! mp-serve watch ADDR WINDOW
@@ -14,12 +14,10 @@
 //! port and `--port-file` writes the resolved `host:port` for scripts
 //! to read. `--compact-secs N` folds sealed raw segments into packed
 //! stores every N seconds; without it, compaction runs only on an
-//! explicit `compact` query. `--cache-windows N` bounds how many
-//! compacted windows keep their decoded packed store in memory for
-//! the analyzer views (`objects`, `segments`, `pages`, `lines`): LRU,
-//! default 4, and 0 disables the cache. A view fills the cache when
-//! it decodes a window with no fresh raw segments; views on other
-//! windows decode from disk.
+//! explicit `compact` query. Compaction keeps each window's summary,
+//! from which `functions`, `stat`, `diff` and `objects` answer without
+//! opening the packed store; `segments`, `pages` and `lines` decode
+//! the window from disk on every query.
 //!
 //! `--idle-secs N` (default 300, 0 disables) drops a connection that
 //! sends nothing for N seconds, sealing whatever readable prefix its
@@ -49,7 +47,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "mp-serve: {msg}\n\
          usage: mp-serve daemon --data DIR [--listen ADDR] [--compact-secs N]\n\
-         \x20        [--cache-windows N] [--idle-secs N] [--max-conns N]\n\
+         \x20        [--idle-secs N] [--max-conns N]\n\
          \x20        [--retain-raw-windows N] [--retain-age SECS] [--port-file P]\n\
          \x20      mp-serve query ADDR QUERY...\n\
          \x20      mp-serve watch ADDR WINDOW"
@@ -69,7 +67,6 @@ fn main() {
             let mut listen = "127.0.0.1:7807".to_string();
             let mut data: Option<PathBuf> = None;
             let mut compact_secs = None;
-            let mut cache_windows = None;
             let mut idle_secs = None;
             let mut max_conns = None;
             let mut retention = RetentionPolicy::default();
@@ -91,9 +88,6 @@ fn main() {
                     "--compact-secs" => {
                         compact_secs = Some(parsed("--compact-secs", value("--compact-secs")))
                     }
-                    "--cache-windows" => {
-                        cache_windows = Some(parsed("--cache-windows", value("--cache-windows")))
-                    }
                     "--idle-secs" => idle_secs = Some(parsed("--idle-secs", value("--idle-secs"))),
                     "--max-conns" => max_conns = Some(parsed("--max-conns", value("--max-conns"))),
                     "--retain-raw-windows" => {
@@ -112,7 +106,6 @@ fn main() {
             let data = data.unwrap_or_else(|| usage("daemon needs --data DIR"));
             let config = ServerConfig {
                 compact_secs,
-                cache_windows,
                 idle_secs,
                 max_conns,
                 retention,

@@ -288,3 +288,63 @@ fn watch_subcommand_streams_frames_until_shutdown() {
     let status = watch.wait().expect("wait for mp-serve watch");
     assert!(status.success(), "watch exited with {status}");
 }
+
+/// A recipe may name one counter twice (`cycles,1009,cycles,1009`).
+/// The store's histograms fold identical counters into one column, and
+/// the summary keeps those deduplicated columns, while the analyzer
+/// keeps one column per counter. Served `objects` — with the default
+/// and a named sort column — still equals `mp-er-print data_objects` on
+/// the unpacked store, and `functions` equals `mp-store stat --json`.
+#[test]
+fn a_recipe_with_two_identical_counters_answers_like_the_offline_tools() {
+    let data = scratch("twin_counters");
+    let (_daemon, addr) = start_daemon(&data);
+    let src = small_workload(&data, "wd", 40_000);
+    run_ok(
+        Command::new(collect_bin())
+            .args([
+                "--connect",
+                &addr,
+                "--window",
+                "wd",
+                "-h",
+                "cycles,1009,cycles,1009",
+                "-p",
+                "on",
+                "--period",
+                "4001",
+            ])
+            .arg(&src),
+    );
+    let report = query(&addr, &["compact"]);
+    assert!(report.contains("compacted wd: 1 raw segments"), "{report}");
+
+    let packed = data.join("packed").join("wd.mps");
+    let served = query(&addr, &["functions", "wd"]);
+    let offline =
+        run_ok(Command::new(store_bin()).args(["stat", "--json", packed.to_str().unwrap()]));
+    assert_eq!(served, offline, "functions query != mp-store stat --json");
+    assert_eq!(served.matches("\"title\": \"CPU Cycles\"").count(), 1);
+
+    let unpacked = data.join("wd-unpacked");
+    run_ok(Command::new(store_bin()).args([
+        "unpack",
+        packed.to_str().unwrap(),
+        unpacked.to_str().unwrap(),
+    ]));
+    for sort in [None, Some("cycles"), Some("cpu")] {
+        let mut served_query = vec!["objects", "wd"];
+        let mut offline_cmd = Command::new(env!("CARGO_BIN_EXE_mp-er-print"));
+        offline_cmd.arg(&unpacked).arg("data_objects");
+        if let Some(col) = sort {
+            served_query.push(col);
+            offline_cmd.arg(col);
+        }
+        assert_eq!(
+            query(&addr, &served_query),
+            run_ok(&mut offline_cmd),
+            "objects {sort:?}"
+        );
+    }
+    assert_eq!(query(&addr, &["shutdown"]), "shutting down\n");
+}
