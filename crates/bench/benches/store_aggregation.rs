@@ -1,7 +1,8 @@
-//! The multi-experiment aggregation engine over experiments in
-//! memory: four ~250k-event profiles filled into one charge-PC batch
-//! and folded to a per-PC histogram by `memprof_store::aggregate`,
-//! the oracle every streamed aggregate is tested against.
+//! The multi-experiment aggregation engine as `mp-store stat` runs
+//! it: four ~250k-event profiles, packed into `MPES` images and opened
+//! outside the timed region, reduced to a per-PC histogram by
+//! `memprof_store::aggregate_streams` — the attribution-key fold and
+//! its projection.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -9,7 +10,7 @@ use std::hint::black_box;
 use memprof_core::{
     CallstackTable, CounterRequest, Experiment, PackedClockEvent, PackedHwcEvent, RunInfo,
 };
-use memprof_store::aggregate;
+use memprof_store::{aggregate_streams, pack_experiment, StreamFile};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use simsparc_machine::CounterEvent;
 
@@ -90,11 +91,14 @@ fn bench_store_aggregation(c: &mut Criterion) {
     let exps: Vec<Experiment> = (0..4)
         .map(|i| synthetic_experiment(0xA5A5 + i, 200_000))
         .collect();
-    let views: Vec<&Experiment> = exps.iter().collect();
+    let streams: Vec<StreamFile> = exps
+        .iter()
+        .map(|e| StreamFile::from_bytes(pack_experiment(e, &[])).unwrap())
+        .collect();
 
     group.bench_function("aggregate", |b| {
         b.iter(|| {
-            let agg = aggregate(black_box(&views)).unwrap();
+            let agg = aggregate_streams(black_box(&streams)).unwrap();
             black_box(agg.totals);
         })
     });

@@ -1,7 +1,8 @@
 //! The shared view-aggregation kernel: a merged 8-experiment store
 //! reduced to a per-PC histogram by `memprof_core::aggregate_by` — the
-//! same kernel every analyzer view and `mp-store stat` run on, so this
-//! measures the engine under every table in the tool.
+//! kernel every analyzer view runs on, so this measures the engine
+//! under every `mp-er-print` table. (`mp-store stat` folds attribution
+//! keys as chunks decode instead; `store_aggregation` times that.)
 //!
 //! The batch build (one streaming pass per source) is kept outside
 //! the timed region: the kernel contract is that the batch is built
@@ -11,10 +12,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use memprof_core::batch::ByPc;
+use memprof_core::batch::{AttrTag, BatchEvent, ByPc, NO_ID, NO_LINE};
 use memprof_core::{
-    aggregate_by, fill_clock_pc_rows, fill_hwc_pc_rows, CallstackTable, CounterRequest, EventBatch,
-    Experiment, PackedClockEvent, PackedHwcEvent, RunInfo,
+    aggregate_by, charged_pc, CallstackTable, CounterRequest, EventBatch, Experiment,
+    PackedClockEvent, PackedHwcEvent, RunInfo,
 };
 use memprof_store::merge_loaded;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -96,11 +97,31 @@ fn bench_view_aggregation(c: &mut Criterion) {
         .collect();
     let merged = merge_loaded(&exps).unwrap();
 
-    // Charge-PC batch, built once (columns: clock, then the two
-    // counters) — the columns a per-PC fold reads.
+    // The batch, built once (columns: clock, then the two counters):
+    // every tick at its PC, every counter event at its charge PC —
+    // the columns a per-PC fold reads.
+    let row = |col: usize, pc: u64, src: (usize, usize, bool)| BatchEvent {
+        col,
+        pc,
+        ea: None,
+        tag: AttrTag::Plain,
+        desc: NO_ID,
+        func: NO_ID,
+        line: NO_LINE,
+        src,
+    };
     let mut batch = EventBatch::new(3);
-    fill_clock_pc_rows(&mut batch, 0, &merged.clock_events);
-    fill_hwc_pc_rows(&mut batch, &merged.counters, &[1, 2], &merged.hwc_events);
+    for (i, ev) in merged.clock_events.iter().enumerate() {
+        batch.push(row(0, ev.pc, (0, i, true)));
+    }
+    for (i, ev) in merged.hwc_events.iter().enumerate() {
+        let backtrack = merged.counters[ev.counter].backtrack;
+        batch.push(row(
+            1 + ev.counter,
+            charged_pc(ev, backtrack),
+            (0, i, false),
+        ));
+    }
 
     group.bench_function("aggregate_by", |b| {
         b.iter(|| {

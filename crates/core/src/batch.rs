@@ -1,11 +1,11 @@
 //! The columnar event pipeline: one batch representation and one
-//! group-by kernel shared by every consumer of profile events.
+//! group-by kernel shared by every analyzer view.
 //!
 //! The analyzer's views (functions, PCs, source lines, data objects,
-//! address buckets) and the store's multi-experiment histograms all
-//! reduce the same event stream; [`EventBatch`] holds that stream
-//! once, as parallel arrays (struct-of-arrays), and
-//! [`aggregate_by`] folds it under any [`GroupKey`].
+//! address buckets) all reduce the same attributed event stream;
+//! [`EventBatch`] holds that stream once, as parallel arrays
+//! (struct-of-arrays), and [`aggregate_by`] folds it under any
+//! [`GroupKey`].
 //!
 //! A keyer is a raw `u64` per row ([`GroupKey::raw`]) and its decode
 //! ([`GroupKey::decode`]). The fold adds each kept row to one
@@ -21,10 +21,9 @@
 //! function id, the source line, and the `(experiment, event)`
 //! provenance for callstack access. Descriptors and function names
 //! are interned — the batch's symbol side-tables — so rows are
-//! fixed-width integers. The store's per-PC histograms fill only the
-//! `col` and charged-PC columns of that shape
-//! ([`EventBatch::grow_pc_rows`]); such a projected batch feeds PC
-//! keyers alone and must not be mixed with attributed rows.
+//! fixed-width integers. The store's histograms do not go through a
+//! batch: they count attribution keys as `MPES` chunks decode
+//! (`memprof_store::pair_streams`).
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -192,22 +191,6 @@ impl EventBatch {
         self.src_exp.reserve(additional);
         self.src_idx.reserve(additional);
         self.src_clock.reserve(additional);
-    }
-
-    /// Bulk-append `n` rows of the *pc projection* — the column
-    /// subset a per-PC histogram reads (`col`, charged `pc`, `tag`) —
-    /// and hand back the new `col` and `pc` regions, so fills write
-    /// what varies with one resize per column instead of `n` pushes.
-    /// A projected batch exists to feed [`aggregate_by`] with a PC
-    /// keyer; keyers that read any other column must not be run over
-    /// it.
-    pub fn grow_pc_rows(&mut self, n: usize) -> (&mut [u32], &mut [u64]) {
-        debug_assert!(self.desc.is_empty(), "mixing projected and attributed rows");
-        let start = self.col.len();
-        self.col.resize(start + n, 0);
-        self.pc.resize(start + n, 0);
-        self.tag.resize(start + n, AttrTag::Plain);
-        (&mut self.col[start..], &mut self.pc[start..])
     }
 
     pub fn ea_of(&self, i: usize) -> Option<u64> {
@@ -508,8 +491,8 @@ fn decode_folded<G: GroupKey>(keyer: &G, table: &RawTable) -> HashMap<G::Key, Ve
     out
 }
 
-/// The group-by kernel behind every analyzer view and store
-/// histogram, run on the calling thread: every kept row's raw key
+/// The group-by kernel behind every analyzer view, run on the
+/// calling thread: every kept row's raw key
 /// folds into one open-addressing table, and typed keys are decoded
 /// once per group. The output is identical to
 /// [`aggregate_by_serial`]'s for every keyer.

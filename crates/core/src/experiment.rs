@@ -22,7 +22,6 @@ use std::path::Path;
 
 use simsparc_machine::{CounterEvent, EventCounts};
 
-use crate::batch::EventBatch;
 use crate::counters::CounterRequest;
 use crate::stream::{CallstackTable, PackedClockEvent, PackedHwcEvent, StackId};
 
@@ -59,17 +58,6 @@ pub struct Experiment {
     pub log: Vec<String>,
 }
 
-/// Append clock-profiling rows to a batch in the pc projection (see
-/// [`EventBatch::grow_pc_rows`]): column and charged PC only, charged
-/// at the tick PC — the clock half of the charge-PC rule.
-pub fn fill_clock_pc_rows(batch: &mut EventBatch, col: usize, events: &[PackedClockEvent]) {
-    let (cols, pcs) = batch.grow_pc_rows(events.len());
-    for (i, ev) in events.iter().enumerate() {
-        cols[i] = col as u32;
-        pcs[i] = ev.pc;
-    }
-}
-
 /// An event's attribution key, `(candidate, delivered)`: everything
 /// the §2.3 validation reads of it. The candidate trigger PC counts
 /// only when the event's counter was collected with backtracking, so
@@ -83,28 +71,13 @@ pub fn attribution_key(ev: &PackedHwcEvent, backtrack: bool) -> (Option<u64>, u6
 
 /// The hwc half of the charge-PC rule, the projection of
 /// [`attribution_key`]: the candidate trigger PC when there is one,
-/// else the delivered PC. The one definition every
-/// analyzer-independent aggregation path uses (`memprof-store`'s
-/// in-memory and `MPES` fills alike).
+/// else the delivered PC (a clock tick is charged at its PC).
+/// `memprof-store`'s in-memory oracle charges each event by it, and
+/// its pair histogram projects each key by the same rule.
 #[inline]
 pub fn charged_pc(ev: &PackedHwcEvent, backtrack: bool) -> u64 {
     let (candidate, delivered) = attribution_key(ev, backtrack);
     candidate.unwrap_or(delivered)
-}
-
-/// Append counter-overflow rows to a batch in the pc projection:
-/// counter `c` lands in `hwc_col[c]`, charged at [`charged_pc`].
-pub fn fill_hwc_pc_rows(
-    batch: &mut EventBatch,
-    counters: &[CounterRequest],
-    hwc_col: &[usize],
-    events: &[PackedHwcEvent],
-) {
-    let (cols, pcs) = batch.grow_pc_rows(events.len());
-    for (i, ev) in events.iter().enumerate() {
-        cols[i] = hwc_col[ev.counter] as u32;
-        pcs[i] = charged_pc(ev, counters[ev.counter].backtrack);
-    }
 }
 
 impl Experiment {

@@ -69,9 +69,7 @@ pub use collect::{
     TextMap, MAX_BACKTRACK_INSNS,
 };
 pub use counters::{assign_slots, parse_counter_spec, CounterRequest, CounterSpecError, Interval};
-pub use experiment::{
-    attribution_key, charged_pc, fill_clock_pc_rows, fill_hwc_pc_rows, Experiment, RunInfo,
-};
+pub use experiment::{attribution_key, charged_pc, Experiment, RunInfo};
 pub use stream::{
     CallstackTable, CollectSink, PackedClockEvent, PackedHwcEvent, StackId, StreamConfig,
     StreamStats, EST_CYCLES_PER_SAMPLE,

@@ -466,6 +466,46 @@ fn fuzz_machine(seed: u64) -> simsparc_machine::MachineConfig {
     cfg
 }
 
+/// Check one run's counter readings against each other, as
+/// constraints the machine model must satisfy on `config`, the machine
+/// the run used (a failure refutes the model, not the profile):
+/// `ec_read_miss ≤ dc_read_miss ≤ loads` and `ec_read_miss ≤ ec_ref`;
+/// `ec_stall_cycles = ec_hit_stall·(dc_read_miss − ec_read_miss) +
+/// ec_miss_stall·ec_read_miss`, since only loads stall; and per
+/// counter, events recorded plus overflows dropped equal
+/// ⌊count / interval⌋. Returns the first identity that fails.
+pub fn check_counter_identities(
+    exp: &Experiment,
+    config: &simsparc_machine::MachineConfig,
+) -> Result<(), String> {
+    let c = &exp.run.counts;
+    let (dcrm, ecrm) = (c.dc_read_miss, c.ec_read_miss);
+    if ecrm > dcrm || dcrm > c.loads || ecrm > c.ec_ref {
+        let (loads, ecref) = (c.loads, c.ec_ref);
+        return Err(format!(
+            "ecrm {ecrm} dcrm {dcrm} loads {loads} ecref {ecref}"
+        ));
+    }
+    let stall = config.ec_hit_stall * (dcrm - ecrm) + config.ec_miss_stall * ecrm;
+    if c.ec_stall_cycles != stall {
+        let got = c.ec_stall_cycles;
+        return Err(format!(
+            "ecstall {got} != {stall} from dcrm {dcrm} ecrm {ecrm}"
+        ));
+    }
+    for (k, req) in exp.counters.iter().enumerate() {
+        let recorded = exp.hwc_events.iter().filter(|e| e.counter == k).count() as u64;
+        let (count, dropped, interval) = (c.get(req.event), exp.run.dropped[k], req.interval);
+        if recorded + dropped != count / interval {
+            let name = req.event.name();
+            return Err(format!(
+                "{name}: {recorded} + {dropped} dropped != {count} / {interval}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Verdict totals for one clean fuzz case.
 type CaseStats = (u64, [u64; 5]);
 /// An invariant violation: the message and the offending event.
@@ -486,6 +526,9 @@ fn run_case(source: &str, seed: u64) -> Result<Result<CaseStats, CaseViolation>,
     };
     let exp =
         crate::collect(&mut machine, &config).map_err(|e| format!("collect failed: {e:?}"))?;
+    if let Err(why) = check_counter_identities(&exp, &machine.config) {
+        return Ok(Err((format!("counter identity: {why}"), None)));
+    }
     let report = verify_experiment(&exp, &program.syms);
 
     // Invariant: the confusion matrix partitions the events.

@@ -282,14 +282,14 @@ fn window_aggregates(
     windows.iter().map(|w| window_aggregate(dirs, w)).collect()
 }
 
-/// The windows' per-PC projections summed; `reads` is never empty.
+/// The per-PC projection of the windows' histograms merged in order,
+/// the fold of their stores; `reads` is never empty.
 fn merged_aggregate(reads: &[WindowAggregate]) -> Result<Aggregate, StoreError> {
-    let mut aggs = reads.iter().map(|r| r.pairs.to_aggregate());
-    let mut agg = aggs.next().expect("an aggregate query resolves a window");
-    for a in aggs {
-        agg.merge(&a)?;
+    let mut pairs = reads[0].pairs.clone();
+    for r in &reads[1..] {
+        pairs.merge(&r.pairs)?;
     }
-    Ok(agg)
+    Ok(pairs.to_aggregate())
 }
 
 /// The column a view sorts by: the first by default, `cpu` for the

@@ -1,41 +1,38 @@
 //! The multi-experiment aggregation engine.
 //!
-//! Aggregation reduces raw profile events to per-PC sample histograms
-//! — the common substrate under `stat`, `diff`, and quick multi-run
-//! summaries. Columns are keyed by *what was measured* (clock period,
-//! or counter event + backtracking + interval), not by which
-//! experiment an event came from, so runs of the same collection
-//! recipe fold together.
+//! Aggregation reduces raw profile events to sample histograms — the
+//! common substrate under `stat`, `diff`, Figure 6 and quick
+//! multi-run summaries. Columns are keyed by *what was measured*
+//! (clock period, or counter event + backtracking + interval), not by
+//! which experiment an event came from, so runs of the same collection
+//! recipe fold together and runs of different recipes fold into the
+//! union of their columns.
 //!
-//! The reduction itself is no longer private to this crate: sources
-//! fill the charge-PC projection of a columnar
-//! [`memprof_core::EventBatch`] (the charge-PC rule is
-//! [`memprof_core::charged_pc`], applied by
-//! [`memprof_core::fill_hwc_pc_rows`] to an experiment in memory and
-//! by [`crate::StreamFile::fill_pc_batch`] as `MPES` chunks decode;
-//! every experiment on disk, text directories included, reaches
-//! [`aggregate_streams`] as a [`crate::StreamFile`]),
-//! and the per-PC histogram is one [`memprof_core::aggregate_by`]
-//! call — the same kernel every analyzer view runs on — folded into an
-//! ordered `BTreeMap`, so the rendered output is deterministic.
-//! [`aggregate`] over in-memory experiments is the oracle the tests
-//! pin [`aggregate_streams`] against, byte for byte.
+//! There is one fold over `MPES` event chunks, [`pair_streams`]. It
+//! counts samples per attribution key
+//! ([`memprof_core::attribution_key`]: the event's candidate trigger
+//! PC and delivered PC) into a [`PairHistogram`], and every other
+//! histogram is a function of that one. The per-PC [`Aggregate`]
+//! behind `stat`, `diff` and the served `functions` is its projection
+//! ([`PairHistogram::to_aggregate`], which charges each key at
+//! [`memprof_core::charged_pc`]); that is what [`aggregate_streams`]
+//! returns. Figure 6 follows from the keys and a symbol table. Every
+//! experiment on disk, text directories included, reaches the fold as
+//! a [`crate::StreamFile`]. [`PairHistogram::merge`] is the only
+//! histogram merge. One column-union rule (`union_columns`) orders the
+//! columns of the fold and of the merge, so merging two folds equals
+//! folding both sets of inputs, whatever their recipes.
 //!
-//! [`PairHistogram`] keeps one step less of the reduction: samples per
-//! attribution key ([`memprof_core::attribution_key`]) rather than per
-//! charge PC. The per-PC histogram is its projection, and Figure 6 is
-//! a function of it and a symbol table, so the serve tier's summaries
-//! keep it; [`pair_streams`] folds it from opened streams.
+//! [`aggregate`] over in-memory experiments shares no fold with this
+//! path: it charges event by event into an ordered map, and the tests
+//! pin [`aggregate_streams`] against it byte for byte.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::hash::BuildHasherDefault;
 
 use memprof_core::analyze::{ColKind, KeyHasher, MetricCol};
-use memprof_core::batch::ByPc;
-use memprof_core::{
-    aggregate_by, fill_clock_pc_rows, fill_hwc_pc_rows, CounterRequest, EventBatch, Experiment,
-};
+use memprof_core::{charged_pc, CounterRequest, Experiment};
 use simsparc_machine::CounterEvent;
 
 use crate::{StoreError, StreamFile};
@@ -71,126 +68,124 @@ pub struct Aggregate {
     pub totals: Vec<u64>,
 }
 
-/// Build the deduplicated column list for a set of collection-recipe
-/// headers `(clock_period, counters)`, in first-seen order (clock
-/// first, mirroring the analyzer), plus the per-source resolution of
-/// every counter (and the clock) to its column index, so event scans
-/// are a plain array lookup.
+/// The one column-union rule, for the fold and the merge alike: clock
+/// columns first, then counters, each kind in first-seen order across
+/// `sources`, and a column that occurs more than once listed once.
+/// Returns the union and, per source, the union column of each of its
+/// columns. The union of unions is the union of their sources, so the
+/// rule is associative.
+fn union_columns(sources: &[&[ColSpec]]) -> (Vec<ColSpec>, Vec<Vec<usize>>) {
+    let mut columns: Vec<ColSpec> = Vec::new();
+    for clock in [true, false] {
+        for spec in sources.iter().flat_map(|s| s.iter()) {
+            if matches!(spec, ColSpec::Clock { .. }) == clock && !columns.contains(spec) {
+                columns.push(spec.clone());
+            }
+        }
+    }
+    let at = |spec: &ColSpec| {
+        let found = columns.iter().position(|c| c == spec);
+        found.expect("every source column is in the union")
+    };
+    let maps = sources.iter().map(|s| s.iter().map(at).collect()).collect();
+    (columns, maps)
+}
+
+/// Resolve collection recipes `(clock_period, counters)` against the
+/// union of their columns: the union, and per recipe the column of its
+/// clock ticks and of each of its counters, so an event's column is a
+/// plain array lookup.
 #[allow(clippy::type_complexity)]
 fn resolve_columns(
-    headers: &[(Option<u64>, &[CounterRequest])],
-) -> Result<(Vec<ColSpec>, Vec<Vec<usize>>, Vec<Option<usize>>), StoreError> {
-    let mut columns: Vec<ColSpec> = Vec::new();
-    for (period, _) in headers {
-        if let Some(period) = period {
-            let spec = ColSpec::Clock { period: *period };
-            if !columns.contains(&spec) {
-                columns.push(spec);
-            }
-        }
-    }
-    for (_, counters) in headers {
-        for req in *counters {
-            let spec = ColSpec::Hwc {
+    recipes: &[(Option<u64>, &[CounterRequest])],
+) -> (Vec<ColSpec>, Vec<(Option<usize>, Vec<usize>)>) {
+    let sources: Vec<Vec<ColSpec>> = recipes
+        .iter()
+        .map(|(period, counters)| {
+            let clock = period.map(|period| ColSpec::Clock { period });
+            let hwc = counters.iter().map(|req| ColSpec::Hwc {
                 event: req.event,
                 backtrack: req.backtrack,
                 interval: req.interval,
-            };
-            if !columns.contains(&spec) {
-                columns.push(spec);
-            }
-        }
-    }
-    // Every source column must resolve against the deduplicated set;
-    // a miss means the headers handed in do not describe the events
-    // that will be scanned, and must surface as an error, not a panic.
-    let find = |spec: ColSpec| -> Result<usize, StoreError> {
-        columns.iter().position(|c| *c == spec).ok_or_else(|| {
-            StoreError::ColumnMismatch(format!("{spec:?} missing from resolved column set"))
+            });
+            clock.into_iter().chain(hwc).collect()
         })
-    };
-    let mut col_of: Vec<Vec<usize>> = Vec::with_capacity(headers.len());
-    let mut clock_col_of: Vec<Option<usize>> = Vec::with_capacity(headers.len());
-    for (period, counters) in headers {
-        clock_col_of.push(match period {
-            Some(period) => Some(find(ColSpec::Clock { period: *period })?),
-            None => None,
-        });
-        let mut cols = Vec::with_capacity(counters.len());
-        for req in *counters {
-            cols.push(find(ColSpec::Hwc {
-                event: req.event,
-                backtrack: req.backtrack,
-                interval: req.interval,
-            })?);
-        }
-        col_of.push(cols);
-    }
-    Ok((columns, col_of, clock_col_of))
+        .collect();
+    let refs: Vec<&[ColSpec]> = sources.iter().map(Vec::as_slice).collect();
+    let (columns, maps) = union_columns(&refs);
+    let cols = recipes
+        .iter()
+        .zip(maps)
+        .map(|((period, _), mut map)| (period.map(|_| map.remove(0)), map))
+        .collect();
+    (columns, cols)
 }
 
-/// Reduce a filled batch to the final histogram: one shared-kernel
-/// call, folded into an ordered map.
-fn finish(columns: Vec<ColSpec>, batch: &EventBatch) -> Aggregate {
-    let map = aggregate_by(batch, &ByPc);
-    // A per-PC grouping keeps every row, so the column totals are the
-    // sums of the group rows — no second pass over the events.
-    let totals = totals_of(map.values(), columns.len());
-    Aggregate {
-        columns,
-        pc_samples: map.into_iter().collect::<BTreeMap<u64, Vec<u64>>>(),
-        totals,
+/// The one clock rate of a set of sources (0 for none). Different
+/// rates are an error, never a silent sum.
+fn one_clock_rate(rates: impl IntoIterator<Item = u64>) -> Result<u64, StoreError> {
+    let mut rates = rates.into_iter();
+    let first = rates.next().unwrap_or(0);
+    match rates.find(|&rate| rate != first) {
+        Some(other) => Err(clock_rates_differ(first, other)),
+        None => Ok(first),
     }
 }
 
-/// Column totals recovered from the rows of a fold that keeps every
-/// event (by PC, or by attribution key): equal to summing the source
-/// rows directly, because such a grouping drops nothing.
-fn totals_of<'a>(rows: impl IntoIterator<Item = &'a Vec<u64>>, ncols: usize) -> Vec<u64> {
-    let mut totals = vec![0u64; ncols];
-    for samples in rows {
-        for (dst, src) in totals.iter_mut().zip(samples) {
-            *dst += src;
-        }
-    }
-    totals
+fn clock_rates_differ(a: u64, b: u64) -> StoreError {
+    StoreError::Incompatible(format!("clock rates differ: {a} vs {b}"))
 }
 
-/// Aggregate a set of experiments in memory into a per-PC histogram:
-/// fill one batch with every experiment's charge-PC rows, then fold
-/// it. No tool reads experiments this way — every experiment on disk
-/// reaches [`aggregate_streams`] — so this is the oracle the tests
-/// compare the streamed path with.
+/// `dst[at[i]] += src[i]`: add a row into the row of a wider column
+/// set.
+fn add_at(dst: &mut [u64], src: &[u64], at: &[usize]) {
+    for (&s, &i) in src.iter().zip(at) {
+        dst[i] += s;
+    }
+}
+
+/// Aggregate experiments in memory into a per-PC histogram, event by
+/// event: a counter event charged at [`memprof_core::charged_pc`], a
+/// clock tick at its PC, in the columns of the fold's column rule. No
+/// tool reads experiments this way — every experiment on disk reaches
+/// [`aggregate_streams`] — and this loop shares no fold with that
+/// path, so it is the oracle the tests pin it against.
 pub fn aggregate(exps: &[&Experiment]) -> Result<Aggregate, StoreError> {
-    let headers: Vec<(Option<u64>, &[CounterRequest])> = exps
+    one_clock_rate(exps.iter().map(|e| e.run.clock_hz))?;
+    let recipes: Vec<(Option<u64>, &[CounterRequest])> = exps
         .iter()
         .map(|e| (e.clock_period, e.counters.as_slice()))
         .collect();
-    let (columns, col_of, clock_col_of) = resolve_columns(&headers)?;
-    let mut batch = EventBatch::new(columns.len());
-    for (xi, exp) in exps.iter().enumerate() {
-        if let Some(col) = clock_col_of[xi] {
-            fill_clock_pc_rows(&mut batch, col, &exp.clock_events);
+    let (columns, cols) = resolve_columns(&recipes);
+    let ncols = columns.len();
+    let mut pc_samples: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    let mut totals = vec![0; ncols];
+    let mut charge = |pc: u64, col: usize| {
+        pc_samples.entry(pc).or_insert_with(|| vec![0; ncols])[col] += 1;
+        totals[col] += 1;
+    };
+    for (exp, (clock_col, hwc_col)) in exps.iter().zip(&cols) {
+        if let Some(col) = *clock_col {
+            for ev in &exp.clock_events {
+                charge(ev.pc, col);
+            }
         }
-        fill_hwc_pc_rows(&mut batch, &exp.counters, &col_of[xi], &exp.hwc_events);
+        for ev in &exp.hwc_events {
+            let backtrack = exp.counters[ev.counter].backtrack;
+            charge(charged_pc(ev, backtrack), hwc_col[ev.counter]);
+        }
     }
-    Ok(finish(columns, &batch))
+    Ok(Aggregate {
+        columns,
+        pc_samples,
+        totals,
+    })
 }
 
-/// Aggregate a set of opened [`StreamFile`]s: each streams its event
-/// chunks straight into the batch without ever materializing an
-/// `Experiment`.
+/// The per-PC histogram of a set of opened [`StreamFile`]s: the
+/// projection of their attribution-key fold, [`pair_streams`].
 pub fn aggregate_streams(streams: &[StreamFile]) -> Result<Aggregate, StoreError> {
-    let headers: Vec<(Option<u64>, &[CounterRequest])> = streams
-        .iter()
-        .map(|s| (s.clock_period(), s.counters()))
-        .collect();
-    let (columns, col_of, clock_col_of) = resolve_columns(&headers)?;
-    let mut batch = EventBatch::new(columns.len());
-    for (xi, stream) in streams.iter().enumerate() {
-        stream.fill_pc_batch(&mut batch, &col_of[xi], clock_col_of[xi])?;
-    }
-    Ok(finish(columns, &batch))
+    Ok(pair_streams(streams)?.to_aggregate())
 }
 
 /// An attribution key, `(candidate, delivered)`
@@ -215,75 +210,93 @@ pub struct PairHistogram {
     pub totals: Vec<u64>,
 }
 
-/// Fold the attribution keys of a set of opened [`StreamFile`]s, with
-/// the columns [`aggregate_streams`] gives them. Each HWC and CLOCK
-/// chunk is decoded once ([`StreamFile::fold_keys`]), so the content
-/// is checked exactly as [`aggregate_streams`] checks it; no STACKS
-/// chunk is decoded. The streams must share one clock rate.
+/// Fold the attribution keys of a set of opened [`StreamFile`]s: the
+/// one fold over `MPES` event chunks. Each HWC and CLOCK chunk is
+/// decoded once and its content checked; no STACKS chunk is decoded.
+/// The columns are the union of the streams' recipes, which must share
+/// one clock rate. Samples count into one flat row-major table, a row
+/// per key found through a hash index, and the ordered map is built
+/// once, at the end.
 pub fn pair_streams(streams: &[StreamFile]) -> Result<PairHistogram, StoreError> {
-    let headers: Vec<(Option<u64>, &[CounterRequest])> = streams
+    let clock_hz = one_clock_rate(streams.iter().map(|s| s.run().clock_hz))?;
+    let recipes: Vec<(Option<u64>, &[CounterRequest])> = streams
         .iter()
         .map(|s| (s.clock_period(), s.counters()))
         .collect();
-    let (columns, col_of, clock_col_of) = resolve_columns(&headers)?;
-    let clock_hz = streams.first().map_or(0, |s| s.run().clock_hz);
-    if let Some(other) = streams.iter().find(|s| s.run().clock_hz != clock_hz) {
-        return Err(StoreError::Incompatible(format!(
-            "clock rates differ: {clock_hz} vs {}",
-            other.run().clock_hz
-        )));
-    }
+    let (columns, cols) = resolve_columns(&recipes);
     let ncols = columns.len();
-    let mut map: HashMap<PairKey, Vec<u64>, BuildHasherDefault<KeyHasher>> = HashMap::default();
-    for (xi, stream) in streams.iter().enumerate() {
-        stream.fold_keys(&col_of[xi], clock_col_of[xi], |col, key| {
-            map.entry(key).or_insert_with(|| vec![0; ncols])[col] += 1;
+    let mut rows: HashMap<PairKey, usize, BuildHasherDefault<KeyHasher>> = HashMap::default();
+    let mut keys: Vec<PairKey> = Vec::new();
+    let mut counts: Vec<u64> = Vec::new();
+    for (stream, (clock_col, hwc_col)) in streams.iter().zip(&cols) {
+        stream.fold_keys(hwc_col, *clock_col, |col, key| {
+            // `get`, then `insert` only for a new key: going through
+            // the entry API made the whole fold half again slower on a
+            // million events.
+            let row = match rows.get(&key) {
+                Some(&row) => row,
+                None => {
+                    rows.insert(key, keys.len());
+                    keys.push(key);
+                    counts.resize(counts.len() + ncols, 0);
+                    keys.len() - 1
+                }
+            };
+            counts[row * ncols + col] += 1;
         })?;
     }
+    let mut totals = vec![0; ncols];
+    let pairs = keys
+        .iter()
+        .enumerate()
+        .map(|(row, &key)| {
+            let samples = &counts[row * ncols..(row + 1) * ncols];
+            for (t, s) in totals.iter_mut().zip(samples) {
+                *t += s;
+            }
+            (key, samples.to_vec())
+        })
+        .collect();
     Ok(PairHistogram {
-        totals: totals_of(map.values(), ncols),
         columns,
         clock_hz,
-        pairs: map.into_iter().collect(),
+        pairs,
+        totals,
     })
 }
 
 impl PairHistogram {
-    /// Fold another histogram with the same columns and clock rate
-    /// into this one; anything else is an error, never a silent sum.
-    /// Addition commutes, so summing histograms equals folding the
-    /// union of their events.
+    /// Fold another histogram into this one. The columns become the
+    /// union of both, by the fold's rule, and each key's samples add,
+    /// so `a.merge(b)` equals the fold of both histograms' inputs
+    /// whatever their recipes, and merging is associative. Only a
+    /// different clock rate refuses to merge, never a silent sum.
     pub fn merge(&mut self, other: &PairHistogram) -> Result<(), StoreError> {
-        if self.columns != other.columns {
-            return Err(StoreError::ColumnMismatch(format!(
-                "cannot merge histograms with different column sets: {:?} vs {:?}",
-                self.columns, other.columns
-            )));
-        }
         if self.clock_hz != other.clock_hz {
-            return Err(StoreError::Incompatible(format!(
-                "clock rates differ: {} vs {}",
-                self.clock_hz, other.clock_hz
-            )));
+            return Err(clock_rates_differ(self.clock_hz, other.clock_hz));
+        }
+        let (columns, at) = union_columns(&[&self.columns, &other.columns]);
+        let ncols = columns.len();
+        if columns != self.columns {
+            for samples in self.pairs.values_mut().chain([&mut self.totals]) {
+                let mut wide = vec![0; ncols];
+                add_at(&mut wide, samples, &at[0]);
+                *samples = wide;
+            }
+            self.columns = columns;
         }
         for (key, samples) in &other.pairs {
-            let slot = self
-                .pairs
-                .entry(*key)
-                .or_insert_with(|| vec![0; self.columns.len()]);
-            for (d, s) in slot.iter_mut().zip(samples) {
-                *d += s;
-            }
+            let slot = self.pairs.entry(*key).or_insert_with(|| vec![0; ncols]);
+            add_at(slot, samples, &at[1]);
         }
-        for (d, s) in self.totals.iter_mut().zip(&other.totals) {
-            *d += s;
-        }
+        add_at(&mut self.totals, &other.totals, &at[1]);
         Ok(())
     }
 
     /// The per-PC histogram: each key's samples charged to its
-    /// candidate, else its delivered PC ([`memprof_core::charged_pc`]).
-    /// Exactly what [`aggregate_streams`] gives over the same events.
+    /// candidate, else its delivered PC ([`memprof_core::charged_pc`]):
+    /// [`aggregate_streams`]' answer, and [`aggregate`]'s over the same
+    /// events decoded.
     pub fn to_aggregate(&self) -> Aggregate {
         let mut pc_samples: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         for (&(candidate, delivered), samples) in &self.pairs {
@@ -367,33 +380,6 @@ fn json_samples(samples: &[u64]) -> String {
 }
 
 impl Aggregate {
-    /// Fold another aggregate with the *same column set* into this
-    /// one: per-PC sample vectors and totals add element-wise. This is
-    /// how the serve layer combines per-window summaries without
-    /// rescanning events; addition commutes, so summing summaries
-    /// equals aggregating the union of the underlying events.
-    pub fn merge(&mut self, other: &Aggregate) -> Result<(), StoreError> {
-        if self.columns != other.columns {
-            return Err(StoreError::ColumnMismatch(format!(
-                "cannot merge aggregates with different column sets: {:?} vs {:?}",
-                self.columns, other.columns
-            )));
-        }
-        for (pc, samples) in &other.pc_samples {
-            let slot = self
-                .pc_samples
-                .entry(*pc)
-                .or_insert_with(|| vec![0; self.columns.len()]);
-            for (d, s) in slot.iter_mut().zip(samples) {
-                *d += s;
-            }
-        }
-        for (d, s) in self.totals.iter_mut().zip(&other.totals) {
-            *d += s;
-        }
-        Ok(())
-    }
-
     /// Fold the per-PC histogram up to functions: name → samples per
     /// column, ordered by name (PCs outside any function fold into
     /// `(unknown)`). The substrate of the functions view on both the

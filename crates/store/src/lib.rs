@@ -15,13 +15,14 @@
 //! * one **lazy reader** ([`StreamFile`]) that indexes an image's
 //!   chunks on open and decodes events straight from the bytes only
 //!   when asked;
-//! * one **aggregation engine** ([`aggregate_streams`]) reducing many
-//!   experiments to per-PC histograms through the shared group-by
-//!   kernel, with [`aggregate`] over in-memory experiments as its
-//!   oracle; beside it, [`pair_streams`] folds each event's
-//!   attribution key (candidate PC, delivered PC) into a
-//!   [`PairHistogram`], which the per-PC histogram is a projection of
-//!   and from which Figure 6 follows without the events;
+//! * one **aggregation fold** ([`pair_streams`]) reducing many
+//!   experiments to a [`PairHistogram`]: samples per attribution key
+//!   (candidate PC, delivered PC) in the union of their recipes'
+//!   columns. The per-PC histogram behind `stat` and `diff` is its
+//!   projection ([`aggregate_streams`]), Figure 6 follows from it
+//!   without the events, and [`PairHistogram::merge`] combines two
+//!   of them as the fold would. [`aggregate`], an event-by-event loop
+//!   over in-memory experiments, is the per-PC histogram's oracle;
 //! * one merge rule in two representations: [`merge_experiments`]
 //!   folds same-recipe runs into one in-memory experiment (feeding the
 //!   ordinary analyzer views), and [`merge_streams`] folds their
@@ -72,9 +73,6 @@ pub enum StoreError {
     Corrupt(&'static str),
     /// Experiments whose collection recipes do not line up.
     Incompatible(String),
-    /// An event column could not be resolved against the combined
-    /// column set during aggregation (mismatched counter recipes).
-    ColumnMismatch(String),
     /// Any of the above, annotated with the file it happened on.
     /// Multi-segment operations (compaction, merges, windowed
     /// queries) touch many files; a bare "unexpected end of input"
@@ -115,7 +113,6 @@ impl std::fmt::Display for StoreError {
             StoreError::BadVersion(v) => write!(f, "unsupported store version {v}"),
             StoreError::Corrupt(why) => write!(f, "corrupt store: {why}"),
             StoreError::Incompatible(why) => write!(f, "incompatible experiments: {why}"),
-            StoreError::ColumnMismatch(why) => write!(f, "column mismatch: {why}"),
             StoreError::At(path, e) => write!(f, "{}: {e}", path.display()),
         }
     }

@@ -11,8 +11,11 @@
 //! read with `std::fs::read`, which sizes the buffer from the file's
 //! metadata. Opening walks the chunk framing and checksums, decodes
 //! only the small HEADER and FOOTER chunks, and indexes the event
-//! chunks; the event-reading calls then decode those chunks straight
-//! into their output. [`merge_streams`] writes one image from several
+//! chunks. Two calls read events, each decoding the chunks straight
+//! into its output: [`StreamFile::to_experiment`] builds the whole
+//! experiment, and the attribution-key fold under
+//! [`crate::pair_streams`] hands over each event's column and key
+//! without the stacks. [`merge_streams`] writes one image from several
 //! opened ones by copying their indexed chunks, checking their stack
 //! tables and rewriting only the stack ids.
 //!
@@ -39,8 +42,8 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use memprof_core::{
-    attribution_key, charged_pc, CollectSink, CounterRequest, EventBatch, Experiment,
-    PackedClockEvent, PackedHwcEvent, RunInfo, StackId,
+    attribution_key, CollectSink, CounterRequest, Experiment, PackedClockEvent, PackedHwcEvent,
+    RunInfo, StackId,
 };
 use simsparc_machine::EventCounts;
 
@@ -455,60 +458,16 @@ impl StreamFile {
         })
     }
 
-    /// Stream the events into a columnar batch in the pc projection
-    /// (see [`EventBatch::grow_pc_rows`]): each chunk is decoded
-    /// straight into the `col` and charge-PC columns
-    /// ([`memprof_core::charged_pc`]), and no STACKS chunk is decoded.
-    /// Every other column is still parsed and checked, exactly as
-    /// [`StreamFile::to_experiment`] checks it. Clock chunks are
-    /// decoded and checked even when `clock_col` is `None`, but then
-    /// add no rows.
-    pub fn fill_pc_batch(
-        &self,
-        batch: &mut EventBatch,
-        hwc_col: &[usize],
-        clock_col: Option<usize>,
-    ) -> Result<(), StoreError> {
-        // The index holds every chunk's count: grow the batch once,
-        // then hand each chunk its rows.
-        let rows = self.hwc_total + clock_col.map_or(0, |_| self.clock_total);
-        let (mut cols, mut pcs) = batch.grow_pc_rows(rows);
-        let mut dec = ChunkDecoder::default();
-        for c in &self.chunks {
-            let n = match c.kind {
-                CHUNK_HWC => c.count,
-                CHUNK_CLOCK => clock_col.map_or(0, |_| c.count),
-                _ => 0,
-            };
-            let (col, rest) = std::mem::take(&mut cols).split_at_mut(n);
-            cols = rest;
-            let (pc, rest) = std::mem::take(&mut pcs).split_at_mut(n);
-            pcs = rest;
-            match c.kind {
-                CHUNK_HWC => self.hwc_chunk(c, &mut dec, |i, ev| {
-                    col[i] = hwc_col[ev.counter] as u32;
-                    pc[i] = charged_pc(&ev, self.counters[ev.counter].backtrack);
-                })?,
-                CHUNK_CLOCK => self.clock_chunk(c, &mut dec, |i, ev| {
-                    if let Some(k) = clock_col {
-                        col[i] = k as u32;
-                        pc[i] = ev.pc;
-                    }
-                })?,
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-
     /// Hand every event's column and attribution key to `f`, in
     /// chunk order: counter `c`'s events go to column `hwc_col[c]`
     /// keyed by [`memprof_core::attribution_key`], and clock ticks to
-    /// `clock_col` keyed `(None, pc)`. Each HWC and CLOCK chunk is
-    /// decoded once and checked exactly as [`StreamFile::fill_pc_batch`]
-    /// checks it (ticks too when `clock_col` is `None`, which then
-    /// reach no column); no STACKS chunk is decoded.
-    pub fn fold_keys(
+    /// `clock_col` keyed `(None, pc)`. This is the decode under
+    /// [`crate::pair_streams`], the one histogram fold. Each HWC and
+    /// CLOCK chunk is decoded once and checked exactly as
+    /// [`StreamFile::to_experiment`] checks it (ticks too when
+    /// `clock_col` is `None`, which then reach no column); no STACKS
+    /// chunk is decoded.
+    pub(crate) fn fold_keys(
         &self,
         hwc_col: &[usize],
         clock_col: Option<usize>,
@@ -572,7 +531,7 @@ impl StreamFile {
 /// before the chunk and shifted past the stacks every earlier input
 /// defines. The other event columns are copied undecoded, so a caller
 /// checks them in inputs it did not write itself (with
-/// [`crate::aggregate_streams`], say). Chunks of unknown kinds are
+/// [`crate::pair_streams`], say). Chunks of unknown kinds are
 /// dropped, as the reader skips them. One footer closes the image: the
 /// run summaries summed, the logs concatenated as each input's decode
 /// gives them, and the attachments of the first input that carries any
@@ -810,9 +769,9 @@ mod tests {
                     // Whatever loaded is internally consistent.
                     let exp = f.to_experiment().unwrap();
                     assert_eq!(exp.hwc_events.len(), f.hwc_total());
-                    let mut batch = EventBatch::new(3);
-                    f.fill_pc_batch(&mut batch, &[1, 2], Some(0)).unwrap();
-                    assert_eq!(batch.len(), f.hwc_total() + f.clock_count());
+                    let mut folded = 0;
+                    f.fold_keys(&[1, 2], Some(0), |_, _| folded += 1).unwrap();
+                    assert_eq!(folded, f.hwc_total() + f.clock_count());
                 }
                 Err(e) => {
                     assert!(cut < header_len, "hard error {e} at offset {cut}");
@@ -949,10 +908,6 @@ mod tests {
             )
         };
         assert!(undefined(f.to_experiment().map(drop)));
-        assert!(undefined(f.fill_pc_batch(
-            &mut EventBatch::new(2),
-            &[0, 1],
-            None
-        )));
+        assert!(undefined(f.fold_keys(&[0, 1], None, |_, _| {})));
     }
 }

@@ -1,15 +1,17 @@
 //! The attribution-key histogram, pinned over generated `MPES` images,
-//! recipes and symbol tables: its per-PC projection is
-//! [`aggregate_streams`]' histogram byte for byte, the fold of a merged
-//! image is the sum of the inputs' folds, and Figure 6 attributed from
-//! its keys is the analyzer's Figure 6 over the decoded experiment, for
-//! every sort column.
+//! recipes and symbol tables: its per-PC projection
+//! ([`aggregate_streams`]) is the event-by-event [`aggregate`] oracle's
+//! histogram byte for byte, the fold of a merged image is the sum of
+//! the inputs' folds, merging two folds of any recipes equals folding
+//! both sets of inputs, and Figure 6 attributed from its keys is the
+//! analyzer's Figure 6 over the decoded experiment, for every sort
+//! column.
 
 use memprof_core::analyze::{data_objects_of_pairs, render_data_object_rows, Analysis, ColKind};
 use memprof_core::{CollectSink as _, CounterRequest, PackedClockEvent, PackedHwcEvent, RunInfo};
 use memprof_store::{
-    aggregate_streams, merge_streams, pair_streams, ColSpec, PairHistogram, SegmentWriter,
-    StreamFile,
+    aggregate, aggregate_streams, merge_streams, pair_streams, ColSpec, PairHistogram,
+    SegmentWriter, StreamFile,
 };
 use minic::SymbolTable;
 use proptest::prelude::*;
@@ -96,9 +98,18 @@ fn hwc_event(rng: &mut TestRng, n_counters: usize) -> PackedHwcEvent {
 /// One image collected with `recipe`: a few chunks of counter events
 /// and clock ticks, then a footer.
 fn image(rng: &mut TestRng, recipe: &(Vec<CounterRequest>, Option<u64>)) -> Vec<u8> {
+    image_at(rng, recipe, CLOCK_HZ)
+}
+
+/// [`image`], on a machine clocked at `clock_hz`.
+fn image_at(
+    rng: &mut TestRng,
+    recipe: &(Vec<CounterRequest>, Option<u64>),
+    clock_hz: u64,
+) -> Vec<u8> {
     let (counters, clock) = recipe;
     let mut w = SegmentWriter::new(Vec::new());
-    w.begin(counters, *clock, CLOCK_HZ).unwrap();
+    w.begin(counters, *clock, clock_hz).unwrap();
     w.stacks(&[vec![0x1_0000]]).unwrap();
     for _ in 0..1 + below(rng, 3) {
         if !counters.is_empty() {
@@ -116,7 +127,7 @@ fn image(rng: &mut TestRng, recipe: &(Vec<CounterRequest>, Option<u64>)) -> Vec<
         w.clock_segment(&ticks).unwrap();
     }
     let run = RunInfo {
-        clock_hz: CLOCK_HZ,
+        clock_hz,
         dropped: vec![0; counters.len()],
         ..RunInfo::default()
     };
@@ -168,11 +179,37 @@ proptest! {
         let (a, b, c, syms) = case;
         for images in [vec![&a[..]], vec![&a[..], &b[..]], vec![&a[..], &c[..]], vec![&c[..], &a[..], &b[..]]] {
             let streams: Vec<StreamFile> = images.iter().map(|b| open(b)).collect();
-            let projected = pair_streams(&streams).unwrap().to_aggregate();
-            let direct = aggregate_streams(&streams).unwrap();
-            prop_assert_eq!(projected.stat_json(Some(&syms)), direct.stat_json(Some(&syms)));
-            prop_assert_eq!(projected.render(), direct.render());
+            let exps: Vec<_> = streams.iter().map(|s| s.to_experiment().unwrap()).collect();
+            let oracle = aggregate(&exps.iter().collect::<Vec<_>>()).unwrap();
+            let projected = aggregate_streams(&streams).unwrap();
+            prop_assert_eq!(projected.stat_json(Some(&syms)), oracle.stat_json(Some(&syms)));
+            prop_assert_eq!(projected.render(), oracle.render());
         }
+    }
+
+    #[test]
+    fn merging_folds_of_any_recipes_is_folding_their_inputs(case in cases()) {
+        let (a, b, c, _) = case;
+        let mut ac = pairs(&[&a]);
+        ac.merge(&pairs(&[&c])).unwrap();
+        prop_assert_eq!(&ac, &pairs(&[&a, &c]));
+        let mut ca = pairs(&[&c]);
+        ca.merge(&pairs(&[&a])).unwrap();
+        prop_assert_eq!(&ca, &pairs(&[&c, &a]));
+        // Associative: (a + c) + b == a + (c + b), both the fold of all
+        // three.
+        let mut left = ac.clone();
+        left.merge(&pairs(&[&b])).unwrap();
+        let mut cb = pairs(&[&c]);
+        cb.merge(&pairs(&[&b])).unwrap();
+        let mut right = pairs(&[&a]);
+        right.merge(&cb).unwrap();
+        prop_assert_eq!(&left, &right);
+        prop_assert_eq!(&left, &pairs(&[&a, &c, &b]));
+        // Only a different clock rate refuses.
+        let mut other_rate = pairs(&[&c]);
+        other_rate.clock_hz += 1;
+        prop_assert!(ac.clone().merge(&other_rate).is_err());
     }
 
     #[test]
@@ -215,30 +252,53 @@ proptest! {
     }
 }
 
-/// Folds with different clock rates, or different columns, refuse to
-/// merge instead of summing.
+/// Different columns merge into their union, which is the fold of
+/// both inputs; a different clock rate refuses to merge instead of
+/// summing.
 #[test]
-fn mismatched_histograms_refuse_to_merge() {
+fn only_a_different_clock_rate_refuses_to_merge() {
     let mut rng = TestRng::new("mismatched_histograms");
-    let recipe = (
-        vec![CounterRequest {
-            event: CounterEvent::ECStallCycles,
-            backtrack: true,
-            interval: 4001,
-        }],
+    let counter = |event, interval| CounterRequest {
+        event,
+        backtrack: true,
+        interval,
+    };
+    let stall = (
+        vec![counter(CounterEvent::ECStallCycles, 4001)],
         Some(10007),
     );
-    let one = pairs(&[&image(&mut rng, &recipe)]);
+    let refs = (vec![counter(CounterEvent::ECRef, 2003)], None);
+    let (x, y) = (image(&mut rng, &stall), image(&mut rng, &refs));
+    let one = pairs(&[&x]);
     let mut other_rate = one.clone();
     other_rate.clock_hz += 1;
-    assert!(one.clone().merge(&other_rate).is_err());
-    let mut other_columns = one.clone();
-    other_columns.columns.pop();
-    assert!(one.clone().merge(&other_columns).is_err());
+    let err = one.clone().merge(&other_rate).unwrap_err();
+    assert!(err.to_string().contains("clock rates differ"), "{err}");
+    let mut union = one.clone();
+    union.merge(&pairs(&[&y])).unwrap();
+    assert_eq!(union, pairs(&[&x, &y]));
+    assert_eq!(union.columns.len(), 3);
     let mut twice = one.clone();
     twice.merge(&one).unwrap();
     assert_eq!(
         twice.totals,
         one.totals.iter().map(|t| 2 * t).collect::<Vec<_>>()
+    );
+}
+
+/// The fold, and so `mp-store stat`, refuses inputs collected at
+/// different clock rates, as `mp-store merge` and `diff` do.
+#[test]
+fn the_fold_refuses_different_clock_rates() {
+    let mut rng = TestRng::new("clock_rates");
+    let recipe = (Vec::new(), Some(10007));
+    let fast = image_at(&mut rng, &recipe, CLOCK_HZ);
+    let slow = image_at(&mut rng, &recipe, CLOCK_HZ / 2);
+    let Err(err) = aggregate_streams(&[open(&fast), open(&slow)]) else {
+        panic!("aggregated streams with different clock rates");
+    };
+    assert_eq!(
+        err.to_string(),
+        "incompatible experiments: clock rates differ: 900000000 vs 450000000"
     );
 }

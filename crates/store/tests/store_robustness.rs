@@ -426,7 +426,7 @@ fn is_corrupt<T>(read: Result<T, StoreError>) -> bool {
     matches!(read, Err(StoreError::At(_, inner)) if matches!(*inner, StoreError::Corrupt(_)))
 }
 
-/// The projected decode behind `aggregate_refs` keeps every content
+/// The attribution-key decode behind `aggregate_refs` keeps every content
 /// check of the full decode behind `load`. For every flip inside an
 /// HWC or CLOCK chunk's payload, resealed so the damage reaches the
 /// decoders, the two fail together, and when both succeed they agree

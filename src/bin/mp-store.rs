@@ -21,8 +21,8 @@ use std::path::{Path, PathBuf};
 use std::process::exit;
 
 use memprof::store::{
-    aggregate_streams, diff_streams, merge_streams, pack_dir, unpack_to_dir, ExperimentRef,
-    StreamFile,
+    aggregate_streams, diff_streams, merge_streams, pack_dir, pair_streams, unpack_to_dir,
+    ExperimentRef, StreamFile,
 };
 
 fn usage(msg: &str) -> ! {
@@ -105,8 +105,9 @@ fn main() {
                 .collect();
             // The merge checks recipes, framing, stack tables and
             // stack ids, and copies the other event columns undecoded:
-            // check their content here, before anything is written.
-            aggregate_streams(&inputs).unwrap_or_else(|e| fail("cannot merge", e));
+            // fold their attribution keys to check their content here,
+            // before anything is written, as compaction does.
+            pair_streams(&inputs).unwrap_or_else(|e| fail("cannot merge", e));
             let merged = merge_streams(&inputs).unwrap_or_else(|e| fail("cannot merge", e));
             std::fs::write(&out, merged)
                 .unwrap_or_else(|e| fail(&format!("cannot write {}", out.display()), e));

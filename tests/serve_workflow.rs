@@ -348,3 +348,75 @@ fn a_recipe_with_two_identical_counters_answers_like_the_offline_tools() {
     }
     assert_eq!(query(&addr, &["shutdown"]), "shutting down\n");
 }
+
+/// Windows collected with different recipes answer the cross-window
+/// aggregate queries in the union of their columns, as the offline
+/// tools do: `functions` over several windows (or all of them) equals
+/// `mp-store stat --json` over their packed stores in window order,
+/// and `stat` equals the `stat` text of `aggregate_streams` over those
+/// stores. A window whose summary and fresh raw segment differ in
+/// recipe answers their union too.
+#[test]
+fn windows_with_different_recipes_answer_like_the_offline_tools() {
+    use memprof::serve::query::stat_text;
+    use memprof::store::{aggregate_streams, StreamFile};
+
+    let data = scratch("mixed_recipes");
+    let (_daemon, addr) = start_daemon(&data);
+    let session = |window: &str, n: u64, recipe: &[&str]| {
+        let src = small_workload(&data, &format!("{window}{n}"), n);
+        run_ok(
+            Command::new(collect_bin())
+                .args(["--connect", &addr, "--window", window])
+                .args(recipe)
+                .arg(&src),
+        );
+    };
+    let stall = [
+        "-h",
+        "+ecstall,4001,+ecrm,101",
+        "-p",
+        "on",
+        "--period",
+        "10007",
+    ];
+    let refs = ["-h", "+ecref,2003,+dtlbm,97", "-p", "off"];
+    session("wa", 40_000, &stall);
+    session("wb", 30_000, &refs);
+    let report = query(&addr, &["compact"]);
+    assert!(report.contains("compacted wa: 1 raw segments"), "{report}");
+    assert!(report.contains("compacted wb: 1 raw segments"), "{report}");
+
+    let packed = |w: &str| data.join("packed").join(format!("{w}.mps"));
+    let offline_stat = |paths: &[std::path::PathBuf]| {
+        run_ok(
+            Command::new(store_bin())
+                .args(["stat", "--json"])
+                .args(paths),
+        )
+    };
+    let both = [packed("wa"), packed("wb")];
+    let offline = offline_stat(&both);
+    assert_eq!(offline.matches("\"title\"").count(), 5, "{offline}");
+    assert_eq!(query(&addr, &["functions", "wa", "wb"]), offline);
+    assert_eq!(query(&addr, &["functions"]), offline);
+    let streams: Vec<StreamFile> = both.iter().map(|p| StreamFile::open(p).unwrap()).collect();
+    assert_eq!(
+        query(&addr, &["stat", "wa", "wb"]),
+        stat_text(&aggregate_streams(&streams).unwrap())
+    );
+
+    // A fresh session of the other recipe, not yet compacted: the
+    // window answers its summary merged with the session's fold.
+    session("wa", 30_000, &refs);
+    let fresh: Vec<std::path::PathBuf> = std::fs::read_dir(data.join("raw").join("wa"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(fresh.len(), 1);
+    assert_eq!(
+        query(&addr, &["functions", "wa"]),
+        offline_stat(&[packed("wa"), fresh[0].clone()])
+    );
+    assert_eq!(query(&addr, &["shutdown"]), "shutting down\n");
+}

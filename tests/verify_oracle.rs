@@ -10,7 +10,9 @@ use proptest::prelude::*;
 
 use memprof::machine::{Machine, MachineConfig, TlbConfig};
 use memprof::minic::{compile_and_link, CompileOptions};
-use memprof::profiler::verify::{classify, verify_experiment, Bucket, Verdict};
+use memprof::profiler::verify::{
+    check_counter_identities, classify, verify_experiment, Bucket, Verdict,
+};
 use memprof::profiler::{analyze::UnknownKind, collect, parse_counter_spec, CollectConfig};
 
 const POOL: u64 = 16 * 1024;
@@ -100,6 +102,10 @@ proptest! {
         };
         let exp = collect(&mut m, &config).expect("collect");
         prop_assert!(!exp.hwc_events.is_empty(), "workload produced no events");
+        // The run's counter readings are consistent with each other.
+        if let Err(why) = check_counter_identities(&exp, &m.config) {
+            prop_assert!(false, "counter identity fails: {}", why);
+        }
 
         let report = verify_experiment(&exp, &prog.syms);
         let covered: u64 = report.counters.iter().map(|c| c.total).sum();
