@@ -3,49 +3,114 @@
 //! memory segment, by page, by cache line, and aggregated by
 //! *structure instance* (with the E$-line straddle analysis that
 //! motivates the §3.3 padding optimization).
+//!
+//! The segment, page and cache-line views come in three parts. The
+//! keyed map ([`AddrMap`]: bucket → samples per column) has two
+//! producers: [`Analysis::addr_map`] over the attributed batch, and
+//! `memprof_store::address_streams` straight from `MPES` chunks. Both
+//! count exactly the events that keep their effective address
+//! ([`super::Attribution::keeps_ea`]). One row builder ([`addr_rows`])
+//! and one renderer ([`render_addr_rows`]) serve every map, so
+//! `mp-er-print` and `mp-serve` print the same lines from either.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 use minic::MemDesc;
 use simsparc_machine::SegmentKind;
 
 use super::views::sort_by_metric;
 use super::Analysis;
-use crate::batch::{aggregate_by, AttrTag, ByAddrBucket, EventBatch, GroupKey};
+use crate::batch::{aggregate_by, AttrTag, EventBatch, GroupKey};
 
-/// Group by address-space segment of the effective address; rows
-/// without an EA are skipped. The raw key is the segment's index in
-/// [`BY_SEGMENT_KINDS`].
-pub(super) struct BySegment;
+/// The page of the page view that `mp-serve` answers.
+pub const PAGE_BYTES: u64 = 8192;
+/// The E$ line of the line view that `mp-er-print` and `mp-serve`
+/// print.
+pub const EC_LINE_BYTES: u64 = 512;
 
-const BY_SEGMENT_KINDS: [SegmentKind; 4] = [
+/// The segments in key order ([`AddrBucket::Segment`]).
+const SEGMENTS: [SegmentKind; 4] = [
     SegmentKind::Text,
     SegmentKind::Data,
     SegmentKind::Heap,
     SegmentKind::Stack,
 ];
 
-fn segment_index(kind: SegmentKind) -> u64 {
-    match kind {
-        SegmentKind::Text => 0,
-        SegmentKind::Data => 1,
-        SegmentKind::Heap => 2,
-        SegmentKind::Stack => 3,
+/// How an address view buckets an effective address.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AddrBucket {
+    /// By address-space segment. The key is the segment's index in
+    /// text, data, heap, stack order.
+    Segment,
+    /// By aligned block of this many bytes, a power of two (a page, an
+    /// E$ line). The key is the block's number, its base divided by its
+    /// size, so keys carry no run of zero low bits into a hash index.
+    Block(u64),
+}
+
+impl AddrBucket {
+    /// The key of the bucket `ea` falls in.
+    #[inline]
+    pub fn key(self, ea: u64) -> u64 {
+        match self {
+            AddrBucket::Segment => match SegmentKind::of_addr(ea) {
+                SegmentKind::Text => 0,
+                SegmentKind::Data => 1,
+                SegmentKind::Heap => 2,
+                SegmentKind::Stack => 3,
+            },
+            AddrBucket::Block(bytes) => {
+                debug_assert!(bytes.is_power_of_two());
+                ea >> bytes.trailing_zeros()
+            }
+        }
     }
 }
 
-impl GroupKey for BySegment {
-    type Key = SegmentKind;
+/// Rows without an effective address are skipped.
+impl GroupKey for AddrBucket {
+    type Key = u64;
 
     fn raw(&self, batch: &EventBatch, i: usize) -> Option<u64> {
-        batch
-            .ea_of(i)
-            .map(|ea| segment_index(SegmentKind::of_addr(ea)))
+        batch.ea_of(i).map(|ea| self.key(ea))
     }
 
-    fn decode(&self, raw: u64) -> SegmentKind {
-        BY_SEGMENT_KINDS[raw as usize]
+    fn decode(&self, raw: u64) -> u64 {
+        raw
     }
+}
+
+/// The keyed map of an address view: bucket key ([`AddrBucket::key`])
+/// → samples per column.
+pub type AddrMap = HashMap<u64, Vec<u64>>;
+
+/// The rows of an address view: its buckets by total samples over
+/// every column, descending, ties broken by key (segment order,
+/// address order), the first `limit` of them.
+pub fn addr_rows(map: AddrMap, limit: usize) -> Vec<(u64, Vec<u64>)> {
+    let mut rows: Vec<(u64, Vec<u64>)> = map.into_iter().collect();
+    sort_by_metric(&mut rows, |(_, s)| s.iter().sum(), |a, b| a.0.cmp(&b.0));
+    rows.truncate(limit);
+    rows
+}
+
+/// Render address-view rows, one line each: a segment's name or a
+/// block's base address, then its events.
+pub fn render_addr_rows(bucket: AddrBucket, rows: &[(u64, Vec<u64>)]) -> String {
+    let mut out = String::new();
+    for (key, samples) in rows {
+        let events = samples.iter().sum::<u64>();
+        match bucket {
+            AddrBucket::Segment => {
+                let name = SEGMENTS[*key as usize].name();
+                writeln!(out, "{name:>6}: {events:>8} events")
+            }
+            AddrBucket::Block(bytes) => writeln!(out, "{:#012x}: {events:>6} events", key * bytes),
+        }
+        .unwrap();
+    }
+    out
 }
 
 /// Group by structure-instance base address (`ea - member offset`)
@@ -131,57 +196,49 @@ pub struct InstanceReport {
 }
 
 impl Analysis<'_> {
+    /// The keyed map of an address view: every event that kept its
+    /// effective address, counted into its bucket.
+    pub fn addr_map(&self, bucket: AddrBucket) -> AddrMap {
+        aggregate_by(&self.batch, &bucket)
+    }
+
     /// Events with reconstructed effective addresses, by segment.
     pub fn segments(&self) -> Vec<SegmentRow> {
-        let map = aggregate_by(&self.batch, &BySegment);
-        let mut rows: Vec<SegmentRow> = map
+        addr_rows(self.addr_map(AddrBucket::Segment), usize::MAX)
             .into_iter()
-            .map(|(segment, samples)| SegmentRow { segment, samples })
-            .collect();
-        sort_by_metric(
-            &mut rows,
-            |r| r.samples.iter().sum::<u64>(),
-            |a, b| segment_index(a.segment).cmp(&segment_index(b.segment)),
-        );
-        rows
+            .map(|(key, samples)| SegmentRow {
+                segment: SEGMENTS[key as usize],
+                samples,
+            })
+            .collect()
     }
 
     /// Top pages by total events. `page_bytes` must be a power of two.
     pub fn pages(&self, page_bytes: u64, limit: usize) -> Vec<PageRow> {
         assert!(page_bytes.is_power_of_two());
-        let map = aggregate_by(&self.batch, &ByAddrBucket { bytes: page_bytes });
-        let mut rows: Vec<PageRow> = map
+        addr_rows(self.addr_map(AddrBucket::Block(page_bytes)), limit)
             .into_iter()
-            .map(|(page_base, samples)| PageRow {
-                page_base,
-                segment: SegmentKind::of_addr(page_base),
-                samples,
+            .map(|(key, samples)| {
+                let page_base = key * page_bytes;
+                PageRow {
+                    page_base,
+                    segment: SegmentKind::of_addr(page_base),
+                    samples,
+                }
             })
-            .collect();
-        sort_by_metric(
-            &mut rows,
-            |r| r.samples.iter().sum::<u64>(),
-            |a, b| a.page_base.cmp(&b.page_base),
-        );
-        rows.truncate(limit);
-        rows
+            .collect()
     }
 
     /// Top cache lines by total events.
     pub fn cache_lines(&self, line_bytes: u64, limit: usize) -> Vec<CacheLineRow> {
         assert!(line_bytes.is_power_of_two());
-        let map = aggregate_by(&self.batch, &ByAddrBucket { bytes: line_bytes });
-        let mut rows: Vec<CacheLineRow> = map
+        addr_rows(self.addr_map(AddrBucket::Block(line_bytes)), limit)
             .into_iter()
-            .map(|(line_base, samples)| CacheLineRow { line_base, samples })
-            .collect();
-        sort_by_metric(
-            &mut rows,
-            |r| r.samples.iter().sum::<u64>(),
-            |a, b| a.line_base.cmp(&b.line_base),
-        );
-        rows.truncate(limit);
-        rows
+            .map(|(key, samples)| CacheLineRow {
+                line_base: key * line_bytes,
+                samples,
+            })
+            .collect()
     }
 
     /// Aggregate events on one structure type by object *instance*:

@@ -13,7 +13,10 @@ mod feedback;
 mod source;
 mod views;
 
-pub use addrviews::{CacheLineRow, InstanceReport, PageRow, SegmentRow};
+pub use addrviews::{
+    addr_rows, render_addr_rows, AddrBucket, AddrMap, CacheLineRow, InstanceReport, PageRow,
+    SegmentRow, EC_LINE_BYTES, PAGE_BYTES,
+};
 pub use dataobjects::{
     data_objects_of_pairs, render_data_object_rows, DataObjectRow, EffectivenessRow,
     StructExpansion,
@@ -178,6 +181,40 @@ impl Attribution {
             }
         )
     }
+
+    /// Does an event attributed this way keep its effective address?
+    /// The one address rule of the address-space views, for the
+    /// analysis and the store's address fold alike. An Unresolvable
+    /// event's candidate window crossed a branch target (or held no
+    /// candidate at all), so its reconstructed address is
+    /// untrustworthy: the access that produced it may never have
+    /// executed. Its address is dropped, so those views are built only
+    /// from addresses the analysis can stand behind. (Collection drops
+    /// these at the source too; this guards data recorded by older
+    /// collectors.)
+    pub fn keeps_ea(&self) -> bool {
+        !self.is_artificial()
+    }
+}
+
+/// Attribute one event by its [`attribution_key`] and the backtrack
+/// flag of its counter: a backtracked counter's candidate is validated
+/// ([`validate`]); every other event — a counter without backtracking,
+/// a clock tick — is charged to its delivered PC. The key `(None, d)`
+/// therefore stands for two events: a plain counter's, which is
+/// `Plain`, and a backtracked one with no candidate, which is
+/// Unresolvable.
+pub fn attribute(
+    syms: &SymbolTable,
+    backtrack: bool,
+    candidate_pc: Option<u64>,
+    delivered_pc: u64,
+) -> Attribution {
+    if backtrack {
+        validate(syms, candidate_pc, delivered_pc)
+    } else {
+        Attribution::Plain { pc: delivered_pc }
+    }
 }
 
 /// A combined analysis over one or more experiments (loaded from text
@@ -297,10 +334,13 @@ impl<'a> Analysis<'a> {
 }
 
 /// A multiply-rotate hasher (rustc's `FxHasher` scheme) for maps
-/// keyed by [`attribution_key`]s: the attribution memo here and the
-/// store's pair fold. Their keys are a few dozen PC pairs, looked up
-/// once per event: SipHash's flooding resistance buys nothing here and
-/// costs more than the rest of the per-event work.
+/// looked up once per event: the attribution memo here, and the
+/// store's pair and address folds. Their keys are a few dozen PC pairs
+/// or some thousands of address buckets: SipHash's flooding resistance
+/// buys nothing here and costs more than the rest of the per-event
+/// work. A lone `u64` key keeps its trailing zero bits through the
+/// multiply, and the map indexes by the low bits, so such keys must not
+/// be aligned addresses ([`AddrBucket::key`] numbers blocks instead).
 #[derive(Default)]
 pub struct KeyHasher(u64);
 
@@ -325,21 +365,22 @@ impl Hasher for KeyHasher {
 }
 
 /// The charge of one attribution key: the validated (possibly
-/// artificial) PC, its verdict and interned descriptor, and the
-/// enclosing function and source line of that PC.
+/// artificial) PC, its verdict and interned descriptor, whether its
+/// events keep their effective address, and the enclosing function
+/// and source line of that PC.
 #[derive(Clone, Copy)]
 struct Charge {
     pc: u64,
     tag: AttrTag,
     desc: u32,
+    keeps_ea: bool,
     func: u32,
     line: u32,
 }
 
 impl Charge {
-    /// Validate one key (backtracked counters only; everything else is
-    /// charged to the delivered PC) and resolve its symbols, interning
-    /// a data-object descriptor into `batch`.
+    /// [`attribute`] one key and resolve its symbols, interning a
+    /// data-object descriptor into `batch`.
     fn resolve(
         syms: &SymbolTable,
         batch: &mut EventBatch,
@@ -347,11 +388,7 @@ impl Charge {
         candidate_pc: Option<u64>,
         delivered_pc: u64,
     ) -> Charge {
-        let attr = if backtrack {
-            validate(syms, candidate_pc, delivered_pc)
-        } else {
-            Attribution::Plain { pc: delivered_pc }
-        };
+        let attr = attribute(syms, backtrack, candidate_pc, delivered_pc);
         let pc = attr.pc();
         let (tag, desc) = match &attr {
             Attribution::Plain { .. } => (AttrTag::Plain, NO_ID),
@@ -362,20 +399,16 @@ impl Charge {
             pc,
             tag,
             desc,
+            keeps_ea: attr.keeps_ea(),
             func: syms.func_index_at(pc).map(|i| i as u32).unwrap_or(NO_ID),
             line: syms.line_at(pc).unwrap_or(NO_LINE),
         }
     }
 
-    /// Append one event carrying this charge.
+    /// Append one event carrying this charge, with its effective
+    /// address only when the charge keeps it ([`Attribution::keeps_ea`]).
     fn push(self, batch: &mut EventBatch, col: usize, ea: Option<u64>, src: (usize, usize, bool)) {
-        // An Unresolvable event's candidate window crossed a branch
-        // target, so its reconstructed address is untrustworthy: the
-        // access that produced it may never have executed. Drop the EA
-        // so address-space views are built only from addresses the
-        // analysis can stand behind. (Collection now drops these at the
-        // source too; this guards data recorded by older collectors.)
-        let ea = ea.filter(|_| self.tag != AttrTag::UnkUnresolvable);
+        let ea = ea.filter(|_| self.keeps_ea);
         batch.push(BatchEvent {
             col,
             pc: self.pc,
@@ -457,7 +490,7 @@ pub(crate) fn fmt_val_pct(col: &MetricCol, samples: u64, total: u64) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::addrviews::{ByInstanceBase, BySegment};
+    use super::addrviews::ByInstanceBase;
     use super::dataobjects::{ByDataObject, ByMemberName};
     use super::views::ByStackFunc;
     use super::*;
@@ -572,7 +605,7 @@ long main() {
         assert!(assert_oracle(&a, &by_object) > 1);
         let by_member = ByMemberName::new(&a.batch, &data_cols, ncols, "particle");
         assert!(assert_oracle(&a, &by_member) > 1);
-        assert!(assert_oracle(&a, &BySegment) > 1);
+        assert!(assert_oracle(&a, &AddrBucket::Segment) > 1);
         let by_instance = ByInstanceBase::new(&a.batch, "particle");
         assert!(assert_oracle(&a, &by_instance) > 100);
         for f in &program.syms.funcs {

@@ -306,26 +306,6 @@ impl GroupKey for ByLine {
     }
 }
 
-/// Group by effective-address bucket (page, cache line): `ea`
-/// truncated to a power-of-two bucket size. Rows without an EA are
-/// skipped.
-pub struct ByAddrBucket {
-    pub bytes: u64,
-}
-
-impl GroupKey for ByAddrBucket {
-    type Key = u64;
-
-    fn raw(&self, batch: &EventBatch, i: usize) -> Option<u64> {
-        debug_assert!(self.bytes.is_power_of_two());
-        Some(batch.ea_of(i)? & !(self.bytes - 1))
-    }
-
-    fn decode(&self, raw: u64) -> u64 {
-        raw
-    }
-}
-
 /// Group by charged PC restricted to one function's text range,
 /// split by artificiality — the keyer behind annotated disassembly.
 pub struct ByPcInRange {
@@ -531,7 +511,7 @@ mod tests {
     fn raw_table_fold_agrees_with_serial_on_every_key() {
         let b = bag(1000);
         assert_eq!(aggregate_by(&b, &ByPc), aggregate_by_serial(&b, &ByPc));
-        let bucket = ByAddrBucket { bytes: 64 };
+        let bucket = crate::analyze::AddrBucket::Block(64);
         assert_eq!(aggregate_by(&b, &bucket), aggregate_by_serial(&b, &bucket));
         assert_eq!(aggregate_by(&b, &ByFunc), aggregate_by_serial(&b, &ByFunc));
     }

@@ -7,9 +7,9 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use memprof_core::analyze::AddrBucket;
 use memprof_core::batch::{
-    AttrTag, BatchEvent, ByAddrBucket, ByFunc, ByLine, ByLineInRange, ByPc, ByPcInRange, NO_ID,
-    NO_LINE,
+    AttrTag, BatchEvent, ByFunc, ByLine, ByLineInRange, ByPc, ByPcInRange, NO_ID, NO_LINE,
 };
 use memprof_core::{aggregate_by, aggregate_by_serial, EventBatch, GroupKey};
 
@@ -78,7 +78,7 @@ proptest! {
         let by_pc = aggregate_by_serial(&batch, &ByPc);
         prop_assert_eq!(aggregate_by(&batch, &ByPc), by_pc.clone());
 
-        let bucket = ByAddrBucket { bytes: 64 };
+        let bucket = AddrBucket::Block(64);
         prop_assert_eq!(aggregate_by(&batch, &bucket), aggregate_by_serial(&batch, &bucket));
 
         // A keyer that skips rows and decodes several raws to one key.
@@ -152,7 +152,7 @@ proptest! {
         prop_assert_eq!(aggregate_by(&batch, &ByPc), aggregate_by_serial(&batch, &ByPc));
         prop_assert_eq!(aggregate_by(&batch, &ByFunc), aggregate_by_serial(&batch, &ByFunc));
         prop_assert_eq!(aggregate_by(&batch, &ByLine), aggregate_by_serial(&batch, &ByLine));
-        let bucket = ByAddrBucket { bytes: 256 };
+        let bucket = AddrBucket::Block(256);
         prop_assert_eq!(aggregate_by(&batch, &bucket), aggregate_by_serial(&batch, &bucket));
         for artificial in [false, true] {
             let in_range = ByPcInRange { entry: 0x1_0800, end: 0x1_1000, artificial };
@@ -198,7 +198,7 @@ fn single_repeated_key_folds_to_one_group() {
     assert_eq!(serial[&0xBEEF].iter().sum::<u64>(), 10_000);
     assert_eq!(aggregate_by(&batch, &ByPc), serial);
     // Every EA is in the same bucket too.
-    let bucket = ByAddrBucket { bytes: 4096 };
+    let bucket = AddrBucket::Block(4096);
     assert_eq!(aggregate_by(&batch, &bucket).len(), 1);
 }
 
@@ -244,7 +244,7 @@ fn long_attributed_batch_equals_serial() {
         aggregate_by(&batch, &ByLine),
         aggregate_by_serial(&batch, &ByLine)
     );
-    let bucket = ByAddrBucket { bytes: 64 };
+    let bucket = AddrBucket::Block(64);
     assert_eq!(
         aggregate_by(&batch, &bucket),
         aggregate_by_serial(&batch, &bucket)

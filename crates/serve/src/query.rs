@@ -43,12 +43,14 @@
 //! as does a window with no summary (or the previous build's). The
 //! symbol table comes from the first file the read opened that carries
 //! one: the summary, the packed store, then the raw segments. The
-//! address-keyed views (`segments`, `pages`, `lines`) need the whole
-//! merged experiment. They read it from disk, each file opened once: a
-//! window with no fresh raw segments decodes its packed store, and one
-//! with fresh raws decodes [`merge_streams`] over the packed store and
-//! the raws, the merge compaction writes. The table comes from those
-//! files in the same order.
+//! address-keyed views (`segments`, `pages`, `lines`) count effective
+//! addresses, which no summary keeps. They fold the window's files with
+//! [`address_streams`], each opened once: the packed store, then the
+//! fresh raw segments in file-name order, with the symbol table of the
+//! first of them that carries one. The fold is additive, so this is the
+//! map of the merge compaction writes, without writing or decoding it;
+//! the rows and lines are `mp-er-print`'s ([`addr_rows`],
+//! [`render_addr_rows`]).
 //!
 //! Locking: each store-reading arm takes the *shared* registry lock
 //! of exactly the windows it resolves — in sorted label order when
@@ -60,11 +62,11 @@
 use std::path::{Path, PathBuf};
 
 use memprof_core::analyze::{
-    col_by_event, data_objects_of_pairs, render_data_object_rows, user_cpu_col, Analysis, MetricCol,
+    addr_rows, col_by_event, data_objects_of_pairs, render_addr_rows, render_data_object_rows,
+    user_cpu_col, AddrBucket, MetricCol, EC_LINE_BYTES, PAGE_BYTES,
 };
-use memprof_core::Experiment;
 use memprof_store::{
-    diff_aggregates, merge_streams, pair_streams, parse_syms, syms_attachment, Aggregate,
+    address_streams, diff_aggregates, pair_streams, parse_syms, syms_attachment, Aggregate,
     PairHistogram, StoreError, StreamFile,
 };
 use simsparc_machine::CounterEvent;
@@ -72,13 +74,6 @@ use simsparc_machine::CounterEvent;
 use crate::registry::WindowRegistry;
 use crate::store::{valid_label, StoreDirs};
 use crate::summary::read_summary;
-
-/// What an address-keyed view reads: a window's merged experiment and
-/// its symbol table.
-struct WindowView {
-    exp: Experiment,
-    syms: minic::SymbolTable,
-}
 
 /// What the server should do with a parsed query.
 pub enum QueryOutcome {
@@ -193,69 +188,45 @@ fn first_syms<'a>(
     parse_carried(reads.into_iter().find_map(|r| r.syms.as_ref()))
 }
 
-/// Decode a window from disk, each file read once: its packed store
-/// alone when it has no `fresh` raw segments, else [`merge_streams`]
-/// over the packed store and the raws in file-name order, the merge
-/// compaction writes. The symbol table is the first of those files'
-/// that carries one. Until the window's next pass, keeping one merge
-/// rule costs a view a copy of the window and a second checksum pass
-/// over it.
-fn window_from_disk(
-    dirs: &StoreDirs,
-    window: &str,
-    fresh: &[PathBuf],
-) -> Result<WindowView, StoreError> {
-    let mut inputs = Vec::new();
-    let mut syms = None;
-    let mut add = |path: &Path, file: StreamFile| {
-        syms = syms.take().or_else(|| carried_syms(&file, path));
-        inputs.push(file);
-    };
-    if let Some(store) = dirs.open_packed(window)? {
-        add(&dirs.packed_path(window), store);
-    }
-    for raw in fresh {
-        add(raw, StreamFile::open(raw)?);
-    }
-    let exp = match &inputs[..] {
-        [] => return Err(bad(format!("window `{window}` has no data"))),
-        [only] => only.to_experiment()?,
-        _ => {
-            // The merged image has no file to name in an error: on bad
-            // content, decode the inputs one by one to name the culprit.
-            let merged = StreamFile::from_bytes(merge_streams(&inputs)?)?;
-            merged.to_experiment().or_else(|e| {
-                inputs
-                    .iter()
-                    .try_for_each(|f| f.to_experiment().map(drop))?;
-                Err(e)
-            })?
-        }
-    };
-    let syms = parse_carried(syms.as_ref())?.ok_or_else(no_syms)?;
-    Ok(WindowView { exp, syms })
-}
-
 fn no_syms() -> StoreError {
     bad("window has no symbol table")
 }
 
-/// Answer one address-keyed view query on `window`: decode the window
-/// from disk under its shared lock, reduce it, and render.
-fn view_answer(
+/// Answer one address-keyed view query on `window` under its shared
+/// lock: fold its packed store and fresh raw segments, opened once each
+/// in that order, with the symbol table of the first that carries one,
+/// and render the first `limit` rows.
+fn address_view(
     dirs: &StoreDirs,
     registry: &WindowRegistry,
     window: &str,
-    render: impl FnOnce(&Analysis<'_>) -> String,
+    bucket: AddrBucket,
+    limit: usize,
 ) -> Result<QueryOutcome, StoreError> {
     let window = checked_label(dirs, window)?;
     let _guard = registry.state(window).lock_shared();
     let fresh = dirs.live_raw_segments(window)?.fresh;
-    let view = window_from_disk(dirs, window, &fresh)?;
-    Ok(QueryOutcome::Text(render(&Analysis::new(
-        &[&view.exp],
-        &view.syms,
-    ))))
+    let mut files = Vec::new();
+    let mut syms = None;
+    let mut add = |path: &Path, file: StreamFile| {
+        syms = syms.take().or_else(|| carried_syms(&file, path));
+        files.push(file);
+    };
+    if let Some(store) = dirs.open_packed(window)? {
+        add(&dirs.packed_path(window), store);
+    }
+    for raw in &fresh {
+        add(raw, StreamFile::open(raw)?);
+    }
+    if files.is_empty() {
+        return Err(bad(format!("window `{window}` has no data")));
+    }
+    let syms = parse_carried(syms.as_ref())?.ok_or_else(no_syms)?;
+    let map = address_streams(&files, &syms, bucket)?;
+    Ok(QueryOutcome::Text(render_addr_rows(
+        bucket,
+        &addr_rows(map, limit),
+    )))
 }
 
 /// Resolve the window arguments of an aggregate query: explicit
@@ -405,44 +376,16 @@ pub fn answer(
             let rows = data_objects_of_pairs(&syms, &columns, &read.pairs.pairs, sort);
             QueryOutcome::Text(render_data_object_rows(&columns, &rows))
         }
-        Some((&"segments", [w])) => view_answer(dirs, registry, w, |analysis| {
-            let mut out = String::new();
-            for row in analysis.segments() {
-                out.push_str(&format!(
-                    "{:>6}: {:>8} events\n",
-                    row.segment.name(),
-                    row.samples.iter().sum::<u64>()
-                ));
-            }
-            out
-        })?,
+        Some((&"segments", [w])) => {
+            address_view(dirs, registry, w, AddrBucket::Segment, usize::MAX)?
+        }
         Some((&"pages", [w, n @ ..])) if n.len() <= 1 => {
             let n = parse_limit(n.first(), 10)?;
-            view_answer(dirs, registry, w, |analysis| {
-                let mut out = String::new();
-                for row in analysis.pages(8192, n) {
-                    out.push_str(&format!(
-                        "{:#012x}: {:>6} events\n",
-                        row.page_base,
-                        row.samples.iter().sum::<u64>()
-                    ));
-                }
-                out
-            })?
+            address_view(dirs, registry, w, AddrBucket::Block(PAGE_BYTES), n)?
         }
         Some((&"lines", [w, n @ ..])) if n.len() <= 1 => {
             let n = parse_limit(n.first(), 10)?;
-            view_answer(dirs, registry, w, |analysis| {
-                let mut out = String::new();
-                for row in analysis.cache_lines(512, n) {
-                    out.push_str(&format!(
-                        "{:#012x}: {:>6} events\n",
-                        row.line_base,
-                        row.samples.iter().sum::<u64>()
-                    ));
-                }
-                out
-            })?
+            address_view(dirs, registry, w, AddrBucket::Block(EC_LINE_BYTES), n)?
         }
         Some((&"compact", [])) => QueryOutcome::Compact,
         Some((&"shutdown", [])) => QueryOutcome::Shutdown,

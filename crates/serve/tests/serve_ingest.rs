@@ -728,7 +728,7 @@ fn land(server: &Server, name: &str, seed: u64) {
 }
 
 /// `objects` answers from the summary (plus the fold of any fresh raw
-/// segments) and the other views decode the window from disk. Every
+/// segments) and the address views fold the window's files. Every
 /// view answers byte-identically to a daemon over a copy of the store
 /// whose summary was deleted, which answers `objects` from the packed
 /// store: on a compacted window, after a fresh raw segment lands, and
@@ -736,7 +736,7 @@ fn land(server: &Server, name: &str, seed: u64) {
 /// merge, and the summary a pass over the missing one writes too. The
 /// served figure is the analyzer's over the decoded packed store.
 #[test]
-fn view_answers_match_a_daemon_without_summaries() {
+fn views_match_a_daemon_without_summaries() {
     let data = scratch("views");
     let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
     for seed in [1u64, 2, 3] {
@@ -767,7 +767,7 @@ fn view_answers_match_a_daemon_without_summaries() {
     assert_eq!(compacted[2], analysis.render_data_objects(1));
 
     // A fresh raw segment: `objects` adds its fold to the summary, the
-    // other views decode the merge compaction writes.
+    // address views fold it beside the packed store.
     let round1 = std::fs::read(dirs.packed_path("w1")).unwrap();
     land(&server, "run4", 4);
     land(&disk, "run4", 4);
@@ -1233,12 +1233,14 @@ fn with_unknown_counter(image: &[u8]) -> Vec<u8> {
 
 /// Seal `bad` as a session into a compacted window. Its next pass must
 /// fail with `why`, naming the segment, and leave every tier file as
-/// it was; each of `queries` must fail with `why` too.
+/// it was; each of `failing` must fail with `why` too, and each of
+/// `answering` must answer.
 fn bad_session_fails_compaction_before_any_write(
     name: &str,
     bad: Vec<u8>,
     why: &str,
-    queries: &[&str],
+    failing: &[&str],
+    answering: &[&str],
 ) {
     let data = scratch(name);
     let server = Server::start("127.0.0.1:0", &data, ServerConfig::default()).unwrap();
@@ -1273,9 +1275,13 @@ fn bad_session_fails_compaction_before_any_write(
         "{report}"
     );
     assert_eq!(tiers(), before);
-    for query in queries {
+    for query in failing {
         let err = serve::query(&addr, query).unwrap_err().to_string();
         assert!(err.contains(why), "{query}: {err}");
+    }
+    for query in answering {
+        let answer = serve::query(&addr, query).unwrap();
+        assert!(answer.contains(" events\n"), "{query}: {answer}");
     }
 
     server.shutdown();
@@ -1294,22 +1300,24 @@ fn bad_content_in_a_copied_column_fails_compaction_before_any_write() {
         with_unknown_counter(&local_bytes(2, 2)),
         ".mpes: corrupt store: event references unknown counter",
         &["functions w1", "objects w1", "pages w1"],
+        &[],
     );
 }
 
 /// The merge copies STACKS chunks whole, so it decodes each one first:
 /// a session whose stack table ends in a stray byte under a valid
 /// checksum fails the window's next pass the same way, instead of
-/// landing in the packed store that every later view decodes. The
-/// aggregate queries, `objects` among them, read no stack table; the
-/// address-keyed views decode the window and fail.
+/// landing in the packed store. No query reads a stack table: the
+/// address-keyed views answer from the same chunk walk as the
+/// aggregates.
 #[test]
 fn bad_stack_table_fails_compaction_before_any_write() {
     bad_session_fails_compaction_before_any_write(
         "bad_stacks",
         resealed(&local_bytes(2, 2), 1, |payload| payload.push(0)),
         ".mpes: corrupt store: trailing bytes in chunk",
-        &["pages w1", "segments w1"],
+        &[],
+        &["pages w1", "segments w1", "lines w1"],
     );
 }
 

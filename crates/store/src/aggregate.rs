@@ -8,17 +8,20 @@
 //! recipe fold together and runs of different recipes fold into the
 //! union of their columns.
 //!
-//! There is one fold over `MPES` event chunks, [`pair_streams`]. It
-//! counts samples per attribution key
+//! There is one histogram fold over `MPES` event chunks,
+//! [`pair_streams`]. It counts samples per attribution key
 //! ([`memprof_core::attribution_key`]: the event's candidate trigger
 //! PC and delivered PC) into a [`PairHistogram`], and every other
 //! histogram is a function of that one. The per-PC [`Aggregate`]
 //! behind `stat`, `diff` and the served `functions` is its projection
 //! ([`PairHistogram::to_aggregate`], which charges each key at
 //! [`memprof_core::charged_pc`]); that is what [`aggregate_streams`]
-//! returns. Figure 6 follows from the keys and a symbol table. Every
-//! experiment on disk, text directories included, reaches the fold as
-//! a [`crate::StreamFile`]. [`PairHistogram::merge`] is the only
+//! returns. Figure 6 follows from the keys and a symbol table. The
+//! address views cannot: an event's effective address is not a
+//! function of its key, so [`address_streams`] counts each address
+//! into its bucket on the same chunk walk. Every experiment on disk,
+//! text directories included, reaches the folds as a
+//! [`crate::StreamFile`]. [`PairHistogram::merge`] is the only
 //! histogram merge. One column-union rule (`union_columns`) orders the
 //! columns of the fold and of the merge, so merging two folds equals
 //! folding both sets of inputs, whatever their recipes.
@@ -29,10 +32,11 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hash};
 
-use memprof_core::analyze::{ColKind, KeyHasher, MetricCol};
+use memprof_core::analyze::{attribute, AddrBucket, AddrMap, ColKind, KeyHasher, MetricCol};
 use memprof_core::{charged_pc, CounterRequest, Experiment};
+use minic::SymbolTable;
 use simsparc_machine::CounterEvent;
 
 use crate::{StoreError, StreamFile};
@@ -210,47 +214,88 @@ pub struct PairHistogram {
     pub totals: Vec<u64>,
 }
 
-/// Fold the attribution keys of a set of opened [`StreamFile`]s: the
-/// one fold over `MPES` event chunks. Each HWC and CLOCK chunk is
-/// decoded once and its content checked; no STACKS chunk is decoded.
-/// The columns are the union of the streams' recipes, which must share
-/// one clock rate. Samples count into one flat row-major table, a row
-/// per key found through a hash index, and the ordered map is built
-/// once, at the end.
-pub fn pair_streams(streams: &[StreamFile]) -> Result<PairHistogram, StoreError> {
+/// A flat row-major sample table, `ncols` counts per key, with each
+/// key's row found through a hash index: the table both chunk folds
+/// count into. Rows are in first-seen order.
+struct KeyedRows<K> {
+    index: HashMap<K, usize, BuildHasherDefault<KeyHasher>>,
+    keys: Vec<K>,
+    counts: Vec<u64>,
+    ncols: usize,
+}
+
+impl<K: Copy + Eq + Hash> KeyedRows<K> {
+    fn new(ncols: usize) -> KeyedRows<K> {
+        KeyedRows {
+            index: HashMap::default(),
+            keys: Vec::new(),
+            counts: Vec::new(),
+            ncols,
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, key: K, col: usize) {
+        // `get`, then `insert` only for a new key: going through the
+        // entry API made the whole fold half again slower on a million
+        // events.
+        let row = match self.index.get(&key) {
+            Some(&row) => row,
+            None => {
+                self.index.insert(key, self.keys.len());
+                self.keys.push(key);
+                self.counts.resize(self.counts.len() + self.ncols, 0);
+                self.keys.len() - 1
+            }
+        };
+        self.counts[row * self.ncols + col] += 1;
+    }
+
+    /// Each key with its samples, in first-seen order.
+    fn rows(&self) -> impl Iterator<Item = (K, &[u64])> {
+        let n = self.ncols;
+        let counts = &self.counts;
+        self.keys
+            .iter()
+            .enumerate()
+            .map(move |(row, &key)| (key, &counts[row * n..(row + 1) * n]))
+    }
+}
+
+/// The union columns of `streams`' recipes, and per stream the column
+/// of its clock ticks and of each of its counters. The streams must
+/// share one clock rate, which is returned too.
+#[allow(clippy::type_complexity)]
+fn stream_columns(
+    streams: &[StreamFile],
+) -> Result<(u64, Vec<ColSpec>, Vec<(Option<usize>, Vec<usize>)>), StoreError> {
     let clock_hz = one_clock_rate(streams.iter().map(|s| s.run().clock_hz))?;
     let recipes: Vec<(Option<u64>, &[CounterRequest])> = streams
         .iter()
         .map(|s| (s.clock_period(), s.counters()))
         .collect();
     let (columns, cols) = resolve_columns(&recipes);
+    Ok((clock_hz, columns, cols))
+}
+
+/// Fold the attribution keys of a set of opened [`StreamFile`]s: the
+/// histogram fold over `MPES` event chunks. Each HWC and CLOCK chunk is
+/// decoded once and its content checked; no STACKS chunk is decoded.
+/// The columns are the union of the streams' recipes, which must share
+/// one clock rate. Samples count into one flat row-major table, a row
+/// per key found through a hash index, and the ordered map is built
+/// once, at the end.
+pub fn pair_streams(streams: &[StreamFile]) -> Result<PairHistogram, StoreError> {
+    let (clock_hz, columns, cols) = stream_columns(streams)?;
     let ncols = columns.len();
-    let mut rows: HashMap<PairKey, usize, BuildHasherDefault<KeyHasher>> = HashMap::default();
-    let mut keys: Vec<PairKey> = Vec::new();
-    let mut counts: Vec<u64> = Vec::new();
+    let mut rows: KeyedRows<PairKey> = KeyedRows::new(ncols);
     for (stream, (clock_col, hwc_col)) in streams.iter().zip(&cols) {
-        stream.fold_keys(hwc_col, *clock_col, |col, key| {
-            // `get`, then `insert` only for a new key: going through
-            // the entry API made the whole fold half again slower on a
-            // million events.
-            let row = match rows.get(&key) {
-                Some(&row) => row,
-                None => {
-                    rows.insert(key, keys.len());
-                    keys.push(key);
-                    counts.resize(counts.len() + ncols, 0);
-                    keys.len() - 1
-                }
-            };
-            counts[row * ncols + col] += 1;
-        })?;
+        stream.fold_keys(hwc_col, *clock_col, |col, key, _| rows.add(key, col))?;
     }
     let mut totals = vec![0; ncols];
-    let pairs = keys
-        .iter()
-        .enumerate()
-        .map(|(row, &key)| {
-            let samples = &counts[row * ncols..(row + 1) * ncols];
+    let pairs = rows
+        .rows()
+        .map(|(key, samples)| {
             for (t, s) in totals.iter_mut().zip(samples) {
                 *t += s;
             }
@@ -263,6 +308,63 @@ pub fn pair_streams(streams: &[StreamFile]) -> Result<PairHistogram, StoreError>
         pairs,
         totals,
     })
+}
+
+/// The keyed map of an address view over a set of opened
+/// [`StreamFile`]s: each event that keeps its effective address under
+/// `syms` ([`memprof_core::analyze::Attribution::keeps_ea`]) counted
+/// into its `bucket`, in the columns [`pair_streams`] gives the same
+/// streams. It is the analyzer's [`AddrMap`] of the streams' events
+/// without decoding them into an experiment. The walk and its checks
+/// are [`pair_streams`]' own: one clock rate, each HWC and CLOCK chunk
+/// decoded once and its content checked, no STACKS chunk decoded.
+/// Clock ticks carry no address. A key's verdict is decided once per
+/// `(backtrack, candidate, delivered)`, the analysis memo's key: the
+/// key `(None, d)` keeps its address on a plain counter and drops it
+/// on a backtracked one. Under one symbol table the fold is additive:
+/// the map of `[a, b]` is the sum of the maps of `[a]` and `[b]`.
+pub fn address_streams(
+    streams: &[StreamFile],
+    syms: &SymbolTable,
+    bucket: AddrBucket,
+) -> Result<AddrMap, StoreError> {
+    let (_, columns, cols) = stream_columns(streams)?;
+    let backtracked: Vec<bool> = columns
+        .iter()
+        .map(|c| {
+            matches!(
+                c,
+                ColSpec::Hwc {
+                    backtrack: true,
+                    ..
+                }
+            )
+        })
+        .collect();
+    let mut keeps: HashMap<(bool, PairKey), bool, BuildHasherDefault<KeyHasher>> =
+        HashMap::default();
+    let mut rows: KeyedRows<u64> = KeyedRows::new(columns.len());
+    for (stream, (clock_col, hwc_col)) in streams.iter().zip(&cols) {
+        stream.fold_keys(hwc_col, *clock_col, |col, key, ea| {
+            let Some(ea) = ea else { return };
+            let memo = (backtracked[col], key);
+            let keep = match keeps.get(&memo) {
+                Some(&keep) => keep,
+                None => {
+                    let keep = attribute(syms, memo.0, key.0, key.1).keeps_ea();
+                    keeps.insert(memo, keep);
+                    keep
+                }
+            };
+            if keep {
+                rows.add(bucket.key(ea), col);
+            }
+        })?;
+    }
+    Ok(rows
+        .rows()
+        .map(|(key, samples)| (key, samples.to_vec()))
+        .collect())
 }
 
 impl PairHistogram {

@@ -22,7 +22,10 @@
 //!   projection ([`aggregate_streams`]), Figure 6 follows from it
 //!   without the events, and [`PairHistogram::merge`] combines two
 //!   of them as the fold would. [`aggregate`], an event-by-event loop
-//!   over in-memory experiments, is the per-PC histogram's oracle;
+//!   over in-memory experiments, is the per-PC histogram's oracle.
+//!   On the same chunk walk, [`address_streams`] counts effective
+//!   addresses by segment, page or cache line: the address views'
+//!   keyed map, without decoding the events into an experiment;
 //! * one merge rule in two representations: [`merge_experiments`]
 //!   folds same-recipe runs into one in-memory experiment (feeding the
 //!   ordinary analyzer views), and [`merge_streams`] folds their
@@ -52,8 +55,8 @@ use memprof_core::{
 };
 
 pub use aggregate::{
-    aggregate, aggregate_streams, diff_aggregates, pair_streams, AggDiff, Aggregate, ColSpec,
-    DiffRow, PairHistogram, PairKey,
+    address_streams, aggregate, aggregate_streams, diff_aggregates, pair_streams, AggDiff,
+    Aggregate, ColSpec, DiffRow, PairHistogram, PairKey,
 };
 pub use format::{pack_dir, pack_experiment, unpack_to_dir, xxh64, ATTACHMENT_FILES};
 pub use writer::{merge_streams, validate_stream_prefix, SegmentWriter, StreamFile};

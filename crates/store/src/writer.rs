@@ -458,12 +458,14 @@ impl StreamFile {
         })
     }
 
-    /// Hand every event's column and attribution key to `f`, in
-    /// chunk order: counter `c`'s events go to column `hwc_col[c]`
-    /// keyed by [`memprof_core::attribution_key`], and clock ticks to
-    /// `clock_col` keyed `(None, pc)`. This is the decode under
-    /// [`crate::pair_streams`], the one histogram fold. Each HWC and
-    /// CLOCK chunk is decoded once and checked exactly as
+    /// Hand every event's column, attribution key and effective
+    /// address to `f`, in chunk order: counter `c`'s events go to
+    /// column `hwc_col[c]` keyed by [`memprof_core::attribution_key`],
+    /// and clock ticks, which carry no address, to `clock_col` keyed
+    /// `(None, pc)`. This is the one chunk walk under the store's folds:
+    /// [`crate::pair_streams`] ignores the address, and
+    /// [`crate::address_streams`] buckets it. Each HWC and CLOCK chunk
+    /// is decoded once and checked exactly as
     /// [`StreamFile::to_experiment`] checks it (ticks too when
     /// `clock_col` is `None`, which then reach no column); no STACKS
     /// chunk is decoded.
@@ -471,18 +473,18 @@ impl StreamFile {
         &self,
         hwc_col: &[usize],
         clock_col: Option<usize>,
-        mut f: impl FnMut(usize, (Option<u64>, u64)),
+        mut f: impl FnMut(usize, (Option<u64>, u64), Option<u64>),
     ) -> Result<(), StoreError> {
         let mut dec = ChunkDecoder::default();
         for c in &self.chunks {
             match c.kind {
                 CHUNK_HWC => self.hwc_chunk(c, &mut dec, |_, ev| {
                     let backtrack = self.counters[ev.counter].backtrack;
-                    f(hwc_col[ev.counter], attribution_key(&ev, backtrack));
+                    f(hwc_col[ev.counter], attribution_key(&ev, backtrack), ev.ea);
                 })?,
                 CHUNK_CLOCK => self.clock_chunk(c, &mut dec, |_, ev| {
                     if let Some(k) = clock_col {
-                        f(k, (None, ev.pc));
+                        f(k, (None, ev.pc), None);
                     }
                 })?,
                 _ => {}
@@ -770,7 +772,8 @@ mod tests {
                     let exp = f.to_experiment().unwrap();
                     assert_eq!(exp.hwc_events.len(), f.hwc_total());
                     let mut folded = 0;
-                    f.fold_keys(&[1, 2], Some(0), |_, _| folded += 1).unwrap();
+                    f.fold_keys(&[1, 2], Some(0), |_, _, _| folded += 1)
+                        .unwrap();
                     assert_eq!(folded, f.hwc_total() + f.clock_count());
                 }
                 Err(e) => {
@@ -908,6 +911,6 @@ mod tests {
             )
         };
         assert!(undefined(f.to_experiment().map(drop)));
-        assert!(undefined(f.fold_keys(&[0, 1], None, |_, _| {})));
+        assert!(undefined(f.fold_keys(&[0, 1], None, |_, _, _| {})));
     }
 }

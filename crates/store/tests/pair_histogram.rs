@@ -5,13 +5,17 @@
 //! the inputs' folds, merging two folds of any recipes equals folding
 //! both sets of inputs, and Figure 6 attributed from its keys is the
 //! analyzer's Figure 6 over the decoded experiment, for every sort
-//! column.
+//! column. Beside it, the address fold ([`address_streams`]) is
+//! additive and is the analyzer's keyed map of every address view.
 
-use memprof_core::analyze::{data_objects_of_pairs, render_data_object_rows, Analysis, ColKind};
+use memprof_core::analyze::{
+    addr_rows, data_objects_of_pairs, render_addr_rows, render_data_object_rows, AddrBucket,
+    AddrMap, Analysis, ColKind, EC_LINE_BYTES, PAGE_BYTES,
+};
 use memprof_core::{CollectSink as _, CounterRequest, PackedClockEvent, PackedHwcEvent, RunInfo};
 use memprof_store::{
-    aggregate, aggregate_streams, merge_streams, pair_streams, ColSpec, PairHistogram,
-    SegmentWriter, StreamFile,
+    address_streams, aggregate, aggregate_streams, merge_streams, pair_streams, ColSpec,
+    PairHistogram, SegmentWriter, StreamFile,
 };
 use minic::SymbolTable;
 use proptest::prelude::*;
@@ -81,13 +85,27 @@ fn symbol_table(rng: &mut TestRng) -> SymbolTable {
     SymbolTable::parse(&text).unwrap()
 }
 
+/// An effective address in one of the four segments, within 32 KiB of
+/// its base: a few pages, many E$ lines.
+fn address(rng: &mut TestRng) -> u64 {
+    let base = [
+        simsparc_machine::DATA_BASE,
+        simsparc_machine::HEAP_BASE,
+        simsparc_machine::HEAP_END,
+        simsparc_machine::TEXT_BASE,
+    ][below(rng, 4) as usize];
+    base + 8 * below(rng, 4096)
+}
+
+/// A counter event; most carry an effective address, whatever their
+/// counter and key.
 fn hwc_event(rng: &mut TestRng, n_counters: usize) -> PackedHwcEvent {
     let delivered = 0x1_0000 + 4 * below(rng, 72);
     PackedHwcEvent {
         counter: below(rng, n_counters as u64) as usize,
         delivered_pc: delivered,
         candidate_pc: chance(rng, 2).then(|| delivered - 4 * below(rng, 4)),
-        ea: None,
+        ea: (!chance(rng, 4)).then(|| address(rng)),
         stack: 0,
         truth_trigger_pc: delivered,
         truth_ea: None,
@@ -155,6 +173,22 @@ fn open(bytes: &[u8]) -> StreamFile {
 fn pairs(images: &[&[u8]]) -> PairHistogram {
     let streams: Vec<StreamFile> = images.iter().map(|b| open(b)).collect();
     pair_streams(&streams).unwrap()
+}
+
+const BUCKETS: [AddrBucket; 3] = [
+    AddrBucket::Segment,
+    AddrBucket::Block(PAGE_BYTES),
+    AddrBucket::Block(EC_LINE_BYTES),
+];
+
+fn addresses(images: &[&[u8]], syms: &SymbolTable, bucket: AddrBucket) -> AddrMap {
+    let streams: Vec<StreamFile> = images.iter().map(|b| open(b)).collect();
+    address_streams(&streams, syms, bucket).unwrap()
+}
+
+/// Each bucket's samples summed over its columns.
+fn totals(map: &AddrMap) -> std::collections::BTreeMap<u64, u64> {
+    map.iter().map(|(k, s)| (*k, s.iter().sum())).collect()
 }
 
 /// The histogram column an analyzer column lands in.
@@ -250,6 +284,147 @@ proptest! {
             );
         }
     }
+
+    /// `fold([a, b]) == fold([a]) + fold([b])` under one table, and the
+    /// fold is the analyzer's keyed map of the decoded merge, column
+    /// for column. The generated events give addresses to plain
+    /// counters (key `(None, d)`), to backtracked events with no
+    /// candidate and to candidates cut off by a branch target (both
+    /// Unresolvable, so their addresses drop), and interleave clock
+    /// ticks. Over two recipes the fold counts the union of their
+    /// columns, and each bucket holds the analyzer's total over both
+    /// experiments, so every view renders the same lines.
+    #[test]
+    fn the_address_fold_is_additive_and_the_analyzers_map(case in cases()) {
+        let (a, b, c, syms) = case;
+        let merged = merge_streams(&[open(&a), open(&b)]).unwrap();
+        let exp = open(&merged).to_experiment().unwrap();
+        let analysis = Analysis::new(&[&exp], &syms);
+        let columns = pairs(&[&merged]).columns;
+        let (exp_a, exp_c) = (open(&a).to_experiment().unwrap(), open(&c).to_experiment().unwrap());
+        let two_recipes = Analysis::new(&[&exp_a, &exp_c], &syms);
+        for bucket in BUCKETS {
+            let both = addresses(&[&a, &b], &syms, bucket);
+            let mut sum = addresses(&[&a], &syms, bucket);
+            for (key, samples) in addresses(&[&b], &syms, bucket) {
+                let slot = sum.entry(key).or_insert_with(|| vec![0; samples.len()]);
+                for (d, s) in slot.iter_mut().zip(&samples) {
+                    *d += s;
+                }
+            }
+            prop_assert_eq!(&both, &sum);
+            prop_assert_eq!(&addresses(&[&merged], &syms, bucket), &both);
+
+            let mut oracle = AddrMap::new();
+            for (key, samples) in analysis.addr_map(bucket) {
+                let slot = oracle.entry(key).or_insert_with(|| vec![0; columns.len()]);
+                for (col, s) in analysis.columns.iter().zip(&samples) {
+                    let at = columns.iter().position(|c| *c == spec_of(&col.kind, col.interval));
+                    slot[at.unwrap()] += s;
+                }
+            }
+            prop_assert_eq!(&both, &oracle);
+
+            let union = addresses(&[&a, &c], &syms, bucket);
+            let union_cols = pairs(&[&a, &c]).columns.len();
+            prop_assert!(union.values().all(|s| s.len() == union_cols));
+            prop_assert_eq!(totals(&union), totals(&two_recipes.addr_map(bucket)));
+            for limit in [1, 7, usize::MAX] {
+                prop_assert_eq!(
+                    render_addr_rows(bucket, &addr_rows(union.clone(), limit)),
+                    render_addr_rows(bucket, &addr_rows(two_recipes.addr_map(bucket), limit))
+                );
+            }
+        }
+    }
+}
+
+/// The address rule on one handmade stream: of five events with an
+/// effective address, the fold keeps a plain counter's (key `(None,
+/// d)`) and a validated candidate's, and drops a backtracked event's
+/// with no candidate and one whose candidate window crosses a branch
+/// target; clock ticks carry none. The analyzer keeps the same ones.
+#[test]
+fn the_address_fold_keeps_only_addresses_the_analysis_keeps() {
+    let syms = SymbolTable::parse(
+        "simsparc-syms text_base=0x10000\nMODULE 1 1 m0 m0.c\nFUNC 0x10000 0x10010 0 1 f\n\
+         PC 1 0 S long count\nPC 1 1 -\nPC 1 0 S long count\nPC 1 0 -\n",
+    )
+    .unwrap();
+    let recipe = vec![
+        CounterRequest {
+            event: CounterEvent::ECReadMiss,
+            backtrack: true,
+            interval: 101,
+        },
+        CounterRequest {
+            event: CounterEvent::ECRef,
+            backtrack: false,
+            interval: 53,
+        },
+    ];
+    let event = |counter, candidate_pc, delivered_pc, ea: u64| PackedHwcEvent {
+        counter,
+        delivered_pc,
+        candidate_pc,
+        ea: Some(ea),
+        stack: 0,
+        truth_trigger_pc: delivered_pc,
+        truth_ea: Some(ea),
+        truth_skid: 0,
+    };
+    let heap = simsparc_machine::HEAP_BASE;
+    let data = simsparc_machine::DATA_BASE;
+    let mut w = SegmentWriter::new(Vec::new());
+    w.begin(&recipe, Some(10007), CLOCK_HZ).unwrap();
+    w.stacks(&[vec![0x1_0000]]).unwrap();
+    w.hwc_segment(&[
+        // Validated: no branch target after 0x10008 up to 0x1000c.
+        event(0, Some(0x1_0008), 0x1_000c, heap + 0x200),
+        // Blocked by the branch target at 0x10004: Unresolvable.
+        event(0, Some(0x1_0000), 0x1_0008, heap + 0x400),
+        // Backtracked with no candidate: Unresolvable.
+        event(0, None, 0x1_0008, heap + 0x600),
+        // A plain counter with the same key keeps its address.
+        event(1, None, 0x1_0008, data + 0x40),
+        // A plain counter's candidate is not part of its key.
+        event(1, Some(0x1_0000), 0x1_0008, data + 0x2040),
+    ])
+    .unwrap();
+    w.clock_segment(&[PackedClockEvent {
+        pc: 0x1_0004,
+        stack: 0,
+    }])
+    .unwrap();
+    w.finish(
+        &RunInfo {
+            clock_hz: CLOCK_HZ,
+            dropped: vec![0, 0],
+            ..RunInfo::default()
+        },
+        &[],
+    )
+    .unwrap();
+    let image = w.into_inner();
+    let exp = open(&image).to_experiment().unwrap();
+    let analysis = Analysis::new(&[&exp], &syms);
+
+    let lines = addresses(&[&image], &syms, AddrBucket::Block(EC_LINE_BYTES));
+    let bases: std::collections::BTreeSet<u64> = lines.keys().map(|k| k * EC_LINE_BYTES).collect();
+    assert_eq!(
+        bases,
+        [data, data + 0x2000, heap + 0x200].into_iter().collect()
+    );
+    assert_eq!(lines, analysis.addr_map(AddrBucket::Block(EC_LINE_BYTES)));
+    // Columns: User CPU, E$ read misses, E$ references.
+    let segments = addresses(&[&image], &syms, AddrBucket::Segment);
+    assert_eq!(segments[&1], vec![0, 0, 2]);
+    assert_eq!(segments[&2], vec![0, 1, 0]);
+    assert_eq!(segments.len(), 2);
+    assert_eq!(
+        render_addr_rows(AddrBucket::Segment, &addr_rows(segments, usize::MAX)),
+        "  data:        2 events\n  heap:        1 events\n"
+    );
 }
 
 /// Different columns merge into their union, which is the fold of

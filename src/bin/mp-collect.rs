@@ -38,14 +38,15 @@ use std::process::exit;
 
 use memprof::machine::{CounterEvent, Machine, MachineConfig};
 use memprof::minic::{compile_and_link, CompileOptions};
+use memprof::outln;
 use memprof::profiler::{collect, collect_stream, parse_counter_spec, CollectConfig, StreamConfig};
 use memprof::serve::SocketSink;
 use memprof::store::SegmentWriter;
 
 fn print_counters() {
-    println!("Available counters (prefix with `+` for apropos backtracking):");
+    outln!("Available counters (prefix with `+` for apropos backtracking):");
     for e in CounterEvent::ALL {
-        println!(
+        outln!(
             "  {:<9} {:<24} registers {:?}{}",
             e.name(),
             e.title(),
@@ -57,7 +58,7 @@ fn print_counters() {
             }
         );
     }
-    println!("Intervals: hi | on | lo | <number>  (e.g. -h +ecstall,lo,+ecrm,on)");
+    outln!("Intervals: hi | on | lo | <number>  (e.g. -h +ecstall,lo,+ecrm,on)");
 }
 
 fn main() {

@@ -28,7 +28,11 @@ use std::process::exit;
 
 use memprof::machine::{CounterEvent, Image};
 use memprof::minic::SymbolTable;
-use memprof::profiler::{analyze::Analysis, Experiment};
+use memprof::profiler::analyze::{
+    addr_rows, render_addr_rows, AddrBucket, Analysis, EC_LINE_BYTES,
+};
+use memprof::profiler::Experiment;
+use memprof::{out, outln};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -93,11 +97,11 @@ fn main() {
     match rest[0].as_str() {
         "header" => {
             for (d, e) in dirs.iter().zip(&experiments) {
-                println!("experiment {}:", d.display());
+                outln!("experiment {}:", d.display());
                 for line in &e.log {
-                    println!("  {line}");
+                    outln!("  {line}");
                 }
-                println!(
+                outln!(
                     "  exit {}, {} hwc events, {} clock ticks, {} dropped",
                     e.run.exit_code,
                     e.hwc_events.len(),
@@ -106,48 +110,48 @@ fn main() {
                 );
             }
         }
-        "total" => print!("{}", analysis.total_metrics().render()),
+        "total" => out!("{}", analysis.total_metrics().render()),
         "functions" => {
             let col = col_for(rest.get(1));
-            print!("{}", analysis.render_function_list(col));
+            out!("{}", analysis.render_function_list(col));
         }
         "pcs" => {
             let col = col_for(rest.get(1));
             let n = rest.get(2).and_then(|s| s.parse().ok()).unwrap_or(20);
-            print!("{}", analysis.render_pc_list(col, n));
+            out!("{}", analysis.render_pc_list(col, n));
         }
         "source" => {
             let f = rest.get(1).unwrap_or_else(|| usage("source FUNC"));
             match analysis.render_annotated_source(f) {
-                Some(s) => print!("{s}"),
+                Some(s) => out!("{s}"),
                 None => usage(&format!("unknown function `{f}`")),
             }
         }
         "disasm" => {
             let f = rest.get(1).unwrap_or_else(|| usage("disasm FUNC"));
             match analysis.render_annotated_disasm(f, &image.text) {
-                Some(s) => print!("{s}"),
+                Some(s) => out!("{s}"),
                 None => usage(&format!("unknown function `{f}`")),
             }
         }
         "data_objects" => {
             let col = col_for(rest.get(1));
-            print!("{}", analysis.render_data_objects(col));
+            out!("{}", analysis.render_data_objects(col));
         }
         "struct" => {
             let name = rest.get(1).unwrap_or_else(|| usage("struct NAME"));
             match analysis.render_struct_expansion(name) {
-                Some(s) => print!("{s}"),
+                Some(s) => out!("{s}"),
                 None => usage(&format!("unknown struct `{name}`")),
             }
         }
         "callers" => {
             let f = rest.get(1).unwrap_or_else(|| usage("callers FUNC"));
-            print!("{}", analysis.render_callers_callees(f));
+            out!("{}", analysis.render_callers_callees(f));
         }
         "effectiveness" => {
             for e in analysis.effectiveness() {
-                println!(
+                outln!(
                     "{:<18} {:>7} events  {:>5} unresolvable  {:>5} unascertainable  {:>6.1}% effective",
                     e.title, e.total, e.unresolvable, e.unascertainable, e.effectiveness_pct
                 );
@@ -157,30 +161,27 @@ fn main() {
             let col = col_for(rest.get(1));
             let n = rest.get(2).and_then(|s| s.parse().ok()).unwrap_or(15);
             for r in analysis.hot_lines(col, n) {
-                println!(
+                outln!(
                     "{:>7}  {}:{}  {}",
-                    r.samples[col], r.function, r.line_no, r.text
+                    r.samples[col],
+                    r.function,
+                    r.line_no,
+                    r.text
                 );
             }
         }
         "segments" => {
-            for row in analysis.segments() {
-                println!(
-                    "{:>6}: {:>8} events",
-                    row.segment.name(),
-                    row.samples.iter().sum::<u64>()
-                );
-            }
+            let map = analysis.addr_map(AddrBucket::Segment);
+            out!(
+                "{}",
+                render_addr_rows(AddrBucket::Segment, &addr_rows(map, usize::MAX))
+            );
         }
         "lines" => {
             let n = rest.get(1).and_then(|s| s.parse().ok()).unwrap_or(10);
-            for row in analysis.cache_lines(512, n) {
-                println!(
-                    "{:#012x}: {:>6} events",
-                    row.line_base,
-                    row.samples.iter().sum::<u64>()
-                );
-            }
+            let bucket = AddrBucket::Block(EC_LINE_BYTES);
+            let map = analysis.addr_map(bucket);
+            out!("{}", render_addr_rows(bucket, &addr_rows(map, n)));
         }
         other => usage(&format!("unknown view `{other}`")),
     }

@@ -32,6 +32,7 @@ use std::process::exit;
 
 use memprof::mcf::{paper_machine_config, Instance, InstanceParams};
 use memprof::opt::{optimize, CSourceWorkload, McfWorkload, OptConfig, Workload};
+use memprof::out;
 
 fn usage(msg: &str) -> ! {
     eprintln!(
@@ -147,7 +148,7 @@ fn main() {
             exit(1)
         }
     };
-    print!("{}", report.render());
+    out!("{}", report.render());
 
     if let Some(path) = feedback_out {
         if let Err(e) = std::fs::write(&path, report.feedback.to_text()) {

@@ -16,8 +16,9 @@
 //! stores every N seconds; without it, compaction runs only on an
 //! explicit `compact` query. Compaction keeps each window's summary,
 //! from which `functions`, `stat`, `diff` and `objects` answer without
-//! opening the packed store; `segments`, `pages` and `lines` decode
-//! the window from disk on every query.
+//! opening the packed store; `segments`, `pages` and `lines` count
+//! effective addresses from the chunks of the packed store and the
+//! fresh raw segments on every query.
 //!
 //! `--idle-secs N` (default 300, 0 disables) drops a connection that
 //! sends nothing for N seconds, sealing whatever readable prefix its
@@ -42,6 +43,7 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use memprof::serve::{self, RetentionPolicy, Server, ServerConfig};
+use memprof::{out, outln};
 
 fn usage(msg: &str) -> ! {
     eprintln!(
@@ -130,7 +132,7 @@ fn main() {
             let addr = &args[1];
             let line = args[2..].join(" ");
             match serve::query(addr, &line) {
-                Ok(text) => print!("{text}"),
+                Ok(text) => out!("{text}"),
                 Err(e) => fail("query failed", e),
             }
         }
@@ -143,8 +145,8 @@ fn main() {
             loop {
                 match client.next_frame() {
                     Ok(Some(frame)) => {
-                        print!("{frame}");
-                        println!("---");
+                        out!("{frame}");
+                        outln!("---");
                     }
                     Ok(None) => break, // daemon shut down
                     Err(e) => fail("watch failed", e),

@@ -24,6 +24,7 @@ use memprof::store::{
     aggregate_streams, diff_streams, merge_streams, pack_dir, pair_streams, unpack_to_dir,
     ExperimentRef, StreamFile,
 };
+use memprof::{out, outln};
 
 fn usage(msg: &str) -> ! {
     eprintln!(
@@ -83,7 +84,7 @@ fn main() {
             pack_dir(Path::new(dir), Path::new(out))
                 .unwrap_or_else(|e| fail(&format!("cannot pack {dir}"), e));
             let size = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
-            println!("packed {dir} -> {out} ({size} bytes)");
+            outln!("packed {dir} -> {out} ({size} bytes)");
         }
         "unpack" => {
             let [_, file, dir] = &args[..] else {
@@ -92,7 +93,7 @@ fn main() {
             let what = format!("cannot unpack {file}");
             unpack_to_dir(&open_stream(file, &what), Path::new(dir))
                 .unwrap_or_else(|e| fail(&what, e));
-            println!("unpacked {file} -> {dir}");
+            outln!("unpacked {file} -> {dir}");
         }
         "merge" => {
             if args.len() < 3 {
@@ -111,7 +112,7 @@ fn main() {
             let merged = merge_streams(&inputs).unwrap_or_else(|e| fail("cannot merge", e));
             std::fs::write(&out, merged)
                 .unwrap_or_else(|e| fail(&format!("cannot write {}", out.display()), e));
-            println!(
+            outln!(
                 "merged {} experiments -> {} ({} hwc events, {} clock ticks)",
                 inputs.len(),
                 out.display(),
@@ -128,8 +129,8 @@ fn main() {
             // Function-level when either side carries symbols; raw
             // per-PC rows otherwise.
             match stream_syms(&sa).or_else(|| stream_syms(&sb)) {
-                Some(syms) => print!("{}", diff.render_by_function(&syms)),
-                None => print!("{}", diff.render()),
+                Some(syms) => out!("{}", diff.render_by_function(&syms)),
+                None => out!("{}", diff.render()),
             }
         }
         "stat" => {
@@ -148,11 +149,11 @@ fn main() {
                 let agg =
                     aggregate_streams(&streams).unwrap_or_else(|e| fail("cannot aggregate", e));
                 let syms = streams.iter().find_map(stream_syms);
-                print!("{}", agg.stat_json(syms.as_ref()));
+                out!("{}", agg.stat_json(syms.as_ref()));
                 return;
             }
             for (arg, s) in rest.iter().zip(&streams) {
-                println!(
+                outln!(
                     "{arg}: {} counters, {} hwc events, {} clock ticks, exit {}",
                     s.counters().len(),
                     s.hwc_total(),
@@ -161,14 +162,14 @@ fn main() {
                 );
             }
             let agg = aggregate_streams(&streams).unwrap_or_else(|e| fail("cannot aggregate", e));
-            println!("-- aggregate over {} experiments", streams.len());
+            outln!("-- aggregate over {} experiments", streams.len());
             // Totals only; the per-PC table is for machine diffing.
             for line in agg.render().lines() {
                 if line.starts_with(char::is_alphabetic) {
-                    println!("{line}");
+                    outln!("{line}");
                 }
             }
-            println!("{} distinct PCs", agg.pc_samples.len());
+            outln!("{} distinct PCs", agg.pc_samples.len());
         }
         other => usage(&format!("unknown command `{other}`")),
     }

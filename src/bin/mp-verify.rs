@@ -30,6 +30,7 @@ use std::process::exit;
 use memprof::minic::SymbolTable;
 use memprof::profiler::verify::{fuzz_attribution, verify_experiment, Verdict, VerifyReport};
 use memprof::profiler::Experiment;
+use memprof::{out, outln};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -73,9 +74,9 @@ fn main() {
     if let Some(cases) = fuzz {
         match fuzz_attribution(cases, seed) {
             Ok(stats) => {
-                println!("fuzz: {} cases, {} events clean", stats.cases, stats.events);
+                outln!("fuzz: {} cases, {} events clean", stats.cases, stats.events);
                 for v in Verdict::ALL {
-                    println!("  {:<22} {}", v.label(), stats.verdicts[v as usize]);
+                    outln!("  {:<22} {}", v.label(), stats.verdicts[v as usize]);
                 }
             }
             Err(fail) => {
@@ -109,12 +110,12 @@ fn main() {
         });
         let report = verify_experiment(&exp, &syms);
         if json {
-            print!("{}", report.to_json());
+            out!("{}", report.to_json());
         } else {
             if dirs.len() > 1 {
-                println!("== {} ==", dir.display());
+                outln!("== {} ==", dir.display());
             }
-            print!("{}", report.render());
+            out!("{}", report.render());
         }
         if let Some(path) = &baseline {
             if !check_baseline(path, &report) {

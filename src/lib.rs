@@ -33,3 +33,40 @@ pub use simsparc_isa as isa;
 pub use simsparc_machine as machine;
 
 pub use mcf;
+
+/// Standard output for the command-line tools in `src/bin`. Every
+/// report they print goes through [`out!`] or [`outln!`], which write
+/// like `print!` and `println!` except when the reader has gone away
+/// (`mp-store stat S | head -1`): then nobody is left to read the rest
+/// of the report, and the process ends at once, quietly, with status 0.
+/// Any other write error is reported on stderr, with status 1.
+pub mod cli {
+    use std::io::Write as _;
+
+    /// Write `args` to standard output, as the module docs describe.
+    pub fn write_out(args: std::fmt::Arguments<'_>) {
+        if let Err(e) = std::io::stdout().write_fmt(args) {
+            if e.kind() == std::io::ErrorKind::BrokenPipe {
+                std::process::exit(0);
+            }
+            eprintln!("cannot write to standard output: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `print!` through [`cli::write_out`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::write_out(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`cli::write_out`].
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::cli::write_out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}

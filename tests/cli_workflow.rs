@@ -197,3 +197,53 @@ fn er_print_rejects_bad_input() {
     );
     std::fs::remove_dir_all(&exp).ok();
 }
+
+/// A reader that stops early (`mp-er-print DIR lines N | head -1`)
+/// ends the tool quietly: exit status 0 and no panic on stderr. The
+/// view is larger than a pipe buffer, so the tool is still writing
+/// when the pipe closes and always meets the broken pipe.
+#[test]
+fn a_reader_that_stops_early_ends_the_tool_quietly() {
+    use std::io::BufRead as _;
+    use std::process::Stdio;
+
+    let exp = temp_exp_dir("pipe");
+    let _ = std::fs::remove_dir_all(&exp);
+    std::fs::create_dir_all(&exp).unwrap();
+    let src = small_workload(&exp);
+    let out = Command::new(collect_bin())
+        .args(["-o", exp.to_str().unwrap(), "-h", "+ecref,11"])
+        .arg(&src)
+        .output()
+        .expect("run mp-collect");
+    assert!(
+        out.status.success(),
+        "mp-collect failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let whole = Command::new(er_print_bin())
+        .arg(&exp)
+        .args(["lines", "100000"])
+        .output()
+        .expect("run mp-er-print");
+    assert!(whole.stdout.len() > 128 * 1024, "{}", whole.stdout.len());
+
+    let mut child = Command::new(er_print_bin())
+        .arg(&exp)
+        .args(["lines", "100000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn mp-er-print");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.ends_with(" events\n"), "{first}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+    let _ = std::fs::remove_dir_all(&exp);
+}

@@ -7,6 +7,13 @@
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use memprof::minic::SymbolTable;
+use memprof::profiler::analyze::{
+    addr_rows, render_addr_rows, AddrBucket, Analysis, EC_LINE_BYTES, PAGE_BYTES,
+};
+use memprof::profiler::Experiment;
+use memprof::store::{merge_streams, StreamFile};
+
 fn serve_bin() -> &'static str {
     env!("CARGO_BIN_EXE_mp-serve")
 }
@@ -359,7 +366,7 @@ fn a_recipe_with_two_identical_counters_answers_like_the_offline_tools() {
 #[test]
 fn windows_with_different_recipes_answer_like_the_offline_tools() {
     use memprof::serve::query::stat_text;
-    use memprof::store::{aggregate_streams, StreamFile};
+    use memprof::store::aggregate_streams;
 
     let data = scratch("mixed_recipes");
     let (_daemon, addr) = start_daemon(&data);
@@ -418,5 +425,122 @@ fn windows_with_different_recipes_answer_like_the_offline_tools() {
         query(&addr, &["functions", "wa"]),
         offline_stat(&[packed("wa"), fresh[0].clone()])
     );
+
+    // The address views fold both tiers into the union of their
+    // columns too, where the merge compaction writes refuses two
+    // recipes: each bucket holds the analyzer's events over both
+    // experiments.
+    let tiers = [packed("wa"), fresh[0].clone()];
+    let exps: Vec<Experiment> = tiers
+        .iter()
+        .map(|p| StreamFile::open(p).unwrap().to_experiment().unwrap())
+        .collect();
+    let syms = window_syms(&tiers);
+    let analysis = Analysis::new(&[&exps[0], &exps[1]], &syms);
+    for (view, bucket, limit) in address_views("wa") {
+        let rows = addr_rows(analysis.addr_map(bucket), limit);
+        assert_eq!(
+            query(&addr, &view),
+            render_addr_rows(bucket, &rows),
+            "{view:?}"
+        );
+    }
+    let report = query(&addr, &["compact"]);
+    assert!(
+        report.contains("compact wa failed: incompatible experiments"),
+        "{report}"
+    );
+    assert_eq!(query(&addr, &["shutdown"]), "shutting down\n");
+}
+
+/// The address-keyed queries on `window`, each with its bucket and row
+/// limit: the default limit and the ones given.
+fn address_views(window: &str) -> Vec<(Vec<&str>, AddrBucket, usize)> {
+    let page = AddrBucket::Block(PAGE_BYTES);
+    let line = AddrBucket::Block(EC_LINE_BYTES);
+    vec![
+        (vec!["segments", window], AddrBucket::Segment, usize::MAX),
+        (vec!["pages", window], page, 10),
+        (vec!["pages", window, "7"], page, 7),
+        (vec!["lines", window], line, 10),
+        (vec!["lines", window, "100000"], line, 100_000),
+    ]
+}
+
+/// The symbol table of the first of `paths` that carries one.
+fn window_syms(paths: &[std::path::PathBuf]) -> SymbolTable {
+    let text = paths
+        .iter()
+        .find_map(|p| {
+            let file = StreamFile::open(p).unwrap();
+            file.attachment("syms.txt").map(str::to_string)
+        })
+        .expect("no tier carries a symbol table");
+    SymbolTable::parse(&text).unwrap()
+}
+
+/// Window `window`'s address view the way the daemon once computed
+/// it: decode the merge compaction writes — the packed store, then
+/// the raw segments in file-name order — analyze it with the first
+/// symbol table those files carry, and render the rows.
+fn decoded_view(data: &std::path::Path, window: &str, bucket: AddrBucket, limit: usize) -> String {
+    let packed = data.join("packed").join(format!("{window}.mps"));
+    let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(data.join("raw").join(window))
+        .map(|dir| dir.map(|e| e.unwrap().path()).collect())
+        .unwrap_or_default();
+    paths.retain(|p| p.extension().is_some_and(|x| x == "mpes"));
+    paths.sort();
+    if packed.exists() {
+        paths.insert(0, packed);
+    }
+    let inputs: Vec<StreamFile> = paths.iter().map(|p| StreamFile::open(p).unwrap()).collect();
+    let merged = StreamFile::from_bytes(merge_streams(&inputs).unwrap()).unwrap();
+    let exp = merged.to_experiment().unwrap();
+    let syms = window_syms(&paths);
+    let analysis = Analysis::new(&[&exp], &syms);
+    render_addr_rows(bucket, &addr_rows(analysis.addr_map(bucket), limit))
+}
+
+/// Served `segments`, `pages N` and `lines N` fold the window's tier
+/// files without decoding them into an experiment. On a window with
+/// raw segments only, one with a packed store only, and one with a
+/// packed store and a fresh raw segment, each answers byte for byte
+/// what analyzing the decoded merge of those files renders.
+#[test]
+fn address_views_answer_like_the_decoded_merge() {
+    let data = scratch("address_views");
+    let (_daemon, addr) = start_daemon(&data);
+    let session = |n: u64| {
+        let src = small_workload(&data, &format!("wv{n}"), n);
+        run_ok(
+            Command::new(collect_bin())
+                .args(["--connect", &addr, "--window", "wv"])
+                .args(["-h", "+ecstall,997,+ecref,211", "-p", "on"])
+                .args(["--period", "4001"])
+                .arg(&src),
+        );
+    };
+    let check = |stage: &str| {
+        for (view, bucket, limit) in address_views("wv") {
+            let served = query(&addr, &view);
+            assert_eq!(
+                served,
+                decoded_view(&data, "wv", bucket, limit),
+                "{stage}: {view:?}"
+            );
+            assert!(
+                served.lines().count() > 1 || view[0] == "segments",
+                "{stage}: {view:?}"
+            );
+        }
+    };
+    session(40_000);
+    session(30_000);
+    check("raw segments only");
+    let report = query(&addr, &["compact"]);
+    assert!(report.contains("compacted wv: 2 raw segments"), "{report}");
+    check("packed store only");
+    session(20_000);
+    check("packed store and a fresh raw segment");
     assert_eq!(query(&addr, &["shutdown"]), "shutting down\n");
 }
